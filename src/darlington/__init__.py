@@ -35,6 +35,7 @@ from .realization import (
     compose,
     direct_sum,
     evaluate,
+    freqresp,
     invert,
     kalman_check,
     minimal_realization,

@@ -36,18 +36,18 @@ from .extension import (
     frequency_grid,
     innerness_residual,
     symmetric_unitary_extension,
-    unitary_axis_residual,
 )
 from .realization import (
     Realization,
     evaluate,
+    freqresp,
     kalman_check,
     minimal_realization,
     mobius_precondition,
     symmetrize,
     symmetry_residual,
 )
-from .riccati import analyze_spectrum, build_hamiltonian, build_hat, solve_extremal
+from .riccati import build_hat, solve_extremal
 from .reduction import minimize_symmetric
 from .scalar import compute_mu, scalar_minimal_extension
 
@@ -131,8 +131,8 @@ def _schur_report(R: Realization, tol: float) -> dict:
     Rm, cert = minimal_realization(R)
     dnorm = float(np.linalg.norm(R.d, 2))
     stable = bool(Rm.n == 0 or np.max(Rm.poles().real) < -1e-12)
-    grid_sup = max(float(np.linalg.norm(evaluate(Rm, 1j * w), 2))
-                   for w in frequency_grid())
+    vals = freqresp(Rm, 1j * frequency_grid())
+    grid_sup = float(np.max(np.linalg.norm(vals, 2, axis=(1, 2))))
     schur = stable and grid_sup <= 1.0 + tol
     return {
         "state_dim": R.n,
@@ -192,39 +192,7 @@ def cmd_synthesize(args) -> int:
     R, _ = minimal_realization(R)
     rep: dict = {"mode": args.mode, "solution": args.solution}
     try:
-        if args.mode == "inner":
-            hat = build_hat(R)
-            spec = analyze_spectrum(build_hamiltonian(hat))
-            pmin, pmax = solve_extremal(hat)
-            sol = pmin if args.solution == "min" else pmax
-            E = build_extension(R, sol)
-            out = E.realization
-            rep.update({
-                "degree": kalman_check(out).mcmillan_degree,
-                "kappa": spec.kappa, "n0": spec.n0,
-                "innerness_residual": innerness_residual(out),
-                "riccati_residual": sol.residual_norm,
-            })
-            if args.solution == "min":
-                zeros = np.linalg.eigvals(sol.z)
-                rep["outer_lower_left"] = bool(
-                    zeros.size == 0 or np.max(zeros.real) <= 1e-7)
-        elif args.mode == "symmetric":
-            Rs = symmetrize(R)
-            hat = build_hat(Rs)
-            spec = analyze_spectrum(build_hamiltonian(hat))
-            pmin, pmax = solve_extremal(hat)
-            sol = pmin if args.solution == "min" else pmax
-            E = build_extension(Rs, sol)
-            out, q = symmetric_unitary_extension(E)
-            rep.update({
-                "degree": kalman_check(out).mcmillan_degree,
-                "kappa": spec.kappa, "n0": spec.n0,
-                "q_degree": q.degree, "q_inner": q.inner_flag,
-                "unitary_axis_residual": unitary_axis_residual(out),
-                "symmetry_residual": symmetry_residual(out),
-            })
-        else:  # minimal-symmetric
+        if args.mode == "minimal-symmetric":
             res = minimize_symmetric(R, residual_tol=max(tol, 1e-7))
             out = res.extension
             rep.update({
@@ -234,6 +202,27 @@ def cmd_synthesize(args) -> int:
                 "symmetry_residual": res.symmetry,
                 "block_match": res.block_match,
             })
+        else:
+            base = symmetrize(R) if args.mode == "symmetric" else R
+            pmin, pmax = solve_extremal(build_hat(base))
+            sol = pmin if args.solution == "min" else pmax
+            E = build_extension(base, sol)
+            if args.mode == "symmetric":
+                out, q = symmetric_unitary_extension(E)
+                checks = {"q_degree": q.degree, "q_inner": q.inner_flag,
+                          "unitary_axis_residual": innerness_residual(out),
+                          "symmetry_residual": symmetry_residual(out)}
+            else:
+                out = E.realization
+                checks = {"innerness_residual": innerness_residual(out),
+                          "riccati_residual": sol.residual_norm}
+                if args.solution == "min":
+                    zeros = np.linalg.eigvals(sol.z)
+                    checks["outer_lower_left"] = bool(
+                        zeros.size == 0 or np.max(zeros.real) <= 1e-7)
+            rep.update({"degree": kalman_check(out).mcmillan_degree,
+                        "kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0,
+                        **checks})
     except NotContractiveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

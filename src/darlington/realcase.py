@@ -21,16 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SubspaceError, ValidationError
 from .extension import build_extension
-from .realization import Realization, evaluate, kalman_check
-from .riccati import (
-    analyze_spectrum,
-    build_hamiltonian,
-    build_hat,
-    riccati_residual,
-    solve_extremal,
-)
+from .realization import Realization, _intertwiner, freqresp, kalman_check
+from .riccati import build_hat, riccati_residual, solve_extremal
 
 __all__ = [
     "SignatureRealization",
@@ -44,6 +38,12 @@ _REAL_TOL = 1e-9
 _STRUCT_TOL = 1e-10
 
 
+def _require_real(R: Realization) -> None:
+    for name, M in (("A", R.a), ("B", R.b), ("C", R.c), ("D", R.d)):
+        if np.linalg.norm(M.imag) > _REAL_TOL * (1 + np.linalg.norm(M)):
+            raise ValidationError(f"{name} is not real; realcase needs a real realization")
+
+
 @dataclass(frozen=True)
 class SignatureRealization:
     """Real realization with A^T = JAJ, B^T = CJ, C^T = JB, D^T = D."""
@@ -55,9 +55,7 @@ class SignatureRealization:
         j = np.asarray(self.j).ravel()
         if j.size != R.n or not np.all(np.abs(j) == 1):
             raise ValidationError("J must be a +-1 vector of length n")
-        for name, M in (("A", R.a), ("B", R.b), ("C", R.c), ("D", R.d)):
-            if np.linalg.norm(M.imag) > _REAL_TOL * (1 + np.linalg.norm(M)):
-                raise ValidationError(f"{name} is not real")
+        _require_real(R)
         J = np.diag(j.astype(float))
         scale = 1.0 + np.linalg.norm(R.a, 2)
         ok = (np.linalg.norm(R.a.T - J @ R.a @ J, 2) <= _STRUCT_TOL * scale
@@ -82,25 +80,14 @@ def signature_realization(R: Realization) -> SignatureRealization:
     T = M^T J M with M real through the eigendecomposition of T, and
     transforms the realization.
     """
-    for name, M in (("A", R.a), ("B", R.b), ("C", R.c), ("D", R.d)):
-        if np.linalg.norm(M.imag) > _REAL_TOL * (1 + np.linalg.norm(M)):
-            raise ValidationError(f"{name} is not real; realcase needs a real realization")
+    _require_real(R)
     if not kalman_check(R).minimal:
         raise ValidationError("signature form needs a minimal realization")
     A, B, C = R.a.real, R.b.real, R.c.real
-    n = R.n
-    I = np.eye(n)
-    M1 = np.kron(A.T, I) - np.kron(I, A.T)
-    M2 = np.kron(B.T, I)
-    rhs = np.concatenate([np.zeros(n * n), C.T.flatten(order="F")])
-    vecT, *_ = np.linalg.lstsq(np.vstack([M1, M2]), rhs, rcond=None)
-    T = vecT.reshape((n, n), order="F")
-    T = (T + T.T) / 2
-    res = max(np.linalg.norm(T @ A - A.T @ T, 2), np.linalg.norm(T @ B - C.T, 2))
-    if res > 1e-7 * max(1.0, np.linalg.norm(T, 2)):
-        raise ValidationError(
-            f"no real intertwiner found (residual {res:g}); is the transfer "
-            "function symmetric?")
+    try:
+        T = _intertwiner(A, B, C)
+    except SubspaceError as exc:
+        raise ValidationError(f"no real intertwiner found: {exc}") from exc
     w, O = np.linalg.eigh(T)
     if np.min(np.abs(w)) <= 1e-12 * max(1.0, np.max(np.abs(w))):
         raise ValidationError("intertwiner T is numerically singular")
@@ -120,25 +107,20 @@ def is_real_extension(P, R: Realization, seed: int = 0x7EA1) -> bool:
     symmetry S(conj(s)) = conj(S(s)) of the extension at 16 random
     non-real points; the two verdicts must agree.
     """
-    for name, M in (("A", R.a), ("B", R.b), ("C", R.c), ("D", R.d)):
-        if np.linalg.norm(M.imag) > _REAL_TOL * (1 + np.linalg.norm(M)):
-            raise ValidationError(f"{name} is not real")
+    _require_real(R)
     Pm = P.p if hasattr(P, "p") else np.asarray(P, dtype=complex)
     real_p = bool(np.linalg.norm(Pm.imag, 2) <= _REAL_TOL * (1 + np.linalg.norm(Pm, 2)))
     E = build_extension(R, Pm)
     rng = np.random.default_rng(seed)
     poles = E.realization.poles()
     right = float(np.max(poles.real)) + 1.0 if poles.size else 1.0
-    worst = 0.0
-    count = 0
-    while count < 16:
+    pts = []
+    while len(pts) < 16:
         s = complex(right + 2 * rng.random(), 3 * (rng.random() - 0.5))
-        if abs(s.imag) < 0.1:
-            continue
-        count += 1
-        v1 = evaluate(E.realization, np.conj(s))
-        v2 = np.conj(evaluate(E.realization, s))
-        worst = max(worst, np.linalg.norm(v1 - v2, 2))
+        if abs(s.imag) >= 0.1:
+            pts.append(s)
+    gap = freqresp(E.realization, np.conj(pts)) - np.conj(freqresp(E.realization, pts))
+    worst = float(np.max(np.linalg.norm(gap, 2, axis=(1, 2))))
     certified = bool(worst <= 1e-8 * (1 + np.linalg.norm(Pm, 2)))
     if certified != real_p:
         raise ValidationError(
@@ -172,7 +154,6 @@ def real_symmetric_feasibility(SR: SignatureRealization) -> FeasibilityReport:
     J = SR.j_matrix
     hat = build_hat(R)
     pmin, pmax = solve_extremal(hat)
-    spectrum = analyze_spectrum(build_hamiltonian(hat))
     seen: list[np.ndarray] = []
     cands = []
     for sol in (pmin, pmax):
@@ -191,7 +172,7 @@ def real_symmetric_feasibility(SR: SignatureRealization) -> FeasibilityReport:
         if real_ok and fixed:
             return FeasibilityReport(feasible=True, witness=P.real.copy(),
                                      obstruction="", candidates_tried=len(cands))
-    odd = [c for c, m, lab in spectrum.clusters if m % 2 == 1]
+    odd = [c for c, m, lab in pmin.spectrum.clusters if m % 2 == 1]
     if odd:
         reason = (f"chi_H is not a perfect square (odd-multiplicity "
                   f"eigenvalues near {np.round(odd, 6)}); no symmetric "

@@ -10,7 +10,6 @@ moves strict contractivity from a finite imaginary point to infinity.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .linalg import DEFAULT_RANK_TOL, as_matrix
 __all__ = [
     "Realization",
     "DegreeCertificate",
+    "freqresp",
     "evaluate",
     "kalman_check",
     "minimal_realization",
@@ -112,24 +112,39 @@ class DegreeCertificate:
                 and self.observable_rank == self.state_dim)
 
 
+def freqresp(R: Realization, points) -> np.ndarray:
+    """Values of the transfer function at every point, stacked into a
+    (k, p, m) array; infinite points give D.
+
+    The pole guard (spectrum of A and its clustering tolerance) is
+    computed once per call, and all finite points share one stacked
+    solve.  Raises PoleError naming the first finite point within the
+    tolerance of the spectrum of A.
+    """
+    s = np.asarray(points, dtype=complex).ravel()
+    out = np.repeat(R.d[np.newaxis], s.size, axis=0)
+    finite = ~np.isinf(s)
+    if R.n == 0 or not finite.any():
+        return out
+    s = s[finite]
+    tol = linalg.default_cluster_tol(R.a)
+    near = np.min(np.abs(s[:, np.newaxis] - R.poles()), axis=1) <= tol
+    if near.any():
+        raise PoleError(
+            f"evaluation point {s[np.argmax(near)]:g} is within {tol:g} of a pole")
+    pencil = s[:, np.newaxis, np.newaxis] * np.eye(R.n) - R.a
+    # a 3-d right-hand side is a matrix stack under every numpy version
+    out[finite] += R.c @ np.linalg.solve(pencil, R.b[np.newaxis])
+    return out
+
+
 def evaluate(R: Realization, s: complex) -> np.ndarray:
     """Value of the transfer function at s; s = inf returns D.
 
     Raises PoleError if s lies within the eigenvalue clustering
     tolerance of the spectrum of A.
     """
-    if isinstance(s, float) and math.isinf(s):
-        return R.d.copy()
-    if isinstance(s, complex) and (math.isinf(s.real) or math.isinf(s.imag)):
-        return R.d.copy()
-    s = complex(s)
-    if R.n == 0:
-        return R.d.copy()
-    lam = R.poles()
-    tol = linalg.default_cluster_tol(R.a)
-    if np.min(np.abs(lam - s)) <= tol:
-        raise PoleError(f"evaluation point {s:g} is within {tol:g} of a pole")
-    return R.c @ np.linalg.solve(s * np.eye(R.n) - R.a, R.b) + R.d
+    return freqresp(R, [s])[0]
 
 
 def derivative(R: Realization, s: complex) -> np.ndarray:
@@ -228,18 +243,17 @@ def transfer_distance(R1: Realization, R2: Realization,
                       points: np.ndarray | None = None) -> float:
     """max over the probe grid of ||R1(s) - R2(s)|| / (1 + ||R1(s)||)."""
     pts = probe_points(R1, R2) if points is None else points
-    worst = 0.0
-    for s in pts:
-        v1 = evaluate(R1, s)
-        v2 = evaluate(R2, s)
-        worst = max(worst, np.linalg.norm(v1 - v2, 2) / (1.0 + np.linalg.norm(v1, 2)))
-    return worst
+    v1 = freqresp(R1, pts)
+    v2 = freqresp(R2, pts)
+    gap = np.linalg.norm(v1 - v2, 2, axis=(1, 2))
+    return float(np.max(gap / (1.0 + np.linalg.norm(v1, 2, axis=(1, 2))),
+                        initial=0.0))
 
 
 def symmetry_residual(R: Realization, points: np.ndarray | None = None) -> float:
     """max over the probe grid of ||S(s) - S(s)^T||."""
-    pts = probe_points(R) if points is None else points
-    return max(np.linalg.norm(evaluate(R, s) - evaluate(R, s).T, 2) for s in pts)
+    F = freqresp(R, probe_points(R) if points is None else points)
+    return float(np.max(np.linalg.norm(F - F.transpose(0, 2, 1), 2, axis=(1, 2))))
 
 
 def compose(R1: Realization, R2: Realization) -> Realization:
@@ -333,6 +347,29 @@ def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL,
     return out, cert
 
 
+def _intertwiner(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """Symmetric least-squares solution T of T A = A^T T, T B = C^T
+    (Kronecker form; T keeps the dtype of the data).
+
+    Raises SubspaceError when the residual exceeds 1e-7 * max(1, ||T||),
+    i.e. the realization is not minimal or the function not symmetric.
+    """
+    n = A.shape[0]
+    I = np.eye(n)
+    M1 = np.kron(A.T, I) - np.kron(I, A.T)
+    M2 = np.kron(B.T, I)
+    rhs = np.concatenate([np.zeros(n * n, dtype=C.dtype), C.T.flatten(order="F")])
+    vecT, *_ = np.linalg.lstsq(np.vstack([M1, M2]), rhs, rcond=None)
+    T = vecT.reshape((n, n), order="F")
+    T = (T + T.T) / 2
+    res = max(np.linalg.norm(T @ A - A.T @ T, 2), np.linalg.norm(T @ B - C.T, 2))
+    if res > 1e-7 * max(1.0, np.linalg.norm(T, 2)):
+        raise SubspaceError(
+            f"intertwining system residual {res:g}; realization may not be "
+            "minimal or the function not symmetric")
+    return T
+
+
 def symmetrize(R: Realization, rank_tol: float = DEFAULT_RANK_TOL,
                sym_tol: float = 1e-8) -> Realization:
     """Complex symmetric realization (A = A^T, B = C^T, D = D^T) of a
@@ -356,21 +393,7 @@ def symmetrize(R: Realization, rank_tol: float = DEFAULT_RANK_TOL,
     cert = kalman_check(R, rank_tol)
     if not cert.minimal:
         raise ValidationError("symmetrize requires a minimal realization")
-    n = R.n
-    I = np.eye(n)
-    M1 = np.kron(R.a.T, I) - np.kron(I, R.a.T)
-    M2 = np.kron(R.b.T, I)
-    rhs = np.concatenate([np.zeros(n * n, dtype=complex),
-                          R.c.T.flatten(order="F")])
-    vecT, *_ = np.linalg.lstsq(np.vstack([M1, M2]), rhs, rcond=None)
-    T = vecT.reshape((n, n), order="F")
-    T = (T + T.T) / 2
-    res = max(np.linalg.norm(T @ R.a - R.a.T @ T, 2),
-              np.linalg.norm(T @ R.b - R.c.T, 2))
-    if res > 1e-7 * max(1.0, np.linalg.norm(T, 2)):
-        raise SubspaceError(
-            f"intertwining system residual {res:g}; realization may not be "
-            "minimal or the function not symmetric")
+    T = _intertwiner(R.a, R.b, R.c)
     tk = linalg.takagi(T, sym_tol=1e-7)
     if tk.values[0] <= 1e-12 * max(1.0, tk.values[-1]):
         raise SubspaceError("similarity T is numerically singular")

@@ -33,20 +33,14 @@ from .realization import (
     compose,
     derivative,
     evaluate,
+    freqresp,
     kalman_check,
     minimal_realization,
     probe_points,
     symmetrize,
     symmetry_residual,
 )
-from .riccati import (
-    HSpectrum,
-    RiccatiSolution,
-    analyze_spectrum,
-    build_hamiltonian,
-    build_hat,
-    solve_extremal,
-)
+from .riccati import HSpectrum, RiccatiSolution, build_hat, solve_extremal
 
 __all__ = [
     "BlaschkeFactor",
@@ -316,13 +310,10 @@ def minimize_symmetric(R: Realization, cluster_tol: float | None = None,
         raise _stage("symmetrize", exc) from exc
     n, p = Rs.n, Rs.outputs
     try:
-        hat = build_hat(Rs)
-        ham = build_hamiltonian(hat)
-        spectrum = analyze_spectrum(ham, cluster_tol)
-        pmin, pmax = solve_extremal(hat, cluster_tol)
+        pmin, pmax = solve_extremal(build_hat(Rs), cluster_tol)
     except DarlingtonError as exc:
         raise _stage("riccati", exc) from exc
-    kappa, n0 = spectrum.kappa, spectrum.n0
+    kappa, n0 = pmin.spectrum.kappa, pmin.spectrum.n0
     try:
         E = build_extension(Rs, pmin)
         sigma, _ = symmetric_unitary_extension(E)
@@ -378,14 +369,13 @@ def minimize_symmetric(R: Realization, cluster_tol: float | None = None,
     ir = innerness_residual(current)
     sr = symmetry_residual(current)
     pts = probe_points(current, R)
-    block = max(
-        np.linalg.norm(evaluate(current, s)[p:, p:] - evaluate(R, s), 2)
-        for s in pts)
+    gap = freqresp(current, pts)[:, p:, p:] - freqresp(R, pts)
+    block = float(np.max(np.linalg.norm(gap, 2, axis=(1, 2))))
     if max(ir, sr, block) > residual_tol:
         raise ValidationError(
             f"stage 'finalize': certification failed (inner {ir:g}, "
             f"symmetry {sr:g}, block match {block:g})")
     return SynthesisResult(extension=current, degree=final_deg, kappa=kappa,
-                           n0=n0, spectrum=spectrum, p_min=pmin, p_max=pmax,
+                           n0=n0, spectrum=pmin.spectrum, p_min=pmin, p_max=pmax,
                            factors=tuple(factors), innerness=ir, symmetry=sr,
                            block_match=block)

@@ -87,16 +87,6 @@ class Hamiltonian:
 
 
 @dataclass(frozen=True)
-class RiccatiSolution:
-    """Hermitian solution P with its closed loop Z = A_hat + P C_hat*C_hat."""
-    p: np.ndarray
-    z: np.ndarray
-    kind: str                 # "minimal" | "maximal" | "other"
-    residual_norm: float
-    subspace_condition: float = 1.0
-
-
-@dataclass(frozen=True)
 class HSpectrum:
     """Even/odd multiplicity structure of the Hamiltonian spectrum.
 
@@ -116,6 +106,18 @@ class HSpectrum:
     @property
     def dim(self) -> int:
         return sum(m for _, m, _ in self.clusters)
+
+
+@dataclass(frozen=True)
+class RiccatiSolution:
+    """Hermitian solution P with its closed loop Z = A_hat + P C_hat*C_hat
+    and the analyzed spectrum of the Hamiltonian it was taken from."""
+    p: np.ndarray
+    z: np.ndarray
+    kind: str                 # "minimal" | "maximal" | "other"
+    residual_norm: float
+    subspace_condition: float
+    spectrum: HSpectrum
 
 
 def build_hat(R: Realization, contraction_margin: float = 1e-12) -> HatData:
@@ -274,8 +276,9 @@ def solve_extremal(hat: HatData, cluster_tol: float | None = None,
     reproduces the unique solution when the extremal solutions coincide
     there.
 
-    Returns (P_min, P_max); each result carries the residual norm and
-    the condition number of the graph-subspace matrix X.
+    Returns (P_min, P_max); each result carries the residual norm, the
+    condition number of the graph-subspace matrix X and the analyzed
+    Hamiltonian spectrum (kappa, n0, clusters).
     """
     ham = build_hamiltonian(hat)
     n = hat.n
@@ -342,7 +345,7 @@ def solve_extremal(hat: HatData, cluster_tol: float | None = None,
                 f"(min eigenvalue {w[0]:g}); S may not be a Schur function")
         Z = hat.a_hat + P @ hat.csc
         return RiccatiSolution(p=P, z=Z, kind=kind, residual_norm=res,
-                               subspace_condition=cond)
+                               subspace_condition=cond, spectrum=spec)
 
     # graph of P carries the -Z* dynamics: sigma(Z) in the closed left
     # half-plane (minimal) puts the graph on the right half-spectrum of H

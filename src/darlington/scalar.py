@@ -26,7 +26,7 @@ from .errors import SpectralSplitError, ValidationError
 from .extension import frequency_grid, innerness_residual
 from .realization import (
     Realization,
-    evaluate,
+    freqresp,
     minimal_realization,
     symmetry_residual,
 )
@@ -196,12 +196,13 @@ def compute_mu(p1, q, contraction_tol: float = 1e-9,
                     "must be coprime")
         else:
             raise ValidationError("p1 and q must be coprime (resultant is zero)")
-    for w in frequency_grid():
-        vq = npp.polyval(1j * w, q)
-        vp = npp.polyval(1j * w, p1)
-        if abs(vp) > abs(vq) * (1.0 + contraction_tol):
-            raise ValidationError(
-                f"|p1(iw)| exceeds |q(iw)| at w = {w:g}: S is not contractive")
+    grid = frequency_grid()
+    over = (np.abs(npp.polyval(1j * grid, p1))
+            > np.abs(npp.polyval(1j * grid, q)) * (1.0 + contraction_tol))
+    if over.any():
+        raise ValidationError(
+            f"|p1(iw)| exceeds |q(iw)| at w = {grid[np.argmax(over)]:g}: "
+            "S is not contractive")
     mu = poly_trim(npp.polysub(npp.polymul(q, poly_para(q)),
                                npp.polymul(p1, poly_para(p1))))
     if mu.size == 1 and abs(mu[0]) == 0:
@@ -254,10 +255,12 @@ def spectral_factor_poly(m, recon_tol: float = 1e-8) -> np.ndarray:
     m = poly_trim(m)
     if np.linalg.norm(m - poly_para(m)) > 1e-9 * np.linalg.norm(m):
         raise ValidationError("m is not para-symmetric (m* != m)")
-    for w in frequency_grid():
-        v = npp.polyval(1j * w, m)
-        if v.real < -1e-9 * max(1.0, np.linalg.norm(m)):
-            raise ValidationError(f"m(i{w:g}) = {v.real:g} is negative")
+    grid = frequency_grid()
+    vals = npp.polyval(1j * grid, m).real
+    negative = vals < -1e-9 * max(1.0, np.linalg.norm(m))
+    if negative.any():
+        k = int(np.argmax(negative))
+        raise ValidationError(f"m(i{grid[k]:g}) = {vals[k]:g} is negative")
     if m.size == 1:
         return np.array([np.sqrt(m[0].real)], dtype=complex)
     tol, axis, pairs = _classify_mu_roots(m, (1e-6, 1e-5, 1e-4, 1e-3))
@@ -268,10 +271,8 @@ def spectral_factor_poly(m, recon_tol: float = 1e-8) -> np.ndarray:
         stable.extend([z] * (mult // 2))
     p2 = npp.polyfromroots(stable).astype(complex)
     # positive scale factor fixed at the grid point where m is largest
-    grid = frequency_grid()
-    vals = np.array([npp.polyval(1j * w, m).real for w in grid])
-    w0 = grid[int(np.argmax(np.abs(vals)))]
-    ratio = npp.polyval(1j * w0, m).real / abs(npp.polyval(1j * w0, p2)) ** 2
+    k = int(np.argmax(np.abs(vals)))
+    ratio = vals[k] / abs(npp.polyval(1j * grid[k], p2)) ** 2
     if ratio <= 0:
         raise ValidationError("spectral factor scale is not positive")
     p2 = p2 * np.sqrt(ratio)
@@ -355,10 +356,9 @@ def scalar_minimal_extension(p1, q) -> tuple[Realization, int]:
         raise ValidationError(
             f"scalar extension failed certification (inner {ir:g}, "
             f"symmetric {sr:g})")
-    pts = [1j * w for w in (0.17, -0.83, 3.1)] + [0.9 + 0.4j]
-    for s in pts:
-        want = npp.polyval(s, p1) / npp.polyval(s, q)
-        got = evaluate(out, s)[1, 1]
-        if abs(got - want) > 1e-8 * (1 + abs(want)):
-            raise ValidationError("lower-right block does not match p1/q")
+    pts = np.array([0.17j, -0.83j, 3.1j, 0.9 + 0.4j])
+    want = npp.polyval(pts, p1) / npp.polyval(pts, q)
+    got = freqresp(out, pts)[:, 1, 1]
+    if np.any(np.abs(got - want) > 1e-8 * (1 + np.abs(want))):
+        raise ValidationError("lower-right block does not match p1/q")
     return out, cert.mcmillan_degree

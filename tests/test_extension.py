@@ -219,8 +219,8 @@ class TestSymmetricUnitaryExtension:
         assert Q.degree == 2 and not Q.inner_flag
         assert symmetry_residual(sigma) <= 1e-8
         # unitary on the axis even though not inner
-        from darlington.extension import unitary_axis_residual
-        assert unitary_axis_residual(sigma) <= 1e-8
+        from darlington.extension import innerness_residual
+        assert innerness_residual(sigma) <= 1e-8
 
     def test_rejects_nonsymmetric_source(self):
         rng = np.random.default_rng(2)

@@ -7,6 +7,7 @@ from darlington import (
     Realization,
     compose,
     evaluate,
+    freqresp,
     invert,
     kalman_check,
     minimal_realization,
@@ -51,6 +52,42 @@ class TestEvaluate:
         s = 1j
         expected = 0.3 + sum(c[k] * b[k] / (s - lam[k]) for k in range(2))
         assert abs(evaluate(R, s)[0, 0] - expected) < 1e-12
+
+
+class TestFreqresp:
+    def random_system(self, n=4, p=2, m=3, seed=5):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) - 3 * np.eye(n)
+        return Realization(A, rng.normal(size=(n, m)), rng.normal(size=(p, n)),
+                           rng.normal(size=(p, m)))
+
+    def test_matches_resolvent_oracle(self):
+        R = self.random_system()
+        pts = [0.0, 2.5j, -0.7j, 1.0 + 1.0j, np.inf, -4.0 + 0.3j]
+        F = freqresp(R, pts)
+        assert F.shape == (len(pts), 2, 3)
+        for s, val in zip(pts, F):
+            if np.isinf(s):
+                want = R.d
+            else:
+                want = R.c @ np.linalg.inv(s * np.eye(R.n) - R.a) @ R.b + R.d
+            assert np.linalg.norm(val - want, 2) <= 1e-12 * (1 + np.linalg.norm(want, 2))
+
+    def test_zero_state_gives_stacked_d(self):
+        D = np.array([[0.5, 1j], [2.0, -1.0]])
+        R = Realization(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)), D)
+        F = freqresp(R, [1j, 3.0, np.inf])
+        assert F.shape == (3, 2, 2)
+        assert all(np.array_equal(val, D) for val in F)
+
+    def test_one_pole_rejects_the_batch(self):
+        with pytest.raises(PoleError, match="point -1"):
+            freqresp(scalar_lag(), [0.0, 1j, -1.0, 2.0])
+
+    def test_evaluate_is_the_single_point_case(self):
+        R = self.random_system()
+        for s in (0.3j, -2.0 + 1.0j, np.inf):
+            assert np.array_equal(evaluate(R, s), freqresp(R, [s])[0])
 
 
 class TestKalman:

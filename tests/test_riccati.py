@@ -150,6 +150,17 @@ class TestSolveExtremal:
         assert np.max(np.linalg.eigvals(pmin.z).real) <= 1e-8
         assert np.min(np.linalg.eigvals(pmax.z).real) >= -1e-8
 
+    @pytest.mark.parametrize("name", ["zeta1", "zeta2"])
+    def test_solutions_carry_the_spectrum(self, request, name):
+        hat = build_hat(request.getfixturevalue(name))
+        want = analyze_spectrum(build_hamiltonian(hat))
+        for sol in solve_extremal(hat):
+            assert (sol.spectrum.kappa, sol.spectrum.n0) == (want.kappa, want.n0)
+            assert [(m, lab) for _, m, lab in sol.spectrum.clusters] \
+                == [(m, lab) for _, m, lab in want.clusters]
+            assert np.allclose([c for c, _, _ in sol.spectrum.clusters],
+                               [c for c, _, _ in want.clusters], atol=1e-12)
+
 
 class TestAnalyzeSpectrum:
     def test_even_double_pair(self, zeta2):
