@@ -9,14 +9,18 @@ Three subcommands operate on JSON problem files:
 
 File format: UTF-8 JSON with keys "A", "B", "C", "D" (nested arrays,
 complex entries as [re, im] pairs; bare reals accepted on input),
-optional "flags" ({"symmetric": bool, "real": bool}), optional
-"tolerances", and for the scalar pipeline coefficient arrays "p1", "q"
-in ascending degree order.  Serialization uses Python's shortest
+optional "flags" ({"symmetric": bool, "real": bool}), and for the
+scalar pipeline coefficient arrays "p1", "q" in ascending degree order;
+other keys are ignored.  Serialization uses Python's shortest
 round-tripping float repr, so write-then-read reproduces matrices
 bit-exactly.
 
-The base certification tolerance is 1e-7, overridable per call with
---tol or globally with the DARLINGTON_TOL environment variable.
+``check`` and ``synthesize`` take a certification tolerance, 1e-7 by
+default, set per call with --tol or globally with the DARLINGTON_TOL
+environment variable.  It bounds the grid supremum (1 + tol) and the
+symmetry residual of ``check`` and the final innerness, symmetry and
+S-block residuals of ``synthesize --mode minimal-symmetric``; every
+other check runs at its fixed bound.
 Exit status: 0 when every requested certificate passes, 2 when the
 input is not strictly contractive at infinity (apply --mobius), 1 on
 any other failure.
@@ -83,7 +87,7 @@ def _dump_matrix(M: np.ndarray):
 def read_problem(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
-    out = {"flags": data.get("flags", {}), "tolerances": data.get("tolerances", {})}
+    out = {"flags": data.get("flags", {})}
     if all(k in data for k in ("A", "B", "C", "D")):
         A = _parse_matrix(data["A"], "A")
         B = _parse_matrix(data["B"], "B")
@@ -144,7 +148,7 @@ def _schur_report(R: Realization, tol: float) -> dict:
         "sup_grid_norm": grid_sup,
         "schur_on_grid": schur,
         "symmetric_on_grid": bool(R.outputs == R.inputs
-                                  and symmetry_residual(Rm) <= max(tol, 1e-8)),
+                                  and symmetry_residual(Rm) <= tol),
     }
 
 
@@ -193,7 +197,7 @@ def cmd_synthesize(args) -> int:
     rep: dict = {"mode": args.mode, "solution": args.solution}
     try:
         if args.mode == "minimal-symmetric":
-            res = minimize_symmetric(R, residual_tol=max(tol, 1e-7))
+            res = minimize_symmetric(R, residual_tol=tol)
             out = res.extension
             rep.update({
                 "degree": res.degree, "kappa": res.kappa, "n0": res.n0,
@@ -267,20 +271,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("file", help="JSON problem file")
-        p.add_argument("--tol", type=float, default=None,
-                       help="certification tolerance (default 1e-7, or "
-                            "DARLINGTON_TOL)")
         p.add_argument("--json", action="store_true",
                        help="emit a machine-readable JSON report")
 
     p = sub.add_parser("check", help="validate a realization")
     common(p)
+    p.add_argument("--tol", type=float, default=None,
+                   help="bounds the grid supremum (1 + TOL) and the symmetry "
+                        "test (default 1e-7, or DARLINGTON_TOL)")
     p.add_argument("--mobius", type=float, default=None, metavar="W0",
                    help="apply the change of variable moving i*W0 to infinity")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("synthesize", help="build an extension")
     common(p)
+    p.add_argument("--tol", type=float, default=None,
+                   help="bounds the final certification of --mode "
+                        "minimal-symmetric (default 1e-7, or DARLINGTON_TOL)")
     p.add_argument("--mode", choices=["inner", "symmetric", "minimal-symmetric"],
                    default="minimal-symmetric")
     p.add_argument("--solution", choices=["min", "max"], default="min",

@@ -28,6 +28,7 @@ from . import linalg
 from .errors import DimensionError, NotSymmetricError, ValidationError
 from .realization import (
     Realization,
+    _structurally_symmetric,
     compose,
     direct_sum,
     freqresp,
@@ -57,11 +58,10 @@ def frequency_grid() -> np.ndarray:
     return np.array([0.0] + [w for m in mags for w in (m, -m)])
 
 
-def innerness_residual(R: Realization, grid: np.ndarray | None = None) -> float:
+def innerness_residual(R: Realization) -> float:
     """max over the frequency grid of || T(iw) T(iw)* - I ||: unitarity
     on the imaginary axis (stability not implied)."""
-    grid = frequency_grid() if grid is None else np.asarray(grid)
-    T = freqresp(R, 1j * grid)
+    T = freqresp(R, 1j * frequency_grid())
     gap = T @ T.conj().transpose(0, 2, 1) - np.eye(R.outputs)
     return float(np.max(np.linalg.norm(gap, 2, axis=(1, 2)), initial=0.0))
 
@@ -126,8 +126,7 @@ def _as_p_matrix(P) -> np.ndarray:
     return np.asarray(P, dtype=complex)
 
 
-def build_extension(R: Realization, P, residual_tol: float = 1e-8,
-                    inner_tol: float = 1e-8) -> ExtensionBlocks:
+def build_extension(R: Realization, P) -> ExtensionBlocks:
     """Inner 2p x 2p extension of S associated with a Riccati solution P.
 
     Parameters
@@ -137,20 +136,20 @@ def build_extension(R: Realization, P, residual_tol: float = 1e-8,
         at infinity.
     P : RiccatiSolution or array_like
         Hermitian positive-definite solution; its residual is verified
-        against ``residual_tol * (1 + ||P||^2)``.
+        against ``1e-8 * (1 + ||P||^2)``.
 
     Returns
     -------
     ExtensionBlocks
         The extension has the same McMillan degree as S, a unitary
         value at infinity, and passes the innerness check on the
-        standard frequency grid.
+        standard frequency grid to 1e-8.
     """
     hat = build_hat(R)
     Pm = _as_p_matrix(P)
     Pm = (Pm + Pm.conj().T) / 2
     res = riccati_residual(hat, Pm)
-    if res > residual_tol * (1.0 + np.linalg.norm(Pm, 2) ** 2):
+    if res > 1e-8 * (1.0 + np.linalg.norm(Pm, 2) ** 2):
         raise ValidationError(
             f"Riccati residual {res:g} too large for an inner extension")
     w = np.linalg.eigvalsh(Pm)
@@ -172,7 +171,7 @@ def build_extension(R: Realization, P, residual_tol: float = 1e-8,
     if np.linalg.norm(DD @ DD.conj().T - np.eye(2 * p), 2) > 1e-10:
         raise ValidationError("value at infinity is not unitary")
     resid = innerness_residual(big)
-    if resid > inner_tol:
+    if resid > 1e-8:
         raise ValidationError(
             f"extension fails the innerness check (residual {resid:g})")
     z = hat.a_hat + Pm @ hat.csc
@@ -207,8 +206,7 @@ def apply_gauge(E: ExtensionBlocks, U1, U2) -> ExtensionBlocks:
                            hat=E.hat, residual_norm=E.residual_norm)
 
 
-def extension_from_left_factor(R: Realization, S21: Realization,
-                               match_tol: float = 1e-8) -> ExtensionBlocks:
+def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlocks:
     """Unique inner extension of S whose lower-left block is a given
     minimal left spectral factor of I - S S*.
 
@@ -226,7 +224,7 @@ def extension_from_left_factor(R: Realization, S21: Realization,
             "S21 must share the (C, A) pair of the realization of S")
     p = R.outputs
     d21_expected = linalg.hermitian_sqrt(np.eye(p) - R.d @ R.d.conj().T)
-    if np.linalg.norm(S21.d - d21_expected, 2) > match_tol:
+    if np.linalg.norm(S21.d - d21_expected, 2) > 1e-8:
         raise ValidationError(
             "S21 has the wrong value at infinity; expected (I - DD*)^{1/2}")
     lam = R.poles()
@@ -239,15 +237,14 @@ def extension_from_left_factor(R: Realization, S21: Realization,
     P = sla.solve_sylvester(R.a, R.a.conj().T, -G)
     P = (P + P.conj().T) / 2
     E = build_extension(R, P)
-    if np.linalg.norm(E.b1 - B1, 2) > match_tol * (1.0 + np.linalg.norm(B1, 2)):
+    if np.linalg.norm(E.b1 - B1, 2) > 1e-8 * (1.0 + np.linalg.norm(B1, 2)):
         raise ValidationError(
             "the given S21 is not a minimal left spectral factor of "
             "I - S S* (input matrix mismatch after the Lyapunov solve)")
     return E
 
 
-def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks,
-                       rank_tol: float = linalg.DEFAULT_RANK_TOL) -> QFactor:
+def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks) -> QFactor:
     """Unitary quotient Q = S21^{-1} S21~ of two extensions of the same S.
 
     Q is realized on the closed loop Z of the first extension as
@@ -268,9 +265,9 @@ def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks,
         raise ValidationError("extensions do not share the same S block")
     p = E1.p
     gamma = E2.p_matrix - E1.p_matrix
-    sv = linalg.svd_analysis(gamma, rank_tol=max(rank_tol, 1e-11))
+    sv = linalg.svd_analysis(gamma)
     scale = max(1.0, np.linalg.norm(E1.p_matrix, 2), np.linalg.norm(E2.p_matrix, 2))
-    grank = int(np.sum(sv.singular_values > max(rank_tol, 1e-11) * scale))
+    grank = int(np.sum(sv.singular_values > sv.rank_tolerance * scale))
     d21inv = np.linalg.inv(E1.d21)
     raw = Realization(E1.z, gamma @ R1.c.conj().T @ d21inv,
                       -d21inv @ R1.c, np.eye(p))
@@ -302,8 +299,7 @@ def _identity_realization(p: int) -> Realization:
                        np.zeros((p, 0)), np.eye(p))
 
 
-def symmetric_unitary_extension(E: ExtensionBlocks,
-                                sym_tol: float = 1e-8) -> tuple[Realization, QFactor]:
+def symmetric_unitary_extension(E: ExtensionBlocks) -> tuple[Realization, QFactor]:
     """Symmetric extension Sigma_P = S_P diag(Q, I), Q = S21^{-1} S12^T.
 
     Requires the source realization of S to be symmetric (A = A^T,
@@ -314,11 +310,7 @@ def symmetric_unitary_extension(E: ExtensionBlocks,
     deg Q = rank(P^{-T} - P) >= kappa.
     """
     R = E.s22
-    scale = max(1.0, np.linalg.norm(R.a, 2))
-    struct = max(np.linalg.norm(R.a - R.a.T, 2),
-                 np.linalg.norm(R.b - R.c.T, 2),
-                 np.linalg.norm(R.d - R.d.T, 2))
-    if struct > 1e-9 * scale:
+    if not _structurally_symmetric(R):
         raise NotSymmetricError(
             "the source realization is not symmetric; run symmetrize first")
     Pt = np.linalg.inv(E.p_matrix.T)
@@ -328,7 +320,7 @@ def symmetric_unitary_extension(E: ExtensionBlocks,
                                                   _identity_realization(E.p)))
     sigma, cert = minimal_realization(sigma_raw, rank_tol=1e-9)
     sres = symmetry_residual(sigma)
-    if sres > sym_tol:
+    if sres > 1e-8:
         raise ValidationError(
             f"symmetric extension failed the symmetry check ({sres:g})")
     if Q.inner_flag and cert.mcmillan_degree != R.n + Q.degree:

@@ -105,7 +105,7 @@ def cluster_points(points, tol: float):
     return [(complex(g[0]), list(g[1])) for g in groups]
 
 
-def cluster_ladder(points, base_tol: float, rungs: int = 5):
+def cluster_ladder(points, base_tol: float):
     """Persistence-based clustering: walk a tolerance ladder and accept
     the first rung whose multiplicity structure agrees with the next
     one.
@@ -116,7 +116,7 @@ def cluster_ladder(points, base_tol: float, rungs: int = 5):
     eigenvalues, which sit orders of magnitude apart at desk scale.
     Returns (tolerance used, clusters as (center, members) pairs).
     """
-    ladder = [base_tol * 10.0 ** k for k in range(rungs)]
+    ladder = [base_tol * 10.0 ** k for k in range(5)]
     structs = []
     for tol in ladder:
         cl = cluster_points(points, tol)
@@ -236,19 +236,18 @@ def _chain_lengths(N: np.ndarray, tol: float) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-def eig_clustered(M, cluster_tol: float | None = None) -> SpectrumReport:
+def eig_clustered(M) -> SpectrumReport:
     """Eigenvalues of a square complex matrix, clustered into multiple
     eigenvalues with spectral-subspace bases.
 
     Parameters
     ----------
     M : array_like, square
-    cluster_tol : float, optional
-        Clustering radius; defaults to ``1e-7 * (1 + ||M||)``.  Two
+        Eigenvalues are clustered at radius ``1e-7 * (1 + ||M||)``.  Two
         computed eigenvalues closer than this are treated as one
         eigenvalue of higher multiplicity.  Cluster centers closer than
-        twice the tolerance are merged (with a warning), so the returned
-        centers are pairwise separated by more than ``2 * cluster_tol``.
+        twice the radius are merged (with a warning), so the returned
+        centers are pairwise separated by more than twice the radius.
 
     Returns
     -------
@@ -258,7 +257,7 @@ def eig_clustered(M, cluster_tol: float | None = None) -> SpectrumReport:
     """
     A = as_matrix(M, "M", square=True)
     n = A.shape[0]
-    tol = default_cluster_tol(A) if cluster_tol is None else float(cluster_tol)
+    tol = default_cluster_tol(A)
     if n == 0:
         return SpectrumReport(clusters=(), cluster_tolerance=tol, dim=0)
     try:
@@ -281,8 +280,8 @@ def eig_clustered(M, cluster_tol: float | None = None) -> SpectrumReport:
         if basis.shape[1] != mult:
             raise SpectralSplitError(
                 f"spectral subspace at {center:g} has dimension "
-                f"{basis.shape[1]}, expected multiplicity {mult}; "
-                f"adjust cluster_tol (used {tol:g})")
+                f"{basis.shape[1]}, expected multiplicity {mult} "
+                f"(cluster tolerance {tol:g})")
         N = basis.conj().T @ A @ basis - center * np.eye(mult)
         chains = _chain_lengths(N, max(tol, 1e3 * np.finfo(float).eps * (1 + abs(center))))
         clusters.append(EigenCluster(center=center, multiplicity=mult,
@@ -346,19 +345,19 @@ class SvdResult:
     rank_tolerance: float
 
 
-def svd_analysis(M, rank_tol: float = DEFAULT_RANK_TOL) -> SvdResult:
-    """SVD of M with rank and kernel determined at rank_tol * sigma_max."""
+def svd_analysis(M) -> SvdResult:
+    """SVD of M with rank and kernel determined at
+    DEFAULT_RANK_TOL * max(1, sigma_max)."""
     A = as_matrix(M, "M")
     try:
         U, s, Vh = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD failed to converge: {exc}") from exc
     smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rank_tol * max(1.0, smax) * (smax > 0)))
+    rank = int(np.sum(s > DEFAULT_RANK_TOL * max(1.0, smax) * (smax > 0)))
     kernel = Vh[rank:].conj().T
-    k = min(A.shape)
     return SvdResult(u=U, singular_values=s, v=Vh.conj().T, rank=rank,
-                     kernel=kernel, rank_tolerance=rank_tol)
+                     kernel=kernel, rank_tolerance=DEFAULT_RANK_TOL)
 
 
 @dataclass(frozen=True)
@@ -428,12 +427,12 @@ def takagi(F, sym_tol: float = DEFAULT_SYM_TOL) -> TakagiResult:
     return TakagiResult(u=U, values=lam, sym_tolerance=sym_tol)
 
 
-def hermitian_sqrt(M, psd_tol: float = DEFAULT_PSD_TOL) -> np.ndarray:
+def hermitian_sqrt(M) -> np.ndarray:
     """Hermitian square root of a Hermitian PSD matrix via eigh."""
     A = as_matrix(M, "M", square=True)
     A = (A + A.conj().T) / 2
     w, V = np.linalg.eigh(A)
-    if w.size and w[0] < -psd_tol * max(1.0, abs(w[-1])):
+    if w.size and w[0] < -DEFAULT_PSD_TOL * max(1.0, abs(w[-1])):
         raise ValidationError(f"matrix is not PSD: min eigenvalue {w[0]:g}")
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
 

@@ -100,18 +100,18 @@ def signature_realization(R: Realization) -> SignatureRealization:
     return SignatureRealization(realization=out, j=j)
 
 
-def is_real_extension(P, R: Realization, seed: int = 0x7EA1) -> bool:
+def is_real_extension(P, R: Realization) -> bool:
     """True iff the inner extension built on P has real coefficients.
 
     Decided by ||Im P||, certified independently by the conjugate
-    symmetry S(conj(s)) = conj(S(s)) of the extension at 16 random
-    non-real points; the two verdicts must agree.
+    symmetry S(conj(s)) = conj(S(s)) of the extension at 16 non-real
+    points drawn from a fixed seed; the two verdicts must agree.
     """
     _require_real(R)
     Pm = P.p if hasattr(P, "p") else np.asarray(P, dtype=complex)
     real_p = bool(np.linalg.norm(Pm.imag, 2) <= _REAL_TOL * (1 + np.linalg.norm(Pm, 2)))
     E = build_extension(R, Pm)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0x7EA1)
     poles = E.realization.poles()
     right = float(np.max(poles.real)) + 1.0 if poles.size else 1.0
     pts = []

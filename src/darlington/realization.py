@@ -212,13 +212,13 @@ def kalman_check(R: Realization, rank_tol: float = DEFAULT_RANK_TOL) -> DegreeCe
                              rank_tolerance=rank_tol)
 
 
-def probe_points(*realizations: Realization, count: int = _PROBE_COUNT,
-                 seed: int = _PROBE_SEED) -> np.ndarray:
+def probe_points(*realizations: Realization) -> np.ndarray:
     """Deterministic probe grid for transfer-function comparisons.
 
     The union of the fixed imaginary points i*w for
     w in {0, +-0.1, +-1, +-10, +-100} and points drawn to the right of
-    every pole of the given realizations (margin 1), avoiding poles.
+    every pole of the given realizations (margin 1), avoiding poles;
+    32 points in all, drawn from a fixed seed.
     """
     poles = np.concatenate([R.poles() for R in realizations]) \
         if realizations else np.zeros(0, dtype=complex)
@@ -230,19 +230,18 @@ def probe_points(*realizations: Realization, count: int = _PROBE_COUNT,
              for w in (0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0)
              if clear(1j * w)]
     right = float(np.max(poles.real)) + 1.0 if poles.size else 1.0
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_PROBE_SEED)
     extra = []
-    while len(extra) < count - len(fixed):
+    while len(extra) < _PROBE_COUNT - len(fixed):
         z = complex(right + 3.0 * rng.random(), 6.0 * (rng.random() - 0.5))
         if clear(z):
             extra.append(z)
     return np.array(fixed + extra)
 
 
-def transfer_distance(R1: Realization, R2: Realization,
-                      points: np.ndarray | None = None) -> float:
+def transfer_distance(R1: Realization, R2: Realization) -> float:
     """max over the probe grid of ||R1(s) - R2(s)|| / (1 + ||R1(s)||)."""
-    pts = probe_points(R1, R2) if points is None else points
+    pts = probe_points(R1, R2)
     v1 = freqresp(R1, pts)
     v2 = freqresp(R2, pts)
     gap = np.linalg.norm(v1 - v2, 2, axis=(1, 2))
@@ -250,9 +249,9 @@ def transfer_distance(R1: Realization, R2: Realization,
                         initial=0.0))
 
 
-def symmetry_residual(R: Realization, points: np.ndarray | None = None) -> float:
+def symmetry_residual(R: Realization) -> float:
     """max over the probe grid of ||S(s) - S(s)^T||."""
-    F = freqresp(R, probe_points(R) if points is None else points)
+    F = freqresp(R, probe_points(R))
     return float(np.max(np.linalg.norm(F - F.transpose(0, 2, 1), 2, axis=(1, 2))))
 
 
@@ -310,13 +309,13 @@ def subrealization(R: Realization, rows: slice, cols: slice) -> Realization:
     return Realization(R.a, R.b[:, cols], R.c[rows, :], R.d[rows, cols])
 
 
-def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL,
-                        check: bool = True) -> tuple[Realization, DegreeCertificate]:
+def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
+                        ) -> tuple[Realization, DegreeCertificate]:
     """Minimal realization via a two-stage SVD staircase.
 
     Restricts first to the reachable subspace, then cuts the
     unobservable part; the transfer function is preserved, verified on
-    the probe grid when ``check`` is set.
+    the probe grid to a transfer distance of 1e-8.
     """
     scale = _system_scale(R.a, R.b, R.c)
     V = _krylov_span(R.a, R.b, rank_tol, scale)
@@ -340,10 +339,11 @@ def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL,
         state_dim=cert.state_dim,
         rank_tolerance=rank_tol,
         reduction_transform=transform)
-    if check and transfer_distance(out, R) > 1e-8:
+    dist = transfer_distance(out, R)
+    if dist > 1e-8:
         raise ValidationError(
-            "staircase reduction changed the transfer function beyond "
-            "tolerance; the rank tolerance is likely unsuitable")
+            f"staircase reduction changed the transfer function: transfer "
+            f"distance {dist:g} exceeds 1e-8 at rank tolerance {rank_tol:g}")
     return out, cert
 
 
@@ -370,8 +370,15 @@ def _intertwiner(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
     return T
 
 
-def symmetrize(R: Realization, rank_tol: float = DEFAULT_RANK_TOL,
-               sym_tol: float = 1e-8) -> Realization:
+def _structurally_symmetric(R: Realization) -> bool:
+    """A = A^T, B = C^T and D = D^T to 1e-9 * max(1, ||A||)."""
+    struct = max(np.linalg.norm(R.a - R.a.T, 2),
+                 np.linalg.norm(R.b - R.c.T, 2),
+                 np.linalg.norm(R.d - R.d.T, 2))
+    return struct <= 1e-9 * max(1.0, np.linalg.norm(R.a, 2))
+
+
+def symmetrize(R: Realization) -> Realization:
     """Complex symmetric realization (A = A^T, B = C^T, D = D^T) of a
     symmetric transfer function.
 
@@ -382,15 +389,12 @@ def symmetrize(R: Realization, rank_tol: float = DEFAULT_RANK_TOL,
     """
     if R.outputs != R.inputs:
         raise NotSymmetricError("a symmetric transfer function must be square")
-    if symmetry_residual(R) > sym_tol:
+    if symmetry_residual(R) > 1e-8:
         raise NotSymmetricError(
             "transfer function is not symmetric on the probe grid")
-    struct = max(np.linalg.norm(R.a - R.a.T, 2),
-                 np.linalg.norm(R.b - R.c.T, 2),
-                 np.linalg.norm(R.d - R.d.T, 2))
-    if struct <= 1e-9 * max(1.0, np.linalg.norm(R.a, 2)):
+    if _structurally_symmetric(R):
         return R
-    cert = kalman_check(R, rank_tol)
+    cert = kalman_check(R)
     if not cert.minimal:
         raise ValidationError("symmetrize requires a minimal realization")
     T = _intertwiner(R.a, R.b, R.c)

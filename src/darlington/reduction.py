@@ -133,17 +133,16 @@ class ZeroStructure:
         return sum(m for _, m in self.zeros)
 
 
-def zero_structure(T: Realization, cluster_tol: float | None = None,
-                   inner_tol: float = 1e-7) -> ZeroStructure:
+def zero_structure(T: Realization) -> ZeroStructure:
     """Zero locations and multiplicities of an inner T.
 
-    T must pass the innerness grid check and have an invertible value
-    at infinity (automatic for the extensions constructed here).  Zeros
-    are clustered with the same persistence ladder used for the
+    T must pass the innerness grid check to 1e-7 and have an invertible
+    value at infinity (automatic for the extensions constructed here).
+    Zeros are clustered with the same persistence ladder used for the
     Hamiltonian spectrum.
     """
     resid = innerness_residual(T)
-    if resid > inner_tol:
+    if resid > 1e-7:
         raise ValidationError(
             f"zero_structure requires an inner function (grid residual {resid:g})")
     s = np.linalg.svd(T.d, compute_uv=False)
@@ -153,9 +152,7 @@ def zero_structure(T: Realization, cluster_tol: float | None = None,
         return ZeroStructure(zeros=(), kernels=(), cluster_tolerance=0.0)
     Az = T.a - T.b @ np.linalg.solve(T.d, T.c)
     lam = np.linalg.eigvals(Az)
-    base = (linalg.default_cluster_tol(Az) if cluster_tol is None
-            else float(cluster_tol))
-    tol, clusters = linalg.cluster_ladder(lam, base)
+    tol, clusters = linalg.cluster_ladder(lam, linalg.default_cluster_tol(Az))
     zeros = []
     kernels = []
     for center, members in sorted(clusters, key=lambda g: (g[0].real, g[0].imag)):
@@ -173,9 +170,7 @@ def zero_structure(T: Realization, cluster_tol: float | None = None,
 
 
 def find_reduction_vector(T: Realization, xi: complex,
-                          support: int | None = None,
-                          cond_tol: float = 1e-7,
-                          kernel_tol: float = 1e-6) -> np.ndarray:
+                          support: int | None = None) -> np.ndarray:
     """Unit vector u with T(xi) u = 0 and u^T T'(xi) u = 0.
 
     ``support`` restricts u to the first ``support`` coordinates (the
@@ -191,8 +186,9 @@ def find_reduction_vector(T: Realization, xi: complex,
     Raises
     ------
     ReductionError
-        If no vector satisfying both interpolation conditions to
-        ``cond_tol`` exists in the requested support.
+        If no vector satisfying both interpolation conditions to 1e-7
+        (relative to ||T(xi)|| and ||T'(xi)||) exists in the requested
+        support.
     """
     xi = complex(xi)
     p_all = T.outputs
@@ -203,7 +199,7 @@ def find_reduction_vector(T: Realization, xi: complex,
     Tpxi = derivative(T, xi)
     scale = max(1.0, np.linalg.norm(Txi, 2))
     dscale = max(1.0, np.linalg.norm(Tpxi, 2))
-    ker = linalg._kernel(Txi[:, :k], kernel_tol, scale=scale)
+    ker = linalg._kernel(Txi[:, :k], 1e-6, scale=scale)
     if ker.shape[1] == 0:
         raise ReductionError(
             f"T({xi:g}) has no kernel supported on the first {k} coordinates")
@@ -233,19 +229,18 @@ def find_reduction_vector(T: Realization, xi: complex,
     u[:k] = small
     c1 = float(np.linalg.norm(Txi @ u))
     c2 = float(abs(u @ Tpxi @ u))
-    if c1 > cond_tol * scale or c2 > cond_tol * dscale:
+    if c1 > 1e-7 * scale or c2 > 1e-7 * dscale:
         raise ReductionError(
             f"interpolation conditions not met at {xi:g}: |T(xi)u| = {c1:g}, "
             f"|u^T T'(xi) u| = {c2:g}")
     return u
 
 
-def reduce_once(T: Realization, f: BlaschkeFactor,
-                inner_tol: float = 1e-7, sym_tol: float = 1e-7) -> Realization:
+def reduce_once(T: Realization, f: BlaschkeFactor) -> Realization:
     """Two-sided division R = B^{-T} T B^{-1}, state-space minimized.
 
     The degree must drop to deg T - 2 exactly; innerness and symmetry
-    are re-verified on their grids.
+    are re-verified on their grids to 1e-7.
     """
     if f.dim != T.outputs:
         raise ValidationError("Blaschke direction has the wrong dimension")
@@ -259,10 +254,10 @@ def reduce_once(T: Realization, f: BlaschkeFactor,
             f"{T.n - 2}; the interpolation conditions were not satisfied "
             "accurately enough")
     ir = innerness_residual(out)
-    if ir > inner_tol:
+    if ir > 1e-7:
         raise ReductionError(f"innerness lost after reduction ({ir:g})")
     sr = symmetry_residual(out)
-    if sr > sym_tol:
+    if sr > 1e-7:
         raise ReductionError(f"symmetry lost after reduction ({sr:g})")
     return out
 
@@ -287,8 +282,7 @@ def _stage(name: str, exc: DarlingtonError) -> DarlingtonError:
     return type(exc)(f"stage '{name}': {exc}")
 
 
-def minimize_symmetric(R: Realization, cluster_tol: float | None = None,
-                       residual_tol: float = 1e-7) -> SynthesisResult:
+def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisResult:
     """Minimal-degree symmetric inner extension of a symmetric Schur
     function strictly contractive at infinity.
 
@@ -299,6 +293,8 @@ def minimize_symmetric(R: Realization, cluster_tol: float | None = None,
     at right-half-plane zeros of multiplicity >= 2 until the degree
     reaches n + kappa.  Every step is certified (degree drop, innerness,
     symmetry, S block match); a shortfall is a hard error.
+    ``residual_tol`` bounds the final innerness, symmetry and S-block
+    residuals.
     """
     try:
         cert = kalman_check(R)
@@ -310,7 +306,7 @@ def minimize_symmetric(R: Realization, cluster_tol: float | None = None,
         raise _stage("symmetrize", exc) from exc
     n, p = Rs.n, Rs.outputs
     try:
-        pmin, pmax = solve_extremal(build_hat(Rs), cluster_tol)
+        pmin, pmax = solve_extremal(build_hat(Rs))
     except DarlingtonError as exc:
         raise _stage("riccati", exc) from exc
     kappa, n0 = pmin.spectrum.kappa, pmin.spectrum.n0

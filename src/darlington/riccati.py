@@ -120,10 +120,10 @@ class RiccatiSolution:
     spectrum: HSpectrum
 
 
-def build_hat(R: Realization, contraction_margin: float = 1e-12) -> HatData:
+def build_hat(R: Realization) -> HatData:
     """Form the shifted Riccati data from a realization.
 
-    Requires ``||D||_2 < 1 - contraction_margin`` (strict contractivity
+    Requires ``||D||_2 < 1 - 1e-12`` (strict contractivity
     at infinity); otherwise a NotContractiveError suggests the Moebius
     preconditioning.
     """
@@ -132,7 +132,7 @@ def build_hat(R: Realization, contraction_margin: float = 1e-12) -> HatData:
     p = R.outputs
     s = np.linalg.svd(R.d, compute_uv=False)
     dn = s[0] if s.size else 0.0
-    if dn >= 1.0 - contraction_margin:
+    if dn >= 1.0 - 1e-12:
         raise NotContractiveError(
             f"||D||_2 = {dn:.6g} >= 1: S is not strictly contractive at "
             "infinity; apply mobius_precondition at a point of strict "
@@ -159,18 +159,16 @@ def build_hamiltonian(hat: HatData) -> Hamiltonian:
     return ham
 
 
-def riccati_residual(hat: HatData, P) -> float:
-    """Spectral norm of R(P) = P CsC P + A_hat P + P A_hat* + BBs."""
-    P = np.asarray(P, dtype=complex)
-    R = P @ hat.csc @ P + hat.a_hat @ P + P @ hat.a_hat.conj().T + hat.bbs
-    return float(np.linalg.norm(R, 2))
-
-
 def _residual_matrix(hat: HatData, P: np.ndarray) -> np.ndarray:
     return P @ hat.csc @ P + hat.a_hat @ P + P @ hat.a_hat.conj().T + hat.bbs
 
 
-def analyze_spectrum(H: Hamiltonian, cluster_tol: float | None = None) -> HSpectrum:
+def riccati_residual(hat: HatData, P) -> float:
+    """Spectral norm of R(P) = P CsC P + A_hat P + P A_hat* + BBs."""
+    return float(np.linalg.norm(_residual_matrix(hat, np.asarray(P, dtype=complex)), 2))
+
+
+def analyze_spectrum(H: Hamiltonian) -> HSpectrum:
     """Cluster the Hamiltonian spectrum and extract (kappa, n0) and the
     even/odd factor split of its characteristic polynomial.
 
@@ -181,9 +179,8 @@ def analyze_spectrum(H: Hamiltonian, cluster_tol: float | None = None) -> HSpect
     multiplicity)/2.
     """
     M = H.matrix
-    base = linalg.default_cluster_tol(M) if cluster_tol is None else float(cluster_tol)
     lam = np.linalg.eigvals(M)
-    tol, clusters = linalg.cluster_ladder(lam, base)
+    tol, clusters = linalg.cluster_ladder(lam, linalg.default_cluster_tol(M))
     band = tol
     labeled = []
     for center, members in clusters:
@@ -244,12 +241,12 @@ def analyze_spectrum(H: Hamiltonian, cluster_tol: float | None = None) -> HSpect
                      cluster_tolerance=tol)
 
 
-def _newton_refine(hat: HatData, P: np.ndarray, steps: int = 4) -> np.ndarray:
-    """Newton iteration on R(P); each step solves the Sylvester equation
+def _newton_refine(hat: HatData, P: np.ndarray) -> np.ndarray:
+    """Up to four Newton steps on R(P); each solves the Sylvester equation
     Z dP + dP Z* = -R(P) with the current closed loop Z."""
     best = P
     best_res = riccati_residual(hat, P)
-    for _ in range(steps):
+    for _ in range(4):
         Z = hat.a_hat + best @ hat.csc
         R = _residual_matrix(hat, best)
         try:
@@ -264,8 +261,7 @@ def _newton_refine(hat: HatData, P: np.ndarray, steps: int = 4) -> np.ndarray:
     return best
 
 
-def solve_extremal(hat: HatData, cluster_tol: float | None = None,
-                   refine: bool = True) -> tuple[RiccatiSolution, RiccatiSolution]:
+def solve_extremal(hat: HatData) -> tuple[RiccatiSolution, RiccatiSolution]:
     """Minimal and maximal Hermitian solutions of the Riccati equation.
 
     Both are computed as graph subspaces of the Hamiltonian: the minimal
@@ -283,7 +279,7 @@ def solve_extremal(hat: HatData, cluster_tol: float | None = None,
     ham = build_hamiltonian(hat)
     n = hat.n
     H = ham.matrix
-    spec = analyze_spectrum(ham, cluster_tol)
+    spec = analyze_spectrum(ham)
     band = spec.cluster_tolerance
     centers = [c for c, _, _ in spec.clusters]
 
@@ -329,9 +325,7 @@ def solve_extremal(hat: HatData, cluster_tol: float | None = None,
                 f"{sx[0] / max(sx[-1], 1e-300):.3g})")
         cond = float(sx[0] / sx[-1])
         P = Y @ np.linalg.inv(X)
-        P = (P + P.conj().T) / 2
-        if refine:
-            P = _newton_refine(hat, P)
+        P = _newton_refine(hat, (P + P.conj().T) / 2)
         res = riccati_residual(hat, P)
         scale = np.linalg.norm(P, 2)
         if res > 1e-8 * (1.0 + scale ** 2):

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 _AXIS_BAND_FACTOR = 1e-7
+_MU_RUNGS = (1e-6, 1e-5, 1e-4, 1e-3)  # relative root-clustering ladder
 
 
 def poly_trim(p) -> np.ndarray:
@@ -61,7 +62,7 @@ def poly_para(p) -> np.ndarray:
     return np.array([np.conj(v) * (-1) ** k for k, v in enumerate(c)])
 
 
-def poly_roots(p, cluster_tol: float | None = None):
+def poly_roots(p):
     """Roots via companion-matrix eigenvalues, clustered into
     multiplicities with the persistence ladder.
 
@@ -75,8 +76,7 @@ def poly_roots(p, cluster_tol: float | None = None):
         return (), 0.0
     roots = npp.polyroots(c)
     scale = 1.0 + float(np.max(np.abs(roots)))
-    base = 1e-6 * scale if cluster_tol is None else float(cluster_tol)
-    tol, clusters = linalg.cluster_ladder(roots, base)
+    tol, clusters = linalg.cluster_ladder(roots, 1e-6 * scale)
     out = tuple(sorted(((complex(z), len(m)) for z, m in clusters),
                        key=lambda zm: (zm[0].real, zm[0].imag)))
     return out, tol
@@ -119,14 +119,15 @@ def _sylvester_resultant(p, q) -> float:
     return float(abs(det) / max(norm, 1e-300))
 
 
-def _classify_mu_roots(mu: np.ndarray, rung_tols):
+def _classify_mu_roots(mu: np.ndarray):
     """Cluster the roots of mu and validate the reflection structure at
-    escalating tolerances; returns (tol, axis, pairs) where axis is a
-    list of (i*w, even multiplicity) and pairs of (stable root, mult)."""
+    the escalating tolerances of _MU_RUNGS; returns (tol, axis, pairs)
+    where axis is a list of (i*w, even multiplicity) and pairs of
+    (stable root, mult)."""
     roots = npp.polyroots(mu)
     scale = 1.0 + float(np.max(np.abs(roots))) if roots.size else 1.0
     last_err = None
-    for tol in rung_tols:
+    for tol in _MU_RUNGS:
         clusters = linalg.cluster_points(roots, tol * scale)
         band = max(tol * scale, _AXIS_BAND_FACTOR * scale)
         axis, left, right = [], [], []
@@ -164,9 +165,7 @@ def _classify_mu_roots(mu: np.ndarray, rung_tols):
         f"could not split the roots of mu consistently: {last_err}")
 
 
-def compute_mu(p1, q, contraction_tol: float = 1e-9,
-               coprime_tol: float = 1e-10,
-               recon_tol: float = 1e-6) -> ScalarFactorization:
+def compute_mu(p1, q) -> ScalarFactorization:
     """Deficiency polynomial mu = q q* - p1 p1* and its parity split.
 
     Validates that deg p1 <= deg q, q is stable, p1 and q are coprime
@@ -183,7 +182,7 @@ def compute_mu(p1, q, contraction_tol: float = 1e-9,
     qroots, _ = poly_roots(q)
     if any(z.real >= -1e-12 for z, _ in qroots):
         raise ValidationError("q must have all roots in the open left half-plane")
-    if _sylvester_resultant(p1, q) <= coprime_tol:
+    if _sylvester_resultant(p1, q) <= 1e-10:
         # the normalized determinant is a conservative bound; condemn the
         # pair only if the root sets actually touch
         p1roots, _ = poly_roots(p1)
@@ -198,7 +197,7 @@ def compute_mu(p1, q, contraction_tol: float = 1e-9,
             raise ValidationError("p1 and q must be coprime (resultant is zero)")
     grid = frequency_grid()
     over = (np.abs(npp.polyval(1j * grid, p1))
-            > np.abs(npp.polyval(1j * grid, q)) * (1.0 + contraction_tol))
+            > np.abs(npp.polyval(1j * grid, q)) * (1.0 + 1e-9))
     if over.any():
         raise ValidationError(
             f"|p1(iw)| exceeds |q(iw)| at w = {grid[np.argmax(over)]:g}: "
@@ -208,7 +207,7 @@ def compute_mu(p1, q, contraction_tol: float = 1e-9,
     if mu.size == 1 and abs(mu[0]) == 0:
         raise ValidationError("mu vanishes identically: S is inner, not "
                               "strictly contractive anywhere")
-    tol, axis, pairs = _classify_mu_roots(mu, (1e-6, 1e-5, 1e-4, 1e-3))
+    tol, axis, pairs = _classify_mu_roots(mu)
     r1_roots, r2_off_roots, r2_axis_roots = [], [], []
     for z, m in pairs:
         r1_roots.extend([z] * (m // 2))
@@ -236,7 +235,7 @@ def compute_mu(p1, q, contraction_tol: float = 1e-9,
         raise SpectralSplitError(f"parity-split constant {c:g} is not positive")
     c = float(c.real)
     err = np.linalg.norm(mu - c * recon) / max(np.linalg.norm(mu), 1e-300)
-    if err > recon_tol:
+    if err > 1e-6:
         raise SpectralSplitError(
             f"parity split reconstructs mu to relative error {err:g} only")
     return ScalarFactorization(mu=mu, r1=r1, r2=r2, kappa=len(r2_off_roots),
@@ -244,7 +243,7 @@ def compute_mu(p1, q, contraction_tol: float = 1e-9,
                                cluster_tolerance=tol)
 
 
-def spectral_factor_poly(m, recon_tol: float = 1e-8) -> np.ndarray:
+def spectral_factor_poly(m) -> np.ndarray:
     """Stable polynomial p2 with p2 p2* = m.
 
     m must be para-symmetric (m* = m) and nonnegative on the imaginary
@@ -263,7 +262,7 @@ def spectral_factor_poly(m, recon_tol: float = 1e-8) -> np.ndarray:
         raise ValidationError(f"m(i{grid[k]:g}) = {vals[k]:g} is negative")
     if m.size == 1:
         return np.array([np.sqrt(m[0].real)], dtype=complex)
-    tol, axis, pairs = _classify_mu_roots(m, (1e-6, 1e-5, 1e-4, 1e-3))
+    tol, axis, pairs = _classify_mu_roots(m)
     stable = []
     for z, mult in pairs:
         stable.extend([z] * mult)
@@ -277,7 +276,7 @@ def spectral_factor_poly(m, recon_tol: float = 1e-8) -> np.ndarray:
         raise ValidationError("spectral factor scale is not positive")
     p2 = p2 * np.sqrt(ratio)
     err = np.linalg.norm(poly_trim(npp.polymul(p2, poly_para(p2))) - m)
-    if err > recon_tol * max(1.0, np.linalg.norm(m)):
+    if err > 1e-8 * max(1.0, np.linalg.norm(m)):
         raise ValidationError(
             f"spectral factor reconstructs m to error {err:g} only")
     return p2
