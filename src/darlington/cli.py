@@ -88,12 +88,8 @@ def read_problem(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     out = {"flags": data.get("flags", {})}
-    if all(k in data for k in ("A", "B", "C", "D")):
-        A = _parse_matrix(data["A"], "A")
-        B = _parse_matrix(data["B"], "B")
-        C = _parse_matrix(data["C"], "C")
-        D = _parse_matrix(data["D"], "D")
-        out["realization"] = Realization(A, B, C, D)
+    if all(k in data for k in "ABCD"):
+        out["realization"] = Realization(*(_parse_matrix(data[k], k) for k in "ABCD"))
     if "p1" in data and "q" in data:
         out["p1"] = np.array([_parse_complex(v) for v in data["p1"]], dtype=complex)
         out["q"] = np.array([_parse_complex(v) for v in data["q"]], dtype=complex)
@@ -123,10 +119,7 @@ def _emit(report: dict, as_json: bool) -> None:
 def _base_tol(args) -> float:
     if args.tol is not None:
         return float(args.tol)
-    env = os.environ.get("DARLINGTON_TOL")
-    if env:
-        return float(env)
-    return 1e-7
+    return float(os.environ.get("DARLINGTON_TOL") or 1e-7)
 
 
 # ------------------------------------------------------------ commands
@@ -195,41 +188,37 @@ def cmd_synthesize(args) -> int:
         R = mobius_precondition(R, args.mobius)
     R, _ = minimal_realization(R)
     rep: dict = {"mode": args.mode, "solution": args.solution}
-    try:
-        if args.mode == "minimal-symmetric":
-            res = minimize_symmetric(R, residual_tol=tol)
-            out = res.extension
-            rep.update({
-                "degree": res.degree, "kappa": res.kappa, "n0": res.n0,
-                "reductions": len(res.factors),
-                "innerness_residual": res.innerness,
-                "symmetry_residual": res.symmetry,
-                "block_match": res.block_match,
-            })
+    if args.mode == "minimal-symmetric":
+        res = minimize_symmetric(R, residual_tol=tol)
+        out = res.extension
+        rep.update({
+            "degree": res.degree, "kappa": res.kappa, "n0": res.n0,
+            "reductions": len(res.factors),
+            "innerness_residual": res.innerness,
+            "symmetry_residual": res.symmetry,
+            "block_match": res.block_match,
+        })
+    else:
+        base = symmetrize(R) if args.mode == "symmetric" else R
+        pmin, pmax = solve_extremal(build_hat(base))
+        sol = pmin if args.solution == "min" else pmax
+        E = build_extension(base, sol)
+        if args.mode == "symmetric":
+            out, q = symmetric_unitary_extension(E)
+            checks = {"q_degree": q.degree, "q_inner": q.inner_flag,
+                      "unitary_axis_residual": innerness_residual(out),
+                      "symmetry_residual": symmetry_residual(out)}
         else:
-            base = symmetrize(R) if args.mode == "symmetric" else R
-            pmin, pmax = solve_extremal(build_hat(base))
-            sol = pmin if args.solution == "min" else pmax
-            E = build_extension(base, sol)
-            if args.mode == "symmetric":
-                out, q = symmetric_unitary_extension(E)
-                checks = {"q_degree": q.degree, "q_inner": q.inner_flag,
-                          "unitary_axis_residual": innerness_residual(out),
-                          "symmetry_residual": symmetry_residual(out)}
-            else:
-                out = E.realization
-                checks = {"innerness_residual": innerness_residual(out),
-                          "riccati_residual": sol.residual_norm}
-                if args.solution == "min":
-                    zeros = np.linalg.eigvals(sol.z)
-                    checks["outer_lower_left"] = bool(
-                        zeros.size == 0 or np.max(zeros.real) <= 1e-7)
-            rep.update({"degree": kalman_check(out).mcmillan_degree,
-                        "kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0,
-                        **checks})
-    except NotContractiveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            out = E.realization
+            checks = {"innerness_residual": innerness_residual(out),
+                      "riccati_residual": sol.residual_norm}
+            if args.solution == "min":
+                zeros = np.linalg.eigvals(sol.z)
+                checks["outer_lower_left"] = bool(
+                    zeros.size == 0 or np.max(zeros.real) <= 1e-7)
+        rep.update({"degree": kalman_check(out).mcmillan_degree,
+                    "kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0,
+                    **checks})
     if args.out:
         write_realization(args.out, out, meta={k: v for k, v in rep.items()})
         rep["written"] = args.out

@@ -120,12 +120,6 @@ class QFactor:
     unitary_residual: float
 
 
-def _as_p_matrix(P) -> np.ndarray:
-    if isinstance(P, RiccatiSolution):
-        return P.p
-    return np.asarray(P, dtype=complex)
-
-
 def build_extension(R: Realization, P) -> ExtensionBlocks:
     """Inner 2p x 2p extension of S associated with a Riccati solution P.
 
@@ -146,7 +140,7 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
         standard frequency grid to 1e-8.
     """
     hat = build_hat(R)
-    Pm = _as_p_matrix(P)
+    Pm = P.p if isinstance(P, RiccatiSolution) else np.asarray(P, dtype=complex)
     Pm = (Pm + Pm.conj().T) / 2
     res = riccati_residual(hat, Pm)
     if res > 1e-8 * (1.0 + np.linalg.norm(Pm, 2) ** 2):
@@ -294,11 +288,6 @@ def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks) -> QFactor:
                    inner_flag=inner, gamma_rank=grank, unitary_residual=ures)
 
 
-def _identity_realization(p: int) -> Realization:
-    return Realization(np.zeros((0, 0)), np.zeros((0, p)),
-                       np.zeros((p, 0)), np.eye(p))
-
-
 def symmetric_unitary_extension(E: ExtensionBlocks) -> tuple[Realization, QFactor]:
     """Symmetric extension Sigma_P = S_P diag(Q, I), Q = S21^{-1} S12^T.
 
@@ -316,8 +305,9 @@ def symmetric_unitary_extension(E: ExtensionBlocks) -> tuple[Realization, QFacto
     Pt = np.linalg.inv(E.p_matrix.T)
     E2 = build_extension(R, Pt)
     Q = compare_extensions(E, E2)
-    sigma_raw = compose(E.realization, direct_sum(Q.realization,
-                                                  _identity_realization(E.p)))
+    identity = Realization(np.zeros((0, 0)), np.zeros((0, E.p)),
+                           np.zeros((E.p, 0)), np.eye(E.p))
+    sigma_raw = compose(E.realization, direct_sum(Q.realization, identity))
     sigma, cert = minimal_realization(sigma_raw, rank_tol=1e-9)
     sres = symmetry_residual(sigma)
     if sres > 1e-8:

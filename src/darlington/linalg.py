@@ -134,8 +134,6 @@ def _orth_columns(M: np.ndarray, tol: float) -> np.ndarray:
     if M.size == 0:
         return np.zeros((M.shape[0], 0), dtype=complex)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((M.shape[0], 0), dtype=complex)
     r = int(np.sum(s > tol * max(1.0, s[0])))
     return U[:, :r]
 
@@ -190,18 +188,19 @@ class SpectrumReport:
         ) if self.clusters else np.zeros(0, dtype=complex)
 
 
-def _spectral_subspace(M: np.ndarray, centers, index: int) -> np.ndarray:
-    """Orthonormal basis of the spectral subspace of the ``index``-th
-    cluster center, via a sorted complex Schur form.
+def _spectral_subspace(M: np.ndarray, centers, indices) -> np.ndarray:
+    """Orthonormal basis of the spectral subspace of the cluster centers
+    with the given indices, via one sorted complex Schur form.
 
     Membership is decided by the nearest center, so the extraction
     cannot engulf a neighboring cluster no matter how the tolerances
     were chosen.
     """
     cs = np.asarray(centers, dtype=complex)
+    chosen = set(indices)
 
     def selected(lam):
-        return int(np.argmin(np.abs(cs - lam))) == index
+        return int(np.argmin(np.abs(cs - lam))) in chosen
 
     try:
         _, Z, sdim = sla.schur(M, output="complex", sort=selected)
@@ -276,7 +275,7 @@ def eig_clustered(M) -> SpectrumReport:
     clusters = []
     for idx, (center, members) in enumerate(raw):
         mult = len(members)
-        basis = _spectral_subspace(A, centers, idx)
+        basis = _spectral_subspace(A, centers, {idx})
         if basis.shape[1] != mult:
             raise SpectralSplitError(
                 f"spectral subspace at {center:g} has dimension "
@@ -415,9 +414,16 @@ def takagi(F, sym_tol: float = DEFAULT_SYM_TOL) -> TakagiResult:
             blocks.append(np.eye(len(idx), dtype=complex))
         else:
             # V[:,g]^T W[:,g] is unitary symmetric on each group; its
-            # principal square root aligns the phases
+            # square root aligns the phases.  The group is first rotated
+            # so the widest gap of its spectrum sits on the branch cut of
+            # sqrtm: eigenvalues straddling -1 make the principal root
+            # ill-conditioned.
             Zb = V[:, idx].T @ W[:, idx]
-            blocks.append(np.asarray(sla.sqrtm(Zb), dtype=complex))
+            ang = np.sort(np.angle(np.linalg.eigvals(Zb)))
+            gaps = np.diff(ang, append=ang[0] + 2 * np.pi)
+            k = int(np.argmax(gaps))
+            rot = np.exp(1j * (np.pi - ang[k] - gaps[k] / 2))
+            blocks.append(np.asarray(sla.sqrtm(rot * Zb), dtype=complex) / np.sqrt(rot))
     Q = sla.block_diag(*blocks)
     U = V @ np.conj(Q)
     order = np.argsort(s)

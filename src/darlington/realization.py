@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import linalg
 from .errors import (
@@ -348,22 +349,32 @@ def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
 
 
 def _intertwiner(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Symmetric least-squares solution T of T A = A^T T, T B = C^T
-    (Kronecker form; T keeps the dtype of the data).
+    """Symmetric solution T of T A = A^T T, T B = C^T (dtype of the data)
+    as T = conj(P^{-1} X), from A P + P A* + B B* = 0 and
+    A X + X conj(A) + B conj(C) = 0: P conj(T) solves the second
+    equation since conj(T) conj(A) = A* conj(T), B* conj(T) = conj(C).
 
-    Raises SubspaceError when the residual exceeds 1e-7 * max(1, ||T||),
-    i.e. the realization is not minimal or the function not symmetric.
+    Raises SubspaceError when lambda_i + conj(lambda_j) = 0 for two
+    eigenvalues of A (the equations are singular), when P is singular
+    (A not Hurwitz or (A, B) not reachable), or when the residual
+    exceeds 1e-7 * max(1, ||T||).
     """
-    n = A.shape[0]
-    I = np.eye(n)
-    M1 = np.kron(A.T, I) - np.kron(I, A.T)
-    M2 = np.kron(B.T, I)
-    rhs = np.concatenate([np.zeros(n * n, dtype=C.dtype), C.T.flatten(order="F")])
-    vecT, *_ = np.linalg.lstsq(np.vstack([M1, M2]), rhs, rcond=None)
-    T = vecT.reshape((n, n), order="F")
+    lam = np.linalg.eigvals(A)
+    gap = np.min(np.abs(lam[:, np.newaxis] + lam.conj()), initial=np.inf)
+    if gap <= linalg.default_cluster_tol(A):
+        raise SubspaceError(
+            f"Gramian equations are singular: two eigenvalues of A satisfy "
+            f"lambda_i + conj(lambda_j) = 0 (to {gap:.3g})")
+    try:
+        P = sla.solve_continuous_lyapunov(A, -B @ B.conj().T)
+        X = sla.solve_sylvester(A, A.conj(), -B @ C.conj())
+        T = np.linalg.solve(P, X).conj()
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SubspaceError(
+            f"Gramian solve failed ({exc}); the Gramian P may be singular") from exc
     T = (T + T.T) / 2
     res = max(np.linalg.norm(T @ A - A.T @ T, 2), np.linalg.norm(T @ B - C.T, 2))
-    if res > 1e-7 * max(1.0, np.linalg.norm(T, 2)):
+    if not res <= 1e-7 * max(1.0, np.linalg.norm(T, 2)):
         raise SubspaceError(
             f"intertwining system residual {res:g}; realization may not be "
             "minimal or the function not symmetric")
@@ -384,7 +395,9 @@ def symmetrize(R: Realization) -> Realization:
 
     Solves the intertwining equations T A = A^T T, T B = C^T for the
     unique similarity T between the realization and its transpose
-    (unique and symmetric because R is minimal), factors T = M^T M by
+    (unique and symmetric because R is minimal) from a Gramian and a
+    cross-Gramian in O(n^3), which needs lambda_i + conj(lambda_j) != 0
+    for all eigenvalues of A (true for A Hurwitz); factors T = M^T M by
     Takagi, and returns (M A M^{-1}, M B, C M^{-1}, D).
     """
     if R.outputs != R.inputs:

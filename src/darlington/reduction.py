@@ -112,13 +112,6 @@ def _blaschke_inverse_realization(f: BlaschkeFactor) -> Realization:
     return Realization(A, B, C, D)
 
 
-def _blaschke_inverse_transpose_realization(f: BlaschkeFactor) -> Realization:
-    """Realization of B^{-T}(s); equals the inverse factor built on
-    conj(u)."""
-    g = BlaschkeFactor(xi=f.xi, u=np.conj(f.u))
-    return _blaschke_inverse_realization(g)
-
-
 @dataclass(frozen=True)
 class ZeroStructure:
     """Zeros (eigenvalues of A - B D^{-1} C in the open right half-plane)
@@ -244,7 +237,8 @@ def reduce_once(T: Realization, f: BlaschkeFactor) -> Realization:
     """
     if f.dim != T.outputs:
         raise ValidationError("Blaschke direction has the wrong dimension")
-    left = _blaschke_inverse_transpose_realization(f)
+    # B^{-T} is the inverse factor built on conj(u)
+    left = _blaschke_inverse_realization(BlaschkeFactor(xi=f.xi, u=np.conj(f.u)))
     right = _blaschke_inverse_realization(f)
     raw = compose(compose(left, T), right)
     out, cert = minimal_realization(raw, rank_tol=1e-8)
@@ -280,6 +274,12 @@ class SynthesisResult:
 
 def _stage(name: str, exc: DarlingtonError) -> DarlingtonError:
     return type(exc)(f"stage '{name}': {exc}")
+
+
+def _conditioning(sol: RiccatiSolution) -> str:
+    return (f"||P_min|| = {np.linalg.norm(sol.p, 2):.3g}, ||P_min^-1|| = "
+            f"{np.linalg.norm(np.linalg.inv(sol.p), 2):.3g}, "
+            f"cond X = {sol.subspace_condition:.3g}")
 
 
 def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisResult:
@@ -330,7 +330,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
         if zd.size == 0:
             raise ReductionError(
                 f"stage 'reduce': no right-half-plane zeros left at degree "
-                f"{current.n} with target {target}")
+                f"{current.n} with target {target} ({_conditioning(pmin)})")
         zscale = 1.0 + float(np.max(np.abs(zd)))
         for mult_tol in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
             cands = [
@@ -355,7 +355,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
             detail = "; ".join(tried) if tried else "no multiple zero found"
             raise ReductionError(
                 f"stage 'reduce': stuck at degree {current.n} with target "
-                f"{target}: {detail}")
+                f"{target} ({_conditioning(pmin)}): {detail}")
         current = reduced
     final_deg = kalman_check(current).mcmillan_degree
     if final_deg != target:

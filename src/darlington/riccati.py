@@ -111,7 +111,11 @@ class HSpectrum:
 @dataclass(frozen=True)
 class RiccatiSolution:
     """Hermitian solution P with its closed loop Z = A_hat + P C_hat*C_hat
-    and the analyzed spectrum of the Hamiltonian it was taken from."""
+    and the analyzed spectrum of the Hamiltonian it was taken from.
+
+    ``subspace_condition`` is cond X for an orthonormal basis [X; Y] of
+    the whole graph subspace (P = Y X^{-1}), at most sqrt(1 + ||P||^2).
+    """
     p: np.ndarray
     z: np.ndarray
     kind: str                 # "minimal" | "maximal" | "other"
@@ -264,9 +268,10 @@ def _newton_refine(hat: HatData, P: np.ndarray) -> np.ndarray:
 def solve_extremal(hat: HatData) -> tuple[RiccatiSolution, RiccatiSolution]:
     """Minimal and maximal Hermitian solutions of the Riccati equation.
 
-    Both are computed as graph subspaces of the Hamiltonian: the minimal
-    solution stacks the spectral subspaces of the open right-half-plane
-    eigenvalues, the maximal one those of the left half-plane.  For
+    Both are computed as graph subspaces of the Hamiltonian (Laub's
+    Schur method): the minimal solution takes the spectral subspace of
+    the open right-half-plane eigenvalues, the maximal one that of the
+    left half-plane, each from one sorted Schur form of H.  For
     imaginary-axis eigenvalues (whose Jordan chains all have even
     length) both use the span of the leading half of every chain, which
     reproduces the unique solution when the extremal solutions coincide
@@ -287,7 +292,7 @@ def solve_extremal(hat: HatData) -> tuple[RiccatiSolution, RiccatiSolution]:
     for idx, (center, mult, lab) in enumerate(spec.clusters):
         if lab != "axis":
             continue
-        basis = linalg._spectral_subspace(H, centers, idx)
+        basis = linalg._spectral_subspace(H, centers, {idx})
         if basis.shape[1] != mult:
             raise SubspaceError(
                 f"axis spectral subspace at {center:g} has dimension "
@@ -302,21 +307,18 @@ def solve_extremal(hat: HatData) -> tuple[RiccatiSolution, RiccatiSolution]:
         axis_bases.append(basis @ half)
 
     def graph_solution(side: str, kind: str) -> RiccatiSolution:
-        cols = []
-        for idx, (center, mult, lab) in enumerate(spec.clusters):
-            if lab != side:
-                continue
-            basis = linalg._spectral_subspace(H, centers, idx)
-            if basis.shape[1] != mult:
-                raise SubspaceError(
-                    f"spectral subspace at {center:g} has dimension "
-                    f"{basis.shape[1]}, expected {mult}")
-            cols.append(basis)
-        cols.extend(axis_bases)
-        Mb = np.hstack(cols) if cols else np.zeros((2 * n, 0), dtype=complex)
+        chosen = {i for i, (_, _, lab) in enumerate(spec.clusters) if lab == side}
+        want = sum(spec.clusters[i][1] for i in chosen)
+        basis = linalg._spectral_subspace(H, centers, chosen)
+        if basis.shape[1] != want:
+            raise SubspaceError(
+                f"{side} half-plane spectral subspace has dimension "
+                f"{basis.shape[1]}, expected {want}")
+        Mb = np.hstack([basis] + axis_bases)
         if Mb.shape[1] != n:
             raise SubspaceError(
                 f"graph subspace has dimension {Mb.shape[1]}, expected {n}")
+        Mb = np.linalg.qr(Mb)[0]
         X, Y = Mb[:n, :], Mb[n:, :]
         sx = np.linalg.svd(X, compute_uv=False)
         if sx.size == 0 or sx[-1] <= 1e-13 * max(1.0, sx[0]):

@@ -155,6 +155,17 @@ class TestTakagi:
         assert np.sum(res.values < 1e-10) == 2
         assert np.linalg.norm(F @ np.conj(res.u[:, :2])) < 1e-10
 
+    def test_equal_values_straddling_branch_cut(self):
+        # diag(-2.4, 2.4) has one doubled singular value; a tiny symmetric
+        # perturbation puts the phase eigenvalues on both sides of -1
+        rng = np.random.default_rng(2400)
+        for _ in range(200):
+            E = random_complex(rng, (2, 2))
+            F = np.diag([-2.4, 2.4]) + 1e-16 * (E + E.T)
+            tk = takagi(F)
+            assert np.linalg.norm(tk.u @ np.diag(tk.values) @ tk.u.T - F, 2) <= 1e-10
+            assert np.linalg.norm(tk.u.conj().T @ tk.u - np.eye(2), 2) <= 1e-10
+
 
 class TestHermitianOrder:
     def test_less_equal(self):

@@ -17,7 +17,7 @@ from darlington import (
     solve_extremal,
     symmetrize,
 )
-from darlington.errors import SpectralSplitError, ValidationError
+from darlington.errors import ReductionError, SpectralSplitError, ValidationError
 
 
 def test_minimize_rejects_nonminimal_with_stage_label():
@@ -81,3 +81,19 @@ def test_large_instance_smoke():
     assert res.degree == 8 and res.kappa == 0
     assert len(res.factors) == 4
     assert max(res.innerness, res.symmetry, res.block_match) <= 1e-7
+
+
+def test_ill_conditioned_lattice_certifies_or_names_its_conditioning():
+    # seed 7 of ten kappa-0 degree-2 parts (p = 10, n = 20) has
+    # ||P_max|| = ||P_min^-1|| ~ 7e4; the reduction either certifies or
+    # reports the lattice conditioning behind its failure
+    from conftest import _draw_instance
+    inst = _draw_instance(np.random.default_rng(7), ("congruence", [(2, 0, 0)] * 10))
+    assert (inst.p, inst.n) == (10, 20)
+    try:
+        res = minimize_symmetric(inst.realization)
+    except ReductionError as exc:
+        for label in ("||P_min|| =", "||P_min^-1|| =", "cond X ="):
+            assert label in str(exc)
+    else:
+        assert res.degree == 20 and res.kappa == 0

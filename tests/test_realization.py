@@ -18,8 +18,13 @@ from darlington import (
     symmetry_residual,
     transpose,
 )
-from darlington.errors import NotSymmetricError, PoleError, ValidationError
-from darlington.realization import direct_sum, transfer_distance
+from darlington.errors import (
+    NotSymmetricError,
+    PoleError,
+    SubspaceError,
+    ValidationError,
+)
+from darlington.realization import _intertwiner, direct_sum, transfer_distance
 from darlington.reduction import BlaschkeFactor, blaschke_realization
 
 
@@ -223,6 +228,56 @@ class TestSymmetrize:
         R = Realization(np.diag([-1.0, -2.0]), rng.normal(size=(2, 2)),
                         rng.normal(size=(2, 2)), np.zeros((2, 2)))
         with pytest.raises(NotSymmetricError):
+            symmetrize(R)
+
+
+def kronecker_intertwiner(A, B, C):
+    """Oracle: least-squares T of T A = A^T T, T B = C^T in Kronecker
+    form, O(n^6); only for checking the Gramian solve."""
+    n = A.shape[0]
+    I = np.eye(n)
+    M = np.vstack([np.kron(A.T, I) - np.kron(I, A.T), np.kron(B.T, I)])
+    rhs = np.concatenate([np.zeros(n * n), C.T.flatten(order="F")])
+    T = np.linalg.lstsq(M, rhs, rcond=None)[0].reshape((n, n), order="F")
+    return (T + T.T) / 2
+
+
+def assert_matches_kronecker(R):
+    T = _intertwiner(R.a, R.b, R.c)
+    T_kron = kronecker_intertwiner(R.a, R.b, R.c)
+    assert np.linalg.norm(T - T_kron, 2) <= 1e-10 * np.linalg.norm(T_kron, 2)
+
+
+class TestIntertwiner:
+    @pytest.mark.parametrize("idx", range(20))
+    def test_matches_kronecker_on_suite(self, instance_suite, idx):
+        assert_matches_kronecker(instance_suite[idx].realization)
+
+    def test_matches_kronecker_on_jordan_block(self):
+        # 0.6 ((s-1)/(s+1))^2: A carries a 2 x 2 Jordan block at -1
+        from darlington.scalar import siso_realization
+        R, _ = minimal_realization(siso_realization(
+            0.6 * np.array([1.0, -2.0, 1.0]), np.array([1.0, 2.0, 1.0])))
+        assert_matches_kronecker(R)
+
+    def test_matches_kronecker_on_complex_p3(self):
+        from conftest import _draw_instance
+        spec = ("congruence", [(2, 0, 0), (2, None, 0), (1, None, 0)])
+        R = _draw_instance(np.random.default_rng(31), spec).realization
+        assert R.outputs == 3 and np.linalg.norm(R.b.imag) > 1e-3
+        assert_matches_kronecker(R)
+
+    def test_real_data_stays_real(self):
+        A = np.diag([-1.0, -2.0])
+        T = _intertwiner(A, np.array([[1.0], [1.0]]), np.array([[1.0, 2.0]]))
+        assert T.dtype == np.float64
+
+    def test_mirrored_eigenvalues_raise(self):
+        # A = diag(-1, 1): lambda_1 + conj(lambda_2) = 0 makes both
+        # Gramian equations singular
+        R = Realization(np.diag([-1.0, 1.0]), np.array([[1.0], [1.0]]),
+                        np.array([[1.0, 2.0]]), np.array([[0.0]]))
+        with pytest.raises(SubspaceError, match="lambda_i"):
             symmetrize(R)
 
 

@@ -162,6 +162,40 @@ class TestSolveExtremal:
                                [c for c, _, _ in want.clusters], atol=1e-12)
 
 
+def per_cluster_graph(hat, side):
+    """Oracle: P from one sorted Schur form per eigenvalue cluster of the
+    given half-plane (for spectra without axis clusters)."""
+    from darlington import linalg
+    ham = build_hamiltonian(hat)
+    H, spec = ham.matrix, analyze_spectrum(ham)
+    centers = [c for c, _, _ in spec.clusters]
+    cols = [linalg._spectral_subspace(H, centers, {i})
+            for i, (_, _, lab) in enumerate(spec.clusters) if lab == side]
+    Mb = np.hstack(cols)
+    n = hat.n
+    P = Mb[n:] @ np.linalg.inv(Mb[:n])
+    return (P + P.conj().T) / 2
+
+
+class TestHalfPlaneSchur:
+    @pytest.mark.parametrize("source", ["zeta2", "generic"])
+    def test_matches_per_cluster_construction(self, request, instance_suite, source):
+        from darlington import symmetrize
+        if source == "zeta2":
+            R = request.getfixturevalue("zeta2")
+        else:
+            inst = next(i for i in instance_suite
+                        if i.p == 2 and i.expected_kappa == i.n == 6)
+            R = symmetrize(inst.realization)
+        hat = build_hat(R)
+        pmin, pmax = solve_extremal(hat)
+        assert pmin.spectrum.n0 == 0
+        for sol, side in ((pmin, "plus"), (pmax, "minus")):
+            P = per_cluster_graph(hat, side)
+            assert np.linalg.norm(sol.p - P, 2) <= 1e-10 * (1 + np.linalg.norm(P, 2))
+            assert sol.subspace_condition <= np.sqrt(1 + np.linalg.norm(sol.p, 2) ** 2)
+
+
 class TestAnalyzeSpectrum:
     def test_even_double_pair(self, zeta2):
         spec = analyze_spectrum(build_hamiltonian(build_hat(zeta2)))
