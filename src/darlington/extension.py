@@ -36,7 +36,7 @@ from .realization import (
     subrealization,
     symmetry_residual,
 )
-from .riccati import HatData, RiccatiSolution, build_hat, riccati_residual
+from .riccati import RiccatiSolution, build_hat, riccati_residual
 
 __all__ = [
     "ExtensionBlocks",
@@ -83,8 +83,6 @@ class ExtensionBlocks:
     d21: np.ndarray
     p_matrix: np.ndarray
     z: np.ndarray
-    hat: HatData
-    residual_norm: float
 
     @property
     def s11(self) -> Realization:
@@ -170,8 +168,7 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
             f"extension fails the innerness check (residual {resid:g})")
     z = hat.a_hat + Pm @ hat.csc
     return ExtensionBlocks(realization=big, p=p, b1=b1, c1=c1, d11=d11,
-                           d12=d12, d21=d21, p_matrix=Pm, z=z, hat=hat,
-                           residual_norm=res)
+                           d12=d12, d21=d21, p_matrix=Pm, z=z)
 
 
 def apply_gauge(E: ExtensionBlocks, U1, U2) -> ExtensionBlocks:
@@ -196,8 +193,7 @@ def apply_gauge(E: ExtensionBlocks, U1, U2) -> ExtensionBlocks:
                       np.vstack([c1, R.c[p:, :]]),
                       np.block([[d11, d12], [d21, R.d[p:, p:]]]))
     return ExtensionBlocks(realization=big, p=p, b1=b1, c1=c1, d11=d11,
-                           d12=d12, d21=d21, p_matrix=E.p_matrix, z=E.z,
-                           hat=E.hat, residual_norm=E.residual_norm)
+                           d12=d12, d21=d21, p_matrix=E.p_matrix, z=E.z)
 
 
 def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlocks:

@@ -10,7 +10,8 @@ moves strict contractivity from a finite imaginary point to infinity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -47,6 +48,9 @@ __all__ = [
 
 _PROBE_SEED = 0x5D1F  # fixed so probe grids are reproducible
 _PROBE_COUNT = 32
+# (real, imaginary) offsets in [0, 1) of the probe points drawn to the
+# right of the poles, one row per point
+_PROBE_OFFSETS = np.random.default_rng(_PROBE_SEED).random((_PROBE_COUNT, 2))
 
 
 @dataclass(frozen=True)
@@ -54,7 +58,8 @@ class Realization:
     """Immutable state-space quadruple (A, B, C, D).
 
     A is n x n, B is n x m, C is p x n, D is p x m; entries are stored
-    as complex128 and must be finite.
+    as read-only complex128 copies and must be finite.  The spectrum of
+    A and the pole-guard radius are computed at most once per instance.
     """
     a: np.ndarray
     b: np.ndarray
@@ -76,10 +81,10 @@ class Realization:
             raise DimensionError(f"C must be {p}x{n}, got {c.shape}")
         if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
             raise ValidationError("realization contains non-finite entries")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        for name, M in zip("abcd", (a, b, c, d)):
+            M = np.array(M)  # own copy, same memory layout
+            M.flags.writeable = False
+            object.__setattr__(self, name, M)
 
     @property
     def n(self) -> int:
@@ -93,8 +98,21 @@ class Realization:
     def inputs(self) -> int:
         return self.d.shape[1]
 
+    @cached_property
+    def _poles(self) -> np.ndarray:
+        lam = np.linalg.eigvals(self.a) if self.n else np.zeros(0, dtype=complex)
+        lam.flags.writeable = False
+        return lam
+
+    @cached_property
+    def pole_guard(self) -> float:
+        """Distance to the spectrum of A within which a point counts as a
+        pole, linalg.default_cluster_tol(A)."""
+        return linalg.default_cluster_tol(self.a)
+
     def poles(self) -> np.ndarray:
-        return np.linalg.eigvals(self.a) if self.n else np.zeros(0, dtype=complex)
+        """Eigenvalues of A (read-only)."""
+        return self._poles
 
 
 @dataclass(frozen=True)
@@ -117,10 +135,8 @@ def freqresp(R: Realization, points) -> np.ndarray:
     """Values of the transfer function at every point, stacked into a
     (k, p, m) array; infinite points give D.
 
-    The pole guard (spectrum of A and its clustering tolerance) is
-    computed once per call, and all finite points share one stacked
-    solve.  Raises PoleError naming the first finite point within the
-    tolerance of the spectrum of A.
+    All finite points share one stacked solve.  Raises PoleError naming
+    the first finite point within ``R.pole_guard`` of the spectrum of A.
     """
     s = np.asarray(points, dtype=complex).ravel()
     out = np.repeat(R.d[np.newaxis], s.size, axis=0)
@@ -128,7 +144,7 @@ def freqresp(R: Realization, points) -> np.ndarray:
     if R.n == 0 or not finite.any():
         return out
     s = s[finite]
-    tol = linalg.default_cluster_tol(R.a)
+    tol = R.pole_guard
     near = np.min(np.abs(s[:, np.newaxis] - R.poles()), axis=1) <= tol
     if near.any():
         raise PoleError(
@@ -162,19 +178,17 @@ def _system_scale(*mats: np.ndarray) -> float:
 
 
 def _krylov_span(A: np.ndarray, B: np.ndarray, tol: float,
-                 scale: float | None = None) -> np.ndarray:
+                 scale: float) -> np.ndarray:
     """Orthonormal basis of the smallest A-invariant subspace containing
     the columns of B (the reachable subspace).
 
-    Rank decisions compare singular values against tol * scale, where
-    scale defaults to the overall system magnitude; a self-relative
-    threshold would keep numerically-zero input directions alive.
+    Rank decisions compare singular values against tol * scale, with
+    scale the overall system magnitude; a self-relative threshold would
+    keep numerically-zero input directions alive.
     """
     n = A.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    if scale is None:
-        scale = _system_scale(A, B)
     An = A / max(1.0, np.linalg.norm(A, 2))
     U, s, _ = np.linalg.svd(B, full_matrices=False)
     V = U[:, s > tol * scale]
@@ -223,21 +237,14 @@ def probe_points(*realizations: Realization) -> np.ndarray:
     """
     poles = np.concatenate([R.poles() for R in realizations]) \
         if realizations else np.zeros(0, dtype=complex)
-
-    def clear(z: complex) -> bool:
-        return poles.size == 0 or np.min(np.abs(poles - z)) > 1e-3
-
     fixed = [1j * w
              for w in (0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0)
-             if clear(1j * w)]
+             if poles.size == 0 or np.min(np.abs(poles - 1j * w)) > 1e-3]
+    # every drawn point lies at least 1 to the right of every pole
     right = float(np.max(poles.real)) + 1.0 if poles.size else 1.0
-    rng = np.random.default_rng(_PROBE_SEED)
-    extra = []
-    while len(extra) < _PROBE_COUNT - len(fixed):
-        z = complex(right + 3.0 * rng.random(), 6.0 * (rng.random() - 0.5))
-        if clear(z):
-            extra.append(z)
-    return np.array(fixed + extra)
+    off = _PROBE_OFFSETS[:_PROBE_COUNT - len(fixed)]
+    extra = right + 3.0 * off[:, 0] + 6j * (off[:, 1] - 0.5)
+    return np.concatenate([fixed, extra])
 
 
 def transfer_distance(R1: Realization, R2: Realization) -> float:
@@ -325,21 +332,13 @@ def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
     A2, B2, C2 = W.conj().T @ A1 @ W, W.conj().T @ B1, C1 @ W
     out = Realization(A2, B2, C2, R.d)
     cert = kalman_check(out, rank_tol)
-    transform = None
     if out.n < R.n:
         # unitary change of coordinates whose leading columns carry the
         # kept subspace; invertible by construction
         K = V @ W
         rest = np.linalg.svd(K, full_matrices=True)[0][:, K.shape[1]:] \
             if K.shape[1] < R.n else np.zeros((R.n, 0))
-        transform = np.hstack([K, rest])
-    cert = DegreeCertificate(
-        mcmillan_degree=cert.mcmillan_degree,
-        reachable_rank=cert.reachable_rank,
-        observable_rank=cert.observable_rank,
-        state_dim=cert.state_dim,
-        rank_tolerance=rank_tol,
-        reduction_transform=transform)
+        cert = replace(cert, reduction_transform=np.hstack([K, rest]))
     dist = transfer_distance(out, R)
     if dist > 1e-8:
         raise ValidationError(
@@ -405,11 +404,11 @@ def symmetrize(R: Realization) -> Realization:
     if symmetry_residual(R) > 1e-8:
         raise NotSymmetricError(
             "transfer function is not symmetric on the probe grid")
+    if not kalman_check(R).minimal:
+        raise ValidationError(
+            "symmetrize requires a minimal realization; apply minimal_realization")
     if _structurally_symmetric(R):
         return R
-    cert = kalman_check(R)
-    if not cert.minimal:
-        raise ValidationError("symmetrize requires a minimal realization")
     T = _intertwiner(R.a, R.b, R.c)
     tk = linalg.takagi(T, sym_tol=1e-7)
     if tk.values[0] <= 1e-12 * max(1.0, tk.values[-1]):

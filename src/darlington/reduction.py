@@ -34,13 +34,15 @@ from .realization import (
     derivative,
     evaluate,
     freqresp,
+    invert,
     kalman_check,
     minimal_realization,
     probe_points,
     symmetrize,
     symmetry_residual,
+    transpose,
 )
-from .riccati import HSpectrum, RiccatiSolution, build_hat, solve_extremal
+from .riccati import RiccatiSolution, build_hat, solve_extremal
 
 __all__ = [
     "BlaschkeFactor",
@@ -100,16 +102,6 @@ def blaschke_inverse_eval(f: BlaschkeFactor, s: complex) -> np.ndarray:
     """Pointwise inverse B^{-1}(s) = I + (b_xi(s)^{-1} - 1) u u*."""
     uu = np.outer(f.u, f.u.conj())
     return np.eye(f.dim) + (1.0 / f.scalar(s) - 1.0) * uu
-
-
-def _blaschke_inverse_realization(f: BlaschkeFactor) -> Realization:
-    """Realization of B^{-1}(s) = I + 2 Re(xi)/(s - xi) u u* (antistable)."""
-    p = f.dim
-    A = np.array([[f.xi]])
-    B = f.u.conj().reshape(1, p)
-    C = 2 * f.xi.real * f.u.reshape(p, 1)
-    D = np.eye(p, dtype=complex)
-    return Realization(A, B, C, D)
 
 
 @dataclass(frozen=True)
@@ -237,9 +229,8 @@ def reduce_once(T: Realization, f: BlaschkeFactor) -> Realization:
     """
     if f.dim != T.outputs:
         raise ValidationError("Blaschke direction has the wrong dimension")
-    # B^{-T} is the inverse factor built on conj(u)
-    left = _blaschke_inverse_realization(BlaschkeFactor(xi=f.xi, u=np.conj(f.u)))
-    right = _blaschke_inverse_realization(f)
+    right = invert(blaschke_realization(f))
+    left = transpose(right)
     raw = compose(compose(left, T), right)
     out, cert = minimal_realization(raw, rank_tol=1e-8)
     if cert.mcmillan_degree != T.n - 2:
@@ -263,7 +254,6 @@ class SynthesisResult:
     degree: int
     kappa: int
     n0: int
-    spectrum: HSpectrum
     p_min: RiccatiSolution
     p_max: RiccatiSolution
     factors: tuple[BlaschkeFactor, ...]
@@ -297,10 +287,6 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     residuals.
     """
     try:
-        cert = kalman_check(R)
-        if not cert.minimal:
-            raise ValidationError(
-                "input realization is not minimal; apply minimal_realization")
         Rs = symmetrize(R)
     except DarlingtonError as exc:
         raise _stage("symmetrize", exc) from exc
@@ -372,6 +358,6 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
             f"stage 'finalize': certification failed (inner {ir:g}, "
             f"symmetry {sr:g}, block match {block:g})")
     return SynthesisResult(extension=current, degree=final_deg, kappa=kappa,
-                           n0=n0, spectrum=pmin.spectrum, p_min=pmin, p_max=pmax,
+                           n0=n0, p_min=pmin, p_max=pmax,
                            factors=tuple(factors), innerness=ir, symmetry=sr,
                            block_match=block)

@@ -103,10 +103,6 @@ class HSpectrum:
     chi_plus_roots: tuple[complex, ...]
     cluster_tolerance: float
 
-    @property
-    def dim(self) -> int:
-        return sum(m for _, m, _ in self.clusters)
-
 
 @dataclass(frozen=True)
 class RiccatiSolution:
@@ -320,8 +316,9 @@ def solve_extremal(hat: HatData) -> tuple[RiccatiSolution, RiccatiSolution]:
                 f"graph subspace has dimension {Mb.shape[1]}, expected {n}")
         Mb = np.linalg.qr(Mb)[0]
         X, Y = Mb[:n, :], Mb[n:, :]
-        sx = np.linalg.svd(X, compute_uv=False)
-        if sx.size == 0 or sx[-1] <= 1e-13 * max(1.0, sx[0]):
+        # the empty X of a degree-0 problem counts as perfectly conditioned
+        sx = np.linalg.svd(X, compute_uv=False) if n else np.ones(1)
+        if sx[-1] <= 1e-13 * max(1.0, sx[0]):
             raise SubspaceError(
                 f"graph-subspace matrix X is singular (condition "
                 f"{sx[0] / max(sx[-1], 1e-300):.3g})")
@@ -335,7 +332,7 @@ def solve_extremal(hat: HatData) -> tuple[RiccatiSolution, RiccatiSolution]:
                 f"Riccati residual {res:g} exceeds tolerance for the "
                 f"{kind} solution (||P|| = {scale:g}, cond X = {cond:.3g})")
         w = np.linalg.eigvalsh(P)
-        if w[0] <= 0:
+        if w.size and w[0] <= 0:
             raise ValidationError(
                 f"{kind} solution is not positive definite "
                 f"(min eigenvalue {w[0]:g}); S may not be a Schur function")

@@ -1,0 +1,84 @@
+"""The "certified or raise" contract of minimize_symmetric on seeded
+draws that the well-conditioned filter never saw.
+
+Every run either raises a DarlingtonError or returns an extension that
+passes an independent re-check: its McMillan degree (from Hankel
+singular values) is n + kappa, and on a dense 801-point axis grid it is
+unitary, symmetric and carries S in its lower-right block.
+"""
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+from conftest import _draw_instance
+from darlington import DarlingtonError, Realization, minimize_symmetric
+
+SPECS = [
+    ("scalar", 2, 0, 0),
+    ("scalar", 3, 1, 0),
+    ("scalar", 3, 0, 1),
+    ("scalar", 4, None, 0),
+    ("congruence", [(2, 0, 0), (2, 0, 0)]),
+    ("congruence", [(3, 1, 0), (1, None, 0)]),
+    ("congruence", [(2, 0, 0), (2, None, 0), (3, 0, 1)]),
+]
+
+# 0 and +-10^k for 400 exponents k evenly spaced in [-3, 3]
+GRID = np.concatenate([[0.0], np.logspace(-3, 3, 400), -np.logspace(-3, 3, 400)])
+
+
+def transfer_on_axis(R: Realization) -> np.ndarray:
+    """(k, p, m) stack of C (iw I - A)^{-1} B + D over GRID."""
+    pencil = 1j * GRID[:, None, None] * np.eye(R.n) - R.a
+    rhs = np.broadcast_to(R.b, (GRID.size,) + R.b.shape)
+    return R.c @ np.linalg.solve(pencil, rhs) + R.d
+
+
+def hankel_degree(R: Realization) -> int:
+    """Number of Hankel singular values above 1/2; every one of them is
+    1 for a minimal realization of a stable inner function."""
+    if R.n == 0:
+        return 0
+    Wc = sla.solve_continuous_lyapunov(R.a, -R.b @ R.b.conj().T)
+    Wo = sla.solve_continuous_lyapunov(R.a.conj().T, -R.c.conj().T @ R.c)
+    hsv = np.sqrt(np.abs(np.linalg.eigvals(Wc @ Wo)))
+    return int(np.sum(hsv > 0.5))
+
+
+def worst(M: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(M, 2, axis=(1, 2))))
+
+
+def assert_certified_or_raises(R: Realization, degree: int) -> None:
+    try:
+        res = minimize_symmetric(R)
+    except DarlingtonError:
+        return
+    T = res.extension
+    p = R.outputs
+    assert res.degree == T.n == degree
+    assert T.n == 0 or np.max(np.linalg.eigvals(T.a).real) < 0
+    assert hankel_degree(T) == degree
+    V, S = transfer_on_axis(T), transfer_on_axis(R)
+    assert worst(V @ V.conj().transpose(0, 2, 1) - np.eye(2 * p)) <= 1e-7
+    assert worst(V - V.transpose(0, 2, 1)) <= 1e-7
+    assert worst(V[:, p:, p:] - S) <= 1e-7
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("spec", SPECS, ids=str)
+def test_drawn_instance(spec, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):  # a draw that comes out below degree n is redrawn
+        inst = _draw_instance(rng, spec)
+        if inst is not None:
+            break
+    assert_certified_or_raises(inst.realization, inst.n + inst.expected_kappa)
+
+
+@pytest.mark.parametrize("d", [[[0.3]], [[0.2, 0.1j], [0.1j, -0.3]]])
+def test_constant_function(d):
+    D = np.array(d, dtype=complex)
+    p = D.shape[0]
+    R = Realization(np.zeros((0, 0)), np.zeros((0, p)), np.zeros((p, 0)), D)
+    assert_certified_or_raises(R, 0)

@@ -338,3 +338,66 @@ def test_probe_points_avoid_poles(zeta2):
     assert len(pts) == 32
     for s in pts:
         evaluate(zeta2, s)  # must not raise PoleError
+
+
+class TestOwner:
+    """A realization owns read-only copies of its data and computes the
+    spectrum of A once."""
+
+    def test_arrays_are_read_only(self, zeta2):
+        with pytest.raises(ValueError):
+            zeta2.a[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            zeta2.poles()[0] = 1.0
+
+    def test_caller_array_is_copied(self):
+        A = np.array([[-1.0 + 0.5j]])
+        R = Realization(A, np.array([[1.0]]), np.array([[1.0]]), np.array([[0.0]]))
+        A[0, 0] = -7.0
+        assert R.a[0, 0] == -1.0 + 0.5j
+        assert R.poles()[0] == -1.0 + 0.5j
+
+    def test_spectrum_computed_once(self, monkeypatch):
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(M):
+            calls.append(M.shape)
+            return eigvals(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        R = Realization(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2), np.zeros((2, 2)))
+        freqresp(R, [1j, 2j])
+        freqresp(R, [0.5, 3j])
+        assert calls == [(2, 2)]
+
+
+def probe_points_loop(*realizations):
+    """The seeded rejection loop probe_points once ran."""
+    poles = np.concatenate([R.poles() for R in realizations]) \
+        if realizations else np.zeros(0, dtype=complex)
+
+    def clear(z):
+        return poles.size == 0 or np.min(np.abs(poles - z)) > 1e-3
+
+    fixed = [1j * w
+             for w in (0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0)
+             if clear(1j * w)]
+    right = float(np.max(poles.real)) + 1.0 if poles.size else 1.0
+    rng = np.random.default_rng(0x5D1F)
+    extra = []
+    while len(extra) < 32 - len(fixed):
+        z = complex(right + 3.0 * rng.random(), 6.0 * (rng.random() - 0.5))
+        if clear(z):
+            extra.append(z)
+    return np.array(fixed + extra)
+
+
+def test_probe_points_match_the_seeded_loop(zeta2, instance_suite):
+    # an axis pole at i and 0 removes two of the fixed points
+    axis = Realization(np.diag([1j, 0.0]), np.eye(2), np.eye(2), np.zeros((2, 2)))
+    cases = [(), (zeta2,), (axis,), (axis, zeta2)] \
+        + [(inst.realization,) for inst in instance_suite]
+    for rs in cases:
+        new, old = probe_points(*rs), probe_points_loop(*rs)
+        assert new.dtype == old.dtype and new.tobytes() == old.tobytes()

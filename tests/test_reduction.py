@@ -18,6 +18,7 @@ from darlington import (
     reduce_once,
     solve_extremal,
     symmetric_unitary_extension,
+    symmetrize,
     zero_structure,
 )
 from darlington.errors import ReductionError, ValidationError
@@ -227,3 +228,27 @@ class TestMinimizeSymmetric:
             E = build_extension(R, sol)
             _, Q = symmetric_unitary_extension(E)
             assert Q.degree >= 1  # kappa = 1
+
+
+@pytest.mark.parametrize("d", [[[0.3]], [[0.2, 0.1j], [0.1j, -0.3]]])
+def test_constant_function_certifies_at_degree_zero(d):
+    D = np.array(d, dtype=complex)
+    p = D.shape[0]
+    R = Realization(np.zeros((0, 0)), np.zeros((0, p)), np.zeros((p, 0)), D)
+    res = minimize_symmetric(R)
+    assert (res.degree, res.kappa, res.n0, res.factors) == (0, 0, 0, ())
+    T = res.extension.d
+    assert np.linalg.norm(T @ T.conj().T - np.eye(2 * p), 2) <= 1e-12
+    assert np.linalg.norm(T - T.T, 2) <= 1e-12
+    assert np.linalg.norm(T[p:, p:] - D, 2) <= 1e-12
+
+
+def test_non_minimal_input_fails_in_symmetrize():
+    # diag(f, f), f = 1/(s + 2), with a disconnected third state; the
+    # realization is structurally symmetric but not minimal
+    R = Realization(np.diag([-2.0, -2.0, -3.0]), np.eye(3, 2), np.eye(2, 3),
+                    np.zeros((2, 2)))
+    with pytest.raises(ValidationError, match="stage 'symmetrize'.*minimal"):
+        minimize_symmetric(R)
+    with pytest.raises(ValidationError, match="minimal"):
+        symmetrize(R)

@@ -262,3 +262,13 @@ class TestLatticeInvariants:
             scale = max(1.0, abs(w).max())
             n0 = int(np.sum(np.abs(w) <= 1e-7 * scale))
             assert n0 == inst.expected_n0, inst.name
+
+
+@pytest.mark.parametrize("d", [[[0.3]], [[0.2, 0.1j], [0.1j, -0.3]]])
+def test_degree_zero_gives_empty_solutions(d):
+    D = np.array(d, dtype=complex)
+    p = D.shape[0]
+    R = Realization(np.zeros((0, 0)), np.zeros((0, p)), np.zeros((p, 0)), D)
+    for sol in solve_extremal(build_hat(R)):
+        assert sol.p.shape == (0, 0) and sol.z.shape == (0, 0)
+        assert (sol.spectrum.kappa, sol.spectrum.n0) == (0, 0)
