@@ -284,7 +284,8 @@ def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks) -> QFactor:
                    inner_flag=inner, gamma_rank=grank, unitary_residual=ures)
 
 
-def symmetric_unitary_extension(E: ExtensionBlocks) -> tuple[Realization, QFactor]:
+def symmetric_unitary_extension(E: ExtensionBlocks
+                                ) -> tuple[Realization, QFactor, float]:
     """Symmetric extension Sigma_P = S_P diag(Q, I), Q = S21^{-1} S12^T.
 
     Requires the source realization of S to be symmetric (A = A^T,
@@ -292,7 +293,9 @@ def symmetric_unitary_extension(E: ExtensionBlocks) -> tuple[Realization, QFacto
     S_{P^{-T}} = S_P^T.  The result is unitary on the imaginary axis and
     symmetric; it is inner if and only if P^{-T} - P is positive
     semidefinite, in which case deg Sigma = deg S + deg Q and
-    deg Q = rank(P^{-T} - P) >= kappa.
+    deg Q = rank(P^{-T} - P) >= kappa.  Sigma is minimal (McMillan
+    degree = state count).  Returns (Sigma, Q, symmetry residual of
+    Sigma).
     """
     R = E.s22
     if not _structurally_symmetric(R):
@@ -309,8 +312,11 @@ def symmetric_unitary_extension(E: ExtensionBlocks) -> tuple[Realization, QFacto
     if sres > 1e-8:
         raise ValidationError(
             f"symmetric extension failed the symmetry check ({sres:g})")
-    if Q.inner_flag and cert.mcmillan_degree != R.n + Q.degree:
+    if cert.mcmillan_degree != sigma.n:
         raise ValidationError(
-            f"degree of Sigma is {cert.mcmillan_degree}, expected "
-            f"{R.n + Q.degree}")
-    return sigma, Q
+            f"Sigma has McMillan degree {cert.mcmillan_degree} on "
+            f"{sigma.n} states")
+    if Q.inner_flag and sigma.n != R.n + Q.degree:
+        raise ValidationError(
+            f"degree of Sigma is {sigma.n}, expected {R.n + Q.degree}")
+    return sigma, Q, sres

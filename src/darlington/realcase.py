@@ -36,6 +36,12 @@ __all__ = [
 
 _REAL_TOL = 1e-9
 _STRUCT_TOL = 1e-10
+# offsets of the 16 realness probe points from the right edge of the
+# poles: real part in [0, 2), imaginary part in [-1.5, 1.5) with modulus
+# at least 0.1 (16 of 18 draws from a fixed seed pass)
+_REAL_DRAWS = np.random.default_rng(0x7EA1).random((18, 2))
+_REAL_OFFSETS = 2 * _REAL_DRAWS[:, 0] + 1j * (3 * (_REAL_DRAWS[:, 1] - 0.5))
+_REAL_OFFSETS = _REAL_OFFSETS[np.abs(_REAL_OFFSETS.imag) >= 0.1][:16]
 
 
 def _require_real(R: Realization) -> None:
@@ -85,7 +91,8 @@ def signature_realization(R: Realization) -> SignatureRealization:
         raise ValidationError("signature form needs a minimal realization")
     A, B, C = R.a.real, R.b.real, R.c.real
     try:
-        T = _intertwiner(A, B, C)
+        # the data are real, so T is real up to rounding
+        T = _intertwiner(Realization(A, B, C, R.d.real)).real
     except SubspaceError as exc:
         raise ValidationError(f"no real intertwiner found: {exc}") from exc
     w, O = np.linalg.eigh(T)
@@ -111,14 +118,9 @@ def is_real_extension(P, R: Realization) -> bool:
     Pm = P.p if hasattr(P, "p") else np.asarray(P, dtype=complex)
     real_p = bool(np.linalg.norm(Pm.imag, 2) <= _REAL_TOL * (1 + np.linalg.norm(Pm, 2)))
     E = build_extension(R, Pm)
-    rng = np.random.default_rng(0x7EA1)
     poles = E.realization.poles()
     right = float(np.max(poles.real)) + 1.0 if poles.size else 1.0
-    pts = []
-    while len(pts) < 16:
-        s = complex(right + 2 * rng.random(), 3 * (rng.random() - 0.5))
-        if abs(s.imag) >= 0.1:
-            pts.append(s)
+    pts = right + _REAL_OFFSETS
     gap = freqresp(E.realization, np.conj(pts)) - np.conj(freqresp(E.realization, pts))
     worst = float(np.max(np.linalg.norm(gap, 2, axis=(1, 2))))
     certified = bool(worst <= 1e-8 * (1 + np.linalg.norm(Pm, 2)))

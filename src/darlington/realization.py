@@ -347,20 +347,21 @@ def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
     return out, cert
 
 
-def _intertwiner(A: np.ndarray, B: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Symmetric solution T of T A = A^T T, T B = C^T (dtype of the data)
-    as T = conj(P^{-1} X), from A P + P A* + B B* = 0 and
+def _intertwiner(R: Realization) -> np.ndarray:
+    """Symmetric solution T of T A = A^T T, T B = C^T as
+    T = conj(P^{-1} X), from A P + P A* + B B* = 0 and
     A X + X conj(A) + B conj(C) = 0: P conj(T) solves the second
     equation since conj(T) conj(A) = A* conj(T), B* conj(T) = conj(C).
 
     Raises SubspaceError when lambda_i + conj(lambda_j) = 0 for two
-    eigenvalues of A (the equations are singular), when P is singular
-    (A not Hurwitz or (A, B) not reachable), or when the residual
-    exceeds 1e-7 * max(1, ||T||).
+    poles of R to within ``R.pole_guard`` (the equations are singular),
+    when P is singular (A not Hurwitz or (A, B) not reachable), or when
+    the residual exceeds 1e-7 * max(1, ||T||).
     """
-    lam = np.linalg.eigvals(A)
+    A, B, C = R.a, R.b, R.c
+    lam = R.poles()
     gap = np.min(np.abs(lam[:, np.newaxis] + lam.conj()), initial=np.inf)
-    if gap <= linalg.default_cluster_tol(A):
+    if gap <= R.pole_guard:
         raise SubspaceError(
             f"Gramian equations are singular: two eigenvalues of A satisfy "
             f"lambda_i + conj(lambda_j) = 0 (to {gap:.3g})")
@@ -409,7 +410,7 @@ def symmetrize(R: Realization) -> Realization:
             "symmetrize requires a minimal realization; apply minimal_realization")
     if _structurally_symmetric(R):
         return R
-    T = _intertwiner(R.a, R.b, R.c)
+    T = _intertwiner(R)
     tk = linalg.takagi(T, sym_tol=1e-7)
     if tk.values[0] <= 1e-12 * max(1.0, tk.values[-1]):
         raise SubspaceError("similarity T is numerically singular")

@@ -10,10 +10,15 @@ least 2, there is a unit vector u with
     T(xi) u = 0   and   u^T T'(xi) u = 0,
 
 and then B(s)^{-T} T(s) B(s)^{-1} is again symmetric inner, of degree
-exactly deg T - 2.  Iterating from the 2n - n0 symmetric extension
-built on the minimal Riccati solution, with u restricted to the first
-coordinate block so the S block is preserved, terminates at the minimal
-symmetric inner extension of degree n + kappa.
+exactly deg T - 2.  Start from the 2n - n0 symmetric extension built
+on the minimal Riccati solution.  Each root xi, Re xi > 0, of the even
+square factor pi of the Hamiltonian's characteristic polynomial is a
+multiple zero of it, divided out as many times as its multiplicity in
+pi, with u restricted to the first coordinate block so the S block is
+preserved.  The (n - kappa - n0)/2 steps end at the minimal symmetric
+inner extension of degree n + kappa.  The points and the step count are
+read from the analyzed Hamiltonian spectrum before the first step; no
+step solves for zeros again.
 """
 from __future__ import annotations
 
@@ -35,7 +40,6 @@ from .realization import (
     evaluate,
     freqresp,
     invert,
-    kalman_check,
     minimal_realization,
     probe_points,
     symmetrize,
@@ -119,7 +123,10 @@ class ZeroStructure:
 
 
 def zero_structure(T: Realization) -> ZeroStructure:
-    """Zero locations and multiplicities of an inner T.
+    """Zero locations and multiplicities of an inner T, from the
+    eigenvalues of A - B D^{-1} C.  minimize_symmetric takes its
+    division points from the Hamiltonian spectrum instead; this is an
+    independent view of the same zeros.
 
     T must pass the innerness grid check to 1e-7 and have an invertible
     value at infinity (automatic for the extensions constructed here).
@@ -221,11 +228,12 @@ def find_reduction_vector(T: Realization, xi: complex,
     return u
 
 
-def reduce_once(T: Realization, f: BlaschkeFactor) -> Realization:
+def reduce_once(T: Realization, f: BlaschkeFactor) -> tuple[Realization, float, float]:
     """Two-sided division R = B^{-T} T B^{-1}, state-space minimized.
 
-    The degree must drop to deg T - 2 exactly; innerness and symmetry
-    are re-verified on their grids to 1e-7.
+    The McMillan degree and the state count must both drop to
+    deg T - 2 exactly; innerness and symmetry are re-verified on their
+    grids to 1e-7.  Returns R with its innerness and symmetry residuals.
     """
     if f.dim != T.outputs:
         raise ValidationError("Blaschke direction has the wrong dimension")
@@ -233,18 +241,18 @@ def reduce_once(T: Realization, f: BlaschkeFactor) -> Realization:
     left = transpose(right)
     raw = compose(compose(left, T), right)
     out, cert = minimal_realization(raw, rank_tol=1e-8)
-    if cert.mcmillan_degree != T.n - 2:
+    if cert.mcmillan_degree != T.n - 2 or out.n != T.n - 2:
         raise ReductionError(
-            f"degree after reduction is {cert.mcmillan_degree}, expected "
-            f"{T.n - 2}; the interpolation conditions were not satisfied "
-            "accurately enough")
+            f"degree after reduction is {cert.mcmillan_degree} on {out.n} "
+            f"states, expected {T.n - 2}; the interpolation conditions were "
+            "not satisfied accurately enough")
     ir = innerness_residual(out)
     if ir > 1e-7:
         raise ReductionError(f"innerness lost after reduction ({ir:g})")
     sr = symmetry_residual(out)
     if sr > 1e-7:
         raise ReductionError(f"symmetry lost after reduction ({sr:g})")
-    return out
+    return out, ir, sr
 
 
 @dataclass(frozen=True)
@@ -280,11 +288,13 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     equation for the minimal solution, build its inner extension and
     the symmetric unitary extension of degree 2n - n0, then divide out
     elementary Blaschke factors supported on the first coordinate block
-    at right-half-plane zeros of multiplicity >= 2 until the degree
-    reaches n + kappa.  Every step is certified (degree drop, innerness,
-    symmetry, S block match); a shortfall is a hard error.
+    at the open-right-half-plane roots of pi (``spectrum.pi_roots`` of
+    the minimal solution), each as often as its multiplicity in pi,
+    which must take the degree to n + kappa exactly.  Every step is certified
+    (degree drop, innerness, symmetry); a failing step is a hard error.
     ``residual_tol`` bounds the final innerness, symmetry and S-block
-    residuals.
+    residuals; the first two are the ones the stage that produced the
+    final realization measured.
     """
     try:
         Rs = symmetrize(R)
@@ -298,7 +308,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     kappa, n0 = pmin.spectrum.kappa, pmin.spectrum.n0
     try:
         E = build_extension(Rs, pmin)
-        sigma, _ = symmetric_unitary_extension(E)
+        sigma, _, sigma_symmetry = symmetric_unitary_extension(E)
     except DarlingtonError as exc:
         raise _stage("symmetric-extension", exc) from exc
     if sigma.n != 2 * n - n0:
@@ -306,50 +316,30 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
             f"stage 'symmetric-extension': degree {sigma.n} of the unitary "
             f"extension differs from 2n - n0 = {2 * n - n0}")
     target = n + kappa
+    # a root of multiplicity k in pi is divided out k times, each step
+    # dropping the degree by 2
+    roots = [(xi, k) for xi, k in pmin.spectrum.pi_roots if xi.real > 0]
+    steps = sum(k for _, k in roots)
+    if sigma.n - 2 * steps != target:
+        raise ReductionError(
+            f"stage 'reduce': {steps} Blaschke steps from degree {sigma.n} "
+            f"end at {sigma.n - 2 * steps}, not n + kappa = {target} "
+            f"({_conditioning(pmin)})")
     factors: list[BlaschkeFactor] = []
-    current = sigma
-    while current.n > target:
-        reduced = None
-        tried: list[str] = []
-        zd = np.linalg.eigvals(current.a - current.b @ np.linalg.solve(current.d, current.c))
-        zd = zd[zd.real > 0]
-        if zd.size == 0:
-            raise ReductionError(
-                f"stage 'reduce': no right-half-plane zeros left at degree "
-                f"{current.n} with target {target} ({_conditioning(pmin)})")
-        zscale = 1.0 + float(np.max(np.abs(zd)))
-        for mult_tol in (1e-7, 1e-6, 1e-5, 1e-4, 1e-3):
-            cands = [
-                (c, len(m))
-                for c, m in linalg.cluster_points(zd, mult_tol * zscale)
-                if len(m) >= 2
-            ]
-            cands.sort(key=lambda cm: (-cm[1], abs(cm[0])))
-            for xi, mult in cands:
-                try:
-                    u = find_reduction_vector(current, xi, support=p)
-                    f = BlaschkeFactor(xi=xi, u=u)
-                    reduced = reduce_once(current, f)
-                except (ReductionError, ValidationError) as exc:
-                    tried.append(f"{xi:.6g} (x{mult}): {exc}")
-                    continue
-                factors.append(f)
-                break
-            if reduced is not None:
-                break
-        if reduced is None:
-            detail = "; ".join(tried) if tried else "no multiple zero found"
-            raise ReductionError(
-                f"stage 'reduce': stuck at degree {current.n} with target "
-                f"{target} ({_conditioning(pmin)}): {detail}")
-        current = reduced
-    final_deg = kalman_check(current).mcmillan_degree
-    if final_deg != target:
-        raise ValidationError(
-            f"stage 'finalize': terminal degree {final_deg} differs from "
-            f"n + kappa = {target}")
-    ir = innerness_residual(current)
-    sr = symmetry_residual(current)
+    current, sr = sigma, sigma_symmetry
+    for xi, k in roots:
+        for _ in range(k):
+            try:
+                u = find_reduction_vector(current, xi, support=p)
+                f = BlaschkeFactor(xi=xi, u=u)
+                current, ir, sr = reduce_once(current, f)
+            except DarlingtonError as exc:
+                raise ReductionError(
+                    f"stage 'reduce': step at xi = {xi:.6g} from degree "
+                    f"{current.n} failed ({_conditioning(pmin)}): {exc}") from exc
+            factors.append(f)
+    if not factors:  # no step has measured the innerness of sigma
+        ir = innerness_residual(sigma)
     pts = probe_points(current, R)
     gap = freqresp(current, pts)[:, p:, p:] - freqresp(R, pts)
     block = float(np.max(np.linalg.norm(gap, 2, axis=(1, 2))))
@@ -357,7 +347,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
         raise ValidationError(
             f"stage 'finalize': certification failed (inner {ir:g}, "
             f"symmetry {sr:g}, block match {block:g})")
-    return SynthesisResult(extension=current, degree=final_deg, kappa=kappa,
+    return SynthesisResult(extension=current, degree=current.n, kappa=kappa,
                            n0=n0, p_min=pmin, p_max=pmax,
                            factors=tuple(factors), innerness=ir, symmetry=sr,
                            block_match=block)

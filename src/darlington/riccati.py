@@ -60,8 +60,6 @@ class HatData:
     a_hat: np.ndarray
     bbs: np.ndarray     # B_hat @ B_hat*
     csc: np.ndarray     # C_hat* @ C_hat
-    b_hat: np.ndarray
-    c_hat: np.ndarray
 
     @property
     def n(self) -> int:
@@ -141,13 +139,11 @@ def build_hat(R: Realization) -> HatData:
     Dl = np.linalg.inv(Ip - R.d @ R.d.conj().T)
     Dr = np.linalg.inv(Ip - R.d.conj().T @ R.d)
     a_hat = R.a + R.b @ R.d.conj().T @ Dl @ R.c
-    b_hat = R.b @ linalg.hermitian_sqrt(Dr)
-    c_hat = linalg.hermitian_sqrt(Dl) @ R.c
     bbs = R.b @ Dr @ R.b.conj().T
     csc = R.c.conj().T @ Dl @ R.c
     bbs = (bbs + bbs.conj().T) / 2
     csc = (csc + csc.conj().T) / 2
-    return HatData(a_hat=a_hat, bbs=bbs, csc=csc, b_hat=b_hat, c_hat=c_hat)
+    return HatData(a_hat=a_hat, bbs=bbs, csc=csc)
 
 
 def build_hamiltonian(hat: HatData) -> Hamiltonian:

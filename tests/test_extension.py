@@ -197,7 +197,7 @@ class TestSymmetricUnitaryExtension:
     def test_involutive_solution_gives_constant_q(self, zeta2):
         P = np.array([[2.0, 1j * SQ3], [-1j * SQ3, 2.0]])
         E = build_extension(zeta2, P)
-        sigma, Q = symmetric_unitary_extension(E)
+        sigma, Q, _ = symmetric_unitary_extension(E)
         assert Q.degree == 0
         assert kalman_check(sigma).mcmillan_degree == 2
         assert innerness_residual(sigma) <= 1e-8
@@ -206,7 +206,7 @@ class TestSymmetricUnitaryExtension:
     def test_minimal_solution_doubles_degree(self, zeta2_pair):
         R, pmin, _ = zeta2_pair
         E = build_extension(R, pmin)
-        sigma, Q = symmetric_unitary_extension(E)
+        sigma, Q, _ = symmetric_unitary_extension(E)
         assert Q.degree == 2 and Q.inner_flag
         assert kalman_check(sigma).mcmillan_degree == 4  # 2n - n0
         assert innerness_residual(sigma) <= 1e-8
@@ -215,7 +215,7 @@ class TestSymmetricUnitaryExtension:
     def test_maximal_solution_not_inner(self, zeta2_pair):
         R, _, pmax = zeta2_pair
         E = build_extension(R, pmax)
-        sigma, Q = symmetric_unitary_extension(E)
+        sigma, Q, _ = symmetric_unitary_extension(E)
         assert Q.degree == 2 and not Q.inner_flag
         assert symmetry_residual(sigma) <= 1e-8
         # unitary on the axis even though not inner

@@ -136,3 +136,21 @@ class TestInvariants:
             v1 = evaluate(E.realization, np.conj(s))
             v2 = np.conj(evaluate(E.realization, s))
             assert np.linalg.norm(v1 - v2, 2) < 1e-10
+
+
+def realness_points_loop(right: float) -> np.ndarray:
+    """The seeded rejection loop is_real_extension once ran."""
+    rng = np.random.default_rng(0x7EA1)
+    pts = []
+    while len(pts) < 16:
+        s = complex(right + 2 * rng.random(), 3 * (rng.random() - 0.5))
+        if abs(s.imag) >= 0.1:
+            pts.append(s)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("right", [1.0, 0.0, -0.75, 2.5, 1e-3])
+def test_realness_points_match_the_seeded_loop(right):
+    from darlington.realcase import _REAL_OFFSETS
+    new, old = right + _REAL_OFFSETS, realness_points_loop(right)
+    assert new.dtype == old.dtype and new.tobytes() == old.tobytes()

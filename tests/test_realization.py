@@ -24,7 +24,12 @@ from darlington.errors import (
     SubspaceError,
     ValidationError,
 )
-from darlington.realization import _intertwiner, direct_sum, transfer_distance
+from darlington.realization import (
+    _intertwiner,
+    _structurally_symmetric,
+    direct_sum,
+    transfer_distance,
+)
 from darlington.reduction import BlaschkeFactor, blaschke_realization
 
 
@@ -243,7 +248,7 @@ def kronecker_intertwiner(A, B, C):
 
 
 def assert_matches_kronecker(R):
-    T = _intertwiner(R.a, R.b, R.c)
+    T = _intertwiner(R)
     T_kron = kronecker_intertwiner(R.a, R.b, R.c)
     assert np.linalg.norm(T - T_kron, 2) <= 1e-10 * np.linalg.norm(T_kron, 2)
 
@@ -269,8 +274,26 @@ class TestIntertwiner:
 
     def test_real_data_stays_real(self):
         A = np.diag([-1.0, -2.0])
-        T = _intertwiner(A, np.array([[1.0], [1.0]]), np.array([[1.0, 2.0]]))
-        assert T.dtype == np.float64
+        R = Realization(A, np.array([[1.0], [1.0]]), np.array([[1.0, 2.0]]),
+                        np.array([[0.0]]))
+        T = _intertwiner(R)
+        assert np.linalg.norm(T.imag) <= 1e-15 * np.linalg.norm(T)
+
+    def test_symmetrize_computes_the_spectrum_of_a_once(self, monkeypatch,
+                                                        instance_suite):
+        S = instance_suite[10].realization
+        R = Realization(S.a, S.b, S.c, S.d)  # nothing cached yet
+        assert not _structurally_symmetric(R)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(M):
+            calls.append(np.array_equal(M, R.a))
+            return eigvals(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        symmetrize(R)
+        assert calls.count(True) == 1
 
     def test_mirrored_eigenvalues_raise(self):
         # A = diag(-1, 1): lambda_1 + conj(lambda_2) = 0 makes both

@@ -1,8 +1,12 @@
 """Blaschke factors, zero structure, two-sided reduction steps, and the
 minimal symmetric synthesis loop."""
+import sys
+
 import numpy as np
 import pytest
 
+import darlington.extension
+import darlington.realization
 from darlington import (
     BlaschkeFactor,
     Realization,
@@ -32,7 +36,7 @@ SQ3 = np.sqrt(3.0)
 def sigma_min(R: Realization) -> Realization:
     pmin, _ = solve_extremal(build_hat(R))
     E = build_extension(R, pmin)
-    sigma, _ = symmetric_unitary_extension(E)
+    sigma, _, _ = symmetric_unitary_extension(E)
     return sigma
 
 
@@ -156,10 +160,10 @@ class TestReduceOnce:
     def test_worked_example_four_to_two(self, zeta2):
         sigma = sigma_min(zeta2)
         u = find_reduction_vector(sigma, SQ3, support=2)
-        out = reduce_once(sigma, BlaschkeFactor(xi=SQ3, u=u))
+        out, ir, sr = reduce_once(sigma, BlaschkeFactor(xi=SQ3, u=u))
         assert out.n == 2
-        assert innerness_residual(out) <= 1e-7
-        assert symmetry_residual(out) <= 1e-7
+        assert ir == innerness_residual(out) <= 1e-7
+        assert sr == symmetry_residual(out) <= 1e-7
         # lower-right block still realizes S
         for w in (0.0, 0.6, -4.0):
             g = evaluate(out, 1j * w)[2:, 2:]
@@ -219,14 +223,14 @@ class TestMinimizeSymmetric:
         pmin, pmax = solve_extremal(build_hat(zeta2))
         for sol in (pmin, pmax):
             E = build_extension(zeta2, sol)
-            _, Q = symmetric_unitary_extension(E)
+            _, Q, _ = symmetric_unitary_extension(E)
             assert Q.degree >= 0
         R = dl.symmetrize(dl.minimal_realization(
             siso_realization([0.5], [1.0, 1.0]))[0])
         pmin, pmax = solve_extremal(build_hat(R))
         for sol in (pmin, pmax):
             E = build_extension(R, sol)
-            _, Q = symmetric_unitary_extension(E)
+            _, Q, _ = symmetric_unitary_extension(E)
             assert Q.degree >= 1  # kappa = 1
 
 
@@ -252,3 +256,60 @@ def test_non_minimal_input_fails_in_symmetrize():
         minimize_symmetric(R)
     with pytest.raises(ValidationError, match="minimal"):
         symmetrize(R)
+
+
+def assert_factors_at_multiple_zeros(R: Realization) -> int:
+    """Every Blaschke point of minimize_symmetric(R) is a zero of sigma
+    of multiplicity at least 2, as zero_structure finds it; returns the
+    number of factors."""
+    res = minimize_symmetric(R)
+    zs = zero_structure(sigma_min(symmetrize(R)))
+    multiple = np.array([z for z, m in zs.zeros if m >= 2])
+    for f in res.factors:
+        assert np.min(np.abs(multiple - f.xi)) <= 1e-8 * (1.0 + abs(f.xi))
+    return len(res.factors)
+
+
+def test_factor_points_are_multiple_zeros_of_sigma(zeta2, instance_suite):
+    assert assert_factors_at_multiple_zeros(zeta2) == 1
+    steps = [assert_factors_at_multiple_zeros(inst.realization)
+             for inst in instance_suite if inst.expected_kappa < inst.n]
+    assert sum(steps) > 0
+
+
+def count_certificate_calls(monkeypatch) -> dict[str, list]:
+    """Patch every darlington binding of the three certificates so that
+    each call records the realization it was given (kept alive, so ids
+    stay distinct)."""
+    seen: dict[str, list] = {}
+    for module, name in ((darlington.extension, "innerness_residual"),
+                         (darlington.realization, "symmetry_residual"),
+                         (darlington.realization, "kalman_check")):
+        original = getattr(module, name)
+        calls = seen.setdefault(name, [])
+
+        def counting(R, *args, _original=original, _calls=calls, **kwargs):
+            _calls.append(R)
+            return _original(R, *args, **kwargs)
+
+        for modname, mod in list(sys.modules.items()):
+            if modname == "darlington" or modname.startswith("darlington."):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counting)
+    return seen
+
+
+@pytest.mark.parametrize("which", ["zeta2", "zeta1", "suite"])
+def test_each_certificate_runs_once_per_realization(
+        which, zeta1, zeta2, instance_suite, monkeypatch):
+    # zeta2 takes one Blaschke step, zeta1 none, the suite instance three
+    R = {"zeta1": zeta1, "zeta2": zeta2,
+         "suite": instance_suite[18].realization}[which]
+    seen = count_certificate_calls(monkeypatch)
+    res = minimize_symmetric(R)
+    for name, calls in seen.items():
+        ids = [id(T) for T in calls]
+        assert len(ids) == len(set(ids)), name
+    assert any(T is res.extension for T in seen["innerness_residual"])
+    assert any(T is res.extension for T in seen["symmetry_residual"])

@@ -29,8 +29,6 @@ class TestBuildHat:
         assert np.allclose(hat.a_hat, zeta2.a)
         assert np.allclose(hat.bbs, np.eye(2))
         assert np.allclose(hat.csc, np.eye(2))
-        assert np.allclose(hat.b_hat, zeta2.b)
-        assert np.allclose(hat.c_hat, zeta2.c)
 
     def test_worked_example_formula(self):
         # for A = a I, B = C = c I, D = d I the shifted dynamics is
