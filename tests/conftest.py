@@ -7,11 +7,13 @@ on the diagonal and mixed by a constant unitary congruence U^T diag U,
 which preserves symmetry, contractivity and the Hamiltonian spectrum
 structure.  Instances whose extremal Riccati solutions are badly
 conditioned are redrawn, keeping every certified tolerance in this
-suite meaningful in double precision.
+suite meaningful in double precision.  The accepted draws of the
+tier-1 fixtures are frozen in tests/data/suite.npz.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
@@ -262,15 +264,9 @@ def build_suite(seed: int = 2024, max_draws: int = 80) -> list[Instance]:
     return suite
 
 
-@pytest.fixture(scope="session")
-def instance_suite() -> list[Instance]:
-    return build_suite()
-
-
-@pytest.fixture(scope="session")
-def scalar_suite() -> list[tuple[np.ndarray, np.ndarray]]:
+def draw_scalar_suite(seed: int = 77) -> list[tuple[np.ndarray, np.ndarray]]:
     """20 scalar fractions for the oracle-equivalence run."""
-    rng = np.random.default_rng(77)
+    rng = np.random.default_rng(seed)
     out = []
     plan = [(1, None, 0), (2, None, 0), (2, 0, 0), (3, 1, 0), (3, None, 0),
             (4, 0, 0), (4, 2, 0), (3, 0, 1), (1, 1, 0), (2, 2, 0),
@@ -289,3 +285,68 @@ def scalar_suite() -> list[tuple[np.ndarray, np.ndarray]]:
         else:
             raise RuntimeError(f"no well-conditioned scalar instance for {(n, kappa, ax)}")
     return out
+
+
+def draw_large_instance(seed: int = 555) -> Instance:
+    """p = 4, n = 8 congruence of four kappa-0 scalar parts."""
+    rng = np.random.default_rng(seed)
+    spec = ("congruence", [(2, 0, 0), (2, 0, 0), (2, 0, 0), (2, 0, 0)])
+    for _ in range(60):
+        try:
+            cand = _draw_instance(rng, spec)
+        except Exception:
+            continue
+        if cand is not None and _well_conditioned(cand.realization, 0):
+            return cand
+    raise RuntimeError(f"could not draw a well-conditioned instance for {spec}")
+
+
+# ---------------------------------------------------------- frozen draws
+#
+# The filter above runs the package's own symmetrize and solve_extremal,
+# so a rounding change there can redraw every later instance.  The
+# tier-1 fixtures therefore read the instances from tests/data/suite.npz
+# (written by tests/data/freeze_suite.py from the three draws above).
+
+SUITE_FILE = Path(__file__).parent / "data" / "suite.npz"
+
+
+def pack_instance(out: dict, key: str, inst: Instance) -> None:
+    R = inst.realization
+    out.update({f"{key}/name": np.array(inst.name),
+                f"{key}/a": R.a, f"{key}/b": R.b, f"{key}/c": R.c, f"{key}/d": R.d,
+                f"{key}/ints": np.array([inst.p, inst.n, inst.expected_kappa,
+                                         inst.expected_n0, len(inst.scalars)])})
+    for j, (p1, q) in enumerate(inst.scalars):
+        out[f"{key}/p1/{j}"], out[f"{key}/q/{j}"] = p1, q
+
+
+def unpack_instance(z, key: str) -> Instance:
+    p, n, kappa, n0, k = (int(v) for v in z[f"{key}/ints"])
+    R = Realization(*(z[f"{key}/{m}"] for m in "abcd"))
+    return Instance(name=str(z[f"{key}/name"]), realization=R, p=p, n=n,
+                    expected_kappa=kappa, expected_n0=n0,
+                    scalars=[(z[f"{key}/p1/{j}"], z[f"{key}/q/{j}"])
+                             for j in range(k)])
+
+
+@pytest.fixture(scope="session")
+def frozen():
+    with np.load(SUITE_FILE) as z:
+        return {key: z[key] for key in z.files}
+
+
+@pytest.fixture(scope="session")
+def instance_suite(frozen) -> list[Instance]:
+    return [unpack_instance(frozen, f"suite/{i}") for i in range(len(_SUITE_SPECS))]
+
+
+@pytest.fixture(scope="session")
+def scalar_suite(frozen) -> list[tuple[np.ndarray, np.ndarray]]:
+    """20 scalar fractions for the oracle-equivalence run."""
+    return [(frozen[f"scalar/p1/{j}"], frozen[f"scalar/q/{j}"]) for j in range(20)]
+
+
+@pytest.fixture(scope="session")
+def large_instance(frozen) -> Instance:
+    return unpack_instance(frozen, "large")

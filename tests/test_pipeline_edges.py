@@ -61,22 +61,11 @@ def test_left_factor_round_trip_p3(instance_suite):
         1e-9 * (1 + np.linalg.norm(E.p_matrix, 2))
 
 
-def test_large_instance_smoke():
+def test_large_instance_smoke(large_instance):
     # p = 4, n = 8 assembled from four kappa-0 scalar parts: four
     # reductions level the degree back to n
-    from conftest import _draw_instance, _well_conditioned
-    rng = np.random.default_rng(555)
-    spec = ("congruence", [(2, 0, 0), (2, 0, 0), (2, 0, 0), (2, 0, 0)])
-    inst = None
-    for _ in range(60):
-        try:
-            cand = _draw_instance(rng, spec)
-        except Exception:
-            continue
-        if cand is not None and _well_conditioned(cand.realization, 0):
-            inst = cand
-            break
-    assert inst is not None
+    inst = large_instance
+    assert (inst.p, inst.n) == (4, 8)
     res = minimize_symmetric(inst.realization)
     assert res.degree == 8 and res.kappa == 0
     assert len(res.factors) == 4
