@@ -21,10 +21,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    SpectrumReport,
     SvdResult,
     TakagiResult,
-    eig_clustered,
     hermitian_order,
     svd_analysis,
     takagi,

@@ -204,19 +204,22 @@ def cmd_synthesize(args) -> int:
         sol = pmin if args.solution == "min" else pmax
         E = build_extension(base, sol)
         if args.mode == "symmetric":
+            # symmetric_unitary_extension certifies out minimal
             out, q, sym = symmetric_unitary_extension(E)
+            degree = out.n
             checks = {"q_degree": q.degree, "q_inner": q.inner_flag,
                       "unitary_axis_residual": innerness_residual(out),
                       "symmetry_residual": sym}
         else:
             out = E.realization
+            degree = kalman_check(out).mcmillan_degree
             checks = {"innerness_residual": innerness_residual(out),
                       "riccati_residual": sol.residual_norm}
             if args.solution == "min":
                 zeros = np.linalg.eigvals(sol.z)
                 checks["outer_lower_left"] = bool(
                     zeros.size == 0 or np.max(zeros.real) <= 1e-7)
-        rep.update({"degree": kalman_check(out).mcmillan_degree,
+        rep.update({"degree": degree,
                     "kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0,
                     **checks})
     if args.out:

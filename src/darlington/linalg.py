@@ -2,9 +2,11 @@
 
 Eigenvalue and singular-value work is delegated to LAPACK through
 numpy/scipy; this module adds the layers the rest of the package relies
-on: eigenvalue clustering with multiplicity detection, spectral-subspace
-extraction, Takagi factorization of complex symmetric matrices, and the
-Loewner (positive-semidefinite) order on Hermitian matrices.
+on: point clustering with the one persistence policy (cluster_ladder)
+that decides multiplicities, spectral-subspace extraction, Takagi
+factorization of complex symmetric matrices from one real symmetric
+eigendecomposition, and the Loewner (positive-semidefinite) order on
+Hermitian matrices.
 
 All returned objects are immutable value types carrying the tolerance
 that was used, and all functions are pure.
@@ -21,7 +23,6 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     NotSymmetricError,
-    SpectralSplitError,
     ValidationError,
 )
 
@@ -29,14 +30,11 @@ __all__ = [
     "DEFAULT_RANK_TOL",
     "DEFAULT_SYM_TOL",
     "DEFAULT_PSD_TOL",
-    "EigenCluster",
-    "SpectrumReport",
     "SvdResult",
     "TakagiResult",
     "cluster_ladder",
     "cluster_points",
     "default_cluster_tol",
-    "eig_clustered",
     "half_chain_basis",
     "hermitian_order",
     "hermitian_sqrt",
@@ -66,7 +64,13 @@ def as_matrix(M, name: str = "matrix", square: bool = False) -> np.ndarray:
     return A
 
 
-def _single_linkage(points, tol: float):
+def cluster_points(points, tol: float):
+    """Greedy single-linkage clustering of complex points.
+
+    Clusters are merged until all cluster centers are pairwise farther
+    apart than 2*tol, so the reported centers are unambiguous at the
+    stated tolerance.  Returns a list of (center, members) pairs.
+    """
     pts = sorted(np.asarray(points, dtype=complex),
                  key=lambda z: (z.real, z.imag))
     groups: list[list] = []
@@ -78,17 +82,6 @@ def _single_linkage(points, tol: float):
                 break
         else:
             groups.append([z, [z]])
-    return groups
-
-
-def cluster_points(points, tol: float):
-    """Greedy single-linkage clustering of complex points.
-
-    Clusters are merged until all cluster centers are pairwise farther
-    apart than 2*tol, so the reported centers are unambiguous at the
-    stated tolerance.  Returns a list of (center, members) pairs.
-    """
-    groups = _single_linkage(points, tol)
     merged = True
     while merged and len(groups) > 1:
         merged = False
@@ -154,40 +147,6 @@ def _kernel(M: np.ndarray, tol: float, scale: float | None = None) -> np.ndarray
     return Vh[r:].conj().T
 
 
-@dataclass(frozen=True)
-class EigenCluster:
-    """One eigenvalue cluster of a matrix.
-
-    ``basis`` spans the spectral subspace (generalized eigenvectors) of
-    the cluster; ``chain_lengths`` are the Jordan block sizes detected
-    within it, longest first.
-    """
-    center: complex
-    multiplicity: int
-    basis: np.ndarray
-    chain_lengths: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    clusters: tuple[EigenCluster, ...]
-    cluster_tolerance: float
-    dim: int
-
-    def __post_init__(self):
-        total = sum(c.multiplicity for c in self.clusters)
-        if total != self.dim:
-            raise ValidationError(
-                f"cluster multiplicities sum to {total}, expected {self.dim}")
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        """All eigenvalues repeated with multiplicity."""
-        return np.concatenate(
-            [[c.center] * c.multiplicity for c in self.clusters]
-        ) if self.clusters else np.zeros(0, dtype=complex)
-
-
 def _spectral_subspace(M: np.ndarray, centers, indices) -> np.ndarray:
     """Orthonormal basis of the spectral subspace of the cluster centers
     with the given indices, via one sorted complex Schur form.
@@ -207,86 +166,6 @@ def _spectral_subspace(M: np.ndarray, centers, indices) -> np.ndarray:
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
     return Z[:, :sdim]
-
-
-def _chain_lengths(N: np.ndarray, tol: float) -> tuple[int, ...]:
-    """Jordan block sizes of a (numerically) nilpotent matrix N from the
-    rank sequence of its powers."""
-    m = N.shape[0]
-    if m == 0:
-        return ()
-    scale = max(1.0, np.linalg.norm(N, 2))
-    ranks = [m]
-    P = np.eye(m, dtype=complex)
-    for _ in range(m):
-        P = P @ (N / scale)
-        s = np.linalg.svd(P, compute_uv=False)
-        r = int(np.sum(s > tol))
-        ranks.append(r)
-        if r == 0:
-            break
-    # number of blocks of size >= j is rank(N^{j-1}) - rank(N^j)
-    d = [ranks[j - 1] - ranks[j] for j in range(1, len(ranks))]
-    d.append(0)
-    sizes = []
-    for j in range(1, len(d)):
-        sizes.extend([j] * (d[j - 1] - d[j]))
-    sizes.sort(reverse=True)
-    return tuple(sizes)
-
-
-def eig_clustered(M) -> SpectrumReport:
-    """Eigenvalues of a square complex matrix, clustered into multiple
-    eigenvalues with spectral-subspace bases.
-
-    Parameters
-    ----------
-    M : array_like, square
-        Eigenvalues are clustered at radius ``1e-7 * (1 + ||M||)``.  Two
-        computed eigenvalues closer than this are treated as one
-        eigenvalue of higher multiplicity.  Cluster centers closer than
-        twice the radius are merged (with a warning), so the returned
-        centers are pairwise separated by more than twice the radius.
-
-    Returns
-    -------
-    SpectrumReport
-        Clusters with algebraic multiplicity, an orthonormal basis of
-        each spectral subspace, and the Jordan block sizes inside it.
-    """
-    A = as_matrix(M, "M", square=True)
-    n = A.shape[0]
-    tol = default_cluster_tol(A)
-    if n == 0:
-        return SpectrumReport(clusters=(), cluster_tolerance=tol, dim=0)
-    try:
-        lam = np.linalg.eigvals(A)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
-    raw = cluster_points(lam, tol)
-    fine = sorted((len(g[1]) for g in _single_linkage(lam, tol)), reverse=True)
-    coarse = sorted((len(m) for _, m in raw), reverse=True)
-    if fine != coarse:
-        warnings.warn(
-            f"ambiguous eigenvalue clustering: centers closer than twice the "
-            f"tolerance {tol:g} were merged (candidate multiplicity splits "
-            f"{fine} vs {coarse})")
-    centers = [center for center, _ in raw]
-    clusters = []
-    for idx, (center, members) in enumerate(raw):
-        mult = len(members)
-        basis = _spectral_subspace(A, centers, {idx})
-        if basis.shape[1] != mult:
-            raise SpectralSplitError(
-                f"spectral subspace at {center:g} has dimension "
-                f"{basis.shape[1]}, expected multiplicity {mult} "
-                f"(cluster tolerance {tol:g})")
-        N = basis.conj().T @ A @ basis - center * np.eye(mult)
-        chains = _chain_lengths(N, max(tol, 1e3 * np.finfo(float).eps * (1 + abs(center))))
-        clusters.append(EigenCluster(center=center, multiplicity=mult,
-                                     basis=basis, chain_lengths=chains))
-    clusters.sort(key=lambda c: (c.center.real, c.center.imag))
-    return SpectrumReport(clusters=tuple(clusters), cluster_tolerance=tol, dim=n)
 
 
 def half_chain_basis(N: np.ndarray, tol: float = 1e-8) -> np.ndarray:
@@ -365,10 +244,10 @@ class TakagiResult:
     symmetric matrix, with ``values`` nonnegative and ascending so that
     kernel-related columns come first.
 
-    Note the kernel normalization: the first p-k columns u of U satisfy
-    F @ conj(u) = 0, i.e. their conjugates form an orthonormal basis of
-    ker F (the two coincide when the kernel is conjugation-invariant,
-    in particular for real F).
+    Note the kernel normalization: the columns u of U with value 0
+    satisfy F @ conj(u) = 0, i.e. their conjugates form an orthonormal
+    basis of ker F (the two coincide when the kernel is
+    conjugation-invariant, in particular for real F).
     """
     u: np.ndarray
     values: np.ndarray
@@ -378,10 +257,15 @@ class TakagiResult:
 def takagi(F, sym_tol: float = DEFAULT_SYM_TOL) -> TakagiResult:
     """Takagi factorization of a complex symmetric matrix.
 
-    Computed from the SVD F = V S W* by resolving the unitary phase
-    between V and W on each group of equal singular values; on the zero
-    group any unitary completion works, and the columns are reordered so
-    the zero singular values come first.
+    The real symmetric M = [[Re F, Im F], [Im F, -Re F]] has the
+    eigenvalues +-sigma_i, and an eigenvector [x; y] at sigma gives
+    F conj(x + iy) = sigma (x + iy), so the p largest eigenpairs of one
+    eigh call give U = X + iY.  Values at most 1e-13 * max(1, sigma_max)
+    count as zero; their columns complete the others to a unitary and
+    come first.  The completion is one QR of the other columns, largest
+    value first, which also undoes the mixing of the nearly equal
+    eigenvalues +-sigma of a tiny sigma in M: that mixing rotates
+    x + iy out of its complex line and would cost U its unitarity.
 
     Raises
     ------
@@ -398,36 +282,14 @@ def takagi(F, sym_tol: float = DEFAULT_SYM_TOL) -> TakagiResult:
     if p == 0:
         return TakagiResult(u=np.zeros((0, 0)), values=np.zeros(0),
                             sym_tolerance=sym_tol)
-    V, s, Wh = np.linalg.svd(A)
-    W = Wh.conj().T
-    smax = s[0] if s.size else 0.0
-    # group indices by (nearly) equal singular value
-    groups: list[list[int]] = []
-    for i, val in enumerate(s):
-        if groups and abs(val - s[groups[-1][0]]) <= 1e-8 * max(1.0, smax):
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    blocks = []
-    for idx in groups:
-        if s[idx[0]] <= 1e-13 * max(1.0, smax):
-            blocks.append(np.eye(len(idx), dtype=complex))
-        else:
-            # V[:,g]^T W[:,g] is unitary symmetric on each group; its
-            # square root aligns the phases.  The group is first rotated
-            # so the widest gap of its spectrum sits on the branch cut of
-            # sqrtm: eigenvalues straddling -1 make the principal root
-            # ill-conditioned.
-            Zb = V[:, idx].T @ W[:, idx]
-            ang = np.sort(np.angle(np.linalg.eigvals(Zb)))
-            gaps = np.diff(ang, append=ang[0] + 2 * np.pi)
-            k = int(np.argmax(gaps))
-            rot = np.exp(1j * (np.pi - ang[k] - gaps[k] / 2))
-            blocks.append(np.asarray(sla.sqrtm(rot * Zb), dtype=complex) / np.sqrt(rot))
-    Q = sla.block_diag(*blocks)
-    U = V @ np.conj(Q)
-    order = np.argsort(s)
-    U, lam = U[:, order], s[order]
+    w, V = np.linalg.eigh(np.block([[A.real, A.imag], [A.imag, -A.real]]))
+    lam = w[p:].copy()
+    k = int(np.sum(lam <= 1e-13 * max(1.0, lam[-1])))
+    lam[:k] = 0.0
+    Q, R = np.linalg.qr((V[:p, p + k:] + 1j * V[p:, p + k:])[:, ::-1],
+                        mode="complete")
+    phase = np.diag(R) / np.abs(np.diag(R))
+    U = np.hstack([Q[:, p - k:], (Q[:, :p - k] * phase)[:, ::-1]])
     if np.linalg.norm(U @ np.diag(lam) @ U.T - A, 2) > 1e-10 * max(1.0, nrm):
         raise ValidationError("Takagi reconstruction failed its tolerance")
     return TakagiResult(u=U, values=lam, sym_tolerance=sym_tol)

@@ -10,7 +10,7 @@ moves strict contractivity from a finite imaginary point to infinity.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -123,7 +123,6 @@ class DegreeCertificate:
     observable_rank: int
     state_dim: int
     rank_tolerance: float
-    reduction_transform: np.ndarray | None = None
 
     @property
     def minimal(self) -> bool:
@@ -332,13 +331,6 @@ def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
     A2, B2, C2 = W.conj().T @ A1 @ W, W.conj().T @ B1, C1 @ W
     out = Realization(A2, B2, C2, R.d)
     cert = kalman_check(out, rank_tol)
-    if out.n < R.n:
-        # unitary change of coordinates whose leading columns carry the
-        # kept subspace; invertible by construction
-        K = V @ W
-        rest = np.linalg.svd(K, full_matrices=True)[0][:, K.shape[1]:] \
-            if K.shape[1] < R.n else np.zeros((R.n, 0))
-        cert = replace(cert, reduction_transform=np.hstack([K, rest]))
     dist = transfer_distance(out, R)
     if dist > 1e-8:
         raise ValidationError(

@@ -166,14 +166,14 @@ def find_reduction_vector(T: Realization, xi: complex,
     """Unit vector u with T(xi) u = 0 and u^T T'(xi) u = 0.
 
     ``support`` restricts u to the first ``support`` coordinates (the
-    extension-preserving form [u~; 0]).  The construction follows the
-    kernel dimension: with a one-dimensional kernel the vector is
-    forced; otherwise an isotropic vector of the 2 x 2 restriction
-    R1 = V^T T'(xi) V of the derivative to a two-dimensional kernel
-    subspace is used, where a singular R1 supplies its null direction
-    (second-order vanishing) and an invertible R1 is resolved through
-    its Takagi factorization U1^T R1 U1 = diag(l1^2, l2^2) with the
-    isotropic combination (l2, i*l1)/sqrt(l1^2+l2^2).
+    extension-preserving form [u~; 0]).  With a one-dimensional kernel
+    the vector is forced.  Otherwise u = V x for an isotropic x of the
+    restriction R1 = V^T T'(xi) V = [[a, b], [b, c]] of the derivative
+    to two kernel directions V, in closed form: the root
+    q = -(b +- sqrt(b^2 - ac)) of larger modulus solves
+    q^2 + 2bq + ac = 0, so (q, a) and (c, q) both solve
+    a x1^2 + 2b x1 x2 + c x2^2 = 0; the one with the larger of |a|, |c|
+    is taken, and (1, 0) when it vanishes (R1 = 0 to 1e-10).
 
     Raises
     ------
@@ -200,21 +200,12 @@ def find_reduction_vector(T: Realization, xi: complex,
     else:
         V2 = ker[:, :2]
         R1 = V2.T @ Tpxi[:k, :k] @ V2
-        R1 = (R1 + R1.T) / 2
-        sv = np.linalg.svd(R1, compute_uv=False)
-        if sv[0] <= 1e-10 * dscale:
+        a, b, c = R1[0, 0], (R1[0, 1] + R1[1, 0]) / 2, R1[1, 1]
+        d = np.sqrt(complex(b * b - a * c))
+        q = -(b + d) if abs(b + d) >= abs(b - d) else -(b - d)
+        x = np.array([q, a] if abs(a) >= abs(c) else [c, q], dtype=complex)
+        if np.linalg.norm(x) <= 1e-10 * dscale:
             x = np.array([1.0, 0.0], dtype=complex)
-        elif sv[-1] <= 1e-8 * sv[0]:
-            # singular restriction: its null direction vanishes to
-            # second order
-            _, _, Vh = np.linalg.svd(R1)
-            x = Vh[-1].conj()
-        else:
-            tk = linalg.takagi(R1, sym_tol=1e-6)
-            l1, l2 = np.sqrt(tk.values[0]), np.sqrt(tk.values[1])
-            v = np.array([l2, 1j * l1]) / np.sqrt(l1 ** 2 + l2 ** 2)
-            # with R1 = W Lam W^T the paper's U1 is conj(W)
-            x = np.conj(tk.u) @ v
         small = V2 @ x
     small = small / np.linalg.norm(small)
     u = np.zeros(p_all, dtype=complex)

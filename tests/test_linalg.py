@@ -1,64 +1,15 @@
-"""Decomposition-layer tests: clustered eigenvalues, SVD analysis,
-Takagi factorization, Loewner order."""
+"""Decomposition-layer tests: half chains, SVD analysis, Takagi
+factorization, Loewner order."""
 import numpy as np
 import pytest
 
-from darlington import eig_clustered, hermitian_order, svd_analysis, takagi
+from darlington import hermitian_order, svd_analysis, takagi
 from darlington.errors import DimensionError, NotSymmetricError
 from darlington.linalg import half_chain_basis, hermitian_sqrt
 
 
 def random_complex(rng, shape, scale=1.0):
     return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
-
-
-class TestEig:
-    def test_identity_single_cluster(self):
-        rep = eig_clustered(np.eye(2))
-        assert len(rep.clusters) == 1
-        c = rep.clusters[0]
-        assert abs(c.center - 1.0) < 1e-12
-        assert c.multiplicity == 2
-
-    def test_nilpotent_jordan_chain(self):
-        # arises in the worked example with zeta = 1; char poly = s^2
-        rep = eig_clustered(np.array([[1.0, -1.0], [1.0, -1.0]]))
-        assert len(rep.clusters) == 1
-        c = rep.clusters[0]
-        assert abs(c.center) < 1e-7
-        assert c.multiplicity == 2
-        assert c.chain_lengths == (2,)
-
-    def test_pm_sqrt3(self):
-        # char poly = s^2 - 3 (worked example, zeta = 2)
-        rep = eig_clustered(np.array([[2.0, -1.0], [1.0, -2.0]]))
-        centers = sorted(c.center.real for c in rep.clusters)
-        assert np.allclose(centers, [-np.sqrt(3), np.sqrt(3)], atol=1e-10)
-        assert all(c.multiplicity == 1 for c in rep.clusters)
-
-    def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            eig_clustered(np.ones((2, 3)))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_multiplicities_invariant_under_unitary_similarity(self, seed):
-        rng = np.random.default_rng(seed)
-        A = np.kron(np.diag([1.0, 1.0, -2.0]), np.eye(2))
-        Q, _ = np.linalg.qr(random_complex(rng, (6, 6)))
-        rep1 = eig_clustered(A)
-        rep2 = eig_clustered(Q @ A @ Q.conj().T)
-        m1 = sorted(c.multiplicity for c in rep1.clusters)
-        m2 = sorted(c.multiplicity for c in rep2.clusters)
-        assert m1 == m2 == [2, 4]
-
-    def test_spectral_subspace_is_invariant(self):
-        rng = np.random.default_rng(3)
-        A = random_complex(rng, (6, 6))
-        rep = eig_clustered(A)
-        for c in rep.clusters:
-            # A maps the cluster basis into its own span
-            residual = A @ c.basis - c.basis @ (c.basis.conj().T @ A @ c.basis)
-            assert np.linalg.norm(residual, 2) < 1e-9 * np.linalg.norm(A, 2)
 
 
 class TestHalfChain:
@@ -165,6 +116,38 @@ class TestTakagi:
             tk = takagi(F)
             assert np.linalg.norm(tk.u @ np.diag(tk.values) @ tk.u.T - F, 2) <= 1e-10
             assert np.linalg.norm(tk.u.conj().T @ tk.u - np.eye(2), 2) <= 1e-10
+
+
+    @staticmethod
+    def symmetric_with_values(seed, values):
+        rng = np.random.default_rng(seed)
+        W, _ = np.linalg.qr(random_complex(rng, (len(values), len(values))))
+        return W @ np.diag(values) @ W.T
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_kernel_columns_of_complex_symmetric(self, k):
+        F = self.symmetric_with_values(40 + k, [0.0] * k + [0.7, 1.3, 2.9])
+        res = takagi(F)
+        assert np.all(res.values[:k] <= 1e-13) and np.all(res.values[k:] > 0.5)
+        assert np.linalg.norm(F @ np.conj(res.u[:, :k]), 2) <= 1e-12
+        assert np.linalg.norm(res.u.conj().T @ res.u - np.eye(k + 3), 2) <= 1e-12
+
+    def test_triple_repeated_value(self):
+        F = self.symmetric_with_values(43, [2.0, 2.0, 2.0, 0.5])
+        res = takagi(F)
+        assert np.allclose(res.values, [0.5, 2.0, 2.0, 2.0], atol=1e-12)
+        assert np.linalg.norm(res.u @ np.diag(res.values) @ res.u.T - F, 2) <= 1e-12
+        assert np.linalg.norm(res.u.conj().T @ res.u - np.eye(4), 2) <= 1e-12
+
+    def test_tiny_nonzero_values_keep_u_unitary(self):
+        # values 1e-12 and 3e-11 are kept, but their eigenvalues +-sigma
+        # in the real 2p x 2p form are nearly equal and their
+        # eigenvectors mix
+        F = self.symmetric_with_values(44, [1e-12, 3e-11, 1.0, 2.0])
+        res = takagi(F)
+        assert np.allclose(res.values, [1e-12, 3e-11, 1.0, 2.0], rtol=1e-3, atol=0)
+        assert np.linalg.norm(res.u.conj().T @ res.u - np.eye(4), 2) <= 1e-12
+        assert np.linalg.norm(res.u @ np.diag(res.values) @ res.u.T - F, 2) <= 1e-12
 
 
 class TestHermitianOrder:

@@ -150,6 +150,29 @@ class TestFindReductionVector:
         assert abs(abs(u[0]) - 1.0) < 1e-7
         assert abs(u[1]) < 1e-7
 
+    @pytest.mark.parametrize("block", [
+        [[1.0, 0.5j], [0.5j, -2.0]],   # R1 invertible
+        [[1.0, 2j], [2j, -4.0]],       # rank 1: ac = b^2
+        [[0.0, 0.0], [0.0, 0.0]],      # R1 = 0
+        [[0.0, 1.5], [1.5, 0.0]],      # a = c = 0 != b
+    ], ids=["invertible", "rank-1", "zero", "off-diagonal"])
+    def test_two_dimensional_kernel(self, block):
+        # T(s) = D + N/(s + 1) at xi = 1: T(1) = diag(0, 0, 1) and
+        # T'(1) = -N/4 hold exactly in dyadic arithmetic, so the kernel
+        # basis is +-e1, +-e2 and R1 is -block/4 up to signs and order
+        N = np.zeros((3, 3), dtype=complex)
+        N[:2, :2] = block
+        N[2, :] = N[:, 2] = [0.25, -0.5j, 1.0]
+        T = Realization(-np.eye(3), np.eye(3), N, np.diag([0.0, 0.0, 1.0]) - N / 2)
+        from darlington.realization import derivative
+        Txi, Tpxi = evaluate(T, 1.0), derivative(T, 1.0)
+        assert np.array_equal(Txi, np.diag([0.0, 0.0, 1.0]))
+        assert np.array_equal(Tpxi, -N / 4)
+        u = find_reduction_vector(T, 1.0)
+        assert abs(np.linalg.norm(u) - 1.0) <= 1e-15
+        assert np.linalg.norm(Txi @ u) <= 1e-15
+        assert abs(u @ Tpxi @ u) <= 1e-15
+
     def test_no_kernel_raises(self, zeta2):
         sigma = sigma_min(zeta2)
         with pytest.raises(ReductionError):
