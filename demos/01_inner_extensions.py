@@ -61,7 +61,7 @@ E2 = build_extension(S, pmax)
 Q = compare_extensions(E, E2)
 print("\nQ = S21(min)^{-1} S21(max): degree", Q.degree,
       "| inner:", Q.inner_flag,
-      "| rank(Pmax - Pmin):", Q.gamma_rank)
+      "| rank(Pmax - Pmin):", np.linalg.matrix_rank(pmax.p - pmin.p))
 Qr = compare_extensions(E2, E)
 print("reversed quotient: degree", Qr.degree, "| inner:", Qr.inner_flag)
 

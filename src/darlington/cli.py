@@ -16,8 +16,7 @@ round-tripping float repr, so write-then-read reproduces matrices
 bit-exactly.
 
 ``check`` and ``synthesize`` take a certification tolerance, 1e-7 by
-default, set per call with --tol or globally with the DARLINGTON_TOL
-environment variable.  It bounds the grid supremum (1 + tol) and the
+default, set with --tol.  It bounds the grid supremum (1 + tol) and the
 symmetry residual of ``check`` and the final innerness, symmetry and
 S-block residuals of ``synthesize --mode minimal-symmetric``; every
 other check runs at its fixed bound.
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -116,12 +114,6 @@ def _emit(report: dict, as_json: bool) -> None:
             print(f"{key}: {val}")
 
 
-def _base_tol(args) -> float:
-    if args.tol is not None:
-        return float(args.tol)
-    return float(os.environ.get("DARLINGTON_TOL") or 1e-7)
-
-
 # ------------------------------------------------------------ commands
 
 def _schur_report(R: Realization, tol: float) -> dict:
@@ -147,14 +139,13 @@ def _schur_report(R: Realization, tol: float) -> dict:
 
 def cmd_check(args) -> int:
     prob = read_problem(args.file)
-    tol = _base_tol(args)
     if "realization" not in prob:
         print("error: check needs a realization (A, B, C, D)", file=sys.stderr)
         return 1
     R = prob["realization"]
     if args.mobius is not None:
         R = mobius_precondition(R, args.mobius)
-    rep = _schur_report(R, tol)
+    rep = _schur_report(R, args.tol)
     flags = prob["flags"]
     ok = rep["schur_on_grid"]
     if flags.get("symmetric") and not rep["symmetric_on_grid"]:
@@ -179,7 +170,6 @@ def cmd_check(args) -> int:
 
 def cmd_synthesize(args) -> int:
     prob = read_problem(args.file)
-    tol = _base_tol(args)
     if "realization" not in prob:
         print("error: synthesize needs a realization (A, B, C, D)", file=sys.stderr)
         return 1
@@ -189,7 +179,7 @@ def cmd_synthesize(args) -> int:
     R, _ = minimal_realization(R)
     rep: dict = {"mode": args.mode, "solution": args.solution}
     if args.mode == "minimal-symmetric":
-        res = minimize_symmetric(R, residual_tol=tol)
+        res = minimize_symmetric(R, residual_tol=args.tol)
         out = res.extension
         rep.update({
             "degree": res.degree, "kappa": res.kappa, "n0": res.n0,
@@ -268,18 +258,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a realization")
     common(p)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=1e-7,
                    help="bounds the grid supremum (1 + TOL) and the symmetry "
-                        "test (default 1e-7, or DARLINGTON_TOL)")
+                        "test (default 1e-7)")
     p.add_argument("--mobius", type=float, default=None, metavar="W0",
                    help="apply the change of variable moving i*W0 to infinity")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("synthesize", help="build an extension")
     common(p)
-    p.add_argument("--tol", type=float, default=None,
+    p.add_argument("--tol", type=float, default=1e-7,
                    help="bounds the final certification of --mode "
-                        "minimal-symmetric (default 1e-7, or DARLINGTON_TOL)")
+                        "minimal-symmetric (default 1e-7)")
     p.add_argument("--mode", choices=["inner", "symmetric", "minimal-symmetric"],
                    default="minimal-symmetric")
     p.add_argument("--solution", choices=["min", "max"], default="min",

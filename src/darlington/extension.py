@@ -12,14 +12,16 @@ function S:
 
 Two such extensions with the same S block differ by the unitary factor
 Q = S21^{-1} S21~ whose degree equals rank(P~ - P) and which is inner
-exactly when P~ >= P.  For a symmetric realization of a symmetric S,
-right-multiplying an extension by diag(Q, I) with Q = S21^{-1} S12^T
-(that is, P~ = P^{-T}) produces a symmetric extension, unitary on the
-imaginary axis.
+exactly when P~ >= P.  Since Z Gamma + Gamma Z~* = R(P~) - R(P) = 0
+for the closed loops Z = A_hat + P C_hat* C_hat and Z~ of the two
+solutions and Gamma = P~ - P, range(Gamma) is Z-invariant and holds
+the input matrix of Q, so Q is realized minimally on it in closed form.
+For a symmetric realization of a symmetric S, right-multiplying an
+extension by diag(Q, I) with Q = S21^{-1} S12^T (that is, P~ = P^{-T})
+produces a symmetric extension, unitary on the imaginary axis.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +34,7 @@ from .realization import (
     compose,
     direct_sum,
     freqresp,
-    minimal_realization,
+    kalman_check,
     subrealization,
     symmetry_residual,
 )
@@ -109,12 +111,11 @@ class ExtensionBlocks:
 @dataclass(frozen=True)
 class QFactor:
     """Quotient Q = S21^{-1} S21~ of the left spectral factors of two
-    extensions; unitary on the imaginary axis, already state-space
-    minimized."""
+    extensions; unitary on the imaginary axis, realized minimally on
+    range(P~ - P)."""
     realization: Realization
     degree: int
     inner_flag: bool
-    gamma_rank: int
     unitary_residual: float
 
 
@@ -234,15 +235,54 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
     return E
 
 
+def _quotient(E: ExtensionBlocks, P2) -> QFactor:
+    """Q = S21^{-1} S21~ for a second Riccati solution P2, restricted to
+    range(Gamma), Gamma = P2 - P: with V its orthonormal basis,
+    Q = (V* Z V | V* Gamma C* D21^{-1}; -D21^{-1} C V | I).
+
+    Certified by the invariance residual ||Z V - V (V* Z V)|| <=
+    1e-7 max(1, ||Z||), the McMillan degree rank(Gamma) and unitarity on
+    the frequency grid; inner exactly when P <= P2.
+    """
+    p, P1 = E.p, E.p_matrix
+    P2 = (P2 + P2.conj().T) / 2
+    gamma = P2 - P1
+    sv = linalg.svd_analysis(gamma)
+    scale = max(1.0, np.linalg.norm(P1, 2), np.linalg.norm(P2, 2))
+    grank = int(np.sum(sv.singular_values > sv.rank_tolerance * scale))
+    V = sv.u[:, :grank]
+    ZV = E.z @ V
+    A = V.conj().T @ ZV
+    inv_res = float(np.linalg.norm(ZV - V @ A, 2))
+    if inv_res > 1e-7 * max(1.0, np.linalg.norm(E.z, 2)):
+        raise ValidationError(
+            f"range(P~ - P) is not invariant under the closed loop Z "
+            f"(invariance residual {inv_res:g}); P~ is not a Riccati solution")
+    C = E.realization.c[p:]
+    d21inv = np.linalg.inv(E.d21)
+    Q = Realization(A, V.conj().T @ gamma @ C.conj().T @ d21inv,
+                    -d21inv @ C @ V, np.eye(p))
+    deg = kalman_check(Q).mcmillan_degree
+    if deg != grank:
+        raise ValidationError(
+            f"degree of Q ({deg}) does not equal rank(P~ - P) = {grank}")
+    ures = innerness_residual(Q)
+    if ures > 1e-8:
+        raise ValidationError(
+            f"Q is not unitary on the imaginary axis (residual {ures:g})")
+    inner = linalg.hermitian_order(P1, P2) in ("less_equal", "equal")
+    return QFactor(realization=Q, degree=grank, inner_flag=inner,
+                   unitary_residual=ures)
+
+
 def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks) -> QFactor:
     """Unitary quotient Q = S21^{-1} S21~ of two extensions of the same S.
 
-    Q is realized on the closed loop Z of the first extension as
-    (Z | (P~-P) C* D21^{-1}; -D21^{-1} C | I) and then state-space
-    minimized; its degree equals rank(P~ - P) and it is inner exactly
-    when P~ >= P in the Loewner order.  The pole-location certificate is
-    cross-checked against the order test; on disagreement the order
-    test wins and a warning is emitted.
+    Q is realized on the closed loop Z of the first extension, restricted
+    to its invariant subspace range(P~ - P):
+    (V* Z V | V* (P~-P) C* D21^{-1}; -D21^{-1} C V | I).  Its degree
+    equals rank(P~ - P) and it is inner exactly when P~ >= P in the
+    Loewner order.
     """
     if E1.p != E2.p:
         raise DimensionError("extensions have different block sizes")
@@ -253,35 +293,7 @@ def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks) -> QFactor:
             and np.allclose(R1.d, R2.d, atol=1e-10))
     if not same:
         raise ValidationError("extensions do not share the same S block")
-    p = E1.p
-    gamma = E2.p_matrix - E1.p_matrix
-    sv = linalg.svd_analysis(gamma)
-    scale = max(1.0, np.linalg.norm(E1.p_matrix, 2), np.linalg.norm(E2.p_matrix, 2))
-    grank = int(np.sum(sv.singular_values > sv.rank_tolerance * scale))
-    d21inv = np.linalg.inv(E1.d21)
-    raw = Realization(E1.z, gamma @ R1.c.conj().T @ d21inv,
-                      -d21inv @ R1.c, np.eye(p))
-    Qmin, cert = minimal_realization(raw, rank_tol=1e-8)
-    if cert.mcmillan_degree != grank:
-        raise ValidationError(
-            f"degree of Q ({cert.mcmillan_degree}) does not equal "
-            f"rank(P~ - P) = {grank}")
-    ures = innerness_residual(Qmin)
-    if ures > 1e-8:
-        raise ValidationError(
-            f"Q is not unitary on the imaginary axis (residual {ures:g})")
-    order = linalg.hermitian_order(E1.p_matrix, E2.p_matrix)
-    inner = order in ("less_equal", "equal")
-    if Qmin.n:
-        poles = Qmin.poles()
-        pole_inner = bool(np.all(poles.real < 1e-7 * (1 + np.max(np.abs(poles)))))
-        if pole_inner != inner:
-            warnings.warn(
-                f"innerness certificates disagree for Q (Loewner order says "
-                f"{inner}, pole locations say {pole_inner}); keeping the "
-                "order verdict")
-    return QFactor(realization=Qmin, degree=cert.mcmillan_degree,
-                   inner_flag=inner, gamma_rank=grank, unitary_residual=ures)
+    return _quotient(E1, E2.p_matrix)
 
 
 def symmetric_unitary_extension(E: ExtensionBlocks
@@ -292,31 +304,23 @@ def symmetric_unitary_extension(E: ExtensionBlocks
     B = C^T, D = D^T), which makes P^{-T} another Riccati solution with
     S_{P^{-T}} = S_P^T.  The result is unitary on the imaginary axis and
     symmetric; it is inner if and only if P^{-T} - P is positive
-    semidefinite, in which case deg Sigma = deg S + deg Q and
-    deg Q = rank(P^{-T} - P) >= kappa.  Sigma is minimal (McMillan
-    degree = state count).  Returns (Sigma, Q, symmetry residual of
-    Sigma).
+    semidefinite.  Sigma has deg S + deg Q states, deg Q =
+    rank(P^{-T} - P) >= kappa, and is certified minimal by its Kalman
+    ranks.  Returns (Sigma, Q, symmetry residual of Sigma).
     """
-    R = E.s22
-    if not _structurally_symmetric(R):
+    if not _structurally_symmetric(E.s22):
         raise NotSymmetricError(
             "the source realization is not symmetric; run symmetrize first")
-    Pt = np.linalg.inv(E.p_matrix.T)
-    E2 = build_extension(R, Pt)
-    Q = compare_extensions(E, E2)
+    Q = _quotient(E, np.linalg.inv(E.p_matrix.T))
     identity = Realization(np.zeros((0, 0)), np.zeros((0, E.p)),
                            np.zeros((E.p, 0)), np.eye(E.p))
-    sigma_raw = compose(E.realization, direct_sum(Q.realization, identity))
-    sigma, cert = minimal_realization(sigma_raw, rank_tol=1e-9)
+    sigma = compose(E.realization, direct_sum(Q.realization, identity))
     sres = symmetry_residual(sigma)
     if sres > 1e-8:
         raise ValidationError(
             f"symmetric extension failed the symmetry check ({sres:g})")
-    if cert.mcmillan_degree != sigma.n:
+    deg = kalman_check(sigma).mcmillan_degree
+    if deg != sigma.n:
         raise ValidationError(
-            f"Sigma has McMillan degree {cert.mcmillan_degree} on "
-            f"{sigma.n} states")
-    if Q.inner_flag and sigma.n != R.n + Q.degree:
-        raise ValidationError(
-            f"degree of Sigma is {sigma.n}, expected {R.n + Q.degree}")
+            f"Sigma has McMillan degree {deg} on {sigma.n} states")
     return sigma, Q, sres

@@ -101,7 +101,7 @@ def cluster_points(points, tol: float):
 def cluster_ladder(points, base_tol: float):
     """Persistence-based clustering: walk a tolerance ladder and accept
     the first rung whose multiplicity structure agrees with the next
-    one.
+    one, computing the rungs only up to that pair.
 
     Double eigenvalues computed in floating point split far wider than
     the base tolerance (roughly the square root of the backward error),
@@ -109,17 +109,20 @@ def cluster_ladder(points, base_tol: float):
     eigenvalues, which sit orders of magnitude apart at desk scale.
     Returns (tolerance used, clusters as (center, members) pairs).
     """
-    ladder = [base_tol * 10.0 ** k for k in range(5)]
-    structs = []
-    for tol in ladder:
+    def rung(k):
+        tol = base_tol * 10.0 ** k
         cl = cluster_points(points, tol)
-        structs.append((tol, cl, sorted((len(m) for _, m in cl), reverse=True)))
-    for i in range(len(structs) - 1):
-        if structs[i][2] == structs[i + 1][2]:
-            return structs[i][0], structs[i][1]
+        return tol, cl, sorted(len(m) for _, m in cl)
+
+    first = prev = rung(0)
+    for k in range(1, 5):
+        cur = rung(k)
+        if prev[2] == cur[2]:
+            return prev[:2]
+        prev = cur
     warnings.warn("cluster structure never stabilized along the tolerance "
                   "ladder; using the base tolerance")
-    return structs[0][0], structs[0][1]
+    return first[:2]
 
 
 def _orth_columns(M: np.ndarray, tol: float) -> np.ndarray:

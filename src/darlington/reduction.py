@@ -254,7 +254,6 @@ class SynthesisResult:
     kappa: int
     n0: int
     p_min: RiccatiSolution
-    p_max: RiccatiSolution
     factors: tuple[BlaschkeFactor, ...]
     innerness: float
     symmetry: float
@@ -293,7 +292,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
         raise _stage("symmetrize", exc) from exc
     n, p = Rs.n, Rs.outputs
     try:
-        pmin, pmax = solve_extremal(build_hat(Rs))
+        pmin, _ = solve_extremal(build_hat(Rs))
     except DarlingtonError as exc:
         raise _stage("riccati", exc) from exc
     kappa, n0 = pmin.spectrum.kappa, pmin.spectrum.n0
@@ -339,6 +338,6 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
             f"stage 'finalize': certification failed (inner {ir:g}, "
             f"symmetry {sr:g}, block match {block:g})")
     return SynthesisResult(extension=current, degree=current.n, kappa=kappa,
-                           n0=n0, p_min=pmin, p_max=pmax,
+                           n0=n0, p_min=pmin,
                            factors=tuple(factors), innerness=ir, symmetry=sr,
                            block_match=block)

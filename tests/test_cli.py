@@ -141,13 +141,6 @@ class TestSynthesize:
         assert main(["check", "/nonexistent/problem.json"]) == 1
 
 
-class TestEnvTolerance:
-    def test_env_override(self, tmp_path, capsys, monkeypatch):
-        f = write_coupled_pair(tmp_path / "z2.json")
-        monkeypatch.setenv("DARLINGTON_TOL", "1e-5")
-        assert main(["check", str(f)]) == 0
-
-
 def test_console_entry_point(tmp_path):
     f = write_coupled_pair(tmp_path / "z2.json")
     proc = subprocess.run([sys.executable, "-m", "darlington", "check", str(f)],

@@ -1,7 +1,10 @@
 """Inner extensions, unitary gauges, spectral-factor quotients, and the
 symmetric unitary extension."""
+import dataclasses
+
 import numpy as np
 import pytest
+from conftest import random_unitary
 
 from darlington import (
     Realization,
@@ -14,12 +17,14 @@ from darlington import (
     frequency_grid,
     innerness_residual,
     kalman_check,
+    minimal_realization,
     solve_extremal,
     symmetric_unitary_extension,
+    symmetrize,
     symmetry_residual,
 )
 from darlington.errors import NotSymmetricError, ValidationError
-from darlington.realization import probe_points
+from darlington.realization import probe_points, transfer_distance
 from darlington.scalar import poly_para, spectral_factor_poly
 import numpy.polynomial.polynomial as npp
 
@@ -161,7 +166,7 @@ class TestCompareExtensions:
         R, pmin, _ = zeta2_pair
         E = build_extension(R, pmin)
         Q = compare_extensions(E, E)
-        assert Q.degree == 0 and Q.gamma_rank == 0
+        assert Q.degree == 0
         assert np.allclose(Q.realization.d, np.eye(2), atol=1e-12)
         assert Q.inner_flag
 
@@ -170,7 +175,7 @@ class TestCompareExtensions:
         E1 = build_extension(R, pmin)
         E2 = build_extension(R, pmax)
         Q = compare_extensions(E1, E2)
-        assert Q.degree == 2 and Q.gamma_rank == 2
+        assert Q.degree == 2
         assert Q.inner_flag
         assert np.max(Q.realization.poles().real) < 0
 
@@ -191,6 +196,40 @@ class TestCompareExtensions:
             np.linalg.norm(evaluate(E1.s21, s) - evaluate(E2.s21, s), 2)
             for s in probe_points(E1.realization, E2.realization))
         assert diff > 1e-3
+
+
+def _extremal_extensions(instance_suite, name):
+    inst = next(i for i in instance_suite if i.name == name)
+    Rs = symmetrize(inst.realization)
+    pmin, pmax = solve_extremal(build_hat(Rs))
+    return inst, build_extension(Rs, pmin), build_extension(Rs, pmax)
+
+
+class TestClosedFormQuotient:
+    @pytest.mark.parametrize("name", ["p1-n3-k0-ax1", "p2-n3k0-n1kg", "p2-n2k0-n2k0"])
+    def test_matches_staircase_oracle(self, instance_suite, name):
+        inst, E1, E2 = _extremal_extensions(instance_suite, name)
+        Q = compare_extensions(E1, E2)
+        assert Q.realization.n == inst.n - inst.expected_n0
+        # Q on all n states of the closed loop, minimized by the staircase
+        C = E1.s22.c
+        d21inv = np.linalg.inv(E1.d21)
+        gamma = E2.p_matrix - E1.p_matrix
+        raw = Realization(E1.z, gamma @ C.conj().T @ d21inv, -d21inv @ C,
+                          np.eye(inst.p))
+        oracle, _ = minimal_realization(raw, rank_tol=1e-8)
+        assert transfer_distance(Q.realization, oracle) <= 1e-8
+
+    def test_rotated_range_fails_invariance(self, instance_suite):
+        # same rank as P_max - P_min, but a range that Z does not keep
+        inst, E1, E2 = _extremal_extensions(instance_suite, "p1-n3-k0-ax1")
+        assert inst.expected_n0 == 1
+        W = random_unitary(np.random.default_rng(3), inst.n)
+        gamma = E2.p_matrix - E1.p_matrix
+        bad = dataclasses.replace(
+            E2, p_matrix=E1.p_matrix + W @ gamma @ W.conj().T)
+        with pytest.raises(ValidationError, match="invariance residual"):
+            compare_extensions(E1, bad)
 
 
 class TestSymmetricUnitaryExtension:
@@ -243,7 +282,8 @@ class TestSuiteInvariants:
             E1 = build_extension(Rs, pmin)
             E2 = build_extension(Rs, pmax)
             Q = compare_extensions(E1, E2)
-            assert Q.degree == Q.gamma_rank, inst.name
+            tol = 1e-9 * max(1.0, np.linalg.norm(pmax.p, 2))
+            assert Q.degree == np.linalg.matrix_rank(pmax.p - pmin.p, tol), inst.name
             assert Q.inner_flag, inst.name
 
     def test_outer_factor_zeros_stable(self, instance_suite):

@@ -3,9 +3,9 @@ factorization, Loewner order."""
 import numpy as np
 import pytest
 
-from darlington import hermitian_order, svd_analysis, takagi
+from darlington import hermitian_order, linalg, svd_analysis, takagi
 from darlington.errors import DimensionError, NotSymmetricError
-from darlington.linalg import half_chain_basis, hermitian_sqrt
+from darlington.linalg import cluster_ladder, half_chain_basis, hermitian_sqrt
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -167,6 +167,42 @@ class TestHermitianOrder:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotSymmetricError):
             hermitian_order(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+
+
+class TestClusterLadder:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = []
+        original = linalg.cluster_points
+
+        def counting(points, tol):
+            count.append(tol)
+            return original(points, tol)
+
+        monkeypatch.setattr(linalg, "cluster_points", counting)
+        return count
+
+    def test_stops_at_first_agreeing_pair(self, calls):
+        tol, clusters = cluster_ladder([0.0, 1.0, 2.0 + 1j], 1e-6)
+        assert tol == 1e-6 and len(clusters) == 3
+        assert len(calls) == 2
+
+    def test_settles_on_a_later_rung(self, calls):
+        # the pair 5e-6 apart merges at the second rung and stays merged
+        tol, clusters = cluster_ladder([0.0, 5e-6, 1.0], 1e-6)
+        assert tol == pytest.approx(1e-5)
+        assert sorted(len(m) for _, m in clusters) == [1, 2]
+        assert len(calls) == 3
+
+    def test_never_stabilized_warns_and_keeps_base(self, calls):
+        # one pair merges at each rung: 5e-6, 5e-5, 5e-4 and 5e-3 apart
+        pts = [c + d for c, d in zip((0.0, 10.0, 20.0, 30.0),
+                                     (5e-6, 5e-5, 5e-4, 5e-3))]
+        pts += [0.0, 10.0, 20.0, 30.0]
+        with pytest.warns(UserWarning, match="never stabilized"):
+            tol, clusters = cluster_ladder(pts, 1e-6)
+        assert tol == 1e-6 and len(clusters) == 8
+        assert len(calls) == 5
 
 
 def test_hermitian_sqrt_squares_back():
