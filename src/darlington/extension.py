@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import linalg
 from .errors import DimensionError, NotSymmetricError, ValidationError
@@ -66,6 +67,40 @@ def innerness_residual(R: Realization) -> float:
     T = freqresp(R, 1j * frequency_grid())
     gap = T @ T.conj().transpose(0, 2, 1) - np.eye(R.outputs)
     return float(np.max(np.linalg.norm(gap, 2, axis=(1, 2)), initial=0.0))
+
+
+def _lossless_residual(R: Realization) -> float:
+    """Lossless bounded-real certificate of R (Anderson & Vongpanitlerd
+    1973): the observability Gramian X (A* X + X A + C* C = 0) is
+    positive definite, D* C + B* X = 0 and D* D = I.  X > 0 makes A
+    Hurwitz and (C, A) observable, and the identities make X^{-1} the
+    controllability Gramian, so R is inner and minimal.
+
+    Returns the largest residual (Lyapunov relative to
+    2 ||A|| ||X|| + ||C||^2, cross term relative to ||C||), or inf when
+    X is not positive definite: lambda_min(X) <= n eps lambda_max(X),
+    the numerical-rank cut, since the eigenvalues of X also carry the
+    squared conditioning of the state coordinates.
+    """
+    A, B, C, D = R.a, R.b, R.c, R.d
+    unit = float(np.linalg.norm(D.conj().T @ D - np.eye(R.inputs), 2))
+    if R.n == 0:
+        return unit
+    CC = C.conj().T @ C
+    try:
+        X = sla.solve_continuous_lyapunov(A.conj().T, -CC)
+    except np.linalg.LinAlgError:
+        return np.inf
+    X = (X + X.conj().T) / 2
+    w = np.linalg.eigvalsh(X)
+    if w[0] <= R.n * np.finfo(float).eps * w[-1]:
+        return np.inf
+    # X > 0 needs C != 0; with D unitary, ||D* C|| = ||B* X|| = ||C||
+    nC2 = np.linalg.norm(CC, 2)
+    lyap = np.linalg.norm(A.conj().T @ X + X @ A + CC, 2) / (
+        2 * np.linalg.norm(A, 2) * w[-1] + nC2)
+    cross = np.linalg.norm(D.conj().T @ C + B.conj().T @ X, 2) / np.sqrt(nC2)
+    return float(np.max([lyap, cross, unit]))  # keeps a nan
 
 
 @dataclass(frozen=True)
@@ -207,8 +242,6 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
     equation A P + P A* + B1 B1* + B B* = 0, which has a unique
     (Hermitian, positive definite) solution since A is stable.
     """
-    import scipy.linalg as sla
-
     if S21.n != R.n or not (np.allclose(S21.a, R.a, atol=1e-12) and
                             np.allclose(S21.c, R.c, atol=1e-12)):
         raise ValidationError(

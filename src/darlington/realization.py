@@ -316,6 +316,17 @@ def subrealization(R: Realization, rows: slice, cols: slice) -> Realization:
     return Realization(R.a, R.b[:, cols], R.c[rows, :], R.d[rows, cols])
 
 
+def _staircase(R: Realization, rank_tol: float) -> Realization:
+    """Two-stage SVD staircase, uncertified: restrict to the reachable
+    subspace, then cut the unobservable part."""
+    scale = _system_scale(R.a, R.b, R.c)
+    V = _krylov_span(R.a, R.b, rank_tol, scale)
+    A1, B1, C1 = V.conj().T @ R.a @ V, V.conj().T @ R.b, R.c @ V
+    W = _krylov_span(A1.conj().T, C1.conj().T, rank_tol, scale)
+    A2, B2, C2 = W.conj().T @ A1 @ W, W.conj().T @ B1, C1 @ W
+    return Realization(A2, B2, C2, R.d)
+
+
 def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
                         ) -> tuple[Realization, DegreeCertificate]:
     """Minimal realization via a two-stage SVD staircase.
@@ -324,12 +335,7 @@ def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
     unobservable part; the transfer function is preserved, verified on
     the probe grid to a transfer distance of 1e-8.
     """
-    scale = _system_scale(R.a, R.b, R.c)
-    V = _krylov_span(R.a, R.b, rank_tol, scale)
-    A1, B1, C1 = V.conj().T @ R.a @ V, V.conj().T @ R.b, R.c @ V
-    W = _krylov_span(A1.conj().T, C1.conj().T, rank_tol, scale)
-    A2, B2, C2 = W.conj().T @ A1 @ W, W.conj().T @ B1, C1 @ W
-    out = Realization(A2, B2, C2, R.d)
+    out = _staircase(R, rank_tol)
     cert = kalman_check(out, rank_tol)
     dist = transfer_distance(out, R)
     if dist > 1e-8:

@@ -19,6 +19,12 @@ preserved.  The (n - kappa - n0)/2 steps end at the minimal symmetric
 inner extension of degree n + kappa.  The points and the step count are
 read from the analyzed Hamiltonian spectrum before the first step; no
 step solves for zeros again.
+
+Each step is certified algebraically, by one Lyapunov solve: the
+lossless bounded-real identities of its output make it inner and
+minimal of degree deg T - 2.  The frequency-grid certificates
+(innerness, symmetry, S-block match) run once, on the final
+realization.
 """
 from __future__ import annotations
 
@@ -29,18 +35,19 @@ import numpy as np
 from . import linalg
 from .errors import DarlingtonError, ReductionError, ValidationError
 from .extension import (
+    _lossless_residual,
     build_extension,
     innerness_residual,
     symmetric_unitary_extension,
 )
 from .realization import (
     Realization,
+    _staircase,
     compose,
     derivative,
     evaluate,
     freqresp,
     invert,
-    minimal_realization,
     probe_points,
     symmetrize,
     symmetry_residual,
@@ -219,31 +226,32 @@ def find_reduction_vector(T: Realization, xi: complex,
     return u
 
 
-def reduce_once(T: Realization, f: BlaschkeFactor) -> tuple[Realization, float, float]:
+def reduce_once(T: Realization, f: BlaschkeFactor) -> Realization:
     """Two-sided division R = B^{-T} T B^{-1}, state-space minimized.
 
-    The McMillan degree and the state count must both drop to
-    deg T - 2 exactly; innerness and symmetry are re-verified on their
-    grids to 1e-7.  Returns R with its innerness and symmetry residuals.
+    The composed realization of B^{-T} T B^{-1} (deg T + 2 states) is
+    cut by the SVD staircase to exactly deg T - 2 states, and R is
+    certified by the lossless bounded-real identities to 1e-7: its
+    observability Gramian X is positive definite, D* C + B* X = 0 and
+    D* D = I.  These make R inner and minimal, so its McMillan degree is
+    deg T - 2; no frequency grid is sampled.  Symmetry and the S block
+    are checked once, on the final realization, by minimize_symmetric.
     """
     if f.dim != T.outputs:
         raise ValidationError("Blaschke direction has the wrong dimension")
     right = invert(blaschke_realization(f))
     left = transpose(right)
-    raw = compose(compose(left, T), right)
-    out, cert = minimal_realization(raw, rank_tol=1e-8)
-    if cert.mcmillan_degree != T.n - 2 or out.n != T.n - 2:
+    out = _staircase(compose(compose(left, T), right), rank_tol=1e-8)
+    if out.n != T.n - 2:
         raise ReductionError(
-            f"degree after reduction is {cert.mcmillan_degree} on {out.n} "
-            f"states, expected {T.n - 2}; the interpolation conditions were "
-            "not satisfied accurately enough")
-    ir = innerness_residual(out)
-    if ir > 1e-7:
-        raise ReductionError(f"innerness lost after reduction ({ir:g})")
-    sr = symmetry_residual(out)
-    if sr > 1e-7:
-        raise ReductionError(f"symmetry lost after reduction ({sr:g})")
-    return out, ir, sr
+            f"reduction left {out.n} states, expected {T.n - 2}; the "
+            "interpolation conditions were not satisfied accurately enough")
+    res = _lossless_residual(out)
+    if not res <= 1e-7:  # a nan fails too
+        raise ReductionError(
+            f"reduction output is not certified inner and minimal "
+            f"(lossless residual {res:g})")
+    return out
 
 
 @dataclass(frozen=True)
@@ -281,10 +289,10 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     at the open-right-half-plane roots of pi (``spectrum.pi_roots`` of
     the minimal solution), each as often as its multiplicity in pi,
     which must take the degree to n + kappa exactly.  Every step is certified
-    (degree drop, innerness, symmetry); a failing step is a hard error.
-    ``residual_tol`` bounds the final innerness, symmetry and S-block
-    residuals; the first two are the ones the stage that produced the
-    final realization measured.
+    inner and minimal of the expected degree by reduce_once; a failing
+    step is a hard error.  ``residual_tol`` bounds the grid innerness,
+    symmetry and S-block residuals of the final realization (with no
+    step, its symmetry is the one the symmetric extension measured).
     """
     try:
         Rs = symmetrize(R)
@@ -316,20 +324,22 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
             f"end at {sigma.n - 2 * steps}, not n + kappa = {target} "
             f"({_conditioning(pmin)})")
     factors: list[BlaschkeFactor] = []
-    current, sr = sigma, sigma_symmetry
+    current = sigma
     for xi, k in roots:
         for _ in range(k):
             try:
                 u = find_reduction_vector(current, xi, support=p)
                 f = BlaschkeFactor(xi=xi, u=u)
-                current, ir, sr = reduce_once(current, f)
+                current = reduce_once(current, f)
             except DarlingtonError as exc:
                 raise ReductionError(
                     f"stage 'reduce': step at xi = {xi:.6g} from degree "
                     f"{current.n} failed ({_conditioning(pmin)}): {exc}") from exc
             factors.append(f)
-    if not factors:  # no step has measured the innerness of sigma
-        ir = innerness_residual(sigma)
+    ir = innerness_residual(current)
+    # with no step, the final realization is sigma, whose symmetry the
+    # symmetric extension stage measured
+    sr = symmetry_residual(current) if factors else sigma_symmetry
     pts = probe_points(current, R)
     gap = freqresp(current, pts)[:, p:, p:] - freqresp(R, pts)
     block = float(np.max(np.linalg.norm(gap, 2, axis=(1, 2))))

@@ -7,6 +7,7 @@ import pytest
 
 import darlington.extension
 import darlington.realization
+import darlington.reduction
 from darlington import (
     BlaschkeFactor,
     Realization,
@@ -26,8 +27,14 @@ from darlington import (
     zero_structure,
 )
 from darlington.errors import ReductionError, ValidationError
-from darlington.extension import innerness_residual
-from darlington.realization import symmetry_residual
+from darlington.extension import _lossless_residual, innerness_residual
+from darlington.realization import (
+    direct_sum,
+    invert,
+    symmetry_residual,
+    transfer_distance,
+    transpose,
+)
 from darlington.scalar import siso_realization
 
 SQ3 = np.sqrt(3.0)
@@ -183,10 +190,10 @@ class TestReduceOnce:
     def test_worked_example_four_to_two(self, zeta2):
         sigma = sigma_min(zeta2)
         u = find_reduction_vector(sigma, SQ3, support=2)
-        out, ir, sr = reduce_once(sigma, BlaschkeFactor(xi=SQ3, u=u))
+        out = reduce_once(sigma, BlaschkeFactor(xi=SQ3, u=u))
         assert out.n == 2
-        assert ir == innerness_residual(out) <= 1e-7
-        assert sr == symmetry_residual(out) <= 1e-7
+        assert innerness_residual(out) <= 1e-7
+        assert symmetry_residual(out) <= 1e-7
         # lower-right block still realizes S
         for w in (0.0, 0.6, -4.0):
             g = evaluate(out, 1j * w)[2:, 2:]
@@ -198,6 +205,69 @@ class TestReduceOnce:
         bad = BlaschkeFactor(xi=SQ3, u=np.array([0.0, 0.0, 1.0, 0.0]))
         with pytest.raises(ReductionError):
             reduce_once(sigma, bad)
+
+
+@pytest.fixture(scope="module")
+def suite_steps(zeta2, instance_suite) -> list:
+    """(T, f, R) for every reduce_once call R = reduce_once(T, f) that
+    minimize_symmetric makes on zeta2 and the frozen suite's reducing
+    instances."""
+    steps = []
+
+    def recording(T, f, _original=darlington.reduction.reduce_once):
+        R = _original(T, f)
+        steps.append((T, f, R))
+        return R
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(darlington.reduction, "reduce_once", recording)
+        for R in [zeta2] + [inst.realization for inst in instance_suite
+                            if inst.expected_kappa < inst.n]:
+            minimize_symmetric(R)
+    assert len(steps) == 19
+    return steps
+
+
+class TestLosslessCertificate:
+    def test_accepts_every_step_output(self, suite_steps):
+        for _, _, R in suite_steps:
+            assert _lossless_residual(R) <= 1e-10
+
+    def test_rejects_perturbed_b(self, suite_steps):
+        for _, _, R in suite_steps:
+            bad = Realization(R.a, R.b * (1 + 1e-6), R.c, R.d)
+            assert _lossless_residual(bad) > 1e-7
+
+    def test_rejects_scaled_d(self, suite_steps):
+        for _, _, R in suite_steps:
+            bad = Realization(R.a, R.b, R.c, R.d * (1 + 1e-6))
+            assert _lossless_residual(bad) > 1e-7
+
+    def test_rejects_unobservable_state(self, suite_steps):
+        # an extra stable state that no output sees: still inner on the
+        # grid, but X is singular
+        hidden = Realization([[-1.0]], [[1.0]], [[0.0]], [[1.0]])
+        R = direct_sum(suite_steps[-1][2], hidden)
+        assert innerness_residual(R) <= 1e-10
+        assert _lossless_residual(R) == np.inf
+
+    def test_rejects_unstable_all_pass(self):
+        # (s + 1)/(s - 1) is unitary on the axis but has a pole at 1
+        R = Realization([[1.0]], [[1.0]], [[2.0]], [[1.0]])
+        assert innerness_residual(R) <= 1e-15
+        assert _lossless_residual(R) == np.inf
+        stable = Realization([[-1.0]], [[1.0]], [[-2.0]], [[1.0]])
+        assert _lossless_residual(stable) <= 1e-15
+
+
+def test_every_step_passes_the_grid_oracles(suite_steps):
+    # the grids no step runs any more, against the composed B^-T T B^-1
+    for T, f, R in suite_steps:
+        right = invert(blaschke_realization(f))
+        raw = compose(compose(transpose(right), T), right)
+        assert innerness_residual(R) <= 1e-8
+        assert symmetry_residual(R) <= 1e-8
+        assert transfer_distance(R, raw) <= 1e-8
 
 
 class TestMinimizeSymmetric:
@@ -336,3 +406,7 @@ def test_each_certificate_runs_once_per_realization(
         assert len(ids) == len(set(ids)), name
     assert any(T is res.extension for T in seen["innerness_residual"])
     assert any(T is res.extension for T in seen["symmetry_residual"])
+    # innerness: extension, quotient Q and final realization; kalman_check:
+    # symmetrize, Q and Sigma; no Blaschke step runs either
+    assert len(seen["innerness_residual"]) == 3
+    assert len(seen["kalman_check"]) == 3
