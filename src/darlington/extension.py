@@ -19,6 +19,8 @@ the input matrix of Q, so Q is realized minimally on it in closed form.
 For a symmetric realization of a symmetric S, right-multiplying an
 extension by diag(Q, I) with Q = S21^{-1} S12^T (that is, P~ = P^{-T})
 produces a symmetric extension, unitary on the imaginary axis.
+Each stage is certified on a Gramian known in closed form: P for S_P,
+G = V* (P~ - P) V for Q and diag(G, P) for the symmetric extension.
 """
 from __future__ import annotations
 
@@ -69,37 +71,47 @@ def innerness_residual(R: Realization) -> float:
     return float(np.max(np.linalg.norm(gap, 2, axis=(1, 2)), initial=0.0))
 
 
-def _lossless_residual(R: Realization) -> float:
-    """Lossless bounded-real certificate of R (Anderson & Vongpanitlerd
-    1973): the observability Gramian X (A* X + X A + C* C = 0) is
-    positive definite, D* C + B* X = 0 and D* D = I.  X > 0 makes A
-    Hurwitz and (C, A) observable, and the identities make X^{-1} the
-    controllability Gramian, so R is inner and minimal.
+def _lossless_residual(R: Realization, X=None) -> float:
+    """Lossless bounded-real certificate on the controllability Gramian X
+    (Anderson & Vongpanitlerd 1973; Glover 1984): A X + X A* + B B* = 0,
+    C X + D B* = 0 and D D* = I make R all-pass.  A nonsingular X maps
+    an unreachable state to an eigenvector at the mirror -conj(lambda)
+    of its pole, so R is minimal unless two poles have lambda_i +
+    conj(lambda_j) within ``R.pole_guard`` of 0 (then the Kalman ranks
+    decide); it is inner exactly when X > 0.  X is passed when known in
+    closed form, else solved for and required positive definite.
 
-    Returns the largest residual (Lyapunov relative to
-    2 ||A|| ||X|| + ||C||^2, cross term relative to ||C||), or inf when
-    X is not positive definite: lambda_min(X) <= n eps lambda_max(X),
-    the numerical-rank cut, since the eigenvalues of X also carry the
-    squared conditioning of the state coordinates.
+    Returns the largest residual (Lyapunov in the Frobenius norm relative
+    to 2 ||A|| ||X|| + ||B||^2, cross term relative to ||B||), or inf if R
+    is not minimal, X is singular (min |lambda| <= n eps max |lambda|,
+    the numerical rank) or, solved for, not positive definite.
     """
     A, B, C, D = R.a, R.b, R.c, R.d
-    unit = float(np.linalg.norm(D.conj().T @ D - np.eye(R.inputs), 2))
+    unit = float(np.linalg.norm(D @ D.conj().T - np.eye(R.outputs), 2))
     if R.n == 0:
         return unit
-    CC = C.conj().T @ C
-    try:
-        X = sla.solve_continuous_lyapunov(A.conj().T, -CC)
-    except np.linalg.LinAlgError:
+    lam = R.poles()
+    if (np.min(np.abs(lam[:, np.newaxis] + lam.conj())) <= R.pole_guard
+            and not kalman_check(R).minimal):
         return np.inf
+    BB = B @ B.conj().T
+    solved = X is None
+    if solved:
+        try:
+            X = sla.solve_continuous_lyapunov(A, -BB)
+        except np.linalg.LinAlgError:
+            return np.inf
     X = (X + X.conj().T) / 2
     w = np.linalg.eigvalsh(X)
-    if w[0] <= R.n * np.finfo(float).eps * w[-1]:
+    top = np.max(np.abs(w))
+    low = w[0] if solved else np.min(np.abs(w))
+    if low <= R.n * np.finfo(float).eps * top:
         return np.inf
-    # X > 0 needs C != 0; with D unitary, ||D* C|| = ||B* X|| = ||C||
-    nC2 = np.linalg.norm(CC, 2)
-    lyap = np.linalg.norm(A.conj().T @ X + X @ A + CC, 2) / (
-        2 * np.linalg.norm(A, 2) * w[-1] + nC2)
-    cross = np.linalg.norm(D.conj().T @ C + B.conj().T @ X, 2) / np.sqrt(nC2)
+    # X nonsingular needs B != 0; with D unitary, ||D B*|| = ||C X|| = ||B||
+    nB = np.linalg.norm(B, 2)
+    lyap = np.linalg.norm(A @ X + X @ A.conj().T + BB) / (
+        2 * np.linalg.norm(A, 2) * top + nB ** 2)
+    cross = np.linalg.norm(C @ X + D @ B.conj().T, 2) / nB
     return float(np.max([lyap, cross, unit]))  # keeps a nan
 
 
@@ -147,11 +159,12 @@ class ExtensionBlocks:
 class QFactor:
     """Quotient Q = S21^{-1} S21~ of the left spectral factors of two
     extensions; unitary on the imaginary axis, realized minimally on
-    range(P~ - P)."""
+    range(P~ - P); certified on its Gramian ``gramian``, V* (P~ - P) V."""
     realization: Realization
     degree: int
     inner_flag: bool
     unitary_residual: float
+    gramian: np.ndarray
 
 
 def build_extension(R: Realization, P) -> ExtensionBlocks:
@@ -169,9 +182,9 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
     Returns
     -------
     ExtensionBlocks
-        The extension has the same McMillan degree as S, a unitary
-        value at infinity, and passes the innerness check on the
-        standard frequency grid to 1e-8.
+        The extension has the same McMillan degree as S and a unitary
+        value at infinity, certified inner and minimal to 1e-8 on its
+        Gramian P, whose Lyapunov residual is R(P).
     """
     hat = build_hat(R)
     Pm = P.p if isinstance(P, RiccatiSolution) else np.asarray(P, dtype=complex)
@@ -198,10 +211,10 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
     DD = big.d
     if np.linalg.norm(DD @ DD.conj().T - np.eye(2 * p), 2) > 1e-10:
         raise ValidationError("value at infinity is not unitary")
-    resid = innerness_residual(big)
-    if resid > 1e-8:
-        raise ValidationError(
-            f"extension fails the innerness check (residual {resid:g})")
+    resid = _lossless_residual(big, Pm)
+    if not resid <= 1e-8:  # a nan fails too
+        raise ValidationError(f"extension is not certified inner and "
+                              f"minimal (lossless residual {resid:g})")
     z = hat.a_hat + Pm @ hat.csc
     return ExtensionBlocks(realization=big, p=p, b1=b1, c1=c1, d11=d11,
                            d12=d12, d21=d21, p_matrix=Pm, z=z)
@@ -274,8 +287,9 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
     Q = (V* Z V | V* Gamma C* D21^{-1}; -D21^{-1} C V | I).
 
     Certified by the invariance residual ||Z V - V (V* Z V)|| <=
-    1e-7 max(1, ||Z||), the McMillan degree rank(Gamma) and unitarity on
-    the frequency grid; inner exactly when P <= P2.
+    1e-7 max(1, ||Z||) and on its Gramian V* Gamma V to 1e-8, minimal of
+    degree rank(Gamma) (Z Gamma + Gamma Z* + Gamma C_hat* C_hat Gamma =
+    R(P2) - R(P) = 0); inner exactly when P <= P2.
     """
     p, P1 = E.p, E.p_matrix
     P2 = (P2 + P2.conj().T) / 2
@@ -295,17 +309,14 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
     d21inv = np.linalg.inv(E.d21)
     Q = Realization(A, V.conj().T @ gamma @ C.conj().T @ d21inv,
                     -d21inv @ C @ V, np.eye(p))
-    deg = kalman_check(Q).mcmillan_degree
-    if deg != grank:
-        raise ValidationError(
-            f"degree of Q ({deg}) does not equal rank(P~ - P) = {grank}")
-    ures = innerness_residual(Q)
-    if ures > 1e-8:
-        raise ValidationError(
-            f"Q is not unitary on the imaginary axis (residual {ures:g})")
+    G = V.conj().T @ gamma @ V
+    ures = _lossless_residual(Q, G)
+    if not ures <= 1e-8:
+        raise ValidationError(f"Q is not certified unitary and minimal "
+                              f"(lossless residual {ures:g})")
     inner = linalg.hermitian_order(P1, P2) in ("less_equal", "equal")
     return QFactor(realization=Q, degree=grank, inner_flag=inner,
-                   unitary_residual=ures)
+                   unitary_residual=ures, gramian=G)
 
 
 def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks) -> QFactor:
@@ -338,8 +349,9 @@ def symmetric_unitary_extension(E: ExtensionBlocks
     S_{P^{-T}} = S_P^T.  The result is unitary on the imaginary axis and
     symmetric; it is inner if and only if P^{-T} - P is positive
     semidefinite.  Sigma has deg S + deg Q states, deg Q =
-    rank(P^{-T} - P) >= kappa, and is certified minimal by its Kalman
-    ranks.  Returns (Sigma, Q, symmetry residual of Sigma).
+    rank(P^{-T} - P) >= kappa, and is certified minimal to 1e-8 on the
+    Gramian diag(G_Q, P) of the cascade.  Returns (Sigma, Q, symmetry
+    residual of Sigma).
     """
     if not _structurally_symmetric(E.s22):
         raise NotSymmetricError(
@@ -352,8 +364,8 @@ def symmetric_unitary_extension(E: ExtensionBlocks
     if sres > 1e-8:
         raise ValidationError(
             f"symmetric extension failed the symmetry check ({sres:g})")
-    deg = kalman_check(sigma).mcmillan_degree
-    if deg != sigma.n:
-        raise ValidationError(
-            f"Sigma has McMillan degree {deg} on {sigma.n} states")
+    cert = _lossless_residual(sigma, sla.block_diag(Q.gramian, E.p_matrix))
+    if not cert <= 1e-8:
+        raise ValidationError(f"Sigma is not certified unitary and minimal "
+                              f"(lossless residual {cert:g})")
     return sigma, Q, sres

@@ -164,12 +164,15 @@ def evaluate(R: Realization, s: complex) -> np.ndarray:
 
 
 def derivative(R: Realization, s: complex) -> np.ndarray:
-    """Exact derivative S'(s) = -C (sI-A)^{-2} B of the rational matrix."""
+    """Exact derivative S'(s) = -C (sI-A)^{-2} B of the rational matrix;
+    raises PoleError as evaluate does."""
     s = complex(s)
     if R.n == 0:
         return np.zeros_like(R.d)
-    M = np.linalg.inv(s * np.eye(R.n) - R.a)
-    return -R.c @ M @ M @ R.b
+    if np.min(np.abs(s - R.poles())) <= R.pole_guard:
+        raise PoleError(f"evaluation point {s:g} is within {R.pole_guard:g} of a pole")
+    lu = sla.lu_factor(s * np.eye(R.n) - R.a)
+    return -R.c @ sla.lu_solve(lu, sla.lu_solve(lu, R.b))
 
 
 def _system_scale(*mats: np.ndarray) -> float:

@@ -53,7 +53,7 @@ from .realization import (
     symmetry_residual,
     transpose,
 )
-from .riccati import RiccatiSolution, build_hat, solve_extremal
+from .riccati import RiccatiSolution, _extremal, build_hat
 
 __all__ = [
     "BlaschkeFactor",
@@ -232,8 +232,8 @@ def reduce_once(T: Realization, f: BlaschkeFactor) -> Realization:
     The composed realization of B^{-T} T B^{-1} (deg T + 2 states) is
     cut by the SVD staircase to exactly deg T - 2 states, and R is
     certified by the lossless bounded-real identities to 1e-7: its
-    observability Gramian X is positive definite, D* C + B* X = 0 and
-    D* D = I.  These make R inner and minimal, so its McMillan degree is
+    controllability Gramian X is positive definite, C X + D B* = 0 and
+    D D* = I.  These make R inner and minimal, so its McMillan degree is
     deg T - 2; no frequency grid is sampled.  Symmetry and the S block
     are checked once, on the final realization, by minimize_symmetric.
     """
@@ -283,7 +283,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     function strictly contractive at infinity.
 
     Pipeline: symmetrize the (minimal) realization, solve the Riccati
-    equation for the minimal solution, build its inner extension and
+    equation for the minimal solution only, build its inner extension and
     the symmetric unitary extension of degree 2n - n0, then divide out
     elementary Blaschke factors supported on the first coordinate block
     at the open-right-half-plane roots of pi (``spectrum.pi_roots`` of
@@ -300,7 +300,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
         raise _stage("symmetrize", exc) from exc
     n, p = Rs.n, Rs.outputs
     try:
-        pmin, _ = solve_extremal(build_hat(Rs))
+        (pmin,) = _extremal(build_hat(Rs), ("minimal",))
     except DarlingtonError as exc:
         raise _stage("riccati", exc) from exc
     kappa, n0 = pmin.spectrum.kappa, pmin.spectrum.n0

@@ -271,6 +271,11 @@ def solve_extremal(hat: HatData) -> tuple[RiccatiSolution, RiccatiSolution]:
     condition number of the graph-subspace matrix X and the analyzed
     Hamiltonian spectrum (kappa, n0, clusters).
     """
+    return _extremal(hat, ("minimal", "maximal"))
+
+
+def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ...]:
+    """solve_extremal for the listed kinds ("minimal", "maximal") only."""
     ham = build_hamiltonian(hat)
     n = hat.n
     H = ham.matrix
@@ -336,7 +341,6 @@ def solve_extremal(hat: HatData) -> tuple[RiccatiSolution, RiccatiSolution]:
 
     # graph of P carries the -Z* dynamics: sigma(Z) in the closed left
     # half-plane (minimal) puts the graph on the right half-spectrum of H
-    pmin = graph_solution("plus", "minimal")
-    pmax = graph_solution("minus", "maximal")
-    return pmin, pmax
+    side = {"minimal": "plus", "maximal": "minus"}
+    return tuple(graph_solution(side[kind], kind) for kind in kinds)
 

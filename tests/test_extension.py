@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from conftest import random_unitary
 
 from darlington import (
@@ -24,7 +25,8 @@ from darlington import (
     symmetry_residual,
 )
 from darlington.errors import NotSymmetricError, ValidationError
-from darlington.realization import probe_points, transfer_distance
+from darlington.extension import _lossless_residual
+from darlington.realization import direct_sum, probe_points, transfer_distance
 from darlington.scalar import poly_para, spectral_factor_poly
 import numpy.polynomial.polynomial as npp
 
@@ -271,6 +273,69 @@ class TestSymmetricUnitaryExtension:
         E = build_extension(R, pmin)
         with pytest.raises(NotSymmetricError):
             symmetric_unitary_extension(E)
+
+
+@pytest.fixture(scope="module")
+def suite_stages(zeta2, instance_suite) -> list:
+    """(name, realization, Gramian) of S_P, Q and Sigma for P_min and
+    P_max of zeta2 and every frozen-suite instance."""
+    stages = []
+    for R in [zeta2] + [inst.realization for inst in instance_suite]:
+        Rs = symmetrize(R)
+        for P in solve_extremal(build_hat(Rs)):
+            E = build_extension(Rs, P)
+            sigma, Q, _ = symmetric_unitary_extension(E)
+            stages += [("S_P", E.realization, E.p_matrix),
+                       ("Q", Q.realization, Q.gramian),
+                       ("Sigma", sigma, sla.block_diag(Q.gramian, E.p_matrix))]
+    return stages
+
+
+class TestGramianCertificates:
+    """The lossless identities on the closed-form Gramians, against the
+    frequency grid and the Kalman ranks as oracles."""
+
+    def test_accepts_every_stage(self, suite_stages):
+        assert len(suite_stages) == 126
+        for name, R, X in suite_stages:
+            assert _lossless_residual(R, X) <= 1e-10, name
+            assert innerness_residual(R) <= 1e-8, name
+            assert kalman_check(R).mcmillan_degree == R.n, name
+
+    def test_rejects_scaled_b(self, suite_stages):
+        for name, R, X in suite_stages:
+            bad = Realization(R.a, R.b * (1 + 1e-6), R.c, R.d)
+            assert _lossless_residual(bad, X) > 1e-8, name
+
+    def test_rejects_unobservable_state(self, suite_stages):
+        # an extra stable state that no output sees, with its own Gramian
+        # 1/2: unitary on the grid, but C X + D B* = 0 fails
+        hidden = Realization([[-1.0]], [[1.0]], [[0.0]], np.eye(1))
+        for name, R, X in suite_stages:
+            ext = direct_sum(R, hidden)
+            assert innerness_residual(ext) <= 1e-8, name
+            assert _lossless_residual(ext, sla.block_diag(X, 0.5)) > 1e-8, name
+
+    def test_rejects_wrong_gramian(self, suite_stages):
+        for name, R, X in suite_stages:
+            assert _lossless_residual(R, X * (1 + 1e-6)) > 1e-8, name
+
+    def test_mirror_pole_pair_leaves_minimality_to_kalman(self, instance_suite):
+        # on P_max, a pole of Q lies 2.8e-6 from the mirror -conj(lambda)
+        # of a pole of S: inside the pole guard, yet Sigma is minimal
+        inst = next(i for i in instance_suite if i.name == "p1-n6-kg-ax0")
+        Rs = symmetrize(inst.realization)
+        E = build_extension(Rs, solve_extremal(build_hat(Rs))[1])
+        sigma, Q, _ = symmetric_unitary_extension(E)
+        lam = sigma.poles()
+        assert np.min(np.abs(lam[:, None] + lam.conj())) <= sigma.pole_guard
+        X = sla.block_diag(Q.gramian, E.p_matrix)
+        assert _lossless_residual(sigma, X) <= 1e-10
+
+    def test_rejects_the_other_extremal_solution(self, zeta2_pair):
+        R, pmin, pmax = zeta2_pair
+        E = build_extension(R, pmin)
+        assert _lossless_residual(E.realization, pmax.p) > 1e-2
 
 
 class TestSuiteInvariants:

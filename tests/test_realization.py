@@ -27,6 +27,7 @@ from darlington.errors import (
 from darlington.realization import (
     _intertwiner,
     _structurally_symmetric,
+    derivative,
     direct_sum,
     transfer_distance,
 )
@@ -50,6 +51,14 @@ class TestEvaluate:
     def test_pole_rejected(self):
         with pytest.raises(PoleError):
             evaluate(scalar_lag(), -1.0)
+
+    def test_derivative_at_a_pole_rejected(self):
+        with pytest.raises(PoleError, match="point -1"):
+            derivative(scalar_lag(), -1.0)
+
+    def test_derivative_of_first_order(self):
+        # d/ds 1/(s + 1) = -1/(s + 1)^2
+        assert abs(derivative(scalar_lag(), 1.0)[0, 0] + 0.25) < 1e-15
 
     def test_partial_fraction_oracle(self):
         # random 2-state diagonalizable system against sum of simple poles

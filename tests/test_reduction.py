@@ -8,6 +8,7 @@ import pytest
 import darlington.extension
 import darlington.realization
 import darlington.reduction
+import darlington.riccati
 from darlington import (
     BlaschkeFactor,
     Realization,
@@ -245,8 +246,15 @@ class TestLosslessCertificate:
 
     def test_rejects_unobservable_state(self, suite_steps):
         # an extra stable state that no output sees: still inner on the
-        # grid, but X is singular
+        # grid, but C X + D B* = 0 fails on its column
         hidden = Realization([[-1.0]], [[1.0]], [[0.0]], [[1.0]])
+        R = direct_sum(suite_steps[-1][2], hidden)
+        assert innerness_residual(R) <= 1e-10
+        assert _lossless_residual(R) > 1e-7
+
+    def test_rejects_unreachable_state(self, suite_steps):
+        # an extra stable state that no input reaches: X is singular
+        hidden = Realization([[-1.0]], [[0.0]], [[1.0]], [[1.0]])
         R = direct_sum(suite_steps[-1][2], hidden)
         assert innerness_residual(R) <= 1e-10
         assert _lossless_residual(R) == np.inf
@@ -406,7 +414,22 @@ def test_each_certificate_runs_once_per_realization(
         assert len(ids) == len(set(ids)), name
     assert any(T is res.extension for T in seen["innerness_residual"])
     assert any(T is res.extension for T in seen["symmetry_residual"])
-    # innerness: extension, quotient Q and final realization; kalman_check:
-    # symmetrize, Q and Sigma; no Blaschke step runs either
-    assert len(seen["innerness_residual"]) == 3
-    assert len(seen["kalman_check"]) == 3
+    # innerness: final realization; kalman_check: symmetrize.  The
+    # extension, Q, Sigma and every Blaschke step are certified by Gramian
+    assert len(seen["innerness_residual"]) == 1
+    assert len(seen["kalman_check"]) == 1
+
+
+def test_minimize_symmetric_never_solves_for_p_max(zeta2, instance_suite,
+                                                    monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve_extremal called")
+
+    original = darlington.riccati.solve_extremal
+    for modname, mod in list(sys.modules.items()):
+        if modname == "darlington" or modname.startswith("darlington."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, refuse)
+    for R in (zeta2, instance_suite[18].realization):
+        assert minimize_symmetric(R).p_min.kind == "minimal"
