@@ -42,7 +42,7 @@ print("check: (2 - sqrt(3)) =", 2 - np.sqrt(3))
 
 # each solution yields a 4x4 inner extension with S in the lower-right
 E = build_extension(S, pmin)
-print("\nextension value at infinity:\n", np.round(E.value_at_infinity, 3))
+print("\nextension value at infinity:\n", np.round(E.realization.d, 3))
 print("innerness residual on the 61-point grid:",
       innerness_residual(E.realization))
 w = 0.7

@@ -86,7 +86,10 @@ def read_problem(path: str) -> dict:
         data = json.load(fh)
     out = {"flags": data.get("flags", {})}
     if all(k in data for k in "ABCD"):
-        out["realization"] = Realization(*(_parse_matrix(data[k], k) for k in "ABCD"))
+        A, B, C, D = (_parse_matrix(data[k], k) for k in "ABCD")
+        if A.size == 0:  # degree 0, written as A = B = [] and C = [[], ...];
+            A = A.reshape(0, 0)  # Realization shapes B and C from D
+        out["realization"] = Realization(A, B, C, D)
     if "p1" in data and "q" in data:
         out["p1"] = np.array([_parse_complex(v) for v in data["p1"]], dtype=complex)
         out["q"] = np.array([_parse_complex(v) for v in data["q"]], dtype=complex)
@@ -195,21 +198,19 @@ def cmd_synthesize(args) -> int:
         if args.mode == "symmetric":
             # symmetric_unitary_extension certifies out minimal
             out, q, sym = symmetric_unitary_extension(E)
-            degree = out.n
             checks = {"q_degree": q.degree, "q_inner": q.inner_flag,
                       "unitary_axis_residual": innerness_residual(out),
                       "symmetry_residual": sym}
         else:
             # build_extension certifies out minimal
             out = E.realization
-            degree = out.n
             checks = {"innerness_residual": innerness_residual(out),
                       "riccati_residual": sol.residual_norm}
             if args.solution == "min":
                 zeros = np.linalg.eigvals(sol.z)
                 checks["outer_lower_left"] = bool(
                     zeros.size == 0 or np.max(zeros.real) <= 1e-7)
-        rep.update({"degree": degree,
+        rep.update({"degree": out.n,
                     "kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0,
                     **checks})
     if args.out:

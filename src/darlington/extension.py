@@ -71,20 +71,19 @@ def innerness_residual(R: Realization) -> float:
     return float(np.max(np.linalg.norm(gap, 2, axis=(1, 2)), initial=0.0))
 
 
-def _lossless_residual(R: Realization, X=None) -> float:
-    """Lossless bounded-real certificate on the controllability Gramian X
-    (Anderson & Vongpanitlerd 1973; Glover 1984): A X + X A* + B B* = 0,
-    C X + D B* = 0 and D D* = I make R all-pass.  A nonsingular X maps
-    an unreachable state to an eigenvector at the mirror -conj(lambda)
-    of its pole, so R is minimal unless two poles have lambda_i +
-    conj(lambda_j) within ``R.pole_guard`` of 0 (then the Kalman ranks
-    decide); it is inner exactly when X > 0.  X is passed when known in
-    closed form, else solved for and required positive definite.
+def _lossless_residual(R: Realization, X) -> float:
+    """Lossless bounded-real certificate on a controllability Gramian X
+    known in closed form (Anderson & Vongpanitlerd 1973; Glover 1984):
+    A X + X A* + B B* = 0, C X + D B* = 0 and D D* = I make R all-pass.
+    A nonsingular X maps an unreachable state to an eigenvector at the
+    mirror -conj(lambda) of its pole, so R is minimal unless two poles
+    have lambda_i + conj(lambda_j) within ``R.pole_guard`` of 0 (then the
+    Kalman ranks decide); it is inner exactly when X > 0.
 
     Returns the largest residual (Lyapunov in the Frobenius norm relative
     to 2 ||A|| ||X|| + ||B||^2, cross term relative to ||B||), or inf if R
-    is not minimal, X is singular (min |lambda| <= n eps max |lambda|,
-    the numerical rank) or, solved for, not positive definite.
+    is not minimal or X is singular (min |lambda| <= n eps max |lambda|,
+    the numerical rank).
     """
     A, B, C, D = R.a, R.b, R.c, R.d
     unit = float(np.linalg.norm(D @ D.conj().T - np.eye(R.outputs), 2))
@@ -94,23 +93,17 @@ def _lossless_residual(R: Realization, X=None) -> float:
     if (np.min(np.abs(lam[:, np.newaxis] + lam.conj())) <= R.pole_guard
             and not kalman_check(R).minimal):
         return np.inf
-    BB = B @ B.conj().T
-    solved = X is None
-    if solved:
-        try:
-            X = sla.solve_continuous_lyapunov(A, -BB)
-        except np.linalg.LinAlgError:
-            return np.inf
+    X = np.asarray(X, dtype=complex)
     X = (X + X.conj().T) / 2
-    w = np.linalg.eigvalsh(X)
-    top = np.max(np.abs(w))
-    low = w[0] if solved else np.min(np.abs(w))
-    if low <= R.n * np.finfo(float).eps * top:
+    w = np.abs(np.linalg.eigvalsh(X))
+    top = np.max(w)
+    if np.min(w) <= R.n * np.finfo(float).eps * top:
         return np.inf
     # X nonsingular needs B != 0; with D unitary, ||D B*|| = ||C X|| = ||B||
+    BB = B @ B.conj().T
     nB = np.linalg.norm(B, 2)
     lyap = np.linalg.norm(A @ X + X @ A.conj().T + BB) / (
-        2 * np.linalg.norm(A, 2) * top + nB ** 2)
+        2 * R.norm_a * top + nB ** 2)
     cross = np.linalg.norm(C @ X + D @ B.conj().T, 2) / nB
     return float(np.max([lyap, cross, unit]))  # keeps a nan
 
@@ -134,14 +127,6 @@ class ExtensionBlocks:
     z: np.ndarray
 
     @property
-    def s11(self) -> Realization:
-        return subrealization(self.realization, slice(0, self.p), slice(0, self.p))
-
-    @property
-    def s12(self) -> Realization:
-        return subrealization(self.realization, slice(0, self.p), slice(self.p, 2 * self.p))
-
-    @property
     def s21(self) -> Realization:
         return subrealization(self.realization, slice(self.p, 2 * self.p), slice(0, self.p))
 
@@ -149,10 +134,6 @@ class ExtensionBlocks:
     def s22(self) -> Realization:
         return subrealization(self.realization, slice(self.p, 2 * self.p),
                               slice(self.p, 2 * self.p))
-
-    @property
-    def value_at_infinity(self) -> np.ndarray:
-        return self.realization.d
 
 
 @dataclass(frozen=True)
@@ -265,10 +246,10 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
         raise ValidationError(
             "S21 has the wrong value at infinity; expected (I - DD*)^{1/2}")
     lam = R.poles()
-    if lam.size and np.min(np.abs(lam.real)) < 1e-10:
+    if lam.size and np.max(lam.real) >= -1e-10:
         raise ValidationError(
-            "A has an (almost) imaginary eigenvalue; the Lyapunov "
-            "equation is singular")
+            f"A has the eigenvalue {lam[np.argmax(lam.real)]:.6g}, not in the "
+            "open left half-plane; the Lyapunov equation for P needs A Hurwitz")
     B1 = S21.b
     G = B1 @ B1.conj().T + R.b @ R.b.conj().T
     P = sla.solve_sylvester(R.a, R.a.conj().T, -G)

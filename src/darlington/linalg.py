@@ -308,12 +308,12 @@ def hermitian_sqrt(M) -> np.ndarray:
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
 
 
-def hermitian_order(P, Q, psd_tol: float = DEFAULT_PSD_TOL) -> str:
+def hermitian_order(P, Q) -> str:
     """Classify two Hermitian matrices in the Loewner order.
 
     Returns one of ``"equal"``, ``"less_equal"`` (P <= Q),
     ``"greater_equal"`` (P >= Q) or ``"incomparable"``, decided from the
-    signed eigenvalues of Q - P at tolerance psd_tol * scale.
+    signed eigenvalues of Q - P at tolerance DEFAULT_PSD_TOL * scale.
     """
     A = as_matrix(P, "P", square=True)
     B = as_matrix(Q, "Q", square=True)
@@ -324,7 +324,7 @@ def hermitian_order(P, Q, psd_tol: float = DEFAULT_PSD_TOL) -> str:
         if np.linalg.norm(M - M.conj().T, 2) > DEFAULT_SYM_TOL * scale:
             raise NotSymmetricError(f"{name} is not Hermitian to tolerance")
     w = np.linalg.eigvalsh((B - A + (B - A).conj().T) / 2)
-    cut = psd_tol * scale
+    cut = DEFAULT_PSD_TOL * scale
     has_pos = bool(np.any(w > cut))
     has_neg = bool(np.any(w < -cut))
     if not has_pos and not has_neg:

@@ -63,7 +63,7 @@ class SignatureRealization:
             raise ValidationError("J must be a +-1 vector of length n")
         _require_real(R)
         J = np.diag(j.astype(float))
-        scale = 1.0 + np.linalg.norm(R.a, 2)
+        scale = 1.0 + R.norm_a
         ok = (np.linalg.norm(R.a.T - J @ R.a @ J, 2) <= _STRUCT_TOL * scale
               and np.linalg.norm(R.b.T - R.c @ J, 2) <= _STRUCT_TOL * scale
               and np.linalg.norm(R.c.T - J @ R.b, 2) <= _STRUCT_TOL * scale

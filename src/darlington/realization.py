@@ -105,10 +105,15 @@ class Realization:
         return lam
 
     @cached_property
+    def norm_a(self) -> float:
+        """Spectral norm ||A||_2."""
+        return float(np.linalg.norm(self.a, 2))
+
+    @cached_property
     def pole_guard(self) -> float:
         """Distance to the spectrum of A within which a point counts as a
-        pole, linalg.default_cluster_tol(A)."""
-        return linalg.default_cluster_tol(self.a)
+        pole, linalg.default_cluster_tol(A) = 1e-7 (1 + ||A||_2)."""
+        return 1e-7 * (1.0 + self.norm_a)
 
     def poles(self) -> np.ndarray:
         """Eigenvalues of A (read-only)."""
@@ -319,17 +324,6 @@ def subrealization(R: Realization, rows: slice, cols: slice) -> Realization:
     return Realization(R.a, R.b[:, cols], R.c[rows, :], R.d[rows, cols])
 
 
-def _staircase(R: Realization, rank_tol: float) -> Realization:
-    """Two-stage SVD staircase, uncertified: restrict to the reachable
-    subspace, then cut the unobservable part."""
-    scale = _system_scale(R.a, R.b, R.c)
-    V = _krylov_span(R.a, R.b, rank_tol, scale)
-    A1, B1, C1 = V.conj().T @ R.a @ V, V.conj().T @ R.b, R.c @ V
-    W = _krylov_span(A1.conj().T, C1.conj().T, rank_tol, scale)
-    A2, B2, C2 = W.conj().T @ A1 @ W, W.conj().T @ B1, C1 @ W
-    return Realization(A2, B2, C2, R.d)
-
-
 def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
                         ) -> tuple[Realization, DegreeCertificate]:
     """Minimal realization via a two-stage SVD staircase.
@@ -338,7 +332,11 @@ def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
     unobservable part; the transfer function is preserved, verified on
     the probe grid to a transfer distance of 1e-8.
     """
-    out = _staircase(R, rank_tol)
+    scale = _system_scale(R.a, R.b, R.c)
+    V = _krylov_span(R.a, R.b, rank_tol, scale)
+    A1, B1, C1 = V.conj().T @ R.a @ V, V.conj().T @ R.b, R.c @ V
+    W = _krylov_span(A1.conj().T, C1.conj().T, rank_tol, scale)
+    out = Realization(W.conj().T @ A1 @ W, W.conj().T @ B1, C1 @ W, R.d)
     cert = kalman_check(out, rank_tol)
     dist = transfer_distance(out, R)
     if dist > 1e-8:
@@ -387,7 +385,7 @@ def _structurally_symmetric(R: Realization) -> bool:
     struct = max(np.linalg.norm(R.a - R.a.T, 2),
                  np.linalg.norm(R.b - R.c.T, 2),
                  np.linalg.norm(R.d - R.d.T, 2))
-    return struct <= 1e-9 * max(1.0, np.linalg.norm(R.a, 2))
+    return struct <= 1e-9 * max(1.0, R.norm_a)
 
 
 def symmetrize(R: Realization) -> Realization:
@@ -423,18 +421,13 @@ def symmetrize(R: Realization) -> Realization:
     return out
 
 
-def mobius_precondition(R: Realization, omega0: float,
-                        bypass_if_contractive: bool = False) -> Realization:
+def mobius_precondition(R: Realization, omega0: float) -> Realization:
     """Realization of s -> S(i*omega0 + 1/s).
 
     The map sends infinity to i*omega0 and the right half-plane onto
     itself, so if S is strictly contractive at i*omega0 the result is
     strictly contractive at infinity, with the same McMillan degree.
     """
-    if bypass_if_contractive:
-        s = np.linalg.svd(R.d, compute_uv=False)
-        if (s.size == 0) or (s[0] < 1.0 - 1e-12):
-            return R
     val = evaluate(R, 1j * omega0)  # raises PoleError on a pole
     if np.linalg.norm(val, 2) >= 1.0 - 1e-12:
         raise ValidationError(

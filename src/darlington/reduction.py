@@ -20,17 +20,20 @@ inner extension of degree n + kappa.  The points and the step count are
 read from the analyzed Hamiltonian spectrum before the first step; no
 step solves for zeros again.
 
-Each step is certified algebraically, by one Lyapunov solve: the
-lossless bounded-real identities of its output make it inner and
-minimal of degree deg T - 2.  The frequency-grid certificates
-(innerness, symmetry, S-block match) run once, on the final
-realization.
+Sigma is balanced once (controllability Gramian I, as every Hankel
+singular value of an inner function is 1); each step then drops one
+state per side by an orthogonal deflation in closed form, with no
+Lyapunov solve or rank decision, and is certified inner and minimal of
+degree deg T - 2 on the identity Gramian.  The frequency-grid
+certificates (innerness, symmetry, S-block match) run once, on the
+final realization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import linalg
 from .errors import DarlingtonError, ReductionError, ValidationError
@@ -42,12 +45,9 @@ from .extension import (
 )
 from .realization import (
     Realization,
-    _staircase,
-    compose,
     derivative,
     evaluate,
     freqresp,
-    invert,
     probe_points,
     symmetrize,
     symmetry_residual,
@@ -227,31 +227,46 @@ def find_reduction_vector(T: Realization, xi: complex,
 
 
 def reduce_once(T: Realization, f: BlaschkeFactor) -> Realization:
-    """Two-sided division R = B^{-T} T B^{-1}, state-space minimized.
+    """Two-sided division R = B^{-T} T B^{-1} of an inner T in balanced
+    coordinates: A + A* + B B* = 0 and C = -D B* (Gramian I).
 
-    The composed realization of B^{-T} T B^{-1} (deg T + 2 states) is
-    cut by the SVD staircase to exactly deg T - 2 states, and R is
-    certified by the lossless bounded-real identities to 1e-7: its
-    controllability Gramian X is positive definite, C X + D B* = 0 and
-    D D* = I.  These make R inner and minimal, so its McMillan degree is
-    deg T - 2; no frequency grid is sampled.  Symmetry and the S block
-    are checked once, on the final realization, by minimize_symmetric.
+    With x = (xi I - A)^{-1} B u, T(xi) u = D (u - B* x) and
+    A* x + xi x = B (u - B* x), so at a zero direction T B^{-1} is T
+    restricted to the A-invariant complement of x, balanced again (the
+    lossless cascade extraction of Genin, Van Dooren, Kailath, Delosme &
+    Morf, 1983); the left division is the same on the transpose.  R is
+    certified inner and minimal on the identity Gramian to 1e-7, and
+    both interpolation residuals |u - B* x| must be at most 1e-7.
     """
-    if f.dim != T.outputs:
-        raise ValidationError("Blaschke direction has the wrong dimension")
-    right = invert(blaschke_realization(f))
-    left = transpose(right)
-    out = _staircase(compose(compose(left, T), right), rank_tol=1e-8)
-    if out.n != T.n - 2:
-        raise ReductionError(
-            f"reduction left {out.n} states, expected {T.n - 2}; the "
-            "interpolation conditions were not satisfied accurately enough")
-    res = _lossless_residual(out)
+    if f.dim != T.outputs or T.n < 2:
+        raise ValidationError(
+            "reduce_once needs two states and a direction of the output size")
+    out, gaps = T, []
+    for _ in range(2):  # T B^-1, then (B^-T T B^-1)^T = (T B^-1)^T B^-1
+        x = np.linalg.solve(f.xi * np.eye(out.n) - out.a, out.b @ f.u)
+        gaps.append(float(np.linalg.norm(f.u - out.b.conj().T @ x)))
+        V = np.linalg.qr(x[:, np.newaxis], mode="complete")[0][:, 1:]
+        out = transpose(Realization(V.conj().T @ out.a @ V, V.conj().T @ out.b,
+                                    out.c @ V, out.d))
+    res = _lossless_residual(out, np.eye(out.n))
     if not res <= 1e-7:  # a nan fails too
         raise ReductionError(
-            f"reduction output is not certified inner and minimal "
-            f"(lossless residual {res:g})")
+            f"reduction output is not certified inner and minimal on the "
+            f"identity Gramian (lossless residual {res:g}); T must be in "
+            f"balanced coordinates, A + A* + B B* = 0 and C = -D B*")
+    if not max(gaps) <= 1e-7:
+        raise ReductionError(
+            f"u is not a double zero direction at {f.xi:g}: |T(xi) u| = "
+            f"{gaps[0]:g}, |(T B^-1)(xi)^T u| = {gaps[1]:g}")
     return out
+
+
+def _balance(R: Realization, X: np.ndarray) -> Realization:
+    """(L^-1 A L, L^-1 B, C L, D) for the Cholesky factor L L* of the
+    Gramian X (LinAlgError unless X > 0): its Gramian is I."""
+    L = np.linalg.cholesky(X)
+    return Realization(sla.solve_triangular(L, R.a @ L, lower=True),
+                       sla.solve_triangular(L, R.b, lower=True), R.c @ L, R.d)
 
 
 @dataclass(frozen=True)
@@ -288,9 +303,9 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     elementary Blaschke factors supported on the first coordinate block
     at the open-right-half-plane roots of pi (``spectrum.pi_roots`` of
     the minimal solution), each as often as its multiplicity in pi,
-    which must take the degree to n + kappa exactly.  Every step is certified
-    inner and minimal of the expected degree by reduce_once; a failing
-    step is a hard error.  ``residual_tol`` bounds the grid innerness,
+    which must take the degree to n + kappa exactly.  Sigma is balanced
+    on its Gramian diag(G_Q, P_min) before the first step; a failing step
+    is a hard error.  ``residual_tol`` bounds the grid innerness,
     symmetry and S-block residuals of the final realization (with no
     step, its symmetry is the one the symmetric extension measured).
     """
@@ -306,7 +321,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     kappa, n0 = pmin.spectrum.kappa, pmin.spectrum.n0
     try:
         E = build_extension(Rs, pmin)
-        sigma, _, sigma_symmetry = symmetric_unitary_extension(E)
+        sigma, Q, sigma_symmetry = symmetric_unitary_extension(E)
     except DarlingtonError as exc:
         raise _stage("symmetric-extension", exc) from exc
     if sigma.n != 2 * n - n0:
@@ -325,6 +340,13 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
             f"({_conditioning(pmin)})")
     factors: list[BlaschkeFactor] = []
     current = sigma
+    try:
+        if steps:
+            current = _balance(sigma, sla.block_diag(Q.gramian, E.p_matrix))
+    except np.linalg.LinAlgError as exc:
+        raise ReductionError(
+            f"stage 'reduce': the Gramian diag(G_Q, P_min) of Sigma is not "
+            f"positive definite ({_conditioning(pmin)})") from exc
     for xi, k in roots:
         for _ in range(k):
             try:

@@ -343,7 +343,7 @@ def scalar_minimal_extension(p1, q) -> tuple[Realization, int]:
         [np.zeros((1, e11.n)), np.zeros((1, e12.n)), e21.c, e22.c]])
     D = np.block([[e11.d, e12.d], [e21.d, e22.d]])
     big = Realization(A, B, C, D)
-    out, cert = minimal_realization(big, rank_tol=1e-9)
+    out, cert = minimal_realization(big)
     expected = (q.size - 1) + fac.kappa
     if cert.mcmillan_degree != expected:
         raise ValidationError(

@@ -137,6 +137,23 @@ class TestSynthesize:
         rep = json.loads(capsys.readouterr().out)
         assert rep["kappa"] == 1 and rep["extension_degree"] == 2
 
+    @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
+    def test_degree_zero_result_round_trips(self, tmp_path, capsys, mode):
+        # the state is unreachable and unobservable, so every extension
+        # is constant; it is written as A = B = [] and C = [[], ...]
+        doc = {"A": [[-1]], "B": [[0, 0]], "C": [[0], [0]],
+               "D": [[0.3, 0.1], [0.1, 0.2]]}
+        f = tmp_path / "const.json"
+        f.write_text(json.dumps(doc))
+        out = tmp_path / "r.json"
+        assert main(["synthesize", str(f), "--mode", mode, "--out", str(out)]) == 0
+        back = read_problem(str(out))["realization"]
+        assert (back.a.shape, back.b.shape, back.c.shape) == ((0, 0), (0, 4), (4, 0))
+        assert np.linalg.norm(back.d[2:, 2:] - np.array(doc["D"]), 2) <= 1e-12
+        capsys.readouterr()
+        assert main(["check", str(out), "--json"]) == 2  # inner: |D| = 1
+        assert json.loads(capsys.readouterr().out)["state_dim"] == 0
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["check", "/nonexistent/problem.json"]) == 1
 

@@ -47,7 +47,7 @@ class TestBuildExtension:
         assert np.allclose(E.d11, np.zeros((2, 2)))
         assert np.allclose(E.d12, np.eye(2))
         assert np.allclose(E.d21, np.eye(2))
-        DD = E.value_at_infinity
+        DD = E.realization.d
         assert np.linalg.norm(DD @ DD.conj().T - np.eye(4), 2) < 1e-12
         assert kalman_check(E.realization).mcmillan_degree == 2
         assert innerness_residual(E.realization) <= 1e-8
@@ -161,6 +161,15 @@ class TestFromLeftFactor:
         bad = Realization(E.s21.a, E.s21.b, E.s21.c, 0.5 * E.s21.d)
         with pytest.raises(ValidationError):
             extension_from_left_factor(R, bad)
+
+    def test_rejects_unstable_a_by_its_eigenvalue(self):
+        # A = diag(-1, 1) has no imaginary eigenvalue, but the Lyapunov
+        # equation for P needs A Hurwitz
+        R = Realization(np.diag([-1.0, 1.0]), np.array([[1.0], [1.0]]),
+                        np.array([[1.0, 1.0]]), np.array([[0.0]]))
+        S21 = Realization(R.a, np.array([[0.5], [0.5]]), R.c, np.array([[1.0]]))
+        with pytest.raises(ValidationError, match=r"eigenvalue 1\+0j.*Hurwitz"):
+            extension_from_left_factor(R, S21)
 
 
 class TestCompareExtensions:

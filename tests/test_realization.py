@@ -311,10 +311,6 @@ class TestIntertwiner:
 
 
 class TestMobius:
-    def test_bypass_flag(self):
-        R = scalar_lag()  # D = 0, already strictly contractive at infinity
-        assert mobius_precondition(R, 0.0, bypass_if_contractive=True) is R
-
     def test_boundary_case_moves_contractivity(self):
         # S(s) = s/(s+2): |S(inf)| = 1 but S(0) = 0
         R = Realization(np.array([[-2.0]]), np.array([[1.0]]),

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import darlington.extension
 import darlington.realization
@@ -29,6 +30,7 @@ from darlington import (
 )
 from darlington.errors import ReductionError, ValidationError
 from darlington.extension import _lossless_residual, innerness_residual
+from darlington.reduction import _balance
 from darlington.realization import (
     direct_sum,
     invert,
@@ -46,6 +48,15 @@ def sigma_min(R: Realization) -> Realization:
     E = build_extension(R, pmin)
     sigma, _, _ = symmetric_unitary_extension(E)
     return sigma
+
+
+def balanced_sigma_min(R: Realization) -> Realization:
+    """sigma_min(R) in balanced coordinates, from its Gramian
+    diag(G_Q, P_min)."""
+    pmin, _ = solve_extremal(build_hat(R))
+    E = build_extension(R, pmin)
+    sigma, Q, _ = symmetric_unitary_extension(E)
+    return _balance(sigma, sla.block_diag(Q.gramian, E.p_matrix))
 
 
 class TestBlaschke:
@@ -189,7 +200,7 @@ class TestFindReductionVector:
 
 class TestReduceOnce:
     def test_worked_example_four_to_two(self, zeta2):
-        sigma = sigma_min(zeta2)
+        sigma = balanced_sigma_min(zeta2)
         u = find_reduction_vector(sigma, SQ3, support=2)
         out = reduce_once(sigma, BlaschkeFactor(xi=SQ3, u=u))
         assert out.n == 2
@@ -202,10 +213,17 @@ class TestReduceOnce:
             assert np.linalg.norm(g - r, 2) < 1e-9
 
     def test_bad_direction_fails(self, zeta2):
-        sigma = sigma_min(zeta2)
+        sigma = balanced_sigma_min(zeta2)
         bad = BlaschkeFactor(xi=SQ3, u=np.array([0.0, 0.0, 1.0, 0.0]))
-        with pytest.raises(ReductionError):
+        with pytest.raises(ReductionError, match="not a double zero direction"):
             reduce_once(sigma, bad)
+
+    def test_unbalanced_input_fails(self, zeta2):
+        # the same division, but Sigma as composed, not balanced
+        sigma = sigma_min(zeta2)
+        u = find_reduction_vector(sigma, SQ3, support=2)
+        with pytest.raises(ReductionError, match="balanced coordinates"):
+            reduce_once(sigma, BlaschkeFactor(xi=SQ3, u=u))
 
 
 @pytest.fixture(scope="module")
@@ -230,42 +248,48 @@ def suite_steps(zeta2, instance_suite) -> list:
 
 
 class TestLosslessCertificate:
+    # every step output is balanced: its controllability Gramian is I
     def test_accepts_every_step_output(self, suite_steps):
         for _, _, R in suite_steps:
-            assert _lossless_residual(R) <= 1e-10
+            assert _lossless_residual(R, np.eye(R.n)) <= 1e-12
 
     def test_rejects_perturbed_b(self, suite_steps):
         for _, _, R in suite_steps:
             bad = Realization(R.a, R.b * (1 + 1e-6), R.c, R.d)
-            assert _lossless_residual(bad) > 1e-7
+            assert _lossless_residual(bad, np.eye(R.n)) > 1e-7
 
     def test_rejects_scaled_d(self, suite_steps):
         for _, _, R in suite_steps:
             bad = Realization(R.a, R.b, R.c, R.d * (1 + 1e-6))
-            assert _lossless_residual(bad) > 1e-7
+            assert _lossless_residual(bad, np.eye(R.n)) > 1e-7
 
     def test_rejects_unobservable_state(self, suite_steps):
         # an extra stable state that no output sees: still inner on the
-        # grid, but C X + D B* = 0 fails on its column
+        # grid, but C X + D B* = 0 fails on its column (its Gramian is 1/2)
         hidden = Realization([[-1.0]], [[1.0]], [[0.0]], [[1.0]])
         R = direct_sum(suite_steps[-1][2], hidden)
         assert innerness_residual(R) <= 1e-10
-        assert _lossless_residual(R) > 1e-7
+        X = sla.block_diag(np.eye(R.n - 1), 0.5)
+        assert _lossless_residual(R, X) > 1e-7
 
     def test_rejects_unreachable_state(self, suite_steps):
         # an extra stable state that no input reaches: X is singular
         hidden = Realization([[-1.0]], [[0.0]], [[1.0]], [[1.0]])
         R = direct_sum(suite_steps[-1][2], hidden)
         assert innerness_residual(R) <= 1e-10
-        assert _lossless_residual(R) == np.inf
+        X = sla.block_diag(np.eye(R.n - 1), 0.0)
+        assert _lossless_residual(R, X) == np.inf
 
     def test_rejects_unstable_all_pass(self):
-        # (s + 1)/(s - 1) is unitary on the axis but has a pole at 1
+        # (s + 1)/(s - 1) is unitary on the axis but has a pole at 1: it
+        # is all-pass only on its Gramian -1/2, so no X > 0 certifies it
         R = Realization([[1.0]], [[1.0]], [[2.0]], [[1.0]])
         assert innerness_residual(R) <= 1e-15
-        assert _lossless_residual(R) == np.inf
+        assert _lossless_residual(R, [[-0.5]]) <= 1e-15
+        for x in (0.5, 1.0, 2.0):
+            assert _lossless_residual(R, [[x]]) > 1e-7
         stable = Realization([[-1.0]], [[1.0]], [[-2.0]], [[1.0]])
-        assert _lossless_residual(stable) <= 1e-15
+        assert _lossless_residual(stable, [[0.5]]) <= 1e-15
 
 
 def test_every_step_passes_the_grid_oracles(suite_steps):
@@ -418,6 +442,28 @@ def test_each_certificate_runs_once_per_realization(
     # extension, Q, Sigma and every Blaschke step are certified by Gramian
     assert len(seen["innerness_residual"]) == 1
     assert len(seen["kalman_check"]) == 1
+
+
+@pytest.mark.parametrize("which, solves", [("zeta2", 0), ("zeta1", 0),
+                                           ("suite", 1)])
+def test_one_lyapunov_solve_per_synthesis(which, solves, zeta1, zeta2,
+                                          instance_suite, monkeypatch):
+    # the intertwiner's Gramian is the only Lyapunov solve, whatever the
+    # number of Blaschke steps (one, none and three); the coupled pairs
+    # are structurally symmetric and need no intertwiner
+    R = {"zeta1": zeta1, "zeta2": zeta2,
+         "suite": instance_suite[18].realization}[which]
+    calls = []
+    original = sla.solve_continuous_lyapunov
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(sla, "solve_continuous_lyapunov", counting)
+    res = minimize_symmetric(R)
+    assert len(res.factors) == {"zeta2": 1, "zeta1": 0, "suite": 3}[which]
+    assert len(calls) == solves
 
 
 def test_minimize_symmetric_never_solves_for_p_max(zeta2, instance_suite,

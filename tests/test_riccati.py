@@ -230,7 +230,7 @@ class TestLatticeInvariants:
         assert pmin.residual_norm <= 1e-8
         assert pmax.residual_norm <= 1e-8
         # Loewner order
-        assert hermitian_order(pmin.p, pmax.p, psd_tol=1e-9) in (
+        assert hermitian_order(pmin.p, pmax.p) in (
             "less_equal", "equal")
         # inverse-transpose pairing for symmetric realizations
         assert np.linalg.norm(np.linalg.inv(pmin.p.T) - pmax.p, 2) <= \

@@ -19,11 +19,9 @@ MODULES = ("linalg", "realization", "riccati", "extension", "reduction",
 # the tests that passes it; a new one should come with its caller.
 OPTIONAL = {
     "linalg.half_chain_basis": {"tol": 1e-8},
-    "linalg.hermitian_order": {"psd_tol": 1e-9},
     "linalg.takagi": {"sym_tol": 1e-9},
     "realization.kalman_check": {"rank_tol": 1e-9},
     "realization.minimal_realization": {"rank_tol": 1e-9},
-    "realization.mobius_precondition": {"bypass_if_contractive": False},
     "reduction.find_reduction_vector": {"support": None},
     "reduction.minimize_symmetric": {"residual_tol": 1e-7},
     "cli.main": {"argv": None},
