@@ -17,12 +17,12 @@ bit-exactly.
 
 ``check`` and ``synthesize`` take a certification tolerance, 1e-7 by
 default, set with --tol.  It bounds the grid supremum (1 + tol) and the
-symmetry residual of ``check`` and the final innerness, symmetry and
-S-block residuals of ``synthesize --mode minimal-symmetric``; every
-other check runs at its fixed bound.
+symmetry residual of ``check`` and the final innerness certificate,
+symmetry and S-block residuals of ``synthesize --mode
+minimal-symmetric``; every other check runs at its fixed bound.
 Exit status: 0 when every requested certificate passes, 2 when the
-input is not strictly contractive at infinity (apply --mobius), 1 on
-any other failure.
+input is not strictly contractive at infinity (the hint names a
+--mobius point, or says that none helps), 1 on any other failure.
 """
 from __future__ import annotations
 
@@ -41,7 +41,6 @@ from .extension import (
 )
 from .realization import (
     Realization,
-    evaluate,
     freqresp,
     minimal_realization,
     mobius_precondition,
@@ -118,14 +117,16 @@ def _emit(report: dict, as_json: bool) -> None:
 
 # ------------------------------------------------------------ commands
 
-def _schur_report(R: Realization, tol: float) -> dict:
+def _schur_report(R: Realization, tol: float) -> tuple[np.ndarray, dict]:
+    """Values of the minimal realization on the frequency grid, and the
+    check report."""
     Rm, cert = minimal_realization(R)
     dnorm = float(np.linalg.norm(R.d, 2))
     stable = bool(Rm.n == 0 or np.max(Rm.poles().real) < -1e-12)
     vals = freqresp(Rm, 1j * frequency_grid())
     grid_sup = float(np.max(np.linalg.norm(vals, 2, axis=(1, 2))))
     schur = stable and grid_sup <= 1.0 + tol
-    return {
+    return vals, {
         "state_dim": R.n,
         "minimal": cert.minimal if R.n == Rm.n else False,
         "mcmillan_degree": cert.mcmillan_degree,
@@ -147,23 +148,25 @@ def cmd_check(args) -> int:
     R = prob["realization"]
     if args.mobius is not None:
         R = mobius_precondition(R, args.mobius)
-    rep = _schur_report(R, args.tol)
+    vals, rep = _schur_report(R, args.tol)
     flags = prob["flags"]
     ok = rep["schur_on_grid"]
     if flags.get("symmetric") and not rep["symmetric_on_grid"]:
         rep["flag_mismatch"] = "file claims symmetric but the grid check fails"
         ok = False
     if not rep["strictly_contractive_at_inf"]:
-        ws = []
-        for w in frequency_grid():
-            try:
-                if np.linalg.norm(evaluate(R, 1j * w), 2) < 1.0 - 1e-6:
-                    ws.append(w)
-            except DarlingtonError:
-                continue
-        hint = f"--mobius {ws[0]:g}" if ws else "--mobius <w0>"
-        rep["hint"] = (f"not strictly contractive at infinity; rerun with "
-                       f"{hint} to move a point of strict contractivity there")
+        ws = frequency_grid()[np.linalg.norm(vals, 2, axis=(1, 2)) < 1.0 - 1e-6]
+        gap = vals @ vals.conj().transpose(0, 2, 1) - np.eye(R.outputs)
+        if ws.size:
+            hint = (f"rerun with --mobius {ws[0]:g} to move a point of strict "
+                    "contractivity there")
+        elif R.outputs == R.inputs and np.max(
+                np.linalg.norm(gap, 2, axis=(1, 2))) <= args.tol:
+            hint = "it is unitary on the imaginary axis, so no --mobius point helps"
+        else:
+            hint = ("no point of the axis grid is strictly contractive either, "
+                    "so no --mobius point helps")
+        rep["hint"] = f"not strictly contractive at infinity; {hint}"
     _emit(rep, args.json)
     if not ok:
         return 1
@@ -197,7 +200,7 @@ def cmd_synthesize(args) -> int:
         E = build_extension(base, sol)
         if args.mode == "symmetric":
             # symmetric_unitary_extension certifies out minimal
-            out, q, sym = symmetric_unitary_extension(E)
+            out, q, sym, _ = symmetric_unitary_extension(E)
             checks = {"q_degree": q.degree, "q_inner": q.inner_flag,
                       "unitary_axis_residual": innerness_residual(out),
                       "symmetry_residual": sym}

@@ -33,6 +33,7 @@ from . import linalg
 from .errors import DimensionError, NotSymmetricError, ValidationError
 from .realization import (
     Realization,
+    _same_a,
     _structurally_symmetric,
     compose,
     direct_sum,
@@ -185,10 +186,8 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
     Pinv = np.linalg.inv(Pm)
     c1 = -np.linalg.inv(d12) @ (R.b.conj().T @ Pinv + R.d.conj().T @ R.c)
     b1 = -(Pm @ R.c.conj().T + R.b @ R.d.conj().T) @ np.linalg.inv(d21)
-    big = Realization(R.a,
-                      np.hstack([b1, R.b]),
-                      np.vstack([c1, R.c]),
-                      np.block([[d11, d12], [d21, R.d]]))
+    big = _same_a(R, np.hstack([b1, R.b]), np.vstack([c1, R.c]),
+                  np.block([[d11, d12], [d21, R.d]]))
     DD = big.d
     if np.linalg.norm(DD @ DD.conj().T - np.eye(2 * p), 2) > 1e-10:
         raise ValidationError("value at infinity is not unitary")
@@ -218,10 +217,8 @@ def apply_gauge(E: ExtensionBlocks, U1, U2) -> ExtensionBlocks:
     d11 = U2 @ E.d11 @ U1
     d12 = U2 @ E.d12
     d21 = E.d21 @ U1
-    big = Realization(R.a,
-                      np.hstack([b1, R.b[:, p:]]),
-                      np.vstack([c1, R.c[p:, :]]),
-                      np.block([[d11, d12], [d21, R.d[p:, p:]]]))
+    big = _same_a(R, np.hstack([b1, R.b[:, p:]]), np.vstack([c1, R.c[p:, :]]),
+                  np.block([[d11, d12], [d21, R.d[p:, p:]]]))
     return ExtensionBlocks(realization=big, p=p, b1=b1, c1=c1, d11=d11,
                            d12=d12, d21=d21, p_matrix=E.p_matrix, z=E.z)
 
@@ -322,7 +319,7 @@ def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks) -> QFactor:
 
 
 def symmetric_unitary_extension(E: ExtensionBlocks
-                                ) -> tuple[Realization, QFactor, float]:
+                                ) -> tuple[Realization, QFactor, float, float]:
     """Symmetric extension Sigma_P = S_P diag(Q, I), Q = S21^{-1} S12^T.
 
     Requires the source realization of S to be symmetric (A = A^T,
@@ -332,7 +329,7 @@ def symmetric_unitary_extension(E: ExtensionBlocks
     semidefinite.  Sigma has deg S + deg Q states, deg Q =
     rank(P^{-T} - P) >= kappa, and is certified minimal to 1e-8 on the
     Gramian diag(G_Q, P) of the cascade.  Returns (Sigma, Q, symmetry
-    residual of Sigma).
+    residual of Sigma, that lossless certificate residual).
     """
     if not _structurally_symmetric(E.s22):
         raise NotSymmetricError(
@@ -349,4 +346,4 @@ def symmetric_unitary_extension(E: ExtensionBlocks
     if not cert <= 1e-8:
         raise ValidationError(f"Sigma is not certified unitary and minimal "
                               f"(lossless residual {cert:g})")
-    return sigma, Q, sres
+    return sigma, Q, sres, cert

@@ -71,31 +71,27 @@ def cluster_points(points, tol: float):
     apart than 2*tol, so the reported centers are unambiguous at the
     stated tolerance.  Returns a list of (center, members) pairs.
     """
+    def pairs(c, r):  # index pairs i < j with |c_i - c_j| <= r, row by row
+        return np.argwhere(np.triu(np.abs(c[:, np.newaxis] - c) <= r, 1))
+
     pts = sorted(np.asarray(points, dtype=complex),
                  key=lambda z: (z.real, z.imag))
-    groups: list[list] = []
-    for z in pts:
-        for g in groups:
-            if abs(z - g[0]) <= tol:
-                g[1].append(z)
-                g[0] = np.mean(g[1])
-                break
-        else:
-            groups.append([z, [z]])
-    merged = True
-    while merged and len(groups) > 1:
-        merged = False
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                if abs(groups[i][0] - groups[j][0]) <= 2 * tol:
-                    groups[i][1].extend(groups[j][1])
-                    groups[i][0] = np.mean(groups[i][1])
-                    del groups[j]
-                    merged = True
-                    break
-            if merged:
-                break
-    return [(complex(g[0]), list(g[1])) for g in groups]
+    centers, members = np.array(pts, dtype=complex), [[z] for z in pts]
+    if pairs(centers, tol).size:  # else every point stays alone
+        centers, members = centers[:0], []
+        for z in pts:  # z joins the first cluster whose center is within tol
+            near = np.flatnonzero(np.abs(z - centers) <= tol)
+            if near.size:
+                members[near[0]].append(z)
+                centers[near[0]] = np.mean(members[near[0]])
+            else:
+                centers, members = np.append(centers, z), members + [[z]]
+    while (close := pairs(centers, 2 * tol)).size:  # merge the first pair
+        i, j = close[0]
+        members[i].extend(members.pop(j))
+        centers = np.delete(centers, j)
+        centers[i] = np.mean(members[i])
+    return [(complex(c), m) for c, m in zip(centers, members)]
 
 
 def cluster_ladder(points, base_tol: float):

@@ -92,7 +92,7 @@ def signature_realization(R: Realization) -> SignatureRealization:
     A, B, C = R.a.real, R.b.real, R.c.real
     try:
         # the data are real, so T is real up to rounding
-        T = _intertwiner(Realization(A, B, C, R.d.real)).real
+        T = _intertwiner(Realization(A, B, C, R.d.real))[0].real
     except SubspaceError as exc:
         raise ValidationError(f"no real intertwiner found: {exc}") from exc
     w, O = np.linalg.eigh(T)

@@ -18,6 +18,7 @@ import scipy.linalg as sla
 
 from . import linalg
 from .errors import (
+    DarlingtonError,
     DimensionError,
     NotSymmetricError,
     PoleError,
@@ -318,10 +319,17 @@ def direct_sum(R1: Realization, R2: Realization) -> Realization:
     return Realization(A, B, C, D)
 
 
+def _same_a(R: Realization, b, c, d) -> Realization:
+    """(R.a, b, c, d), keeping R's cached spectrum and norm of A."""
+    out = Realization(R.a, b, c, d)
+    vars(out).update({k: v for k, v in vars(R).items() if k in ("_poles", "norm_a")})
+    return out
+
+
 def subrealization(R: Realization, rows: slice, cols: slice) -> Realization:
     """View of a block of the transfer function: same (A, *), with the
     selected output rows of C/D and input columns of B/D."""
-    return Realization(R.a, R.b[:, cols], R.c[rows, :], R.d[rows, cols])
+    return _same_a(R, R.b[:, cols], R.c[rows, :], R.d[rows, cols])
 
 
 def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
@@ -346,16 +354,17 @@ def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
     return out, cert
 
 
-def _intertwiner(R: Realization) -> np.ndarray:
+def _intertwiner(R: Realization) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric solution T of T A = A^T T, T B = C^T as
-    T = conj(P^{-1} X), from A P + P A* + B B* = 0 and
+    T = conj(P^{-1} X), from the Gramian A P + P A* + B B* = 0 and
     A X + X conj(A) + B conj(C) = 0: P conj(T) solves the second
     equation since conj(T) conj(A) = A* conj(T), B* conj(T) = conj(C).
+    Returns (T, P).
 
     Raises SubspaceError when lambda_i + conj(lambda_j) = 0 for two
     poles of R to within ``R.pole_guard`` (the equations are singular),
-    when P is singular (A not Hurwitz or (A, B) not reachable), or when
-    the residual exceeds 1e-7 * max(1, ||T||).
+    when a solve fails (P singular), or when the residual exceeds
+    1e-7 * max(1, ||T||).
     """
     A, B, C = R.a, R.b, R.c
     lam = R.poles()
@@ -377,7 +386,7 @@ def _intertwiner(R: Realization) -> np.ndarray:
         raise SubspaceError(
             f"intertwining system residual {res:g}; realization may not be "
             "minimal or the function not symmetric")
-    return T
+    return T, P
 
 
 def _structurally_symmetric(R: Realization) -> bool:
@@ -390,32 +399,55 @@ def _structurally_symmetric(R: Realization) -> bool:
 
 def symmetrize(R: Realization) -> Realization:
     """Complex symmetric realization (A = A^T, B = C^T, D = D^T) of a
-    symmetric transfer function.
+    symmetric transfer function from a minimal realization.
 
     Solves the intertwining equations T A = A^T T, T B = C^T for the
     unique similarity T between the realization and its transpose
-    (unique and symmetric because R is minimal) from a Gramian and a
-    cross-Gramian in O(n^3), which needs lambda_i + conj(lambda_j) != 0
+    (unique and symmetric because R is minimal) from the Gramian P and
+    a cross-Gramian in O(n^3), which needs lambda_i + conj(lambda_j) != 0
     for all eigenvalues of A (true for A Hurwitz); factors T = M^T M by
-    Takagi, and returns (M A M^{-1}, M B, C M^{-1}, D).
+    Takagi, and returns (A_s, B_s, C_s, D) = (M A M^-1, M B, C M^-1, D).
+    P > 0 (A Hurwitz, (A, B) reachable) and T nonsingular certify R
+    minimal, a structurally symmetric output S = S^T, and
+    ||M A - A_s M|| / (||M|| ||A||),
+    ||C - C_s M|| / ||C|| <= 1e-8 that S is kept (B_s = M B exactly).
+    Only when one fails do the probe-grid symmetry test, the Kalman
+    ranks and the transfer distance run, to tell what to raise.
     """
     if R.outputs != R.inputs:
         raise NotSymmetricError("a symmetric transfer function must be square")
+    structural, error = _structurally_symmetric(R), None
+    try:
+        T, P = _intertwiner(R)
+        if structural or R.n == 0:
+            out, res = R, 0.0
+        else:
+            tk = linalg.takagi(T, sym_tol=1e-7)
+            if tk.values[0] <= 1e-12 * max(1.0, tk.values[-1]):
+                raise SubspaceError("similarity T is numerically singular")
+            M = np.diag(np.sqrt(tk.values)) @ tk.u.T
+            Minv = np.linalg.inv(M)
+            out = Realization(M @ R.a @ Minv, M @ R.b, R.c @ Minv, R.d)
+            res = max(np.linalg.norm(M @ R.a - out.a @ M, 2)
+                      / (np.linalg.norm(M, 2) * R.norm_a),
+                      np.linalg.norm(R.c - out.c @ M, 2) / np.linalg.norm(R.c, 2))
+        w = np.linalg.eigvalsh(P)
+        if ((not w.size or w[0] > R.n * np.finfo(float).eps * w[-1])
+                and res <= 1e-8 and (structural or _structurally_symmetric(out))):
+            return out
+    except DarlingtonError as exc:
+        error = exc
+    # a certificate failed: the probe grid and the Kalman ranks decide
     if symmetry_residual(R) > 1e-8:
         raise NotSymmetricError(
             "transfer function is not symmetric on the probe grid")
     if not kalman_check(R).minimal:
         raise ValidationError(
             "symmetrize requires a minimal realization; apply minimal_realization")
-    if _structurally_symmetric(R):
+    if structural:
         return R
-    T = _intertwiner(R)
-    tk = linalg.takagi(T, sym_tol=1e-7)
-    if tk.values[0] <= 1e-12 * max(1.0, tk.values[-1]):
-        raise SubspaceError("similarity T is numerically singular")
-    M = np.diag(np.sqrt(tk.values)) @ tk.u.T
-    Minv = np.linalg.inv(M)
-    out = Realization(M @ R.a @ Minv, M @ R.b, R.c @ Minv, R.d)
+    if error is not None:
+        raise error
     if transfer_distance(out, R) > 1e-8:
         raise ValidationError("symmetrization changed the transfer function")
     return out

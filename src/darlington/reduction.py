@@ -24,9 +24,10 @@ Sigma is balanced once (controllability Gramian I, as every Hankel
 singular value of an inner function is 1); each step then drops one
 state per side by an orthogonal deflation in closed form, with no
 Lyapunov solve or rank decision, and is certified inner and minimal of
-degree deg T - 2 on the identity Gramian.  The frequency-grid
-certificates (innerness, symmetry, S-block match) run once, on the
-final realization.
+degree deg T - 2 on the identity Gramian.  The last of these Gramian
+certificates (or Sigma's, with no step) is the reported innerness of
+the result; only the symmetry and S-block match are sampled, once, on
+the final realization.
 """
 from __future__ import annotations
 
@@ -226,7 +227,7 @@ def find_reduction_vector(T: Realization, xi: complex,
     return u
 
 
-def reduce_once(T: Realization, f: BlaschkeFactor) -> Realization:
+def reduce_once(T: Realization, f: BlaschkeFactor) -> tuple[Realization, float]:
     """Two-sided division R = B^{-T} T B^{-1} of an inner T in balanced
     coordinates: A + A* + B B* = 0 and C = -D B* (Gramian I).
 
@@ -237,6 +238,7 @@ def reduce_once(T: Realization, f: BlaschkeFactor) -> Realization:
     Morf, 1983); the left division is the same on the transpose.  R is
     certified inner and minimal on the identity Gramian to 1e-7, and
     both interpolation residuals |u - B* x| must be at most 1e-7.
+    Returns R and its lossless certificate residual.
     """
     if f.dim != T.outputs or T.n < 2:
         raise ValidationError(
@@ -258,7 +260,7 @@ def reduce_once(T: Realization, f: BlaschkeFactor) -> Realization:
         raise ReductionError(
             f"u is not a double zero direction at {f.xi:g}: |T(xi) u| = "
             f"{gaps[0]:g}, |(T B^-1)(xi)^T u| = {gaps[1]:g}")
-    return out
+    return out, res
 
 
 def _balance(R: Realization, X: np.ndarray) -> Realization:
@@ -271,7 +273,13 @@ def _balance(R: Realization, X: np.ndarray) -> Realization:
 
 @dataclass(frozen=True)
 class SynthesisResult:
-    """Outcome of the minimal symmetric inner extension pipeline."""
+    """Outcome of the minimal symmetric inner extension pipeline.
+
+    ``innerness`` is the relative residual of the last stage's lossless
+    certificate, which proves ``extension`` all-pass and minimal (the
+    last Blaschke step's, on the identity Gramian, or with no step
+    Sigma's, on diag(G_Q, P_min)); ``symmetry`` and ``block_match`` are
+    maxima over the probe grid."""
     extension: Realization
     degree: int
     kappa: int
@@ -305,9 +313,10 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     the minimal solution), each as often as its multiplicity in pi,
     which must take the degree to n + kappa exactly.  Sigma is balanced
     on its Gramian diag(G_Q, P_min) before the first step; a failing step
-    is a hard error.  ``residual_tol`` bounds the grid innerness,
-    symmetry and S-block residuals of the final realization (with no
-    step, its symmetry is the one the symmetric extension measured).
+    is a hard error.  ``residual_tol`` bounds the innerness certificate
+    of the last stage and the grid symmetry and S-block residuals of the
+    final realization (with no step, its symmetry is the one the
+    symmetric extension measured).
     """
     try:
         Rs = symmetrize(R)
@@ -321,7 +330,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     kappa, n0 = pmin.spectrum.kappa, pmin.spectrum.n0
     try:
         E = build_extension(Rs, pmin)
-        sigma, Q, sigma_symmetry = symmetric_unitary_extension(E)
+        sigma, Q, sigma_symmetry, ir = symmetric_unitary_extension(E)
     except DarlingtonError as exc:
         raise _stage("symmetric-extension", exc) from exc
     if sigma.n != 2 * n - n0:
@@ -352,15 +361,15 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
             try:
                 u = find_reduction_vector(current, xi, support=p)
                 f = BlaschkeFactor(xi=xi, u=u)
-                current = reduce_once(current, f)
+                current, ir = reduce_once(current, f)
             except DarlingtonError as exc:
                 raise ReductionError(
                     f"stage 'reduce': step at xi = {xi:.6g} from degree "
                     f"{current.n} failed ({_conditioning(pmin)}): {exc}") from exc
             factors.append(f)
-    ir = innerness_residual(current)
-    # with no step, the final realization is sigma, whose symmetry the
-    # symmetric extension stage measured
+    # ir is the lossless certificate of the last stage (the last step, or
+    # sigma with none), which proves current inner and minimal; with no
+    # step, the symmetric extension stage also measured its symmetry
     sr = symmetry_residual(current) if factors else sigma_symmetry
     pts = probe_points(current, R)
     gap = freqresp(current, pts)[:, p:, p:] - freqresp(R, pts)

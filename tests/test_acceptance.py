@@ -96,7 +96,7 @@ def test_criterion_1_worked_example_strong_damping(zeta2):
     assert riccati_residual(hat, P) <= 1e-10
     assert np.linalg.norm(P @ P.T - np.eye(2), 2) <= 1e-10
     E = build_extension(zeta2, P)
-    sigma, q, _ = symmetric_unitary_extension(E)
+    sigma, q, _, _ = symmetric_unitary_extension(E)
     assert q.degree == 0
     assert innerness_residual(sigma) <= 1e-8
     assert symmetry_residual(sigma) <= 1e-8
@@ -176,7 +176,7 @@ def test_criterion_6_max_degree_symmetric_extension(pipeline_artifacts):
         w = np.abs(np.linalg.eigvalsh(art.pmax.p - art.pmin.p))
         scale = max(1.0, w.max()) if w.size else 1.0
         n0 = int(np.sum(w <= 1e-7 * scale))
-        sigma, q, _ = symmetric_unitary_extension(art.e_min)
+        sigma, q, _, _ = symmetric_unitary_extension(art.e_min)
         assert q.inner_flag, art.name
         assert kalman_check(sigma).mcmillan_degree == 2 * art.n - n0, art.name
         assert art.synth.n0 == n0, art.name

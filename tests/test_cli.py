@@ -154,6 +154,37 @@ class TestSynthesize:
         assert main(["check", str(out), "--json"]) == 2  # inner: |D| = 1
         assert json.loads(capsys.readouterr().out)["state_dim"] == 0
 
+    @pytest.mark.parametrize("degree", [0, 2])
+    def test_check_calls_a_synthesis_result_unitary(self, tmp_path, capsys,
+                                                     degree):
+        # an inner function has norm 1 at every axis point, so the hint
+        # must not suggest a --mobius point
+        f = tmp_path / "in.json"
+        if degree:
+            write_coupled_pair(f)
+        else:  # the state is unreachable and unobservable
+            f.write_text(json.dumps({"A": [[-1]], "B": [[0, 0]], "C": [[0], [0]],
+                                     "D": [[0.3, 0.1], [0.1, 0.2]]}))
+        out = tmp_path / "r.json"
+        assert main(["synthesize", str(f), "--out", str(out)]) == 0
+        assert read_problem(str(out))["realization"].n == degree
+        capsys.readouterr()
+        assert main(["check", str(out), "--json"]) == 2
+        hint = json.loads(capsys.readouterr().out)["hint"]
+        assert "unitary on the imaginary axis" in hint
+        assert "rerun" not in hint and "<w0>" not in hint
+
+    def test_check_on_norm_one_non_unitary_function(self, tmp_path, capsys):
+        # diag((s - 1)/(s + 1), 0.5): norm 1 on the whole axis, not unitary
+        doc = {"A": [[-1.0]], "B": [[1.0, 0.0]], "C": [[-2.0], [0.0]],
+               "D": [[1.0, 0.0], [0.0, 0.5]]}
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps(doc))
+        assert main(["check", str(f), "--json"]) == 2
+        hint = json.loads(capsys.readouterr().out)["hint"]
+        assert "no point of the axis grid is strictly contractive" in hint
+        assert "unitary" not in hint and "rerun" not in hint
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["check", "/nonexistent/problem.json"]) == 1
 

@@ -247,7 +247,7 @@ class TestSymmetricUnitaryExtension:
     def test_involutive_solution_gives_constant_q(self, zeta2):
         P = np.array([[2.0, 1j * SQ3], [-1j * SQ3, 2.0]])
         E = build_extension(zeta2, P)
-        sigma, Q, _ = symmetric_unitary_extension(E)
+        sigma, Q, _, _ = symmetric_unitary_extension(E)
         assert Q.degree == 0
         assert kalman_check(sigma).mcmillan_degree == 2
         assert innerness_residual(sigma) <= 1e-8
@@ -256,16 +256,19 @@ class TestSymmetricUnitaryExtension:
     def test_minimal_solution_doubles_degree(self, zeta2_pair):
         R, pmin, _ = zeta2_pair
         E = build_extension(R, pmin)
-        sigma, Q, _ = symmetric_unitary_extension(E)
+        sigma, Q, _, cert = symmetric_unitary_extension(E)
         assert Q.degree == 2 and Q.inner_flag
         assert kalman_check(sigma).mcmillan_degree == 4  # 2n - n0
+        # the returned residual is Sigma's certificate on diag(G_Q, P)
+        X = sla.block_diag(Q.gramian, E.p_matrix)
+        assert cert == _lossless_residual(sigma, X) <= 1e-8
         assert innerness_residual(sigma) <= 1e-8
         assert symmetry_residual(sigma) <= 1e-8
 
     def test_maximal_solution_not_inner(self, zeta2_pair):
         R, _, pmax = zeta2_pair
         E = build_extension(R, pmax)
-        sigma, Q, _ = symmetric_unitary_extension(E)
+        sigma, Q, _, _ = symmetric_unitary_extension(E)
         assert Q.degree == 2 and not Q.inner_flag
         assert symmetry_residual(sigma) <= 1e-8
         # unitary on the axis even though not inner
@@ -293,7 +296,7 @@ def suite_stages(zeta2, instance_suite) -> list:
         Rs = symmetrize(R)
         for P in solve_extremal(build_hat(Rs)):
             E = build_extension(Rs, P)
-            sigma, Q, _ = symmetric_unitary_extension(E)
+            sigma, Q, _, _ = symmetric_unitary_extension(E)
             stages += [("S_P", E.realization, E.p_matrix),
                        ("Q", Q.realization, Q.gramian),
                        ("Sigma", sigma, sla.block_diag(Q.gramian, E.p_matrix))]
@@ -335,7 +338,7 @@ class TestGramianCertificates:
         inst = next(i for i in instance_suite if i.name == "p1-n6-kg-ax0")
         Rs = symmetrize(inst.realization)
         E = build_extension(Rs, solve_extremal(build_hat(Rs))[1])
-        sigma, Q, _ = symmetric_unitary_extension(E)
+        sigma, Q, _, _ = symmetric_unitary_extension(E)
         lam = sigma.poles()
         assert np.min(np.abs(lam[:, None] + lam.conj())) <= sigma.pole_guard
         X = sla.block_diag(Q.gramian, E.p_matrix)

@@ -1,9 +1,20 @@
 """Decomposition-layer tests: half chains, SVD analysis, Takagi
 factorization, Loewner order."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from darlington import hermitian_order, linalg, svd_analysis, takagi
+from darlington import (
+    Realization,
+    build_hamiltonian,
+    build_hat,
+    hermitian_order,
+    linalg,
+    svd_analysis,
+    symmetrize,
+    takagi,
+)
 from darlington.errors import DimensionError, NotSymmetricError
 from darlington.linalg import cluster_ladder, half_chain_basis, hermitian_sqrt
 
@@ -203,6 +214,67 @@ class TestClusterLadder:
             tol, clusters = cluster_ladder(pts, 1e-6)
         assert tol == 1e-6 and len(clusters) == 8
         assert len(calls) == 5
+
+
+def cluster_points_loop(points, tol: float):
+    """Oracle: the pure-Python loop cluster_points replaced."""
+    pts = sorted(np.asarray(points, dtype=complex),
+                 key=lambda z: (z.real, z.imag))
+    groups: list[list] = []
+    for z in pts:
+        for g in groups:
+            if abs(z - g[0]) <= tol:
+                g[1].append(z)
+                g[0] = np.mean(g[1])
+                break
+        else:
+            groups.append([z, [z]])
+    merged = True
+    while merged and len(groups) > 1:
+        merged = False
+        for i in range(len(groups)):
+            for j in range(i + 1, len(groups)):
+                if abs(groups[i][0] - groups[j][0]) <= 2 * tol:
+                    groups[i][1].extend(groups[j][1])
+                    groups[i][0] = np.mean(groups[i][1])
+                    del groups[j]
+                    merged = True
+                    break
+            if merged:
+                break
+    return [(complex(g[0]), list(g[1])) for g in groups]
+
+
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "main.npz"
+
+
+def hamiltonian_spectra(instance_suite):
+    """eigvals(H) of every frozen-suite instance and of the first three
+    instances of seven rungs of the benchmark pool (double roots on the
+    axis and off it, kappa = 1, generic, scalar)."""
+    systems = [inst.realization for inst in instance_suite]
+    with np.load(POOL) as z:
+        for rung in ("k0n8", "k0n12", "k1n11", "ax1n9", "g12", "g20", "s3ax1"):
+            systems += [Realization(*(z[f"{rung}.{k}"][i] for k in "abcd"))
+                        for i in range(3)]
+    for R in systems:
+        H = build_hamiltonian(build_hat(symmetrize(R))).matrix
+        yield np.linalg.eigvals(H), linalg.default_cluster_tol(H)
+
+
+def test_cluster_points_matches_the_loop(instance_suite):
+    merged = 0
+    for lam, base in hamiltonian_spectra(instance_suite):
+        for k in range(5):  # every rung of the cluster ladder
+            got = linalg.cluster_points(lam, base * 10.0 ** k)
+            want = cluster_points_loop(lam, base * 10.0 ** k)
+            assert [c for c, _ in got] == [c for c, _ in want]
+            assert [m for _, m in got] == [m for _, m in want]
+            merged += len(got) < lam.size
+    assert merged > 0  # the merging passes ran, not only the fast path
+    pts = [0.0, 5e-6, 1.0, 1.0 + 1.5e-6j, 1.0 + 3e-6j, 2.0]
+    for tol in (1e-7, 1e-6, 2e-6, 1e-5):
+        assert linalg.cluster_points(pts, tol) == cluster_points_loop(pts, tol)
 
 
 def test_hermitian_sqrt_squares_back():

@@ -3,17 +3,23 @@ symmetrization, Moebius preconditioning."""
 import numpy as np
 import pytest
 
+import darlington.realization
 from darlington import (
     Realization,
+    apply_gauge,
+    build_extension,
+    build_hat,
     compose,
     evaluate,
     freqresp,
     invert,
     kalman_check,
     minimal_realization,
+    minimize_symmetric,
     mobius_precondition,
     para_conjugate,
     probe_points,
+    solve_extremal,
     symmetrize,
     symmetry_residual,
     transpose,
@@ -242,6 +248,61 @@ class TestSymmetrize:
             symmetrize(R)
 
 
+def with_extra_state(R: Realization, b_row, c_col) -> Realization:
+    """R with one more state at -1, fed by ``b_row`` and seen through
+    ``c_col``."""
+    A = np.block([[R.a, np.zeros((R.n, 1))], [np.zeros((1, R.n)), -np.ones((1, 1))]])
+    return Realization(A, np.vstack([R.b, b_row]), np.hstack([R.c, c_col]), R.d)
+
+
+class TestSymmetrizeCertificate:
+    """symmetrize is certified by its Gramian P > 0 and intertwiner; when
+    a certificate fails, the probe grid and the Kalman ranks raise the
+    same errors as when they ran first."""
+
+    @pytest.fixture
+    def general(self, instance_suite):
+        R = instance_suite[10].realization  # p = 2, n = 4
+        assert not _structurally_symmetric(R)
+        return R
+
+    def test_perturbed_b_is_not_symmetric(self, general):
+        B = general.b.copy()
+        B[0, 0] *= 1 + 1e-6
+        with pytest.raises(NotSymmetricError, match="probe grid"):
+            symmetrize(Realization(general.a, B, general.c, general.d))
+
+    def test_unreachable_state_is_not_minimal(self, general):
+        R = with_extra_state(general, np.zeros((1, 2)), np.ones((2, 1)))
+        with pytest.raises(ValidationError, match="requires a minimal realization"):
+            symmetrize(R)
+
+    def test_structurally_symmetric_non_minimal_is_rejected(self, zeta2):
+        R = with_extra_state(zeta2, np.zeros((1, 2)), np.zeros((2, 1)))
+        assert _structurally_symmetric(R)
+        with pytest.raises(ValidationError, match="requires a minimal realization"):
+            symmetrize(R)
+
+    @pytest.mark.parametrize("which", ["structural", "general"])
+    def test_non_hurwitz_input_fails_in_riccati(self, which, zeta2, general,
+                                                monkeypatch):
+        # P is indefinite, so the grid and the Kalman ranks decide:
+        # symmetrize accepts the minimal symmetric realization and the
+        # Riccati stage rejects the function
+        S = {"structural": zeta2, "general": general}[which]
+        R = Realization(-S.a, S.b, S.c, S.d)
+        calls = []
+        monkeypatch.setattr(darlington.realization, "kalman_check",
+                            lambda R: calls.append(R) or kalman_check(R))
+        assert transfer_distance(symmetrize(R), R) <= 1e-8
+        assert calls == [R]
+        assert transfer_distance(symmetrize(S), S) <= 1e-8
+        assert calls == [R]  # the Hurwitz original is certified
+        with pytest.raises(ValidationError, match="stage 'riccati': minimal "
+                           "solution is not positive definite"):
+            minimize_symmetric(R)
+
+
 def kronecker_intertwiner(A, B, C):
     """Oracle: least-squares T of T A = A^T T, T B = C^T in Kronecker
     form, O(n^6); only for checking the Gramian solve."""
@@ -254,7 +315,7 @@ def kronecker_intertwiner(A, B, C):
 
 
 def assert_matches_kronecker(R):
-    T = _intertwiner(R)
+    T, _ = _intertwiner(R)
     T_kron = kronecker_intertwiner(R.a, R.b, R.c)
     assert np.linalg.norm(T - T_kron, 2) <= 1e-10 * np.linalg.norm(T_kron, 2)
 
@@ -282,7 +343,7 @@ class TestIntertwiner:
         A = np.diag([-1.0, -2.0])
         R = Realization(A, np.array([[1.0], [1.0]]), np.array([[1.0, 2.0]]),
                         np.array([[0.0]]))
-        T = _intertwiner(R)
+        T, _ = _intertwiner(R)
         assert np.linalg.norm(T.imag) <= 1e-15 * np.linalg.norm(T)
 
     def test_symmetrize_computes_the_spectrum_of_a_once(self, monkeypatch,
@@ -395,6 +456,16 @@ class TestOwner:
         freqresp(R, [1j, 2j])
         freqresp(R, [0.5, 3j])
         assert calls == [(2, 2)]
+
+    def test_realizations_on_the_same_a_share_its_spectrum(self, instance_suite):
+        # the extension S_P, its gauge transforms and its blocks are built
+        # on the A of the symmetrized realization and keep what it cached
+        Rs = symmetrize(instance_suite[10].realization)
+        poles, norm_a = Rs.poles(), Rs.norm_a
+        E = build_extension(Rs, solve_extremal(build_hat(Rs))[0])
+        I = np.eye(Rs.outputs)
+        for R in (E.realization, E.s21, E.s22, apply_gauge(E, I, I).realization):
+            assert R.poles() is poles and R.norm_a == norm_a
 
 
 def probe_points_loop(*realizations):

@@ -46,7 +46,7 @@ SQ3 = np.sqrt(3.0)
 def sigma_min(R: Realization) -> Realization:
     pmin, _ = solve_extremal(build_hat(R))
     E = build_extension(R, pmin)
-    sigma, _, _ = symmetric_unitary_extension(E)
+    sigma, _, _, _ = symmetric_unitary_extension(E)
     return sigma
 
 
@@ -55,7 +55,7 @@ def balanced_sigma_min(R: Realization) -> Realization:
     diag(G_Q, P_min)."""
     pmin, _ = solve_extremal(build_hat(R))
     E = build_extension(R, pmin)
-    sigma, Q, _ = symmetric_unitary_extension(E)
+    sigma, Q, _, _ = symmetric_unitary_extension(E)
     return _balance(sigma, sla.block_diag(Q.gramian, E.p_matrix))
 
 
@@ -202,8 +202,9 @@ class TestReduceOnce:
     def test_worked_example_four_to_two(self, zeta2):
         sigma = balanced_sigma_min(zeta2)
         u = find_reduction_vector(sigma, SQ3, support=2)
-        out = reduce_once(sigma, BlaschkeFactor(xi=SQ3, u=u))
+        out, cert = reduce_once(sigma, BlaschkeFactor(xi=SQ3, u=u))
         assert out.n == 2
+        assert cert == _lossless_residual(out, np.eye(2)) <= 1e-7
         assert innerness_residual(out) <= 1e-7
         assert symmetry_residual(out) <= 1e-7
         # lower-right block still realizes S
@@ -234,9 +235,9 @@ def suite_steps(zeta2, instance_suite) -> list:
     steps = []
 
     def recording(T, f, _original=darlington.reduction.reduce_once):
-        R = _original(T, f)
+        R, cert = _original(T, f)
         steps.append((T, f, R))
-        return R
+        return R, cert
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(darlington.reduction, "reduce_once", recording)
@@ -348,14 +349,14 @@ class TestMinimizeSymmetric:
         pmin, pmax = solve_extremal(build_hat(zeta2))
         for sol in (pmin, pmax):
             E = build_extension(zeta2, sol)
-            _, Q, _ = symmetric_unitary_extension(E)
+            _, Q, _, _ = symmetric_unitary_extension(E)
             assert Q.degree >= 0
         R = dl.symmetrize(dl.minimal_realization(
             siso_realization([0.5], [1.0, 1.0]))[0])
         pmin, pmax = solve_extremal(build_hat(R))
         for sol in (pmin, pmax):
             E = build_extension(R, sol)
-            _, Q, _ = symmetric_unitary_extension(E)
+            _, Q, _, _ = symmetric_unitary_extension(E)
             assert Q.degree >= 1  # kappa = 1
 
 
@@ -403,13 +404,14 @@ def test_factor_points_are_multiple_zeros_of_sigma(zeta2, instance_suite):
 
 
 def count_certificate_calls(monkeypatch) -> dict[str, list]:
-    """Patch every darlington binding of the three certificates so that
+    """Patch every darlington binding of the four sampled checks so that
     each call records the realization it was given (kept alive, so ids
     stay distinct)."""
     seen: dict[str, list] = {}
     for module, name in ((darlington.extension, "innerness_residual"),
                          (darlington.realization, "symmetry_residual"),
-                         (darlington.realization, "kalman_check")):
+                         (darlington.realization, "kalman_check"),
+                         (darlington.realization, "transfer_distance")):
         original = getattr(module, name)
         calls = seen.setdefault(name, [])
 
@@ -436,21 +438,44 @@ def test_each_certificate_runs_once_per_realization(
     for name, calls in seen.items():
         ids = [id(T) for T in calls]
         assert len(ids) == len(set(ids)), name
-    assert any(T is res.extension for T in seen["innerness_residual"])
+    # symmetrize is certified by its Gramian and intertwiner, the
+    # extension, Q, Sigma and every Blaschke step by Gramian, and the
+    # final innerness is the last of those certificates.  The symmetry
+    # grid runs on Sigma and, after a step, on the final realization
     assert any(T is res.extension for T in seen["symmetry_residual"])
-    # innerness: final realization; kalman_check: symmetrize.  The
-    # extension, Q, Sigma and every Blaschke step are certified by Gramian
-    assert len(seen["innerness_residual"]) == 1
-    assert len(seen["kalman_check"]) == 1
+    assert len(seen["symmetry_residual"]) == (2 if res.factors else 1)
+    assert seen["innerness_residual"] == []
+    assert seen["kalman_check"] == []
+    assert seen["transfer_distance"] == []
 
 
-@pytest.mark.parametrize("which, solves", [("zeta2", 0), ("zeta1", 0),
+@pytest.mark.parametrize("which", ["zeta2", "zeta1", "suite"])
+def test_innerness_is_the_last_stage_certificate(which, zeta1, zeta2,
+                                                 instance_suite):
+    # after a step the output is balanced (Gramian I); with none it is
+    # Sigma, certified on diag(G_Q, P_min).  The grid oracle agrees
+    R = {"zeta1": zeta1, "zeta2": zeta2,
+         "suite": instance_suite[18].realization}[which]
+    res = minimize_symmetric(R)
+    T = res.extension
+    if res.factors:
+        X = np.eye(T.n)
+    else:
+        E = build_extension(symmetrize(R), res.p_min)
+        _, Q, _, _ = symmetric_unitary_extension(E)
+        X = sla.block_diag(Q.gramian, E.p_matrix)
+    assert res.innerness == _lossless_residual(T, X) <= 1e-8
+    assert innerness_residual(T) <= 1e-8
+
+
+@pytest.mark.parametrize("which, solves", [("zeta2", 1), ("zeta1", 1),
                                            ("suite", 1)])
 def test_one_lyapunov_solve_per_synthesis(which, solves, zeta1, zeta2,
                                           instance_suite, monkeypatch):
-    # the intertwiner's Gramian is the only Lyapunov solve, whatever the
+    # the symmetrizer's Gramian is the only Lyapunov solve, whatever the
     # number of Blaschke steps (one, none and three); the coupled pairs
-    # are structurally symmetric and need no intertwiner
+    # are structurally symmetric and need no intertwiner, but their
+    # Gramian P > 0 still certifies them minimal
     R = {"zeta1": zeta1, "zeta2": zeta2,
          "suite": instance_suite[18].realization}[which]
     calls = []
