@@ -47,7 +47,7 @@ from .realization import (
     symmetrize,
     symmetry_residual,
 )
-from .riccati import build_hat, solve_extremal
+from .riccati import _extremal, build_hat
 from .reduction import minimize_symmetric
 from .scalar import compute_mu, scalar_minimal_extension
 
@@ -195,8 +195,8 @@ def cmd_synthesize(args) -> int:
         })
     else:
         base = symmetrize(R) if args.mode == "symmetric" else R
-        pmin, pmax = solve_extremal(build_hat(base))
-        sol = pmin if args.solution == "min" else pmax
+        kind = "minimal" if args.solution == "min" else "maximal"
+        (sol,) = _extremal(build_hat(base), (kind,))
         E = build_extension(base, sol)
         if args.mode == "symmetric":
             # symmetric_unitary_extension certifies out minimal

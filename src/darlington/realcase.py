@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SubspaceError, ValidationError
+from .errors import NotSymmetricError, SubspaceError, ValidationError
 from .extension import build_extension
-from .realization import Realization, _intertwiner, freqresp, kalman_check
+from .realization import Realization, _intertwiner, _structurally_symmetric, freqresp
 from .riccati import build_hat, riccati_residual, solve_extremal
 
 __all__ = [
@@ -82,29 +82,32 @@ def signature_realization(R: Realization) -> SignatureRealization:
     symmetric transfer function.
 
     Solves the real intertwining equations T A = A^T T, T B = C^T for
-    the (unique, real symmetric, invertible) similarity T, factors
-    T = M^T J M with M real through the eigendecomposition of T, and
-    transforms the realization.
+    the (unique, real symmetric, invertible) similarity T by
+    ``_intertwiner``, factors T = M^T J M with M real through the
+    eigendecomposition of T, and transforms the realization.  As in
+    ``symmetrize``, the certificate decides minimality (P nonsingular is
+    reachability, T nonsingular then observability); a mirror pair of
+    poles, a singular P or T, an intertwining residual or an output that
+    is not signature symmetric raises ValidationError.
     """
     _require_real(R)
-    if not kalman_check(R).minimal:
-        raise ValidationError("signature form needs a minimal realization")
-    A, B, C = R.a.real, R.b.real, R.c.real
+    A, B, C, D = R.a.real, R.b.real, R.c.real, R.d.real
+    Rr = Realization(A, B, C, D)
     try:
         # the data are real, so T is real up to rounding
-        T = _intertwiner(Realization(A, B, C, R.d.real))[0].real
-    except SubspaceError as exc:
+        T = _intertwiner(Rr, _structurally_symmetric(Rr))[0].real
+    except (SubspaceError, NotSymmetricError) as exc:
         raise ValidationError(f"no real intertwiner found: {exc}") from exc
     w, O = np.linalg.eigh(T)
     if np.min(np.abs(w)) <= 1e-12 * max(1.0, np.max(np.abs(w))):
-        raise ValidationError("intertwiner T is numerically singular")
+        raise ValidationError("signature form needs a minimal realization: (C, A) is not "
+                              "observable (the intertwiner T is singular)")
     order = np.argsort(-np.sign(w))  # +1 entries first
     w, O = w[order], O[:, order]
-    j = np.sign(w).astype(int)
     M = np.diag(np.sqrt(np.abs(w))) @ O.T
     Minv = np.linalg.inv(M)
-    out = Realization(M @ A @ Minv, M @ B, C @ Minv, R.d.real)
-    return SignatureRealization(realization=out, j=j)
+    out = Realization(M @ A @ Minv, M @ B, C @ Minv, D)
+    return SignatureRealization(realization=out, j=np.sign(w).astype(int))
 
 
 def is_real_extension(P, R: Realization) -> bool:

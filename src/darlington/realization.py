@@ -18,7 +18,6 @@ import scipy.linalg as sla
 
 from . import linalg
 from .errors import (
-    DarlingtonError,
     DimensionError,
     NotSymmetricError,
     PoleError,
@@ -354,38 +353,43 @@ def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
     return out, cert
 
 
-def _intertwiner(R: Realization) -> tuple[np.ndarray, np.ndarray]:
+def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric solution T of T A = A^T T, T B = C^T as
     T = conj(P^{-1} X), from the Gramian A P + P A* + B B* = 0 and
     A X + X conj(A) + B conj(C) = 0: P conj(T) solves the second
     equation since conj(T) conj(A) = A* conj(T), B* conj(T) = conj(C).
-    Returns (T, P).
+    Returns (T, P); a ``structural`` R (A = A^T, B = C^T) has T = I and
+    skips the second solve.
 
-    Raises SubspaceError when lambda_i + conj(lambda_j) = 0 for two
-    poles of R to within ``R.pole_guard`` (the equations are singular),
-    when a solve fails (P singular), or when the residual exceeds
-    1e-7 * max(1, ||T||).
+    Both equations are uniquely solvable unless two poles form a mirror
+    pair lambda_i + conj(lambda_j) = 0.  Then P is singular exactly when
+    (A, B) is not reachable (inertia: x* A = lambda x*, x* B = 0 give
+    (A + conj(lambda)) P x = 0, so P x = 0; P x = 0 gives B* x = 0 and
+    P A* x = 0), and P need not be definite.  Given reachability, T
+    exists exactly when S = S^T, and T maps the reachability matrix of
+    (A, B) onto that of (A^T, C^T), so rank T is the observability rank.
+
+    Raises SubspaceError on a mirror pair to within ``R.pole_guard``,
+    ValidationError when the smallest |eigenvalue| of P is at most
+    n eps times the largest, and NotSymmetricError when the residual
+    exceeds 1e-7 * max(1, ||T||).
     """
-    A, B, C = R.a, R.b, R.c
-    lam = R.poles()
-    gap = np.min(np.abs(lam[:, np.newaxis] + lam.conj()), initial=np.inf)
+    gap = np.min(np.abs(R.poles()[:, np.newaxis] + R.poles().conj()), initial=np.inf)
     if gap <= R.pole_guard:
-        raise SubspaceError(
-            f"Gramian equations are singular: two eigenvalues of A satisfy "
-            f"lambda_i + conj(lambda_j) = 0 (to {gap:.3g})")
-    try:
-        P = sla.solve_continuous_lyapunov(A, -B @ B.conj().T)
-        X = sla.solve_sylvester(A, A.conj(), -B @ C.conj())
-        T = np.linalg.solve(P, X).conj()
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SubspaceError(
-            f"Gramian solve failed ({exc}); the Gramian P may be singular") from exc
+        raise SubspaceError(f"Gramian equations are singular: two eigenvalues of A satisfy "
+                            f"lambda_i + conj(lambda_j) = 0 (to {gap:.3g})")
+    P = sla.solve_continuous_lyapunov(R.a, -R.b @ R.b.conj().T)
+    w = np.abs(np.linalg.eigvalsh(P))
+    if w.size and not w.min() > R.n * np.finfo(float).eps * w.max():
+        raise ValidationError("the symmetric form requires a minimal realization: (A, B) is "
+                              "not reachable (the Gramian P is singular)")
+    if structural:
+        return np.eye(R.n), P
+    T = np.linalg.solve(P, sla.solve_sylvester(R.a, R.a.conj(), -R.b @ R.c.conj())).conj()
     T = (T + T.T) / 2
-    res = max(np.linalg.norm(T @ A - A.T @ T, 2), np.linalg.norm(T @ B - C.T, 2))
+    res = max(np.linalg.norm(T @ R.a - R.a.T @ T, 2), np.linalg.norm(T @ R.b - R.c.T, 2))
     if not res <= 1e-7 * max(1.0, np.linalg.norm(T, 2)):
-        raise SubspaceError(
-            f"intertwining system residual {res:g}; realization may not be "
-            "minimal or the function not symmetric")
+        raise NotSymmetricError(f"intertwining residual {res:g}: S is not symmetric")
     return T, P
 
 
@@ -401,55 +405,46 @@ def symmetrize(R: Realization) -> Realization:
     """Complex symmetric realization (A = A^T, B = C^T, D = D^T) of a
     symmetric transfer function from a minimal realization.
 
-    Solves the intertwining equations T A = A^T T, T B = C^T for the
-    unique similarity T between the realization and its transpose
-    (unique and symmetric because R is minimal) from the Gramian P and
-    a cross-Gramian in O(n^3), which needs lambda_i + conj(lambda_j) != 0
-    for all eigenvalues of A (true for A Hurwitz); factors T = M^T M by
-    Takagi, and returns (A_s, B_s, C_s, D) = (M A M^-1, M B, C M^-1, D).
-    P > 0 (A Hurwitz, (A, B) reachable) and T nonsingular certify R
-    minimal, a structurally symmetric output S = S^T, and
-    ||M A - A_s M|| / (||M|| ||A||),
-    ||C - C_s M|| / ||C|| <= 1e-8 that S is kept (B_s = M B exactly).
-    Only when one fails do the probe-grid symmetry test, the Kalman
-    ranks and the transfer distance run, to tell what to raise.
+    Finds the similarity T A = A^T T, T B = C^T by ``_intertwiner`` in
+    O(n^3), factors T = M^T M by Takagi, and returns
+    (A_s, B_s, C_s, D) = (M A M^-1, M B, C M^-1, D).  Its certificate
+    decides every outcome: a mirror pair of poles raises SubspaceError,
+    a singular Gramian P ValidationError (not reachable), an
+    intertwining residual NotSymmetricError, a Takagi-singular T
+    ValidationError (not observable), an output that is not
+    structurally symmetric NotSymmetricError, and a similarity residual
+    ||M A - A_s M|| / (||M|| ||A||) or ||C - C_s M|| / ||C|| above 1e-8
+    ValidationError.  A structurally symmetric input is returned once P
+    is nonsingular, since its observability is the reachability of the
+    same pair; with a mirror pair, ``kalman_check`` decides its
+    minimality instead.
     """
     if R.outputs != R.inputs:
         raise NotSymmetricError("a symmetric transfer function must be square")
-    structural, error = _structurally_symmetric(R), None
+    structural = _structurally_symmetric(R)
     try:
-        T, P = _intertwiner(R)
-        if structural or R.n == 0:
-            out, res = R, 0.0
-        else:
-            tk = linalg.takagi(T, sym_tol=1e-7)
-            if tk.values[0] <= 1e-12 * max(1.0, tk.values[-1]):
-                raise SubspaceError("similarity T is numerically singular")
-            M = np.diag(np.sqrt(tk.values)) @ tk.u.T
-            Minv = np.linalg.inv(M)
-            out = Realization(M @ R.a @ Minv, M @ R.b, R.c @ Minv, R.d)
-            res = max(np.linalg.norm(M @ R.a - out.a @ M, 2)
-                      / (np.linalg.norm(M, 2) * R.norm_a),
-                      np.linalg.norm(R.c - out.c @ M, 2) / np.linalg.norm(R.c, 2))
-        w = np.linalg.eigvalsh(P)
-        if ((not w.size or w[0] > R.n * np.finfo(float).eps * w[-1])
-                and res <= 1e-8 and (structural or _structurally_symmetric(out))):
-            return out
-    except DarlingtonError as exc:
-        error = exc
-    # a certificate failed: the probe grid and the Kalman ranks decide
-    if symmetry_residual(R) > 1e-8:
-        raise NotSymmetricError(
-            "transfer function is not symmetric on the probe grid")
-    if not kalman_check(R).minimal:
-        raise ValidationError(
-            "symmetrize requires a minimal realization; apply minimal_realization")
+        T, _ = _intertwiner(R, structural)
+    except SubspaceError:
+        # no Gramian: a structurally symmetric R is its own answer if minimal
+        if not (structural and kalman_check(R).minimal):
+            raise
     if structural:
         return R
-    if error is not None:
-        raise error
-    if transfer_distance(out, R) > 1e-8:
-        raise ValidationError("symmetrization changed the transfer function")
+    out, res = R, 0.0
+    if R.n:
+        tk = linalg.takagi(T, sym_tol=1e-7)
+        if tk.values[0] <= 1e-12 * max(1.0, tk.values[-1]):
+            raise ValidationError("symmetrize requires a minimal realization: (C, A) is not "
+                                  "observable (the intertwiner T is singular)")
+        M = np.diag(np.sqrt(tk.values)) @ tk.u.T
+        Minv = np.linalg.inv(M)
+        out = Realization(M @ R.a @ Minv, M @ R.b, R.c @ Minv, R.d)
+        res = max(np.linalg.norm(M @ R.a - out.a @ M, 2) / (np.linalg.norm(M, 2) * R.norm_a),
+                  np.linalg.norm(R.c - out.c @ M, 2) / np.linalg.norm(R.c, 2))
+    if not _structurally_symmetric(out):
+        raise NotSymmetricError("the symmetrized realization is not structurally symmetric")
+    if not res <= 1e-8:
+        raise ValidationError(f"symmetrization changed the transfer function (residual {res:g})")
     return out
 
 

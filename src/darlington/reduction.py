@@ -263,10 +263,9 @@ def reduce_once(T: Realization, f: BlaschkeFactor) -> tuple[Realization, float]:
     return out, res
 
 
-def _balance(R: Realization, X: np.ndarray) -> Realization:
-    """(L^-1 A L, L^-1 B, C L, D) for the Cholesky factor L L* of the
-    Gramian X (LinAlgError unless X > 0): its Gramian is I."""
-    L = np.linalg.cholesky(X)
+def _balance(R: Realization, L: np.ndarray) -> Realization:
+    """(L^-1 A L, L^-1 B, C L, D) for the Cholesky factor L of the
+    Gramian L L* of R: its Gramian is I."""
     return Realization(sla.solve_triangular(L, R.a @ L, lower=True),
                        sla.solve_triangular(L, R.b, lower=True), R.c @ L, R.d)
 
@@ -311,9 +310,10 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     elementary Blaschke factors supported on the first coordinate block
     at the open-right-half-plane roots of pi (``spectrum.pi_roots`` of
     the minimal solution), each as often as its multiplicity in pi,
-    which must take the degree to n + kappa exactly.  Sigma is balanced
-    on its Gramian diag(G_Q, P_min) before the first step; a failing step
-    is a hard error.  ``residual_tol`` bounds the innerness certificate
+    which must take the degree to n + kappa exactly.  The Cholesky
+    factor of Sigma's Gramian diag(G_Q, P_min) must exist, with or
+    without a step, and balances Sigma before the first step; a failing
+    step is a hard error.  ``residual_tol`` bounds the innerness certificate
     of the last stage and the grid symmetry and S-block residuals of the
     final realization (with no step, its symmetry is the one the
     symmetric extension measured).
@@ -348,14 +348,15 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
             f"end at {sigma.n - 2 * steps}, not n + kappa = {target} "
             f"({_conditioning(pmin)})")
     factors: list[BlaschkeFactor] = []
-    current = sigma
+    # a Cholesky factor proves Sigma's Gramian positive definite, so
+    # Sigma stable, also when no step follows and Sigma is returned
     try:
-        if steps:
-            current = _balance(sigma, sla.block_diag(Q.gramian, E.p_matrix))
+        L = np.linalg.cholesky(sla.block_diag(Q.gramian, E.p_matrix))
     except np.linalg.LinAlgError as exc:
         raise ReductionError(
             f"stage 'reduce': the Gramian diag(G_Q, P_min) of Sigma is not "
             f"positive definite ({_conditioning(pmin)})") from exc
+    current = _balance(sigma, L) if steps else sigma
     for xi, k in roots:
         for _ in range(k):
             try:

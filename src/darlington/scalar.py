@@ -184,17 +184,15 @@ def compute_mu(p1, q) -> ScalarFactorization:
         raise ValidationError("q must have all roots in the open left half-plane")
     if _sylvester_resultant(p1, q) <= 1e-10:
         # the normalized determinant is a conservative bound; condemn the
-        # pair only if the root sets actually touch
+        # pair only if the root sets actually touch (both are non-empty:
+        # the resultant of a constant is 1)
         p1roots, _ = poly_roots(p1)
-        if p1roots and qroots:
-            sep = min(abs(z - w) for z, _ in p1roots for w, _ in qroots)
-            scale = 1.0 + max(abs(z) for z, _ in list(p1roots) + list(qroots))
-            if sep <= 1e-7 * scale:
-                raise ValidationError(
-                    f"p1 and q share a root near separation {sep:g}; they "
-                    "must be coprime")
-        else:
-            raise ValidationError("p1 and q must be coprime (resultant is zero)")
+        sep = min(abs(z - w) for z, _ in p1roots for w, _ in qroots)
+        scale = 1.0 + max(abs(z) for z, _ in list(p1roots) + list(qroots))
+        if sep <= 1e-7 * scale:
+            raise ValidationError(
+                f"p1 and q share a root near separation {sep:g}; they "
+                "must be coprime")
     grid = frequency_grid()
     over = (np.abs(npp.polyval(1j * grid, p1))
             > np.abs(npp.polyval(1j * grid, q)) * (1.0 + 1e-9))

@@ -72,6 +72,40 @@ class TestSignatureRealization:
         with pytest.raises(ValidationError):
             SignatureRealization(realization=zeta2, j=np.array([1, -1]))
 
+    @pytest.mark.parametrize("b, c, match", [
+        ([[1.0], [0.0]], [[1.0, 2.0]], "not reachable"),
+        ([[1.0], [1.0]], [[1.0, 0.0]], "not observable"),
+    ])
+    def test_rejects_non_minimal(self, b, c, match):
+        R = Realization(np.diag([-1.0, -2.0]), np.array(b), np.array(c),
+                        np.array([[0.1]]))
+        with pytest.raises(ValidationError, match=match):
+            signature_realization(R)
+
+    @pytest.mark.parametrize("c01, match", [(2.0, "intertwining residual"),
+                                            (1e-8, "not signature symmetric")])
+    def test_rejects_non_symmetric(self, c01, match):
+        # C (sI - A)^-1 with an upper off-diagonal entry only; the small
+        # one escapes the intertwining residual but not the signature
+        # structure of the output
+        R = Realization(np.diag([-1.0, -2.0]), np.eye(2),
+                        np.array([[1.0, c01], [0.0, 1.0]]), np.zeros((2, 2)))
+        with pytest.raises(ValidationError, match=match):
+            signature_realization(R)
+
+    @pytest.mark.parametrize("which", ["zeta1", "zeta2"])
+    def test_structural_input_needs_no_sylvester_solve(self, which, zeta1,
+                                                       zeta2, monkeypatch):
+        # A = A^T and B = C^T: T = I, and the Gramian alone certifies
+        # minimality
+        import scipy.linalg
+        R = {"zeta1": zeta1, "zeta2": zeta2}[which]
+        monkeypatch.setattr(scipy.linalg, "solve_sylvester",
+                            lambda *a: pytest.fail("solve_sylvester called"))
+        SR = signature_realization(R)
+        assert np.all(SR.j == 1)
+        assert np.array_equal(SR.realization.a, R.a)
+
 
 class TestFeasibility:
     def test_feasible_at_unit_damping(self, zeta1):

@@ -256,9 +256,10 @@ def with_extra_state(R: Realization, b_row, c_col) -> Realization:
 
 
 class TestSymmetrizeCertificate:
-    """symmetrize is certified by its Gramian P > 0 and intertwiner; when
-    a certificate fails, the probe grid and the Kalman ranks raise the
-    same errors as when they ran first."""
+    """symmetrize is decided by its Gramian P and intertwiner T alone:
+    each certificate quantity raises its own error, and no probe grid,
+    Kalman rank or transfer distance runs, but for a structurally
+    symmetric input with a mirror pair of poles (no Gramian)."""
 
     @pytest.fixture
     def general(self, instance_suite):
@@ -266,16 +267,45 @@ class TestSymmetrizeCertificate:
         assert not _structurally_symmetric(R)
         return R
 
-    def test_perturbed_b_is_not_symmetric(self, general):
+    @pytest.fixture
+    def fallback_calls(self, monkeypatch):
+        """Names of the sampled or Kalman checks symmetrize calls."""
+        calls = []
+        for name in ("symmetry_residual", "kalman_check", "transfer_distance"):
+            original = getattr(darlington.realization, name)
+            monkeypatch.setattr(darlington.realization, name,
+                                lambda R, _o=original, _n=name: calls.append(_n) or _o(R))
+        return calls
+
+    def test_perturbed_b_is_not_symmetric(self, general, fallback_calls):
         B = general.b.copy()
         B[0, 0] *= 1 + 1e-6
-        with pytest.raises(NotSymmetricError, match="probe grid"):
+        with pytest.raises(NotSymmetricError, match="not structurally symmetric"):
             symmetrize(Realization(general.a, B, general.c, general.d))
+        assert fallback_calls == []
 
-    def test_unreachable_state_is_not_minimal(self, general):
+    def test_unreachable_state_is_not_minimal(self, general, fallback_calls):
         R = with_extra_state(general, np.zeros((1, 2)), np.ones((2, 1)))
         with pytest.raises(ValidationError, match="requires a minimal realization"):
             symmetrize(R)
+        assert fallback_calls == []
+
+    def test_unobservable_state_is_not_minimal(self, general, fallback_calls):
+        R = with_extra_state(general, np.ones((1, 2)), np.zeros((2, 1)))
+        with pytest.raises(ValidationError, match="not observable"):
+            symmetrize(R)
+        assert fallback_calls == []
+
+    def test_reachability_is_checked_before_symmetry(self, general,
+                                                     fallback_calls):
+        # unreachable and not symmetric: the Gramian decides first
+        B = general.b.copy()
+        B[0, 0] *= 1 + 1e-3
+        R = with_extra_state(Realization(general.a, B, general.c, general.d),
+                             np.zeros((1, 2)), np.ones((2, 1)))
+        with pytest.raises(ValidationError, match="not reachable"):
+            symmetrize(R)
+        assert fallback_calls == []
 
     def test_structurally_symmetric_non_minimal_is_rejected(self, zeta2):
         R = with_extra_state(zeta2, np.zeros((1, 2)), np.zeros((2, 1)))
@@ -283,11 +313,27 @@ class TestSymmetrizeCertificate:
         with pytest.raises(ValidationError, match="requires a minimal realization"):
             symmetrize(R)
 
+    def test_mirror_pair_raises(self, fallback_calls):
+        # a scalar function is symmetric, but lambda = -1, 1 is a mirror
+        # pair and the realization is not structurally symmetric
+        R = Realization(np.diag([-1.0, 1.0]), np.array([[1.0], [1.0]]),
+                        np.array([[1.0, 2.0]]), np.array([[0.0]]))
+        with pytest.raises(SubspaceError, match="lambda_i"):
+            symmetrize(R)
+        assert fallback_calls == []
+
+    def test_structural_axis_pole_is_decided_by_kalman(self, fallback_calls):
+        # the pole 1j is its own mirror, so there is no Gramian
+        B = np.array([[1.0], [1.0]])
+        R = Realization(np.diag([1j, -2.0]), B, B.T, np.array([[0.0]]))
+        assert symmetrize(R) is R
+        assert fallback_calls == ["kalman_check"]
+
     @pytest.mark.parametrize("which", ["structural", "general"])
     def test_non_hurwitz_input_fails_in_riccati(self, which, zeta2, general,
                                                 monkeypatch):
-        # P is indefinite, so the grid and the Kalman ranks decide:
-        # symmetrize accepts the minimal symmetric realization and the
+        # P is indefinite but nonsingular, so the certificate accepts the
+        # minimal symmetric realization with no Kalman ranks, and the
         # Riccati stage rejects the function
         S = {"structural": zeta2, "general": general}[which]
         R = Realization(-S.a, S.b, S.c, S.d)
@@ -295,12 +341,20 @@ class TestSymmetrizeCertificate:
         monkeypatch.setattr(darlington.realization, "kalman_check",
                             lambda R: calls.append(R) or kalman_check(R))
         assert transfer_distance(symmetrize(R), R) <= 1e-8
-        assert calls == [R]
+        assert calls == []
         assert transfer_distance(symmetrize(S), S) <= 1e-8
-        assert calls == [R]  # the Hurwitz original is certified
+        assert calls == []
         with pytest.raises(ValidationError, match="stage 'riccati': minimal "
                            "solution is not positive definite"):
             minimize_symmetric(R)
+
+    @pytest.mark.parametrize("which", ["zeta1", "zeta2"])
+    def test_structural_input_needs_no_sylvester_solve(self, which, zeta1, zeta2,
+                                                       monkeypatch):
+        R = {"zeta1": zeta1, "zeta2": zeta2}[which]
+        monkeypatch.setattr(darlington.realization.sla, "solve_sylvester",
+                            lambda *a: pytest.fail("solve_sylvester called"))
+        assert symmetrize(R) is R
 
 
 def kronecker_intertwiner(A, B, C):

@@ -1,6 +1,7 @@
 """Blaschke factors, zero structure, two-sided reduction steps, and the
 minimal symmetric synthesis loop."""
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,7 +57,7 @@ def balanced_sigma_min(R: Realization) -> Realization:
     pmin, _ = solve_extremal(build_hat(R))
     E = build_extension(R, pmin)
     sigma, Q, _, _ = symmetric_unitary_extension(E)
-    return _balance(sigma, sla.block_diag(Q.gramian, E.p_matrix))
+    return _balance(sigma, np.linalg.cholesky(sla.block_diag(Q.gramian, E.p_matrix)))
 
 
 class TestBlaschke:
@@ -382,6 +383,26 @@ def test_non_minimal_input_fails_in_symmetrize():
         minimize_symmetric(R)
     with pytest.raises(ValidationError, match="minimal"):
         symmetrize(R)
+
+
+@pytest.mark.parametrize("which", ["suite", "g12"])
+def test_no_step_sigma_needs_a_positive_definite_gramian(which, instance_suite,
+                                                         monkeypatch):
+    # handed P_max, the pipeline builds a Sigma of degree n + kappa with
+    # no step whose lossless identities hold (innerness near 1e-15), but
+    # with poles in the right half-plane: only the Cholesky factor of its
+    # Gramian diag(G_Q, P_max) rejects it
+    if which == "suite":
+        R = instance_suite[14].realization
+    else:  # main.npz g12 #0, n = 12, p = 4
+        with np.load(Path(__file__).parents[1] / "perfbench/inputs/main.npz") as z:
+            R = Realization(*(z[f"g12.{k}"][0] for k in "abcd"))
+    assert not minimize_symmetric(R).factors
+    monkeypatch.setattr(darlington.reduction, "_extremal",
+                        lambda hat, kinds: darlington.riccati._extremal(hat, ("maximal",)))
+    with pytest.raises(ReductionError, match=r"stage 'reduce': the Gramian .* not "
+                       r"positive definite \(\|\|P_min\|\| = "):
+        minimize_symmetric(R)
 
 
 def assert_factors_at_multiple_zeros(R: Realization) -> int:
