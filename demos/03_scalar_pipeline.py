@@ -11,7 +11,6 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from darlington import (
-    compute_mu,
     evaluate,
     minimize_symmetric,
     scalar_minimal_extension,
@@ -23,13 +22,12 @@ from darlington.scalar import siso_realization
 
 
 def show(p1, q, label, mobius_at=None):
-    fac = compute_mu(p1, q)
+    ext, fac = scalar_minimal_extension(p1, q)
     print(f"--- {label}")
     print("  mu coefficients:", np.round(fac.mu.real, 6))
     print("  r1:", np.round(fac.r1.real, 6), "| r2:", np.round(fac.r2.real, 6),
           "| constant:", round(fac.constant, 6), "| kappa:", fac.kappa)
-    ext, deg = scalar_minimal_extension(p1, q)
-    print("  extension degree:", deg,
+    print("  extension degree:", ext.n,
           "| inner residual:", f"{innerness_residual(ext):.2e}")
     # cross-check against the full state-space machinery; a function with
     # |S(inf)| = 1 is moved first by the change of variable s -> iw0 + 1/s

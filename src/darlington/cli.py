@@ -49,7 +49,7 @@ from .realization import (
 )
 from .riccati import _extremal, build_hat
 from .reduction import minimize_symmetric
-from .scalar import compute_mu, scalar_minimal_extension
+from .scalar import scalar_minimal_extension
 
 __all__ = ["main"]
 
@@ -228,21 +228,20 @@ def cmd_scalar(args) -> int:
     if "p1" not in prob:
         print("error: scalar needs coefficient arrays p1 and q", file=sys.stderr)
         return 1
-    fac = compute_mu(prob["p1"], prob["q"])
-    ext, degree = scalar_minimal_extension(prob["p1"], prob["q"])
+    ext, fac = scalar_minimal_extension(prob["p1"], prob["q"])
     rep = {
         "mu": [_dump_complex(z) for z in fac.mu],
         "r1": [_dump_complex(z) for z in fac.r1],
         "r2": [_dump_complex(z) for z in fac.r2],
         "constant": fac.constant,
         "kappa": fac.kappa,
-        "extension_degree": degree,
+        "extension_degree": ext.n,
         "innerness_residual": innerness_residual(ext),
         "symmetry_residual": symmetry_residual(ext),
     }
     if args.out:
         write_realization(args.out, ext, meta={"kappa": fac.kappa,
-                                               "degree": degree})
+                                               "degree": ext.n})
         rep["written"] = args.out
     _emit(rep, args.json)
     return 0

@@ -336,13 +336,15 @@ def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
     """Minimal realization via a two-stage SVD staircase.
 
     Restricts first to the reachable subspace, then cuts the
-    unobservable part; the transfer function is preserved, verified on
-    the probe grid to a transfer distance of 1e-8.
+    unobservable part.  A cut is verified on the probe grid to a
+    transfer distance of 1e-8; with none, R itself is returned.
     """
     scale = _system_scale(R.a, R.b, R.c)
     V = _krylov_span(R.a, R.b, rank_tol, scale)
     A1, B1, C1 = V.conj().T @ R.a @ V, V.conj().T @ R.b, R.c @ V
     W = _krylov_span(A1.conj().T, C1.conj().T, rank_tol, scale)
+    if W.shape[1] == R.n:
+        return R, DegreeCertificate(R.n, R.n, R.n, R.n, rank_tol)
     out = Realization(W.conj().T @ A1 @ W, W.conj().T @ B1, C1 @ W, R.d)
     cert = kalman_check(out, rank_tol)
     dist = transfer_distance(out, R)

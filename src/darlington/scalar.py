@@ -11,8 +11,8 @@ Writing mu = c (r1 r1*)^2 r2 r2* with monic stable r1, r2 and all roots
 of r2 simple singles out the odd-multiplicity roots off the imaginary
 axis; kappa, the count of those in the open right half-plane, is the
 degree excess of the minimal symmetric inner extension.  This scalar
-route is fully independent of the state-space pipeline and serves as
-its oracle.
+route is independent of the state-space pipeline (it shares only the
+lossless certificate) and serves as its oracle.
 """
 from __future__ import annotations
 
@@ -20,16 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import numpy.polynomial.polynomial as npp
+import scipy.linalg as sla
 
 from . import linalg
 from .errors import SpectralSplitError, ValidationError
-from .extension import frequency_grid, innerness_residual
-from .realization import (
-    Realization,
-    freqresp,
-    minimal_realization,
-    symmetry_residual,
-)
+from .extension import _lossless_residual, frequency_grid
+from .realization import Realization, freqresp, symmetry_residual
 
 __all__ = [
     "poly_trim",
@@ -306,8 +302,9 @@ def siso_realization(num, den) -> Realization:
     return Realization(A, B, C, np.array([[d]], dtype=complex))
 
 
-def scalar_minimal_extension(p1, q) -> tuple[Realization, int]:
-    """Explicit minimal symmetric inner 2 x 2 extension of S = p1/q.
+def scalar_minimal_extension(p1, q) -> tuple[Realization, ScalarFactorization]:
+    """Explicit minimal symmetric inner 2 x 2 extension of S = p1/q and
+    the parity split of mu it is built from.
 
     Built entrywise from the parity split,
 
@@ -315,8 +312,11 @@ def scalar_minimal_extension(p1, q) -> tuple[Realization, int]:
          [ sqrt(c) r1 r1* r2*/q,  p1/q ]],
 
     where axis factors of r2 cancel in r2*/r2 up to sign, so the
-    McMillan degree is deg q + kappa.  Symmetry, innerness, the S block
-    and the degree are all verified before returning.
+    McMillan degree is deg q + kappa.  Balanced truncation keeps the
+    Hankel singular values above 1/2 (those of an inner function are
+    all 1), and the lossless certificate on the balanced Gramian I
+    proves the result inner and minimal; symmetry, the S block and the
+    degree are checked before returning.
     """
     fac = compute_mu(p1, q)
     p1 = poly_trim(p1)
@@ -328,11 +328,8 @@ def scalar_minimal_extension(p1, q) -> tuple[Realization, int]:
     off = np.sqrt(fac.constant) * npp.polymul(
         npp.polymul(fac.r1, poly_para(fac.r1)), poly_para(fac.r2))
     e11 = siso_realization(num11, den11)
-    e12 = siso_realization(off, q)
-    e21 = siso_realization(off, q)
+    e12 = e21 = siso_realization(off, q)
     e22 = siso_realization(p1, q)
-    n_states = e11.n + e12.n + e21.n + e22.n
-    import scipy.linalg as sla
     A = sla.block_diag(e11.a, e12.a, e21.a, e22.a)
     Z = [np.zeros((r.n, 1)) for r in (e11, e12, e21, e22)]
     B = np.block([[e11.b, Z[0]], [Z[1], e12.b], [e21.b, Z[2]], [Z[3], e22.b]])
@@ -340,22 +337,27 @@ def scalar_minimal_extension(p1, q) -> tuple[Realization, int]:
         [e11.c, e12.c, np.zeros((1, e21.n)), np.zeros((1, e22.n))],
         [np.zeros((1, e11.n)), np.zeros((1, e12.n)), e21.c, e22.c]])
     D = np.block([[e11.d, e12.d], [e21.d, e22.d]])
-    big = Realization(A, B, C, D)
-    out, cert = minimal_realization(big)
-    expected = (q.size - 1) + fac.kappa
-    if cert.mcmillan_degree != expected:
-        raise ValidationError(
-            f"scalar extension degree {cert.mcmillan_degree} differs from "
-            f"deg(q) + kappa = {expected}")
-    ir = innerness_residual(out)
+    _, (t, _) = sla.matrix_balance(A, permute=False, separate=True)
+    A, B, C = A * t / t[:, np.newaxis], B / t[:, np.newaxis], C * t
+    Lp = linalg.hermitian_sqrt(sla.solve_continuous_lyapunov(A, -B @ B.conj().T))
+    Lq = linalg.hermitian_sqrt(sla.solve_continuous_lyapunov(A.conj().T, -C.conj().T @ C))
+    U, hsv, Vh = np.linalg.svd(Lq @ Lp)
+    keep = hsv > 0.5
+    left = U[:, keep].conj().T @ Lq / np.sqrt(hsv[keep])[:, np.newaxis]
+    right = Lp @ Vh[keep].conj().T / np.sqrt(hsv[keep])
+    out = Realization(left @ A @ right, left @ B, C @ right, D)
+    if out.n != q.size - 1 + fac.kappa:
+        raise ValidationError(f"scalar extension degree {out.n} differs from "
+                              f"deg(q) + kappa = {q.size - 1 + fac.kappa}")
+    ir = _lossless_residual(out, np.eye(out.n))
     sr = symmetry_residual(out)
-    if max(ir, sr) > 1e-8:
+    if not (ir <= 1e-8 and sr <= 1e-8):
         raise ValidationError(
-            f"scalar extension failed certification (inner {ir:g}, "
+            f"scalar extension failed certification (lossless {ir:g}, "
             f"symmetric {sr:g})")
     pts = np.array([0.17j, -0.83j, 3.1j, 0.9 + 0.4j])
     want = npp.polyval(pts, p1) / npp.polyval(pts, q)
     got = freqresp(out, pts)[:, 1, 1]
     if np.any(np.abs(got - want) > 1e-8 * (1 + np.abs(want))):
         raise ValidationError("lower-right block does not match p1/q")
-    return out, cert.mcmillan_degree
+    return out, fac

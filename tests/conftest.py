@@ -12,6 +12,7 @@ tier-1 fixtures are frozen in tests/data/suite.npz.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +45,29 @@ def zeta2() -> Realization:
 @pytest.fixture(scope="session")
 def zeta1() -> Realization:
     return coupled_pair_realization(1.0)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls(f, g, ...) patches every darlington binding of each
+    function so that a call records its first argument (kept alive, so
+    ids stay distinct); returns {function name: [argument, ...]}."""
+    def patch(*functions) -> dict[str, list]:
+        seen: dict[str, list] = {}
+        for original in functions:
+            calls = seen.setdefault(original.__name__, [])
+
+            def counting(R, *args, _original=original, _calls=calls, **kwargs):
+                _calls.append(R)
+                return _original(R, *args, **kwargs)
+
+            for modname, mod in list(sys.modules.items()):
+                if modname == "darlington" or modname.startswith("darlington."):
+                    for attr, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, attr, counting)
+        return seen
+    return patch
 
 
 # ------------------------------------------------------ scalar generators

@@ -21,7 +21,6 @@ from darlington import (
     build_hamiltonian,
     build_hat,
     compare_extensions,
-    compute_mu,
     evaluate,
     innerness_residual,
     is_real_extension,
@@ -144,11 +143,10 @@ def test_criterion_3_minimal_degree_on_suite(pipeline_artifacts):
 def test_criterion_4_scalar_oracle_equivalence(scalar_suite):
     assert len(scalar_suite) == 20
     for p1, q in scalar_suite:
-        fac = compute_mu(p1, q)
-        ext, deg = scalar_minimal_extension(p1, q)
+        ext, fac = scalar_minimal_extension(p1, q)
         R, _ = minimal_realization(siso_realization(p1, q))
         res = minimize_symmetric(R)
-        assert res.degree == deg, (p1, q)
+        assert res.degree == ext.n, (p1, q)
         assert res.kappa == fac.kappa, (p1, q)
     _ok(4, "20 scalar instances: state-space degree equals the polynomial "
            "pipeline degree and the two kappa counts agree")

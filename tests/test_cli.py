@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import darlington.realization
 from darlington.cli import main, read_problem, write_realization
 from darlington.realization import Realization
 
@@ -138,7 +139,8 @@ class TestSynthesize:
         assert rep["kappa"] == 1 and rep["extension_degree"] == 2
 
     @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
-    def test_degree_zero_result_round_trips(self, tmp_path, capsys, mode):
+    def test_degree_zero_result_round_trips(self, tmp_path, capsys, mode,
+                                            count_calls):
         # the state is unreachable and unobservable, so every extension
         # is constant; it is written as A = B = [] and C = [[], ...]
         doc = {"A": [[-1]], "B": [[0, 0]], "C": [[0], [0]],
@@ -146,7 +148,9 @@ class TestSynthesize:
         f = tmp_path / "const.json"
         f.write_text(json.dumps(doc))
         out = tmp_path / "r.json"
+        seen = count_calls(darlington.realization.transfer_distance)
         assert main(["synthesize", str(f), "--mode", mode, "--out", str(out)]) == 0
+        assert len(seen["transfer_distance"]) == 1  # the staircase cut is verified
         back = read_problem(str(out))["realization"]
         assert (back.a.shape, back.b.shape, back.c.shape) == ((0, 0), (0, 4), (4, 0))
         assert np.linalg.norm(back.d[2:, 2:] - np.array(doc["D"]), 2) <= 1e-12

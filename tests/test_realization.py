@@ -190,6 +190,18 @@ class TestMinimalRealization:
         out, cert = minimal_realization(R)
         assert out.n == 1 and cert.minimal
 
+    def test_no_cut_returns_the_input_unverified(self, count_calls):
+        # with no state cut there is nothing to verify: the certificate
+        # comes from the two full spans
+        seen = count_calls(darlington.realization.kalman_check,
+                           darlington.realization.transfer_distance)
+        R = Realization(np.diag([-1.0, -2.0]), np.array([[1.0], [1.0]]),
+                        np.array([[1.0, 2.0]]), np.array([[0.5]]))
+        out, cert = minimal_realization(R)
+        assert out is R
+        assert cert.minimal and cert.mcmillan_degree == 2
+        assert seen == {"kalman_check": [], "transfer_distance": []}
+
     def test_blaschke_cancellation(self):
         f = BlaschkeFactor(xi=1.2 + 0.1j, u=np.array([1.0, 0.0]) / 1.0)
         B = blaschke_realization(f)

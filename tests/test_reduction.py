@@ -424,37 +424,16 @@ def test_factor_points_are_multiple_zeros_of_sigma(zeta2, instance_suite):
     assert sum(steps) > 0
 
 
-def count_certificate_calls(monkeypatch) -> dict[str, list]:
-    """Patch every darlington binding of the four sampled checks so that
-    each call records the realization it was given (kept alive, so ids
-    stay distinct)."""
-    seen: dict[str, list] = {}
-    for module, name in ((darlington.extension, "innerness_residual"),
-                         (darlington.realization, "symmetry_residual"),
-                         (darlington.realization, "kalman_check"),
-                         (darlington.realization, "transfer_distance")):
-        original = getattr(module, name)
-        calls = seen.setdefault(name, [])
-
-        def counting(R, *args, _original=original, _calls=calls, **kwargs):
-            _calls.append(R)
-            return _original(R, *args, **kwargs)
-
-        for modname, mod in list(sys.modules.items()):
-            if modname == "darlington" or modname.startswith("darlington."):
-                for attr, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, attr, counting)
-    return seen
-
-
 @pytest.mark.parametrize("which", ["zeta2", "zeta1", "suite"])
 def test_each_certificate_runs_once_per_realization(
-        which, zeta1, zeta2, instance_suite, monkeypatch):
+        which, zeta1, zeta2, instance_suite, count_calls):
     # zeta2 takes one Blaschke step, zeta1 none, the suite instance three
     R = {"zeta1": zeta1, "zeta2": zeta2,
          "suite": instance_suite[18].realization}[which]
-    seen = count_certificate_calls(monkeypatch)
+    seen = count_calls(darlington.extension.innerness_residual,
+                       darlington.realization.symmetry_residual,
+                       darlington.realization.kalman_check,
+                       darlington.realization.transfer_distance)
     res = minimize_symmetric(R)
     for name, calls in seen.items():
         ids = [id(T) for T in calls]

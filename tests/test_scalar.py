@@ -1,9 +1,15 @@
 """Polynomial pipeline: para-conjugation, root clustering, the parity
 split of mu, spectral factorization, and the explicit 2 x 2 extension."""
+import json
+from pathlib import Path
+
 import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
+import scipy.linalg as sla
 
+import darlington.extension
+import darlington.realization
 from darlington import (
     compute_mu,
     evaluate,
@@ -19,6 +25,7 @@ from darlington.realization import minimal_realization, symmetry_residual
 from darlington.scalar import siso_realization
 
 SQ3 = np.sqrt(3.0)
+POOL = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "main.npz"
 
 
 class TestPolyBasics:
@@ -123,32 +130,30 @@ class TestSpectralFactor:
 
 class TestScalarExtension:
     def test_half_over_lag_degree_two(self):
-        ext, deg = scalar_minimal_extension([0.5], [1.0, 1.0])
-        assert deg == 2
+        ext, fac = scalar_minimal_extension([0.5], [1.0, 1.0])
+        assert ext.n == 2 and fac.kappa == 1
         assert innerness_residual(ext) <= 1e-8
         assert symmetry_residual(ext) <= 1e-8
 
     def test_scaled_blaschke(self):
         # p1 = 0.9 (1 - s), q = s + 1: mu = 0.19 (1 - s^2), kappa = 1
-        fac = compute_mu([0.9, -0.9], [1.0, 1.0])
+        ext, fac = scalar_minimal_extension([0.9, -0.9], [1.0, 1.0])
         assert fac.kappa == 1
-        ext, deg = scalar_minimal_extension([0.9, -0.9], [1.0, 1.0])
-        assert deg == 2
+        assert ext.n == 2
 
     def test_axis_factor_cancels_in_degree(self):
         # double axis zero of mu at 0: the axis factor of r2 cancels and
         # the extension stays at degree deg q = 2
-        ext, deg = scalar_minimal_extension([1.0, 1.0, 1.0], [1.0, 2.0, 1.0])
-        assert deg == 2
+        ext, _ = scalar_minimal_extension([1.0, 1.0, 1.0], [1.0, 2.0, 1.0])
+        assert ext.n == 2
         assert innerness_residual(ext) <= 1e-8
 
     def test_matches_matrix_pipeline(self, scalar_suite):
         for p1, q in scalar_suite[:6]:
-            fac = compute_mu(p1, q)
-            ext, deg = scalar_minimal_extension(p1, q)
+            ext, fac = scalar_minimal_extension(p1, q)
             R, _ = minimal_realization(siso_realization(p1, q))
             res = minimize_symmetric(R)
-            assert res.degree == deg
+            assert res.degree == ext.n
             assert res.kappa == fac.kappa
             # both lower-right blocks realize p1/q
             s = 0.7 + 0.4j
@@ -156,3 +161,59 @@ class TestScalarExtension:
                 npp.polyval(s, np.asarray(q, dtype=complex))
             assert abs(evaluate(ext, s)[1, 1] - want) < 1e-8
             assert abs(evaluate(res.extension, s)[1, 1] - want) < 1e-7
+
+    def test_runs_no_staircase_and_no_sampled_innerness(self, count_calls,
+                                                        scalar_suite):
+        seen = count_calls(darlington.realization.minimal_realization,
+                           darlington.realization.kalman_check,
+                           darlington.realization.transfer_distance,
+                           darlington.extension.innerness_residual)
+        for p1, q in scalar_suite:
+            scalar_minimal_extension(p1, q)
+        assert all(calls == [] for calls in seen.values()), seen
+
+
+def transfer(T, s) -> np.ndarray:
+    """C (sI - A)^{-1} B + D at each point of s, by a plain stacked solve."""
+    pencil = s[:, np.newaxis, np.newaxis] * np.eye(T.n) - T.a
+    return T.c @ np.linalg.solve(pencil, np.broadcast_to(T.b, (s.size,) + T.b.shape)) + T.d
+
+
+# the fractions of these rungs whose extension misses the 1e-8
+# certificate (lossless 2.3e-7 on s7g #31, symmetry 1.0e-8 on s8g #9)
+STILL_RAISING = {("s7g", 31), ("s8g", 9)}
+
+
+def test_benchmark_fractions_certify_or_raise():
+    # the p = 1 generic n = 7, 8 fractions of the benchmark pool, whose
+    # companion blocks reach cond(A) ~ 1e9; each extension returned is
+    # checked independently of the package: Hankel singular values from
+    # its own Lyapunov solves, innerness on a dense axis grid, symmetry
+    # and the S block at points off the axis
+    w = np.logspace(-3, 3, 400)
+    axis = 1j * np.concatenate([[0.0], w, -w])
+    pts = np.array([0.3 + 2j, 1.1 - 0.7j, 2.5 + 0.1j, 0.05 - 4j])
+    raised = set()
+    with np.load(POOL) as z:
+        manifest = json.loads(str(z["manifest"]))
+        for rung in ("s7g", "s8g"):
+            meta = manifest["rungs"][rung]
+            for i in range(meta["count"]):
+                p1, q = (np.trim_zeros(z[f"{rung}.{k}"][i], "b") for k in ("p1", "q"))
+                try:
+                    T, _ = scalar_minimal_extension(p1, q)
+                except ValidationError:
+                    raised.add((rung, i))
+                    continue
+                Wc = sla.solve_continuous_lyapunov(T.a, -T.b @ T.b.conj().T)
+                Wo = sla.solve_continuous_lyapunov(T.a.conj().T, -T.c.conj().T @ T.c)
+                hsv = np.sqrt(np.abs(np.linalg.eigvals(Wc @ Wo)))
+                assert T.n == np.sum(hsv > 0.5) == meta["n"] + meta["kappa"], (rung, i)
+                V = transfer(T, axis)
+                gap = V @ V.conj().transpose(0, 2, 1) - np.eye(2)
+                assert np.max(np.linalg.norm(gap, 2, axis=(1, 2))) <= 1e-7, (rung, i)
+                V = transfer(T, pts)
+                assert np.max(np.abs(V[:, 0, 1] - V[:, 1, 0])) <= 1e-7, (rung, i)
+                want = npp.polyval(pts, p1) / npp.polyval(pts, q)
+                assert np.max(np.abs(V[:, 1, 1] - want)) <= 1e-7, (rung, i)
+    assert raised <= STILL_RAISING

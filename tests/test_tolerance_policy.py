@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import darlington.realization
 from darlington.cli import main, read_problem
 from darlington.errors import ValidationError
 from darlington.realization import Realization, minimal_realization
@@ -85,10 +86,14 @@ class TestCliTolerance:
         assert main(["check", str(f)]) == 0
 
 
-def test_staircase_failure_names_distance_and_rank_tolerance():
+def test_staircase_failure_names_distance_and_rank_tolerance(count_calls):
+    seen = count_calls(darlington.realization.kalman_check,
+                       darlington.realization.transfer_distance)
     R = Realization(np.diag([-1.0, -2.0]), np.array([[1.0], [0.1]]),
                     np.array([[1.0, 1.0]]), np.zeros((1, 1)))
     with pytest.raises(ValidationError,
                        match=r"transfer distance \S+ exceeds 1e-8 at rank "
                              r"tolerance 0\.5"):
         minimal_realization(R, rank_tol=0.5)
+    # the cut is verified
+    assert [len(calls) for calls in seen.values()] == [1, 1]
