@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import DarlingtonError, NotContractiveError
 from .extension import (
+    _lossless_residual,
     build_extension,
     frequency_grid,
     innerness_residual,
@@ -199,10 +200,11 @@ def cmd_synthesize(args) -> int:
         (sol,) = _extremal(build_hat(base), (kind,))
         E = build_extension(base, sol)
         if args.mode == "symmetric":
-            # symmetric_unitary_extension certifies out minimal
-            out, q, sym, _ = symmetric_unitary_extension(E)
+            # symmetric_unitary_extension certifies out unitary and
+            # minimal on its Gramian; that certificate is reported
+            out, q, sym, cert = symmetric_unitary_extension(E)
             checks = {"q_degree": q.degree, "q_inner": q.inner_flag,
-                      "unitary_axis_residual": innerness_residual(out),
+                      "unitary_axis_residual": cert,
                       "symmetry_residual": sym}
         else:
             # build_extension certifies out minimal
@@ -236,7 +238,7 @@ def cmd_scalar(args) -> int:
         "constant": fac.constant,
         "kappa": fac.kappa,
         "extension_degree": ext.n,
-        "innerness_residual": innerness_residual(ext),
+        "innerness_residual": _lossless_residual(ext, np.eye(ext.n)),
         "symmetry_residual": symmetry_residual(ext),
     }
     if args.out:

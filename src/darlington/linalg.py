@@ -3,10 +3,11 @@
 Eigenvalue and singular-value work is delegated to LAPACK through
 numpy/scipy; this module adds the layers the rest of the package relies
 on: point clustering with the one persistence policy (cluster_ladder)
-that decides multiplicities, spectral-subspace extraction, Takagi
-factorization of complex symmetric matrices from one real symmetric
-eigendecomposition, and the Loewner (positive-semidefinite) order on
-Hermitian matrices.
+that decides multiplicities, the one split of a point set symmetric
+about the imaginary axis into axis, plus and minus clusters
+(mirror_split), spectral-subspace extraction, Takagi factorization of
+complex symmetric matrices from one real symmetric eigendecomposition,
+and the Loewner (positive-semidefinite) order on Hermitian matrices.
 
 All returned objects are immutable value types carrying the tolerance
 that was used, and all functions are pure.
@@ -23,6 +24,7 @@ from .errors import (
     ConvergenceError,
     DimensionError,
     NotSymmetricError,
+    SpectralSplitError,
     ValidationError,
 )
 
@@ -38,6 +40,7 @@ __all__ = [
     "half_chain_basis",
     "hermitian_order",
     "hermitian_sqrt",
+    "mirror_split",
     "svd_analysis",
     "takagi",
 ]
@@ -119,6 +122,53 @@ def cluster_ladder(points, base_tol: float):
     warnings.warn("cluster structure never stabilized along the tolerance "
                   "ladder; using the base tolerance")
     return first[:2]
+
+
+def mirror_split(points, base_tol: float):
+    """Cluster a point set symmetric about the imaginary axis with
+    cluster_ladder and label each cluster by its half-plane.
+
+    A cluster whose center has ``|Re c| <= tol`` is labeled "axis" and
+    its center moved onto the axis; the others are "plus" or "minus" by
+    the sign of Re c.  Returns (tolerance used, ((center, multiplicity,
+    label), ...)) in the ladder's cluster order.
+
+    Raises
+    ------
+    SpectralSplitError
+        If an axis cluster has odd multiplicity, or the plus and minus
+        clusters do not pair up as mirrors -conj(c) of equal
+        multiplicity within 10 tol.
+    """
+    tol, clusters = cluster_ladder(points, base_tol)
+    labeled = []
+    for c, members in clusters:
+        m = len(members)
+        if abs(c.real) > tol:
+            labeled.append((c, m, "plus" if c.real > 0 else "minus"))
+            continue
+        c = complex(0.0, c.imag)
+        if m % 2:
+            raise SpectralSplitError(
+                f"imaginary-axis point {c:g} has odd multiplicity {m} at "
+                f"cluster tolerance {tol:g}; the input is not a Schur "
+                "function, or the clustering failed")
+        labeled.append((c, m, "axis"))
+    minus = [(c, m) for c, m, lab in labeled if lab == "minus"]
+    for c, m, lab in labeled:
+        if lab != "plus":
+            continue
+        near = [t for t in minus if abs(t[0] + np.conj(c)) <= 10 * tol]
+        partner = min(near, key=lambda t: abs(t[0] + np.conj(c)), default=None)
+        if partner is None or partner[1] != m:
+            raise SpectralSplitError(
+                f"point {c:g} (multiplicity {m}) lacks a mirrored partner "
+                f"of equal multiplicity (cluster tolerance {tol:g})")
+        minus.remove(partner)
+    if minus:
+        raise SpectralSplitError(f"unpaired left-half-plane points {minus} "
+                                 f"(cluster tolerance {tol:g})")
+    return tol, tuple(labeled)
 
 
 def _orth_columns(M: np.ndarray, tol: float) -> np.ndarray:

@@ -26,19 +26,13 @@ imaginary axis.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import linalg
-from .errors import (
-    NotContractiveError,
-    SpectralSplitError,
-    SubspaceError,
-    ValidationError,
-)
+from .errors import NotContractiveError, SubspaceError, ValidationError
 from .realization import Realization
 
 __all__ = [
@@ -170,69 +164,19 @@ def analyze_spectrum(H: Hamiltonian) -> HSpectrum:
     where chi+ has kappa simple roots in the open right half-plane and
     chi- is its para-conjugate; imaginary-axis eigenvalues all carry
     even total multiplicity and contribute n0 = (total axis
-    multiplicity)/2.
+    multiplicity)/2.  The split is linalg.mirror_split of eigvals(H) at
+    default_cluster_tol(H); it raises SpectralSplitError on an odd axis
+    multiplicity or an eigenvalue without a mirrored partner, and a
+    complete mirror pairing makes 2 deg pi + 2 kappa = 2n.
     """
     M = H.matrix
-    lam = np.linalg.eigvals(M)
-    tol, clusters = linalg.cluster_ladder(lam, linalg.default_cluster_tol(M))
-    band = tol
-    labeled = []
-    for center, members in clusters:
-        m = len(members)
-        if abs(center.real) <= band:
-            labeled.append((complex(0.0, center.imag), m, "axis"))
-        elif center.real > 0:
-            labeled.append((center, m, "plus"))
-        else:
-            labeled.append((center, m, "minus"))
-    for c, m, lab in labeled:
-        if lab == "axis" and m % 2 != 0:
-            raise SpectralSplitError(
-                f"imaginary-axis eigenvalue {c:g} has odd multiplicity {m}; "
-                "for a Schur function all axis partial multiplicities are "
-                "even, so either S is not Schur or the clustering failed "
-                f"(tolerance ladder reached {tol:g})")
-    axis_total = sum(m for _, m, lab in labeled if lab == "axis")
-    n0 = axis_total // 2
-    # mirror-pairing consistency check
-    plus = [(c, m) for c, m, lab in labeled if lab == "plus"]
-    minus = [(c, m) for c, m, lab in labeled if lab == "minus"]
-    for c, m in plus:
-        mirror = [(c2, m2) for c2, m2 in minus
-                  if abs(c2 - (-np.conj(c))) <= 10 * tol]
-        if not mirror or mirror[0][1] != m:
-            warnings.warn(
-                f"eigenvalue {c:g} (multiplicity {m}) lacks a mirrored "
-                "partner at the same multiplicity; clustering may be "
-                "unreliable here")
-    kappa = sum(1 for _, m in plus if m % 2 == 1)
-    pi_roots: list[tuple[complex, int]] = []
-    chi_plus: list[complex] = []
-    for c, m, lab in labeled:
-        if lab == "axis":
-            pi_roots.append((c, m // 2))
-        elif lab == "plus":
-            if m // 2:
-                pi_roots.append((c, m // 2))
-            if m % 2 == 1:
-                chi_plus.append(c)
-        else:
-            if m // 2:
-                pi_roots.append((c, m // 2))
-    odd_minus = sum(1 for _, m, lab in labeled if lab == "minus" and m % 2 == 1)
-    if odd_minus != kappa:
-        warnings.warn(
-            f"odd-multiplicity counts differ across the axis ({kappa} right, "
-            f"{odd_minus} left); clustering may be unreliable")
-    # chi_H = pi^2 chi+ chi- must reassemble: 2*deg(pi) + 2*kappa = 2n
-    if 2 * sum(k for _, k in pi_roots) + 2 * kappa != M.shape[0]:
-        raise SpectralSplitError(
-            "multiplicity split does not reassemble the characteristic "
-            f"polynomial (deg pi = {sum(k for _, k in pi_roots)}, "
-            f"kappa = {kappa}, dim = {M.shape[0]})")
-    return HSpectrum(clusters=tuple(labeled), kappa=kappa, n0=n0,
-                     pi_roots=tuple(pi_roots), chi_plus_roots=tuple(chi_plus),
-                     cluster_tolerance=tol)
+    tol, labeled = linalg.mirror_split(np.linalg.eigvals(M),
+                                       linalg.default_cluster_tol(M))
+    chi_plus = [c for c, m, lab in labeled if lab == "plus" and m % 2]
+    return HSpectrum(clusters=labeled, kappa=len(chi_plus),
+                     n0=sum(m for _, m, lab in labeled if lab == "axis") // 2,
+                     pi_roots=tuple((c, m // 2) for c, m, _ in labeled if m > 1),
+                     chi_plus_roots=tuple(chi_plus), cluster_tolerance=tol)
 
 
 def _newton_refine(hat: HatData, P: np.ndarray) -> np.ndarray:

@@ -11,8 +11,11 @@ Writing mu = c (r1 r1*)^2 r2 r2* with monic stable r1, r2 and all roots
 of r2 simple singles out the odd-multiplicity roots off the imaginary
 axis; kappa, the count of those in the open right half-plane, is the
 degree excess of the minimal symmetric inner extension.  This scalar
-route is independent of the state-space pipeline (it shares only the
-lossless certificate) and serves as its oracle.
+route serves as the oracle of the state-space pipeline.  It shares with
+it the lossless certificate and the split of a point set symmetric
+about the imaginary axis (linalg.mirror_split on cluster_ladder), but
+its points are the roots of mu from polynomial arithmetic, not the
+eigenvalues of the Hamiltonian.
 """
 from __future__ import annotations
 
@@ -38,10 +41,6 @@ __all__ = [
     "siso_realization",
 ]
 
-_AXIS_BAND_FACTOR = 1e-7
-_MU_RUNGS = (1e-6, 1e-5, 1e-4, 1e-3)  # relative root-clustering ladder
-
-
 def poly_trim(p) -> np.ndarray:
     """Coefficient array in ascending order with trailing zeros removed."""
     c = np.atleast_1d(np.asarray(p, dtype=complex)).ravel()
@@ -58,6 +57,11 @@ def poly_para(p) -> np.ndarray:
     return np.array([np.conj(v) * (-1) ** k for k, v in enumerate(c)])
 
 
+def _root_tol(roots) -> float:
+    """Base clustering tolerance of polynomial roots, 1e-6 (1 + max |root|)."""
+    return 1e-6 * (1.0 + float(np.max(np.abs(roots), initial=0.0)))
+
+
 def poly_roots(p):
     """Roots via companion-matrix eigenvalues, clustered into
     multiplicities with the persistence ladder.
@@ -71,8 +75,7 @@ def poly_roots(p):
             raise ValidationError("the zero polynomial has no root structure")
         return (), 0.0
     roots = npp.polyroots(c)
-    scale = 1.0 + float(np.max(np.abs(roots)))
-    tol, clusters = linalg.cluster_ladder(roots, 1e-6 * scale)
+    tol, clusters = linalg.cluster_ladder(roots, _root_tol(roots))
     out = tuple(sorted(((complex(z), len(m)) for z, m in clusters),
                        key=lambda zm: (zm[0].real, zm[0].imag)))
     return out, tol
@@ -116,49 +119,13 @@ def _sylvester_resultant(p, q) -> float:
 
 
 def _classify_mu_roots(mu: np.ndarray):
-    """Cluster the roots of mu and validate the reflection structure at
-    the escalating tolerances of _MU_RUNGS; returns (tol, axis, pairs)
-    where axis is a list of (i*w, even multiplicity) and pairs of
-    (stable root, mult)."""
+    """linalg.mirror_split of the roots of mu at poly_roots' base
+    tolerance; returns (tol, axis, pairs) where axis lists the
+    (i*w, even multiplicity) and pairs the (stable root, mult) clusters."""
     roots = npp.polyroots(mu)
-    scale = 1.0 + float(np.max(np.abs(roots))) if roots.size else 1.0
-    last_err = None
-    for tol in _MU_RUNGS:
-        clusters = linalg.cluster_points(roots, tol * scale)
-        band = max(tol * scale, _AXIS_BAND_FACTOR * scale)
-        axis, left, right = [], [], []
-        for z, members in clusters:
-            m = len(members)
-            if abs(z.real) <= band:
-                axis.append((complex(0.0, z.imag), m))
-            elif z.real < 0:
-                left.append((z, m))
-            else:
-                right.append((z, m))
-        try:
-            for z, m in axis:
-                if m % 2 != 0:
-                    raise SpectralSplitError(
-                        f"imaginary-axis root {z:g} has odd multiplicity {m}")
-            unmatched = list(right)
-            for z, m in left:
-                mirror = -np.conj(z)
-                hit = sorted((t for t in unmatched
-                              if abs(t[0] - mirror) <= 10 * tol * scale),
-                             key=lambda t: abs(t[0] - mirror))
-                if not hit or hit[0][1] != m:
-                    raise SpectralSplitError(
-                        f"root {z:g} (x{m}) lacks a reflected partner")
-                unmatched.remove(hit[0])
-            if unmatched:
-                raise SpectralSplitError(
-                    f"unpaired right-half-plane roots: {unmatched}")
-        except SpectralSplitError as exc:
-            last_err = exc
-            continue
-        return tol * scale, axis, left
-    raise SpectralSplitError(
-        f"could not split the roots of mu consistently: {last_err}")
+    tol, clusters = linalg.mirror_split(roots, _root_tol(roots))
+    axis = [(z, m) for z, m, lab in clusters if lab == "axis"]
+    return tol, axis, [(z, m) for z, m, lab in clusters if lab == "minus"]
 
 
 def compute_mu(p1, q) -> ScalarFactorization:
@@ -166,8 +133,9 @@ def compute_mu(p1, q) -> ScalarFactorization:
 
     Validates that deg p1 <= deg q, q is stable, p1 and q are coprime
     (resultant test) and |p1| <= |q| on the imaginary-axis sample grid,
-    then factors mu = c (r1 r1*)^2 r2 r2* by clustering its roots.  The
-    reconstruction is verified against the coefficients of mu.
+    then factors mu = c (r1 r1*)^2 r2 r2* from the mirror split of its
+    roots.  The reconstruction is verified against the coefficients of
+    mu.
     """
     p1 = poly_trim(p1)
     q = poly_trim(q)
@@ -202,16 +170,10 @@ def compute_mu(p1, q) -> ScalarFactorization:
         raise ValidationError("mu vanishes identically: S is inner, not "
                               "strictly contractive anywhere")
     tol, axis, pairs = _classify_mu_roots(mu)
-    r1_roots, r2_off_roots, r2_axis_roots = [], [], []
-    for z, m in pairs:
-        r1_roots.extend([z] * (m // 2))
-        if m % 2 == 1:
-            r2_off_roots.append(z)
-    for z, m in axis:
-        e = m // 2
-        r1_roots.extend([z] * (e // 2))
-        if e % 2 == 1:
-            r2_axis_roots.append(z)
+    r1_roots = [z for z, m in pairs for _ in range(m // 2)]
+    r1_roots += [z for z, m in axis for _ in range(m // 4)]
+    r2_off_roots = [z for z, m in pairs if m % 2]
+    r2_axis_roots = [z for z, m in axis if m // 2 % 2]
     r1 = npp.polyfromroots(r1_roots).astype(complex)
     r2_off = npp.polyfromroots(r2_off_roots).astype(complex)
     r2_axis = npp.polyfromroots(r2_axis_roots).astype(complex)
@@ -219,11 +181,8 @@ def compute_mu(p1, q) -> ScalarFactorization:
     recon = npp.polymul(
         npp.polymul(npp.polymul(r1, poly_para(r1)), npp.polymul(r1, poly_para(r1))),
         npp.polymul(r2, poly_para(r2)))
+    # the complete mirror pairing gives recon the degree of mu
     recon = poly_trim(recon)
-    if recon.size != mu.size:
-        raise SpectralSplitError(
-            "parity split lost or gained degree against mu; root clustering "
-            "is inconsistent")
     c = mu[-1] / recon[-1]
     if abs(c.imag) > 1e-8 * abs(c) or c.real <= 0:
         raise SpectralSplitError(f"parity-split constant {c:g} is not positive")
@@ -256,12 +215,9 @@ def spectral_factor_poly(m) -> np.ndarray:
         raise ValidationError(f"m(i{grid[k]:g}) = {vals[k]:g} is negative")
     if m.size == 1:
         return np.array([np.sqrt(m[0].real)], dtype=complex)
-    tol, axis, pairs = _classify_mu_roots(m)
-    stable = []
-    for z, mult in pairs:
-        stable.extend([z] * mult)
-    for z, mult in axis:
-        stable.extend([z] * (mult // 2))
+    _, axis, pairs = _classify_mu_roots(m)
+    stable = [z for z, k in pairs for _ in range(k)]
+    stable += [z for z, k in axis for _ in range(k // 2)]
     p2 = npp.polyfromroots(stable).astype(complex)
     # positive scale factor fixed at the grid point where m is largest
     k = int(np.argmax(np.abs(vals)))

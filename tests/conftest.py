@@ -311,6 +311,17 @@ def draw_scalar_suite(seed: int = 77) -> list[tuple[np.ndarray, np.ndarray]]:
     return out
 
 
+# (n, n_axis, rng seed) of unfiltered kappa = 0 fractions whose mu has
+# double roots that rounding splits by about 1e-5 of their scale
+SPLIT_DRAWS = [(4, 0, 79), (4, 0, 84), (6, 2, 2048), (6, 2, 2085), (6, 2, 2110)]
+
+
+def draw_split_fractions() -> list[tuple[np.ndarray, np.ndarray]]:
+    """The SPLIT_DRAWS fractions, each from its own generator."""
+    return [random_scalar_fraction(np.random.default_rng(seed), n, 0, n_axis)
+            for n, n_axis, seed in SPLIT_DRAWS]
+
+
 def draw_large_instance(seed: int = 555) -> Instance:
     """p = 4, n = 8 congruence of four kappa-0 scalar parts."""
     rng = np.random.default_rng(seed)
@@ -369,6 +380,13 @@ def instance_suite(frozen) -> list[Instance]:
 def scalar_suite(frozen) -> list[tuple[np.ndarray, np.ndarray]]:
     """20 scalar fractions for the oracle-equivalence run."""
     return [(frozen[f"scalar/p1/{j}"], frozen[f"scalar/q/{j}"]) for j in range(20)]
+
+
+@pytest.fixture(scope="session")
+def split_fractions(frozen) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The SPLIT_DRAWS fractions with their degrees n."""
+    return [(frozen[f"split/p1/{j}"], frozen[f"split/q/{j}"], n)
+            for j, (n, _, _) in enumerate(SPLIT_DRAWS)]
 
 
 @pytest.fixture(scope="session")

@@ -3,12 +3,14 @@
 The draws of tests/conftest.py pass a conditioning filter that runs the
 package's own symmetrize and solve_extremal, so which candidates it
 accepts depends on the last digits of the Riccati solve.  This script
-runs the three draws once and stores the accepted instances bit-exactly:
+runs the four draws once and stores the accepted instances bit-exactly:
 
 - ``suite/{i}``: the 20 instances of ``build_suite(2024)``;
 - ``scalar/p1/{j}``, ``scalar/q/{j}``: the 20 fractions of
   ``draw_scalar_suite(77)``;
-- ``large``: the p = 4, n = 8 instance of ``draw_large_instance(555)``.
+- ``large``: the p = 4, n = 8 instance of ``draw_large_instance(555)``;
+- ``split/p1/{j}``, ``split/q/{j}``: the five unfiltered fractions of
+  ``draw_split_fractions()``, whose mu has double roots split by rounding.
 
 The committed file was written from the package before Takagi became a
 real symmetric eigendecomposition; rerunning the script with later
@@ -30,6 +32,7 @@ from conftest import (  # noqa: E402
     build_suite,
     draw_large_instance,
     draw_scalar_suite,
+    draw_split_fractions,
     pack_instance,
 )
 
@@ -41,6 +44,8 @@ def main() -> None:
     for j, (p1, q) in enumerate(draw_scalar_suite(77)):
         out[f"scalar/p1/{j}"], out[f"scalar/q/{j}"] = p1, q
     pack_instance(out, "large", draw_large_instance(555))
+    for j, (p1, q) in enumerate(draw_split_fractions()):
+        out[f"split/p1/{j}"], out[f"split/q/{j}"] = p1, q
     np.savez_compressed(SUITE_FILE, **out)
     print(f"wrote {len(out)} arrays to {SUITE_FILE}")
 

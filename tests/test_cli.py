@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import darlington.extension
 import darlington.realization
 from darlington.cli import main, read_problem, write_realization
 from darlington.realization import Realization
@@ -137,6 +138,20 @@ class TestSynthesize:
         assert rc == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["kappa"] == 1 and rep["extension_degree"] == 2
+
+    def test_reports_certificates_without_sampling(self, tmp_path, capsys,
+                                                   count_calls):
+        # scalar and symmetric report the lossless certificates their
+        # extensions were built under, not a grid innerness check
+        seen = count_calls(darlington.extension.innerness_residual)
+        frac = tmp_path / "frac.json"
+        frac.write_text(json.dumps({"p1": [[0.5, 0.0]], "q": [[1.0, 0.0], [1.0, 0.0]]}))
+        assert main(["scalar", str(frac), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["innerness_residual"] < 1e-8
+        f = write_coupled_pair(tmp_path / "z2.json")
+        assert main(["synthesize", str(f), "--mode", "symmetric", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["unitary_axis_residual"] < 1e-8
+        assert seen["innerness_residual"] == []
 
     @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
     def test_degree_zero_result_round_trips(self, tmp_path, capsys, mode,

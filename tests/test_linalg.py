@@ -15,8 +15,13 @@ from darlington import (
     symmetrize,
     takagi,
 )
-from darlington.errors import DimensionError, NotSymmetricError
-from darlington.linalg import cluster_ladder, half_chain_basis, hermitian_sqrt
+from darlington.errors import DimensionError, NotSymmetricError, SpectralSplitError
+from darlington.linalg import (
+    cluster_ladder,
+    half_chain_basis,
+    hermitian_sqrt,
+    mirror_split,
+)
 
 
 def random_complex(rng, shape, scale=1.0):
@@ -214,6 +219,34 @@ class TestClusterLadder:
             tol, clusters = cluster_ladder(pts, 1e-6)
         assert tol == 1e-6 and len(clusters) == 8
         assert len(calls) == 5
+
+
+class TestMirrorSplit:
+    def test_labels_and_moves_axis_centers(self):
+        pts = [1.0 + 2j, -1.0 + 2j, 0.5j + 1e-9, 0.5j - 1e-9]
+        tol, clusters = mirror_split(pts, 1e-6)
+        assert tol == 1e-6
+        assert sorted(lab for _, _, lab in clusters) == ["axis", "minus", "plus"]
+        assert (0.5j, 2, "axis") in clusters
+
+    def test_odd_axis_multiplicity_raises(self):
+        with pytest.raises(SpectralSplitError, match="odd multiplicity"):
+            mirror_split([0.5j, 1.0 + 1j, -1.0 + 1j], 1e-6)
+
+    def test_unpaired_right_half_plane_point_raises(self):
+        with pytest.raises(SpectralSplitError, match="mirrored partner"):
+            mirror_split([1.0 + 1j, -1.0 + 1j, 2.0], 1e-6)
+
+    def test_split_double_root_is_rejoined(self):
+        # a mirrored double root that rounding split by 5e-6 of the
+        # scale stays one cluster of multiplicity 2 on each side
+        z = -0.7 + 0.4j
+        scale = 1.0 + abs(z)
+        pts = [z - 2.5e-6 * scale, z + 2.5e-6 * scale]
+        pts += [-np.conj(w) for w in pts]
+        tol, clusters = mirror_split(pts, 1e-6 * scale)
+        assert tol == pytest.approx(1e-5 * scale)
+        assert sorted((lab, m) for _, m, lab in clusters) == [("minus", 2), ("plus", 2)]
 
 
 def cluster_points_loop(points, tol: float):

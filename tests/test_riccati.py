@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from darlington import (
+    Hamiltonian,
     Realization,
     analyze_spectrum,
     build_hamiltonian,
@@ -12,7 +13,7 @@ from darlington import (
     riccati_residual,
     solve_extremal,
 )
-from darlington.errors import NotContractiveError
+from darlington.errors import NotContractiveError, SpectralSplitError
 
 SQ3 = np.sqrt(3.0)
 
@@ -211,6 +212,12 @@ class TestAnalyzeSpectrum:
         assert (spec.kappa, spec.n0) == (1, 0)
         assert len(spec.chi_plus_roots) == 1
         assert abs(spec.chi_plus_roots[0] - SQ3 / 2) < 1e-8
+
+    def test_unmirrored_eigenvalues_raise(self):
+        # 1 and -2 are no mirror pair: the split refuses instead of
+        # reporting kappa = 1
+        with pytest.raises(SpectralSplitError, match="mirrored partner"):
+            analyze_spectrum(Hamiltonian(np.diag([1.0, -2.0])))
 
     def test_pi_reassembly(self, zeta2):
         spec = analyze_spectrum(build_hamiltonian(build_hat(zeta2)))

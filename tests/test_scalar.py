@@ -7,6 +7,7 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 import pytest
 import scipy.linalg as sla
+from conftest import SPLIT_DRAWS
 
 import darlington.extension
 import darlington.realization
@@ -22,7 +23,7 @@ from darlington import (
 from darlington.errors import ValidationError
 from darlington.extension import innerness_residual
 from darlington.realization import minimal_realization, symmetry_residual
-from darlington.scalar import siso_realization
+from darlington.scalar import _classify_mu_roots, siso_realization
 
 SQ3 = np.sqrt(3.0)
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "main.npz"
@@ -58,6 +59,16 @@ class TestComputeMu:
         assert np.allclose(fac.r1, [1.0])
         assert np.allclose(fac.r2, [SQ3 / 2, 1.0], atol=1e-10)
         assert abs(fac.constant - 1.0) < 1e-10
+
+    def test_split_double_root_counts_twice(self):
+        # the roots z +- 2.5e-6 scale and their mirrors are one double
+        # root of mu on each side, which puts nothing into kappa
+        z = -0.7 + 0.4j
+        scale = 1.0 + abs(z)
+        roots = [z - 2.5e-6 * scale, z + 2.5e-6 * scale]
+        mu = npp.polyfromroots(roots + [-np.conj(w) for w in roots])
+        _, axis, pairs = _classify_mu_roots(mu)
+        assert axis == [] and [m for _, m in pairs] == [2]
 
     def test_perfect_square(self):
         p1 = 0.6 * np.array([1.0, -2.0, 1.0])   # 0.6 (s-1)^2
@@ -179,6 +190,27 @@ def transfer(T, s) -> np.ndarray:
     return T.c @ np.linalg.solve(pencil, np.broadcast_to(T.b, (s.size,) + T.b.shape)) + T.d
 
 
+def assert_independently_certified(T, p1, q, degree: int, label) -> None:
+    """Checks independent of the package: Hankel singular values from
+    T's own Lyapunov solves, innerness on a dense axis grid, symmetry
+    and the S block p1/q at points off the axis, each at 1e-7; label
+    names the fraction in a failure."""
+    w = np.logspace(-3, 3, 400)
+    axis = 1j * np.concatenate([[0.0], w, -w])
+    pts = np.array([0.3 + 2j, 1.1 - 0.7j, 2.5 + 0.1j, 0.05 - 4j])
+    Wc = sla.solve_continuous_lyapunov(T.a, -T.b @ T.b.conj().T)
+    Wo = sla.solve_continuous_lyapunov(T.a.conj().T, -T.c.conj().T @ T.c)
+    hsv = np.sqrt(np.abs(np.linalg.eigvals(Wc @ Wo)))
+    assert T.n == np.sum(hsv > 0.5) == degree, label
+    V = transfer(T, axis)
+    gap = V @ V.conj().transpose(0, 2, 1) - np.eye(2)
+    assert np.max(np.linalg.norm(gap, 2, axis=(1, 2))) <= 1e-7, label
+    V = transfer(T, pts)
+    assert np.max(np.abs(V[:, 0, 1] - V[:, 1, 0])) <= 1e-7, label
+    want = npp.polyval(pts, p1) / npp.polyval(pts, q)
+    assert np.max(np.abs(V[:, 1, 1] - want)) <= 1e-7, label
+
+
 # the fractions of these rungs whose extension misses the 1e-8
 # certificate (lossless 2.3e-7 on s7g #31, symmetry 1.0e-8 on s8g #9)
 STILL_RAISING = {("s7g", 31), ("s8g", 9)}
@@ -186,13 +218,7 @@ STILL_RAISING = {("s7g", 31), ("s8g", 9)}
 
 def test_benchmark_fractions_certify_or_raise():
     # the p = 1 generic n = 7, 8 fractions of the benchmark pool, whose
-    # companion blocks reach cond(A) ~ 1e9; each extension returned is
-    # checked independently of the package: Hankel singular values from
-    # its own Lyapunov solves, innerness on a dense axis grid, symmetry
-    # and the S block at points off the axis
-    w = np.logspace(-3, 3, 400)
-    axis = 1j * np.concatenate([[0.0], w, -w])
-    pts = np.array([0.3 + 2j, 1.1 - 0.7j, 2.5 + 0.1j, 0.05 - 4j])
+    # companion blocks reach cond(A) ~ 1e9
     raised = set()
     with np.load(POOL) as z:
         manifest = json.loads(str(z["manifest"]))
@@ -205,15 +231,19 @@ def test_benchmark_fractions_certify_or_raise():
                 except ValidationError:
                     raised.add((rung, i))
                     continue
-                Wc = sla.solve_continuous_lyapunov(T.a, -T.b @ T.b.conj().T)
-                Wo = sla.solve_continuous_lyapunov(T.a.conj().T, -T.c.conj().T @ T.c)
-                hsv = np.sqrt(np.abs(np.linalg.eigvals(Wc @ Wo)))
-                assert T.n == np.sum(hsv > 0.5) == meta["n"] + meta["kappa"], (rung, i)
-                V = transfer(T, axis)
-                gap = V @ V.conj().transpose(0, 2, 1) - np.eye(2)
-                assert np.max(np.linalg.norm(gap, 2, axis=(1, 2))) <= 1e-7, (rung, i)
-                V = transfer(T, pts)
-                assert np.max(np.abs(V[:, 0, 1] - V[:, 1, 0])) <= 1e-7, (rung, i)
-                want = npp.polyval(pts, p1) / npp.polyval(pts, q)
-                assert np.max(np.abs(V[:, 1, 1] - want)) <= 1e-7, (rung, i)
+                assert_independently_certified(T, p1, q, meta["n"] + meta["kappa"],
+                                               (rung, i))
     assert raised <= STILL_RAISING
+
+
+@pytest.mark.parametrize("j", range(len(SPLIT_DRAWS)),
+                         ids=[f"n{n}-seed{seed}" for n, _, seed in SPLIT_DRAWS])
+def test_split_double_roots_certify_at_degree_n(split_fractions, j):
+    # kappa = 0: every root of mu is double, and rounding splits some
+    # pairs by about 1e-5 of their scale; the cluster ladder rejoins
+    # them, where a split taken at 1e-6 counted them as simple roots
+    # (degree 8 instead of 4 or 6, or a raise)
+    p1, q, n = split_fractions[j]
+    T, fac = scalar_minimal_extension(p1, q)
+    assert fac.kappa == 0
+    assert_independently_certified(T, p1, q, n, SPLIT_DRAWS[j])
