@@ -16,19 +16,18 @@ from darlington import (
     scalar_minimal_extension,
     spectral_factor_poly,
 )
-from darlington.extension import innerness_residual
 from darlington.realization import minimal_realization
 from darlington.scalar import siso_realization
 
 
 def show(p1, q, label, mobius_at=None):
-    ext, fac = scalar_minimal_extension(p1, q)
+    ext, fac, sym, inner = scalar_minimal_extension(p1, q)
     print(f"--- {label}")
     print("  mu coefficients:", np.round(fac.mu.real, 6))
     print("  r1:", np.round(fac.r1.real, 6), "| r2:", np.round(fac.r2.real, 6),
           "| constant:", round(fac.constant, 6), "| kappa:", fac.kappa)
-    print("  extension degree:", ext.n,
-          "| inner residual:", f"{innerness_residual(ext):.2e}")
+    print("  extension degree:", ext.n, "| lossless certificate:", f"{inner:.2e}",
+          "| symmetry:", f"{sym:.2e}")
     # cross-check against the full state-space machinery; a function with
     # |S(inf)| = 1 is moved first by the change of variable s -> iw0 + 1/s
     R, _ = minimal_realization(siso_realization(p1, q))

@@ -37,7 +37,6 @@ from .extension import (
     _lossless_residual,
     build_extension,
     frequency_grid,
-    innerness_residual,
     symmetric_unitary_extension,
 )
 from .realization import (
@@ -207,9 +206,9 @@ def cmd_synthesize(args) -> int:
                       "unitary_axis_residual": cert,
                       "symmetry_residual": sym}
         else:
-            # build_extension certifies out minimal
+            # build_extension certifies out inner and minimal on P
             out = E.realization
-            checks = {"innerness_residual": innerness_residual(out),
+            checks = {"innerness_residual": _lossless_residual(out, E.p_matrix),
                       "riccati_residual": sol.residual_norm}
             if args.solution == "min":
                 zeros = np.linalg.eigvals(sol.z)
@@ -230,7 +229,7 @@ def cmd_scalar(args) -> int:
     if "p1" not in prob:
         print("error: scalar needs coefficient arrays p1 and q", file=sys.stderr)
         return 1
-    ext, fac = scalar_minimal_extension(prob["p1"], prob["q"])
+    ext, fac, sym, inner = scalar_minimal_extension(prob["p1"], prob["q"])
     rep = {
         "mu": [_dump_complex(z) for z in fac.mu],
         "r1": [_dump_complex(z) for z in fac.r1],
@@ -238,8 +237,8 @@ def cmd_scalar(args) -> int:
         "constant": fac.constant,
         "kappa": fac.kappa,
         "extension_degree": ext.n,
-        "innerness_residual": _lossless_residual(ext, np.eye(ext.n)),
-        "symmetry_residual": symmetry_residual(ext),
+        "innerness_residual": inner,
+        "symmetry_residual": sym,
     }
     if args.out:
         write_realization(args.out, ext, meta={"kappa": fac.kappa,

@@ -23,7 +23,13 @@ import numpy as np
 
 from .errors import NotSymmetricError, SubspaceError, ValidationError
 from .extension import build_extension
-from .realization import Realization, _intertwiner, _structurally_symmetric, freqresp
+from .realization import (
+    Realization,
+    _intertwiner,
+    _structurally_symmetric,
+    freqresp,
+    probe_points,
+)
 from .riccati import build_hat, riccati_residual, solve_extremal
 
 __all__ = [
@@ -36,12 +42,6 @@ __all__ = [
 
 _REAL_TOL = 1e-9
 _STRUCT_TOL = 1e-10
-# offsets of the 16 realness probe points from the right edge of the
-# poles: real part in [0, 2), imaginary part in [-1.5, 1.5) with modulus
-# at least 0.1 (16 of 18 draws from a fixed seed pass)
-_REAL_DRAWS = np.random.default_rng(0x7EA1).random((18, 2))
-_REAL_OFFSETS = 2 * _REAL_DRAWS[:, 0] + 1j * (3 * (_REAL_DRAWS[:, 1] - 0.5))
-_REAL_OFFSETS = _REAL_OFFSETS[np.abs(_REAL_OFFSETS.imag) >= 0.1][:16]
 
 
 def _require_real(R: Realization) -> None:
@@ -114,17 +114,16 @@ def is_real_extension(P, R: Realization) -> bool:
     """True iff the inner extension built on P has real coefficients.
 
     Decided by ||Im P||, certified independently by the conjugate
-    symmetry S(conj(s)) = conj(S(s)) of the extension at 16 non-real
-    points drawn from a fixed seed; the two verdicts must agree.
+    symmetry S(conj(s)) = conj(S(s)) of the extension on its probe grid
+    and that grid's mirror image; the two verdicts must agree.
     """
     _require_real(R)
     Pm = P.p if hasattr(P, "p") else np.asarray(P, dtype=complex)
     real_p = bool(np.linalg.norm(Pm.imag, 2) <= _REAL_TOL * (1 + np.linalg.norm(Pm, 2)))
     E = build_extension(R, Pm)
-    poles = E.realization.poles()
-    right = float(np.max(poles.real)) + 1.0 if poles.size else 1.0
-    pts = right + _REAL_OFFSETS
-    gap = freqresp(E.realization, np.conj(pts)) - np.conj(freqresp(E.realization, pts))
+    pts = probe_points(E.realization)
+    F = freqresp(E.realization, np.concatenate([pts, pts.conj()]))
+    gap = F[pts.size:] - F[:pts.size].conj()
     worst = float(np.max(np.linalg.norm(gap, 2, axis=(1, 2))))
     certified = bool(worst <= 1e-8 * (1 + np.linalg.norm(Pm, 2)))
     if certified != real_p:

@@ -264,10 +264,14 @@ def transfer_distance(R1: Realization, R2: Realization) -> float:
                         initial=0.0))
 
 
+def _asymmetry(F: np.ndarray) -> float:
+    """max over a (k, p, p) stack of values of ||F - F^T||."""
+    return float(np.max(np.linalg.norm(F - F.transpose(0, 2, 1), 2, axis=(1, 2))))
+
+
 def symmetry_residual(R: Realization) -> float:
     """max over the probe grid of ||S(s) - S(s)^T||."""
-    F = freqresp(R, probe_points(R))
-    return float(np.max(np.linalg.norm(F - F.transpose(0, 2, 1), 2, axis=(1, 2))))
+    return _asymmetry(freqresp(R, probe_points(R)))
 
 
 def compose(R1: Realization, R2: Realization) -> Realization:

@@ -26,8 +26,8 @@ state per side by an orthogonal deflation in closed form, with no
 Lyapunov solve or rank decision, and is certified inner and minimal of
 degree deg T - 2 on the identity Gramian.  The last of these Gramian
 certificates (or Sigma's, with no step) is the reported innerness of
-the result; only the symmetry and S-block match are sampled, once, on
-the final realization.
+the result; only the symmetry and S-block match are sampled, from one
+frequency response of the final realization on the probe grid.
 """
 from __future__ import annotations
 
@@ -46,12 +46,12 @@ from .extension import (
 )
 from .realization import (
     Realization,
+    _asymmetry,
     derivative,
     evaluate,
     freqresp,
     probe_points,
     symmetrize,
-    symmetry_residual,
     transpose,
 )
 from .riccati import RiccatiSolution, _extremal, build_hat
@@ -278,7 +278,7 @@ class SynthesisResult:
     certificate, which proves ``extension`` all-pass and minimal (the
     last Blaschke step's, on the identity Gramian, or with no step
     Sigma's, on diag(G_Q, P_min)); ``symmetry`` and ``block_match`` are
-    maxima over the probe grid."""
+    maxima over the probe grid of one frequency response of ``extension``."""
     extension: Realization
     degree: int
     kappa: int
@@ -314,9 +314,8 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     factor of Sigma's Gramian diag(G_Q, P_min) must exist, with or
     without a step, and balances Sigma before the first step; a failing
     step is a hard error.  ``residual_tol`` bounds the innerness certificate
-    of the last stage and the grid symmetry and S-block residuals of the
-    final realization (with no step, its symmetry is the one the
-    symmetric extension measured).
+    of the last stage and the symmetry and S-block residuals of the final
+    realization, both from its one frequency response on the probe grid.
     """
     try:
         Rs = symmetrize(R)
@@ -330,7 +329,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     kappa, n0 = pmin.spectrum.kappa, pmin.spectrum.n0
     try:
         E = build_extension(Rs, pmin)
-        sigma, Q, sigma_symmetry, ir = symmetric_unitary_extension(E)
+        sigma, Q, _, ir = symmetric_unitary_extension(E)
     except DarlingtonError as exc:
         raise _stage("symmetric-extension", exc) from exc
     if sigma.n != 2 * n - n0:
@@ -369,12 +368,12 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
                     f"{current.n} failed ({_conditioning(pmin)}): {exc}") from exc
             factors.append(f)
     # ir is the lossless certificate of the last stage (the last step, or
-    # sigma with none), which proves current inner and minimal; with no
-    # step, the symmetric extension stage also measured its symmetry
-    sr = symmetry_residual(current) if factors else sigma_symmetry
+    # sigma with none), which proves current inner and minimal; one
+    # response on the probe grid gives its symmetry and S block
     pts = probe_points(current, R)
-    gap = freqresp(current, pts)[:, p:, p:] - freqresp(R, pts)
-    block = float(np.max(np.linalg.norm(gap, 2, axis=(1, 2))))
+    F = freqresp(current, pts)
+    sr = _asymmetry(F)
+    block = float(np.max(np.linalg.norm(F[:, p:, p:] - freqresp(R, pts), 2, axis=(1, 2))))
     if max(ir, sr, block) > residual_tol:
         raise ValidationError(
             f"stage 'finalize': certification failed (inner {ir:g}, "

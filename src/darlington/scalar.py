@@ -28,7 +28,7 @@ import scipy.linalg as sla
 from . import linalg
 from .errors import SpectralSplitError, ValidationError
 from .extension import _lossless_residual, frequency_grid
-from .realization import Realization, freqresp, symmetry_residual
+from .realization import Realization, _asymmetry, freqresp, probe_points
 
 __all__ = [
     "poly_trim",
@@ -102,22 +102,6 @@ class ScalarFactorization:
     cluster_tolerance: float
 
 
-def _sylvester_resultant(p, q) -> float:
-    """Normalized magnitude of the resultant of two polynomials."""
-    a, b = poly_trim(p), poly_trim(q)
-    da, db = a.size - 1, b.size - 1
-    if da == 0 or db == 0:
-        return 1.0
-    S = np.zeros((da + db, da + db), dtype=complex)
-    for i in range(db):
-        S[i, i:i + da + 1] = a[::-1]
-    for i in range(da):
-        S[db + i, i:i + db + 1] = b[::-1]
-    det = np.linalg.det(S)
-    norm = (np.linalg.norm(a, np.inf) ** db) * (np.linalg.norm(b, np.inf) ** da)
-    return float(abs(det) / max(norm, 1e-300))
-
-
 def _classify_mu_roots(mu: np.ndarray):
     """linalg.mirror_split of the roots of mu at poly_roots' base
     tolerance; returns (tol, axis, pairs) where axis lists the
@@ -132,10 +116,10 @@ def compute_mu(p1, q) -> ScalarFactorization:
     """Deficiency polynomial mu = q q* - p1 p1* and its parity split.
 
     Validates that deg p1 <= deg q, q is stable, p1 and q are coprime
-    (resultant test) and |p1| <= |q| on the imaginary-axis sample grid,
-    then factors mu = c (r1 r1*)^2 r2 r2* from the mirror split of its
-    roots.  The reconstruction is verified against the coefficients of
-    mu.
+    (no root of p1 within 1e-7 (1 + max |root|) of a root of q) and
+    |p1| <= |q| on the imaginary-axis sample grid, then factors
+    mu = c (r1 r1*)^2 r2 r2* from the mirror split of its roots.  The
+    reconstruction is verified against the coefficients of mu.
     """
     p1 = poly_trim(p1)
     q = poly_trim(q)
@@ -146,17 +130,13 @@ def compute_mu(p1, q) -> ScalarFactorization:
     qroots, _ = poly_roots(q)
     if any(z.real >= -1e-12 for z, _ in qroots):
         raise ValidationError("q must have all roots in the open left half-plane")
-    if _sylvester_resultant(p1, q) <= 1e-10:
-        # the normalized determinant is a conservative bound; condemn the
-        # pair only if the root sets actually touch (both are non-empty:
-        # the resultant of a constant is 1)
-        p1roots, _ = poly_roots(p1)
-        sep = min(abs(z - w) for z, _ in p1roots for w, _ in qroots)
-        scale = 1.0 + max(abs(z) for z, _ in list(p1roots) + list(qroots))
-        if sep <= 1e-7 * scale:
-            raise ValidationError(
-                f"p1 and q share a root near separation {sep:g}; they "
-                "must be coprime")
+    p1roots, _ = poly_roots(p1)
+    sep = min((abs(z - w) for z, _ in p1roots for w, _ in qroots), default=np.inf)
+    scale = 1.0 + max((abs(z) for z, _ in p1roots + qroots), default=0.0)
+    if sep <= 1e-7 * scale:
+        raise ValidationError(
+            f"p1 and q share a root near separation {sep:g}; they "
+            "must be coprime")
     grid = frequency_grid()
     over = (np.abs(npp.polyval(1j * grid, p1))
             > np.abs(npp.polyval(1j * grid, q)) * (1.0 + 1e-9))
@@ -258,9 +238,9 @@ def siso_realization(num, den) -> Realization:
     return Realization(A, B, C, np.array([[d]], dtype=complex))
 
 
-def scalar_minimal_extension(p1, q) -> tuple[Realization, ScalarFactorization]:
-    """Explicit minimal symmetric inner 2 x 2 extension of S = p1/q and
-    the parity split of mu it is built from.
+def scalar_minimal_extension(p1, q) -> tuple[Realization, ScalarFactorization, float, float]:
+    """Explicit minimal symmetric inner 2 x 2 extension of S = p1/q, the
+    parity split of mu it is built from, and its two certificate residuals.
 
     Built entrywise from the parity split,
 
@@ -271,8 +251,10 @@ def scalar_minimal_extension(p1, q) -> tuple[Realization, ScalarFactorization]:
     McMillan degree is deg q + kappa.  Balanced truncation keeps the
     Hankel singular values above 1/2 (those of an inner function are
     all 1), and the lossless certificate on the balanced Gramian I
-    proves the result inner and minimal; symmetry, the S block and the
-    degree are checked before returning.
+    proves the result inner and minimal; the degree is checked, and
+    symmetry and the S block are read from one frequency response on
+    the probe grid.  Returns (extension, factorization, symmetry,
+    innerness), each residual at most 1e-8.
     """
     fac = compute_mu(p1, q)
     p1 = poly_trim(p1)
@@ -306,14 +288,14 @@ def scalar_minimal_extension(p1, q) -> tuple[Realization, ScalarFactorization]:
         raise ValidationError(f"scalar extension degree {out.n} differs from "
                               f"deg(q) + kappa = {q.size - 1 + fac.kappa}")
     ir = _lossless_residual(out, np.eye(out.n))
-    sr = symmetry_residual(out)
+    pts = probe_points(out)
+    F = freqresp(out, pts)
+    sr = _asymmetry(F)
     if not (ir <= 1e-8 and sr <= 1e-8):
         raise ValidationError(
             f"scalar extension failed certification (lossless {ir:g}, "
             f"symmetric {sr:g})")
-    pts = np.array([0.17j, -0.83j, 3.1j, 0.9 + 0.4j])
     want = npp.polyval(pts, p1) / npp.polyval(pts, q)
-    got = freqresp(out, pts)[:, 1, 1]
-    if np.any(np.abs(got - want) > 1e-8 * (1 + np.abs(want))):
+    if np.any(np.abs(F[:, 1, 1] - want) > 1e-8 * (1 + np.abs(want))):
         raise ValidationError("lower-right block does not match p1/q")
-    return out, fac
+    return out, fac, sr, ir

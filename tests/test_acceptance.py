@@ -143,7 +143,7 @@ def test_criterion_3_minimal_degree_on_suite(pipeline_artifacts):
 def test_criterion_4_scalar_oracle_equivalence(scalar_suite):
     assert len(scalar_suite) == 20
     for p1, q in scalar_suite:
-        ext, fac = scalar_minimal_extension(p1, q)
+        ext, fac, _, _ = scalar_minimal_extension(p1, q)
         R, _ = minimal_realization(siso_realization(p1, q))
         res = minimize_symmetric(R)
         assert res.degree == ext.n, (p1, q)

@@ -141,14 +141,22 @@ class TestSynthesize:
 
     def test_reports_certificates_without_sampling(self, tmp_path, capsys,
                                                    count_calls):
-        # scalar and symmetric report the lossless certificates their
-        # extensions were built under, not a grid innerness check
-        seen = count_calls(darlington.extension.innerness_residual)
+        # scalar, inner and symmetric report the lossless certificates
+        # their extensions were built under, not a grid innerness check,
+        # and scalar the symmetry residual its extension was checked by
+        seen = count_calls(darlington.extension.innerness_residual,
+                           darlington.realization.symmetry_residual)
         frac = tmp_path / "frac.json"
         frac.write_text(json.dumps({"p1": [[0.5, 0.0]], "q": [[1.0, 0.0], [1.0, 0.0]]}))
         assert main(["scalar", str(frac), "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["innerness_residual"] < 1e-8
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["innerness_residual"] < 1e-8 and rep["symmetry_residual"] < 1e-8
+        assert seen["symmetry_residual"] == []
         f = write_coupled_pair(tmp_path / "z2.json")
+        for solution in ("min", "max"):
+            assert main(["synthesize", str(f), "--mode", "inner", "--solution",
+                         solution, "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["innerness_residual"] < 1e-8
         assert main(["synthesize", str(f), "--mode", "symmetric", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["unitary_axis_residual"] < 1e-8
         assert seen["innerness_residual"] == []

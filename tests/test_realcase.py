@@ -3,6 +3,7 @@ real symmetric extensions at degree n."""
 import numpy as np
 import pytest
 
+import darlington.realcase
 from darlington import (
     Realization,
     SignatureRealization,
@@ -172,19 +173,19 @@ class TestInvariants:
             assert np.linalg.norm(v1 - v2, 2) < 1e-10
 
 
-def realness_points_loop(right: float) -> np.ndarray:
-    """The seeded rejection loop is_real_extension once ran."""
-    rng = np.random.default_rng(0x7EA1)
-    pts = []
-    while len(pts) < 16:
-        s = complex(right + 2 * rng.random(), 3 * (rng.random() - 0.5))
-        if abs(s.imag) >= 0.1:
-            pts.append(s)
-    return np.array(pts)
+def test_realness_is_sampled_once_on_the_probe_grid(zeta2, monkeypatch):
+    # conjugate symmetry S(conj(s)) = conj(S(s)) is tested from one
+    # response of the extension on its probe grid and the mirror image
+    calls = []
+    original = darlington.realcase.freqresp
 
+    def recording(R, points):
+        calls.append((R, np.asarray(points)))
+        return original(R, points)
 
-@pytest.mark.parametrize("right", [1.0, 0.0, -0.75, 2.5, 1e-3])
-def test_realness_points_match_the_seeded_loop(right):
-    from darlington.realcase import _REAL_OFFSETS
-    new, old = right + _REAL_OFFSETS, realness_points_loop(right)
-    assert new.dtype == old.dtype and new.tobytes() == old.tobytes()
+    monkeypatch.setattr(darlington.realcase, "freqresp", recording)
+    pmin, _ = solve_extremal(build_hat(zeta2))
+    assert is_real_extension(pmin, zeta2)
+    ((T, pts),) = calls
+    grid = probe_points(T)
+    assert np.array_equal(pts, np.concatenate([grid, grid.conj()]))

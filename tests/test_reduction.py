@@ -433,17 +433,18 @@ def test_each_certificate_runs_once_per_realization(
     seen = count_calls(darlington.extension.innerness_residual,
                        darlington.realization.symmetry_residual,
                        darlington.realization.kalman_check,
-                       darlington.realization.transfer_distance)
+                       darlington.realization.transfer_distance,
+                       darlington.realization.freqresp)
     res = minimize_symmetric(R)
-    for name, calls in seen.items():
-        ids = [id(T) for T in calls]
-        assert len(ids) == len(set(ids)), name
     # symmetrize is certified by its Gramian and intertwiner, the
     # extension, Q, Sigma and every Blaschke step by Gramian, and the
     # final innerness is the last of those certificates.  The symmetry
-    # grid runs on Sigma and, after a step, on the final realization
-    assert any(T is res.extension for T in seen["symmetry_residual"])
-    assert len(seen["symmetry_residual"]) == (2 if res.factors else 1)
+    # grid runs once, on Sigma, as its stage check; the final
+    # realization is evaluated once more for its symmetry and S block
+    assert len(seen["symmetry_residual"]) == 1
+    assert (seen["symmetry_residual"][0] is res.extension) == (not res.factors)
+    finals = sum(T is res.extension for T in seen["freqresp"])
+    assert finals == (1 if res.factors else 2)
     assert seen["innerness_residual"] == []
     assert seen["kalman_check"] == []
     assert seen["transfer_distance"] == []

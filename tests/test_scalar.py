@@ -53,6 +53,7 @@ class TestPolyBasics:
 
 class TestComputeMu:
     def test_half_over_lag(self):
+        # a constant p1 has no root, so it passes the coprimality test
         fac = compute_mu([0.5], [1.0, 1.0])
         assert np.allclose(fac.mu, [0.75, 0.0, -1.0])
         assert fac.kappa == 1
@@ -104,8 +105,14 @@ class TestComputeMu:
     def test_rejects_common_roots(self):
         p1 = npp.polyfromroots([-1.0]) * 0.5
         q = npp.polyfromroots([-1.0, -2.0])
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="coprime"):
             compute_mu(p1, q)
+
+    def test_rejects_a_root_within_the_separation_bound(self):
+        # p1 = (1 + 1e-9) + s over q = (1 + s)(2 + s): the root of p1 is
+        # not the root -1 of q, but lies within 1e-7 (1 + max |root|) of it
+        with pytest.raises(ValidationError, match="coprime"):
+            compute_mu([1.0 + 1e-9, 1.0], [2.0, 3.0, 1.0])
 
     def test_rejects_contractivity_violation(self):
         with pytest.raises(ValidationError):
@@ -141,27 +148,27 @@ class TestSpectralFactor:
 
 class TestScalarExtension:
     def test_half_over_lag_degree_two(self):
-        ext, fac = scalar_minimal_extension([0.5], [1.0, 1.0])
+        ext, fac, sym, inner = scalar_minimal_extension([0.5], [1.0, 1.0])
         assert ext.n == 2 and fac.kappa == 1
-        assert innerness_residual(ext) <= 1e-8
-        assert symmetry_residual(ext) <= 1e-8
+        assert innerness_residual(ext) <= 1e-8 and inner <= 1e-8
+        assert sym == symmetry_residual(ext) <= 1e-8
 
     def test_scaled_blaschke(self):
         # p1 = 0.9 (1 - s), q = s + 1: mu = 0.19 (1 - s^2), kappa = 1
-        ext, fac = scalar_minimal_extension([0.9, -0.9], [1.0, 1.0])
+        ext, fac, _, _ = scalar_minimal_extension([0.9, -0.9], [1.0, 1.0])
         assert fac.kappa == 1
         assert ext.n == 2
 
     def test_axis_factor_cancels_in_degree(self):
         # double axis zero of mu at 0: the axis factor of r2 cancels and
         # the extension stays at degree deg q = 2
-        ext, _ = scalar_minimal_extension([1.0, 1.0, 1.0], [1.0, 2.0, 1.0])
+        ext, _, _, _ = scalar_minimal_extension([1.0, 1.0, 1.0], [1.0, 2.0, 1.0])
         assert ext.n == 2
         assert innerness_residual(ext) <= 1e-8
 
     def test_matches_matrix_pipeline(self, scalar_suite):
         for p1, q in scalar_suite[:6]:
-            ext, fac = scalar_minimal_extension(p1, q)
+            ext, fac, _, _ = scalar_minimal_extension(p1, q)
             R, _ = minimal_realization(siso_realization(p1, q))
             res = minimize_symmetric(R)
             assert res.degree == ext.n
@@ -182,6 +189,17 @@ class TestScalarExtension:
         for p1, q in scalar_suite:
             scalar_minimal_extension(p1, q)
         assert all(calls == [] for calls in seen.values()), seen
+
+    def test_evaluates_the_extension_once(self, count_calls, scalar_suite):
+        # symmetry and the S block come from one frequency response on
+        # the probe grid, and the symmetry residual is returned with it
+        seen = count_calls(darlington.realization.freqresp,
+                           darlington.realization.symmetry_residual)
+        for p1, q in scalar_suite:
+            ext, _, sym, _ = scalar_minimal_extension(p1, q)
+            assert sum(T is ext for T in seen["freqresp"]) == 1
+            assert seen["symmetry_residual"] == []
+        assert sym == symmetry_residual(ext)
 
 
 def transfer(T, s) -> np.ndarray:
@@ -227,7 +245,7 @@ def test_benchmark_fractions_certify_or_raise():
             for i in range(meta["count"]):
                 p1, q = (np.trim_zeros(z[f"{rung}.{k}"][i], "b") for k in ("p1", "q"))
                 try:
-                    T, _ = scalar_minimal_extension(p1, q)
+                    T, _, _, _ = scalar_minimal_extension(p1, q)
                 except ValidationError:
                     raised.add((rung, i))
                     continue
@@ -244,6 +262,6 @@ def test_split_double_roots_certify_at_degree_n(split_fractions, j):
     # them, where a split taken at 1e-6 counted them as simple roots
     # (degree 8 instead of 4 or 6, or a raise)
     p1, q, n = split_fractions[j]
-    T, fac = scalar_minimal_extension(p1, q)
+    T, fac, _, _ = scalar_minimal_extension(p1, q)
     assert fac.kappa == 0
     assert_independently_certified(T, p1, q, n, SPLIT_DRAWS[j])
