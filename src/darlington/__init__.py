@@ -34,11 +34,9 @@ from .realization import (
     direct_sum,
     evaluate,
     freqresp,
-    invert,
     kalman_check,
     minimal_realization,
     mobius_precondition,
-    para_conjugate,
     probe_points,
     symmetrize,
     symmetry_residual,
@@ -70,8 +68,6 @@ from .reduction import (
     BlaschkeFactor,
     SynthesisResult,
     ZeroStructure,
-    blaschke_inverse_eval,
-    blaschke_realization,
     find_reduction_vector,
     minimize_symmetric,
     reduce_once,

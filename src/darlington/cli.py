@@ -39,6 +39,7 @@ from .extension import (
     frequency_grid,
     symmetric_unitary_extension,
 )
+from .linalg import spectral_norm
 from .realization import (
     Realization,
     freqresp,
@@ -121,10 +122,10 @@ def _schur_report(R: Realization, tol: float) -> tuple[np.ndarray, dict]:
     """Values of the minimal realization on the frequency grid, and the
     check report."""
     Rm, cert = minimal_realization(R)
-    dnorm = float(np.linalg.norm(R.d, 2))
+    dnorm = float(spectral_norm(R.d))
     stable = bool(Rm.n == 0 or np.max(Rm.poles().real) < -1e-12)
     vals = freqresp(Rm, 1j * frequency_grid())
-    grid_sup = float(np.max(np.linalg.norm(vals, 2, axis=(1, 2))))
+    grid_sup = float(np.max(spectral_norm(vals)))
     schur = stable and grid_sup <= 1.0 + tol
     return vals, {
         "state_dim": R.n,
@@ -155,13 +156,12 @@ def cmd_check(args) -> int:
         rep["flag_mismatch"] = "file claims symmetric but the grid check fails"
         ok = False
     if not rep["strictly_contractive_at_inf"]:
-        ws = frequency_grid()[np.linalg.norm(vals, 2, axis=(1, 2)) < 1.0 - 1e-6]
+        ws = frequency_grid()[spectral_norm(vals) < 1.0 - 1e-6]
         gap = vals @ vals.conj().transpose(0, 2, 1) - np.eye(R.outputs)
         if ws.size:
             hint = (f"rerun with --mobius {ws[0]:g} to move a point of strict "
                     "contractivity there")
-        elif R.outputs == R.inputs and np.max(
-                np.linalg.norm(gap, 2, axis=(1, 2))) <= args.tol:
+        elif R.outputs == R.inputs and np.max(spectral_norm(gap)) <= args.tol:
             hint = "it is unitary on the imaginary axis, so no --mobius point helps"
         else:
             hint = ("no point of the axis grid is strictly contractive either, "

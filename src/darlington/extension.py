@@ -69,7 +69,7 @@ def innerness_residual(R: Realization) -> float:
     on the imaginary axis (stability not implied)."""
     T = freqresp(R, 1j * frequency_grid())
     gap = T @ T.conj().transpose(0, 2, 1) - np.eye(R.outputs)
-    return float(np.max(np.linalg.norm(gap, 2, axis=(1, 2)), initial=0.0))
+    return float(np.max(linalg.spectral_norm(gap), initial=0.0))
 
 
 def _lossless_residual(R: Realization, X) -> float:
@@ -84,10 +84,11 @@ def _lossless_residual(R: Realization, X) -> float:
     Returns the largest residual (Lyapunov in the Frobenius norm relative
     to 2 ||A|| ||X|| + ||B||^2, cross term relative to ||B||), or inf if R
     is not minimal or X is singular (min |lambda| <= n eps max |lambda|,
-    the numerical rank).
+    the numerical rank).  The Hermitian D D* - I, X and B* B give their
+    2-norms by eigvalsh.
     """
     A, B, C, D = R.a, R.b, R.c, R.d
-    unit = float(np.linalg.norm(D @ D.conj().T - np.eye(R.outputs), 2))
+    unit = linalg.hermitian_norm(D @ D.conj().T - np.eye(R.outputs))
     if R.n == 0:
         return unit
     lam = R.poles()
@@ -102,10 +103,10 @@ def _lossless_residual(R: Realization, X) -> float:
         return np.inf
     # X nonsingular needs B != 0; with D unitary, ||D B*|| = ||C X|| = ||B||
     BB = B @ B.conj().T
-    nB = np.linalg.norm(B, 2)
+    nB = np.sqrt(linalg.hermitian_norm(B.conj().T @ B))
     lyap = np.linalg.norm(A @ X + X @ A.conj().T + BB) / (
         2 * R.norm_a * top + nB ** 2)
-    cross = np.linalg.norm(C @ X + D @ B.conj().T, 2) / nB
+    cross = linalg.spectral_norm(C @ X + D @ B.conj().T) / nB
     return float(np.max([lyap, cross, unit]))  # keeps a nan
 
 
@@ -172,10 +173,10 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
     Pm = P.p if isinstance(P, RiccatiSolution) else np.asarray(P, dtype=complex)
     Pm = (Pm + Pm.conj().T) / 2
     res = riccati_residual(hat, Pm)
-    if res > 1e-8 * (1.0 + np.linalg.norm(Pm, 2) ** 2):
+    w = np.linalg.eigvalsh(Pm)
+    if res > 1e-8 * (1.0 + np.max(np.abs(w), initial=0.0) ** 2):  # ||Pm||
         raise ValidationError(
             f"Riccati residual {res:g} too large for an inner extension")
-    w = np.linalg.eigvalsh(Pm)
     if w.size and w[0] <= 0:
         raise ValidationError("P must be positive definite")
     p = R.outputs
@@ -189,7 +190,7 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
     big = _same_a(R, np.hstack([b1, R.b]), np.vstack([c1, R.c]),
                   np.block([[d11, d12], [d21, R.d]]))
     DD = big.d
-    if np.linalg.norm(DD @ DD.conj().T - np.eye(2 * p), 2) > 1e-10:
+    if not linalg.norm_at_most(DD @ DD.conj().T - np.eye(2 * p), 1e-10):
         raise ValidationError("value at infinity is not unitary")
     resid = _lossless_residual(big, Pm)
     if not resid <= 1e-8:  # a nan fails too
@@ -209,7 +210,7 @@ def apply_gauge(E: ExtensionBlocks, U1, U2) -> ExtensionBlocks:
     for name, U in (("U1", U1), ("U2", U2)):
         if U.shape != (p, p):
             raise DimensionError(f"{name} must be {p}x{p}")
-        if np.linalg.norm(U @ U.conj().T - np.eye(p), 2) > 1e-10:
+        if not linalg.norm_at_most(U @ U.conj().T - np.eye(p), 1e-10):
             raise ValidationError(f"{name} is not unitary")
     R = E.realization
     b1 = E.b1 @ U1
@@ -239,7 +240,7 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
             "S21 must share the (C, A) pair of the realization of S")
     p = R.outputs
     d21_expected = linalg.hermitian_sqrt(np.eye(p) - R.d @ R.d.conj().T)
-    if np.linalg.norm(S21.d - d21_expected, 2) > 1e-8:
+    if not linalg.norm_at_most(S21.d - d21_expected, 1e-8):
         raise ValidationError(
             "S21 has the wrong value at infinity; expected (I - DD*)^{1/2}")
     lam = R.poles()
@@ -252,7 +253,7 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
     P = sla.solve_sylvester(R.a, R.a.conj().T, -G)
     P = (P + P.conj().T) / 2
     E = build_extension(R, P)
-    if np.linalg.norm(E.b1 - B1, 2) > 1e-8 * (1.0 + np.linalg.norm(B1, 2)):
+    if not linalg.norm_at_most(E.b1 - B1, 1e-8 * (1.0 + linalg.spectral_norm(B1))):
         raise ValidationError(
             "the given S21 is not a minimal left spectral factor of "
             "I - S S* (input matrix mismatch after the Lyapunov solve)")
@@ -273,16 +274,16 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
     P2 = (P2 + P2.conj().T) / 2
     gamma = P2 - P1
     sv = linalg.svd_analysis(gamma)
-    scale = max(1.0, np.linalg.norm(P1, 2), np.linalg.norm(P2, 2))
+    scale = max(1.0, linalg.hermitian_norm(P1), linalg.hermitian_norm(P2))
     grank = int(np.sum(sv.singular_values > sv.rank_tolerance * scale))
     V = sv.u[:, :grank]
     ZV = E.z @ V
     A = V.conj().T @ ZV
-    inv_res = float(np.linalg.norm(ZV - V @ A, 2))
-    if inv_res > 1e-7 * max(1.0, np.linalg.norm(E.z, 2)):
+    gap = ZV - V @ A
+    if not linalg.norm_at_most(gap, 1e-7 * max(1.0, linalg.spectral_norm(E.z))):
         raise ValidationError(
-            f"range(P~ - P) is not invariant under the closed loop Z "
-            f"(invariance residual {inv_res:g}); P~ is not a Riccati solution")
+            f"range(P~ - P) is not invariant under the closed loop Z (invariance "
+            f"residual {linalg.spectral_norm(gap):g}); P~ is not a Riccati solution")
     C = E.realization.c[p:]
     d21inv = np.linalg.inv(E.d21)
     Q = Realization(A, V.conj().T @ gamma @ C.conj().T @ d21inv,

@@ -7,7 +7,10 @@ that decides multiplicities, the one split of a point set symmetric
 about the imaginary axis into axis, plus and minus clusters
 (mirror_split), spectral-subspace extraction, Takagi factorization of
 complex symmetric matrices from one real symmetric eigendecomposition,
-and the Loewner (positive-semidefinite) order on Hermitian matrices.
+the Loewner (positive-semidefinite) order on Hermitian matrices, and
+the package's one spectral norm (spectral_norm, with hermitian_norm
+for Hermitian matrices and norm_at_most for checks that only compare
+it with a bound).
 
 All returned objects are immutable value types carrying the tolerance
 that was used, and all functions are pure.
@@ -38,9 +41,12 @@ __all__ = [
     "cluster_points",
     "default_cluster_tol",
     "half_chain_basis",
+    "hermitian_norm",
     "hermitian_order",
     "hermitian_sqrt",
     "mirror_split",
+    "norm_at_most",
+    "spectral_norm",
     "svd_analysis",
     "takagi",
 ]
@@ -50,9 +56,34 @@ DEFAULT_SYM_TOL = 1e-9
 DEFAULT_PSD_TOL = 1e-9
 
 
+def spectral_norm(M):
+    """||M||_2 of a matrix, or of each matrix in a stack: the largest
+    singular value, from one LAPACK call.  An empty matrix has norm 0."""
+    M = np.asarray(M)
+    if 0 in M.shape[-2:]:
+        return np.zeros(M.shape[:-2])[()]
+    return np.linalg.svd(M, compute_uv=False)[..., 0][()]
+
+
+def hermitian_norm(M) -> float:
+    """spectral_norm of a Hermitian M, as max |eigvalsh(M)| (which reads
+    one triangle)."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(M)), initial=0.0))
+
+
+def norm_at_most(M, bound: float) -> bool:
+    """||M||_2 <= bound.  ||M||_F / sqrt(min(M.shape)) <= ||M||_2 <= ||M||_F
+    decides it without an SVD unless the bound lies between the two."""
+    M = np.asarray(M)
+    fro = np.linalg.norm(M)
+    if fro <= bound or fro > bound * np.sqrt(min(M.shape)):
+        return bool(fro <= bound)
+    return bool(spectral_norm(M) <= bound)
+
+
 def default_cluster_tol(M: np.ndarray) -> float:
     """Default eigenvalue clustering tolerance, 1e-7 * (1 + ||M||)."""
-    return 1e-7 * (1.0 + np.linalg.norm(M, 2))
+    return 1e-7 * (1.0 + spectral_norm(M))
 
 
 def as_matrix(M, name: str = "matrix", square: bool = False) -> np.ndarray:
@@ -230,7 +261,7 @@ def half_chain_basis(N: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     m = N.shape[0]
     if m == 0:
         return np.zeros((0, 0), dtype=complex)
-    scale = max(1.0, np.linalg.norm(N, 2))
+    scale = max(1.0, spectral_norm(N))
     Nn = N / scale
     cols = []
     P = np.eye(m, dtype=complex)
@@ -322,8 +353,8 @@ def takagi(F, sym_tol: float = DEFAULT_SYM_TOL) -> TakagiResult:
         If ``||F - F^T|| > sym_tol * ||F||``.
     """
     A = as_matrix(F, "F", square=True)
-    nrm = np.linalg.norm(A, 2)
-    if np.linalg.norm(A - A.T, 2) > sym_tol * max(1.0, nrm):
+    nrm = spectral_norm(A)
+    if not norm_at_most(A - A.T, sym_tol * max(1.0, nrm)):
         raise NotSymmetricError(
             f"matrix is not symmetric to tolerance {sym_tol:g}")
     A = (A + A.T) / 2
@@ -339,7 +370,7 @@ def takagi(F, sym_tol: float = DEFAULT_SYM_TOL) -> TakagiResult:
                         mode="complete")
     phase = np.diag(R) / np.abs(np.diag(R))
     U = np.hstack([Q[:, p - k:], (Q[:, :p - k] * phase)[:, ::-1]])
-    if np.linalg.norm(U @ np.diag(lam) @ U.T - A, 2) > 1e-10 * max(1.0, nrm):
+    if not norm_at_most(U @ np.diag(lam) @ U.T - A, 1e-10 * max(1.0, nrm)):
         raise ValidationError("Takagi reconstruction failed its tolerance")
     return TakagiResult(u=U, values=lam, sym_tolerance=sym_tol)
 
@@ -365,9 +396,9 @@ def hermitian_order(P, Q) -> str:
     B = as_matrix(Q, "Q", square=True)
     if A.shape != B.shape:
         raise DimensionError("P and Q must have the same shape")
-    scale = max(1.0, np.linalg.norm(A, 2), np.linalg.norm(B, 2))
+    scale = max(1.0, spectral_norm(A), spectral_norm(B))
     for name, M in (("P", A), ("Q", B)):
-        if np.linalg.norm(M - M.conj().T, 2) > DEFAULT_SYM_TOL * scale:
+        if not norm_at_most(M - M.conj().T, DEFAULT_SYM_TOL * scale):
             raise NotSymmetricError(f"{name} is not Hermitian to tolerance")
     w = np.linalg.eigvalsh((B - A + (B - A).conj().T) / 2)
     cut = DEFAULT_PSD_TOL * scale

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import NotSymmetricError, SubspaceError, ValidationError
 from .extension import build_extension
+from .linalg import norm_at_most, spectral_norm
 from .realization import (
     Realization,
     _intertwiner,
@@ -64,11 +65,8 @@ class SignatureRealization:
         _require_real(R)
         J = np.diag(j.astype(float))
         scale = 1.0 + R.norm_a
-        ok = (np.linalg.norm(R.a.T - J @ R.a @ J, 2) <= _STRUCT_TOL * scale
-              and np.linalg.norm(R.b.T - R.c @ J, 2) <= _STRUCT_TOL * scale
-              and np.linalg.norm(R.c.T - J @ R.b, 2) <= _STRUCT_TOL * scale
-              and np.linalg.norm(R.d.T - R.d, 2) <= _STRUCT_TOL * scale)
-        if not ok:
+        gaps = (R.a.T - J @ R.a @ J, R.b.T - R.c @ J, R.c.T - J @ R.b, R.d.T - R.d)
+        if not all(norm_at_most(G, _STRUCT_TOL * scale) for G in gaps):
             raise ValidationError("realization is not signature symmetric for J")
         object.__setattr__(self, "j", j.astype(int))
 
@@ -119,13 +117,14 @@ def is_real_extension(P, R: Realization) -> bool:
     """
     _require_real(R)
     Pm = P.p if hasattr(P, "p") else np.asarray(P, dtype=complex)
-    real_p = bool(np.linalg.norm(Pm.imag, 2) <= _REAL_TOL * (1 + np.linalg.norm(Pm, 2)))
+    scale = 1 + spectral_norm(Pm)
+    real_p = norm_at_most(Pm.imag, _REAL_TOL * scale)
     E = build_extension(R, Pm)
     pts = probe_points(E.realization)
     F = freqresp(E.realization, np.concatenate([pts, pts.conj()]))
     gap = F[pts.size:] - F[:pts.size].conj()
-    worst = float(np.max(np.linalg.norm(gap, 2, axis=(1, 2))))
-    certified = bool(worst <= 1e-8 * (1 + np.linalg.norm(Pm, 2)))
+    worst = float(np.max(spectral_norm(gap)))
+    certified = bool(worst <= 1e-8 * scale)
     if certified != real_p:
         raise ValidationError(
             f"realness certificates disagree: ||Im P|| says {real_p}, "
@@ -162,17 +161,17 @@ def real_symmetric_feasibility(SR: SignatureRealization) -> FeasibilityReport:
     cands = []
     for sol in (pmin, pmax):
         for P in (sol.p, J @ np.linalg.inv(sol.p.T) @ J):
-            if riccati_residual(hat, P) > 1e-7 * (1 + np.linalg.norm(P, 2) ** 2):
+            nP = spectral_norm(P)
+            if riccati_residual(hat, P) > 1e-7 * (1 + nP ** 2):
                 continue
-            if any(np.linalg.norm(P - Q, 2) <= 1e-9 * (1 + np.linalg.norm(P, 2))
-                   for Q in seen):
+            if any(norm_at_most(P - Q, 1e-9 * (1 + nP)) for Q in seen):
                 continue
             seen.append(P)
             cands.append(P)
     for P in cands:
-        scale = 1.0 + np.linalg.norm(P, 2)
-        real_ok = np.linalg.norm(P.imag, 2) <= _REAL_TOL * scale
-        fixed = np.linalg.norm(J @ np.linalg.inv(P.T) @ J - P, 2) <= 1e-8 * scale
+        scale = 1.0 + spectral_norm(P)
+        real_ok = norm_at_most(P.imag, _REAL_TOL * scale)
+        fixed = norm_at_most(J @ np.linalg.inv(P.T) @ J - P, 1e-8 * scale)
         if real_ok and fixed:
             return FeasibilityReport(feasible=True, witness=P.real.copy(),
                                      obstruction="", candidates_tried=len(cands))

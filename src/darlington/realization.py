@@ -2,11 +2,11 @@
 
 A realization is a quadruple (A, B, C, D) representing
 S(s) = C (sI - A)^{-1} B + D.  This module provides evaluation,
-Kalman minimality analysis, series composition, inversion,
-para-hermitian conjugation, transposition, SVD-staircase minimal
-realization, construction of complex symmetric realizations for
-symmetric transfer functions, and the Moebius change of variable that
-moves strict contractivity from a finite imaginary point to infinity.
+Kalman minimality analysis, series composition, direct sums,
+transposition, SVD-staircase minimal realization, construction of
+complex symmetric realizations for symmetric transfer functions, and
+the Moebius change of variable that moves strict contractivity from a
+finite imaginary point to infinity.
 """
 from __future__ import annotations
 
@@ -34,8 +34,6 @@ __all__ = [
     "kalman_check",
     "minimal_realization",
     "compose",
-    "invert",
-    "para_conjugate",
     "transpose",
     "direct_sum",
     "subrealization",
@@ -59,7 +57,8 @@ class Realization:
 
     A is n x n, B is n x m, C is p x n, D is p x m; entries are stored
     as read-only complex128 copies and must be finite.  The spectrum of
-    A and the pole-guard radius are computed at most once per instance.
+    A, the pole-guard radius and the response on the probe grid are
+    computed at most once per instance.
     """
     a: np.ndarray
     b: np.ndarray
@@ -107,7 +106,7 @@ class Realization:
     @cached_property
     def norm_a(self) -> float:
         """Spectral norm ||A||_2."""
-        return float(np.linalg.norm(self.a, 2))
+        return float(linalg.spectral_norm(self.a))
 
     @cached_property
     def pole_guard(self) -> float:
@@ -118,6 +117,13 @@ class Realization:
     def poles(self) -> np.ndarray:
         """Eigenvalues of A (read-only)."""
         return self._poles
+
+    @cached_property
+    def _probe(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(probe_points(self), the response F there, max ||F - F^T||)."""
+        pts = probe_points(self)
+        F = freqresp(self, pts)
+        return pts, F, float(np.max(linalg.spectral_norm(F - F.transpose(0, 2, 1))))
 
 
 @dataclass(frozen=True)
@@ -181,7 +187,7 @@ def derivative(R: Realization, s: complex) -> np.ndarray:
 
 
 def _system_scale(*mats: np.ndarray) -> float:
-    return max([1.0] + [np.linalg.norm(M, 2) for M in mats if M.size])
+    return max([1.0] + [linalg.spectral_norm(M) for M in mats])
 
 
 def _krylov_span(A: np.ndarray, B: np.ndarray, tol: float,
@@ -196,7 +202,7 @@ def _krylov_span(A: np.ndarray, B: np.ndarray, tol: float,
     n = A.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    An = A / max(1.0, np.linalg.norm(A, 2))
+    An = A / max(1.0, linalg.spectral_norm(A))
     U, s, _ = np.linalg.svd(B, full_matrices=False)
     V = U[:, s > tol * scale]
     for _ in range(n):
@@ -259,19 +265,23 @@ def transfer_distance(R1: Realization, R2: Realization) -> float:
     pts = probe_points(R1, R2)
     v1 = freqresp(R1, pts)
     v2 = freqresp(R2, pts)
-    gap = np.linalg.norm(v1 - v2, 2, axis=(1, 2))
-    return float(np.max(gap / (1.0 + np.linalg.norm(v1, 2, axis=(1, 2))),
-                        initial=0.0))
-
-
-def _asymmetry(F: np.ndarray) -> float:
-    """max over a (k, p, p) stack of values of ||F - F^T||."""
-    return float(np.max(np.linalg.norm(F - F.transpose(0, 2, 1), 2, axis=(1, 2))))
+    gap = linalg.spectral_norm(v1 - v2)
+    return float(np.max(gap / (1.0 + linalg.spectral_norm(v1)), initial=0.0))
 
 
 def symmetry_residual(R: Realization) -> float:
-    """max over the probe grid of ||S(s) - S(s)^T||."""
-    return _asymmetry(freqresp(R, probe_points(R)))
+    """max over the probe grid of ||S(s) - S(s)^T||, read from R's cached
+    probe response."""
+    return R._probe[2]
+
+
+def _with_poles(out: Realization, *blocks: Realization) -> Realization:
+    """out, whose A is block triangular with the blocks' A on its
+    diagonal, given their cached spectra: a backward stable spectrum."""
+    lam = np.concatenate([R.poles() for R in blocks])
+    lam.flags.writeable = False
+    vars(out)["_poles"] = lam
+    return out
 
 
 def compose(R1: Realization, R2: Realization) -> Realization:
@@ -285,23 +295,7 @@ def compose(R1: Realization, R2: Realization) -> Realization:
     B = np.vstack([R2.b, R1.b @ R2.d])
     C = np.hstack([R1.d @ R2.c, R1.c])
     D = R1.d @ R2.d
-    return Realization(A, B, C, D)
-
-
-def invert(R: Realization) -> Realization:
-    """Realization of S^{-1}; requires square invertible D."""
-    if R.outputs != R.inputs:
-        raise DimensionError("inversion requires a square transfer function")
-    s = np.linalg.svd(R.d, compute_uv=False)
-    if s.size == 0 or s[-1] <= DEFAULT_RANK_TOL * max(1.0, s[0]):
-        raise ValidationError("D is singular; the inverse realization formula needs D invertible")
-    Dinv = np.linalg.inv(R.d)
-    return Realization(R.a - R.b @ Dinv @ R.c, R.b @ Dinv, -Dinv @ R.c, Dinv)
-
-
-def para_conjugate(R: Realization) -> Realization:
-    """Realization of W^*(s) = W(-conj(s))^*, i.e. (-A*, -C*, B*, D*)."""
-    return Realization(-R.a.conj().T, -R.c.conj().T, R.b.conj().T, R.d.conj().T)
+    return _with_poles(Realization(A, B, C, D), R2, R1)
 
 
 def transpose(R: Realization) -> Realization:
@@ -319,7 +313,7 @@ def direct_sum(R1: Realization, R2: Realization) -> Realization:
                   [np.zeros((R2.outputs, n1)), R2.c]])
     D = np.block([[R1.d, np.zeros((R1.outputs, R2.inputs))],
                   [np.zeros((R2.outputs, R1.inputs)), R2.d]])
-    return Realization(A, B, C, D)
+    return _with_poles(Realization(A, B, C, D), R1, R2)
 
 
 def _same_a(R: Realization, b, c, d) -> Realization:
@@ -393,18 +387,19 @@ def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, 
         return np.eye(R.n), P
     T = np.linalg.solve(P, sla.solve_sylvester(R.a, R.a.conj(), -R.b @ R.c.conj())).conj()
     T = (T + T.T) / 2
-    res = max(np.linalg.norm(T @ R.a - R.a.T @ T, 2), np.linalg.norm(T @ R.b - R.c.T, 2))
-    if not res <= 1e-7 * max(1.0, np.linalg.norm(T, 2)):
+    gaps = (T @ R.a - R.a.T @ T, T @ R.b - R.c.T)
+    bound = 1e-7 * max(1.0, linalg.spectral_norm(T))
+    if not all(linalg.norm_at_most(G, bound) for G in gaps):
+        res = max(linalg.spectral_norm(G) for G in gaps)
         raise NotSymmetricError(f"intertwining residual {res:g}: S is not symmetric")
     return T, P
 
 
 def _structurally_symmetric(R: Realization) -> bool:
     """A = A^T, B = C^T and D = D^T to 1e-9 * max(1, ||A||)."""
-    struct = max(np.linalg.norm(R.a - R.a.T, 2),
-                 np.linalg.norm(R.b - R.c.T, 2),
-                 np.linalg.norm(R.d - R.d.T, 2))
-    return struct <= 1e-9 * max(1.0, R.norm_a)
+    bound = 1e-9 * max(1.0, R.norm_a)
+    return all(linalg.norm_at_most(G, bound)
+               for G in (R.a - R.a.T, R.b - R.c.T, R.d - R.d.T))
 
 
 def symmetrize(R: Realization) -> Realization:
@@ -436,7 +431,7 @@ def symmetrize(R: Realization) -> Realization:
             raise
     if structural:
         return R
-    out, res = R, 0.0
+    out, gaps = R, ()
     if R.n:
         tk = linalg.takagi(T, sym_tol=1e-7)
         if tk.values[0] <= 1e-12 * max(1.0, tk.values[-1]):
@@ -445,11 +440,13 @@ def symmetrize(R: Realization) -> Realization:
         M = np.diag(np.sqrt(tk.values)) @ tk.u.T
         Minv = np.linalg.inv(M)
         out = Realization(M @ R.a @ Minv, M @ R.b, R.c @ Minv, R.d)
-        res = max(np.linalg.norm(M @ R.a - out.a @ M, 2) / (np.linalg.norm(M, 2) * R.norm_a),
-                  np.linalg.norm(R.c - out.c @ M, 2) / np.linalg.norm(R.c, 2))
+        # ||M|| = sqrt(sigma_max(T)), as M^T M = T with M = diag(sqrt(values)) U^T
+        gaps = ((M @ R.a - out.a @ M, np.sqrt(tk.values[-1]) * R.norm_a),
+                (R.c - out.c @ M, linalg.spectral_norm(R.c)))
     if not _structurally_symmetric(out):
         raise NotSymmetricError("the symmetrized realization is not structurally symmetric")
-    if not res <= 1e-8:
+    if not all(linalg.norm_at_most(G, 1e-8 * scale) for G, scale in gaps):
+        res = max(linalg.spectral_norm(G) / scale for G, scale in gaps)
         raise ValidationError(f"symmetrization changed the transfer function (residual {res:g})")
     return out
 
@@ -459,14 +456,19 @@ def mobius_precondition(R: Realization, omega0: float) -> Realization:
 
     The map sends infinity to i*omega0 and the right half-plane onto
     itself, so if S is strictly contractive at i*omega0 the result is
-    strictly contractive at infinity, with the same McMillan degree.
+    strictly contractive at infinity, with the same McMillan degree:
+    with M = (A - i omega0 I)^{-1}, from one LU factorization, it is
+    (M, M B, -C M, S(i omega0)) and S(i omega0) = D - C M B.  Raises
+    PoleError as evaluate does.
     """
-    val = evaluate(R, 1j * omega0)  # raises PoleError on a pole
-    if np.linalg.norm(val, 2) >= 1.0 - 1e-12:
+    s0 = 1j * omega0
+    if np.min(np.abs(s0 - R.poles()), initial=np.inf) <= R.pole_guard:
+        raise PoleError(f"evaluation point {s0:g} is within {R.pole_guard:g} of a pole")
+    M = np.linalg.inv(R.a - s0 * np.eye(R.n))
+    MB = M @ R.b
+    val = R.d - R.c @ MB
+    nrm = linalg.spectral_norm(val)
+    if nrm >= 1.0 - 1e-12:
         raise ValidationError(
-            f"S is not strictly contractive at i*{omega0:g} "
-            f"(norm {np.linalg.norm(val, 2):g})")
-    if R.n == 0:
-        return R
-    M = np.linalg.inv(R.a - 1j * omega0 * np.eye(R.n))
-    return Realization(M, M @ R.b, -R.c @ M, R.d - R.c @ M @ R.b)
+            f"S is not strictly contractive at i*{omega0:g} (norm {nrm:g})")
+    return Realization(M, MB, -R.c @ M, val)

@@ -26,8 +26,11 @@ state per side by an orthogonal deflation in closed form, with no
 Lyapunov solve or rank decision, and is certified inner and minimal of
 degree deg T - 2 on the identity Gramian.  The last of these Gramian
 certificates (or Sigma's, with no step) is the reported innerness of
-the result; only the symmetry and S-block match are sampled, from one
-frequency response of the final realization on the probe grid.
+the result; only the symmetry and S-block match are sampled, from the
+one frequency response of the final realization on its own probe grid,
+which the realization caches (with no step it is Sigma's, sampled once
+by its stage check).  Every pole of S is a pole of the extension, so
+that grid avoids the poles of S too.
 """
 from __future__ import annotations
 
@@ -46,11 +49,9 @@ from .extension import (
 )
 from .realization import (
     Realization,
-    _asymmetry,
     derivative,
     evaluate,
     freqresp,
-    probe_points,
     symmetrize,
     transpose,
 )
@@ -60,8 +61,6 @@ __all__ = [
     "BlaschkeFactor",
     "ZeroStructure",
     "SynthesisResult",
-    "blaschke_realization",
-    "blaschke_inverse_eval",
     "zero_structure",
     "find_reduction_vector",
     "reduce_once",
@@ -97,23 +96,6 @@ class BlaschkeFactor:
     def __call__(self, s: complex) -> np.ndarray:
         uu = np.outer(self.u, self.u.conj())
         return np.eye(self.dim) + (self.scalar(s) - 1.0) * uu
-
-
-def blaschke_realization(f: BlaschkeFactor) -> Realization:
-    """Degree-1 inner realization of B_{xi,u}:
-    B(s) = I - 2 Re(xi)/(s + conj(xi)) u u*."""
-    p = f.dim
-    A = np.array([[-np.conj(f.xi)]])
-    B = f.u.conj().reshape(1, p)
-    C = -2 * f.xi.real * f.u.reshape(p, 1)
-    D = np.eye(p, dtype=complex)
-    return Realization(A, B, C, D)
-
-
-def blaschke_inverse_eval(f: BlaschkeFactor, s: complex) -> np.ndarray:
-    """Pointwise inverse B^{-1}(s) = I + (b_xi(s)^{-1} - 1) u u*."""
-    uu = np.outer(f.u, f.u.conj())
-    return np.eye(f.dim) + (1.0 / f.scalar(s) - 1.0) * uu
 
 
 @dataclass(frozen=True)
@@ -161,7 +143,7 @@ def zero_structure(T: Realization) -> ZeroStructure:
                 f"zero {center:g} is not in the open right half-plane; "
                 "T is not inner or the clustering is unreliable")
         val = evaluate(T, center)
-        scale = max(1.0, np.linalg.norm(val, 2))
+        scale = max(1.0, linalg.spectral_norm(val))
         ker = linalg._kernel(val, 1e-6, scale=scale)
         zeros.append((center, len(members)))
         kernels.append(ker)
@@ -197,8 +179,8 @@ def find_reduction_vector(T: Realization, xi: complex,
         raise ValidationError(f"support must be in 1..{p_all}")
     Txi = evaluate(T, xi)
     Tpxi = derivative(T, xi)
-    scale = max(1.0, np.linalg.norm(Txi, 2))
-    dscale = max(1.0, np.linalg.norm(Tpxi, 2))
+    scale = max(1.0, linalg.spectral_norm(Txi))
+    dscale = max(1.0, linalg.spectral_norm(Tpxi))
     ker = linalg._kernel(Txi[:, :k], 1e-6, scale=scale)
     if ker.shape[1] == 0:
         raise ReductionError(
@@ -278,7 +260,9 @@ class SynthesisResult:
     certificate, which proves ``extension`` all-pass and minimal (the
     last Blaschke step's, on the identity Gramian, or with no step
     Sigma's, on diag(G_Q, P_min)); ``symmetry`` and ``block_match`` are
-    maxima over the probe grid of one frequency response of ``extension``."""
+    maxima over probe_points(extension) of the one frequency response
+    of ``extension``, which it caches (with no Blaschke step, the one
+    Sigma's stage check sampled)."""
     extension: Realization
     degree: int
     kappa: int
@@ -295,8 +279,9 @@ def _stage(name: str, exc: DarlingtonError) -> DarlingtonError:
 
 
 def _conditioning(sol: RiccatiSolution) -> str:
-    return (f"||P_min|| = {np.linalg.norm(sol.p, 2):.3g}, ||P_min^-1|| = "
-            f"{np.linalg.norm(np.linalg.inv(sol.p), 2):.3g}, "
+    w = np.abs(np.linalg.eigvalsh(sol.p))  # P_min is Hermitian
+    return (f"||P_min|| = {np.max(w, initial=0.0):.3g}, ||P_min^-1|| = "
+            f"{1.0 / np.min(w, initial=np.inf):.3g}, "
             f"cond X = {sol.subspace_condition:.3g}")
 
 
@@ -315,7 +300,8 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     without a step, and balances Sigma before the first step; a failing
     step is a hard error.  ``residual_tol`` bounds the innerness certificate
     of the last stage and the symmetry and S-block residuals of the final
-    realization, both from its one frequency response on the probe grid.
+    realization, both read from its one cached frequency response on
+    probe_points(extension).
     """
     try:
         Rs = symmetrize(R)
@@ -368,12 +354,11 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
                     f"{current.n} failed ({_conditioning(pmin)}): {exc}") from exc
             factors.append(f)
     # ir is the lossless certificate of the last stage (the last step, or
-    # sigma with none), which proves current inner and minimal; one
-    # response on the probe grid gives its symmetry and S block
-    pts = probe_points(current, R)
-    F = freqresp(current, pts)
-    sr = _asymmetry(F)
-    block = float(np.max(np.linalg.norm(F[:, p:, p:] - freqresp(R, pts), 2, axis=(1, 2))))
+    # sigma with none), which proves current inner and minimal; its one
+    # probe response (sigma's stage check, with no step) gives its
+    # symmetry and S block.  Every pole of S is a pole of current
+    pts, F, sr = current._probe
+    block = float(np.max(linalg.spectral_norm(F[:, p:, p:] - freqresp(R, pts))))
     if max(ir, sr, block) > residual_tol:
         raise ValidationError(
             f"stage 'finalize': certification failed (inner {ir:g}, "

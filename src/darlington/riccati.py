@@ -26,6 +26,7 @@ imaginary axis.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,7 +76,7 @@ class Hamiltonian:
         J = np.block([[np.zeros((n, n)), np.eye(n)],
                       [-np.eye(n), np.zeros((n, n))]])
         H = self.matrix
-        return float(np.linalg.norm(H.conj().T @ J + J @ H, 2))
+        return float(linalg.spectral_norm(H.conj().T @ J + J @ H))
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ def _residual_matrix(hat: HatData, P: np.ndarray) -> np.ndarray:
 
 def riccati_residual(hat: HatData, P) -> float:
     """Spectral norm of R(P) = P CsC P + A_hat P + P A_hat* + BBs."""
-    return float(np.linalg.norm(_residual_matrix(hat, np.asarray(P, dtype=complex)), 2))
+    return float(linalg.spectral_norm(_residual_matrix(hat, np.asarray(P, dtype=complex))))
 
 
 def analyze_spectrum(H: Hamiltonian) -> HSpectrum:
@@ -179,16 +180,22 @@ def analyze_spectrum(H: Hamiltonian) -> HSpectrum:
                      chi_plus_roots=tuple(chi_plus), cluster_tolerance=tol)
 
 
-def _newton_refine(hat: HatData, P: np.ndarray) -> np.ndarray:
-    """Up to four Newton steps on R(P); each solves the Sylvester equation
-    Z dP + dP Z* = -R(P) with the current closed loop Z."""
+def _newton_refine(hat: HatData, P: np.ndarray) -> tuple[np.ndarray, float]:
+    """Up to four Newton steps on R(P) (Kleinman, IEEE TAC 1968); each
+    solves the Lyapunov equation Z dP + dP Z* = -R(P) with the current
+    closed loop Z, from one Schur form of Z (Bartels & Stewart, CACM
+    1972).  Returns the best P and its residual riccati_residual(hat, P)."""
     best = P
     best_res = riccati_residual(hat, P)
     for _ in range(4):
         Z = hat.a_hat + best @ hat.csc
         R = _residual_matrix(hat, best)
         try:
-            dP = sla.solve_sylvester(Z, Z.conj().T, -R)
+            with warnings.catch_warnings():
+                # an axis eigenvalue pair of Z (n0 > 0) makes the equation
+                # singular; LAPACK then perturbs it and the residual decides
+                warnings.simplefilter("ignore", RuntimeWarning)
+                dP = sla.solve_continuous_lyapunov(Z, -R)
         except (np.linalg.LinAlgError, ValueError):
             break
         cand = best + (dP + dP.conj().T) / 2
@@ -196,7 +203,7 @@ def _newton_refine(hat: HatData, P: np.ndarray) -> np.ndarray:
         if not np.isfinite(res) or res >= best_res:
             break
         best, best_res = cand, res
-    return best
+    return best, best_res
 
 
 def solve_extremal(hat: HatData) -> tuple[RiccatiSolution, RiccatiSolution]:
@@ -267,14 +274,13 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
                 f"{sx[0] / max(sx[-1], 1e-300):.3g})")
         cond = float(sx[0] / sx[-1])
         P = Y @ np.linalg.inv(X)
-        P = _newton_refine(hat, (P + P.conj().T) / 2)
-        res = riccati_residual(hat, P)
-        scale = np.linalg.norm(P, 2)
+        P, res = _newton_refine(hat, (P + P.conj().T) / 2)
+        w = np.linalg.eigvalsh(P)
+        scale = np.max(np.abs(w), initial=0.0)  # ||P||, P Hermitian
         if res > 1e-8 * (1.0 + scale ** 2):
             raise ValidationError(
                 f"Riccati residual {res:g} exceeds tolerance for the "
                 f"{kind} solution (||P|| = {scale:g}, cond X = {cond:.3g})")
-        w = np.linalg.eigvalsh(P)
         if w.size and w[0] <= 0:
             raise ValidationError(
                 f"{kind} solution is not positive definite "

@@ -28,7 +28,7 @@ import scipy.linalg as sla
 from . import linalg
 from .errors import SpectralSplitError, ValidationError
 from .extension import _lossless_residual, frequency_grid
-from .realization import Realization, _asymmetry, freqresp, probe_points
+from .realization import Realization
 
 __all__ = [
     "poly_trim",
@@ -288,9 +288,7 @@ def scalar_minimal_extension(p1, q) -> tuple[Realization, ScalarFactorization, f
         raise ValidationError(f"scalar extension degree {out.n} differs from "
                               f"deg(q) + kappa = {q.size - 1 + fac.kappa}")
     ir = _lossless_residual(out, np.eye(out.n))
-    pts = probe_points(out)
-    F = freqresp(out, pts)
-    sr = _asymmetry(F)
+    pts, F, sr = out._probe
     if not (ir <= 1e-8 and sr <= 1e-8):
         raise ValidationError(
             f"scalar extension failed certification (lossless {ir:g}, "

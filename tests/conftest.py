@@ -22,12 +22,52 @@ import pytest
 import scipy.linalg as sla
 
 from darlington import (
+    BlaschkeFactor,
     Realization,
     build_hat,
     minimal_realization,
     solve_extremal,
 )
+from darlington.errors import DimensionError, ValidationError
+from darlington.linalg import DEFAULT_RANK_TOL
 from darlington.scalar import poly_para, poly_trim, siso_realization, spectral_factor_poly
+
+
+# ---------------------------------------------------------- test oracles
+# Realization calculus the package itself never runs, kept as
+# independent references for the tests.
+
+def invert(R: Realization) -> Realization:
+    """Realization of S^{-1}; requires square invertible D."""
+    if R.outputs != R.inputs:
+        raise DimensionError("inversion requires a square transfer function")
+    s = np.linalg.svd(R.d, compute_uv=False)
+    if s.size == 0 or s[-1] <= DEFAULT_RANK_TOL * max(1.0, s[0]):
+        raise ValidationError("D is singular; the inverse realization formula needs D invertible")
+    Dinv = np.linalg.inv(R.d)
+    return Realization(R.a - R.b @ Dinv @ R.c, R.b @ Dinv, -Dinv @ R.c, Dinv)
+
+
+def para_conjugate(R: Realization) -> Realization:
+    """Realization of W^*(s) = W(-conj(s))^*, i.e. (-A*, -C*, B*, D*)."""
+    return Realization(-R.a.conj().T, -R.c.conj().T, R.b.conj().T, R.d.conj().T)
+
+
+def blaschke_realization(f: BlaschkeFactor) -> Realization:
+    """Degree-1 inner realization of B_{xi,u}:
+    B(s) = I - 2 Re(xi)/(s + conj(xi)) u u*."""
+    p = f.dim
+    A = np.array([[-np.conj(f.xi)]])
+    B = f.u.conj().reshape(1, p)
+    C = -2 * f.xi.real * f.u.reshape(p, 1)
+    D = np.eye(p, dtype=complex)
+    return Realization(A, B, C, D)
+
+
+def blaschke_inverse_eval(f: BlaschkeFactor, s: complex) -> np.ndarray:
+    """Pointwise inverse B^{-1}(s) = I + (b_xi(s)^{-1} - 1) u u*."""
+    uu = np.outer(f.u, f.u.conj())
+    return np.eye(f.dim) + (1.0 / f.scalar(s) - 1.0) * uu
 
 
 # --------------------------------------------------------- worked example

@@ -16,7 +16,6 @@ from darlington import (
     Realization,
     SignatureRealization,
     analyze_spectrum,
-    blaschke_realization,
     build_extension,
     build_hamiltonian,
     build_hat,
@@ -39,6 +38,8 @@ from darlington import (
 )
 from darlington.linalg import _spectral_subspace, cluster_ladder, default_cluster_tol
 from darlington.scalar import siso_realization
+
+from conftest import blaschke_realization
 
 SQ3 = np.sqrt(3.0)
 

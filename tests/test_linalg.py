@@ -166,6 +166,60 @@ class TestTakagi:
         assert np.linalg.norm(res.u @ np.diag(res.values) @ res.u.T - F, 2) <= 1e-12
 
 
+class TestSpectralNorm:
+    """One primitive for ||.||_2: it matches np.linalg.norm(., 2), and the
+    screened comparison decides exactly as the SVD would."""
+
+    SHAPES = [(6, 6), (7, 3), (2, 5), (1, 1), (0, 0), (0, 4), (3, 0)]
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_matches_numpy(self, shape):
+        M = random_complex(np.random.default_rng(sum(shape)), shape)
+        ref = np.linalg.norm(M, 2)
+        assert abs(linalg.spectral_norm(M) - ref) <= 1e-14 * ref
+
+    def test_stack_gives_each_norm(self):
+        F = random_complex(np.random.default_rng(3), (5, 4, 3))
+        ref = np.linalg.norm(F, 2, axis=(1, 2))
+        assert np.allclose(linalg.spectral_norm(F), ref, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n", [0, 1, 4, 9])
+    def test_hermitian_variant_matches_numpy(self, n):
+        rng = np.random.default_rng(n)
+        M = random_complex(rng, (n, n))
+        for H in (M + M.conj().T, M @ M.conj().T, -(M @ M.conj().T)):
+            ref = np.linalg.norm(H, 2)
+            assert abs(linalg.hermitian_norm(H) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("kind", ["random", "rank-one", "flat", "rectangular", "empty"])
+    def test_screen_agrees_with_the_exact_comparison(self, kind):
+        rng = np.random.default_rng(5)
+        M = {"random": random_complex(rng, (6, 6)),
+             "rank-one": np.outer(random_complex(rng, 5), random_complex(rng, 4)),
+             "flat": 3.0 * np.linalg.qr(random_complex(rng, (5, 5)))[0],
+             "rectangular": random_complex(rng, (8, 3)),
+             "empty": np.zeros((0, 3))}[kind]
+        ref, fro = np.linalg.norm(M, 2), np.linalg.norm(M)
+        k = np.sqrt(max(1, min(M.shape)))
+        # bounds on both sides of ||M||_2 and of both Frobenius screens
+        for mid in (ref, fro, fro / k, 1.0):
+            for f in (0.5, 1 - 1e-9, 1 + 1e-9, 2.0):
+                bound = mid * f
+                assert linalg.norm_at_most(M, bound) == (ref <= bound)
+
+    def test_screen_runs_no_svd_far_from_the_bound(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+        M = random_complex(np.random.default_rng(7), (6, 6))
+        fro = np.linalg.norm(M)
+        assert linalg.norm_at_most(M, 2 * fro) and not linalg.norm_at_most(M, 1e-3 * fro)
+        assert calls == []
+        linalg.norm_at_most(M, 0.6 * fro)  # between fro / sqrt(6) and fro
+        assert calls == [1]
+
+
 class TestHermitianOrder:
     def test_less_equal(self):
         assert hermitian_order(np.eye(2), 2 * np.eye(2)) == "less_equal"

@@ -12,12 +12,10 @@ from darlington import (
     compose,
     evaluate,
     freqresp,
-    invert,
     kalman_check,
     minimal_realization,
     minimize_symmetric,
     mobius_precondition,
-    para_conjugate,
     probe_points,
     solve_extremal,
     symmetrize,
@@ -37,7 +35,9 @@ from darlington.realization import (
     direct_sum,
     transfer_distance,
 )
-from darlington.reduction import BlaschkeFactor, blaschke_realization
+from darlington.reduction import BlaschkeFactor
+
+from conftest import blaschke_realization, invert, para_conjugate
 
 
 def scalar_lag(a=-1.0, b=1.0, c=1.0, d=0.0) -> Realization:
@@ -448,6 +448,25 @@ class TestMobius:
         for s in (1.0 + 0.5j, 2.0):
             assert np.allclose(evaluate(out, s), evaluate(R, 1.0 / s))
 
+    def test_matches_the_change_of_variable_on_probe_points(self):
+        rng = np.random.default_rng(11)
+        A = -2.0 * np.eye(5) + 0.5 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        R = Realization(A, 0.3 * rng.normal(size=(5, 2)), 0.3 * rng.normal(size=(2, 5)),
+                        0.1 * rng.normal(size=(2, 2)))
+        w0 = 0.7
+        out = mobius_precondition(R, w0)
+        pts = probe_points(out)
+        pts = pts[pts != 0]  # s = 0 maps to infinity, where both are D
+        ref = freqresp(R, 1j * w0 + 1.0 / pts)
+        assert np.max(np.abs(freqresp(out, pts) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(out.d, R.d - R.c @ out.b)  # D is S(i w0) = D - C M B
+
+    def test_pole_raises(self):
+        R = Realization(np.array([[0.5j]]), np.array([[1.0]]), np.array([[1.0]]),
+                        np.array([[0.0]]))
+        with pytest.raises(PoleError):
+            mobius_precondition(R, 0.5)
+
     def test_degree_preserved(self):
         # S(s) = 1.1 (s/(s+1))^3: degree 3, |S(0)| = 0 but |S(inf)| > 1
         from darlington.scalar import siso_realization
@@ -483,6 +502,37 @@ def test_direct_sum_blocks():
     assert abs(V[0, 1]) < 1e-14 and abs(V[1, 0]) < 1e-14
     assert abs(V[0, 0] - evaluate(R1, s)[0, 0]) < 1e-14
     assert abs(V[1, 1] - evaluate(R2, s)[0, 0]) < 1e-14
+
+
+class TestCascadeSpectra:
+    """compose and direct_sum take the union of their operands' spectra,
+    the eigenvalues of the diagonal blocks of their block-triangular A."""
+
+    @staticmethod
+    def operands():
+        rng = np.random.default_rng(12)
+
+        def draw(n, p, m):
+            return Realization(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                               rng.normal(size=(n, m)), rng.normal(size=(p, n)),
+                               rng.normal(size=(p, m)))
+        return draw(4, 2, 5), draw(3, 3, 2), draw(0, 2, 2)
+
+    def test_spectra_match_eigvals_of_the_assembled_a(self):
+        R1, R2, static = self.operands()
+        # the last is Sigma's shape, S_P diag(Q, I)
+        for R in (compose(R2, R1), direct_sum(R1, R2), direct_sum(static, R2),
+                  compose(R1, direct_sum(R2, static))):
+            lam, ref = R.poles(), np.linalg.eigvals(R.a)
+            assert lam.size == ref.size and not lam.flags.writeable
+            gap = np.abs(lam[:, np.newaxis] - ref)
+            assert max(gap.min(axis=0).max(), gap.min(axis=1).max()) <= R.pole_guard
+
+    def test_no_eigvals_of_the_assembled_a(self, monkeypatch):
+        R1, R2, _ = self.operands()
+        R1.poles(), R2.poles()
+        monkeypatch.setattr(np.linalg, "eigvals", None)  # any call fails
+        assert compose(R2, R1).poles().size == direct_sum(R1, R2).poles().size == 7
 
 
 def test_probe_points_avoid_poles(zeta2):
@@ -522,6 +572,17 @@ class TestOwner:
         freqresp(R, [1j, 2j])
         freqresp(R, [0.5, 3j])
         assert calls == [(2, 2)]
+
+    def test_probe_response_computed_once(self, zeta2, count_calls):
+        # the symmetry residual reads the cached response on probe_points
+        seen = count_calls(darlington.realization.freqresp)
+        R = Realization(zeta2.a, zeta2.b, zeta2.c, zeta2.d)
+        first = symmetry_residual(R)
+        assert symmetry_residual(R) == first
+        pts, F, sym = R._probe
+        assert seen["freqresp"] == [R]
+        assert np.array_equal(pts, probe_points(R)) and sym == first
+        assert np.array_equal(F, freqresp(R, pts))
 
     def test_realizations_on_the_same_a_share_its_spectrum(self, instance_suite):
         # the extension S_P, its gauge transforms and its blocks are built

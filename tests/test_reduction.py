@@ -14,8 +14,6 @@ import darlington.riccati
 from darlington import (
     BlaschkeFactor,
     Realization,
-    blaschke_inverse_eval,
-    blaschke_realization,
     build_extension,
     build_hat,
     compose,
@@ -34,12 +32,13 @@ from darlington.extension import _lossless_residual, innerness_residual
 from darlington.reduction import _balance
 from darlington.realization import (
     direct_sum,
-    invert,
     symmetry_residual,
     transfer_distance,
     transpose,
 )
 from darlington.scalar import siso_realization
+
+from conftest import blaschke_inverse_eval, blaschke_realization, invert
 
 SQ3 = np.sqrt(3.0)
 
@@ -440,11 +439,12 @@ def test_each_certificate_runs_once_per_realization(
     # extension, Q, Sigma and every Blaschke step by Gramian, and the
     # final innerness is the last of those certificates.  The symmetry
     # grid runs once, on Sigma, as its stage check; the final
-    # realization is evaluated once more for its symmetry and S block
+    # realization is evaluated once, for its symmetry and S block, and
+    # with no step that is Sigma's cached response
     assert len(seen["symmetry_residual"]) == 1
     assert (seen["symmetry_residual"][0] is res.extension) == (not res.factors)
     finals = sum(T is res.extension for T in seen["freqresp"])
-    assert finals == (1 if res.factors else 2)
+    assert finals == 1
     assert seen["innerness_residual"] == []
     assert seen["kalman_check"] == []
     assert seen["transfer_distance"] == []
@@ -473,23 +473,48 @@ def test_innerness_is_the_last_stage_certificate(which, zeta1, zeta2,
                                            ("suite", 1)])
 def test_one_lyapunov_solve_per_synthesis(which, solves, zeta1, zeta2,
                                           instance_suite, monkeypatch):
-    # the symmetrizer's Gramian is the only Lyapunov solve, whatever the
-    # number of Blaschke steps (one, none and three); the coupled pairs
-    # are structurally symmetric and need no intertwiner, but their
-    # Gramian P > 0 still certifies them minimal
+    # the symmetrizer's Gramian is the only Lyapunov solve outside the
+    # Newton refinement of P_min, whatever the number of Blaschke steps
+    # (one, none and three): the steps and the certificates add none.
+    # The coupled pairs are structurally symmetric and need no
+    # intertwiner, but their Gramian P > 0 still certifies them minimal
     R = {"zeta1": zeta1, "zeta2": zeta2,
          "suite": instance_suite[18].realization}[which]
-    calls = []
+    callers = []
     original = sla.solve_continuous_lyapunov
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        callers.append(sys._getframe(1).f_code.co_name)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(sla, "solve_continuous_lyapunov", counting)
     res = minimize_symmetric(R)
     assert len(res.factors) == {"zeta2": 1, "zeta1": 0, "suite": 3}[which]
-    assert len(calls) == solves
+    others = [name for name in callers if name != "_newton_refine"]
+    assert others == ["_intertwiner"] * solves
+    # each Newton correction is one Lyapunov solve
+    assert 1 <= callers.count("_newton_refine") <= 4
+
+
+@pytest.mark.parametrize("which", ["zeta2", "zeta1", "suite"])
+def test_sigma_runs_no_eigvals(which, zeta1, zeta2, instance_suite, monkeypatch):
+    # Sigma = S_P diag(Q, I) takes the spectra of S_P and Q, which their
+    # certificates computed; eigvals still runs on the smaller matrices
+    R = {"zeta1": zeta1, "zeta2": zeta2,
+         "suite": instance_suite[18].realization}[which]
+    E = build_extension(symmetrize(R), minimize_symmetric(R).p_min)
+    sigma_a = symmetric_unitary_extension(E)[0].a
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def recording(M):
+        seen.append(np.array(M))
+        return eigvals(M)
+
+    monkeypatch.setattr(np.linalg, "eigvals", recording)
+    minimize_symmetric(R)
+    assert seen
+    assert not any(M.shape == sigma_a.shape and np.allclose(M, sigma_a) for M in seen)
 
 
 def test_minimize_symmetric_never_solves_for_p_max(zeta2, instance_suite,
