@@ -23,7 +23,6 @@ from .errors import (
 from .linalg import (
     SvdResult,
     TakagiResult,
-    hermitian_order,
     svd_analysis,
     takagi,
 )

@@ -42,7 +42,7 @@ from .realization import (
     subrealization,
     symmetry_residual,
 )
-from .riccati import RiccatiSolution, build_hat, riccati_residual
+from .riccati import RiccatiSolution, _require_contractive
 
 __all__ = [
     "ExtensionBlocks",
@@ -112,21 +112,15 @@ def _lossless_residual(R: Realization, X) -> float:
 
 @dataclass(frozen=True)
 class ExtensionBlocks:
-    """A 2p x 2p inner extension S_P of S with its constant blocks.
+    """A 2p x 2p inner extension S_P of S and its Riccati solution P.
 
-    ``realization`` is the full extension (state dimension n); the
-    S block sits in the lower-right p x p corner.  ``z`` is the closed
-    loop A_hat + P C_hat* C_hat (the dynamics of S21^{-1}).
+    ``realization`` is the full extension (A | [B1 B]; [C1; C] | DD)
+    with n states; the S block sits in the lower-right p x p corner,
+    and B1, C1 and the blocks of DD are slices of it.
     """
     realization: Realization
     p: int
-    b1: np.ndarray
-    c1: np.ndarray
-    d11: np.ndarray
-    d12: np.ndarray
-    d21: np.ndarray
     p_matrix: np.ndarray
-    z: np.ndarray
 
     @property
     def s21(self) -> Realization:
@@ -159,24 +153,21 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
         Minimal realization of a Schur function, strictly contractive
         at infinity.
     P : RiccatiSolution or array_like
-        Hermitian positive-definite solution; its residual is verified
-        against ``1e-8 * (1 + ||P||^2)``.
+        Hermitian positive-definite solution.  Its Riccati residual R(P)
+        is the extension's own Lyapunov residual A P + P A* + B1 B1* + B B*,
+        verified against ``1e-8 * (1 + ||P||^2)``.
 
     Returns
     -------
     ExtensionBlocks
         The extension has the same McMillan degree as S and a unitary
         value at infinity, certified inner and minimal to 1e-8 on its
-        Gramian P, whose Lyapunov residual is R(P).
+        Gramian P.
     """
-    hat = build_hat(R)
+    _require_contractive(R)
     Pm = P.p if isinstance(P, RiccatiSolution) else np.asarray(P, dtype=complex)
     Pm = (Pm + Pm.conj().T) / 2
-    res = riccati_residual(hat, Pm)
     w = np.linalg.eigvalsh(Pm)
-    if res > 1e-8 * (1.0 + np.max(np.abs(w), initial=0.0) ** 2):  # ||Pm||
-        raise ValidationError(
-            f"Riccati residual {res:g} too large for an inner extension")
     if w.size and w[0] <= 0:
         raise ValidationError("P must be positive definite")
     p = R.outputs
@@ -189,6 +180,10 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
     b1 = -(Pm @ R.c.conj().T + R.b @ R.d.conj().T) @ np.linalg.inv(d21)
     big = _same_a(R, np.hstack([b1, R.b]), np.vstack([c1, R.c]),
                   np.block([[d11, d12], [d21, R.d]]))
+    lyap = R.a @ Pm + Pm @ R.a.conj().T + big.b @ big.b.conj().T  # = R(P)
+    if not linalg.norm_at_most(lyap, 1e-8 * (1.0 + np.max(w, initial=0.0) ** 2)):  # ||Pm||
+        raise ValidationError(f"Riccati residual {linalg.spectral_norm(lyap):g} "
+                              "too large for an inner extension")
     DD = big.d
     if not linalg.norm_at_most(DD @ DD.conj().T - np.eye(2 * p), 1e-10):
         raise ValidationError("value at infinity is not unitary")
@@ -196,14 +191,13 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
     if not resid <= 1e-8:  # a nan fails too
         raise ValidationError(f"extension is not certified inner and "
                               f"minimal (lossless residual {resid:g})")
-    z = hat.a_hat + Pm @ hat.csc
-    return ExtensionBlocks(realization=big, p=p, b1=b1, c1=c1, d11=d11,
-                           d12=d12, d21=d21, p_matrix=Pm, z=z)
+    return ExtensionBlocks(realization=big, p=p, p_matrix=Pm)
 
 
 def apply_gauge(E: ExtensionBlocks, U1, U2) -> ExtensionBlocks:
-    """Constant unitary gauge diag(U2, I) S_P diag(U1, I); preserves
-    innerness and the S block."""
+    """Constant unitary gauge diag(U2, I) S_P diag(U1, I): the
+    congruence (A | B diag(U1, I); diag(U2, I) C | diag(U2, I) D diag(U1, I));
+    preserves innerness, P and the S block."""
     p = E.p
     U1 = np.asarray(U1, dtype=complex)
     U2 = np.asarray(U2, dtype=complex)
@@ -213,15 +207,10 @@ def apply_gauge(E: ExtensionBlocks, U1, U2) -> ExtensionBlocks:
         if not linalg.norm_at_most(U @ U.conj().T - np.eye(p), 1e-10):
             raise ValidationError(f"{name} is not unitary")
     R = E.realization
-    b1 = E.b1 @ U1
-    c1 = U2 @ E.c1
-    d11 = U2 @ E.d11 @ U1
-    d12 = U2 @ E.d12
-    d21 = E.d21 @ U1
-    big = _same_a(R, np.hstack([b1, R.b[:, p:]]), np.vstack([c1, R.c[p:, :]]),
-                  np.block([[d11, d12], [d21, R.d[p:, p:]]]))
-    return ExtensionBlocks(realization=big, p=p, b1=b1, c1=c1, d11=d11,
-                           d12=d12, d21=d21, p_matrix=E.p_matrix, z=E.z)
+    V1 = sla.block_diag(U1, np.eye(p))
+    V2 = sla.block_diag(U2, np.eye(p))
+    big = _same_a(R, R.b @ V1, V2 @ R.c, V2 @ R.d @ V1)
+    return ExtensionBlocks(realization=big, p=p, p_matrix=E.p_matrix)
 
 
 def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlocks:
@@ -253,7 +242,8 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
     P = sla.solve_sylvester(R.a, R.a.conj().T, -G)
     P = (P + P.conj().T) / 2
     E = build_extension(R, P)
-    if not linalg.norm_at_most(E.b1 - B1, 1e-8 * (1.0 + linalg.spectral_norm(B1))):
+    if not linalg.norm_at_most(E.realization.b[:, :p] - B1,
+                               1e-8 * (1.0 + linalg.spectral_norm(B1))):
         raise ValidationError(
             "the given S21 is not a minimal left spectral factor of "
             "I - S S* (input matrix mismatch after the Lyapunov solve)")
@@ -262,30 +252,35 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
 
 def _quotient(E: ExtensionBlocks, P2) -> QFactor:
     """Q = S21^{-1} S21~ for a second Riccati solution P2, restricted to
-    range(Gamma), Gamma = P2 - P: with V its orthonormal basis,
+    range(Gamma), Gamma = P2 - P.  S21^{-1} has the dynamics
+    Z = A - B1 D21^{-1} C (the closed loop A_hat + P C_hat* C_hat); with
+    V the eigenvectors of Gamma whose eigenvalues exceed
+    1e-9 max(1, ||P||, ||P2||) in modulus,
     Q = (V* Z V | V* Gamma C* D21^{-1}; -D21^{-1} C V | I).
 
     Certified by the invariance residual ||Z V - V (V* Z V)|| <=
     1e-7 max(1, ||Z||) and on its Gramian V* Gamma V to 1e-8, minimal of
     degree rank(Gamma) (Z Gamma + Gamma Z* + Gamma C_hat* C_hat Gamma =
-    R(P2) - R(P) = 0); inner exactly when P <= P2.
+    R(P2) - R(P) = 0); inner exactly when P <= P2, that is when no
+    eigenvalue of Gamma lies below -1e-9 max(1, ||P||, ||P2||).
     """
-    p, P1 = E.p, E.p_matrix
+    p, P1, big = E.p, E.p_matrix, E.realization
     P2 = (P2 + P2.conj().T) / 2
     gamma = P2 - P1
-    sv = linalg.svd_analysis(gamma)
-    scale = max(1.0, linalg.hermitian_norm(P1), linalg.hermitian_norm(P2))
-    grank = int(np.sum(sv.singular_values > sv.rank_tolerance * scale))
-    V = sv.u[:, :grank]
-    ZV = E.z @ V
+    w, U = np.linalg.eigh(gamma)
+    cut = linalg.DEFAULT_RANK_TOL * max(
+        1.0, linalg.hermitian_norm(P1), linalg.hermitian_norm(P2))
+    V = U[:, np.abs(w) > cut]
+    C = big.c[p:]
+    d21inv = np.linalg.inv(big.d[p:, :p])
+    Z = big.a - big.b[:, :p] @ d21inv @ C
+    ZV = Z @ V
     A = V.conj().T @ ZV
     gap = ZV - V @ A
-    if not linalg.norm_at_most(gap, 1e-7 * max(1.0, linalg.spectral_norm(E.z))):
+    if not linalg.norm_at_most(gap, 1e-7 * max(1.0, linalg.spectral_norm(Z))):
         raise ValidationError(
             f"range(P~ - P) is not invariant under the closed loop Z (invariance "
             f"residual {linalg.spectral_norm(gap):g}); P~ is not a Riccati solution")
-    C = E.realization.c[p:]
-    d21inv = np.linalg.inv(E.d21)
     Q = Realization(A, V.conj().T @ gamma @ C.conj().T @ d21inv,
                     -d21inv @ C @ V, np.eye(p))
     G = V.conj().T @ gamma @ V
@@ -293,8 +288,7 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
     if not ures <= 1e-8:
         raise ValidationError(f"Q is not certified unitary and minimal "
                               f"(lossless residual {ures:g})")
-    inner = linalg.hermitian_order(P1, P2) in ("less_equal", "equal")
-    return QFactor(realization=Q, degree=grank, inner_flag=inner,
+    return QFactor(realization=Q, degree=V.shape[1], inner_flag=not np.any(w < -cut),
                    unitary_residual=ures, gramian=G)
 
 

@@ -7,8 +7,7 @@ that decides multiplicities, the one split of a point set symmetric
 about the imaginary axis into axis, plus and minus clusters
 (mirror_split), spectral-subspace extraction, Takagi factorization of
 complex symmetric matrices from one real symmetric eigendecomposition,
-the Loewner (positive-semidefinite) order on Hermitian matrices, and
-the package's one spectral norm (spectral_norm, with hermitian_norm
+and the package's one spectral norm (spectral_norm, with hermitian_norm
 for Hermitian matrices and norm_at_most for checks that only compare
 it with a bound).
 
@@ -42,7 +41,6 @@ __all__ = [
     "default_cluster_tol",
     "half_chain_basis",
     "hermitian_norm",
-    "hermitian_order",
     "hermitian_sqrt",
     "mirror_split",
     "norm_at_most",
@@ -383,31 +381,3 @@ def hermitian_sqrt(M) -> np.ndarray:
     if w.size and w[0] < -DEFAULT_PSD_TOL * max(1.0, abs(w[-1])):
         raise ValidationError(f"matrix is not PSD: min eigenvalue {w[0]:g}")
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
-
-
-def hermitian_order(P, Q) -> str:
-    """Classify two Hermitian matrices in the Loewner order.
-
-    Returns one of ``"equal"``, ``"less_equal"`` (P <= Q),
-    ``"greater_equal"`` (P >= Q) or ``"incomparable"``, decided from the
-    signed eigenvalues of Q - P at tolerance DEFAULT_PSD_TOL * scale.
-    """
-    A = as_matrix(P, "P", square=True)
-    B = as_matrix(Q, "Q", square=True)
-    if A.shape != B.shape:
-        raise DimensionError("P and Q must have the same shape")
-    scale = max(1.0, spectral_norm(A), spectral_norm(B))
-    for name, M in (("P", A), ("Q", B)):
-        if not norm_at_most(M - M.conj().T, DEFAULT_SYM_TOL * scale):
-            raise NotSymmetricError(f"{name} is not Hermitian to tolerance")
-    w = np.linalg.eigvalsh((B - A + (B - A).conj().T) / 2)
-    cut = DEFAULT_PSD_TOL * scale
-    has_pos = bool(np.any(w > cut))
-    has_neg = bool(np.any(w < -cut))
-    if not has_pos and not has_neg:
-        return "equal"
-    if has_pos and not has_neg:
-        return "less_equal"
-    if has_neg and not has_pos:
-        return "greater_equal"
-    return "incomparable"

@@ -141,6 +141,16 @@ class DegreeCertificate:
                 and self.observable_rank == self.state_dim)
 
 
+def _off_poles(R: Realization, points) -> None:
+    """Raise PoleError naming the first point within ``R.pole_guard`` of
+    the spectrum of A."""
+    s = np.atleast_1d(points)
+    near = np.min(np.abs(s[:, np.newaxis] - R.poles()), axis=1, initial=np.inf) <= R.pole_guard
+    if near.any():
+        raise PoleError(
+            f"evaluation point {s[np.argmax(near)]:g} is within {R.pole_guard:g} of a pole")
+
+
 def freqresp(R: Realization, points) -> np.ndarray:
     """Values of the transfer function at every point, stacked into a
     (k, p, m) array; infinite points give D.
@@ -154,11 +164,7 @@ def freqresp(R: Realization, points) -> np.ndarray:
     if R.n == 0 or not finite.any():
         return out
     s = s[finite]
-    tol = R.pole_guard
-    near = np.min(np.abs(s[:, np.newaxis] - R.poles()), axis=1) <= tol
-    if near.any():
-        raise PoleError(
-            f"evaluation point {s[np.argmax(near)]:g} is within {tol:g} of a pole")
+    _off_poles(R, s)
     pencil = s[:, np.newaxis, np.newaxis] * np.eye(R.n) - R.a
     # a 3-d right-hand side is a matrix stack under every numpy version
     out[finite] += R.c @ np.linalg.solve(pencil, R.b[np.newaxis])
@@ -180,8 +186,7 @@ def derivative(R: Realization, s: complex) -> np.ndarray:
     s = complex(s)
     if R.n == 0:
         return np.zeros_like(R.d)
-    if np.min(np.abs(s - R.poles())) <= R.pole_guard:
-        raise PoleError(f"evaluation point {s:g} is within {R.pole_guard:g} of a pole")
+    _off_poles(R, s)
     lu = sla.lu_factor(s * np.eye(R.n) - R.a)
     return -R.c @ sla.lu_solve(lu, sla.lu_solve(lu, R.b))
 
@@ -462,8 +467,7 @@ def mobius_precondition(R: Realization, omega0: float) -> Realization:
     PoleError as evaluate does.
     """
     s0 = 1j * omega0
-    if np.min(np.abs(s0 - R.poles()), initial=np.inf) <= R.pole_guard:
-        raise PoleError(f"evaluation point {s0:g} is within {R.pole_guard:g} of a pole")
+    _off_poles(R, s0)
     M = np.linalg.inv(R.a - s0 * np.eye(R.n))
     MB = M @ R.b
     val = R.d - R.c @ MB

@@ -113,16 +113,10 @@ class RiccatiSolution:
     spectrum: HSpectrum
 
 
-def build_hat(R: Realization) -> HatData:
-    """Form the shifted Riccati data from a realization.
-
-    Requires ``||D||_2 < 1 - 1e-12`` (strict contractivity
-    at infinity); otherwise a NotContractiveError suggests the Moebius
-    preconditioning.
-    """
+def _require_contractive(R: Realization) -> None:
+    """The precondition of build_hat, which build_extension shares."""
     if R.outputs != R.inputs:
         raise ValidationError("embedding requires a square transfer function")
-    p = R.outputs
     s = np.linalg.svd(R.d, compute_uv=False)
     dn = s[0] if s.size else 0.0
     if dn >= 1.0 - 1e-12:
@@ -130,7 +124,17 @@ def build_hat(R: Realization) -> HatData:
             f"||D||_2 = {dn:.6g} >= 1: S is not strictly contractive at "
             "infinity; apply mobius_precondition at a point of strict "
             "contractivity first")
-    Ip = np.eye(p)
+
+
+def build_hat(R: Realization) -> HatData:
+    """Form the shifted Riccati data from a realization.
+
+    Requires ``||D||_2 < 1 - 1e-12`` (strict contractivity
+    at infinity); otherwise a NotContractiveError suggests the Moebius
+    preconditioning.
+    """
+    _require_contractive(R)
+    Ip = np.eye(R.outputs)
     Dl = np.linalg.inv(Ip - R.d @ R.d.conj().T)
     Dr = np.linalg.inv(Ip - R.d.conj().T @ R.d)
     a_hat = R.a + R.b @ R.d.conj().T @ Dl @ R.c

@@ -28,7 +28,7 @@ from darlington import (
     minimal_realization,
     solve_extremal,
 )
-from darlington.errors import DimensionError, ValidationError
+from darlington.errors import DimensionError, NotSymmetricError, ValidationError
 from darlington.linalg import DEFAULT_RANK_TOL
 from darlington.scalar import poly_para, poly_trim, siso_realization, spectral_factor_poly
 
@@ -46,6 +46,28 @@ def invert(R: Realization) -> Realization:
         raise ValidationError("D is singular; the inverse realization formula needs D invertible")
     Dinv = np.linalg.inv(R.d)
     return Realization(R.a - R.b @ Dinv @ R.c, R.b @ Dinv, -Dinv @ R.c, Dinv)
+
+
+def hermitian_order(P, Q) -> str:
+    """Classify two Hermitian matrices in the Loewner order.
+
+    Returns one of ``"equal"``, ``"less_equal"`` (P <= Q),
+    ``"greater_equal"`` (P >= Q) or ``"incomparable"``, decided from the
+    signed eigenvalues of Q - P at tolerance 1e-9 max(1, ||P||, ||Q||).
+    """
+    A = np.asarray(P, dtype=complex)
+    B = np.asarray(Q, dtype=complex)
+    if A.shape != B.shape:
+        raise DimensionError("P and Q must have the same shape")
+    scale = max(1.0, np.linalg.norm(A, 2), np.linalg.norm(B, 2))
+    for name, M in (("P", A), ("Q", B)):
+        if np.linalg.norm(M - M.conj().T, 2) > 1e-9 * scale:
+            raise NotSymmetricError(f"{name} is not Hermitian to tolerance")
+    w = np.linalg.eigvalsh((B - A + (B - A).conj().T) / 2)
+    has_pos = bool(np.any(w > 1e-9 * scale))
+    has_neg = bool(np.any(w < -1e-9 * scale))
+    return {(False, False): "equal", (True, False): "less_equal",
+            (False, True): "greater_equal"}.get((has_pos, has_neg), "incomparable")
 
 
 def para_conjugate(R: Realization) -> Realization:

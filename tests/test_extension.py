@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from conftest import random_unitary
+from conftest import hermitian_order, random_unitary
 
 from darlington import (
     Realization,
@@ -19,12 +19,13 @@ from darlington import (
     innerness_residual,
     kalman_check,
     minimal_realization,
+    riccati_residual,
     solve_extremal,
     symmetric_unitary_extension,
     symmetrize,
     symmetry_residual,
 )
-from darlington.errors import NotSymmetricError, ValidationError
+from darlington.errors import NotContractiveError, NotSymmetricError, ValidationError
 from darlington.extension import _lossless_residual
 from darlington.realization import direct_sum, probe_points, transfer_distance
 from darlington.scalar import poly_para, spectral_factor_poly
@@ -44,10 +45,10 @@ class TestBuildExtension:
         R, pmin, _ = zeta2_pair
         E = build_extension(R, pmin)
         # D = 0 so the constant block is the antidiagonal unitary
-        assert np.allclose(E.d11, np.zeros((2, 2)))
-        assert np.allclose(E.d12, np.eye(2))
-        assert np.allclose(E.d21, np.eye(2))
         DD = E.realization.d
+        assert np.allclose(DD[:2, :2], np.zeros((2, 2)))
+        assert np.allclose(DD[:2, 2:], np.eye(2))
+        assert np.allclose(DD[2:, :2], np.eye(2))
         assert np.linalg.norm(DD @ DD.conj().T - np.eye(4), 2) < 1e-12
         assert kalman_check(E.realization).mcmillan_degree == 2
         assert innerness_residual(E.realization) <= 1e-8
@@ -85,8 +86,21 @@ class TestBuildExtension:
             assert abs(total - 1.0) < 1e-10
 
     def test_rejects_bad_residual(self, zeta2):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="Riccati residual"):
             build_extension(zeta2, np.eye(2))  # R(I) != 0 for zeta = 2
+
+    def test_rejects_d_not_strictly_contractive(self):
+        # ||D|| = 1 leaves I - D D* singular; refused before any inverse
+        R = Realization([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
+        with pytest.raises(NotContractiveError):
+            build_extension(R, np.eye(1))
+
+    @pytest.mark.parametrize("sign", [-1.0, 0.0])
+    def test_rejects_p_not_positive_definite(self, zeta2_pair, sign):
+        # -P_min and 0 are refused before any inverse of P is formed
+        R, pmin, _ = zeta2_pair
+        with pytest.raises(ValidationError, match="positive definite"):
+            build_extension(R, sign * pmin.p)
 
 
 class TestApplyGauge:
@@ -95,7 +109,8 @@ class TestApplyGauge:
         E = build_extension(R, pmin)
         E2 = apply_gauge(E, np.eye(2), np.eye(2))
         assert np.allclose(E2.realization.d, E.realization.d)
-        assert np.allclose(E2.b1, E.b1)
+        assert np.allclose(E2.realization.b, E.realization.b)
+        assert np.allclose(E2.realization.c, E.realization.c)
 
     def test_transpose_gauge_symmetrizes(self, zeta2):
         # with P P^T = I the gauge U1 = U2^T keeps the extension
@@ -151,7 +166,7 @@ class TestFromLeftFactor:
                         np.array([[1.0]]), np.array([[0.0]]))
         pmin, _ = solve_extremal(build_hat(R))
         E = build_extension(R, pmin)
-        b1 = E.b1[0, 0]
+        b1 = E.realization.b[0, 0]
         P_hand = (abs(b1) ** 2 + 1.0) / 2.0
         assert abs(P_hand - pmin.p[0, 0]) < 1e-10
 
@@ -213,27 +228,27 @@ def _extremal_extensions(instance_suite, name):
     inst = next(i for i in instance_suite if i.name == name)
     Rs = symmetrize(inst.realization)
     pmin, pmax = solve_extremal(build_hat(Rs))
-    return inst, build_extension(Rs, pmin), build_extension(Rs, pmax)
+    return inst, pmin, build_extension(Rs, pmin), build_extension(Rs, pmax)
 
 
 class TestClosedFormQuotient:
     @pytest.mark.parametrize("name", ["p1-n3-k0-ax1", "p2-n3k0-n1kg", "p2-n2k0-n2k0"])
     def test_matches_staircase_oracle(self, instance_suite, name):
-        inst, E1, E2 = _extremal_extensions(instance_suite, name)
+        inst, pmin, E1, E2 = _extremal_extensions(instance_suite, name)
         Q = compare_extensions(E1, E2)
         assert Q.realization.n == inst.n - inst.expected_n0
         # Q on all n states of the closed loop, minimized by the staircase
         C = E1.s22.c
-        d21inv = np.linalg.inv(E1.d21)
+        d21inv = np.linalg.inv(E1.s21.d)
         gamma = E2.p_matrix - E1.p_matrix
-        raw = Realization(E1.z, gamma @ C.conj().T @ d21inv, -d21inv @ C,
+        raw = Realization(pmin.z, gamma @ C.conj().T @ d21inv, -d21inv @ C,
                           np.eye(inst.p))
         oracle, _ = minimal_realization(raw, rank_tol=1e-8)
         assert transfer_distance(Q.realization, oracle) <= 1e-8
 
     def test_rotated_range_fails_invariance(self, instance_suite):
         # same rank as P_max - P_min, but a range that Z does not keep
-        inst, E1, E2 = _extremal_extensions(instance_suite, "p1-n3-k0-ax1")
+        inst, _, E1, E2 = _extremal_extensions(instance_suite, "p1-n3-k0-ax1")
         assert inst.expected_n0 == 1
         W = random_unitary(np.random.default_rng(3), inst.n)
         gamma = E2.p_matrix - E1.p_matrix
@@ -362,6 +377,35 @@ class TestSuiteInvariants:
             tol = 1e-9 * max(1.0, np.linalg.norm(pmax.p, 2))
             assert Q.degree == np.linalg.matrix_rank(pmax.p - pmin.p, tol), inst.name
             assert Q.inner_flag, inst.name
+            assert hermitian_order(pmin.p, pmax.p) in ("less_equal", "equal")
+            # the reversed quotient has the same degree and is not inner
+            reverse = compare_extensions(E2, E1)
+            assert reverse.degree == Q.degree > 0, inst.name
+            assert not reverse.inner_flag, inst.name
+            assert hermitian_order(pmax.p, pmin.p) == "greater_equal", inst.name
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["P_min", "P_max"])
+    def test_extension_carries_the_riccati_data(self, instance_suite, kind):
+        # R(P) is the extension's Lyapunov residual A P + P A* + B1 B1* + B B*,
+        # and A - B1 D21^{-1} C is the closed loop Z = A_hat + P C_hat* C_hat
+        for inst in instance_suite:
+            Rs = symmetrize(inst.realization)
+            hat = build_hat(Rs)
+            sol = solve_extremal(hat)[kind]
+            E = build_extension(Rs, sol)
+            big, P, p = E.realization, E.p_matrix, inst.p
+            scale = 1.0 + np.linalg.norm(P, 2) ** 2
+            # B1 B1* + B B* is R(P) - A P - P A*, each side of order ||P||^2
+            BB = big.b @ big.b.conj().T
+            shift = hat.a_hat - Rs.a
+            rest = P @ hat.csc @ P + shift @ P + P @ shift.conj().T + hat.bbs
+            assert np.linalg.norm(BB - rest, 2) <= 1e-12 * scale, inst.name
+            lyap = Rs.a @ P + P @ Rs.a.conj().T + BB
+            assert abs(np.linalg.norm(lyap, 2) - riccati_residual(hat, P)) \
+                <= 1e-12 * scale, inst.name
+            Z = big.a - big.b[:, :p] @ np.linalg.inv(big.d[p:, :p]) @ big.c[p:]
+            assert np.linalg.norm(Z - sol.z, 2) <= \
+                1e-12 * max(1.0, np.linalg.norm(sol.z, 2)), inst.name
 
     def test_outer_factor_zeros_stable(self, instance_suite):
         from darlington import symmetrize

@@ -1,15 +1,15 @@
 """Decomposition-layer tests: half chains, SVD analysis, Takagi
-factorization, Loewner order."""
+factorization, and the Loewner-order oracle of conftest."""
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import hermitian_order
 
 from darlington import (
     Realization,
     build_hamiltonian,
     build_hat,
-    hermitian_order,
     linalg,
     svd_analysis,
     symmetrize,

@@ -2,6 +2,7 @@
 solutions, spectrum split."""
 import numpy as np
 import pytest
+from conftest import hermitian_order
 
 from darlington import (
     Hamiltonian,
@@ -9,7 +10,6 @@ from darlington import (
     analyze_spectrum,
     build_hamiltonian,
     build_hat,
-    hermitian_order,
     riccati_residual,
     solve_extremal,
 )
