@@ -223,8 +223,8 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
     equation A P + P A* + B1 B1* + B B* = 0, which has a unique
     (Hermitian, positive definite) solution since A is stable.
     """
-    if S21.n != R.n or not (np.allclose(S21.a, R.a, atol=1e-12) and
-                            np.allclose(S21.c, R.c, atol=1e-12)):
+    if S21.n != R.n or not (np.allclose(S21.a, R.a, rtol=0, atol=1e-12) and
+                            np.allclose(S21.c, R.c, rtol=0, atol=1e-12)):
         raise ValidationError(
             "S21 must share the (C, A) pair of the realization of S")
     p = R.outputs
@@ -239,7 +239,7 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
             "open left half-plane; the Lyapunov equation for P needs A Hurwitz")
     B1 = S21.b
     G = B1 @ B1.conj().T + R.b @ R.b.conj().T
-    P = sla.solve_sylvester(R.a, R.a.conj().T, -G)
+    P = sla.solve_continuous_lyapunov(R.a, -G)
     P = (P + P.conj().T) / 2
     E = build_extension(R, P)
     if not linalg.norm_at_most(E.realization.b[:, :p] - B1,
@@ -304,10 +304,10 @@ def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks) -> QFactor:
     if E1.p != E2.p:
         raise DimensionError("extensions have different block sizes")
     R1, R2 = E1.s22, E2.s22
-    same = (R1.n == R2.n and np.allclose(R1.a, R2.a, atol=1e-10)
-            and np.allclose(R1.b, R2.b, atol=1e-10)
-            and np.allclose(R1.c, R2.c, atol=1e-10)
-            and np.allclose(R1.d, R2.d, atol=1e-10))
+    same = (R1.n == R2.n and np.allclose(R1.a, R2.a, rtol=0, atol=1e-10)
+            and np.allclose(R1.b, R2.b, rtol=0, atol=1e-10)
+            and np.allclose(R1.c, R2.c, rtol=0, atol=1e-10)
+            and np.allclose(R1.d, R2.d, rtol=0, atol=1e-10))
     if not same:
         raise ValidationError("extensions do not share the same S block")
     return _quotient(E1, E2.p_matrix)

@@ -10,10 +10,11 @@ S has a minimal realization that is signature symmetric:
 The inner extension built on a Riccati solution P is real exactly when
 P is real; in signature coordinates P~ = J P^{-T} J is again a solution
 with S_{P~} = S_P^T, so a real symmetric extension of degree n requires
-a real solution fixed by that involution.  The feasibility search below
-restricts to the extremal solutions and their J-conjugates, which is
-decisive for the worked families in scope; the report says which
-obstruction blocked a witness.
+a real solution fixed by that involution.  The involution reverses the
+order of the solutions, so it maps P_min to P_max, and an extremal
+solution is fixed exactly when P_min = P_max (no Hamiltonian eigenvalue
+off the imaginary axis, n0 = n).  The feasibility verdict therefore
+tests P_min alone; the report says which obstruction blocked a witness.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .realization import (
     freqresp,
     probe_points,
 )
-from .riccati import build_hat, riccati_residual, solve_extremal
+from .riccati import _extremal, build_hat
 
 __all__ = [
     "SignatureRealization",
@@ -134,11 +135,12 @@ def is_real_extension(P, R: Realization) -> bool:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    """Verdict on real symmetric extendability at degree n."""
+    """Verdict on real symmetric extendability at degree n: the real
+    witness P_min when it is fixed by the J-involution, otherwise the
+    spectral obstruction."""
     feasible: bool
     witness: np.ndarray | None
     obstruction: str
-    candidates_tried: int
 
     @property
     def kind(self) -> str:
@@ -146,35 +148,23 @@ class FeasibilityReport:
 
 
 def real_symmetric_feasibility(SR: SignatureRealization) -> FeasibilityReport:
-    """Search for a real Riccati solution P with J P^{-T} J = P, which is
-    exactly the condition for S_P to be a real symmetric inner extension
-    at the same degree.
+    """Decide whether a real Riccati solution P with J P^{-T} J = P
+    exists among the extremal ones, which is exactly the condition for
+    S_P to be a real symmetric inner extension at the same degree.
 
-    Only the extremal solutions and their J-conjugates are examined;
-    if none qualifies the report carries the spectral obstruction.
+    P -> J P^{-T} J reverses the order of the Riccati solutions, so it
+    maps P_min to P_max, and real data give a real P_min: the verdict is
+    feasible exactly when P_min is real and fixed by the involution,
+    with P_min as the witness.  Otherwise the report carries the
+    spectral obstruction.
     """
-    R = SR.realization
     J = SR.j_matrix
-    hat = build_hat(R)
-    pmin, pmax = solve_extremal(hat)
-    seen: list[np.ndarray] = []
-    cands = []
-    for sol in (pmin, pmax):
-        for P in (sol.p, J @ np.linalg.inv(sol.p.T) @ J):
-            nP = spectral_norm(P)
-            if riccati_residual(hat, P) > 1e-7 * (1 + nP ** 2):
-                continue
-            if any(norm_at_most(P - Q, 1e-9 * (1 + nP)) for Q in seen):
-                continue
-            seen.append(P)
-            cands.append(P)
-    for P in cands:
-        scale = 1.0 + spectral_norm(P)
-        real_ok = norm_at_most(P.imag, _REAL_TOL * scale)
-        fixed = norm_at_most(J @ np.linalg.inv(P.T) @ J - P, 1e-8 * scale)
-        if real_ok and fixed:
-            return FeasibilityReport(feasible=True, witness=P.real.copy(),
-                                     obstruction="", candidates_tried=len(cands))
+    (pmin,) = _extremal(build_hat(SR.realization), ("minimal",))
+    P = pmin.p
+    scale = 1.0 + spectral_norm(P)
+    if (norm_at_most(P.imag, _REAL_TOL * scale)
+            and norm_at_most(J @ np.linalg.inv(P.T) @ J - P, 1e-8 * scale)):
+        return FeasibilityReport(feasible=True, witness=P.real.copy(), obstruction="")
     odd = [c for c, m, lab in pmin.spectrum.clusters if m % 2 == 1]
     if odd:
         reason = (f"chi_H is not a perfect square (odd-multiplicity "
@@ -186,5 +176,4 @@ def real_symmetric_feasibility(SR: SignatureRealization) -> FeasibilityReport:
                   "solution satisfies J P^{-T} J = P; any degree-n real "
                   "symmetric extension would need a real solution fixed by "
                   "the J-involution and none was found")
-    return FeasibilityReport(feasible=False, witness=None, obstruction=reason,
-                             candidates_tried=len(cands))
+    return FeasibilityReport(feasible=False, witness=None, obstruction=reason)

@@ -190,10 +190,10 @@ def _newton_refine(hat: HatData, P: np.ndarray) -> tuple[np.ndarray, float]:
     closed loop Z, from one Schur form of Z (Bartels & Stewart, CACM
     1972).  Returns the best P and its residual riccati_residual(hat, P)."""
     best = P
-    best_res = riccati_residual(hat, P)
+    R = _residual_matrix(hat, best)
+    best_res = float(linalg.spectral_norm(R))
     for _ in range(4):
         Z = hat.a_hat + best @ hat.csc
-        R = _residual_matrix(hat, best)
         try:
             with warnings.catch_warnings():
                 # an axis eigenvalue pair of Z (n0 > 0) makes the equation
@@ -203,10 +203,11 @@ def _newton_refine(hat: HatData, P: np.ndarray) -> tuple[np.ndarray, float]:
         except (np.linalg.LinAlgError, ValueError):
             break
         cand = best + (dP + dP.conj().T) / 2
-        res = riccati_residual(hat, cand)
+        R_cand = _residual_matrix(hat, cand)
+        res = float(linalg.spectral_norm(R_cand))
         if not np.isfinite(res) or res >= best_res:
             break
-        best, best_res = cand, res
+        best, best_res, R = cand, res, R_cand
     return best, best_res
 
 

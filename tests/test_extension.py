@@ -177,6 +177,15 @@ class TestFromLeftFactor:
         with pytest.raises(ValidationError):
             extension_from_left_factor(R, bad)
 
+    def test_rejects_a_off_by_a_relative_2e_6(self, zeta2_pair):
+        # the 1e-12 bound is absolute: a relative difference of 2e-6
+        # would otherwise give the extension of a different A
+        R, pmin, _ = zeta2_pair
+        S21 = build_extension(R, pmin).s21
+        bad = Realization(S21.a * (1 + 2e-6), S21.b, S21.c, S21.d)
+        with pytest.raises(ValidationError, match=r"must share the \(C, A\) pair"):
+            extension_from_left_factor(R, bad)
+
     def test_rejects_unstable_a_by_its_eigenvalue(self):
         # A = diag(-1, 1) has no imaginary eigenvalue, but the Lyapunov
         # equation for P needs A Hurwitz
@@ -213,6 +222,16 @@ class TestCompareExtensions:
         assert Q.degree == 2
         assert not Q.inner_flag
         assert Q.unitary_residual <= 1e-8
+
+    def test_rejects_s_block_off_by_a_relative_2e_6(self, zeta2_pair):
+        # the 1e-10 bound is absolute, so the extension of a different S
+        # is refused as such, not as a quotient that fails its lossless
+        # certificate
+        R, pmin, _ = zeta2_pair
+        R2 = Realization(R.a * (1 + 2e-6), R.b, R.c, R.d)
+        E2 = build_extension(R2, solve_extremal(build_hat(R2))[1])
+        with pytest.raises(ValidationError, match="do not share the same S block"):
+            compare_extensions(build_extension(R, pmin), E2)
 
     def test_p_to_extension_injective(self, zeta2_pair):
         R, pmin, pmax = zeta2_pair

@@ -2,8 +2,11 @@
 real symmetric extensions at degree n."""
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from conftest import coupled_pair_realization
 
 import darlington.realcase
+import darlington.riccati
 from darlington import (
     Realization,
     SignatureRealization,
@@ -17,12 +20,50 @@ from darlington import (
 )
 from darlington.errors import ValidationError
 from darlington.realization import probe_points, transpose
+from darlington.riccati import _extremal
 
 SQ3 = np.sqrt(3.0)
 
 
 def identity_signature(R: Realization) -> SignatureRealization:
     return SignatureRealization(realization=R, j=np.ones(R.n, dtype=int))
+
+
+def boundary_pair(d: float, c: float, U=np.eye(2)) -> Realization:
+    """U^T diag(f, f) U with f = d + c (s - a)^{-1} c, a = -c^2/(1-d):
+    |f(0)| = 1, so the Hamiltonian spectrum lies on the imaginary axis."""
+    a = -c * c / (1 - d)
+    return Realization(a * np.eye(2), c * U, c * U.T, d * np.eye(2))
+
+
+def real_draw(seed: int) -> Realization:
+    """U^T diag(f_1, ..., f_p) U with a random real orthogonal U and
+    f_i = d_i + sum_j r_ij / (s + a_ij), |d_i| + sum_j |r_ij| / a_ij = 0.9,
+    so each f_i, and S, is a real symmetric Schur function."""
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 3))
+    poles, bs, cs, ds = [], [], [], []
+    for _ in range(p):
+        a = rng.uniform(0.3, 2.0, int(rng.integers(1, 3)))
+        r, d = rng.uniform(-1, 1, a.size), rng.uniform(-0.5, 0.5)
+        scale = 0.9 / (abs(d) + np.sum(np.abs(r) / a))
+        poles.append(-a)
+        bs.append(np.sqrt(scale * np.abs(r))[:, None])
+        cs.append(np.sign(r) * np.sqrt(scale * np.abs(r)))
+        ds.append(scale * d)
+    U = np.linalg.qr(rng.normal(size=(p, p)))[0]
+    return Realization(np.diag(np.concatenate(poles)), sla.block_diag(*bs) @ U,
+                       U.T @ sla.block_diag(*cs), U.T @ np.diag(ds) @ U)
+
+
+ROTATION = np.array([[0.6, 0.8], [-0.8, 0.6]])
+REAL_CASES = {
+    "zeta1": lambda: coupled_pair_realization(1.0),
+    "zeta2": lambda: coupled_pair_realization(2.0),
+    "boundary-d0.3": lambda: boundary_pair(0.3, 0.8),
+    "boundary-d-0.5-rotated": lambda: boundary_pair(-0.5, 1.2, ROTATION),
+    **{f"draw{seed}": (lambda seed=seed: real_draw(seed)) for seed in range(12)},
+}
 
 
 class TestIsRealExtension:
@@ -127,22 +168,57 @@ class TestFeasibility:
         assert rep.feasible
         assert np.allclose(rep.witness, np.eye(2), atol=1e-8)
 
+    @pytest.mark.parametrize("name", REAL_CASES)
+    def test_verdict_is_n0_equals_n(self, name):
+        # an extremal solution is fixed by the J-involution exactly when
+        # P_min = P_max, that is when the whole Hamiltonian spectrum lies
+        # on the imaginary axis
+        SR = signature_realization(REAL_CASES[name]())
+        rep = real_symmetric_feasibility(SR)
+        (pmin,) = _extremal(build_hat(SR.realization), ("minimal",))
+        assert rep.feasible == (pmin.spectrum.n0 == SR.realization.n)
+        if rep.feasible:
+            assert np.array_equal(rep.witness, pmin.p.real)
+        else:
+            assert rep.witness is None and "chi_H" in rep.obstruction
+
+    def test_one_minimal_graph_solve(self, zeta1, zeta2, monkeypatch):
+        kinds = []
+
+        def recording(hat, which):
+            kinds.append(which)
+            return _extremal(hat, which)
+
+        def refuse(*args):
+            pytest.fail("P_max or a Riccati residual was computed")
+
+        monkeypatch.setattr(darlington.realcase, "_extremal", recording)
+        monkeypatch.setattr(darlington.riccati, "solve_extremal", refuse)
+        monkeypatch.setattr(darlington.riccati, "riccati_residual", refuse)
+        for R in (zeta1, zeta2):
+            real_symmetric_feasibility(identity_signature(R))
+        assert kinds == [("minimal",)] * 2
+
 
 class TestInvariants:
-    def test_extremal_solutions_real_for_real_input(self, instance_suite):
-        from darlington import symmetrize
-        for inst in instance_suite[:4]:
-            R = inst.realization
-            if np.linalg.norm(R.a.imag) + np.linalg.norm(R.b.imag) > 1e-12:
-                continue
-            pmin, pmax = solve_extremal(build_hat(symmetrize(R)))
-            # symmetrize may go complex; use the raw real realization if
-            # it is already symmetric
-            Rs = symmetrize(R)
-            if np.linalg.norm(Rs.a.imag) > 1e-9:
-                continue
-            assert np.linalg.norm(pmin.p.imag, 2) < 1e-8
-            assert np.linalg.norm(pmax.p.imag, 2) < 1e-8
+    def test_extremal_solutions_real_for_real_input(self):
+        # the frozen suite realizations are all complex, so the real
+        # instances are built here
+        for make in REAL_CASES.values():
+            R = signature_realization(make()).realization
+            for sol in solve_extremal(build_hat(R)):
+                assert np.linalg.norm(sol.p.imag) <= 1e-8 * np.linalg.norm(sol.p)
+
+    @pytest.mark.parametrize("name", REAL_CASES)
+    def test_j_involution_swaps_the_extremal_solutions(self, name):
+        # P -> J P^{-T} J reverses the order of the Riccati solutions,
+        # so it maps P_min onto P_max: the identity the feasibility
+        # verdict rests on
+        SR = signature_realization(REAL_CASES[name]())
+        J = SR.j_matrix
+        pmin, pmax = solve_extremal(build_hat(SR.realization))
+        conj = J @ np.linalg.inv(pmin.p.T) @ J
+        assert np.linalg.norm(conj - pmax.p) <= 1e-9 * np.linalg.norm(pmax.p)
 
     def test_j_conjugate_transposes_extension(self):
         # S_{J P^{-T} J} = S_P^T for signature-symmetric realizations
