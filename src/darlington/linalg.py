@@ -1,15 +1,16 @@
 """Dense complex-matrix decompositions and spectral utilities.
 
 Eigenvalue and singular-value work is delegated to LAPACK through
-numpy/scipy; this module adds the layers the rest of the package relies
-on: point clustering with the one persistence policy (cluster_ladder)
-that decides multiplicities, the one split of a point set symmetric
-about the imaginary axis into axis, plus and minus clusters
-(mirror_split), spectral-subspace extraction, Takagi factorization of
-complex symmetric matrices from one real symmetric eigendecomposition,
-and the package's one spectral norm (spectral_norm, with hermitian_norm
-for Hermitian matrices and norm_at_most for checks that only compare
-it with a bound).
+numpy; this module adds the layers the rest of the package relies on:
+point clustering with the one persistence policy (cluster_ladder) that
+decides multiplicities, the one split of a point set symmetric about
+the imaginary axis into axis, plus and minus clusters (mirror_split,
+which maps each point to its cluster), the leading-half chain basis of
+a nilpotent matrix, Takagi factorization of complex symmetric matrices
+from one real symmetric eigendecomposition, and the package's one
+spectral norm (spectral_norm, with hermitian_norm for Hermitian
+matrices and norm_at_most for checks that only compare it with a
+bound).
 
 All returned objects are immutable value types carrying the tolerance
 that was used, and all functions are pure.
@@ -20,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     ConvergenceError,
@@ -97,11 +97,13 @@ def as_matrix(M, name: str = "matrix", square: bool = False) -> np.ndarray:
 
 
 def cluster_points(points, tol: float):
-    """Greedy single-linkage clustering of complex points.
+    """Greedy centroid clustering of complex points.
 
-    Clusters are merged until all cluster centers are pairwise farther
-    apart than 2*tol, so the reported centers are unambiguous at the
-    stated tolerance.  Returns a list of (center, members) pairs.
+    In (real, imag) order each point joins the first cluster whose
+    running centroid lies within tol, or starts one; then the first pair
+    of centroids within 2*tol merges, until none is left, so the
+    reported centers are unambiguous at the stated tolerance.  Returns
+    (center, members) pairs; the members are the input values.
     """
     def pairs(c, r):  # index pairs i < j with |c_i - c_j| <= r, row by row
         return np.argwhere(np.triu(np.abs(c[:, np.newaxis] - c) <= r, 1))
@@ -160,7 +162,8 @@ def mirror_split(points, base_tol: float):
     A cluster whose center has ``|Re c| <= tol`` is labeled "axis" and
     its center moved onto the axis; the others are "plus" or "minus" by
     the sign of Re c.  Returns (tolerance used, ((center, multiplicity,
-    label), ...)) in the ladder's cluster order.
+    label), ...) in the ladder's cluster order, index), where index[i]
+    is the position of the cluster of points[i] in that tuple.
 
     Raises
     ------
@@ -197,7 +200,11 @@ def mirror_split(points, base_tol: float):
     if minus:
         raise SpectralSplitError(f"unpaired left-half-plane points {minus} "
                                  f"(cluster tolerance {tol:g})")
-    return tol, tuple(labeled)
+    # cluster members are the input values, and equal values always share
+    # a cluster, so each value names its cluster exactly
+    where = {z: k for k, (_, members) in enumerate(clusters) for z in members}
+    index = np.array([where[z] for z in np.asarray(points, dtype=complex)], dtype=int)
+    return tol, tuple(labeled), index
 
 
 def _orth_columns(M: np.ndarray, tol: float) -> np.ndarray:
@@ -223,27 +230,6 @@ def _kernel(M: np.ndarray, tol: float, scale: float | None = None) -> np.ndarray
     cut = tol * max(scale if scale is not None else 0.0, smax, 1e-300)
     r = int(np.sum(s > cut))
     return Vh[r:].conj().T
-
-
-def _spectral_subspace(M: np.ndarray, centers, indices) -> np.ndarray:
-    """Orthonormal basis of the spectral subspace of the cluster centers
-    with the given indices, via one sorted complex Schur form.
-
-    Membership is decided by the nearest center, so the extraction
-    cannot engulf a neighboring cluster no matter how the tolerances
-    were chosen.
-    """
-    cs = np.asarray(centers, dtype=complex)
-    chosen = set(indices)
-
-    def selected(lam):
-        return int(np.argmin(np.abs(cs - lam))) in chosen
-
-    try:
-        _, Z, sdim = sla.schur(M, output="complex", sort=selected)
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
-    return Z[:, :sdim]
 
 
 def half_chain_basis(N: np.ndarray, tol: float = 1e-8) -> np.ndarray:

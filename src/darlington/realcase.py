@@ -98,7 +98,7 @@ def signature_realization(R: Realization) -> SignatureRealization:
     except (SubspaceError, NotSymmetricError) as exc:
         raise ValidationError(f"no real intertwiner found: {exc}") from exc
     w, O = np.linalg.eigh(T)
-    if np.min(np.abs(w)) <= 1e-12 * max(1.0, np.max(np.abs(w))):
+    if np.any(np.abs(w) <= 1e-12 * max(1.0, np.max(np.abs(w), initial=0.0))):
         raise ValidationError("signature form needs a minimal realization: (C, A) is not "
                               "observable (the intertwiner T is singular)")
     order = np.argsort(-np.sign(w))  # +1 entries first

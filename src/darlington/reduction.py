@@ -77,11 +77,11 @@ class BlaschkeFactor:
     def __post_init__(self):
         xi = complex(self.xi)
         u = np.asarray(self.u, dtype=complex).ravel()
-        if xi.real <= 0:
+        if not (np.isfinite(xi) and xi.real > 0):
             raise ValidationError("xi must lie in the open right half-plane")
         nrm = np.linalg.norm(u)
-        if nrm == 0:
-            raise ValidationError("direction u must be nonzero")
+        if not 0 < nrm < np.inf:  # a nan u fails too
+            raise ValidationError("direction u must be finite and nonzero")
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "u", u / nrm)
 

@@ -22,7 +22,8 @@ it in the closed right half-plane.  The spectrum of H (symmetric about
 the imaginary axis) is analyzed into its even/odd multiplicity
 structure: kappa counts distinct open-right-half-plane eigenvalues of
 odd algebraic multiplicity, and 2*n0 is the total multiplicity on the
-imaginary axis.
+imaginary axis, both read off one complex Schur form of H whose
+reorderings give every invariant subspace.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import linalg
-from .errors import NotContractiveError, SubspaceError, ValidationError
+from .errors import ConvergenceError, NotContractiveError, SubspaceError, ValidationError
 from .realization import Realization
 
 __all__ = [
@@ -88,6 +89,8 @@ class HSpectrum:
     roots of the even square factor pi(s) with multiplicities, and
     ``chi_plus_roots`` the kappa simple odd roots in the open right
     half-plane (their reflections make up the conjugate factor).
+    ``schur`` is the Schur form (T, U), H = U T U*, whose diagonal was
+    clustered: T[i, i] lies in ``clusters[cluster_index[i]]``.
     """
     clusters: tuple[tuple[complex, int, str], ...]
     kappa: int
@@ -95,6 +98,8 @@ class HSpectrum:
     pi_roots: tuple[tuple[complex, int], ...]
     chi_plus_roots: tuple[complex, ...]
     cluster_tolerance: float
+    schur: tuple[np.ndarray, np.ndarray]
+    cluster_index: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -169,19 +174,37 @@ def analyze_spectrum(H: Hamiltonian) -> HSpectrum:
     where chi+ has kappa simple roots in the open right half-plane and
     chi- is its para-conjugate; imaginary-axis eigenvalues all carry
     even total multiplicity and contribute n0 = (total axis
-    multiplicity)/2.  The split is linalg.mirror_split of eigvals(H) at
-    default_cluster_tol(H); it raises SpectralSplitError on an odd axis
+    multiplicity)/2.  The split is linalg.mirror_split, at
+    default_cluster_tol(H), of the diagonal of one complex Schur form of
+    H, which the result keeps; it raises SpectralSplitError on an odd axis
     multiplicity or an eigenvalue without a mirrored partner, and a
     complete mirror pairing makes 2 deg pi + 2 kappa = 2n.
     """
     M = H.matrix
-    tol, labeled = linalg.mirror_split(np.linalg.eigvals(M),
-                                       linalg.default_cluster_tol(M))
+    try:
+        T, U = sla.schur(M, output="complex")
+    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
+    tol, labeled, index = linalg.mirror_split(np.diag(T),
+                                              linalg.default_cluster_tol(M))
     chi_plus = [c for c, m, lab in labeled if lab == "plus" and m % 2]
     return HSpectrum(clusters=labeled, kappa=len(chi_plus),
                      n0=sum(m for _, m, lab in labeled if lab == "axis") // 2,
                      pi_roots=tuple((c, m // 2) for c, m, _ in labeled if m > 1),
-                     chi_plus_roots=tuple(chi_plus), cluster_tolerance=tol)
+                     chi_plus_roots=tuple(chi_plus), cluster_tolerance=tol,
+                     schur=(T, U), cluster_index=index)
+
+
+def _invariant_subspace(spec: HSpectrum, chosen) -> np.ndarray:
+    """Orthonormal basis of the invariant subspace of H of the chosen
+    clusters: the leading Schur vectors once ZTRSEN reorders spec.schur."""
+    select = np.isin(spec.cluster_index, list(chosen))
+    if not select.any():  # ztrsen rejects the 0 x 0 form of degree 0
+        return spec.schur[1][:, :0]
+    _, U, _, m, _, _, info = sla.lapack.ztrsen(select, *spec.schur, job="N")
+    if info:  # pragma: no cover - LAPACK failure
+        raise ConvergenceError(f"Schur reordering failed (ztrsen info {info})")
+    return U[:, :m]
 
 
 def _newton_refine(hat: HatData, P: np.ndarray) -> tuple[np.ndarray, float]:
@@ -217,11 +240,11 @@ def solve_extremal(hat: HatData) -> tuple[RiccatiSolution, RiccatiSolution]:
     Both are computed as graph subspaces of the Hamiltonian (Laub's
     Schur method): the minimal solution takes the spectral subspace of
     the open right-half-plane eigenvalues, the maximal one that of the
-    left half-plane, each from one sorted Schur form of H.  For
-    imaginary-axis eigenvalues (whose Jordan chains all have even
-    length) both use the span of the leading half of every chain, which
-    reproduces the unique solution when the extremal solutions coincide
-    there.
+    left half-plane, each a reordering of the one Schur form of H that
+    analyze_spectrum computed.  For imaginary-axis eigenvalues (whose
+    Jordan chains all have even length) both use the span of the leading
+    half of every chain, which reproduces the unique solution when the
+    extremal solutions coincide there.
 
     Returns (P_min, P_max); each result carries the residual norm, the
     condition number of the graph-subspace matrix X and the analyzed
@@ -237,17 +260,14 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
     H = ham.matrix
     spec = analyze_spectrum(ham)
     band = spec.cluster_tolerance
-    centers = [c for c, _, _ in spec.clusters]
 
+    # exact membership and the complete mirror pairing make a half-plane
+    # subspace and the axis half-chains span exactly n dimensions
     axis_bases = []
     for idx, (center, mult, lab) in enumerate(spec.clusters):
         if lab != "axis":
             continue
-        basis = linalg._spectral_subspace(H, centers, {idx})
-        if basis.shape[1] != mult:
-            raise SubspaceError(
-                f"axis spectral subspace at {center:g} has dimension "
-                f"{basis.shape[1]}, expected {mult}")
+        basis = _invariant_subspace(spec, {idx})
         N = basis.conj().T @ H @ basis - center * np.eye(mult)
         half = linalg.half_chain_basis(N, tol=max(1e-8, band))
         if 2 * half.shape[1] != mult:
@@ -259,17 +279,7 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
 
     def graph_solution(side: str, kind: str) -> RiccatiSolution:
         chosen = {i for i, (_, _, lab) in enumerate(spec.clusters) if lab == side}
-        want = sum(spec.clusters[i][1] for i in chosen)
-        basis = linalg._spectral_subspace(H, centers, chosen)
-        if basis.shape[1] != want:
-            raise SubspaceError(
-                f"{side} half-plane spectral subspace has dimension "
-                f"{basis.shape[1]}, expected {want}")
-        Mb = np.hstack([basis] + axis_bases)
-        if Mb.shape[1] != n:
-            raise SubspaceError(
-                f"graph subspace has dimension {Mb.shape[1]}, expected {n}")
-        Mb = np.linalg.qr(Mb)[0]
+        Mb = np.linalg.qr(np.hstack([_invariant_subspace(spec, chosen)] + axis_bases))[0]
         X, Y = Mb[:n, :], Mb[n:, :]
         # the empty X of a degree-0 problem counts as perfectly conditioned
         sx = np.linalg.svd(X, compute_uv=False) if n else np.ones(1)

@@ -107,7 +107,7 @@ def _classify_mu_roots(mu: np.ndarray):
     tolerance; returns (tol, axis, pairs) where axis lists the
     (i*w, even multiplicity) and pairs the (stable root, mult) clusters."""
     roots = npp.polyroots(mu)
-    tol, clusters = linalg.mirror_split(roots, _root_tol(roots))
+    tol, clusters, _ = linalg.mirror_split(roots, _root_tol(roots))
     axis = [(z, m) for z, m, lab in clusters if lab == "axis"]
     return tol, axis, [(z, m) for z, m, lab in clusters if lab == "minus"]
 
@@ -127,12 +127,12 @@ def compute_mu(p1, q) -> ScalarFactorization:
         raise ValidationError("p1 must not be identically zero")
     if p1.size > q.size:
         raise ValidationError("deg p1 must not exceed deg q")
-    qroots, _ = poly_roots(q)
-    if any(z.real >= -1e-12 for z, _ in qroots):
+    qroots = npp.polyroots(q)
+    if np.any(qroots.real >= -1e-12):
         raise ValidationError("q must have all roots in the open left half-plane")
-    p1roots, _ = poly_roots(p1)
-    sep = min((abs(z - w) for z, _ in p1roots for w, _ in qroots), default=np.inf)
-    scale = 1.0 + max((abs(z) for z, _ in p1roots + qroots), default=0.0)
+    p1roots = npp.polyroots(p1)
+    sep = np.min(np.abs(p1roots[:, np.newaxis] - qroots), initial=np.inf)
+    scale = 1.0 + np.max(np.abs(np.concatenate([p1roots, qroots])), initial=0.0)
     if sep <= 1e-7 * scale:
         raise ValidationError(
             f"p1 and q share a root near separation {sep:g}; they "

@@ -48,6 +48,18 @@ def invert(R: Realization) -> Realization:
     return Realization(R.a - R.b @ Dinv @ R.c, R.b @ Dinv, -Dinv @ R.c, Dinv)
 
 
+def sorted_schur_subspace(M, centers, indices) -> np.ndarray:
+    """Orthonormal basis of the spectral subspace of the eigenvalue
+    clusters with the given indices, from one sorted complex Schur form
+    of M whose select function assigns each eigenvalue to its nearest
+    center."""
+    cs = np.asarray(centers, dtype=complex)
+    chosen = set(indices)
+    _, Z, sdim = sla.schur(M, output="complex",
+                           sort=lambda lam: int(np.argmin(np.abs(cs - lam))) in chosen)
+    return Z[:, :sdim]
+
+
 def hermitian_order(P, Q) -> str:
     """Classify two Hermitian matrices in the Loewner order.
 

@@ -25,7 +25,12 @@ from darlington import (
     symmetrize,
     symmetry_residual,
 )
-from darlington.errors import NotContractiveError, NotSymmetricError, ValidationError
+from darlington.errors import (
+    DimensionError,
+    NotContractiveError,
+    NotSymmetricError,
+    ValidationError,
+)
 from darlington.extension import _lossless_residual
 from darlington.realization import direct_sum, probe_points, transfer_distance
 from darlington.scalar import poly_para, spectral_factor_poly
@@ -101,6 +106,12 @@ class TestBuildExtension:
         R, pmin, _ = zeta2_pair
         with pytest.raises(ValidationError, match="positive definite"):
             build_extension(R, sign * pmin.p)
+
+    @pytest.mark.parametrize("P", [np.eye(2), np.ones(1)])
+    def test_rejects_p_of_the_wrong_shape(self, P):
+        R = Realization([[-1.0]], [[0.5]], [[0.5]], [[0.0]])
+        with pytest.raises(DimensionError, match="P must be 1x1"):
+            build_extension(R, P)
 
 
 class TestApplyGauge:

@@ -278,10 +278,17 @@ class TestClusterLadder:
 class TestMirrorSplit:
     def test_labels_and_moves_axis_centers(self):
         pts = [1.0 + 2j, -1.0 + 2j, 0.5j + 1e-9, 0.5j - 1e-9]
-        tol, clusters = mirror_split(pts, 1e-6)
+        tol, clusters, index = mirror_split(pts, 1e-6)
         assert tol == 1e-6
         assert sorted(lab for _, _, lab in clusters) == ["axis", "minus", "plus"]
         assert (0.5j, 2, "axis") in clusters
+        assert [clusters[k][2] for k in index] == ["plus", "minus", "axis", "axis"]
+
+    def test_equal_points_share_their_cluster(self):
+        pts = [-1.0 + 1j, 1.0 + 1j, -1.0 + 1j, 1.0 + 1j, 2j, 2j]
+        _, clusters, index = mirror_split(pts, 1e-6)
+        assert [clusters[k][:2] for k in index] == [
+            (-1.0 + 1j, 2), (1.0 + 1j, 2), (-1.0 + 1j, 2), (1.0 + 1j, 2), (2j, 2), (2j, 2)]
 
     def test_odd_axis_multiplicity_raises(self):
         with pytest.raises(SpectralSplitError, match="odd multiplicity"):
@@ -298,9 +305,10 @@ class TestMirrorSplit:
         scale = 1.0 + abs(z)
         pts = [z - 2.5e-6 * scale, z + 2.5e-6 * scale]
         pts += [-np.conj(w) for w in pts]
-        tol, clusters = mirror_split(pts, 1e-6 * scale)
+        tol, clusters, index = mirror_split(pts, 1e-6 * scale)
         assert tol == pytest.approx(1e-5 * scale)
         assert sorted((lab, m) for _, m, lab in clusters) == [("minus", 2), ("plus", 2)]
+        assert index[0] == index[1] != index[2] == index[3]
 
 
 def cluster_points_loop(points, tol: float):

@@ -149,6 +149,17 @@ class TestSignatureRealization:
         assert np.array_equal(SR.realization.a, R.a)
 
 
+def test_constant_real_s_has_the_empty_signature_form():
+    D = np.array([[0.3, 0.1], [0.1, -0.2]])
+    SR = signature_realization(Realization(np.zeros((0, 0)), np.zeros((0, 2)),
+                                           np.zeros((2, 0)), D))
+    assert SR.j.shape == (0,) and SR.realization.n == 0
+    assert np.array_equal(SR.realization.d, D)
+    rep = real_symmetric_feasibility(SR)
+    assert rep.feasible and rep.witness.shape == (0, 0)
+    assert is_real_extension(rep.witness, SR.realization)
+
+
 class TestFeasibility:
     def test_feasible_at_unit_damping(self, zeta1):
         rep = real_symmetric_feasibility(identity_signature(zeta1))

@@ -96,6 +96,13 @@ class TestBlaschke:
         with pytest.raises(ValidationError):
             BlaschkeFactor(xi=-1.0, u=np.array([1.0]))
 
+    @pytest.mark.parametrize("xi, u", [(np.nan, [np.nan]), (complex(1.0, np.nan), [1.0]),
+                                       (np.inf, [1.0]), (1.0, [np.nan, 1.0]),
+                                       (1.0, [np.inf, 0.0])])
+    def test_rejects_non_finite_input(self, xi, u):
+        with pytest.raises(ValidationError, match="xi must|u must"):
+            BlaschkeFactor(xi=xi, u=np.array(u))
+
 
 class TestZeroStructure:
     def test_single_factor(self):
@@ -503,7 +510,7 @@ def test_sigma_runs_no_eigvals(which, zeta1, zeta2, instance_suite, monkeypatch)
     R = {"zeta1": zeta1, "zeta2": zeta2,
          "suite": instance_suite[18].realization}[which]
     E = build_extension(symmetrize(R), minimize_symmetric(R).p_min)
-    sigma_a = symmetric_unitary_extension(E)[0].a
+    sigma = symmetric_unitary_extension(E)[0]
     seen = []
     eigvals = np.linalg.eigvals
 
@@ -511,10 +518,15 @@ def test_sigma_runs_no_eigvals(which, zeta1, zeta2, instance_suite, monkeypatch)
         seen.append(np.array(M))
         return eigvals(M)
 
+    def is_sigma_a(M):
+        return M.shape == sigma.a.shape and np.allclose(M, sigma.a)
+
     monkeypatch.setattr(np.linalg, "eigvals", recording)
     minimize_symmetric(R)
-    assert seen
-    assert not any(M.shape == sigma_a.shape and np.allclose(M, sigma_a) for M in seen)
+    assert not any(map(is_sigma_a, seen))
+    # the recorder is live: it sees the poles of a fresh copy of Sigma
+    Realization(sigma.a, sigma.b, sigma.c, sigma.d).poles()
+    assert is_sigma_a(seen[-1])
 
 
 def test_minimize_symmetric_never_solves_for_p_max(zeta2, instance_suite,

@@ -2,7 +2,8 @@
 solutions, spectrum split."""
 import numpy as np
 import pytest
-from conftest import hermitian_order
+import scipy.linalg as sla
+from conftest import hermitian_order, sorted_schur_subspace
 
 from darlington import (
     Hamiltonian,
@@ -10,10 +11,13 @@ from darlington import (
     analyze_spectrum,
     build_hamiltonian,
     build_hat,
+    minimize_symmetric,
     riccati_residual,
     solve_extremal,
+    symmetrize,
 )
 from darlington.errors import NotContractiveError, SpectralSplitError
+from darlington.riccati import _extremal
 
 SQ3 = np.sqrt(3.0)
 
@@ -164,11 +168,10 @@ class TestSolveExtremal:
 def per_cluster_graph(hat, side):
     """Oracle: P from one sorted Schur form per eigenvalue cluster of the
     given half-plane (for spectra without axis clusters)."""
-    from darlington import linalg
     ham = build_hamiltonian(hat)
     H, spec = ham.matrix, analyze_spectrum(ham)
     centers = [c for c, _, _ in spec.clusters]
-    cols = [linalg._spectral_subspace(H, centers, {i})
+    cols = [sorted_schur_subspace(H, centers, {i})
             for i, (_, _, lab) in enumerate(spec.clusters) if lab == side]
     Mb = np.hstack(cols)
     n = hat.n
@@ -193,6 +196,42 @@ class TestHalfPlaneSchur:
             P = per_cluster_graph(hat, side)
             assert np.linalg.norm(sol.p - P, 2) <= 1e-10 * (1 + np.linalg.norm(P, 2))
             assert sol.subspace_condition <= np.sqrt(1 + np.linalg.norm(sol.p, 2) ** 2)
+
+
+@pytest.mark.parametrize("which", ["zeta1", "zeta2", "suite"])
+def test_one_schur_form_per_riccati_solve(which, zeta1, zeta2, instance_suite,
+                                          monkeypatch):
+    # instance 13 has an imaginary-axis cluster (n0 = 1) and one Blaschke step
+    R = {"zeta1": zeta1, "zeta2": zeta2,
+         "suite": instance_suite[13].realization}[which]
+    hat = build_hat(symmetrize(R))
+    H = build_hamiltonian(hat).matrix
+    schurs, spectra = [], []
+    schur, eigvals = sla.schur, np.linalg.eigvals
+
+    def recording_schur(M, *args, **kwargs):
+        schurs.append(np.array(M))
+        return schur(M, *args, **kwargs)
+
+    def recording_eigvals(M):
+        spectra.append(np.array(M))
+        return eigvals(M)
+
+    def is_h(M):
+        return M.shape == H.shape and np.allclose(M, H)
+
+    monkeypatch.setattr(sla, "schur", recording_schur)
+    monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+    pmin, _ = _extremal(hat, ("minimal", "maximal"))
+    assert pmin.spectrum.n0 == {"zeta1": 2, "zeta2": 0, "suite": 1}[which]
+    assert len(schurs) == 1 and np.array_equal(schurs[0], H)
+    assert not spectra
+    assert minimize_symmetric(R).n0 == pmin.spectrum.n0
+    assert not any(map(is_h, spectra))
+    # the recorder is live: it sees the poles of a realization with A = H
+    m = H.shape[0]
+    Realization(H, np.zeros((m, 1)), np.zeros((1, m)), np.zeros((1, 1))).poles()
+    assert is_h(spectra[-1])
 
 
 class TestAnalyzeSpectrum:
