@@ -20,6 +20,10 @@ default, set with --tol.  It bounds the grid supremum (1 + tol) and the
 symmetry residual of ``check`` and the final innerness certificate,
 symmetry and S-block residuals of ``synthesize --mode
 minimal-symmetric``; every other check runs at its fixed bound.
+``synthesize --mobius W0`` extends S~(s) = S(i W0 + 1/s) and writes
+that extension mapped back to one of the file's S, in every mode,
+certified on the same Gramian and reported with its block match
+against the file's S.
 Exit status: 0 when every requested certificate passes, 2 when the
 input is not strictly contractive at infinity (the hint names a
 --mobius point, or says that none helps), 1 on any other failure.
@@ -31,8 +35,9 @@ import json
 import sys
 
 import numpy as np
+import scipy.linalg as sla
 
-from .errors import DarlingtonError, NotContractiveError
+from .errors import DarlingtonError, NotContractiveError, ValidationError
 from .extension import (
     _lossless_residual,
     build_extension,
@@ -42,6 +47,7 @@ from .extension import (
 from .linalg import spectral_norm
 from .realization import (
     Realization,
+    _mobius_inverse,
     freqresp,
     minimal_realization,
     mobius_precondition,
@@ -178,14 +184,15 @@ def cmd_synthesize(args) -> int:
     if "realization" not in prob:
         print("error: synthesize needs a realization (A, B, C, D)", file=sys.stderr)
         return 1
-    R = prob["realization"]
-    if args.mobius is not None:
-        R = mobius_precondition(R, args.mobius)
+    S = prob["realization"]
+    R = S if args.mobius is None else mobius_precondition(S, args.mobius)
     R, _ = minimal_realization(R)
     rep: dict = {"mode": args.mode, "solution": args.solution}
+    # out is certified on its Gramian X under the report key cert
+    cert = "innerness_residual"
     if args.mode == "minimal-symmetric":
         res = minimize_symmetric(R, residual_tol=args.tol)
-        out = res.extension
+        out, X = res.extension, res.gramian
         rep.update({
             "degree": res.degree, "kappa": res.kappa, "n0": res.n0,
             "reductions": len(res.factors),
@@ -201,14 +208,15 @@ def cmd_synthesize(args) -> int:
         if args.mode == "symmetric":
             # symmetric_unitary_extension certifies out unitary and
             # minimal on its Gramian; that certificate is reported
-            out, q, sym, cert = symmetric_unitary_extension(E)
+            out, q, sym, unitary = symmetric_unitary_extension(E)
+            X, cert = sla.block_diag(q.gramian, E.p_matrix), "unitary_axis_residual"
             checks = {"q_degree": q.degree, "q_inner": q.inner_flag,
-                      "unitary_axis_residual": cert,
+                      "unitary_axis_residual": unitary,
                       "symmetry_residual": sym}
         else:
             # build_extension certifies out inner and minimal on P
-            out = E.realization
-            checks = {"innerness_residual": _lossless_residual(out, E.p_matrix),
+            out, X = E.realization, E.p_matrix
+            checks = {"innerness_residual": _lossless_residual(out, X),
                       "riccati_residual": sol.residual_norm}
             if args.solution == "min":
                 zeros = np.linalg.eigvals(sol.z)
@@ -217,6 +225,25 @@ def cmd_synthesize(args) -> int:
         rep.update({"degree": out.n,
                     "kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0,
                     **checks})
+    if args.mobius is not None:
+        # out extends S~(s) = S(i w0 + 1/s); mapped back it extends the
+        # file's S, with the same degree, symmetry and Gramian X, so it
+        # is certified at the bound of the mode's last stage
+        out = _mobius_inverse(out, args.mobius)
+        pts, F, sym = out._probe
+        p = S.outputs
+        rep[cert] = _lossless_residual(out, X)
+        rep["block_match"] = float(np.max(spectral_norm(F[:, p:, p:] - freqresp(S, pts))))
+        if args.mode != "inner":
+            rep["symmetry_residual"] = sym
+        if args.mode == "minimal-symmetric":
+            gated, bound = (cert, "symmetry_residual", "block_match"), args.tol
+        else:
+            gated, bound = (cert,), 1e-8
+        if not all(rep[k] <= bound for k in gated):  # a nan fails too
+            raise ValidationError(
+                f"the extension mapped back from --mobius {args.mobius:g} failed "
+                f"certification ({', '.join(f'{k} {rep[k]:g}' for k in gated)})")
     if args.out:
         write_realization(args.out, out, meta={k: v for k, v in rep.items()})
         rep["written"] = args.out
@@ -278,7 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="minimal-symmetric")
     p.add_argument("--solution", choices=["min", "max"], default="min",
                    help="Riccati solution for inner/symmetric modes")
-    p.add_argument("--mobius", type=float, default=None, metavar="W0")
+    p.add_argument("--mobius", type=float, default=None, metavar="W0",
+                   help="extend S(i*W0 + 1/s) and map the extension back to one of S")
     p.add_argument("--out", default=None, help="write the result realization here")
     p.set_defaults(func=cmd_synthesize)
 

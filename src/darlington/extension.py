@@ -168,6 +168,8 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
     Pm = P.p if isinstance(P, RiccatiSolution) else np.asarray(P, dtype=complex)
     if Pm.shape != (R.n, R.n):
         raise DimensionError(f"P must be {R.n}x{R.n}, got shape {Pm.shape}")
+    if not np.all(np.isfinite(Pm)):
+        raise ValidationError("P must be finite")
     Pm = (Pm + Pm.conj().T) / 2
     w = np.linalg.eigvalsh(Pm)
     if w.size and w[0] <= 0:

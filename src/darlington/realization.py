@@ -180,15 +180,23 @@ def evaluate(R: Realization, s: complex) -> np.ndarray:
     return freqresp(R, [s])[0]
 
 
+def _value_and_derivative(R: Realization, s: complex) -> tuple[np.ndarray, np.ndarray]:
+    """(S(s), S'(s)) = (C Y + D, -C (sI-A)^{-1} Y), Y = (sI-A)^{-1} B,
+    from one LU factorization of sI - A and one pole guard; raises
+    PoleError as evaluate does."""
+    s = complex(s)
+    if R.n == 0:
+        return R.d.copy(), np.zeros_like(R.d)
+    _off_poles(R, s)
+    lu = sla.lu_factor(s * np.eye(R.n) - R.a)
+    Y = sla.lu_solve(lu, R.b)
+    return R.c @ Y + R.d, -R.c @ sla.lu_solve(lu, Y)
+
+
 def derivative(R: Realization, s: complex) -> np.ndarray:
     """Exact derivative S'(s) = -C (sI-A)^{-2} B of the rational matrix;
     raises PoleError as evaluate does."""
-    s = complex(s)
-    if R.n == 0:
-        return np.zeros_like(R.d)
-    _off_poles(R, s)
-    lu = sla.lu_factor(s * np.eye(R.n) - R.a)
-    return -R.c @ sla.lu_solve(lu, sla.lu_solve(lu, R.b))
+    return _value_and_derivative(R, s)[1]
 
 
 def _system_scale(*mats: np.ndarray) -> float:
@@ -282,7 +290,8 @@ def symmetry_residual(R: Realization) -> float:
 
 def _with_poles(out: Realization, *blocks: Realization) -> Realization:
     """out, whose A is block triangular with the blocks' A on its
-    diagonal, given their cached spectra: a backward stable spectrum."""
+    diagonal (or similar to one block's A), given their cached spectra:
+    a backward stable spectrum (of the block, for a similarity)."""
     lam = np.concatenate([R.poles() for R in blocks])
     lam.flags.writeable = False
     vars(out)["_poles"] = lam
@@ -476,3 +485,15 @@ def mobius_precondition(R: Realization, omega0: float) -> Realization:
         raise ValidationError(
             f"S is not strictly contractive at i*{omega0:g} (norm {nrm:g})")
     return Realization(M, MB, -R.c @ M, val)
+
+
+def _mobius_inverse(R: Realization, omega0: float) -> Realization:
+    """Realization of s -> S(1/(s - i*omega0)), undoing
+    mobius_precondition: with M = A^{-1} (A must be invertible), it is
+    (i omega0 I + M, i M B, i C M, D - C M B).  It keeps the degree and
+    structural symmetry, and every Gramian X of R (A X + X A* + B B* = 0
+    and C X + D B* = 0) is one of the result: multiply the first by M
+    and M*, and use D B* = -C X in the second."""
+    M = np.linalg.inv(R.a)
+    MB = M @ R.b
+    return Realization(1j * omega0 * np.eye(R.n) + M, 1j * MB, 1j * R.c @ M, R.d - R.c @ MB)

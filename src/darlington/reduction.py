@@ -15,22 +15,28 @@ on the minimal Riccati solution.  Each root xi, Re xi > 0, of the even
 square factor pi of the Hamiltonian's characteristic polynomial is a
 multiple zero of it, divided out as many times as its multiplicity in
 pi, with u restricted to the first coordinate block so the S block is
-preserved.  The (n - kappa - n0)/2 steps end at the minimal symmetric
-inner extension of degree n + kappa.  The points and the step count are
-read from the analyzed Hamiltonian spectrum before the first step; no
-step solves for zeros again.
+preserved.  The divisions run in rounds: round r divides out one factor
+at every root of multiplicity at least r in pi, all in one two-sided
+compression, each with its direction u read from the round's input.
+For distinct points this is the root-by-root cascade: dividing by B_j
+maps the kernel of T(xi_k) by B_j(xi_k), which is block diagonal as
+u_j is supported on the first block, and keeps both conditions above.
+The (n - kappa - n0)/2 divisions end at the minimal symmetric inner
+extension of degree n + kappa.  The points and multiplicities are read
+from the analyzed Hamiltonian spectrum before the first round; no
+round solves for zeros again.
 
 Sigma is balanced once (controllability Gramian I, as every Hankel
-singular value of an inner function is 1); each step then drops one
-state per side by an orthogonal deflation in closed form, with no
-Lyapunov solve or rank decision, and is certified inner and minimal of
-degree deg T - 2 on the identity Gramian.  The last of these Gramian
-certificates (or Sigma's, with no step) is the reported innerness of
-the result; only the symmetry and S-block match are sampled, from the
-one frequency response of the final realization on its own probe grid,
-which the realization caches (with no step it is Sigma's, sampled once
-by its stage check).  Every pole of S is a pole of the extension, so
-that grid avoids the poles of S too.
+singular value of an inner function is 1); each round of m divisions
+then drops m states per side by an orthogonal deflation in closed form,
+with no Lyapunov solve or rank decision, and is certified inner and
+minimal of degree deg T - 2m on the identity Gramian.  The last of
+these Gramian certificates (or Sigma's, with no round) is the reported
+innerness of the result; only the symmetry and S-block match are
+sampled, from the one frequency response of the final realization on
+its own probe grid, which the realization caches (with no round it is
+Sigma's, sampled once by its stage check).  Every pole of S is a pole
+of the extension, so that grid avoids the poles of S too.
 """
 from __future__ import annotations
 
@@ -49,7 +55,8 @@ from .extension import (
 )
 from .realization import (
     Realization,
-    derivative,
+    _value_and_derivative,
+    _with_poles,
     evaluate,
     freqresp,
     symmetrize,
@@ -156,10 +163,11 @@ def find_reduction_vector(T: Realization, xi: complex,
     """Unit vector u with T(xi) u = 0 and u^T T'(xi) u = 0.
 
     ``support`` restricts u to the first ``support`` coordinates (the
-    extension-preserving form [u~; 0]).  With a one-dimensional kernel
-    the vector is forced.  Otherwise u = V x for an isotropic x of the
-    restriction R1 = V^T T'(xi) V = [[a, b], [b, c]] of the derivative
-    to two kernel directions V, in closed form: the root
+    extension-preserving form [u~; 0]).  T(xi) and T'(xi) are read from
+    one LU factorization of xi I - A, after one pole guard.  With a
+    one-dimensional kernel the vector is forced.  Otherwise u = V x for
+    an isotropic x of the restriction R1 = V^T T'(xi) V = [[a, b], [b, c]]
+    of the derivative to two kernel directions V, in closed form: the root
     q = -(b +- sqrt(b^2 - ac)) of larger modulus solves
     q^2 + 2bq + ac = 0, so (q, a) and (c, q) both solve
     a x1^2 + 2b x1 x2 + c x2^2 = 0; the one with the larger of |a|, |c|
@@ -177,8 +185,7 @@ def find_reduction_vector(T: Realization, xi: complex,
     k = p_all if support is None else int(support)
     if not 0 < k <= p_all:
         raise ValidationError(f"support must be in 1..{p_all}")
-    Txi = evaluate(T, xi)
-    Tpxi = derivative(T, xi)
+    Txi, Tpxi = _value_and_derivative(T, xi)
     scale = max(1.0, linalg.spectral_norm(Txi))
     dscale = max(1.0, linalg.spectral_norm(Tpxi))
     ker = linalg._kernel(Txi[:, :k], 1e-6, scale=scale)
@@ -209,27 +216,39 @@ def find_reduction_vector(T: Realization, xi: complex,
     return u
 
 
-def reduce_once(T: Realization, f: BlaschkeFactor) -> tuple[Realization, float]:
-    """Two-sided division R = B^{-T} T B^{-1} of an inner T in balanced
-    coordinates: A + A* + B B* = 0 and C = -D B* (Gramian I).
+def reduce_once(T: Realization, factors) -> tuple[Realization, float]:
+    """Two-sided division R = B^{-T} T B^{-1} of an inner T by the
+    elementary factors B_k = (xi_k, u_k) at distinct points
+    xi_1, ..., xi_m, in balanced coordinates: A + A* + B B* = 0 and
+    C = -D B* (Gramian I).
 
-    With x = (xi I - A)^{-1} B u, T(xi) u = D (u - B* x) and
-    A* x + xi x = B (u - B* x), so at a zero direction T B^{-1} is T
-    restricted to the A-invariant complement of x, balanced again (the
-    lossless cascade extraction of Genin, Van Dooren, Kailath, Delosme &
-    Morf, 1983); the left division is the same on the transpose.  R is
-    certified inner and minimal on the identity Gramian to 1e-7, and
-    both interpolation residuals |u - B* x| must be at most 1e-7.
-    Returns R and its lossless certificate residual.
+    With x_k = (xi_k I - A)^{-1} B u_k, T(xi_k) u_k = D (u_k - B* x_k)
+    and A* x_k + xi_k x_k = B (u_k - B* x_k), so at zero directions the
+    x_k are eigenvectors of A* and T B^{-1} is T restricted to the
+    A-invariant complement of X = [x_1 ... x_m], the last n - m columns
+    of one complete QR factorization of X, balanced again (the lossless
+    cascade extraction of Genin, Van Dooren, Kailath, Delosme & Morf,
+    1983); the left division is the same on the transpose, with the
+    same u_k.  R is certified inner and minimal on the identity Gramian
+    to 1e-7 once, and all 2m interpolation residuals |u_k - B* x_k| must
+    be at most 1e-7.  Returns R and its lossless certificate residual.
     """
-    if f.dim != T.outputs or T.n < 2:
-        raise ValidationError(
-            "reduce_once needs two states and a direction of the output size")
+    factors = tuple(factors)
+    m = len(factors)
+    if not m or any(f.dim != T.outputs for f in factors) or T.n < 2 * m:
+        raise ValidationError("reduce_once needs at least one factor, directions of "
+                              "the output size and two states per factor")
+    if len({f.xi for f in factors}) < m:
+        raise ValidationError("the points of one reduction must be distinct")
+    xi = np.array([f.xi for f in factors])
+    U = np.column_stack([f.u for f in factors])
     out, gaps = T, []
     for _ in range(2):  # T B^-1, then (B^-T T B^-1)^T = (T B^-1)^T B^-1
-        x = np.linalg.solve(f.xi * np.eye(out.n) - out.a, out.b @ f.u)
-        gaps.append(float(np.linalg.norm(f.u - out.b.conj().T @ x)))
-        V = np.linalg.qr(x[:, np.newaxis], mode="complete")[0][:, 1:]
+        # one stacked solve: column k of X is (xi_k I - A)^{-1} B u_k
+        pencil = xi[:, np.newaxis, np.newaxis] * np.eye(out.n) - out.a
+        X = np.linalg.solve(pencil, (out.b @ U).T[:, :, np.newaxis])[:, :, 0].T
+        gaps.append(np.linalg.norm(U - out.b.conj().T @ X, axis=0))
+        V = np.linalg.qr(X, mode="complete")[0][:, m:]
         out = transpose(Realization(V.conj().T @ out.a @ V, V.conj().T @ out.b,
                                     out.c @ V, out.d))
     res = _lossless_residual(out, np.eye(out.n))
@@ -238,10 +257,14 @@ def reduce_once(T: Realization, f: BlaschkeFactor) -> tuple[Realization, float]:
             f"reduction output is not certified inner and minimal on the "
             f"identity Gramian (lossless residual {res:g}); T must be in "
             f"balanced coordinates, A + A* + B B* = 0 and C = -D B*")
-    if not max(gaps) <= 1e-7:
+    # the first failing gap, right pass first: a wrong right division
+    # spoils the left gaps at every point
+    bad = np.flatnonzero(~(np.array(gaps) <= 1e-7))  # a nan fails too
+    if bad.size:
+        k = bad[0] % m
         raise ReductionError(
-            f"u is not a double zero direction at {f.xi:g}: |T(xi) u| = "
-            f"{gaps[0]:g}, |(T B^-1)(xi)^T u| = {gaps[1]:g}")
+            f"u is not a double zero direction at {xi[k]:g}: |T(xi) u| = "
+            f"{gaps[0][k]:g}, |(T B^-1)(xi)^T u| = {gaps[1][k]:g}")
     return out, res
 
 
@@ -257,12 +280,20 @@ class SynthesisResult:
     """Outcome of the minimal symmetric inner extension pipeline.
 
     ``innerness`` is the relative residual of the last stage's lossless
-    certificate, which proves ``extension`` all-pass and minimal (the
-    last Blaschke step's, on the identity Gramian, or with no step
-    Sigma's, on diag(G_Q, P_min)); ``symmetry`` and ``block_match`` are
-    maxima over probe_points(extension) of the one frequency response
-    of ``extension``, which it caches (with no Blaschke step, the one
-    Sigma's stage check sampled)."""
+    certificate, which proves ``extension`` all-pass and minimal on its
+    controllability Gramian ``gramian`` (the last Blaschke round's, on
+    the identity, or with no round Sigma's, on diag(G_Q, P_min));
+    ``symmetry`` and ``block_match`` are maxima over
+    probe_points(extension) of the one frequency response of
+    ``extension``, which it caches (with no round, the one Sigma's stage
+    check sampled).
+
+    ``factors`` holds one factor per division, in round order: round r
+    divides once at every root of multiplicity at least r in pi, in the
+    order of ``p_min.spectrum.pi_roots``.  Each ``u`` is the direction
+    found on its round's input (the balanced Sigma for round 1, the
+    output of round r - 1 after that), so the factors of one round are
+    not the successive directions of a root-by-root cascade."""
     extension: Realization
     degree: int
     kappa: int
@@ -272,6 +303,7 @@ class SynthesisResult:
     innerness: float
     symmetry: float
     block_match: float
+    gramian: np.ndarray
 
 
 def _stage(name: str, exc: DarlingtonError) -> DarlingtonError:
@@ -295,13 +327,15 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     elementary Blaschke factors supported on the first coordinate block
     at the open-right-half-plane roots of pi (``spectrum.pi_roots`` of
     the minimal solution), each as often as its multiplicity in pi,
-    which must take the degree to n + kappa exactly.  The Cholesky
-    factor of Sigma's Gramian diag(G_Q, P_min) must exist, with or
-    without a step, and balances Sigma before the first step; a failing
-    step is a hard error.  ``residual_tol`` bounds the innerness certificate
-    of the last stage and the symmetry and S-block residuals of the final
-    realization, both read from its one cached frequency response on
-    probe_points(extension).
+    which must take the degree to n + kappa exactly.  Round r divides
+    once at every root of multiplicity at least r, in one certified
+    ``reduce_once``.  The Cholesky factor of Sigma's Gramian
+    diag(G_Q, P_min) must exist, with or without a round, and balances
+    Sigma before the first round; a failing round is a hard error that
+    names its points, the degree before it and the lattice conditioning.
+    ``residual_tol`` bounds the innerness certificate of the last stage
+    and the symmetry and S-block residuals of the final realization, both
+    read from its one cached frequency response on probe_points(extension).
     """
     try:
         Rs = symmetrize(R)
@@ -323,39 +357,44 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
             f"stage 'symmetric-extension': degree {sigma.n} of the unitary "
             f"extension differs from 2n - n0 = {2 * n - n0}")
     target = n + kappa
-    # a root of multiplicity k in pi is divided out k times, each step
-    # dropping the degree by 2
+    # a root of multiplicity k in pi is divided out k times, each
+    # division dropping the degree by 2
     roots = [(xi, k) for xi, k in pmin.spectrum.pi_roots if xi.real > 0]
-    steps = sum(k for _, k in roots)
-    if sigma.n - 2 * steps != target:
+    divisions = sum(k for _, k in roots)
+    if sigma.n - 2 * divisions != target:
         raise ReductionError(
-            f"stage 'reduce': {steps} Blaschke steps from degree {sigma.n} "
-            f"end at {sigma.n - 2 * steps}, not n + kappa = {target} "
+            f"stage 'reduce': {divisions} Blaschke divisions from degree {sigma.n} "
+            f"end at {sigma.n - 2 * divisions}, not n + kappa = {target} "
             f"({_conditioning(pmin)})")
     factors: list[BlaschkeFactor] = []
     # a Cholesky factor proves Sigma's Gramian positive definite, so
-    # Sigma stable, also when no step follows and Sigma is returned
+    # Sigma stable, also when no round follows and Sigma is returned
+    gramian = sla.block_diag(Q.gramian, E.p_matrix)
     try:
-        L = np.linalg.cholesky(sla.block_diag(Q.gramian, E.p_matrix))
+        L = np.linalg.cholesky(gramian)
     except np.linalg.LinAlgError as exc:
         raise ReductionError(
             f"stage 'reduce': the Gramian diag(G_Q, P_min) of Sigma is not "
             f"positive definite ({_conditioning(pmin)})") from exc
-    current = _balance(sigma, L) if steps else sigma
-    for xi, k in roots:
-        for _ in range(k):
-            try:
-                u = find_reduction_vector(current, xi, support=p)
-                f = BlaschkeFactor(xi=xi, u=u)
-                current, ir = reduce_once(current, f)
-            except DarlingtonError as exc:
-                raise ReductionError(
-                    f"stage 'reduce': step at xi = {xi:.6g} from degree "
-                    f"{current.n} failed ({_conditioning(pmin)}): {exc}") from exc
-            factors.append(f)
-    # ir is the lossless certificate of the last stage (the last step, or
-    # sigma with none), which proves current inner and minimal; its one
-    # probe response (sigma's stage check, with no step) gives its
+    if divisions:  # similar to Sigma, whose poles serve round 1's pole guard
+        current, gramian = _with_poles(_balance(sigma, L), sigma), np.eye(target)
+    else:
+        current = sigma
+    for r in range(1, max((k for _, k in roots), default=0) + 1):
+        points = [xi for xi, k in roots if k >= r]
+        try:
+            fs = [BlaschkeFactor(xi=xi, u=find_reduction_vector(current, xi, support=p))
+                  for xi in points]
+            current, ir = reduce_once(current, fs)
+        except DarlingtonError as exc:
+            raise ReductionError(
+                f"stage 'reduce': round {r} at xi = "
+                f"{', '.join(f'{xi:.6g}' for xi in points)} from degree "
+                f"{current.n} failed ({_conditioning(pmin)}): {exc}") from exc
+        factors.extend(fs)
+    # ir is the lossless certificate of the last stage (the last round,
+    # or sigma with none), which proves current inner and minimal; its
+    # one probe response (sigma's stage check, with no round) gives its
     # symmetry and S block.  Every pole of S is a pole of current
     pts, F, sr = current._probe
     block = float(np.max(linalg.spectral_norm(F[:, p:, p:] - freqresp(R, pts))))
@@ -366,4 +405,4 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     return SynthesisResult(extension=current, degree=current.n, kappa=kappa,
                            n0=n0, p_min=pmin,
                            factors=tuple(factors), innerness=ir, symmetry=sr,
-                           block_match=block)
+                           block_match=block, gramian=gramian)

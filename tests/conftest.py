@@ -24,12 +24,19 @@ import scipy.linalg as sla
 from darlington import (
     BlaschkeFactor,
     Realization,
+    build_extension,
     build_hat,
+    find_reduction_vector,
     minimal_realization,
+    reduce_once,
     solve_extremal,
+    symmetric_unitary_extension,
+    symmetrize,
 )
 from darlington.errors import DimensionError, NotSymmetricError, ValidationError
 from darlington.linalg import DEFAULT_RANK_TOL
+from darlington.reduction import _balance
+from darlington.riccati import _extremal
 from darlington.scalar import poly_para, poly_trim, siso_realization, spectral_factor_poly
 
 
@@ -58,6 +65,27 @@ def sorted_schur_subspace(M, centers, indices) -> np.ndarray:
     _, Z, sdim = sla.schur(M, output="complex",
                            sort=lambda lam: int(np.argmin(np.abs(cs - lam))) in chosen)
     return Z[:, :sdim]
+
+
+def sequential_minimize(R: Realization) -> tuple[Realization, list]:
+    """minimize_symmetric's reduction as a root-by-root cascade: from
+    the balanced Sigma on P_min, one single-factor reduce_once per
+    division, each direction found on the previous step's output.
+    Returns the final realization and the steps as triples
+    (T, f, reduce_once(T, (f,))[0])."""
+    Rs = symmetrize(R)
+    (pmin,) = _extremal(build_hat(Rs), ("minimal",))
+    E = build_extension(Rs, pmin)
+    sigma, Q, _, _ = symmetric_unitary_extension(E)
+    current = _balance(sigma, np.linalg.cholesky(sla.block_diag(Q.gramian, E.p_matrix)))
+    steps = []
+    for xi, k in pmin.spectrum.pi_roots:
+        for _ in range(k if xi.real > 0 else 0):
+            f = BlaschkeFactor(xi=xi, u=find_reduction_vector(current, xi, support=Rs.outputs))
+            out, _ = reduce_once(current, (f,))
+            steps.append((current, f, out))
+            current = out
+    return current, steps
 
 
 def hermitian_order(P, Q) -> str:

@@ -9,7 +9,8 @@ import pytest
 import darlington.extension
 import darlington.realization
 from darlington.cli import main, read_problem, write_realization
-from darlington.realization import Realization
+from darlington.extension import innerness_residual
+from darlington.realization import Realization, evaluate
 
 
 def write_coupled_pair(path, zeta=2.0, flags=None):
@@ -211,6 +212,21 @@ class TestSynthesize:
         hint = json.loads(capsys.readouterr().out)["hint"]
         assert "no point of the axis grid is strictly contractive" in hint
         assert "unitary" not in hint and "rerun" not in hint
+
+    @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
+    def test_mobius_writes_an_extension_of_the_files_s(self, tmp_path, capsys, mode):
+        # S = (s + 0.5)/(s + 1) has |S(inf)| = 1 and S(0) = 0.5: the
+        # extension built on S(1/s) is mapped back to one of S itself
+        f = tmp_path / "s.json"
+        f.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]], "C": [[-0.5]], "D": [[1.0]]}))
+        out = tmp_path / "r.json"
+        assert main(["synthesize", str(f), "--mode", mode, "--mobius", "0",
+                     "--out", str(out), "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["block_match"] <= 1e-12
+        T = read_problem(str(out))["realization"]
+        assert abs(evaluate(T, 2.0)[1, 1] - 2.5 / 3.0) <= 1e-12
+        assert innerness_residual(T) <= 1e-10
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["check", "/nonexistent/problem.json"]) == 1

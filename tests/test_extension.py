@@ -1,6 +1,7 @@
 """Inner extensions, unitary gauges, spectral-factor quotients, and the
 symmetric unitary extension."""
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,15 @@ class TestBuildExtension:
         R = Realization([[-1.0]], [[0.5]], [[0.5]], [[0.0]])
         with pytest.raises(DimensionError, match="P must be 1x1"):
             build_extension(R, P)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_rejects_non_finite_p_by_name(self, x):
+        # refused before any product with P, so numpy warns of nothing
+        R = Realization([[-1.0]], [[0.5]], [[0.5]], [[0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="P must be finite"):
+                build_extension(R, np.array([[x]]))
 
 
 class TestApplyGauge:

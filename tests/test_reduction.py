@@ -1,4 +1,4 @@
-"""Blaschke factors, zero structure, two-sided reduction steps, and the
+"""Blaschke factors, zero structure, two-sided reduction rounds, and the
 minimal symmetric synthesis loop."""
 import sys
 from pathlib import Path
@@ -38,7 +38,13 @@ from darlington.realization import (
 )
 from darlington.scalar import siso_realization
 
-from conftest import blaschke_inverse_eval, blaschke_realization, invert
+from conftest import (
+    blaschke_inverse_eval,
+    blaschke_realization,
+    invert,
+    random_unitary,
+    sequential_minimize,
+)
 
 SQ3 = np.sqrt(3.0)
 
@@ -57,6 +63,15 @@ def balanced_sigma_min(R: Realization) -> Realization:
     E = build_extension(R, pmin)
     sigma, Q, _, _ = symmetric_unitary_extension(E)
     return _balance(sigma, np.linalg.cholesky(sla.block_diag(Q.gramian, E.p_matrix)))
+
+
+@pytest.fixture(scope="module")
+def double_root() -> Realization:
+    """U^T diag(f2, f2, f2, f2, f3, f3) U with f_z = 1/(s + z): pi has the
+    roots sqrt(3) of multiplicity 2 and sqrt(8) of multiplicity 1, so a
+    first round divides at both and a second at sqrt(3) alone."""
+    U = random_unitary(np.random.default_rng(3), 6)
+    return Realization(np.diag([-2.0] * 4 + [-3.0] * 2), U, U.T, np.zeros((6, 6)))
 
 
 class TestBlaschke:
@@ -204,12 +219,23 @@ class TestFindReductionVector:
         with pytest.raises(ReductionError):
             find_reduction_vector(sigma, 2.0, support=2)  # kernel not in block
 
+    def test_one_factorization_and_pole_guard(self, zeta2, monkeypatch):
+        # T(xi) and T'(xi) come from one LU of xi I - A
+        sigma = sigma_min(zeta2)
+        lus, guards = [], []
+        lu_factor, off_poles = sla.lu_factor, darlington.realization._off_poles
+        monkeypatch.setattr(sla, "lu_factor", lambda M: lus.append(M) or lu_factor(M))
+        monkeypatch.setattr(darlington.realization, "_off_poles",
+                            lambda R, s: guards.append(s) or off_poles(R, s))
+        find_reduction_vector(sigma, SQ3, support=2)
+        assert (len(lus), guards) == (1, [SQ3])
+
 
 class TestReduceOnce:
     def test_worked_example_four_to_two(self, zeta2):
         sigma = balanced_sigma_min(zeta2)
         u = find_reduction_vector(sigma, SQ3, support=2)
-        out, cert = reduce_once(sigma, BlaschkeFactor(xi=SQ3, u=u))
+        out, cert = reduce_once(sigma, [BlaschkeFactor(xi=SQ3, u=u)])
         assert out.n == 2
         assert cert == _lossless_residual(out, np.eye(2)) <= 1e-7
         assert innerness_residual(out) <= 1e-7
@@ -224,34 +250,58 @@ class TestReduceOnce:
         sigma = balanced_sigma_min(zeta2)
         bad = BlaschkeFactor(xi=SQ3, u=np.array([0.0, 0.0, 1.0, 0.0]))
         with pytest.raises(ReductionError, match="not a double zero direction"):
-            reduce_once(sigma, bad)
+            reduce_once(sigma, [bad])
+
+    def test_bad_direction_is_named_in_a_round(self, double_root):
+        # a round at sqrt(3) and sqrt(8) whose second direction is wrong
+        _, steps = sequential_minimize(double_root)
+        T, f, _ = steps[0]
+        bad = BlaschkeFactor(xi=np.sqrt(8.0), u=np.eye(12)[0])
+        with pytest.raises(ReductionError, match="not a double zero direction at 2.82843"):
+            reduce_once(T, [f, bad])
 
     def test_unbalanced_input_fails(self, zeta2):
         # the same division, but Sigma as composed, not balanced
         sigma = sigma_min(zeta2)
         u = find_reduction_vector(sigma, SQ3, support=2)
         with pytest.raises(ReductionError, match="balanced coordinates"):
-            reduce_once(sigma, BlaschkeFactor(xi=SQ3, u=u))
+            reduce_once(sigma, [BlaschkeFactor(xi=SQ3, u=u)])
+
+    def test_rejects_malformed_rounds(self, zeta2):
+        sigma = balanced_sigma_min(zeta2)
+        f = BlaschkeFactor(xi=SQ3, u=find_reduction_vector(sigma, SQ3, support=2))
+        for factors in ([], [f, f, f], [BlaschkeFactor(xi=SQ3, u=[1.0, 0.0])]):
+            with pytest.raises(ValidationError, match="reduce_once needs"):
+                reduce_once(sigma, factors)
+        with pytest.raises(ValidationError, match="distinct"):
+            reduce_once(sigma, [f, f])
+
+
+def reducing_instances(zeta2, instance_suite, double_root) -> list[Realization]:
+    """zeta2, the frozen suite's reducing instances and double_root."""
+    return [zeta2] + [inst.realization for inst in instance_suite
+                      if inst.expected_kappa < inst.n] + [double_root]
 
 
 @pytest.fixture(scope="module")
-def suite_steps(zeta2, instance_suite) -> list:
-    """(T, f, R) for every reduce_once call R = reduce_once(T, f) that
-    minimize_symmetric makes on zeta2 and the frozen suite's reducing
-    instances."""
+def suite_steps(zeta2, instance_suite, double_root) -> list:
+    """(T, factors, R) for every reduce_once call R = reduce_once(T,
+    factors) that minimize_symmetric makes on the reducing instances:
+    one round each (19 divisions in 14 rounds before double_root), and
+    two on double_root."""
     steps = []
 
-    def recording(T, f, _original=darlington.reduction.reduce_once):
-        R, cert = _original(T, f)
-        steps.append((T, f, R))
+    def recording(T, factors, _original=darlington.reduction.reduce_once):
+        R, cert = _original(T, factors)
+        steps.append((T, tuple(factors), R))
         return R, cert
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(darlington.reduction, "reduce_once", recording)
-        for R in [zeta2] + [inst.realization for inst in instance_suite
-                            if inst.expected_kappa < inst.n]:
+        for R in reducing_instances(zeta2, instance_suite, double_root):
             minimize_symmetric(R)
-    assert len(steps) == 19
+    assert len(steps) == 16
+    assert [len(fs) for _, fs, _ in steps[-2:]] == [2, 1]
     return steps
 
 
@@ -301,13 +351,51 @@ class TestLosslessCertificate:
 
 
 def test_every_step_passes_the_grid_oracles(suite_steps):
-    # the grids no step runs any more, against the composed B^-T T B^-1
-    for T, f, R in suite_steps:
-        right = invert(blaschke_realization(f))
-        raw = compose(compose(transpose(right), T), right)
+    # the grids no reduce_once call runs any more, on every round output
+    for _, _, R in suite_steps:
         assert innerness_residual(R) <= 1e-8
         assert symmetry_residual(R) <= 1e-8
-        assert transfer_distance(R, raw) <= 1e-8
+
+
+def test_every_cascade_step_is_the_composed_division(zeta2, instance_suite,
+                                                     double_root):
+    # one factor per step, against the composed B^-T T B^-1
+    for R in reducing_instances(zeta2, instance_suite, double_root):
+        for T, f, out in sequential_minimize(R)[1]:
+            right = invert(blaschke_realization(f))
+            raw = compose(compose(transpose(right), T), right)
+            assert transfer_distance(out, raw) <= 1e-8
+
+
+def test_rounds_match_the_root_by_root_cascade(zeta2, instance_suite, double_root):
+    # in exact arithmetic a round is the cascade of its divisions
+    for R in reducing_instances(zeta2, instance_suite, double_root):
+        res = minimize_symmetric(R)
+        oracle, steps = sequential_minimize(R)
+        assert res.degree == oracle.n and len(res.factors) == len(steps)
+        assert transfer_distance(res.extension, oracle) <= 1e-9
+
+
+def test_one_certificate_and_spectrum_per_round(double_root, monkeypatch):
+    # two rounds of three divisions: one lossless certificate and one
+    # eigvals per round output, none per division
+    outputs, spectra, certified = [], [], []
+    original, eigvals = darlington.reduction.reduce_once, np.linalg.eigvals
+    lossless = darlington.reduction._lossless_residual
+
+    def recording(T, factors):
+        R, cert = original(T, factors)
+        outputs.append(R)
+        return R, cert
+
+    monkeypatch.setattr(darlington.reduction, "reduce_once", recording)
+    monkeypatch.setattr(darlington.reduction, "_lossless_residual",
+                        lambda R, X: certified.append(R) or lossless(R, X))
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: spectra.append(np.array(M)) or eigvals(M))
+    assert len(minimize_symmetric(double_root).factors) == 3
+    assert certified == outputs and len(outputs) == 2
+    for R in outputs:
+        assert sum(M.shape == R.a.shape and np.array_equal(M, R.a) for M in spectra) == 1
 
 
 class TestMinimizeSymmetric:
@@ -472,6 +560,7 @@ def test_innerness_is_the_last_stage_certificate(which, zeta1, zeta2,
         E = build_extension(symmetrize(R), res.p_min)
         _, Q, _, _ = symmetric_unitary_extension(E)
         X = sla.block_diag(Q.gramian, E.p_matrix)
+    assert np.array_equal(res.gramian, X)
     assert res.innerness == _lossless_residual(T, X) <= 1e-8
     assert innerness_residual(T) <= 1e-8
 
