@@ -216,20 +216,17 @@ def _orth_columns(M: np.ndarray, tol: float) -> np.ndarray:
     return U[:, :r]
 
 
-def _kernel(M: np.ndarray, tol: float, scale: float | None = None) -> np.ndarray:
-    """Orthonormal basis of the (right) kernel of M.
+def _kernels(M: np.ndarray, tol: float, scales) -> list[np.ndarray]:
+    """Orthonormal bases of the (right) kernels of a stack of nonempty
+    matrices, from one stacked SVD.
 
-    The rank decision uses tol * max(scale, sigma_max); passing an
-    explicit scale keeps a near-zero matrix from counting as full rank.
+    Each rank decision uses tol * max(scale, sigma_max) with that
+    matrix's scale, which keeps a near-zero matrix from counting as
+    full rank.
     """
-    m, n = M.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    U, s, Vh = np.linalg.svd(M)
-    smax = s[0] if s.size else 0.0
-    cut = tol * max(scale if scale is not None else 0.0, smax, 1e-300)
-    r = int(np.sum(s > cut))
-    return Vh[r:].conj().T
+    _, s, Vh = np.linalg.svd(M)
+    ranks = [int(np.sum(sv > tol * max(scale, sv[0]))) for sv, scale in zip(s, scales)]
+    return [V[r:].conj().T for V, r in zip(Vh, ranks)]
 
 
 def half_chain_basis(N: np.ndarray, tol: float = 1e-8) -> np.ndarray:

@@ -151,12 +151,30 @@ def _off_poles(R: Realization, points) -> None:
             f"evaluation point {s[np.argmax(near)]:g} is within {R.pole_guard:g} of a pole")
 
 
+def _response(R: Realization, s: np.ndarray) -> np.ndarray:
+    """R(s) stacked over finite points s that R's pole guard cleared.  A
+    realization built by compose or direct_sum is evaluated through its
+    operands ``_operands`` = (combine, R1, R2); their poles and ||A|| are
+    bounded by its own, so its guard implies theirs."""
+    cascade = vars(R).get("_operands")
+    if cascade is not None:
+        combine, R1, R2 = cascade
+        return combine(_response(R1, s), _response(R2, s))
+    if R.n == 0:
+        return np.repeat(R.d[np.newaxis], s.size, axis=0)
+    pencil = s[:, np.newaxis, np.newaxis] * np.eye(R.n) - R.a
+    # a 3-d right-hand side is a matrix stack under every numpy version
+    return R.c @ np.linalg.solve(pencil, R.b[np.newaxis]) + R.d
+
+
 def freqresp(R: Realization, points) -> np.ndarray:
     """Values of the transfer function at every point, stacked into a
     (k, p, m) array; infinite points give D.
 
-    All finite points share one stacked solve.  Raises PoleError naming
-    the first finite point within ``R.pole_guard`` of the spectrum of A.
+    All finite points share one stacked solve; a realization built by
+    compose or direct_sum takes one per operand instead.  Raises
+    PoleError naming the first finite point within ``R.pole_guard`` of
+    the spectrum of A.
     """
     s = np.asarray(points, dtype=complex).ravel()
     out = np.repeat(R.d[np.newaxis], s.size, axis=0)
@@ -165,9 +183,7 @@ def freqresp(R: Realization, points) -> np.ndarray:
         return out
     s = s[finite]
     _off_poles(R, s)
-    pencil = s[:, np.newaxis, np.newaxis] * np.eye(R.n) - R.a
-    # a 3-d right-hand side is a matrix stack under every numpy version
-    out[finite] += R.c @ np.linalg.solve(pencil, R.b[np.newaxis])
+    out[finite] = _response(R, s)
     return out
 
 
@@ -180,23 +196,22 @@ def evaluate(R: Realization, s: complex) -> np.ndarray:
     return freqresp(R, [s])[0]
 
 
-def _value_and_derivative(R: Realization, s: complex) -> tuple[np.ndarray, np.ndarray]:
-    """(S(s), S'(s)) = (C Y + D, -C (sI-A)^{-1} Y), Y = (sI-A)^{-1} B,
-    from one LU factorization of sI - A and one pole guard; raises
-    PoleError as evaluate does."""
-    s = complex(s)
-    if R.n == 0:
-        return R.d.copy(), np.zeros_like(R.d)
+def _values_and_derivatives(R: Realization, points) -> tuple[np.ndarray, np.ndarray]:
+    """(S(s_k), S'(s_k)) stacked over finite points, as (C Y + D,
+    -C (sI-A)^{-1} Y) with Y = (sI-A)^{-1} B, from one pole guard and
+    two stacked solves of the pencils sI - A; raises PoleError as
+    freqresp does."""
+    s = np.asarray(points, dtype=complex).ravel()
     _off_poles(R, s)
-    lu = sla.lu_factor(s * np.eye(R.n) - R.a)
-    Y = sla.lu_solve(lu, R.b)
-    return R.c @ Y + R.d, -R.c @ sla.lu_solve(lu, Y)
+    pencil = s[:, np.newaxis, np.newaxis] * np.eye(R.n) - R.a
+    Y = np.linalg.solve(pencil, R.b[np.newaxis])
+    return R.c @ Y + R.d, -R.c @ np.linalg.solve(pencil, Y)
 
 
 def derivative(R: Realization, s: complex) -> np.ndarray:
     """Exact derivative S'(s) = -C (sI-A)^{-2} B of the rational matrix;
     raises PoleError as evaluate does."""
-    return _value_and_derivative(R, s)[1]
+    return _values_and_derivatives(R, [s])[1][0]
 
 
 def _system_scale(*mats: np.ndarray) -> float:
@@ -298,8 +313,17 @@ def _with_poles(out: Realization, *blocks: Realization) -> Realization:
     return out
 
 
+def _block_diagonal(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
+    """diag(F1[k], F2[k]) for every k of two stacks."""
+    (k, p1, m1), (_, p2, m2) = F1.shape, F2.shape
+    out = np.zeros((k, p1 + p2, m1 + m2), dtype=complex)
+    out[:, :p1, :m1], out[:, p1:, m1:] = F1, F2
+    return out
+
+
 def compose(R1: Realization, R2: Realization) -> Realization:
-    """Series product: realization of s -> R1(s) @ R2(s)."""
+    """Series product: realization of s -> R1(s) @ R2(s), which freqresp
+    evaluates as that product of its operands' responses."""
     if R1.inputs != R2.outputs:
         raise DimensionError(
             f"cannot compose {R1.outputs}x{R1.inputs} with {R2.outputs}x{R2.inputs}")
@@ -309,7 +333,9 @@ def compose(R1: Realization, R2: Realization) -> Realization:
     B = np.vstack([R2.b, R1.b @ R2.d])
     C = np.hstack([R1.d @ R2.c, R1.c])
     D = R1.d @ R2.d
-    return _with_poles(Realization(A, B, C, D), R2, R1)
+    out = _with_poles(Realization(A, B, C, D), R2, R1)
+    vars(out)["_operands"] = (np.matmul, R1, R2)
+    return out
 
 
 def transpose(R: Realization) -> Realization:
@@ -318,7 +344,8 @@ def transpose(R: Realization) -> Realization:
 
 
 def direct_sum(R1: Realization, R2: Realization) -> Realization:
-    """Realization of the block-diagonal function diag(R1(s), R2(s))."""
+    """Realization of the block-diagonal function diag(R1(s), R2(s)),
+    which freqresp evaluates block by block."""
     n1, n2 = R1.n, R2.n
     A = np.block([[R1.a, np.zeros((n1, n2))], [np.zeros((n2, n1)), R2.a]])
     B = np.block([[R1.b, np.zeros((n1, R2.inputs))],
@@ -327,7 +354,9 @@ def direct_sum(R1: Realization, R2: Realization) -> Realization:
                   [np.zeros((R2.outputs, n1)), R2.c]])
     D = np.block([[R1.d, np.zeros((R1.outputs, R2.inputs))],
                   [np.zeros((R2.outputs, R1.inputs)), R2.d]])
-    return _with_poles(Realization(A, B, C, D), R1, R2)
+    out = _with_poles(Realization(A, B, C, D), R1, R2)
+    vars(out)["_operands"] = (_block_diagonal, R1, R2)
+    return out
 
 
 def _same_a(R: Realization, b, c, d) -> Realization:
@@ -453,7 +482,8 @@ def symmetrize(R: Realization) -> Realization:
                                   "observable (the intertwiner T is singular)")
         M = np.diag(np.sqrt(tk.values)) @ tk.u.T
         Minv = np.linalg.inv(M)
-        out = Realization(M @ R.a @ Minv, M @ R.b, R.c @ Minv, R.d)
+        # similar to R: it keeps R's spectrum
+        out = _with_poles(Realization(M @ R.a @ Minv, M @ R.b, R.c @ Minv, R.d), R)
         # ||M|| = sqrt(sigma_max(T)), as M^T M = T with M = diag(sqrt(values)) U^T
         gaps = ((M @ R.a - out.a @ M, np.sqrt(tk.values[-1]) * R.norm_a),
                 (R.c - out.c @ M, linalg.spectral_norm(R.c)))

@@ -17,7 +17,8 @@ multiple zero of it, divided out as many times as its multiplicity in
 pi, with u restricted to the first coordinate block so the S block is
 preserved.  The divisions run in rounds: round r divides out one factor
 at every root of multiplicity at least r in pi, all in one two-sided
-compression, each with its direction u read from the round's input.
+compression, with the directions u of all its points found by one
+batched search on the round's input.
 For distinct points this is the root-by-root cascade: dividing by B_j
 maps the kernel of T(xi_k) by B_j(xi_k), which is block diagonal as
 u_j is supported on the first block, and keeps both conditions above.
@@ -35,8 +36,9 @@ these Gramian certificates (or Sigma's, with no round) is the reported
 innerness of the result; only the symmetry and S-block match are
 sampled, from the one frequency response of the final realization on
 its own probe grid, which the realization caches (with no round it is
-Sigma's, sampled once by its stage check).  Every pole of S is a pole
-of the extension, so that grid avoids the poles of S too.
+Sigma's, sampled once by its stage check through its factors S_P and
+diag(Q, I)).  Every pole of S is a pole of the extension, so that grid
+avoids the poles of S too.
 """
 from __future__ import annotations
 
@@ -55,7 +57,7 @@ from .extension import (
 )
 from .realization import (
     Realization,
-    _value_and_derivative,
+    _values_and_derivatives,
     _with_poles,
     evaluate,
     freqresp,
@@ -151,20 +153,22 @@ def zero_structure(T: Realization) -> ZeroStructure:
                 "T is not inner or the clustering is unreliable")
         val = evaluate(T, center)
         scale = max(1.0, linalg.spectral_norm(val))
-        ker = linalg._kernel(val, 1e-6, scale=scale)
+        (ker,) = linalg._kernels(val[np.newaxis], 1e-6, [scale])
         zeros.append((center, len(members)))
         kernels.append(ker)
     return ZeroStructure(zeros=tuple(zeros), kernels=tuple(kernels),
                          cluster_tolerance=tol)
 
 
-def find_reduction_vector(T: Realization, xi: complex,
+def find_reduction_vector(T: Realization, points,
                           support: int | None = None) -> np.ndarray:
-    """Unit vector u with T(xi) u = 0 and u^T T'(xi) u = 0.
+    """Unit vectors u_k with T(xi_k) u_k = 0 and u_k^T T'(xi_k) u_k = 0,
+    one row per point xi_k of ``points``.
 
-    ``support`` restricts u to the first ``support`` coordinates (the
-    extension-preserving form [u~; 0]).  T(xi) and T'(xi) are read from
-    one LU factorization of xi I - A, after one pole guard.  With a
+    ``support`` restricts each u_k to the first ``support`` coordinates
+    (the extension-preserving form [u~; 0]).  Every T(xi_k) and T'(xi_k)
+    is read from one pole guard and two stacked solves of the pencils
+    xi_k I - A, and every kernel from one stacked SVD.  With a
     one-dimensional kernel the vector is forced.  Otherwise u = V x for
     an isotropic x of the restriction R1 = V^T T'(xi) V = [[a, b], [b, c]]
     of the derivative to two kernel directions V, in closed form: the root
@@ -176,44 +180,45 @@ def find_reduction_vector(T: Realization, xi: complex,
     Raises
     ------
     ReductionError
-        If no vector satisfying both interpolation conditions to 1e-7
-        (relative to ||T(xi)|| and ||T'(xi)||) exists in the requested
-        support.
+        Naming the first point at which no vector satisfying both
+        interpolation conditions to 1e-7 (relative to ||T(xi)|| and
+        ||T'(xi)||) exists in the requested support.
     """
-    xi = complex(xi)
+    xi = np.asarray(points, dtype=complex).ravel()
     p_all = T.outputs
     k = p_all if support is None else int(support)
     if not 0 < k <= p_all:
         raise ValidationError(f"support must be in 1..{p_all}")
-    Txi, Tpxi = _value_and_derivative(T, xi)
-    scale = max(1.0, linalg.spectral_norm(Txi))
-    dscale = max(1.0, linalg.spectral_norm(Tpxi))
-    ker = linalg._kernel(Txi[:, :k], 1e-6, scale=scale)
-    if ker.shape[1] == 0:
-        raise ReductionError(
-            f"T({xi:g}) has no kernel supported on the first {k} coordinates")
-    if ker.shape[1] == 1:
-        small = ker[:, 0]
-    else:
-        V2 = ker[:, :2]
-        R1 = V2.T @ Tpxi[:k, :k] @ V2
-        a, b, c = R1[0, 0], (R1[0, 1] + R1[1, 0]) / 2, R1[1, 1]
-        d = np.sqrt(complex(b * b - a * c))
-        q = -(b + d) if abs(b + d) >= abs(b - d) else -(b - d)
-        x = np.array([q, a] if abs(a) >= abs(c) else [c, q], dtype=complex)
-        if np.linalg.norm(x) <= 1e-10 * dscale:
-            x = np.array([1.0, 0.0], dtype=complex)
-        small = V2 @ x
-    small = small / np.linalg.norm(small)
-    u = np.zeros(p_all, dtype=complex)
-    u[:k] = small
-    c1 = float(np.linalg.norm(Txi @ u))
-    c2 = float(abs(u @ Tpxi @ u))
-    if c1 > 1e-7 * scale or c2 > 1e-7 * dscale:
-        raise ReductionError(
-            f"interpolation conditions not met at {xi:g}: |T(xi)u| = {c1:g}, "
-            f"|u^T T'(xi) u| = {c2:g}")
-    return u
+    Txi, Tpxi = _values_and_derivatives(T, xi)
+    scale = np.maximum(1.0, linalg.spectral_norm(Txi))
+    dscale = np.maximum(1.0, linalg.spectral_norm(Tpxi))
+    kernels = linalg._kernels(Txi[:, :, :k], 1e-6, scale)
+    U = np.zeros((xi.size, p_all), dtype=complex)
+    for j, (x0, ker) in enumerate(zip(xi, kernels)):
+        if ker.shape[1] == 0:
+            raise ReductionError(
+                f"T({x0:g}) has no kernel supported on the first {k} coordinates")
+        if ker.shape[1] == 1:
+            small = ker[:, 0]
+        else:
+            V2 = ker[:, :2]
+            R1 = V2.T @ Tpxi[j, :k, :k] @ V2
+            a, b, c = R1[0, 0], (R1[0, 1] + R1[1, 0]) / 2, R1[1, 1]
+            d = np.sqrt(complex(b * b - a * c))
+            q = -(b + d) if abs(b + d) >= abs(b - d) else -(b - d)
+            x = np.array([q, a] if abs(a) >= abs(c) else [c, q], dtype=complex)
+            if np.linalg.norm(x) <= 1e-10 * dscale[j]:
+                x = np.array([1.0, 0.0], dtype=complex)
+            small = V2 @ x
+        u = U[j]
+        u[:k] = small / np.linalg.norm(small)
+        c1 = float(np.linalg.norm(Txi[j] @ u))
+        c2 = float(abs(u @ Tpxi[j] @ u))
+        if c1 > 1e-7 * scale[j] or c2 > 1e-7 * dscale[j]:
+            raise ReductionError(
+                f"interpolation conditions not met at {x0:g}: |T(xi)u| = {c1:g}, "
+                f"|u^T T'(xi) u| = {c2:g}")
+    return U
 
 
 def reduce_once(T: Realization, factors) -> tuple[Realization, float]:
@@ -328,11 +333,12 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     at the open-right-half-plane roots of pi (``spectrum.pi_roots`` of
     the minimal solution), each as often as its multiplicity in pi,
     which must take the degree to n + kappa exactly.  Round r divides
-    once at every root of multiplicity at least r, in one certified
-    ``reduce_once``.  The Cholesky factor of Sigma's Gramian
-    diag(G_Q, P_min) must exist, with or without a round, and balances
-    Sigma before the first round; a failing round is a hard error that
-    names its points, the degree before it and the lattice conditioning.
+    once at every root of multiplicity at least r: one batched
+    ``find_reduction_vector`` and one certified ``reduce_once``.  The
+    Cholesky factor of Sigma's Gramian diag(G_Q, P_min) must exist, with
+    or without a round, and balances Sigma before the first round; a
+    failing round is a hard error that names its points, the degree
+    before it and the lattice conditioning.
     ``residual_tol`` bounds the innerness certificate of the last stage
     and the symmetry and S-block residuals of the final realization, both
     read from its one cached frequency response on probe_points(extension).
@@ -383,8 +389,8 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     for r in range(1, max((k for _, k in roots), default=0) + 1):
         points = [xi for xi, k in roots if k >= r]
         try:
-            fs = [BlaschkeFactor(xi=xi, u=find_reduction_vector(current, xi, support=p))
-                  for xi in points]
+            U = find_reduction_vector(current, points, support=p)
+            fs = [BlaschkeFactor(xi=xi, u=u) for xi, u in zip(points, U)]
             current, ir = reduce_once(current, fs)
         except DarlingtonError as exc:
             raise ReductionError(

@@ -208,14 +208,23 @@ def _invariant_subspace(spec: HSpectrum, chosen) -> np.ndarray:
 
 
 def _newton_refine(hat: HatData, P: np.ndarray) -> tuple[np.ndarray, float]:
-    """Up to four Newton steps on R(P) (Kleinman, IEEE TAC 1968); each
-    solves the Lyapunov equation Z dP + dP Z* = -R(P) with the current
-    closed loop Z, from one Schur form of Z (Bartels & Stewart, CACM
-    1972).  Returns the best P and its residual riccati_residual(hat, P)."""
+    """Newton steps on R(P) (Kleinman, IEEE TAC 1968); each solves the
+    Lyapunov equation Z dP + dP Z* = -R(P) with the current closed loop
+    Z, from one Schur form of Z (Bartels & Stewart, CACM 1972).  The
+    first step is always taken; after it the refinement stops once
+    ||R(P)|| <= eps (2 ||A_hat|| ||P|| + ||C_hat* C_hat|| ||P||^2 +
+    ||B_hat B_hat*||) in Frobenius norms, the rounding level of
+    evaluating R(P) itself, and otherwise goes on while the residual
+    falls, up to four steps.  Returns the best P and its residual
+    riccati_residual(hat, P)."""
+    na, nc, nb = (np.linalg.norm(M) for M in (hat.a_hat, hat.csc, hat.bbs))
     best = P
     R = _residual_matrix(hat, best)
     best_res = float(linalg.spectral_norm(R))
-    for _ in range(4):
+    for step in range(4):
+        nP = np.linalg.norm(best)
+        if step and np.linalg.norm(R) <= np.finfo(float).eps * (2 * na * nP + nc * nP ** 2 + nb):
+            break
         Z = hat.a_hat + best @ hat.csc
         try:
             with warnings.catch_warnings():

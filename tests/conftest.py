@@ -81,7 +81,7 @@ def sequential_minimize(R: Realization) -> tuple[Realization, list]:
     steps = []
     for xi, k in pmin.spectrum.pi_roots:
         for _ in range(k if xi.real > 0 else 0):
-            f = BlaschkeFactor(xi=xi, u=find_reduction_vector(current, xi, support=Rs.outputs))
+            f = BlaschkeFactor(xi=xi, u=find_reduction_vector(current, [xi], support=Rs.outputs)[0])
             out, _ = reduce_once(current, (f,))
             steps.append((current, f, out))
             current = out

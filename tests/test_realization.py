@@ -1,5 +1,7 @@
 """Realization algebra: evaluation, minimality, composition calculus,
 symmetrization, Moebius preconditioning."""
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from darlington import (
     mobius_precondition,
     probe_points,
     solve_extremal,
+    symmetric_unitary_extension,
     symmetrize,
     symmetry_residual,
     transpose,
@@ -35,7 +38,10 @@ from darlington.realization import (
     direct_sum,
     transfer_distance,
 )
+from darlington.extension import frequency_grid
+from darlington.linalg import spectral_norm
 from darlington.reduction import BlaschkeFactor
+from darlington.riccati import _extremal
 
 from conftest import blaschke_realization, invert, para_conjugate
 
@@ -533,6 +539,51 @@ class TestCascadeSpectra:
         R1.poles(), R2.poles()
         monkeypatch.setattr(np.linalg, "eigvals", None)  # any call fails
         assert compose(R2, R1).poles().size == direct_sum(R1, R2).poles().size == 7
+
+
+class TestCascadeResponse:
+    """freqresp evaluates Sigma = compose(S_P, direct_sum(Q, I)) through
+    its operands, as S_P(s) diag(Q(s), I), under Sigma's own pole guard."""
+
+    @staticmethod
+    def sigmas(instance_suite):
+        """(Sigma, Q, S_P) on P_min for every frozen suite instance."""
+        out = []
+        for inst in instance_suite:
+            Rs = symmetrize(inst.realization)
+            E = build_extension(Rs, _extremal(build_hat(Rs), ("minimal",))[0])
+            sigma, Q, _, _ = symmetric_unitary_extension(E)
+            out.append((sigma, Q.realization, E.realization))
+        return out
+
+    def test_matches_the_flat_realization(self, instance_suite):
+        for sigma, _, _ in self.sigmas(instance_suite):
+            flat = Realization(sigma.a, sigma.b, sigma.c, sigma.d)
+            pts = np.concatenate([probe_points(sigma), 1j * frequency_grid(),
+                                  [0.5 + 2j, np.inf, 3.0, -np.inf]])
+            F, ref = freqresp(sigma, pts), freqresp(flat, pts)
+            assert np.all(spectral_norm(F - ref) <= 1e-12 * (1.0 + spectral_norm(ref)))
+            # infinite points give D
+            assert np.array_equal(F[-3], sigma.d) and np.array_equal(F[-1], sigma.d)
+
+    def test_one_solve_per_factor(self, instance_suite, monkeypatch):
+        # no solve of Sigma's size: one of n states for S_P, one of
+        # deg Q = n - n0 states for Q, and none for the identity
+        solve, sizes = np.linalg.solve, []
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda M, b: sizes.append(M.shape[-1]) or solve(M, b))
+        for sigma, Q, SP in self.sigmas(instance_suite):
+            del sizes[:]
+            freqresp(sigma, probe_points(sigma))
+            assert sizes == [n for n in (SP.n, Q.n) if n]
+
+    def test_poles_of_each_factor_are_named(self, instance_suite):
+        cases = [(sigma, Q, SP) for sigma, Q, SP in self.sigmas(instance_suite) if Q.n]
+        assert cases
+        for sigma, Q, SP in cases:
+            for pole in (Q.poles()[0], SP.poles()[0]):
+                with pytest.raises(PoleError, match=re.escape(f"evaluation point {pole:g} ")):
+                    freqresp(sigma, [2.0, pole, 3.0])
 
 
 def test_probe_points_avoid_poles(zeta2):

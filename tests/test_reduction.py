@@ -161,13 +161,13 @@ class TestFindReductionVector:
         f = BlaschkeFactor(xi=1.0, u=np.array([1.0, 0.0]))
         B = blaschke_realization(f)
         T = compose(B, B)
-        u = find_reduction_vector(T, 1.0)
+        u = find_reduction_vector(T, [1.0])[0]
         assert abs(abs(u[0]) - 1.0) < 1e-9
         assert abs(u[1]) < 1e-9
 
     def test_worked_example_case_two(self, zeta2):
         sigma = sigma_min(zeta2)
-        u = find_reduction_vector(sigma, SQ3, support=2)
+        u = find_reduction_vector(sigma, [SQ3], support=2)[0]
         Txi = evaluate(sigma, SQ3)
         from darlington.realization import derivative
         Tpxi = derivative(sigma, SQ3)
@@ -187,7 +187,7 @@ class TestFindReductionVector:
             blaschke_realization(BlaschkeFactor(xi=2.5, u=np.array([0.0, 1.0]))))
         from darlington.realization import transpose
         T = compose(compose(transpose(B), M), B)
-        u = find_reduction_vector(T, xi)
+        u = find_reduction_vector(T, [xi])[0]
         assert abs(abs(u[0]) - 1.0) < 1e-7
         assert abs(u[1]) < 1e-7
 
@@ -209,7 +209,7 @@ class TestFindReductionVector:
         Txi, Tpxi = evaluate(T, 1.0), derivative(T, 1.0)
         assert np.array_equal(Txi, np.diag([0.0, 0.0, 1.0]))
         assert np.array_equal(Tpxi, -N / 4)
-        u = find_reduction_vector(T, 1.0)
+        u = find_reduction_vector(T, [1.0])[0]
         assert abs(np.linalg.norm(u) - 1.0) <= 1e-15
         assert np.linalg.norm(Txi @ u) <= 1e-15
         assert abs(u @ Tpxi @ u) <= 1e-15
@@ -217,24 +217,52 @@ class TestFindReductionVector:
     def test_no_kernel_raises(self, zeta2):
         sigma = sigma_min(zeta2)
         with pytest.raises(ReductionError):
-            find_reduction_vector(sigma, 2.0, support=2)  # kernel not in block
+            find_reduction_vector(sigma, [2.0], support=2)  # kernel not in block
 
-    def test_one_factorization_and_pole_guard(self, zeta2, monkeypatch):
-        # T(xi) and T'(xi) come from one LU of xi I - A
+    def test_no_kernel_names_its_point_in_a_batch(self, zeta2):
         sigma = sigma_min(zeta2)
-        lus, guards = [], []
-        lu_factor, off_poles = sla.lu_factor, darlington.realization._off_poles
-        monkeypatch.setattr(sla, "lu_factor", lambda M: lus.append(M) or lu_factor(M))
+        with pytest.raises(ReductionError, match=r"T\(2\+0j\) has no kernel"):
+            find_reduction_vector(sigma, [SQ3, 2.0], support=2)
+
+    def test_batch_is_the_one_point_searches(self, double_root):
+        # a round's points share one search; each row is the one-point
+        # result at its point
+        T = sequential_minimize(double_root)[1][0][0]
+        points = [f.xi for f in minimize_symmetric(double_root).factors[:2]]
+        U = find_reduction_vector(T, points, support=6)
+        assert U.shape == (2, 12)
+        for xi, u in zip(points, U):
+            assert np.allclose(u, find_reduction_vector(T, [xi], support=6)[0],
+                               rtol=0, atol=1e-12)
+
+    def test_two_stacked_solves_and_one_pole_guard(self, double_root, monkeypatch):
+        # every T(xi) and T'(xi) of a round come from one pole guard and
+        # two stacked solves of the pencils xi I - A, every kernel from
+        # one stacked SVD
+        T = sequential_minimize(double_root)[1][0][0]
+        points = [f.xi for f in minimize_symmetric(double_root).factors[:2]]
+        solves, guards, svds = [], [], []
+        solve, off_poles, svd = np.linalg.solve, darlington.realization._off_poles, np.linalg.svd
+        monkeypatch.setattr(np.linalg, "solve", lambda M, b: solves.append(M.shape) or solve(M, b))
         monkeypatch.setattr(darlington.realization, "_off_poles",
                             lambda R, s: guards.append(s) or off_poles(R, s))
-        find_reduction_vector(sigma, SQ3, support=2)
-        assert (len(lus), guards) == (1, [SQ3])
+
+        def recording(M, **kwargs):  # spectral norms pass compute_uv=False
+            if kwargs.get("compute_uv", True):
+                svds.append(M.shape)
+            return svd(M, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        find_reduction_vector(T, points, support=6)
+        assert solves == [(2, T.n, T.n)] * 2
+        assert len(guards) == 1 and np.array_equal(guards[0], points)
+        assert svds == [(2, 12, 6)]
 
 
 class TestReduceOnce:
     def test_worked_example_four_to_two(self, zeta2):
         sigma = balanced_sigma_min(zeta2)
-        u = find_reduction_vector(sigma, SQ3, support=2)
+        u = find_reduction_vector(sigma, [SQ3], support=2)[0]
         out, cert = reduce_once(sigma, [BlaschkeFactor(xi=SQ3, u=u)])
         assert out.n == 2
         assert cert == _lossless_residual(out, np.eye(2)) <= 1e-7
@@ -263,13 +291,13 @@ class TestReduceOnce:
     def test_unbalanced_input_fails(self, zeta2):
         # the same division, but Sigma as composed, not balanced
         sigma = sigma_min(zeta2)
-        u = find_reduction_vector(sigma, SQ3, support=2)
+        u = find_reduction_vector(sigma, [SQ3], support=2)[0]
         with pytest.raises(ReductionError, match="balanced coordinates"):
             reduce_once(sigma, [BlaschkeFactor(xi=SQ3, u=u)])
 
     def test_rejects_malformed_rounds(self, zeta2):
         sigma = balanced_sigma_min(zeta2)
-        f = BlaschkeFactor(xi=SQ3, u=find_reduction_vector(sigma, SQ3, support=2))
+        f = BlaschkeFactor(xi=SQ3, u=find_reduction_vector(sigma, [SQ3], support=2)[0])
         for factors in ([], [f, f, f], [BlaschkeFactor(xi=SQ3, u=[1.0, 0.0])]):
             with pytest.raises(ValidationError, match="reduce_once needs"):
                 reduce_once(sigma, factors)
@@ -588,8 +616,8 @@ def test_one_lyapunov_solve_per_synthesis(which, solves, zeta1, zeta2,
     assert len(res.factors) == {"zeta2": 1, "zeta1": 0, "suite": 3}[which]
     others = [name for name in callers if name != "_newton_refine"]
     assert others == ["_intertwiner"] * solves
-    # each Newton correction is one Lyapunov solve
-    assert 1 <= callers.count("_newton_refine") <= 4
+    # one Newton correction takes P_min to the rounding floor of R(P)
+    assert callers.count("_newton_refine") == 1
 
 
 @pytest.mark.parametrize("which", ["zeta2", "zeta1", "suite"])

@@ -17,7 +17,7 @@ from darlington import (
     symmetrize,
 )
 from darlington.errors import NotContractiveError, SpectralSplitError
-from darlington.riccati import _extremal
+from darlington.riccati import _extremal, _newton_refine, _residual_matrix
 
 SQ3 = np.sqrt(3.0)
 
@@ -115,6 +115,56 @@ class TestResidual:
         hat = build_hat(zeta2)
         assert abs(riccati_residual(hat, np.zeros((2, 2)))
                    - np.linalg.norm(hat.bbs, 2)) < 1e-14
+
+
+def over_floor(hat, P) -> float:
+    """||R(P)||_F over its rounding floor eps (2 ||A_hat|| ||P|| +
+    ||C_hat* C_hat|| ||P||^2 + ||B_hat B_hat*||), all Frobenius norms."""
+    na, nc, nb, nP = (np.linalg.norm(M) for M in (hat.a_hat, hat.csc, hat.bbs, P))
+    floor = np.finfo(float).eps * (2 * na * nP + nc * nP ** 2 + nb)
+    return float(np.linalg.norm(_residual_matrix(hat, P)) / floor)
+
+
+class TestNewtonRefine:
+    @staticmethod
+    def counting(monkeypatch) -> list:
+        solves = []
+        original = sla.solve_continuous_lyapunov
+        monkeypatch.setattr(sla, "solve_continuous_lyapunov",
+                            lambda *args: solves.append(1) or original(*args))
+        return solves
+
+    def test_one_correction_per_p_min(self, instance_suite, monkeypatch):
+        # the graph-subspace P_min is one Newton step from the rounding
+        # floor of R(P), so the refinement stops after that step.  With
+        # imaginary-axis eigenvalues (n0 > 0) the Lyapunov equation is
+        # singular and that step does not lower the residual, so it ends
+        # the refinement too
+        solves = self.counting(monkeypatch)
+        for inst in instance_suite:
+            hat = build_hat(symmetrize(inst.realization))
+            del solves[:]
+            (pmin,) = _extremal(hat, ("minimal",))
+            assert len(solves) == 1, inst.name
+            if inst.expected_n0 == 0:
+                assert over_floor(hat, pmin.p) <= 1.0, inst.name
+
+    def test_perturbed_p_min_is_refined_step_by_step(self, instance_suite,
+                                                     monkeypatch):
+        # P_min off by 1e-6 relative is far above the floor: Newton takes
+        # one correction after another and stops at the floor
+        rng = np.random.default_rng(7)
+        solves = self.counting(monkeypatch)
+        for inst in (inst for inst in instance_suite if inst.expected_n0 == 0):
+            hat = build_hat(symmetrize(inst.realization))
+            P = _extremal(hat, ("minimal",))[0].p
+            E = rng.normal(size=P.shape) + 1j * rng.normal(size=P.shape)
+            E = (E + E.conj().T) / np.linalg.norm(E + E.conj().T)
+            del solves[:]
+            refined, res = _newton_refine(hat, P + 1e-6 * np.linalg.norm(P) * E)
+            assert len(solves) >= 2, inst.name
+            assert over_floor(hat, refined) <= 1.0, inst.name
+            assert res == riccati_residual(hat, refined)
 
 
 class TestSolveExtremal:
