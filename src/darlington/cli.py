@@ -16,14 +16,14 @@ round-tripping float repr, so write-then-read reproduces matrices
 bit-exactly.
 
 ``check`` and ``synthesize`` take a certification tolerance, 1e-7 by
-default, set with --tol.  It bounds the grid supremum (1 + tol) and the
-symmetry residual of ``check`` and the final innerness certificate,
-symmetry and S-block residuals of ``synthesize --mode
-minimal-symmetric``; every other check runs at its fixed bound.
+default, set with --tol (finite and positive).  It bounds the grid
+supremum (1 + tol) and the symmetry residual of ``check`` and the final
+innerness certificate, symmetry and S-block residuals of ``synthesize
+--mode minimal-symmetric``; every other check runs at its fixed bound.
 ``synthesize --mobius W0`` extends S~(s) = S(i W0 + 1/s) and writes
-that extension mapped back to one of the file's S, in every mode,
-certified on the same Gramian and reported with its block match
-against the file's S.
+that extension mapped back to one of the file's S, certified on the
+Gramian of the mode (I, diag(J_Q, I) or P) and reported with its block
+match against the file's S.
 Exit status: 0 when every requested certificate passes, 2 when the
 input is not strictly contractive at infinity (the hint names a
 --mobius point, or says that none helps), 1 on any other failure.
@@ -192,7 +192,7 @@ def cmd_synthesize(args) -> int:
     cert = "innerness_residual"
     if args.mode == "minimal-symmetric":
         res = minimize_symmetric(R, residual_tol=args.tol)
-        out, X = res.extension, res.gramian
+        out, X = res.extension, np.eye(res.degree)  # balanced
         rep.update({
             "degree": res.degree, "kappa": res.kappa, "n0": res.n0,
             "reductions": len(res.factors),
@@ -209,7 +209,7 @@ def cmd_synthesize(args) -> int:
             # symmetric_unitary_extension certifies out unitary and
             # minimal on its Gramian; that certificate is reported
             out, q, sym, unitary = symmetric_unitary_extension(E)
-            X, cert = sla.block_diag(q.gramian, E.p_matrix), "unitary_axis_residual"
+            X, cert = sla.block_diag(q.gramian, np.eye(base.n)), "unitary_axis_residual"
             checks = {"q_degree": q.degree, "q_inner": q.inner_flag,
                       "unitary_axis_residual": unitary,
                       "symmetry_residual": sym}
@@ -320,6 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if "tol" in vars(args) and not (np.isfinite(args.tol) and args.tol > 0):
+            raise ValidationError(f"--tol must be finite and positive, got {args.tol:g}")
         return args.func(args)
     except NotContractiveError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,9 @@ For a symmetric realization of a symmetric S, right-multiplying an
 extension by diag(Q, I) with Q = S21^{-1} S12^T (that is, P~ = P^{-T})
 produces a symmetric extension, unitary on the imaginary axis.
 Each stage is certified on a Gramian known in closed form: P for S_P,
-G = V* (P~ - P) V for Q and diag(G, P) for the symmetric extension.
+a signature J_Q = diag(+-1) for Q, and diag(J_Q, I) for the symmetric
+extension, which takes S_P on the state L^{-1} x (P = L L*): I, so
+balanced, when it is inner.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ from .realization import (
     Realization,
     _same_a,
     _structurally_symmetric,
+    _with_poles,
     compose,
     direct_sum,
     freqresp,
@@ -136,7 +139,7 @@ class ExtensionBlocks:
 class QFactor:
     """Quotient Q = S21^{-1} S21~ of the left spectral factors of two
     extensions; unitary on the imaginary axis, realized minimally on
-    range(P~ - P); certified on its Gramian ``gramian``, V* (P~ - P) V."""
+    range(P~ - P); certified on its Gramian ``gramian``, diag(+-1)."""
     realization: Realization
     degree: int
     inner_flag: bool
@@ -208,6 +211,8 @@ def apply_gauge(E: ExtensionBlocks, U1, U2) -> ExtensionBlocks:
     for name, U in (("U1", U1), ("U2", U2)):
         if U.shape != (p, p):
             raise DimensionError(f"{name} must be {p}x{p}")
+        if not np.all(np.isfinite(U)):
+            raise ValidationError(f"{name} must be finite")
         if not linalg.norm_at_most(U @ U.conj().T - np.eye(p), 1e-10):
             raise ValidationError(f"{name} is not unitary")
     R = E.realization
@@ -260,13 +265,13 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
     Z = A - B1 D21^{-1} C (the closed loop A_hat + P C_hat* C_hat); with
     V the eigenvectors of Gamma whose eigenvalues exceed
     1e-9 max(1, ||P||, ||P2||) in modulus,
-    Q = (V* Z V | V* Gamma C* D21^{-1}; -D21^{-1} C V | I).
-
-    Certified by the invariance residual ||Z V - V (V* Z V)|| <=
-    1e-7 max(1, ||Z||) and on its Gramian V* Gamma V to 1e-8, minimal of
-    degree rank(Gamma) (Z Gamma + Gamma Z* + Gamma C_hat* C_hat Gamma =
-    R(P2) - R(P) = 0); inner exactly when P <= P2, that is when no
-    eigenvalue of Gamma lies below -1e-9 max(1, ||P||, ||P2||).
+    Q = (V* Z V | V* Gamma C* D21^{-1}; -D21^{-1} C V | I) has the
+    Gramian V* Gamma V = W diag(g) W*, and |g|^{-1/2} W* x the Gramian
+    diag(sign g) (Z Gamma + Gamma Z* + Gamma C_hat* C_hat Gamma =
+    R(P2) - R(P) = 0).  Certified on that state by the invariance
+    residual ||Z V - V (V* Z V)|| <= 1e-7 max(1, ||Z||) and on
+    diag(sign g) to 1e-8, minimal of degree rank(Gamma); inner exactly
+    when P <= P2, that is when every g > 0.
     """
     p, P1, big = E.p, E.p_matrix, E.realization
     P2 = (P2 + P2.conj().T) / 2
@@ -279,21 +284,23 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
     d21inv = np.linalg.inv(big.d[p:, :p])
     Z = big.a - big.b[:, :p] @ d21inv @ C
     ZV = Z @ V
-    A = V.conj().T @ ZV
-    gap = ZV - V @ A
+    gap = ZV - V @ (V.conj().T @ ZV)
     if not linalg.norm_at_most(gap, 1e-7 * max(1.0, linalg.spectral_norm(Z))):
         raise ValidationError(
             f"range(P~ - P) is not invariant under the closed loop Z (invariance "
             f"residual {linalg.spectral_norm(gap):g}); P~ is not a Riccati solution")
-    Q = Realization(A, V.conj().T @ gamma @ C.conj().T @ d21inv,
-                    -d21inv @ C @ V, np.eye(p))
-    G = V.conj().T @ gamma @ V
-    ures = _lossless_residual(Q, G)
+    g, W = np.linalg.eigh(V.conj().T @ gamma @ V)
+    s, Y = np.sqrt(np.abs(g)), V @ W
+    Q = Realization(Y.conj().T @ Z @ Y * s / s[:, np.newaxis],
+                    Y.conj().T @ gamma @ C.conj().T @ d21inv / s[:, np.newaxis],
+                    -d21inv @ C @ Y * s, np.eye(p))
+    J = np.diag(np.sign(g))
+    ures = _lossless_residual(Q, J)
     if not ures <= 1e-8:
         raise ValidationError(f"Q is not certified unitary and minimal "
                               f"(lossless residual {ures:g})")
-    return QFactor(realization=Q, degree=V.shape[1], inner_flag=not np.any(w < -cut),
-                   unitary_residual=ures, gramian=G)
+    return QFactor(realization=Q, degree=V.shape[1], inner_flag=bool(np.all(g > 0)),
+                   unitary_residual=ures, gramian=J)
 
 
 def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks) -> QFactor:
@@ -308,11 +315,8 @@ def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks) -> QFactor:
     if E1.p != E2.p:
         raise DimensionError("extensions have different block sizes")
     R1, R2 = E1.s22, E2.s22
-    same = (R1.n == R2.n and np.allclose(R1.a, R2.a, rtol=0, atol=1e-10)
-            and np.allclose(R1.b, R2.b, rtol=0, atol=1e-10)
-            and np.allclose(R1.c, R2.c, rtol=0, atol=1e-10)
-            and np.allclose(R1.d, R2.d, rtol=0, atol=1e-10))
-    if not same:
+    if R1.n != R2.n or not all(np.allclose(getattr(R1, k), getattr(R2, k), rtol=0, atol=1e-10)
+                               for k in "abcd"):
         raise ValidationError("extensions do not share the same S block")
     return _quotient(E1, E2.p_matrix)
 
@@ -326,22 +330,30 @@ def symmetric_unitary_extension(E: ExtensionBlocks
     S_{P^{-T}} = S_P^T.  The result is unitary on the imaginary axis and
     symmetric; it is inner if and only if P^{-T} - P is positive
     semidefinite.  Sigma has deg S + deg Q states, deg Q =
-    rank(P^{-T} - P) >= kappa, and is certified minimal to 1e-8 on the
-    Gramian diag(G_Q, P) of the cascade.  Returns (Sigma, Q, symmetry
+    rank(P^{-T} - P) >= kappa: Q's, then S_P's on L^{-1} x, P = L L*.
+    It is certified minimal to 1e-8 on the Gramian diag(Q.gramian, I),
+    I (balanced) when it is inner.  Returns (Sigma, Q, symmetry
     residual of Sigma, that lossless certificate residual).
     """
     if not _structurally_symmetric(E.s22):
         raise NotSymmetricError(
             "the source realization is not symmetric; run symmetrize first")
     Q = _quotient(E, np.linalg.inv(E.p_matrix.T))
-    identity = Realization(np.zeros((0, 0)), np.zeros((0, E.p)),
-                           np.zeros((E.p, 0)), np.eye(E.p))
-    sigma = compose(E.realization, direct_sum(Q.realization, identity))
+    big = E.realization
+    try:
+        L = np.linalg.cholesky(E.p_matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ValidationError("P is not positive definite") from exc
+    sp = _with_poles(Realization(sla.solve_triangular(L, big.a @ L, lower=True),
+                                 sla.solve_triangular(L, big.b, lower=True),
+                                 big.c @ L, big.d), big)
+    identity = Realization(np.zeros((0, 0)), [], [], np.eye(E.p))
+    sigma = compose(sp, direct_sum(Q.realization, identity))
     sres = symmetry_residual(sigma)
     if sres > 1e-8:
         raise ValidationError(
             f"symmetric extension failed the symmetry check ({sres:g})")
-    cert = _lossless_residual(sigma, sla.block_diag(Q.gramian, E.p_matrix))
+    cert = _lossless_residual(sigma, sla.block_diag(Q.gramian, np.eye(big.n)))
     if not cert <= 1e-8:
         raise ValidationError(f"Sigma is not certified unitary and minimal "
                               f"(lossless residual {cert:g})")

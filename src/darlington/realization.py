@@ -503,8 +503,10 @@ def mobius_precondition(R: Realization, omega0: float) -> Realization:
     strictly contractive at infinity, with the same McMillan degree:
     with M = (A - i omega0 I)^{-1}, from one LU factorization, it is
     (M, M B, -C M, S(i omega0)) and S(i omega0) = D - C M B.  Raises
-    PoleError as evaluate does.
+    PoleError as evaluate does, ValidationError for a non-finite omega0.
     """
+    if not np.isfinite(omega0):
+        raise ValidationError(f"omega0 must be finite, got {omega0!r}")
     s0 = 1j * omega0
     _off_poles(R, s0)
     M = np.linalg.inv(R.a - s0 * np.eye(R.n))

@@ -27,9 +27,9 @@ extension of degree n + kappa.  The points and multiplicities are read
 from the analyzed Hamiltonian spectrum before the first round; no
 round solves for zeros again.
 
-Sigma is balanced once (controllability Gramian I, as every Hankel
+Sigma comes balanced (controllability Gramian I, as every Hankel
 singular value of an inner function is 1); each round of m divisions
-then drops m states per side by an orthogonal deflation in closed form,
+drops m states per side by an orthogonal deflation in closed form,
 with no Lyapunov solve or rank decision, and is certified inner and
 minimal of degree deg T - 2m on the identity Gramian.  The last of
 these Gramian certificates (or Sigma's, with no round) is the reported
@@ -45,7 +45,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import linalg
 from .errors import DarlingtonError, ReductionError, ValidationError
@@ -58,7 +57,6 @@ from .extension import (
 from .realization import (
     Realization,
     _values_and_derivatives,
-    _with_poles,
     evaluate,
     freqresp,
     symmetrize,
@@ -273,21 +271,14 @@ def reduce_once(T: Realization, factors) -> tuple[Realization, float]:
     return out, res
 
 
-def _balance(R: Realization, L: np.ndarray) -> Realization:
-    """(L^-1 A L, L^-1 B, C L, D) for the Cholesky factor L of the
-    Gramian L L* of R: its Gramian is I."""
-    return Realization(sla.solve_triangular(L, R.a @ L, lower=True),
-                       sla.solve_triangular(L, R.b, lower=True), R.c @ L, R.d)
-
-
 @dataclass(frozen=True)
 class SynthesisResult:
     """Outcome of the minimal symmetric inner extension pipeline.
 
     ``innerness`` is the relative residual of the last stage's lossless
-    certificate, which proves ``extension`` all-pass and minimal on its
-    controllability Gramian ``gramian`` (the last Blaschke round's, on
-    the identity, or with no round Sigma's, on diag(G_Q, P_min));
+    certificate (the last Blaschke round's, or with no round Sigma's),
+    which proves ``extension`` inner and minimal on the controllability
+    Gramian I: it is balanced;
     ``symmetry`` and ``block_match`` are maxima over
     probe_points(extension) of the one frequency response of
     ``extension``, which it caches (with no round, the one Sigma's stage
@@ -308,7 +299,6 @@ class SynthesisResult:
     innerness: float
     symmetry: float
     block_match: float
-    gramian: np.ndarray
 
 
 def _stage(name: str, exc: DarlingtonError) -> DarlingtonError:
@@ -334,15 +324,17 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     the minimal solution), each as often as its multiplicity in pi,
     which must take the degree to n + kappa exactly.  Round r divides
     once at every root of multiplicity at least r: one batched
-    ``find_reduction_vector`` and one certified ``reduce_once``.  The
-    Cholesky factor of Sigma's Gramian diag(G_Q, P_min) must exist, with
-    or without a round, and balances Sigma before the first round; a
-    failing round is a hard error that names its points, the degree
-    before it and the lattice conditioning.
-    ``residual_tol`` bounds the innerness certificate of the last stage
-    and the symmetry and S-block residuals of the final realization, both
-    read from its one cached frequency response on probe_points(extension).
+    ``find_reduction_vector`` and one certified ``reduce_once``.  Sigma
+    must be inner (``Q.inner_flag``), with or without a round, and comes
+    balanced; a failing round is a hard error that names its points,
+    the degree before it and the lattice conditioning.
+    ``residual_tol`` (finite, > 0) bounds the innerness certificate of
+    the last stage and the symmetry and S-block residuals of the final
+    realization, both read from its one cached frequency response on
+    probe_points(extension).
     """
+    if not (np.isfinite(residual_tol) and residual_tol > 0):
+        raise ValidationError(f"residual_tol must be finite and positive, got {residual_tol!r}")
     try:
         Rs = symmetrize(R)
     except DarlingtonError as exc:
@@ -355,37 +347,29 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     kappa, n0 = pmin.spectrum.kappa, pmin.spectrum.n0
     try:
         E = build_extension(Rs, pmin)
-        sigma, Q, _, ir = symmetric_unitary_extension(E)
+        current, Q, _, ir = symmetric_unitary_extension(E)
     except DarlingtonError as exc:
         raise _stage("symmetric-extension", exc) from exc
-    if sigma.n != 2 * n - n0:
+    if current.n != 2 * n - n0:
         raise ValidationError(
-            f"stage 'symmetric-extension': degree {sigma.n} of the unitary "
+            f"stage 'symmetric-extension': degree {current.n} of the unitary "
             f"extension differs from 2n - n0 = {2 * n - n0}")
     target = n + kappa
     # a root of multiplicity k in pi is divided out k times, each
     # division dropping the degree by 2
     roots = [(xi, k) for xi, k in pmin.spectrum.pi_roots if xi.real > 0]
     divisions = sum(k for _, k in roots)
-    if sigma.n - 2 * divisions != target:
+    if current.n - 2 * divisions != target:
         raise ReductionError(
-            f"stage 'reduce': {divisions} Blaschke divisions from degree {sigma.n} "
-            f"end at {sigma.n - 2 * divisions}, not n + kappa = {target} "
+            f"stage 'reduce': {divisions} Blaschke divisions from degree {current.n} "
+            f"end at {current.n - 2 * divisions}, not n + kappa = {target} "
             f"({_conditioning(pmin)})")
-    factors: list[BlaschkeFactor] = []
-    # a Cholesky factor proves Sigma's Gramian positive definite, so
-    # Sigma stable, also when no round follows and Sigma is returned
-    gramian = sla.block_diag(Q.gramian, E.p_matrix)
-    try:
-        L = np.linalg.cholesky(gramian)
-    except np.linalg.LinAlgError as exc:
+    # a Gramian I proves Sigma stable, also when no round follows
+    if not Q.inner_flag:
         raise ReductionError(
-            f"stage 'reduce': the Gramian diag(G_Q, P_min) of Sigma is not "
-            f"positive definite ({_conditioning(pmin)})") from exc
-    if divisions:  # similar to Sigma, whose poles serve round 1's pole guard
-        current, gramian = _with_poles(_balance(sigma, L), sigma), np.eye(target)
-    else:
-        current = sigma
+            f"stage 'reduce': the Gramian diag(J_Q, I) of Sigma is not "
+            f"positive definite ({_conditioning(pmin)})")
+    factors: list[BlaschkeFactor] = []
     for r in range(1, max((k for _, k in roots), default=0) + 1):
         points = [xi for xi, k in roots if k >= r]
         try:
@@ -399,16 +383,16 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
                 f"{current.n} failed ({_conditioning(pmin)}): {exc}") from exc
         factors.extend(fs)
     # ir is the lossless certificate of the last stage (the last round,
-    # or sigma with none), which proves current inner and minimal; its
-    # one probe response (sigma's stage check, with no round) gives its
+    # or Sigma with none), which proves current inner and minimal; its
+    # one probe response (Sigma's stage check, with no round) gives its
     # symmetry and S block.  Every pole of S is a pole of current
     pts, F, sr = current._probe
     block = float(np.max(linalg.spectral_norm(F[:, p:, p:] - freqresp(R, pts))))
-    if max(ir, sr, block) > residual_tol:
+    if not all(v <= residual_tol for v in (ir, sr, block)):  # a nan fails too
         raise ValidationError(
             f"stage 'finalize': certification failed (inner {ir:g}, "
             f"symmetry {sr:g}, block match {block:g})")
     return SynthesisResult(extension=current, degree=current.n, kappa=kappa,
                            n0=n0, p_min=pmin,
                            factors=tuple(factors), innerness=ir, symmetry=sr,
-                           block_match=block, gramian=gramian)
+                           block_match=block)

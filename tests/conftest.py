@@ -35,7 +35,6 @@ from darlington import (
 )
 from darlington.errors import DimensionError, NotSymmetricError, ValidationError
 from darlington.linalg import DEFAULT_RANK_TOL
-from darlington.reduction import _balance
 from darlington.riccati import _extremal
 from darlington.scalar import poly_para, poly_trim, siso_realization, spectral_factor_poly
 
@@ -69,15 +68,14 @@ def sorted_schur_subspace(M, centers, indices) -> np.ndarray:
 
 def sequential_minimize(R: Realization) -> tuple[Realization, list]:
     """minimize_symmetric's reduction as a root-by-root cascade: from
-    the balanced Sigma on P_min, one single-factor reduce_once per
+    Sigma on P_min, which comes balanced, one single-factor reduce_once per
     division, each direction found on the previous step's output.
     Returns the final realization and the steps as triples
     (T, f, reduce_once(T, (f,))[0])."""
     Rs = symmetrize(R)
     (pmin,) = _extremal(build_hat(Rs), ("minimal",))
     E = build_extension(Rs, pmin)
-    sigma, Q, _, _ = symmetric_unitary_extension(E)
-    current = _balance(sigma, np.linalg.cholesky(sla.block_diag(Q.gramian, E.p_matrix)))
+    current = symmetric_unitary_extension(E)[0]
     steps = []
     for xi, k in pmin.spectrum.pi_roots:
         for _ in range(k if xi.real > 0 else 0):

@@ -228,6 +228,27 @@ class TestSynthesize:
         assert abs(evaluate(T, 2.0)[1, 1] - 2.5 / 3.0) <= 1e-12
         assert innerness_residual(T) <= 1e-10
 
+    @pytest.mark.parametrize("mobius", [None, "0.5"])
+    def test_symmetric_mode_on_the_maximal_solution(self, tmp_path, capsys, mobius):
+        # Sigma on P_max is unitary but not inner; it is certified on its
+        # signature Gramian diag(J_Q, I), also mapped back from --mobius
+        f = write_coupled_pair(tmp_path / "z2.json")
+        extra = [] if mobius is None else ["--mobius", mobius]
+        assert main(["synthesize", str(f), "--mode", "symmetric", "--solution",
+                     "max", "--json", *extra]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["q_inner"] is False and rep["degree"] == 4
+        assert rep["unitary_axis_residual"] <= 1e-8
+        assert rep["symmetry_residual"] <= 1e-8
+
+    @pytest.mark.parametrize("command", ["check", "synthesize"])
+    @pytest.mark.parametrize("w0", ["nan", "inf"])
+    def test_non_finite_mobius_point_is_named(self, tmp_path, capsys, command, w0):
+        f = write_coupled_pair(tmp_path / "z2.json")
+        assert main([command, str(f), "--mobius", w0]) == 1
+        err = capsys.readouterr().err
+        assert "omega0 must be finite" in err and "SVD" not in err
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["check", "/nonexistent/problem.json"]) == 1
 

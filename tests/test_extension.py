@@ -164,6 +164,17 @@ class TestApplyGauge:
         with pytest.raises(ValidationError):
             apply_gauge(E, 2 * np.eye(2), np.eye(2))
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_rejects_non_finite_gauge(self, zeta2_pair, x):
+        # named before the unitarity check, whose SVD would not converge
+        R, pmin, _ = zeta2_pair
+        E = build_extension(R, pmin)
+        bad = np.array([[x, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValidationError, match="U1 must be finite"):
+            apply_gauge(E, bad, np.eye(2))
+        with pytest.raises(ValidationError, match="U2 must be finite"):
+            apply_gauge(E, np.eye(2), bad)
+
 
 class TestFromLeftFactor:
     def test_round_trip(self, zeta2_pair):
@@ -314,9 +325,10 @@ class TestSymmetricUnitaryExtension:
         sigma, Q, _, cert = symmetric_unitary_extension(E)
         assert Q.degree == 2 and Q.inner_flag
         assert kalman_check(sigma).mcmillan_degree == 4  # 2n - n0
-        # the returned residual is Sigma's certificate on diag(G_Q, P)
-        X = sla.block_diag(Q.gramian, E.p_matrix)
-        assert cert == _lossless_residual(sigma, X) <= 1e-8
+        # the returned residual is Sigma's certificate on diag(Q.gramian, I),
+        # which is I: Sigma comes balanced
+        assert np.array_equal(Q.gramian, np.eye(2))
+        assert cert == _lossless_residual(sigma, np.eye(4)) <= 1e-8
         assert innerness_residual(sigma) <= 1e-8
         assert symmetry_residual(sigma) <= 1e-8
 
@@ -343,19 +355,44 @@ class TestSymmetricUnitaryExtension:
 
 
 @pytest.fixture(scope="module")
-def suite_stages(zeta2, instance_suite) -> list:
-    """(name, realization, Gramian) of S_P, Q and Sigma for P_min and
-    P_max of zeta2 and every frozen-suite instance."""
-    stages = []
+def suite_sigmas(zeta2, instance_suite) -> list:
+    """(E, symmetric_unitary_extension(E)) for P_min and P_max of zeta2
+    and every frozen-suite instance."""
+    out = []
     for R in [zeta2] + [inst.realization for inst in instance_suite]:
         Rs = symmetrize(R)
         for P in solve_extremal(build_hat(Rs)):
             E = build_extension(Rs, P)
-            sigma, Q, _, _ = symmetric_unitary_extension(E)
-            stages += [("S_P", E.realization, E.p_matrix),
-                       ("Q", Q.realization, Q.gramian),
-                       ("Sigma", sigma, sla.block_diag(Q.gramian, E.p_matrix))]
+            out.append((E, symmetric_unitary_extension(E)))
+    return out
+
+
+@pytest.fixture(scope="module")
+def suite_stages(suite_sigmas) -> list:
+    """(name, realization, Gramian) of S_P, Q and Sigma for P_min and
+    P_max of zeta2 and every frozen-suite instance."""
+    stages = []
+    for E, (sigma, Q, _, _) in suite_sigmas:
+        stages += [("S_P", E.realization, E.p_matrix),
+                   ("Q", Q.realization, Q.gramian),
+                   ("Sigma", sigma, sla.block_diag(Q.gramian, np.eye(E.realization.n)))]
     return stages
+
+
+def test_sigma_is_certified_on_a_signature(suite_sigmas):
+    # Q.gramian is a +-1 diagonal, I exactly when Q is inner (on P_min);
+    # Sigma's certificate is the one on diag(Q.gramian, I)
+    inner = []
+    for E, (sigma, Q, _, cert) in suite_sigmas:
+        J = np.diag(Q.gramian)
+        assert np.array_equal(Q.gramian, np.diag(J))
+        assert np.all(np.isin(J, (-1.0, 1.0)))
+        assert np.all(J == 1.0) == Q.inner_flag
+        X = sla.block_diag(Q.gramian, np.eye(E.realization.n))
+        assert cert == _lossless_residual(sigma, X) <= 1e-10
+        inner.append(Q.inner_flag)
+    # P_min gives an inner Sigma, P_max one that is not (unless Q is constant)
+    assert all(inner[::2]) and not all(inner[1::2])
 
 
 class TestGramianCertificates:
@@ -389,15 +426,21 @@ class TestGramianCertificates:
 
     def test_mirror_pole_pair_leaves_minimality_to_kalman(self, instance_suite):
         # on P_max, a pole of Q lies 2.8e-6 from the mirror -conj(lambda)
-        # of a pole of S: inside the pole guard, yet Sigma is minimal
+        # of a pole of S.  Balanced Sigma's pole guard, 1.9e-6, just misses
+        # it; under the diagonal similarity diag(t), whose larger ||A||
+        # widens the guard to 4.3e-6, the pair is inside, yet Sigma is
+        # minimal and certified on diag(t) X diag(t)
         inst = next(i for i in instance_suite if i.name == "p1-n6-kg-ax0")
         Rs = symmetrize(inst.realization)
         E = build_extension(Rs, solve_extremal(build_hat(Rs))[1])
         sigma, Q, _, _ = symmetric_unitary_extension(E)
-        lam = sigma.poles()
-        assert np.min(np.abs(lam[:, None] + lam.conj())) <= sigma.pole_guard
-        X = sla.block_diag(Q.gramian, E.p_matrix)
-        assert _lossless_residual(sigma, X) <= 1e-10
+        t = np.linspace(1.0, 10.0, sigma.n)
+        scaled = Realization(sigma.a * t[:, None] / t, sigma.b * t[:, None],
+                             sigma.c / t, sigma.d)
+        lam = scaled.poles()
+        assert np.min(np.abs(lam[:, None] + lam.conj())) <= scaled.pole_guard
+        X = sla.block_diag(Q.gramian, np.eye(Rs.n))
+        assert _lossless_residual(scaled, t[:, None] * X * t) <= 1e-10
 
     def test_rejects_the_other_extremal_solution(self, zeta2_pair):
         R, pmin, pmax = zeta2_pair

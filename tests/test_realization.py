@@ -473,6 +473,14 @@ class TestMobius:
         with pytest.raises(PoleError):
             mobius_precondition(R, 0.5)
 
+    @pytest.mark.parametrize("w0", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_raises(self, w0):
+        # named before any arithmetic, whose SVD would not converge
+        R = Realization(np.array([[-2.0]]), np.array([[1.0]]),
+                        np.array([[-2.0]]), np.array([[1.0]]))
+        with pytest.raises(ValidationError, match="omega0 must be finite"):
+            mobius_precondition(R, w0)
+
     def test_degree_preserved(self):
         # S(s) = 1.1 (s/(s+1))^3: degree 3, |S(0)| = 0 but |S(inf)| > 1
         from darlington.scalar import siso_realization

@@ -29,7 +29,6 @@ from darlington import (
 )
 from darlington.errors import ReductionError, ValidationError
 from darlington.extension import _lossless_residual, innerness_residual
-from darlington.reduction import _balance
 from darlington.realization import (
     direct_sum,
     symmetry_residual,
@@ -54,15 +53,6 @@ def sigma_min(R: Realization) -> Realization:
     E = build_extension(R, pmin)
     sigma, _, _, _ = symmetric_unitary_extension(E)
     return sigma
-
-
-def balanced_sigma_min(R: Realization) -> Realization:
-    """sigma_min(R) in balanced coordinates, from its Gramian
-    diag(G_Q, P_min)."""
-    pmin, _ = solve_extremal(build_hat(R))
-    E = build_extension(R, pmin)
-    sigma, Q, _, _ = symmetric_unitary_extension(E)
-    return _balance(sigma, np.linalg.cholesky(sla.block_diag(Q.gramian, E.p_matrix)))
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +251,7 @@ class TestFindReductionVector:
 
 class TestReduceOnce:
     def test_worked_example_four_to_two(self, zeta2):
-        sigma = balanced_sigma_min(zeta2)
+        sigma = sigma_min(zeta2)
         u = find_reduction_vector(sigma, [SQ3], support=2)[0]
         out, cert = reduce_once(sigma, [BlaschkeFactor(xi=SQ3, u=u)])
         assert out.n == 2
@@ -275,7 +265,7 @@ class TestReduceOnce:
             assert np.linalg.norm(g - r, 2) < 1e-9
 
     def test_bad_direction_fails(self, zeta2):
-        sigma = balanced_sigma_min(zeta2)
+        sigma = sigma_min(zeta2)
         bad = BlaschkeFactor(xi=SQ3, u=np.array([0.0, 0.0, 1.0, 0.0]))
         with pytest.raises(ReductionError, match="not a double zero direction"):
             reduce_once(sigma, [bad])
@@ -289,14 +279,18 @@ class TestReduceOnce:
             reduce_once(T, [f, bad])
 
     def test_unbalanced_input_fails(self, zeta2):
-        # the same division, but Sigma as composed, not balanced
-        sigma = sigma_min(zeta2)
-        u = find_reduction_vector(sigma, [SQ3], support=2)[0]
+        # the same division, on Sigma under the diagonal similarity
+        # diag(t), whose Gramian diag(t)^2 is not I
+        sigma, t = sigma_min(zeta2), np.array([1.0, 2.0, 0.5, 3.0])
+        bad = Realization(sigma.a * t[:, np.newaxis] / t, sigma.b * t[:, np.newaxis],
+                          sigma.c / t, sigma.d)
+        assert transfer_distance(bad, sigma) <= 1e-12
+        u = find_reduction_vector(bad, [SQ3], support=2)[0]
         with pytest.raises(ReductionError, match="balanced coordinates"):
-            reduce_once(sigma, [BlaschkeFactor(xi=SQ3, u=u)])
+            reduce_once(bad, [BlaschkeFactor(xi=SQ3, u=u)])
 
     def test_rejects_malformed_rounds(self, zeta2):
-        sigma = balanced_sigma_min(zeta2)
+        sigma = sigma_min(zeta2)
         f = BlaschkeFactor(xi=SQ3, u=find_reduction_vector(sigma, [SQ3], support=2)[0])
         for factors in ([], [f, f, f], [BlaschkeFactor(xi=SQ3, u=[1.0, 0.0])]):
             with pytest.raises(ValidationError, match="reduce_once needs"):
@@ -512,8 +506,8 @@ def test_no_step_sigma_needs_a_positive_definite_gramian(which, instance_suite,
                                                          monkeypatch):
     # handed P_max, the pipeline builds a Sigma of degree n + kappa with
     # no step whose lossless identities hold (innerness near 1e-15), but
-    # with poles in the right half-plane: only the Cholesky factor of its
-    # Gramian diag(G_Q, P_max) rejects it
+    # with poles in the right half-plane: only its Gramian diag(J_Q, I),
+    # with J_Q = Q.gramian not I, rejects it
     if which == "suite":
         R = instance_suite[14].realization
     else:  # main.npz g12 #0, n = 12, p = 4
@@ -576,21 +570,48 @@ def test_each_certificate_runs_once_per_realization(
 @pytest.mark.parametrize("which", ["zeta2", "zeta1", "suite"])
 def test_innerness_is_the_last_stage_certificate(which, zeta1, zeta2,
                                                  instance_suite):
-    # after a step the output is balanced (Gramian I); with none it is
-    # Sigma, certified on diag(G_Q, P_min).  The grid oracle agrees
+    # after a step the output is balanced (Gramian I), and so is Sigma,
+    # returned with none, whose certificate it then reports.  The grid
+    # oracle agrees
     R = {"zeta1": zeta1, "zeta2": zeta2,
          "suite": instance_suite[18].realization}[which]
     res = minimize_symmetric(R)
     T = res.extension
-    if res.factors:
-        X = np.eye(T.n)
-    else:
+    if not res.factors:
         E = build_extension(symmetrize(R), res.p_min)
-        _, Q, _, _ = symmetric_unitary_extension(E)
-        X = sla.block_diag(Q.gramian, E.p_matrix)
-    assert np.array_equal(res.gramian, X)
-    assert res.innerness == _lossless_residual(T, X) <= 1e-8
+        assert res.innerness == symmetric_unitary_extension(E)[3]
+    assert res.innerness == _lossless_residual(T, np.eye(T.n)) <= 1e-8
     assert innerness_residual(T) <= 1e-8
+
+
+@pytest.mark.parametrize("which", ["zeta2", "zeta1", "suite"])
+def test_cholesky_factors_only_n_by_n(which, zeta1, zeta2, instance_suite,
+                                      monkeypatch):
+    # S_P is balanced by the Cholesky factor of P; Sigma, of 2n - n0
+    # states, is used as it comes
+    R = {"zeta1": zeta1, "zeta2": zeta2,
+         "suite": instance_suite[18].realization}[which]
+    shapes, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky",
+                        lambda M, *args, **kwargs: shapes.append(np.shape(M))
+                        or cholesky(M, *args, **kwargs))
+    minimize_symmetric(R)
+    assert shapes == [(R.n, R.n)]
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+def test_residual_tol_must_be_finite_and_positive(zeta2, tol):
+    with pytest.raises(ValidationError, match="residual_tol must be finite and positive"):
+        minimize_symmetric(zeta2, residual_tol=tol)
+
+
+def test_a_nan_certificate_fails_the_final_gate(zeta2, monkeypatch):
+    # nan compares false with every bound, so it must not pass as small
+    original = darlington.reduction.reduce_once
+    monkeypatch.setattr(darlington.reduction, "reduce_once",
+                        lambda T, factors: (original(T, factors)[0], np.nan))
+    with pytest.raises(ValidationError, match=r"stage 'finalize'.*inner nan"):
+        minimize_symmetric(zeta2)
 
 
 @pytest.mark.parametrize("which, solves", [("zeta2", 1), ("zeta1", 1),

@@ -68,6 +68,17 @@ class TestCliTolerance:
             main(["check", str(f), "--json", *argv])
             assert json.loads(capsys.readouterr().out)["symmetric_on_grid"] is symmetric
 
+    @pytest.mark.parametrize("command", ["check", "synthesize"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+    def test_refuses_a_tol_that_is_not_finite_and_positive(self, tmp_path, capsys,
+                                                           command, tol):
+        # a nan bound would pass every comparison-based gate it reaches
+        f = write_coupled_pair(tmp_path / "z2.json")
+        assert main([command, str(f), "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--tol must be finite and positive" in captured.err
+
     def test_scalar_has_no_tol_option(self, tmp_path):
         f = tmp_path / "frac.json"
         f.write_text(json.dumps({"p1": [[0.5, 0.0]], "q": [[1.0, 0.0], [1.0, 0.0]]}))
