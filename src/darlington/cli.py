@@ -90,15 +90,18 @@ def _dump_matrix(M: np.ndarray):
 def read_problem(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"problem file must hold a JSON object, not {type(data).__name__}")
     out = {"flags": data.get("flags", {})}
+    if not isinstance(out["flags"], dict):
+        raise ValueError(f"field 'flags' must be an object, got {out['flags']!r}")
     if all(k in data for k in "ABCD"):
         A, B, C, D = (_parse_matrix(data[k], k) for k in "ABCD")
         if A.size == 0:  # degree 0, written as A = B = [] and C = [[], ...];
             A = A.reshape(0, 0)  # Realization shapes B and C from D
         out["realization"] = Realization(A, B, C, D)
     if "p1" in data and "q" in data:
-        out["p1"] = np.array([_parse_complex(v) for v in data["p1"]], dtype=complex)
-        out["q"] = np.array([_parse_complex(v) for v in data["q"]], dtype=complex)
+        out["p1"], out["q"] = (_parse_matrix([data[k]], k)[0] for k in ("p1", "q"))
     if "realization" not in out and "p1" not in out:
         raise ValueError("problem file needs A/B/C/D matrices or p1/q coefficients")
     return out

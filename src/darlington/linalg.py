@@ -12,8 +12,8 @@ spectral norm (spectral_norm, with hermitian_norm for Hermitian
 matrices and norm_at_most for checks that only compare it with a
 bound).
 
-All returned objects are immutable value types carrying the tolerance
-that was used, and all functions are pure.
+All returned objects are immutable value types, all functions are
+pure, and every tolerance is fixed at its point of use.
 """
 from __future__ import annotations
 
@@ -274,14 +274,13 @@ class SvdResult:
 
     ``u @ diag(singular_values) @ v.conj().T`` reconstructs the input;
     ``kernel`` is an orthonormal basis of the right null space at
-    ``rank_tolerance``.
+    DEFAULT_RANK_TOL * max(1, sigma_max).
     """
     u: np.ndarray
     singular_values: np.ndarray
     v: np.ndarray
     rank: int
     kernel: np.ndarray
-    rank_tolerance: float
 
 
 def svd_analysis(M) -> SvdResult:
@@ -296,7 +295,7 @@ def svd_analysis(M) -> SvdResult:
     rank = int(np.sum(s > DEFAULT_RANK_TOL * max(1.0, smax) * (smax > 0)))
     kernel = Vh[rank:].conj().T
     return SvdResult(u=U, singular_values=s, v=Vh.conj().T, rank=rank,
-                     kernel=kernel, rank_tolerance=DEFAULT_RANK_TOL)
+                     kernel=kernel)
 
 
 @dataclass(frozen=True)
@@ -312,10 +311,9 @@ class TakagiResult:
     """
     u: np.ndarray
     values: np.ndarray
-    sym_tolerance: float
 
 
-def takagi(F, sym_tol: float = DEFAULT_SYM_TOL) -> TakagiResult:
+def takagi(F) -> TakagiResult:
     """Takagi factorization of a complex symmetric matrix.
 
     The real symmetric M = [[Re F, Im F], [Im F, -Re F]] has the
@@ -331,18 +329,17 @@ def takagi(F, sym_tol: float = DEFAULT_SYM_TOL) -> TakagiResult:
     Raises
     ------
     NotSymmetricError
-        If ``||F - F^T|| > sym_tol * ||F||``.
+        If ``||F - F^T|| > DEFAULT_SYM_TOL * max(1, ||F||)``.
     """
     A = as_matrix(F, "F", square=True)
     nrm = spectral_norm(A)
-    if not norm_at_most(A - A.T, sym_tol * max(1.0, nrm)):
+    if not norm_at_most(A - A.T, DEFAULT_SYM_TOL * max(1.0, nrm)):
         raise NotSymmetricError(
-            f"matrix is not symmetric to tolerance {sym_tol:g}")
+            f"matrix is not symmetric to tolerance {DEFAULT_SYM_TOL:g}")
     A = (A + A.T) / 2
     p = A.shape[0]
     if p == 0:
-        return TakagiResult(u=np.zeros((0, 0)), values=np.zeros(0),
-                            sym_tolerance=sym_tol)
+        return TakagiResult(u=np.zeros((0, 0)), values=np.zeros(0))
     w, V = np.linalg.eigh(np.block([[A.real, A.imag], [A.imag, -A.real]]))
     lam = w[p:].copy()
     k = int(np.sum(lam <= 1e-13 * max(1.0, lam[-1])))
@@ -353,7 +350,7 @@ def takagi(F, sym_tol: float = DEFAULT_SYM_TOL) -> TakagiResult:
     U = np.hstack([Q[:, p - k:], (Q[:, :p - k] * phase)[:, ::-1]])
     if not norm_at_most(U @ np.diag(lam) @ U.T - A, 1e-10 * max(1.0, nrm)):
         raise ValidationError("Takagi reconstruction failed its tolerance")
-    return TakagiResult(u=U, values=lam, sym_tolerance=sym_tol)
+    return TakagiResult(u=U, values=lam)
 
 
 def hermitian_sqrt(M) -> np.ndarray:

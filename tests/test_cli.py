@@ -53,6 +53,24 @@ class TestIO:
         with pytest.raises(ValueError):
             read_problem(str(f))
 
+    @pytest.mark.parametrize("command", ["check", "synthesize", "scalar"])
+    @pytest.mark.parametrize("edit, named", [
+        (lambda doc: [doc], "JSON object, not list"),
+        (lambda doc: {"p1": 3, "q": [1.0, 1.0]}, "field 'p1'"),
+        (lambda doc: {**doc, "flags": []}, "field 'flags'"),
+        (lambda doc: {**doc, "flags": "yes"}, "field 'flags'"),
+    ], ids=["top-level-list", "scalar-p1", "list-flags", "string-flags"])
+    def test_malformed_file_is_an_error_naming_the_field(self, tmp_path, capsys,
+                                                         command, edit, named):
+        f = write_coupled_pair(tmp_path / "z2.json")
+        f.write_text(json.dumps(edit(json.loads(f.read_text()))))
+        with pytest.raises(ValueError, match=named):
+            read_problem(str(f))
+        assert main([command, str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and named in captured.err
+
 
 class TestCheck:
     def test_valid_file_exits_zero(self, tmp_path, capsys):

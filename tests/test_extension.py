@@ -294,7 +294,7 @@ class TestClosedFormQuotient:
         gamma = E2.p_matrix - E1.p_matrix
         raw = Realization(pmin.z, gamma @ C.conj().T @ d21inv, -d21inv @ C,
                           np.eye(inst.p))
-        oracle, _ = minimal_realization(raw, rank_tol=1e-8)
+        oracle, _ = minimal_realization(raw)
         assert transfer_distance(Q.realization, oracle) <= 1e-8
 
     def test_rotated_range_fails_invariance(self, instance_suite):

@@ -387,7 +387,7 @@ def kronecker_intertwiner(A, B, C):
 
 
 def assert_matches_kronecker(R):
-    T, _ = _intertwiner(R)
+    T = _intertwiner(R)
     T_kron = kronecker_intertwiner(R.a, R.b, R.c)
     assert np.linalg.norm(T - T_kron, 2) <= 1e-10 * np.linalg.norm(T_kron, 2)
 
@@ -415,7 +415,7 @@ class TestIntertwiner:
         A = np.diag([-1.0, -2.0])
         R = Realization(A, np.array([[1.0], [1.0]]), np.array([[1.0, 2.0]]),
                         np.array([[0.0]]))
-        T, _ = _intertwiner(R)
+        T = _intertwiner(R)
         assert np.linalg.norm(T.imag) <= 1e-15 * np.linalg.norm(T)
 
     def test_symmetrize_computes_the_spectrum_of_a_once(self, monkeypatch,

@@ -389,12 +389,54 @@ def test_every_cascade_step_is_the_composed_division(zeta2, instance_suite,
             assert transfer_distance(out, raw) <= 1e-8
 
 
-def test_rounds_match_the_root_by_root_cascade(zeta2, instance_suite, double_root):
-    # in exact arithmetic a round is the cascade of its divisions
+def mapped_cascade(rounds) -> tuple[Realization, int]:
+    """The root-by-root cascade of the recorded rounds (T, factors),
+    from the first round's T: each division uses its round's direction
+    u_j mapped through the cascade's earlier factors of that round,
+    B_{j-1}(xi_j) ... B_1(xi_j) u_j, the kernel direction at xi_j once
+    they are divided out.  Returns the result and the division count."""
+    current, count = rounds[0][0], 0
+    for _, factors in rounds:
+        done = []
+        for f in factors:
+            u = f.u
+            for g in done:
+                u = g(f.xi) @ u
+            done.append(BlaschkeFactor(xi=f.xi, u=u))
+            current, _ = reduce_once(current, done[-1:])
+        count += len(done)
+    return current, count
+
+
+@pytest.mark.parametrize("seed", [None, *range(18)],
+                         ids=lambda s: "as-built" if s is None else f"rotated-{s}")
+def test_rounds_match_the_root_by_root_cascade(zeta2, instance_suite, double_root,
+                                               monkeypatch, seed):
+    # in exact arithmetic a round is the cascade of its divisions with
+    # mapped directions; a unitary similarity keeps Sigma balanced and
+    # changes nothing exact, so it must keep the match
+    rng = np.random.default_rng(seed)
+    rounds = []
+
+    def rotated(E, _original=darlington.reduction.symmetric_unitary_extension):
+        sigma, *rest = _original(E)
+        if seed is not None:
+            W = random_unitary(rng, sigma.n)
+            sigma = Realization(W.conj().T @ sigma.a @ W, W.conj().T @ sigma.b,
+                                sigma.c @ W, sigma.d)
+        return (sigma, *rest)
+
+    def recording(T, factors, _original=darlington.reduction.reduce_once):
+        rounds.append((T, tuple(factors)))
+        return _original(T, factors)
+
+    monkeypatch.setattr(darlington.reduction, "symmetric_unitary_extension", rotated)
+    monkeypatch.setattr(darlington.reduction, "reduce_once", recording)
     for R in reducing_instances(zeta2, instance_suite, double_root):
+        del rounds[:]
         res = minimize_symmetric(R)
-        oracle, steps = sequential_minimize(R)
-        assert res.degree == oracle.n and len(res.factors) == len(steps)
+        oracle, count = mapped_cascade(rounds)
+        assert res.degree == oracle.n and len(res.factors) == count
         assert transfer_distance(res.extension, oracle) <= 1e-9
 
 

@@ -135,11 +135,10 @@ class TestNewtonRefine:
         return solves
 
     def test_one_correction_per_p_min(self, instance_suite, monkeypatch):
-        # the graph-subspace P_min is one Newton step from the rounding
-        # floor of R(P), so the refinement stops after that step.  With
-        # imaginary-axis eigenvalues (n0 > 0) the Lyapunov equation is
-        # singular and that step does not lower the residual, so it ends
-        # the refinement too
+        # the graph-subspace P_min takes one Newton correction, which
+        # brings it to the rounding floor of R(P).  With imaginary-axis
+        # eigenvalues (n0 > 0) the Lyapunov equation is singular and the
+        # residual decides whether the correction is kept
         solves = self.counting(monkeypatch)
         for inst in instance_suite:
             hat = build_hat(symmetrize(inst.realization))
@@ -149,10 +148,10 @@ class TestNewtonRefine:
             if inst.expected_n0 == 0:
                 assert over_floor(hat, pmin.p) <= 1.0, inst.name
 
-    def test_perturbed_p_min_is_refined_step_by_step(self, instance_suite,
-                                                     monkeypatch):
-        # P_min off by 1e-6 relative is far above the floor: Newton takes
-        # one correction after another and stops at the floor
+    def test_perturbed_p_min_is_refined_in_one_step(self, instance_suite,
+                                                    monkeypatch):
+        # P_min off by 1e-6 relative: the one step is quadratically
+        # convergent, so it lowers the residual far below its bound
         rng = np.random.default_rng(7)
         solves = self.counting(monkeypatch)
         for inst in (inst for inst in instance_suite if inst.expected_n0 == 0):
@@ -160,11 +159,31 @@ class TestNewtonRefine:
             P = _extremal(hat, ("minimal",))[0].p
             E = rng.normal(size=P.shape) + 1j * rng.normal(size=P.shape)
             E = (E + E.conj().T) / np.linalg.norm(E + E.conj().T)
+            start = P + 1e-6 * np.linalg.norm(P) * E
             del solves[:]
-            refined, res = _newton_refine(hat, P + 1e-6 * np.linalg.norm(P) * E)
-            assert len(solves) >= 2, inst.name
-            assert over_floor(hat, refined) <= 1.0, inst.name
+            refined, res = _newton_refine(hat, start)
+            assert len(solves) == 1, inst.name
+            assert res * 1e5 <= riccati_residual(hat, start), inst.name
+            assert res <= 1e-3 * 1e-8 * (1 + np.linalg.norm(P, 2) ** 2), inst.name
             assert res == riccati_residual(hat, refined)
+
+    @staticmethod
+    def failing_solve(Z, Q):
+        raise np.linalg.LinAlgError("singular")
+
+    @pytest.mark.parametrize("solve", [
+        lambda Z, Q: 1e3 * np.ones_like(Q),
+        lambda Z, Q: np.full_like(Q, np.nan),
+        failing_solve,
+    ], ids=["large-step", "nan-step", "failed-solve"])
+    def test_a_step_that_does_not_lower_the_residual_is_not_kept(
+            self, zeta2, monkeypatch, solve):
+        hat = build_hat(zeta2)
+        P = _extremal(hat, ("minimal",))[0].p
+        monkeypatch.setattr(sla, "solve_continuous_lyapunov", solve)
+        refined, res = _newton_refine(hat, P)
+        assert refined is P
+        assert res == riccati_residual(hat, P)
 
 
 class TestSolveExtremal:

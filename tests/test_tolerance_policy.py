@@ -20,9 +20,6 @@ MODULES = ("linalg", "realization", "riccati", "extension", "reduction",
 # the tests that passes it; a new one should come with its caller.
 OPTIONAL = {
     "linalg.half_chain_basis": {"tol": 1e-8},
-    "linalg.takagi": {"sym_tol": 1e-9},
-    "realization.kalman_check": {"rank_tol": 1e-9},
-    "realization.minimal_realization": {"rank_tol": 1e-9},
     "reduction.find_reduction_vector": {"support": None},
     "reduction.minimize_symmetric": {"residual_tol": 1e-7},
     "cli.main": {"argv": None},
@@ -98,13 +95,15 @@ class TestCliTolerance:
 
 
 def test_staircase_failure_names_distance_and_rank_tolerance(count_calls):
+    # the second state is reachable only to 5e-10 relative, under the
+    # rank tolerance, yet the output weight 1e4 makes it carry 2.5e-5 of
+    # the transfer function: the cut is verified and refused
     seen = count_calls(darlington.realization.kalman_check,
                        darlington.realization.transfer_distance)
-    R = Realization(np.diag([-1.0, -2.0]), np.array([[1.0], [0.1]]),
-                    np.array([[1.0, 1.0]]), np.zeros((1, 1)))
+    R = Realization(np.diag([-1.0, -1e-3]), np.array([[1.0], [5e-10]]),
+                    np.array([[1.0, 1e4]]), np.zeros((1, 1)))
     with pytest.raises(ValidationError,
-                       match=r"transfer distance \S+ exceeds 1e-8 at rank "
-                             r"tolerance 0\.5"):
-        minimal_realization(R, rank_tol=0.5)
-    # the cut is verified
+                       match=r"transfer distance 2\.49\d*e-05 exceeds 1e-8 at rank "
+                             r"tolerance 1e-09"):
+        minimal_realization(R)
     assert [len(calls) for calls in seen.values()] == [1, 1]
