@@ -9,21 +9,23 @@ Three subcommands operate on JSON problem files:
 
 File format: UTF-8 JSON with keys "A", "B", "C", "D" (nested arrays,
 complex entries as [re, im] pairs; bare reals accepted on input),
-optional "flags" ({"symmetric": bool, "real": bool}), and for the
-scalar pipeline coefficient arrays "p1", "q" in ascending degree order;
-other keys are ignored.  Serialization uses Python's shortest
-round-tripping float repr, so write-then-read reproduces matrices
-bit-exactly.
+optional "flags" ({"symmetric": bool, "real": bool}; any other flag
+value is an error), and for the scalar pipeline coefficient arrays
+"p1", "q" in ascending degree order; other keys are ignored.
+Serialization uses Python's shortest round-tripping float repr, so
+write-then-read reproduces matrices bit-exactly.
 
 ``check`` and ``synthesize`` take a certification tolerance, 1e-7 by
 default, set with --tol (finite and positive).  It bounds the grid
 supremum (1 + tol) and the symmetry residual of ``check`` and the final
 innerness certificate, symmetry and S-block residuals of ``synthesize
 --mode minimal-symmetric``; every other check runs at its fixed bound.
-``synthesize --mobius W0`` extends S~(s) = S(i W0 + 1/s) and writes
-that extension mapped back to one of the file's S, certified on the
-Gramian of the mode (I, diag(J_Q, I) or P) and reported with its block
-match against the file's S.
+Every ``synthesize`` mode certifies its extension on the Gramian it is
+built on (I, diag(J_Q, I) or P) and samples it once: that cached probe
+response gives the reported block match against the file's S and,
+except in ``inner`` mode, the symmetry.  ``--mobius W0`` extends
+S~(s) = S(i W0 + 1/s) and maps the extension back to one of the file's
+S before this one certification.
 Exit status: 0 when every requested certificate passes, 2 when the
 input is not strictly contractive at infinity (the hint names a
 --mobius point, or says that none helps), 1 on any other failure.
@@ -95,6 +97,9 @@ def read_problem(path: str) -> dict:
     out = {"flags": data.get("flags", {})}
     if not isinstance(out["flags"], dict):
         raise ValueError(f"field 'flags' must be an object, got {out['flags']!r}")
+    for k in ("symmetric", "real"):
+        if not isinstance(out["flags"].get(k, False), bool):
+            raise ValueError(f"flag {k!r} must be true or false, got {out['flags'][k]!r}")
     if all(k in data for k in "ABCD"):
         A, B, C, D = (_parse_matrix(data[k], k) for k in "ABCD")
         if A.size == 0:  # degree 0, written as A = B = [] and C = [[], ...];
@@ -190,63 +195,49 @@ def cmd_synthesize(args) -> int:
     S = prob["realization"]
     R = S if args.mobius is None else mobius_precondition(S, args.mobius)
     R, _ = minimal_realization(R)
-    rep: dict = {"mode": args.mode, "solution": args.solution}
-    # out is certified on its Gramian X under the report key cert
-    cert = "innerness_residual"
+    # each mode builds its extension out, the Gramian X that certifies
+    # it under the report key cert at bound, and its own report fields
+    cert, bound = "innerness_residual", 1e-8
     if args.mode == "minimal-symmetric":
         res = minimize_symmetric(R, residual_tol=args.tol)
-        out, X = res.extension, np.eye(res.degree)  # balanced
-        rep.update({
-            "degree": res.degree, "kappa": res.kappa, "n0": res.n0,
-            "reductions": len(res.factors),
-            "innerness_residual": res.innerness,
-            "symmetry_residual": res.symmetry,
-            "block_match": res.block_match,
-        })
+        out, X, bound = res.extension, np.eye(res.degree), args.tol  # balanced
+        fields = {"kappa": res.kappa, "n0": res.n0, "reductions": len(res.factors)}
     else:
         base = symmetrize(R) if args.mode == "symmetric" else R
         kind = "minimal" if args.solution == "min" else "maximal"
         (sol,) = _extremal(build_hat(base), (kind,))
         E = build_extension(base, sol)
+        fields = {"kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0}
         if args.mode == "symmetric":
-            # symmetric_unitary_extension certifies out unitary and
-            # minimal on its Gramian; that certificate is reported
-            out, q, sym, unitary = symmetric_unitary_extension(E)
+            out, q, _, _ = symmetric_unitary_extension(E)
             X, cert = sla.block_diag(q.gramian, np.eye(base.n)), "unitary_axis_residual"
-            checks = {"q_degree": q.degree, "q_inner": q.inner_flag,
-                      "unitary_axis_residual": unitary,
-                      "symmetry_residual": sym}
+            fields.update({"q_degree": q.degree, "q_inner": q.inner_flag})
         else:
-            # build_extension certifies out inner and minimal on P
             out, X = E.realization, E.p_matrix
-            checks = {"innerness_residual": _lossless_residual(out, X),
-                      "riccati_residual": sol.residual_norm}
+            fields["riccati_residual"] = sol.residual_norm
             if args.solution == "min":
                 zeros = np.linalg.eigvals(sol.z)
-                checks["outer_lower_left"] = bool(
+                fields["outer_lower_left"] = bool(
                     zeros.size == 0 or np.max(zeros.real) <= 1e-7)
-        rep.update({"degree": out.n,
-                    "kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0,
-                    **checks})
     if args.mobius is not None:
         # out extends S~(s) = S(i w0 + 1/s); mapped back it extends the
-        # file's S, with the same degree, symmetry and Gramian X, so it
-        # is certified at the bound of the mode's last stage
+        # file's S, with the same degree, symmetry and Gramian X
         out = _mobius_inverse(out, args.mobius)
-        pts, F, sym = out._probe
-        p = S.outputs
-        rep[cert] = _lossless_residual(out, X)
-        rep["block_match"] = float(np.max(spectral_norm(F[:, p:, p:] - freqresp(S, pts))))
-        if args.mode != "inner":
-            rep["symmetry_residual"] = sym
-        if args.mode == "minimal-symmetric":
-            gated, bound = (cert, "symmetry_residual", "block_match"), args.tol
-        else:
-            gated, bound = (cert,), 1e-8
-        if not all(rep[k] <= bound for k in gated):  # a nan fails too
-            raise ValidationError(
-                f"the extension mapped back from --mobius {args.mobius:g} failed "
-                f"certification ({', '.join(f'{k} {rep[k]:g}' for k in gated)})")
+    # one probe response gives the symmetry and the S block
+    pts, F, sym = out._probe
+    p = S.outputs
+    rep: dict = {"mode": args.mode, "solution": args.solution, "degree": out.n,
+                 **fields, cert: _lossless_residual(out, X)}
+    if args.mode != "inner":
+        rep["symmetry_residual"] = sym
+    rep["block_match"] = float(np.max(spectral_norm(F[:, p:, p:] - freqresp(S, pts))))
+    gated = (cert,)
+    if args.mode == "minimal-symmetric":
+        gated += ("symmetry_residual", "block_match")
+    if not all(rep[k] <= bound for k in gated):  # a nan fails too
+        raise ValidationError(
+            f"the {args.mode} extension failed certification "
+            f"({', '.join(f'{k} {rep[k]:g}' for k in gated)})")
     if args.out:
         write_realization(args.out, out, meta={k: v for k, v in rep.items()})
         rep["written"] = args.out

@@ -112,7 +112,6 @@ class ZeroStructure:
     orthonormal kernel basis of T(xi) per zero."""
     zeros: tuple[tuple[complex, int], ...]
     kernels: tuple[np.ndarray, ...]
-    cluster_tolerance: float
 
     @property
     def total_multiplicity(self) -> int:
@@ -138,7 +137,7 @@ def zero_structure(T: Realization) -> ZeroStructure:
     if s.size == 0 or s[-1] <= 1e-10 * max(1.0, s[0]):
         raise ValidationError("value at infinity is singular")
     if T.n == 0:
-        return ZeroStructure(zeros=(), kernels=(), cluster_tolerance=0.0)
+        return ZeroStructure(zeros=(), kernels=())
     Az = T.a - T.b @ np.linalg.solve(T.d, T.c)
     lam = np.linalg.eigvals(Az)
     tol, clusters = linalg.cluster_ladder(lam, linalg.default_cluster_tol(Az))
@@ -154,8 +153,7 @@ def zero_structure(T: Realization) -> ZeroStructure:
         (ker,) = linalg._kernels(val[np.newaxis], 1e-6, [scale])
         zeros.append((center, len(members)))
         kernels.append(ker)
-    return ZeroStructure(zeros=tuple(zeros), kernels=tuple(kernels),
-                         cluster_tolerance=tol)
+    return ZeroStructure(zeros=tuple(zeros), kernels=tuple(kernels))
 
 
 def find_reduction_vector(T: Realization, points,

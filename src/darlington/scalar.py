@@ -99,17 +99,16 @@ class ScalarFactorization:
     constant: float
     r2_offaxis: np.ndarray
     r2_axis: np.ndarray
-    cluster_tolerance: float
 
 
 def _classify_mu_roots(mu: np.ndarray):
     """linalg.mirror_split of the roots of mu at poly_roots' base
-    tolerance; returns (tol, axis, pairs) where axis lists the
+    tolerance; returns (axis, pairs) where axis lists the
     (i*w, even multiplicity) and pairs the (stable root, mult) clusters."""
     roots = npp.polyroots(mu)
-    tol, clusters, _ = linalg.mirror_split(roots, _root_tol(roots))
+    _, clusters, _ = linalg.mirror_split(roots, _root_tol(roots))
     axis = [(z, m) for z, m, lab in clusters if lab == "axis"]
-    return tol, axis, [(z, m) for z, m, lab in clusters if lab == "minus"]
+    return axis, [(z, m) for z, m, lab in clusters if lab == "minus"]
 
 
 def compute_mu(p1, q) -> ScalarFactorization:
@@ -149,7 +148,7 @@ def compute_mu(p1, q) -> ScalarFactorization:
     if mu.size == 1 and abs(mu[0]) == 0:
         raise ValidationError("mu vanishes identically: S is inner, not "
                               "strictly contractive anywhere")
-    tol, axis, pairs = _classify_mu_roots(mu)
+    axis, pairs = _classify_mu_roots(mu)
     r1_roots = [z for z, m in pairs for _ in range(m // 2)]
     r1_roots += [z for z, m in axis for _ in range(m // 4)]
     r2_off_roots = [z for z, m in pairs if m % 2]
@@ -172,8 +171,7 @@ def compute_mu(p1, q) -> ScalarFactorization:
         raise SpectralSplitError(
             f"parity split reconstructs mu to relative error {err:g} only")
     return ScalarFactorization(mu=mu, r1=r1, r2=r2, kappa=len(r2_off_roots),
-                               constant=c, r2_offaxis=r2_off, r2_axis=r2_axis,
-                               cluster_tolerance=tol)
+                               constant=c, r2_offaxis=r2_off, r2_axis=r2_axis)
 
 
 def spectral_factor_poly(m) -> np.ndarray:
@@ -195,7 +193,7 @@ def spectral_factor_poly(m) -> np.ndarray:
         raise ValidationError(f"m(i{grid[k]:g}) = {vals[k]:g} is negative")
     if m.size == 1:
         return np.array([np.sqrt(m[0].real)], dtype=complex)
-    _, axis, pairs = _classify_mu_roots(m)
+    axis, pairs = _classify_mu_roots(m)
     stable = [z for z, k in pairs for _ in range(k)]
     stable += [z for z, k in axis for _ in range(k // 2)]
     p2 = npp.polyfromroots(stable).astype(complex)

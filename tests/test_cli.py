@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import darlington.cli
 import darlington.extension
 import darlington.realization
 from darlington.cli import main, read_problem, write_realization
@@ -59,7 +60,9 @@ class TestIO:
         (lambda doc: {"p1": 3, "q": [1.0, 1.0]}, "field 'p1'"),
         (lambda doc: {**doc, "flags": []}, "field 'flags'"),
         (lambda doc: {**doc, "flags": "yes"}, "field 'flags'"),
-    ], ids=["top-level-list", "scalar-p1", "list-flags", "string-flags"])
+        (lambda doc: {**doc, "flags": {"symmetric": "no"}}, "flag 'symmetric'"),
+    ], ids=["top-level-list", "scalar-p1", "list-flags", "string-flags",
+            "string-flag-value"])
     def test_malformed_file_is_an_error_naming_the_field(self, tmp_path, capsys,
                                                          command, edit, named):
         f = write_coupled_pair(tmp_path / "z2.json")
@@ -258,6 +261,36 @@ class TestSynthesize:
         assert rep["q_inner"] is False and rep["degree"] == 4
         assert rep["unitary_axis_residual"] <= 1e-8
         assert rep["symmetry_residual"] <= 1e-8
+
+    @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
+    def test_mobius_report_has_the_plain_report_keys(self, tmp_path, capsys, mode):
+        # one certification tail: with or without --mobius the report
+        # carries the same keys, block_match among them
+        f = write_coupled_pair(tmp_path / "z2.json")
+        reports = []
+        for extra in ([], ["--mobius", "0.5"]):
+            assert main(["synthesize", str(f), "--mode", mode, "--json", *extra]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        plain, mapped = reports
+        assert list(plain) == list(mapped)
+        assert plain["block_match"] <= 1e-12 and mapped["block_match"] <= 1e-12
+
+    @pytest.mark.parametrize("mobius", [None, "0.5"])
+    @pytest.mark.parametrize("mode, cert", [
+        ("inner", "innerness_residual"),
+        ("symmetric", "unitary_axis_residual"),
+        ("minimal-symmetric", "innerness_residual"),
+    ])
+    def test_nan_certificate_fails_every_mode(self, tmp_path, capsys, monkeypatch,
+                                              mode, cert, mobius):
+        monkeypatch.setattr(darlington.cli, "_lossless_residual",
+                            lambda R, X: float("nan"))
+        f = write_coupled_pair(tmp_path / "z2.json")
+        extra = [] if mobius is None else ["--mobius", mobius]
+        assert main(["synthesize", str(f), "--mode", mode, *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{cert} nan" in captured.err
 
     @pytest.mark.parametrize("command", ["check", "synthesize"])
     @pytest.mark.parametrize("w0", ["nan", "inf"])

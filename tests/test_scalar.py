@@ -68,7 +68,7 @@ class TestComputeMu:
         scale = 1.0 + abs(z)
         roots = [z - 2.5e-6 * scale, z + 2.5e-6 * scale]
         mu = npp.polyfromroots(roots + [-np.conj(w) for w in roots])
-        _, axis, pairs = _classify_mu_roots(mu)
+        axis, pairs = _classify_mu_roots(mu)
         assert axis == [] and [m for _, m in pairs] == [2]
 
     def test_perfect_square(self):
