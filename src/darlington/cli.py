@@ -37,7 +37,6 @@ import json
 import sys
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DarlingtonError, NotContractiveError, ValidationError
 from .extension import (
@@ -46,9 +45,10 @@ from .extension import (
     frequency_grid,
     symmetric_unitary_extension,
 )
-from .linalg import spectral_norm
+from .linalg import max_norm, spectral_norm
 from .realization import (
     Realization,
+    _block_diagonal,
     _mobius_inverse,
     freqresp,
     minimal_realization,
@@ -139,7 +139,7 @@ def _schur_report(R: Realization, tol: float) -> tuple[np.ndarray, dict]:
     dnorm = float(spectral_norm(R.d))
     stable = bool(Rm.n == 0 or np.max(Rm.poles().real) < -1e-12)
     vals = freqresp(Rm, 1j * frequency_grid())
-    grid_sup = float(np.max(spectral_norm(vals)))
+    grid_sup = max_norm(vals)
     schur = stable and grid_sup <= 1.0 + tol
     return vals, {
         "state_dim": R.n,
@@ -175,7 +175,7 @@ def cmd_check(args) -> int:
         if ws.size:
             hint = (f"rerun with --mobius {ws[0]:g} to move a point of strict "
                     "contractivity there")
-        elif R.outputs == R.inputs and np.max(spectral_norm(gap)) <= args.tol:
+        elif R.outputs == R.inputs and max_norm(gap) <= args.tol:
             hint = "it is unitary on the imaginary axis, so no --mobius point helps"
         else:
             hint = ("no point of the axis grid is strictly contractive either, "
@@ -210,7 +210,7 @@ def cmd_synthesize(args) -> int:
         fields = {"kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0}
         if args.mode == "symmetric":
             out, q, _, _ = symmetric_unitary_extension(E)
-            X, cert = sla.block_diag(q.gramian, np.eye(base.n)), "unitary_axis_residual"
+            X, cert = _block_diagonal(q.gramian, np.eye(base.n)), "unitary_axis_residual"
             fields.update({"q_degree": q.degree, "q_inner": q.inner_flag})
         else:
             out, X = E.realization, E.p_matrix
@@ -230,7 +230,7 @@ def cmd_synthesize(args) -> int:
                  **fields, cert: _lossless_residual(out, X)}
     if args.mode != "inner":
         rep["symmetry_residual"] = sym
-    rep["block_match"] = float(np.max(spectral_norm(F[:, p:, p:] - freqresp(S, pts))))
+    rep["block_match"] = max_norm(F[:, p:, p:] - freqresp(S, pts))
     gated = (cert,)
     if args.mode == "minimal-symmetric":
         gated += ("symmetry_residual", "block_match")

@@ -27,6 +27,7 @@ balanced, when it is inner.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -35,6 +36,7 @@ from . import linalg
 from .errors import DimensionError, NotSymmetricError, ValidationError
 from .realization import (
     Realization,
+    _block_diagonal,
     _same_a,
     _structurally_symmetric,
     _with_poles,
@@ -72,10 +74,10 @@ def innerness_residual(R: Realization) -> float:
     on the imaginary axis (stability not implied)."""
     T = freqresp(R, 1j * frequency_grid())
     gap = T @ T.conj().transpose(0, 2, 1) - np.eye(R.outputs)
-    return float(np.max(linalg.spectral_norm(gap), initial=0.0))
+    return linalg.max_norm(gap)
 
 
-def _lossless_residual(R: Realization, X) -> float:
+def _lossless_residual(R: Realization, X, w=None, lyap=None) -> float:
     """Lossless bounded-real certificate on a controllability Gramian X
     known in closed form (Anderson & Vongpanitlerd 1973; Glover 1984):
     A X + X A* + B B* = 0, C X + D B* = 0 and D D* = I make R all-pass.
@@ -88,7 +90,8 @@ def _lossless_residual(R: Realization, X) -> float:
     to 2 ||A|| ||X|| + ||B||^2, cross term relative to ||B||), or inf if R
     is not minimal or X is singular (min |lambda| <= n eps max |lambda|,
     the numerical rank).  The Hermitian D D* - I, X and B* B give their
-    2-norms by eigvalsh.
+    2-norms by eigvalsh; a caller that has the eigenvalues ``w`` of X or
+    ``lyap`` = A X + X A* + B B* passes them.
     """
     A, B, C, D = R.a, R.b, R.c, R.d
     unit = linalg.hermitian_norm(D @ D.conj().T - np.eye(R.outputs))
@@ -100,15 +103,14 @@ def _lossless_residual(R: Realization, X) -> float:
         return np.inf
     X = np.asarray(X, dtype=complex)
     X = (X + X.conj().T) / 2
-    w = np.abs(np.linalg.eigvalsh(X))
+    w = np.abs(np.linalg.eigvalsh(X) if w is None else w)
     top = np.max(w)
     if np.min(w) <= R.n * np.finfo(float).eps * top:
         return np.inf
     # X nonsingular needs B != 0; with D unitary, ||D B*|| = ||C X|| = ||B||
-    BB = B @ B.conj().T
+    lyap = A @ X + X @ A.conj().T + B @ B.conj().T if lyap is None else lyap
     nB = np.sqrt(linalg.hermitian_norm(B.conj().T @ B))
-    lyap = np.linalg.norm(A @ X + X @ A.conj().T + BB) / (
-        2 * R.norm_a * top + nB ** 2)
+    lyap = np.linalg.norm(lyap) / (2 * R.norm_a * top + nB ** 2)
     cross = linalg.spectral_norm(C @ X + D @ B.conj().T) / nB
     return float(np.max([lyap, cross, unit]))  # keeps a nan
 
@@ -124,6 +126,11 @@ class ExtensionBlocks:
     realization: Realization
     p: int
     p_matrix: np.ndarray
+
+    @cached_property
+    def _p_eigenvalues(self) -> np.ndarray:
+        """eigvalsh(P), which build_extension computes once."""
+        return np.linalg.eigvalsh(self.p_matrix)
 
     @property
     def s21(self) -> Realization:
@@ -194,11 +201,13 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
     DD = big.d
     if not linalg.norm_at_most(DD @ DD.conj().T - np.eye(2 * p), 1e-10):
         raise ValidationError("value at infinity is not unitary")
-    resid = _lossless_residual(big, Pm)
+    resid = _lossless_residual(big, Pm, w, lyap)
     if not resid <= 1e-8:  # a nan fails too
         raise ValidationError(f"extension is not certified inner and "
                               f"minimal (lossless residual {resid:g})")
-    return ExtensionBlocks(realization=big, p=p, p_matrix=Pm)
+    E = ExtensionBlocks(realization=big, p=p, p_matrix=Pm)
+    vars(E)["_p_eigenvalues"] = w
+    return E
 
 
 def apply_gauge(E: ExtensionBlocks, U1, U2) -> ExtensionBlocks:
@@ -206,8 +215,7 @@ def apply_gauge(E: ExtensionBlocks, U1, U2) -> ExtensionBlocks:
     congruence (A | B diag(U1, I); diag(U2, I) C | diag(U2, I) D diag(U1, I));
     preserves innerness, P and the S block."""
     p = E.p
-    U1 = np.asarray(U1, dtype=complex)
-    U2 = np.asarray(U2, dtype=complex)
+    U1, U2 = (np.asarray(U, dtype=complex) for U in (U1, U2))
     for name, U in (("U1", U1), ("U2", U2)):
         if U.shape != (p, p):
             raise DimensionError(f"{name} must be {p}x{p}")
@@ -216,8 +224,7 @@ def apply_gauge(E: ExtensionBlocks, U1, U2) -> ExtensionBlocks:
         if not linalg.norm_at_most(U @ U.conj().T - np.eye(p), 1e-10):
             raise ValidationError(f"{name} is not unitary")
     R = E.realization
-    V1 = sla.block_diag(U1, np.eye(p))
-    V2 = sla.block_diag(U2, np.eye(p))
+    V1, V2 = (_block_diagonal(U, np.eye(p)) for U in (U1, U2))
     big = _same_a(R, R.b @ V1, V2 @ R.c, V2 @ R.d @ V1)
     return ExtensionBlocks(realization=big, p=p, p_matrix=E.p_matrix)
 
@@ -278,7 +285,7 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
     gamma = P2 - P1
     w, U = np.linalg.eigh(gamma)
     cut = linalg.DEFAULT_RANK_TOL * max(
-        1.0, linalg.hermitian_norm(P1), linalg.hermitian_norm(P2))
+        1.0, np.max(np.abs(E._p_eigenvalues), initial=0.0), linalg.hermitian_norm(P2))
     V = U[:, np.abs(w) > cut]
     C = big.c[p:]
     d21inv = np.linalg.inv(big.d[p:, :p])
@@ -295,7 +302,7 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
                     Y.conj().T @ gamma @ C.conj().T @ d21inv / s[:, np.newaxis],
                     -d21inv @ C @ Y * s, np.eye(p))
     J = np.diag(np.sign(g))
-    ures = _lossless_residual(Q, J)
+    ures = _lossless_residual(Q, J, np.sign(g))
     if not ures <= 1e-8:
         raise ValidationError(f"Q is not certified unitary and minimal "
                               f"(lossless residual {ures:g})")
@@ -353,7 +360,8 @@ def symmetric_unitary_extension(E: ExtensionBlocks
     if sres > 1e-8:
         raise ValidationError(
             f"symmetric extension failed the symmetry check ({sres:g})")
-    cert = _lossless_residual(sigma, sla.block_diag(Q.gramian, np.eye(big.n)))
+    X = _block_diagonal(Q.gramian, np.eye(big.n))
+    cert = _lossless_residual(sigma, X, np.diag(X).real)
     if not cert <= 1e-8:
         raise ValidationError(f"Sigma is not certified unitary and minimal "
                               f"(lossless residual {cert:g})")

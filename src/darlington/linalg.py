@@ -8,9 +8,10 @@ the imaginary axis into axis, plus and minus clusters (mirror_split,
 which maps each point to its cluster), the leading-half chain basis of
 a nilpotent matrix, Takagi factorization of complex symmetric matrices
 from one real symmetric eigendecomposition, and the package's one
-spectral norm (spectral_norm, with hermitian_norm for Hermitian
-matrices and norm_at_most for checks that only compare it with a
-bound).
+spectral norm (spectral_norm: an SVD for a matrix, the largest
+eigenvalue of a Gram matrix for each matrix of a stack; with
+hermitian_norm for Hermitian matrices, max_norm for the largest norm in
+a stack and norm_at_most for checks that only compare it with a bound).
 
 All returned objects are immutable value types, all functions are
 pure, and every tolerance is fixed at its point of use.
@@ -42,6 +43,7 @@ __all__ = [
     "half_chain_basis",
     "hermitian_norm",
     "hermitian_sqrt",
+    "max_norm",
     "mirror_split",
     "norm_at_most",
     "spectral_norm",
@@ -55,12 +57,33 @@ DEFAULT_PSD_TOL = 1e-9
 
 
 def spectral_norm(M):
-    """||M||_2 of a matrix, or of each matrix in a stack: the largest
-    singular value, from one LAPACK call.  An empty matrix has norm 0."""
+    """||M||_2 of a matrix (its largest singular value), or of each matrix
+    in a stack: sqrt(max eigvalsh) of the smaller Gram matrix of each
+    M / max |M_ij|, which cannot overflow and beats a stacked SVD.
+    An empty or zero matrix has norm 0; a non-finite stack raises
+    LinAlgError."""
     M = np.asarray(M)
-    if 0 in M.shape[-2:]:
+    if M.size == 0:
         return np.zeros(M.shape[:-2])[()]
-    return np.linalg.svd(M, compute_uv=False)[..., 0][()]
+    if M.ndim < 3:
+        return np.linalg.svd(M, compute_uv=False)[0]
+    scale = np.max(np.abs(M), axis=(-2, -1))
+    if not np.isfinite(scale).all():
+        raise np.linalg.LinAlgError("spectral norm of a non-finite matrix")
+    N = M * (1.0 / np.maximum(scale, np.finfo(float).tiny))[..., np.newaxis, np.newaxis]
+    H = N.conj().swapaxes(-1, -2)
+    top = np.linalg.eigvalsh(N @ H if M.shape[-2] <= M.shape[-1] else H @ N)[..., -1]
+    return np.sqrt(np.maximum(top, 0.0)) * scale
+
+
+def max_norm(M) -> float:
+    """max_k ||M_k||_2 over a stack (0 if empty), from spectral_norm of
+    only the M_k whose Frobenius norm is not below max_j ||M_j||_F /
+    sqrt(min(M.shape[-2:])), a lower bound of the maximum."""
+    M = np.asarray(M)
+    fro = np.linalg.norm(M, axis=(-2, -1))
+    low = np.max(fro, initial=0.0) / np.sqrt(max(1, min(M.shape[-2:])))
+    return float(np.max(spectral_norm(M[~(fro < low)]), initial=0.0))
 
 
 def hermitian_norm(M) -> float:
@@ -71,7 +94,7 @@ def hermitian_norm(M) -> float:
 
 def norm_at_most(M, bound: float) -> bool:
     """||M||_2 <= bound.  ||M||_F / sqrt(min(M.shape)) <= ||M||_2 <= ||M||_F
-    decides it without an SVD unless the bound lies between the two."""
+    decides it without spectral_norm unless the bound lies between the two."""
     M = np.asarray(M)
     fro = np.linalg.norm(M)
     if fro <= bound or fro > bound * np.sqrt(min(M.shape)):
@@ -103,23 +126,26 @@ def cluster_points(points, tol: float):
     running centroid lies within tol, or starts one; then the first pair
     of centroids within 2*tol merges, until none is left, so the
     reported centers are unambiguous at the stated tolerance.  Returns
-    (center, members) pairs; the members are the input values.
+    (center, members) pairs; the members are the input values.  Pairs
+    are found with numpy, the greedy pass runs over Python scalars.
     """
     def pairs(c, r):  # index pairs i < j with |c_i - c_j| <= r, row by row
         return np.argwhere(np.triu(np.abs(c[:, np.newaxis] - c) <= r, 1))
 
-    pts = sorted(np.asarray(points, dtype=complex),
+    pts = sorted(np.asarray(points, dtype=complex).tolist(),
                  key=lambda z: (z.real, z.imag))
     centers, members = np.array(pts, dtype=complex), [[z] for z in pts]
     if pairs(centers, tol).size:  # else every point stays alone
-        centers, members = centers[:0], []
+        cs, members = [], []
         for z in pts:  # z joins the first cluster whose center is within tol
-            near = np.flatnonzero(np.abs(z - centers) <= tol)
-            if near.size:
-                members[near[0]].append(z)
-                centers[near[0]] = np.mean(members[near[0]])
+            for k, c in enumerate(cs):
+                if abs(z - c) <= tol:
+                    members[k].append(z)
+                    cs[k] = complex(np.mean(members[k]))
+                    break
             else:
-                centers, members = np.append(centers, z), members + [[z]]
+                cs, members = cs + [z], members + [[z]]
+        centers = np.array(cs, dtype=complex)
     while (close := pairs(centers, 2 * tol)).size:  # merge the first pair
         i, j = close[0]
         members[i].extend(members.pop(j))
@@ -190,8 +216,8 @@ def mirror_split(points, base_tol: float):
     for c, m, lab in labeled:
         if lab != "plus":
             continue
-        near = [t for t in minus if abs(t[0] + np.conj(c)) <= 10 * tol]
-        partner = min(near, key=lambda t: abs(t[0] + np.conj(c)), default=None)
+        near = [t for t in minus if abs(t[0] + c.conjugate()) <= 10 * tol]
+        partner = min(near, key=lambda t: abs(t[0] + c.conjugate()), default=None)
         if partner is None or partner[1] != m:
             raise SpectralSplitError(
                 f"point {c:g} (multiplicity {m}) lacks a mirrored partner "
@@ -203,7 +229,7 @@ def mirror_split(points, base_tol: float):
     # cluster members are the input values, and equal values always share
     # a cluster, so each value names its cluster exactly
     where = {z: k for k, (_, members) in enumerate(clusters) for z in members}
-    index = np.array([where[z] for z in np.asarray(points, dtype=complex)], dtype=int)
+    index = np.array([where[z] for z in np.asarray(points, dtype=complex).tolist()], dtype=int)
     return tol, tuple(labeled), index
 
 

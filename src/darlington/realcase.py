@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import NotSymmetricError, SubspaceError, ValidationError
 from .extension import build_extension
-from .linalg import norm_at_most, spectral_norm
+from .linalg import max_norm, norm_at_most, spectral_norm
 from .realization import (
     Realization,
     _intertwiner,
@@ -124,7 +124,7 @@ def is_real_extension(P, R: Realization) -> bool:
     pts = probe_points(E.realization)
     F = freqresp(E.realization, np.concatenate([pts, pts.conj()]))
     gap = F[pts.size:] - F[:pts.size].conj()
-    worst = float(np.max(spectral_norm(gap)))
+    worst = max_norm(gap)
     certified = bool(worst <= 1e-8 * scale)
     if certified != real_p:
         raise ValidationError(

@@ -24,7 +24,7 @@ from .errors import (
     SubspaceError,
     ValidationError,
 )
-from .linalg import DEFAULT_RANK_TOL, as_matrix
+from .linalg import DEFAULT_RANK_TOL
 
 __all__ = [
     "Realization",
@@ -49,6 +49,7 @@ _PROBE_COUNT = 32
 # (real, imaginary) offsets in [0, 1) of the probe points drawn to the
 # right of the poles, one row per point
 _PROBE_OFFSETS = np.random.default_rng(_PROBE_SEED).random((_PROBE_COUNT, 2))
+_AXIS_PROBES = 1j * np.array([0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0])
 
 
 @dataclass(frozen=True)
@@ -66,22 +67,19 @@ class Realization:
     d: np.ndarray
 
     def __post_init__(self):
-        a = as_matrix(self.a, "A", square=True)
-        d = as_matrix(self.d, "D")
-        n = a.shape[0]
-        p, m = d.shape
-        b = np.asarray(self.b, dtype=complex).reshape(n, -1) if n else \
-            np.zeros((0, m), dtype=complex)
-        c = np.asarray(self.c, dtype=complex).reshape(-1, n) if n else \
-            np.zeros((p, 0), dtype=complex)
-        if b.shape != (n, m):
-            raise DimensionError(f"B must be {n}x{m}, got {b.shape}")
-        if c.shape != (p, n):
-            raise DimensionError(f"C must be {p}x{n}, got {c.shape}")
-        if not (np.all(np.isfinite(b)) and np.all(np.isfinite(c))):
+        # one owned complex copy of each matrix, in its memory layout
+        a, d = (np.atleast_2d(np.array(M, dtype=complex)) for M in (self.a, self.d))
+        if a.ndim != 2 or d.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise DimensionError(f"A must be square and D 2-dimensional, got shapes "
+                                 f"{a.shape} and {d.shape}")
+        (n, _), (p, m) = a.shape, d.shape
+        b = np.array(self.b, dtype=complex).reshape(n, -1) if n else np.zeros((0, m), complex)
+        c = np.array(self.c, dtype=complex).reshape(-1, n) if n else np.zeros((p, 0), complex)
+        if b.shape != (n, m) or c.shape != (p, n):
+            raise DimensionError(f"B must be {n}x{m} and C {p}x{n}, got {b.shape} and {c.shape}")
+        if not all(np.isfinite(M).all() for M in (a, b, c, d)):
             raise ValidationError("realization contains non-finite entries")
         for name, M in zip("abcd", (a, b, c, d)):
-            M = np.array(M)  # own copy, same memory layout
             M.flags.writeable = False
             object.__setattr__(self, name, M)
 
@@ -123,7 +121,7 @@ class Realization:
         """(probe_points(self), the response F there, max ||F - F^T||)."""
         pts = probe_points(self)
         F = freqresp(self, pts)
-        return pts, F, float(np.max(linalg.spectral_norm(F - F.transpose(0, 2, 1))))
+        return pts, F, linalg.max_norm(F - F.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -250,20 +248,14 @@ def kalman_check(R: Realization) -> DegreeCertificate:
     """Ranks of the reachability and observability Krylov subspaces and
     the McMillan degree (rank of the observability x reachability
     product), all at DEFAULT_RANK_TOL."""
-    n = R.n
     scale = _system_scale(R.a, R.b, R.c)
     V = _krylov_span(R.a, R.b, DEFAULT_RANK_TOL, scale)
     W = _krylov_span(R.a.conj().T, R.c.conj().T, DEFAULT_RANK_TOL, scale)
-    reach = V.shape[1]
-    obs = W.shape[1]
-    if n == 0:
-        deg = 0
-    else:
-        prod = W.conj().T @ V
-        s = np.linalg.svd(prod, compute_uv=False) if prod.size else np.zeros(0)
-        deg = int(np.sum(s > DEFAULT_RANK_TOL * max(1.0, s[0] if s.size else 0.0)))
-    return DegreeCertificate(mcmillan_degree=deg, reachable_rank=reach,
-                             observable_rank=obs, state_dim=n)
+    prod = W.conj().T @ V  # empty without states: degree 0
+    s = np.linalg.svd(prod, compute_uv=False) if prod.size else np.zeros(1)
+    deg = int(np.sum(s > DEFAULT_RANK_TOL * max(1.0, s[0])))
+    return DegreeCertificate(mcmillan_degree=deg, reachable_rank=V.shape[1],
+                             observable_rank=W.shape[1], state_dim=R.n)
 
 
 def probe_points(*realizations: Realization) -> np.ndarray:
@@ -276,9 +268,8 @@ def probe_points(*realizations: Realization) -> np.ndarray:
     """
     poles = np.concatenate([R.poles() for R in realizations]) \
         if realizations else np.zeros(0, dtype=complex)
-    fixed = [1j * w
-             for w in (0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0)
-             if poles.size == 0 or np.min(np.abs(poles - 1j * w)) > 1e-3]
+    gap = np.min(np.abs(poles[:, np.newaxis] - _AXIS_PROBES), axis=0, initial=np.inf)
+    fixed = _AXIS_PROBES[gap > 1e-3]
     # every drawn point lies at least 1 to the right of every pole
     right = float(np.max(poles.real)) + 1.0 if poles.size else 1.0
     off = _PROBE_OFFSETS[:_PROBE_COUNT - len(fixed)]
@@ -312,10 +303,11 @@ def _with_poles(out: Realization, *blocks: Realization) -> Realization:
 
 
 def _block_diagonal(F1: np.ndarray, F2: np.ndarray) -> np.ndarray:
-    """diag(F1[k], F2[k]) for every k of two stacks."""
-    (k, p1, m1), (_, p2, m2) = F1.shape, F2.shape
-    out = np.zeros((k, p1 + p2, m1 + m2), dtype=complex)
-    out[:, :p1, :m1], out[:, p1:, m1:] = F1, F2
+    """diag(F1, F2) of two matrices, or of each pair k of two stacks."""
+    *k, p1, m1 = F1.shape
+    p2, m2 = F2.shape[-2:]
+    out = np.zeros((*k, p1 + p2, m1 + m2), dtype=complex)
+    out[..., :p1, :m1], out[..., p1:, m1:] = F1, F2
     return out
 
 
@@ -325,9 +317,8 @@ def compose(R1: Realization, R2: Realization) -> Realization:
     if R1.inputs != R2.outputs:
         raise DimensionError(
             f"cannot compose {R1.outputs}x{R1.inputs} with {R2.outputs}x{R2.inputs}")
-    n1, n2 = R1.n, R2.n
-    A = np.block([[R2.a, np.zeros((n2, n1))],
-                  [R1.b @ R2.c, R1.a]])
+    A = _block_diagonal(R2.a, R1.a)
+    A[R2.n:, :R2.n] = R1.b @ R2.c
     B = np.vstack([R2.b, R1.b @ R2.d])
     C = np.hstack([R1.d @ R2.c, R1.c])
     D = R1.d @ R2.d
@@ -344,15 +335,8 @@ def transpose(R: Realization) -> Realization:
 def direct_sum(R1: Realization, R2: Realization) -> Realization:
     """Realization of the block-diagonal function diag(R1(s), R2(s)),
     which freqresp evaluates block by block."""
-    n1, n2 = R1.n, R2.n
-    A = np.block([[R1.a, np.zeros((n1, n2))], [np.zeros((n2, n1)), R2.a]])
-    B = np.block([[R1.b, np.zeros((n1, R2.inputs))],
-                  [np.zeros((n2, R1.inputs)), R2.b]])
-    C = np.block([[R1.c, np.zeros((R1.outputs, n2))],
-                  [np.zeros((R2.outputs, n1)), R2.c]])
-    D = np.block([[R1.d, np.zeros((R1.outputs, R2.inputs))],
-                  [np.zeros((R2.outputs, R1.inputs)), R2.d]])
-    out = _with_poles(Realization(A, B, C, D), R1, R2)
+    out = _with_poles(Realization(*(_block_diagonal(getattr(R1, k), getattr(R2, k))
+                                    for k in "abcd")), R1, R2)
     vars(out)["_operands"] = (_block_diagonal, R1, R2)
     return out
 

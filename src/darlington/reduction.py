@@ -60,7 +60,6 @@ from .realization import (
     evaluate,
     freqresp,
     symmetrize,
-    transpose,
 )
 from .riccati import RiccatiSolution, _extremal, build_hat
 
@@ -250,8 +249,8 @@ def reduce_once(T: Realization, factors) -> tuple[Realization, float]:
         X = np.linalg.solve(pencil, (out.b @ U).T[:, :, np.newaxis])[:, :, 0].T
         gaps.append(np.linalg.norm(U - out.b.conj().T @ X, axis=0))
         V = np.linalg.qr(X, mode="complete")[0][:, m:]
-        out = transpose(Realization(V.conj().T @ out.a @ V, V.conj().T @ out.b,
-                                    out.c @ V, out.d))
+        out = Realization((V.conj().T @ out.a @ V).T, (out.c @ V).T,
+                          (V.conj().T @ out.b).T, out.d.T)
     res = _lossless_residual(out, np.eye(out.n))
     if not res <= 1e-7:  # a nan fails too
         raise ReductionError(
@@ -379,7 +378,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     # one probe response (Sigma's stage check, with no round) gives its
     # symmetry and S block.  Every pole of S is a pole of current
     pts, F, sr = current._probe
-    block = float(np.max(linalg.spectral_norm(F[:, p:, p:] - freqresp(R, pts))))
+    block = linalg.max_norm(F[:, p:, p:] - freqresp(R, pts))
     if not all(v <= residual_tol for v in (ir, sr, block)):  # a nan fails too
         raise ValidationError(
             f"stage 'finalize': certification failed (inner {ir:g}, "

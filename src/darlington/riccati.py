@@ -176,10 +176,11 @@ def analyze_spectrum(H: Hamiltonian) -> HSpectrum:
     where chi+ has kappa simple roots in the open right half-plane and
     chi- is its para-conjugate; imaginary-axis eigenvalues all carry
     even total multiplicity and contribute n0 = (total axis
-    multiplicity)/2.  The split is linalg.mirror_split, at
-    default_cluster_tol(H), of the diagonal of one complex Schur form of
-    H, which the result keeps; it raises SpectralSplitError on an odd axis
-    multiplicity or an eigenvalue without a mirrored partner, and a
+    multiplicity)/2.  The split is linalg.mirror_split of the diagonal of
+    one complex Schur form of H, which the result keeps, at the
+    default_cluster_tol of the diagonally balanced H (||H|| itself can be
+    orders of magnitude larger); it raises SpectralSplitError on an odd
+    axis multiplicity or an eigenvalue without a mirrored partner, and a
     complete mirror pairing makes 2 deg pi + 2 kappa = 2n.
     """
     M = H.matrix
@@ -187,8 +188,8 @@ def analyze_spectrum(H: Hamiltonian) -> HSpectrum:
         T, U = sla.schur(M, output="complex")
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
-    tol, labeled, index = linalg.mirror_split(np.diag(T),
-                                              linalg.default_cluster_tol(M))
+    base = linalg.default_cluster_tol(sla.matrix_balance(M, permute=False)[0])
+    tol, labeled, index = linalg.mirror_split(np.diag(T), base)
     chi_plus = [c for c, m, lab in labeled if lab == "plus" and m % 2]
     return HSpectrum(clusters=labeled, kappa=len(chi_plus),
                      n0=sum(m for _, m, lab in labeled if lab == "axis") // 2,

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ import darlington.realization
 from darlington.cli import main, read_problem, write_realization
 from darlington.extension import innerness_residual
 from darlington.realization import Realization, evaluate
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def write_coupled_pair(path, zeta=2.0, flags=None):
@@ -143,6 +146,20 @@ class TestSynthesize:
         assert rep["outer_lower_left"] is True
         assert rep["degree"] == 2
         assert rep["innerness_residual"] < 1e-8
+
+    @pytest.mark.parametrize("index", [0, 23])
+    def test_inner_max_on_a_badly_scaled_realization(self, capsys, index):
+        # main s8g #0 and #23 of perfbench/inputs/main.npz: ||H|| is 2-3e5
+        # but about 100 once diagonally balanced, and a cluster tolerance
+        # scaled by the unbalanced norm merged all 16 eigenvalues of H
+        # (none within 0.4 of the axis) into one axis cluster
+        f = DATA / f"inner_max_s8g_{index}.json"
+        rc = main(["synthesize", str(f), "--mode", "inner",
+                   "--solution", "max", "--json"])
+        assert rc == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["degree"] == 8 and rep["kappa"] == 8 and rep["n0"] == 0
+        assert rep["innerness_residual"] <= 1e-8 and rep["block_match"] <= 1e-10
 
     def test_symmetric_mode(self, tmp_path, capsys):
         f = write_coupled_pair(tmp_path / "z2.json")

@@ -1,5 +1,6 @@
 """Decomposition-layer tests: half chains, SVD analysis, Takagi
 factorization, and the Loewner-order oracle of conftest."""
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -183,6 +184,34 @@ class TestSpectralNorm:
         ref = np.linalg.norm(F, 2, axis=(1, 2))
         assert np.allclose(linalg.spectral_norm(F), ref, rtol=1e-14, atol=0)
 
+    STACKS = [(6, 5, 5), (4, 7, 3), (4, 2, 5), (3, 1, 1), (2, 3, 4, 4),
+              (2, 0, 0), (2, 0, 4), (2, 3, 0), (0, 3, 3)]
+
+    @pytest.mark.parametrize("magnitude", [1e-200, 1.0, 1e200])
+    @pytest.mark.parametrize("shape", STACKS, ids=str)
+    def test_stack_matches_numpy(self, shape, magnitude):
+        # tall, wide and empty matrices, entries far from 1, and one
+        # exactly zero matrix, whose norm is 0 and not nan
+        M = random_complex(np.random.default_rng(sum(shape)), shape, magnitude)
+        M[:1] = 0.0
+        ref = np.linalg.norm(M, 2, axis=(-2, -1)) if M.size else np.zeros(shape[:-2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = linalg.spectral_norm(M)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+
+    def test_max_norm_is_the_largest_norm_of_the_stack(self):
+        # magnitudes spread over eight decades, so the Frobenius screen
+        # leaves most matrices out
+        rng = np.random.default_rng(4)
+        M = random_complex(rng, (32, 6, 4)) * np.logspace(-8, 0, 32)[:, None, None]
+        assert linalg.max_norm(M) == np.max(linalg.spectral_norm(M))
+        assert linalg.max_norm(M[:0]) == 0.0 == linalg.max_norm(np.zeros((3, 2, 2)))
+        M[5, 1, 1] = np.nan  # a non-finite matrix is never screened out
+        with pytest.raises(np.linalg.LinAlgError):
+            linalg.max_norm(M)
+
     @pytest.mark.parametrize("n", [0, 1, 4, 9])
     def test_hermitian_variant_matches_numpy(self, n):
         rng = np.random.default_rng(n)
@@ -208,10 +237,13 @@ class TestSpectralNorm:
                 assert linalg.norm_at_most(M, bound) == (ref <= bound)
 
     def test_screen_runs_no_svd_far_from_the_bound(self, monkeypatch):
+        # count every factorization spectral_norm may run: the SVD of a
+        # matrix and eigvalsh of the Gram matrices of a stack
         calls = []
-        svd = np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd",
-                            lambda *a, **k: calls.append(1) or svd(*a, **k))
+        for name in ("svd", "eigvalsh"):
+            f = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name,
+                                lambda *a, f=f, **k: calls.append(1) or f(*a, **k))
         M = random_complex(np.random.default_rng(7), (6, 6))
         fro = np.linalg.norm(M)
         assert linalg.norm_at_most(M, 2 * fro) and not linalg.norm_at_most(M, 1e-3 * fro)

@@ -618,6 +618,36 @@ class TestOwner:
         assert R.a[0, 0] == -1.0 + 0.5j
         assert R.poles()[0] == -1.0 + 0.5j
 
+    @pytest.mark.parametrize("name", "abcd")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=str)
+    def test_non_finite_entry_is_refused(self, name, bad):
+        data = dict(zip("abcd", (-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [[0.5]])))
+        data[name] = np.array(data[name], dtype=complex)
+        data[name][0, -1] = bad
+        with pytest.raises(ValidationError, match="non-finite"):
+            Realization(*data.values())
+
+    def test_entries_whose_sum_overflows_are_accepted(self):
+        big = np.full((2, 2), 1e308)
+        R = Realization(-big, big, big, [[1e308, 1e308], [1e308, 1e308]])
+        assert all(np.array_equal(getattr(R, k), big) for k in "bcd")
+
+    def test_stored_arrays_are_read_only_and_unaliased(self):
+        # complex inputs need no dtype conversion, and 1-d B and C a reshape,
+        # yet each stored array is a read-only copy
+        data = [np.array([[-1.0, 0.5], [0.0, -2.0]], dtype=complex),
+                np.array([1.0, 2.0], dtype=complex), np.array([3.0j, 4.0]),
+                np.array([[0.5j]])]
+        R = Realization(*data)
+        assert (R.b.shape, R.c.shape) == ((2, 1), (1, 2))
+        for M, given in zip((R.a, R.b, R.c, R.d), data):
+            assert not M.flags.writeable and not np.shares_memory(M, given)
+            with pytest.raises(ValueError):
+                M[0, 0] = 1.0
+        for given in data:
+            given[...] = 9.0
+        assert R.a[0, 0] == -1.0 and R.b[1, 0] == 2.0 and R.c[0, 0] == 3.0j
+
     def test_spectrum_computed_once(self, monkeypatch):
         calls = []
         eigvals = np.linalg.eigvals
