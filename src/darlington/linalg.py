@@ -120,44 +120,33 @@ def as_matrix(M, name: str = "matrix", square: bool = False) -> np.ndarray:
 
 
 def cluster_points(points, tol: float):
-    """Greedy centroid clustering of complex points.
-
-    In (real, imag) order each point joins the first cluster whose
-    running centroid lies within tol, or starts one; then the first pair
-    of centroids within 2*tol merges, until none is left, so the
-    reported centers are unambiguous at the stated tolerance.  Returns
-    (center, members) pairs; the members are the input values.  Pairs
-    are found with numpy, the greedy pass runs over Python scalars.
+    """Single-linkage clustering of complex points at distance 2 tol
+    (Gower & Ross 1969): two points share a cluster when a chain of
+    points, each within 2 tol of the next, joins them.  The clusters
+    depend on distances alone, so a larger tol only unites clusters, and
+    the mirror images -conj(z) of a set cluster into the mirror images of
+    its clusters.  Returns (center, members) pairs in the (real, imag)
+    order of their first member; the members are the input values in
+    that order, and the center is their mean.
     """
-    def pairs(c, r):  # index pairs i < j with |c_i - c_j| <= r, row by row
-        return np.argwhere(np.triu(np.abs(c[:, np.newaxis] - c) <= r, 1))
-
     pts = sorted(np.asarray(points, dtype=complex).tolist(),
                  key=lambda z: (z.real, z.imag))
-    centers, members = np.array(pts, dtype=complex), [[z] for z in pts]
-    if pairs(centers, tol).size:  # else every point stays alone
-        cs, members = [], []
-        for z in pts:  # z joins the first cluster whose center is within tol
-            for k, c in enumerate(cs):
-                if abs(z - c) <= tol:
-                    members[k].append(z)
-                    cs[k] = complex(np.mean(members[k]))
-                    break
-            else:
-                cs, members = cs + [z], members + [[z]]
-        centers = np.array(cs, dtype=complex)
-    while (close := pairs(centers, 2 * tol)).size:  # merge the first pair
-        i, j = close[0]
-        members[i].extend(members.pop(j))
-        centers = np.delete(centers, j)
-        centers[i] = np.mean(members[i])
-    return [(complex(c), m) for c, m in zip(centers, members)]
+    near, n = np.abs(np.subtract.outer(pts, pts)) <= 2 * tol, len(pts)
+    label, last = np.arange(n), None
+    while not np.array_equal(label, last):  # each takes the least label in reach
+        label, last = np.min(np.where(near, label, n), axis=1, initial=n), label
+    groups: dict[int, list] = {}
+    for k, z in zip(label.tolist(), pts):
+        groups.setdefault(k, []).append(z)
+    return [(complex(np.mean(m)) if len(m) > 1 else m[0], m) for m in groups.values()]
 
 
 def cluster_ladder(points, base_tol: float):
     """Persistence-based clustering: walk a tolerance ladder and accept
     the first rung whose multiplicity structure agrees with the next
-    one, computing the rungs only up to that pair.
+    one, computing the rungs only up to that pair.  Each rung's clusters
+    are unions of the clusters of the rung below, so two rungs agree
+    exactly when no clusters merged between them.
 
     Double eigenvalues computed in floating point split far wider than
     the base tolerance (roughly the square root of the backward error),
@@ -183,7 +172,9 @@ def cluster_ladder(points, base_tol: float):
 
 def mirror_split(points, base_tol: float):
     """Cluster a point set symmetric about the imaginary axis with
-    cluster_ladder and label each cluster by its half-plane.
+    cluster_ladder and label each cluster by its half-plane.  Single
+    linkage commutes with the mirror z -> -conj(z), so a mirror-symmetric
+    set clusters into mirror-image clusters at every rung.
 
     A cluster whose center has ``|Re c| <= tol`` is labeled "axis" and
     its center moved onto the axis; the others are "plus" or "minus" by

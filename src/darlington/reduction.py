@@ -251,7 +251,7 @@ def reduce_once(T: Realization, factors) -> tuple[Realization, float]:
         V = np.linalg.qr(X, mode="complete")[0][:, m:]
         out = Realization((V.conj().T @ out.a @ V).T, (out.c @ V).T,
                           (V.conj().T @ out.b).T, out.d.T)
-    res = _lossless_residual(out, np.eye(out.n))
+    res = _lossless_residual(out, np.eye(out.n), np.ones(out.n))
     if not res <= 1e-7:  # a nan fails too
         raise ReductionError(
             f"reduction output is not certified inner and minimal on the "

@@ -285,7 +285,7 @@ def scalar_minimal_extension(p1, q) -> tuple[Realization, ScalarFactorization, f
     if out.n != q.size - 1 + fac.kappa:
         raise ValidationError(f"scalar extension degree {out.n} differs from "
                               f"deg(q) + kappa = {q.size - 1 + fac.kappa}")
-    ir = _lossless_residual(out, np.eye(out.n))
+    ir = _lossless_residual(out, np.eye(out.n), np.ones(out.n))
     pts, F, sr = out._probe
     if not (ir <= 1e-8 and sr <= 1e-8):
         raise ValidationError(

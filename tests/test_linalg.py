@@ -399,9 +399,44 @@ def test_cluster_points_matches_the_loop(instance_suite):
             assert [m for _, m in got] == [m for _, m in want]
             merged += len(got) < lam.size
     assert merged > 0  # the merging passes ran, not only the fast path
+    # a chain of 1.5e-6 steps near 1: single linkage joins all of it once
+    # 2 tol reaches one step, where the loop leaves its last point alone
     pts = [0.0, 5e-6, 1.0, 1.0 + 1.5e-6j, 1.0 + 3e-6j, 2.0]
-    for tol in (1e-7, 1e-6, 2e-6, 1e-5):
-        assert linalg.cluster_points(pts, tol) == cluster_points_loop(pts, tol)
+    for tol, sizes in ((1e-7, [1] * 6), (1e-6, [1, 1, 3, 1]),
+                       (2e-6, [1, 1, 3, 1]), (1e-5, [2, 3, 1])):
+        assert [len(m) for _, m in linalg.cluster_points(pts, tol)] == sizes
+
+
+def partition(clusters):
+    return {frozenset(members) for _, members in clusters}
+
+
+def test_mirror_images_cluster_alike():
+    # a chain of two steps of 1.5 t: joined at tol t, one step at a time
+    t = 1e-6
+    chain = 1.0 + 0.5j + np.array([0.0, 1.5 * t, 3 * t])
+    mirror = -chain.conj()
+    for tol in (t / 10, t, 10 * t):
+        want = {frozenset(-np.conj(list(g))) for g in
+                partition(linalg.cluster_points(chain, tol))}
+        assert partition(linalg.cluster_points(mirror, tol)) == want
+    tol, clusters, _ = mirror_split(np.concatenate([chain, mirror]), t)
+    assert tol == t
+    assert sorted((lab, m) for _, m, lab in clusters) == [("minus", 3), ("plus", 3)]
+
+
+def test_larger_tolerance_unites_clusters(instance_suite):
+    for lam, base in hamiltonian_spectra(instance_suite):
+        for k in range(4):
+            coarse = linalg.cluster_points(lam, base * 10.0 ** (k + 1))
+            where = {z: i for i, (_, members) in enumerate(coarse) for z in members}
+            for _, members in linalg.cluster_points(lam, base * 10.0 ** k):
+                assert len({where[z] for z in members}) == 1
+
+
+def test_cluster_points_edge_cases():
+    assert linalg.cluster_points([], 1e-6) == []
+    assert linalg.cluster_points([1.0 + 2j], 1e-6) == [(1.0 + 2j, [1.0 + 2j])]
 
 
 def test_hermitian_sqrt_squares_back():
