@@ -12,7 +12,9 @@ complex entries as [re, im] pairs; bare reals accepted on input),
 optional "flags" ({"symmetric": bool, "real": bool}; any other flag
 value is an error), and for the scalar pipeline coefficient arrays
 "p1", "q" in ascending degree order; other keys are ignored.
-Serialization uses Python's shortest round-tripping float repr, so
+Written files and ``--json`` reports are single-line JSON documents,
+each followed by a newline, with the same [re, im] layout;
+serialization uses Python's shortest round-tripping float repr, so
 write-then-read reproduces matrices bit-exactly.
 
 ``check`` and ``synthesize`` take a certification tolerance, 1e-7 by
@@ -33,6 +35,7 @@ input is not strictly contractive at infinity (the hint names a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -81,12 +84,9 @@ def _parse_matrix(rows, name: str) -> np.ndarray:
         raise ValueError(f"field {name!r}: {exc}") from exc
 
 
-def _dump_complex(z: complex):
-    return [float(np.real(z)), float(np.imag(z))]
-
-
-def _dump_matrix(M: np.ndarray):
-    return [[_dump_complex(z) for z in row] for row in np.atleast_2d(M)]
+def _pairs(M: np.ndarray) -> list:
+    """M (a matrix or a vector) as nested lists of [re, im] pairs."""
+    return np.stack([M.real, M.imag], axis=-1).tolist()
 
 
 def read_problem(path: str) -> dict:
@@ -113,18 +113,17 @@ def read_problem(path: str) -> dict:
 
 
 def write_realization(path: str, R: Realization, meta: dict | None = None) -> None:
-    doc = {"A": _dump_matrix(R.a), "B": _dump_matrix(R.b),
-           "C": _dump_matrix(R.c), "D": _dump_matrix(R.d)}
+    doc = {k: _pairs(M) for k, M in zip("ABCD", (R.a, R.b, R.c, R.d))}
     if meta:
         doc["meta"] = meta
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        # a one-shot dumps without indent runs CPython's C encoder
+        fh.write(json.dumps(doc) + "\n")
 
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=1, default=str))
+        sys.stdout.write(json.dumps(report, default=str) + "\n")
     else:
         for key, val in report.items():
             print(f"{key}: {val}")
@@ -136,7 +135,6 @@ def _schur_report(R: Realization, tol: float) -> tuple[np.ndarray, dict]:
     """Values of the minimal realization on the frequency grid, and the
     check report."""
     Rm, cert = minimal_realization(R)
-    dnorm = float(spectral_norm(R.d))
     stable = bool(Rm.n == 0 or np.max(Rm.poles().real) < -1e-12)
     vals = freqresp(Rm, 1j * frequency_grid())
     grid_sup = max_norm(vals)
@@ -145,8 +143,8 @@ def _schur_report(R: Realization, tol: float) -> tuple[np.ndarray, dict]:
         "state_dim": R.n,
         "minimal": cert.minimal if R.n == Rm.n else False,
         "mcmillan_degree": cert.mcmillan_degree,
-        "d_norm": dnorm,
-        "strictly_contractive_at_inf": dnorm < 1.0 - 1e-12,
+        "d_norm": R.norm_d,
+        "strictly_contractive_at_inf": R.norm_d < 1.0 - 1e-12,
         "stable": stable,
         "sup_grid_norm": grid_sup,
         "schur_on_grid": schur,
@@ -252,9 +250,9 @@ def cmd_scalar(args) -> int:
         return 1
     ext, fac, sym, inner = scalar_minimal_extension(prob["p1"], prob["q"])
     rep = {
-        "mu": [_dump_complex(z) for z in fac.mu],
-        "r1": [_dump_complex(z) for z in fac.r1],
-        "r2": [_dump_complex(z) for z in fac.r2],
+        "mu": _pairs(fac.mu),
+        "r1": _pairs(fac.r1),
+        "r2": _pairs(fac.r2),
         "constant": fac.constant,
         "kappa": fac.kappa,
         "extension_degree": ext.n,
@@ -269,6 +267,7 @@ def cmd_scalar(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="darlington",

@@ -107,6 +107,11 @@ class Realization:
         return float(linalg.spectral_norm(self.a))
 
     @cached_property
+    def norm_d(self) -> float:
+        """Spectral norm ||D||_2 (0 for an empty D)."""
+        return float(linalg.spectral_norm(self.d))
+
+    @cached_property
     def pole_guard(self) -> float:
         """Distance to the spectrum of A within which a point counts as a
         pole, linalg.default_cluster_tol(A) = 1e-7 (1 + ||A||_2)."""

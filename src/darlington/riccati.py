@@ -124,11 +124,9 @@ def _require_contractive(R: Realization) -> None:
     """The precondition of build_hat, which build_extension shares."""
     if R.outputs != R.inputs:
         raise ValidationError("embedding requires a square transfer function")
-    s = np.linalg.svd(R.d, compute_uv=False)
-    dn = s[0] if s.size else 0.0
-    if dn >= 1.0 - 1e-12:
+    if R.norm_d >= 1.0 - 1e-12:
         raise NotContractiveError(
-            f"||D||_2 = {dn:.6g} >= 1: S is not strictly contractive at "
+            f"||D||_2 = {R.norm_d:.6g} >= 1: S is not strictly contractive at "
             "infinity; apply mobius_precondition at a point of strict "
             "contractivity first")
 

@@ -30,19 +30,46 @@ def write_coupled_pair(path, zeta=2.0, flags=None):
     return path
 
 
+def _bits(M):
+    """M's entries as raw 64-bit words, so that -0.0 differs from 0.0."""
+    return np.ascontiguousarray(M).view(np.uint64)
+
+
+_HUGE = 1.7976931348623157e308
+_RNG = np.random.default_rng(3)
+
+
 class TestIO:
-    def test_round_trip_bit_exact(self, tmp_path):
-        rng = np.random.default_rng(3)
-        R = Realization(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)),
-                        rng.normal(size=(3, 2)), rng.normal(size=(2, 3)),
-                        rng.normal(size=(2, 2)))
+    @pytest.mark.parametrize("matrices", [
+        (_RNG.normal(size=(3, 3)) + 1j * _RNG.normal(size=(3, 3)),
+         _RNG.normal(size=(3, 2)), _RNG.normal(size=(2, 3)), _RNG.normal(size=(2, 2))),
+        ([[complex(-0.0, -0.0), 5e-324], [_HUGE, -_HUGE * 1j]],
+         [[-0.0, 5e-324j], [-5e-324, complex(_HUGE, -0.0)]],
+         [[complex(0.0, -0.0), -_HUGE], [1.0, -5e-324j]],
+         [[-0.0, 0.0], [complex(-_HUGE, _HUGE), 5e-324]]),
+        (np.array([[-3, 1], [0, -2]]), np.array([[1, 0, 2], [0, -1, 0]]),
+         np.array([[4, 0], [0, 7]]), np.array([[0, 1, 0], [-1, 0, 0]])),
+        (np.zeros((0, 0)), np.zeros((0, 3)), np.zeros((2, 0)),
+         [[0.25, -0.0, 0.5j], [0.1, 0.2, complex(-0.3, 0.4)]]),
+        (-np.eye(2), _RNG.normal(size=(2, 3)), _RNG.normal(size=(1, 2)),
+         _RNG.normal(size=(1, 3)) + 1j * _RNG.normal(size=(1, 3))),
+    ], ids=["random", "extremes", "integers", "degree-0", "non-square-d"])
+    def test_round_trip_bit_exact(self, tmp_path, matrices):
+        # a realization file is one single-line JSON document: every
+        # entry, the sign of each zero included, reads back bit for bit,
+        # and so does the meta object
+        R = Realization(*matrices)
+        meta = {"mode": "inner", "degree": R.n, "kappa": 0, "inner": True,
+                "innerness_residual": 5e-324, "block_match": -0.0}
         out = tmp_path / "r.json"
-        write_realization(str(out), R)
+        write_realization(str(out), R, meta=meta)
+        text = out.read_text(encoding="utf-8")
+        assert text.endswith("\n") and text.count("\n") == 1
+        assert json.dumps(json.loads(text)["meta"]) == json.dumps(meta)
         back = read_problem(str(out))["realization"]
-        assert np.array_equal(back.a, R.a)
-        assert np.array_equal(back.b, R.b)
-        assert np.array_equal(back.c, R.c)
-        assert np.array_equal(back.d, R.d)
+        for got, want in zip((back.a, back.b, back.c, back.d), (R.a, R.b, R.c, R.d)):
+            assert got.shape == want.shape
+            assert np.array_equal(_bits(got), _bits(want))
 
     def test_bare_reals_accepted(self, tmp_path):
         doc = {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]}
@@ -319,6 +346,38 @@ class TestSynthesize:
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["check", "/nonexistent/problem.json"]) == 1
+
+
+def test_reused_parser_gives_the_fresh_parsers_results(tmp_path, capsys):
+    # main builds its parser once per process; no default or value of an
+    # earlier call, accepted or rejected, may reach a later one
+    f = write_coupled_pair(tmp_path / "z2.json")
+    frac = tmp_path / "frac.json"
+    frac.write_text(json.dumps({"p1": [[0.5, 0.0]], "q": [[1.0, 0.0], [1.0, 0.0]]}))
+    first = ["synthesize", str(f), "--mode", "inner", "--solution", "max",
+             "--tol", "1e-6", "--json"]
+    calls = [first, ["synthesize", str(f), "--json"], ["scalar", str(frac)],
+             ["synthesize", str(f), "--mode", "bogus"], first]
+
+    def run(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        return code, json.loads(out) if "--json" in argv else out
+
+    darlington.cli._build_parser.cache_clear()
+    reused = [run(argv) for argv in calls]
+    assert darlington.cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        darlington.cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert reused == fresh
+    assert [code for code, _ in reused] == [0, 0, 0, 2, 0]
+    assert reused[1][1]["mode"] == "minimal-symmetric"
+    assert reused[1][1]["solution"] == "min"
 
 
 def test_console_entry_point(tmp_path):

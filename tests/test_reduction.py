@@ -641,6 +641,21 @@ def test_cholesky_factors_only_n_by_n(which, zeta1, zeta2, instance_suite,
     assert shapes == [(R.n, R.n)]
 
 
+@pytest.mark.parametrize("index", [0, 8, 18])
+def test_one_svd_of_d_per_synthesis(index, instance_suite, monkeypatch):
+    # build_hat and build_extension both require ||D||_2 < 1 of the one
+    # symmetrized realization, which caches that norm as norm_d; a
+    # nonzero D (p = 1, 2, 3) tells its SVD apart from those of other
+    # matrices
+    R = instance_suite[index].realization
+    assert np.any(R.d)
+    inputs, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda M, *args, **kwargs:
+                        inputs.append(np.array(M)) or svd(M, *args, **kwargs))
+    minimize_symmetric(R)
+    assert sum(M.shape == R.d.shape and np.array_equal(M, R.d) for M in inputs) == 1
+
+
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
 def test_residual_tol_must_be_finite_and_positive(zeta2, tol):
     with pytest.raises(ValidationError, match="residual_tol must be finite and positive"):
