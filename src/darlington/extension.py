@@ -180,8 +180,8 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
         raise DimensionError(f"P must be {R.n}x{R.n}, got shape {Pm.shape}")
     if not np.all(np.isfinite(Pm)):
         raise ValidationError("P must be finite")
-    Pm = (Pm + Pm.conj().T) / 2
-    w = np.linalg.eigvalsh(Pm)
+    Pm = (Pm + Pm.conj().T) / 2  # a RiccatiSolution's P is exactly Hermitian
+    w = P._p_eigenvalues if isinstance(P, RiccatiSolution) else np.linalg.eigvalsh(Pm)
     if w.size and w[0] <= 0:
         raise ValidationError("P must be positive definite")
     p = R.outputs
@@ -248,6 +248,7 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
     if not linalg.norm_at_most(S21.d - d21_expected, 1e-8):
         raise ValidationError(
             "S21 has the wrong value at infinity; expected (I - DD*)^{1/2}")
+    form = R._schur  # R.poles() reads its diagonal
     lam = R.poles()
     if lam.size and np.max(lam.real) >= -1e-10:
         raise ValidationError(
@@ -255,7 +256,7 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
             "open left half-plane; the Lyapunov equation for P needs A Hurwitz")
     B1 = S21.b
     G = B1 @ B1.conj().T + R.b @ R.b.conj().T
-    P = sla.solve_continuous_lyapunov(R.a, -G)
+    P = linalg._schur_solve(form, -G)
     P = (P + P.conj().T) / 2
     E = build_extension(R, P)
     if not linalg.norm_at_most(E.realization.b[:, :p] - B1,

@@ -7,8 +7,9 @@ decides multiplicities, the one split of a point set symmetric about
 the imaginary axis into axis, plus and minus clusters (mirror_split,
 which maps each point to its cluster), the leading-half chain basis of
 a nilpotent matrix, Takagi factorization of complex symmetric matrices
-from one real symmetric eigendecomposition, and the package's one
-spectral norm (spectral_norm: an SVD for a matrix, the largest
+from one real symmetric eigendecomposition, the one Lyapunov/Sylvester
+solve (from complex Schur forms that its callers factor once), and the
+package's one spectral norm (spectral_norm: an SVD for a matrix, the largest
 eigenvalue of a Gram matrix for each matrix of a stack; with
 hermitian_norm for Hermitian matrices, max_norm for the largest norm in
 a stack and norm_at_most for checks that only compare it with a bound).
@@ -22,6 +23,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import (
     ConvergenceError,
@@ -349,7 +351,11 @@ def takagi(F) -> TakagiResult:
         If ``||F - F^T|| > DEFAULT_SYM_TOL * max(1, ||F||)``.
     """
     A = as_matrix(F, "F", square=True)
-    nrm = spectral_norm(A)
+    return _takagi(A, spectral_norm(A))
+
+
+def _takagi(A: np.ndarray, nrm: float) -> TakagiResult:
+    """takagi of a validated square A given nrm = ||A||_2."""
     if not norm_at_most(A - A.T, DEFAULT_SYM_TOL * max(1.0, nrm)):
         raise NotSymmetricError(
             f"matrix is not symmetric to tolerance {DEFAULT_SYM_TOL:g}")
@@ -378,3 +384,36 @@ def hermitian_sqrt(M) -> np.ndarray:
     if w.size and w[0] < -DEFAULT_PSD_TOL * max(1.0, abs(w[-1])):
         raise ValidationError(f"matrix is not PSD: min eigenvalue {w[0]:g}")
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
+
+
+def _schur(M) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form (T, U) of a square M = U T U*, read-only:
+    sla.schur, which raises ValueError for a non-finite M, or two empty
+    matrices for n = 0."""
+    T, U = sla.schur(M, output="complex") if len(M) else (np.zeros((0, 0), complex),) * 2
+    T.flags.writeable = U.flags.writeable = False
+    return T, U
+
+
+def _schur_solve(left, Q, right=None) -> np.ndarray:
+    """Solution X of A X + X B* = Q by Bartels & Stewart (CACM 1972)
+    from the complex Schur forms left = (R, U) of A and right = (S, V)
+    of B (``_schur``), one ztrsyl of R Y + Y S* = scale U* Q V; with no
+    ``right``, B = A: the Lyapunov equation A X + X A* = Q.
+
+    It reproduces scipy's solve_continuous_lyapunov(A, Q) (no right) and
+    solve_sylvester(A, B*, Q) bit for bit: the same products in the same
+    order, and Y scaled before X = U Y V*.  Unlike them it does not warn
+    when two eigenvalues make the equation singular: LAPACK perturbs it
+    and the caller's residual decides.  A non-finite Q raises ValueError,
+    as _schur does for a non-finite A; n = 0 gives an empty X.
+    """
+    Q = np.asarray_chkfinite(Q)
+    if Q.size == 0:
+        return np.zeros(Q.shape, complex)
+    (R, U), (S, V) = left, left if right is None else right
+    F = U.conj().T.dot(Q.dot(U)) if right is None else U.conj().T.dot(Q).dot(V)
+    Y, scale, info = sla.lapack.ztrsyl(R, S, F, tranb="C")
+    if info < 0:  # pragma: no cover - argument error
+        raise ValueError(f"ztrsyl: illegal value in argument {-info}")
+    return U.dot(scale * Y).dot(V.conj().T)

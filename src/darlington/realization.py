@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import linalg
 from .errors import (
@@ -58,7 +57,8 @@ class Realization:
 
     A is n x n, B is n x m, C is p x n, D is p x m; entries are stored
     as read-only complex128 copies and must be finite.  The spectrum of
-    A, the pole-guard radius and the response on the probe grid are
+    A (the diagonal of its Schur form when one was computed), that form,
+    the pole-guard radius and the response on the probe grid are
     computed at most once per instance.
     """
     a: np.ndarray
@@ -96,8 +96,18 @@ class Realization:
         return self.d.shape[1]
 
     @cached_property
+    def _schur(self) -> tuple[np.ndarray, np.ndarray]:
+        """Complex Schur form (T, U) of A, A = U T U*, read-only."""
+        return linalg._schur(self.a)
+
+    @cached_property
     def _poles(self) -> np.ndarray:
-        lam = np.linalg.eigvals(self.a) if self.n else np.zeros(0, dtype=complex)
+        # the diagonal of A's Schur form once it exists, else eigvals(A)
+        form = vars(self).get("_schur")
+        if form is not None:
+            lam = np.diag(form[0]).copy()
+        else:
+            lam = np.linalg.eigvals(self.a) if self.n else np.zeros(0, dtype=complex)
         lam.flags.writeable = False
         return lam
 
@@ -383,16 +393,19 @@ def minimal_realization(R: Realization) -> tuple[Realization, DegreeCertificate]
     return out, cert
 
 
-def _intertwiner(R: Realization, structural: bool = False) -> np.ndarray:
+def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, float]:
     """Symmetric solution T of T A = A^T T, T B = C^T as
     T = conj(P^{-1} X), from the Gramian A P + P A* + B B* = 0 and
     A X + X conj(A) + B conj(C) = 0: P conj(T) solves the second
     equation since conj(T) conj(A) = A* conj(T), B* conj(T) = conj(C).
-    A ``structural`` R (A = A^T, B = C^T) has T = I and skips the second
-    solve.
+    Returns T and ||T||_2.  A ``structural`` R (A = A^T, B = C^T) has
+    T = I and skips the second solve.
 
-    Both equations are uniquely solvable unless two poles form a mirror
-    pair lambda_i + conj(lambda_j) = 0.  Then P is singular exactly when
+    R's one Schur form of A gives its spectrum, the Gramian and the
+    first factor of the second equation, whose other factor is one
+    Schur form of A^T (Bartels & Stewart, CACM 1972).  Both equations
+    are uniquely solvable unless two poles form a mirror pair
+    lambda_i + conj(lambda_j) = 0.  Then P is singular exactly when
     (A, B) is not reachable (inertia: x* A = lambda x*, x* B = 0 give
     (A + conj(lambda)) P x = 0, so P x = 0; P x = 0 gives B* x = 0 and
     P A* x = 0), and P need not be definite.  Given reachability, T
@@ -404,25 +417,28 @@ def _intertwiner(R: Realization, structural: bool = False) -> np.ndarray:
     n eps times the largest, and NotSymmetricError when the residual
     exceeds 1e-7 * max(1, ||T||).
     """
+    form = R._schur  # first, so that R.poles() reads its diagonal
     gap = np.min(np.abs(R.poles()[:, np.newaxis] + R.poles().conj()), initial=np.inf)
     if gap <= R.pole_guard:
         raise SubspaceError(f"Gramian equations are singular: two eigenvalues of A satisfy "
                             f"lambda_i + conj(lambda_j) = 0 (to {gap:.3g})")
-    P = sla.solve_continuous_lyapunov(R.a, -R.b @ R.b.conj().T)
+    P = linalg._schur_solve(form, -R.b @ R.b.conj().T)
     w = np.abs(np.linalg.eigvalsh(P))
     if w.size and not w.min() > R.n * np.finfo(float).eps * w.max():
         raise ValidationError("the symmetric form requires a minimal realization: (A, B) is "
                               "not reachable (the Gramian P is singular)")
     if structural:
-        return np.eye(R.n)
-    T = np.linalg.solve(P, sla.solve_sylvester(R.a, R.a.conj(), -R.b @ R.c.conj())).conj()
+        return np.eye(R.n), 1.0
+    X = linalg._schur_solve(form, -R.b @ R.c.conj(), linalg._schur(R.a.T))
+    T = np.linalg.solve(P, X).conj()
     T = (T + T.T) / 2
     gaps = (T @ R.a - R.a.T @ T, T @ R.b - R.c.T)
-    bound = 1e-7 * max(1.0, linalg.spectral_norm(T))
+    norm = float(linalg.spectral_norm(T))
+    bound = 1e-7 * max(1.0, norm)
     if not all(linalg.norm_at_most(G, bound) for G in gaps):
         res = max(linalg.spectral_norm(G) for G in gaps)
         raise NotSymmetricError(f"intertwining residual {res:g}: S is not symmetric")
-    return T
+    return T, norm
 
 
 def _structurally_symmetric(R: Realization) -> bool:
@@ -454,7 +470,7 @@ def symmetrize(R: Realization) -> Realization:
         raise NotSymmetricError("a symmetric transfer function must be square")
     structural = _structurally_symmetric(R)
     try:
-        T = _intertwiner(R, structural)
+        T, norm = _intertwiner(R, structural)
     except SubspaceError:
         # no Gramian: a structurally symmetric R is its own answer if minimal
         if not (structural and kalman_check(R).minimal):
@@ -463,7 +479,7 @@ def symmetrize(R: Realization) -> Realization:
         return R
     out, gaps = R, ()
     if R.n:
-        tk = linalg.takagi(T)
+        tk = linalg._takagi(T, norm)  # T is exactly symmetric
         if tk.values[0] <= 1e-12 * max(1.0, tk.values[-1]):
             raise ValidationError("symmetrize requires a minimal realization: (C, A) is not "
                                   "observable (the intertwiner T is singular)")

@@ -29,8 +29,8 @@ Lyapunov solve) that is kept only if it lowers ||R(P)||.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -118,6 +118,12 @@ class RiccatiSolution:
     residual_norm: float
     subspace_condition: float
     spectrum: HSpectrum
+
+    @cached_property
+    def _p_eigenvalues(self) -> np.ndarray:
+        """eigvalsh of the Hermitian part of P, which the solve computes
+        once and build_extension reads."""
+        return np.linalg.eigvalsh((self.p + self.p.conj().T) / 2)
 
 
 def _require_contractive(R: Realization) -> None:
@@ -211,19 +217,17 @@ def _invariant_subspace(spec: HSpectrum, chosen) -> np.ndarray:
 def _newton_refine(hat: HatData, P: np.ndarray) -> tuple[np.ndarray, float]:
     """One Newton step on R(P) (Kleinman, IEEE TAC 1968): solve the
     Lyapunov equation Z dP + dP Z* = -R(P) with the closed loop
-    Z = A_hat + P C_hat* C_hat, from one Schur form of Z (Bartels &
-    Stewart, CACM 1972), and keep P + (dP + dP*)/2 only if it lowers
+    Z = A_hat + P C_hat* C_hat, from one Schur form of Z
+    (linalg._schur_solve), and keep P + (dP + dP*)/2 only if it lowers
     ||R(P)||.  The graph-subspace solution is one step from the rounding
     level of R(P), so a second step gains nothing.  Returns the kept P
     and its residual riccati_residual(hat, P)."""
     R = _residual_matrix(hat, P)
     res = float(linalg.spectral_norm(R))
     try:
-        with warnings.catch_warnings():
-            # an axis eigenvalue pair of Z (n0 > 0) makes the equation
-            # singular; LAPACK then perturbs it and the residual decides
-            warnings.simplefilter("ignore", RuntimeWarning)
-            dP = sla.solve_continuous_lyapunov(hat.a_hat + P @ hat.csc, -R)
+        # an axis eigenvalue pair of Z (n0 > 0) makes the equation
+        # singular; LAPACK then perturbs it and the residual decides
+        dP = linalg._schur_solve(linalg._schur(hat.a_hat + P @ hat.csc), -R)
         cand = P + (dP + dP.conj().T) / 2
         cand_res = float(linalg.spectral_norm(_residual_matrix(hat, cand)))
     except (np.linalg.LinAlgError, ValueError):  # the SVD of a nan R(P) too
@@ -298,8 +302,10 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
                 f"{kind} solution is not positive definite "
                 f"(min eigenvalue {w[0]:g}); S may not be a Schur function")
         Z = hat.a_hat + P @ hat.csc
-        return RiccatiSolution(p=P, z=Z, kind=kind, residual_norm=res,
-                               subspace_condition=cond, spectrum=spec)
+        sol = RiccatiSolution(p=P, z=Z, kind=kind, residual_norm=res,
+                              subspace_condition=cond, spectrum=spec)
+        vars(sol)["_p_eigenvalues"] = w
+        return sol
 
     # graph of P carries the -Z* dynamics: sigma(Z) in the closed left
     # half-plane (minimal) puts the graph on the right half-spectrum of H

@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import darlington.realization
 from darlington import (
@@ -15,6 +16,7 @@ from darlington import (
     evaluate,
     freqresp,
     kalman_check,
+    linalg,
     minimal_realization,
     minimize_symmetric,
     mobius_precondition,
@@ -370,8 +372,13 @@ class TestSymmetrizeCertificate:
     def test_structural_input_needs_no_sylvester_solve(self, which, zeta1, zeta2,
                                                        monkeypatch):
         R = {"zeta1": zeta1, "zeta2": zeta2}[which]
-        monkeypatch.setattr(darlington.realization.sla, "solve_sylvester",
-                            lambda *a: pytest.fail("solve_sylvester called"))
+        solve = linalg._schur_solve
+
+        def lyapunov_only(left, Q, right=None):
+            assert right is None, "Sylvester solve called"
+            return solve(left, Q)
+
+        monkeypatch.setattr(linalg, "_schur_solve", lyapunov_only)
         assert symmetrize(R) is R
 
 
@@ -387,7 +394,8 @@ def kronecker_intertwiner(A, B, C):
 
 
 def assert_matches_kronecker(R):
-    T = _intertwiner(R)
+    T, norm = _intertwiner(R)
+    assert norm == np.linalg.norm(T, 2)
     T_kron = kronecker_intertwiner(R.a, R.b, R.c)
     assert np.linalg.norm(T - T_kron, 2) <= 1e-10 * np.linalg.norm(T_kron, 2)
 
@@ -415,24 +423,36 @@ class TestIntertwiner:
         A = np.diag([-1.0, -2.0])
         R = Realization(A, np.array([[1.0], [1.0]]), np.array([[1.0, 2.0]]),
                         np.array([[0.0]]))
-        T = _intertwiner(R)
+        T, _ = _intertwiner(R)
         assert np.linalg.norm(T.imag) <= 1e-15 * np.linalg.norm(T)
 
     def test_symmetrize_computes_the_spectrum_of_a_once(self, monkeypatch,
                                                         instance_suite):
+        # one Schur form of A gives the spectrum, the Gramian and the first
+        # factor of the Sylvester solve; one of A^T gives its second factor
         S = instance_suite[10].realization
         R = Realization(S.a, S.b, S.c, S.d)  # nothing cached yet
         assert not _structurally_symmetric(R)
-        calls = []
-        eigvals = np.linalg.eigvals
+        schurs, spectra = [], []
+        schur, eigvals = sla.schur, np.linalg.eigvals
 
-        def counting(M):
-            calls.append(np.array_equal(M, R.a))
+        def recording_schur(M, *args, **kwargs):
+            schurs.append(np.array(M))
+            return schur(M, *args, **kwargs)
+
+        def recording_eigvals(M):
+            spectra.append(np.array(M))
             return eigvals(M)
 
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
-        symmetrize(R)
-        assert calls.count(True) == 1
+        monkeypatch.setattr(sla, "schur", recording_schur)
+        monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
+        out = symmetrize(R)
+        assert [np.array_equal(M, R.a) for M in schurs] == [True, False]
+        assert np.array_equal(schurs[1], R.a.T)
+        assert not any(np.array_equal(M, R.a) for M in spectra)
+        # the spectrum is the Schur diagonal, which the output keeps
+        assert np.array_equal(R.poles(), np.diag(R._schur[0]))
+        assert np.array_equal(out.poles(), R.poles())
 
     def test_mirrored_eigenvalues_raise(self):
         # A = diag(-1, 1): lambda_1 + conj(lambda_2) = 0 makes both

@@ -683,13 +683,14 @@ def test_one_lyapunov_solve_per_synthesis(which, solves, zeta1, zeta2,
     R = {"zeta1": zeta1, "zeta2": zeta2,
          "suite": instance_suite[18].realization}[which]
     callers = []
-    original = sla.solve_continuous_lyapunov
+    original = darlington.linalg._schur_solve
 
-    def counting(*args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return original(*args, **kwargs)
+    def counting(left, Q, right=None):
+        if right is None:  # a Lyapunov solve
+            callers.append(sys._getframe(1).f_code.co_name)
+        return original(left, Q, right)
 
-    monkeypatch.setattr(sla, "solve_continuous_lyapunov", counting)
+    monkeypatch.setattr(darlington.linalg, "_schur_solve", counting)
     res = minimize_symmetric(R)
     assert len(res.factors) == {"zeta2": 1, "zeta1": 0, "suite": 3}[which]
     others = [name for name in callers if name != "_newton_refine"]

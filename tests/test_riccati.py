@@ -11,6 +11,7 @@ from darlington import (
     analyze_spectrum,
     build_hamiltonian,
     build_hat,
+    linalg,
     minimize_symmetric,
     riccati_residual,
     solve_extremal,
@@ -129,8 +130,8 @@ class TestNewtonRefine:
     @staticmethod
     def counting(monkeypatch) -> list:
         solves = []
-        original = sla.solve_continuous_lyapunov
-        monkeypatch.setattr(sla, "solve_continuous_lyapunov",
+        original = linalg._schur_solve
+        monkeypatch.setattr(linalg, "_schur_solve",
                             lambda *args: solves.append(1) or original(*args))
         return solves
 
@@ -168,19 +169,19 @@ class TestNewtonRefine:
             assert res == riccati_residual(hat, refined)
 
     @staticmethod
-    def failing_solve(Z, Q):
+    def failing_solve(form, Q):
         raise np.linalg.LinAlgError("singular")
 
     @pytest.mark.parametrize("solve", [
-        lambda Z, Q: 1e3 * np.ones_like(Q),
-        lambda Z, Q: np.full_like(Q, np.nan),
+        lambda form, Q: 1e3 * np.ones_like(Q),
+        lambda form, Q: np.full_like(Q, np.nan),
         failing_solve,
     ], ids=["large-step", "nan-step", "failed-solve"])
     def test_a_step_that_does_not_lower_the_residual_is_not_kept(
             self, zeta2, monkeypatch, solve):
         hat = build_hat(zeta2)
         P = _extremal(hat, ("minimal",))[0].p
-        monkeypatch.setattr(sla, "solve_continuous_lyapunov", solve)
+        monkeypatch.setattr(linalg, "_schur_solve", solve)
         refined, res = _newton_refine(hat, P)
         assert refined is P
         assert res == riccati_residual(hat, P)
@@ -293,7 +294,9 @@ def test_one_schur_form_per_riccati_solve(which, zeta1, zeta2, instance_suite,
     monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
     pmin, _ = _extremal(hat, ("minimal", "maximal"))
     assert pmin.spectrum.n0 == {"zeta1": 2, "zeta2": 0, "suite": 1}[which]
-    assert len(schurs) == 1 and np.array_equal(schurs[0], H)
+    # H's one Schur form, then one of the closed loop Z per Newton step
+    assert len(schurs) == 3 and np.array_equal(schurs[0], H)
+    assert all(Z.shape == hat.a_hat.shape for Z in schurs[1:])
     assert not spectra
     assert minimize_symmetric(R).n0 == pmin.spectrum.n0
     assert not any(map(is_h, spectra))
