@@ -246,7 +246,10 @@ def scalar_minimal_extension(p1, q) -> tuple[Realization, ScalarFactorization, f
          [ sqrt(c) r1 r1* r2*/q,  p1/q ]],
 
     where axis factors of r2 cancel in r2*/r2 up to sign, so the
-    McMillan degree is deg q + kappa.  Balanced truncation keeps the
+    McMillan degree is deg q + kappa.  The second column shares the
+    denominator q and input 2, so it is one companion block of q with
+    two output rows, and the realization to truncate has
+    3 deg q + kappa states.  Balanced truncation keeps the
     Hankel singular values above 1/2 (those of an inner function are
     all 1), and the lossless certificate on the balanced Gramian I
     proves the result inner and minimal; the degree is checked, and
@@ -266,17 +269,20 @@ def scalar_minimal_extension(p1, q) -> tuple[Realization, ScalarFactorization, f
     e11 = siso_realization(num11, den11)
     e12 = e21 = siso_realization(off, q)
     e22 = siso_realization(p1, q)
-    A = sla.block_diag(e11.a, e12.a, e21.a, e22.a)
-    Z = [np.zeros((r.n, 1)) for r in (e11, e12, e21, e22)]
-    B = np.block([[e11.b, Z[0]], [Z[1], e12.b], [e21.b, Z[2]], [Z[3], e22.b]])
+    # the second column [e12; e22] is one companion block of q, first,
+    # driven by input 2: e12 and e22 share (A_q, e_n) and differ in C
+    A = sla.block_diag(e12.a, e11.a, e21.a)
+    Z = [np.zeros((r.n, 1)) for r in (e12, e11, e21)]
+    B = np.block([[Z[0], e12.b], [e11.b, Z[1]], [e21.b, Z[2]]])
     C = np.block([
-        [e11.c, e12.c, np.zeros((1, e21.n)), np.zeros((1, e22.n))],
-        [np.zeros((1, e11.n)), np.zeros((1, e12.n)), e21.c, e22.c]])
+        [e12.c, e11.c, np.zeros((1, e21.n))],
+        [e22.c, np.zeros((1, e11.n)), e21.c]])
     D = np.block([[e11.d, e12.d], [e21.d, e22.d]])
     _, (t, _) = sla.matrix_balance(A, permute=False, separate=True)
     A, B, C = A * t / t[:, np.newaxis], B / t[:, np.newaxis], C * t
-    Lp = linalg.hermitian_sqrt(sla.solve_continuous_lyapunov(A, -B @ B.conj().T))
-    Lq = linalg.hermitian_sqrt(sla.solve_continuous_lyapunov(A.conj().T, -C.conj().T @ C))
+    Lp = linalg.hermitian_sqrt(linalg._schur_solve(linalg._schur(A), -B @ B.conj().T))
+    Lq = linalg.hermitian_sqrt(linalg._schur_solve(linalg._schur(A.conj().T),
+                                                   -C.conj().T @ C))
     U, hsv, Vh = np.linalg.svd(Lq @ Lp)
     keep = hsv > 0.5
     left = U[:, keep].conj().T @ Lq / np.sqrt(hsv[keep])[:, np.newaxis]
