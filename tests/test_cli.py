@@ -205,6 +205,18 @@ class TestSynthesize:
         rep = json.loads(capsys.readouterr().out)
         assert rep["kappa"] == 1 and rep["extension_degree"] == 2
 
+    def test_scalar_certifies_main_s8g_9(self, tmp_path, capsys):
+        # main s8g #9 of perfbench/inputs/main.npz: with one companion
+        # block per entry its extension missed the 1e-8 symmetry bound
+        # (1.01e-8); one block for the second column certifies it
+        out = tmp_path / "ext.json"
+        rc = main(["scalar", str(DATA / "scalar_s8g_9.json"), "--json", "--out", str(out)])
+        assert rc == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["kappa"] == 8 and rep["extension_degree"] == 16
+        assert rep["innerness_residual"] <= 1e-8 and rep["symmetry_residual"] <= 1e-8
+        assert read_problem(out)["realization"].n == 16
+
     def test_reports_certificates_without_sampling(self, tmp_path, capsys,
                                                    count_calls):
         # scalar, inner and symmetric report the lossless certificates

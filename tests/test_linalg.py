@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from conftest import hermitian_order
 
 from darlington import (
@@ -165,6 +166,44 @@ class TestTakagi:
         assert np.allclose(res.values, [1e-12, 3e-11, 1.0, 2.0], rtol=1e-3, atol=0)
         assert np.linalg.norm(res.u.conj().T @ res.u - np.eye(4), 2) <= 1e-12
         assert np.linalg.norm(res.u @ np.diag(res.values) @ res.u.T - F, 2) <= 1e-12
+
+
+class TestSchurSolve:
+    """linalg._schur_solve reproduces scipy's Lyapunov and Sylvester
+    solvers bit for bit from the Schur forms of linalg._schur."""
+
+    def test_matches_scipy_on_the_suite(self, instance_suite):
+        for inst in instance_suite:
+            R = inst.realization
+            form = linalg._schur(R.a)
+            Q = -R.b @ R.b.conj().T
+            assert np.array_equal(linalg._schur_solve(form, Q),
+                                  sla.solve_continuous_lyapunov(R.a, Q)), inst.name
+            # the pair (A, conj A) that _intertwiner solves
+            Q = -R.b @ R.c.conj()
+            assert np.array_equal(linalg._schur_solve(form, Q, linalg._schur(R.a.T)),
+                                  sla.solve_sylvester(R.a, R.a.conj(), Q)), inst.name
+
+    def test_rectangular_sylvester_matches_scipy(self):
+        rng = np.random.default_rng(5)
+        A, B, Q = (random_complex(rng, shape) for shape in ((5, 5), (3, 3), (5, 3)))
+        X = linalg._schur_solve(linalg._schur(A), Q, linalg._schur(B.conj().T))
+        assert np.array_equal(X, sla.solve_sylvester(A, B, Q))
+
+    def test_empty(self, monkeypatch):
+        monkeypatch.setattr(sla, "schur", None)  # n = 0 factors nothing
+        form = linalg._schur(np.zeros((0, 0), dtype=complex))
+        assert [M.shape for M in form] == [(0, 0), (0, 0)]
+        X = linalg._schur_solve(form, np.zeros((0, 0)))
+        assert X.shape == (0, 0) and X.dtype == complex
+
+    def test_non_finite_raises(self):
+        A = np.array([[-1.0, np.nan], [0.0, -2.0]])
+        with pytest.raises(ValueError):
+            linalg._schur(A)
+        form = linalg._schur(np.diag([-1.0, -2.0]))
+        with pytest.raises(ValueError):
+            linalg._schur_solve(form, np.full((2, 2), np.inf))
 
 
 class TestSpectralNorm:

@@ -1,5 +1,7 @@
 """Riccati layer: shifted data, Hamiltonian structure, extremal
 solutions, spectrum split."""
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -185,6 +187,28 @@ class TestNewtonRefine:
         refined, res = _newton_refine(hat, P)
         assert refined is P
         assert res == riccati_residual(hat, P)
+
+
+def test_newton_step_on_a_singular_lyapunov_equation_does_not_warn(zeta1):
+    # zeta1 has n0 = 2, so Z has a mirror pair of axis eigenvalues and
+    # Z dP + dP Z* = -R(P) is singular: scipy's solver warned, and the
+    # Schur solve perturbs it silently to the same result, bit for bit
+    hat = build_hat(zeta1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pmin = _extremal(hat, ("minimal",))[0]
+    assert pmin.spectrum.n0 == 2
+    start = pmin.p
+    R = _residual_matrix(hat, start)
+    with pytest.warns(RuntimeWarning, match="very close to or exactly zero"):
+        dP = sla.solve_continuous_lyapunov(hat.a_hat + start @ hat.csc, -R)
+    cand = start + (dP + dP.conj().T) / 2
+    res, cand_res = riccati_residual(hat, start), riccati_residual(hat, cand)
+    want = (cand, cand_res) if cand_res < res else (start, res)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        refined, got = _newton_refine(hat, start)
+    assert np.array_equal(refined, want[0]) and got == want[1]
 
 
 class TestSolveExtremal:
