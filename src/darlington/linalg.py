@@ -396,24 +396,18 @@ def _schur(M) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _schur_solve(left, Q, right=None) -> np.ndarray:
-    """Solution X of A X + X B* = Q by Bartels & Stewart (CACM 1972)
-    from the complex Schur forms left = (R, U) of A and right = (S, V)
-    of B (``_schur``), one ztrsyl of R Y + Y S* = scale U* Q V; with no
-    ``right``, B = A: the Lyapunov equation A X + X A* = Q.
-
-    It reproduces scipy's solve_continuous_lyapunov(A, Q) (no right) and
-    solve_sylvester(A, B*, Q) bit for bit: the same products in the same
-    order, and Y scaled before X = U Y V*.  Unlike them it does not warn
-    when two eigenvalues make the equation singular: LAPACK perturbs it
-    and the caller's residual decides.  A non-finite Q raises ValueError,
-    as _schur does for a non-finite A; n = 0 gives an empty X.
-    """
+    """Solution X of A X + X B* = Q (Bartels & Stewart, CACM 1972) from
+    the ``_schur`` forms left = (R, U) of A and right = (S, V) of B, by
+    one ztrsyl of R Y + Y S* = scale U* Q V; no ``right`` means B = A,
+    the Lyapunov equation.  Bit for bit scipy's
+    solve_continuous_lyapunov(A, Q) or solve_sylvester(A, B*, Q): the
+    same products in the same order, Y scaled before X = U Y V*.  A
+    singular equation is perturbed by LAPACK without a warning, and the
+    caller's residual decides; a non-finite Q raises ValueError."""
     Q = np.asarray_chkfinite(Q)
     if Q.size == 0:
         return np.zeros(Q.shape, complex)
     (R, U), (S, V) = left, left if right is None else right
     F = U.conj().T.dot(Q.dot(U)) if right is None else U.conj().T.dot(Q).dot(V)
-    Y, scale, info = sla.lapack.ztrsyl(R, S, F, tranb="C")
-    if info < 0:  # pragma: no cover - argument error
-        raise ValueError(f"ztrsyl: illegal value in argument {-info}")
+    Y, scale, _ = sla.lapack.ztrsyl(R, S, F, tranb="C")
     return U.dot(scale * Y).dot(V.conj().T)

@@ -399,13 +399,11 @@ def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, 
     A X + X conj(A) + B conj(C) = 0: P conj(T) solves the second
     equation since conj(T) conj(A) = A* conj(T), B* conj(T) = conj(C).
     Returns T and ||T||_2.  A ``structural`` R (A = A^T, B = C^T) has
-    T = I and skips the second solve.
+    T = I and skips the second solve.  R's Schur form of A gives its
+    poles, P and one factor of X; the other is a Schur form of A^T.
 
-    R's one Schur form of A gives its spectrum, the Gramian and the
-    first factor of the second equation, whose other factor is one
-    Schur form of A^T (Bartels & Stewart, CACM 1972).  Both equations
-    are uniquely solvable unless two poles form a mirror pair
-    lambda_i + conj(lambda_j) = 0.  Then P is singular exactly when
+    Both equations are uniquely solvable unless two poles form a mirror
+    pair lambda_i + conj(lambda_j) = 0.  Then P is singular exactly when
     (A, B) is not reachable (inertia: x* A = lambda x*, x* B = 0 give
     (A + conj(lambda)) P x = 0, so P x = 0; P x = 0 gives B* x = 0 and
     P A* x = 0), and P need not be definite.  Given reachability, T
