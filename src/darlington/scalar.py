@@ -269,8 +269,8 @@ def scalar_minimal_extension(p1, q) -> tuple[Realization, ScalarFactorization, f
     e11 = siso_realization(num11, den11)
     e12 = e21 = siso_realization(off, q)
     e22 = siso_realization(p1, q)
-    # the second column [e12; e22] is one companion block of q, first,
-    # driven by input 2: e12 and e22 share (A_q, e_n) and differ in C
+    # e12 and e22 share (A_q, e_n) and differ in C; their block goes
+    # first, the order that certified the most fractions
     A = sla.block_diag(e12.a, e11.a, e21.a)
     Z = [np.zeros((r.n, 1)) for r in (e12, e11, e21)]
     B = np.block([[Z[0], e12.b], [e11.b, Z[1]], [e21.b, Z[2]]])
