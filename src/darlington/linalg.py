@@ -8,7 +8,7 @@ the imaginary axis into axis, plus and minus clusters (mirror_split,
 which maps each point to its cluster), the leading-half chain basis of
 a nilpotent matrix, Takagi factorization of complex symmetric matrices
 from one real symmetric eigendecomposition, the one Lyapunov/Sylvester
-solve (from complex Schur forms that its callers factor once), and the
+solve (from the one complex Schur form its callers factor), and the
 package's one spectral norm (spectral_norm: an SVD for a matrix, the largest
 eigenvalue of a Gram matrix for each matrix of a stack; with
 hermitian_norm for Hermitian matrices, max_norm for the largest norm in
@@ -395,19 +395,19 @@ def _schur(M) -> tuple[np.ndarray, np.ndarray]:
     return T, U
 
 
-def _schur_solve(left, Q, right=None) -> np.ndarray:
-    """Solution X of A X + X B* = Q (Bartels & Stewart, CACM 1972) from
-    the ``_schur`` forms left = (R, U) of A and right = (S, V) of B, by
-    one ztrsyl of R Y + Y S* = scale U* Q V; no ``right`` means B = A,
-    the Lyapunov equation.  Bit for bit scipy's
-    solve_continuous_lyapunov(A, Q) or solve_sylvester(A, B*, Q): the
-    same products in the same order, Y scaled before X = U Y V*.  A
-    singular equation is perturbed by LAPACK without a warning, and the
-    caller's residual decides; a non-finite Q raises ValueError."""
+def _schur_solve(form, Q, conjugate: bool = False) -> np.ndarray:
+    """Solution X of A X + X A* = Q or, with ``conjugate``, of
+    A X + X conj(A) = Q (Bartels & Stewart, CACM 1972) from the ``_schur``
+    form (R, U) of A: one ztrsyl of R Y + Y R* = scale U* Q U, or of
+    R Y + Y conj(R) = scale U* Q conj(U) as conj(A) = conj(U) conj(R) U^T,
+    and X = U Y U* (U Y U^T).  The Lyapunov solve is bit for bit scipy's
+    solve_continuous_lyapunov(A, Q).  A singular equation is perturbed by
+    LAPACK without a warning, and the caller's residual decides; a
+    non-finite Q raises ValueError."""
     Q = np.asarray_chkfinite(Q)
     if Q.size == 0:
         return np.zeros(Q.shape, complex)
-    (R, U), (S, V) = left, left if right is None else right
-    F = U.conj().T.dot(Q.dot(U)) if right is None else U.conj().T.dot(Q).dot(V)
-    Y, scale, _ = sla.lapack.ztrsyl(R, S, F, tranb="C")
+    R, U = form
+    S, V, op = (R.conj(), U.conj(), "N") if conjugate else (R, U, "C")
+    Y, scale, _ = sla.lapack.ztrsyl(R, S, U.conj().T.dot(Q.dot(V)), tranb=op)
     return U.dot(scale * Y).dot(V.conj().T)

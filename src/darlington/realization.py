@@ -399,8 +399,8 @@ def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, 
     A X + X conj(A) + B conj(C) = 0: P conj(T) solves the second
     equation since conj(T) conj(A) = A* conj(T), B* conj(T) = conj(C).
     Returns T and ||T||_2.  A ``structural`` R (A = A^T, B = C^T) has
-    T = I and skips the second solve.  R's Schur form of A gives its
-    poles, P and one factor of X; the other is a Schur form of A^T.
+    T = I and skips the second solve.  R's one Schur form of A gives its
+    poles, P and X.
 
     Both equations are uniquely solvable unless two poles form a mirror
     pair lambda_i + conj(lambda_j) = 0.  Then P is singular exactly when
@@ -427,7 +427,7 @@ def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, 
                               "not reachable (the Gramian P is singular)")
     if structural:
         return np.eye(R.n), 1.0
-    X = linalg._schur_solve(form, -R.b @ R.c.conj(), linalg._schur(R.a.T))
+    X = linalg._schur_solve(form, -R.b @ R.c.conj(), conjugate=True)
     T = np.linalg.solve(P, X).conj()
     T = (T + T.T) / 2
     gaps = (T @ R.a - R.a.T @ T, T @ R.b - R.c.T)
@@ -451,13 +451,15 @@ def symmetrize(R: Realization) -> Realization:
     symmetric transfer function from a minimal realization.
 
     Finds the similarity T A = A^T T, T B = C^T by ``_intertwiner`` in
-    O(n^3), factors T = M^T M by Takagi, and returns
-    (A_s, B_s, C_s, D) = (M A M^-1, M B, C M^-1, D).  Its certificate
-    decides every outcome: a mirror pair of poles raises SubspaceError,
-    a singular Gramian P ValidationError (not reachable), an
-    intertwining residual NotSymmetricError, a Takagi-singular T
-    ValidationError (not observable), an output that is not
-    structurally symmetric NotSymmetricError, and a similarity residual
+    O(n^3), factors T = M^T M by Takagi, and returns the exactly
+    symmetric part of (A', B', C', D) = (M A M^-1, M B, C M^-1, D):
+    A_s = (A' + A'^T)/2, B_s = (B' + C'^T)/2 = C_s^T, D_s = (D + D^T)/2,
+    with R's spectrum.  Its certificate decides every outcome: a mirror
+    pair of poles raises SubspaceError, a singular Gramian P
+    ValidationError (not reachable), an intertwining residual
+    NotSymmetricError, a Takagi-singular T ValidationError (not
+    observable), an (A', B', C', D) that is not structurally symmetric
+    NotSymmetricError, and a similarity residual
     ||M A - A_s M|| / (||M|| ||A||) or ||C - C_s M|| / ||C|| above 1e-8
     ValidationError.  A structurally symmetric input is returned once P
     is nonsingular, since its observability is the reachability of the
@@ -475,21 +477,23 @@ def symmetrize(R: Realization) -> Realization:
             raise
     if structural:
         return R
-    out, gaps = R, ()
+    out = R
     if R.n:
         tk = linalg._takagi(T, norm)  # T is exactly symmetric
         if tk.values[0] <= 1e-12 * max(1.0, tk.values[-1]):
             raise ValidationError("symmetrize requires a minimal realization: (C, A) is not "
                                   "observable (the intertwiner T is singular)")
-        M = np.diag(np.sqrt(tk.values)) @ tk.u.T
-        Minv = np.linalg.inv(M)
-        # similar to R: it keeps R's spectrum
-        out = _with_poles(Realization(M @ R.a @ Minv, M @ R.b, R.c @ Minv, R.d), R)
-        # ||M|| = sqrt(sigma_max(T)), as M^T M = T with M = diag(sqrt(values)) U^T
-        gaps = ((M @ R.a - out.a @ M, np.sqrt(tk.values[-1]) * R.norm_a),
-                (R.c - out.c @ M, linalg.spectral_norm(R.c)))
-    if not _structurally_symmetric(out):
+        # M^T M = T, and M^-1 = conj(U) diag(values^-1/2) as U is unitary
+        root = np.sqrt(tk.values)
+        M, Minv = root[:, np.newaxis] * tk.u.T, tk.u.conj() / root
+        out = Realization(M @ R.a @ Minv, M @ R.b, R.c @ Minv, R.d)
+    if not _structurally_symmetric(out):  # always so for an R without states
         raise NotSymmetricError("the symmetrized realization is not structurally symmetric")
+    # the exactly symmetric part keeps R's spectrum to within that check
+    out = _with_poles(Realization((out.a + out.a.T) / 2, (out.b + out.c.T) / 2,
+                                  (out.c + out.b.T) / 2, (out.d + out.d.T) / 2), R)
+    gaps = ((M @ R.a - out.a @ M, root[-1] * R.norm_a),  # ||M|| = root[-1]
+            (R.c - out.c @ M, linalg.spectral_norm(R.c)))
     if not all(linalg.norm_at_most(G, 1e-8 * scale) for G, scale in gaps):
         res = max(linalg.spectral_norm(G) / scale for G, scale in gaps)
         raise ValidationError(f"symmetrization changed the transfer function (residual {res:g})")

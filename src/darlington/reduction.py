@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DarlingtonError, ReductionError, ValidationError
+from .errors import DarlingtonError, ReductionError, SpectralSplitError, ValidationError
 from .extension import (
     _lossless_residual,
     build_extension,
@@ -324,7 +324,8 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     ``find_reduction_vector`` and one certified ``reduce_once``.  Sigma
     must be inner (``Q.inner_flag``), with or without a round, and comes
     balanced; a failing round is a hard error that names its points,
-    the degree before it and the lattice conditioning.
+    the degree before it and the lattice conditioning.  Two odd roots of
+    chi+ within 1e-4 relative raise SpectralSplitError (stage 'riccati').
     ``residual_tol`` (finite, > 0) bounds the innerness certificate of
     the last stage and the symmetry and S-block residuals of the final
     realization, both read from its one cached frequency response on
@@ -341,6 +342,16 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
         (pmin,) = _extremal(build_hat(Rs), ("minimal",))
     except DarlingtonError as exc:
         raise _stage("riccati", exc) from exc
+    # odd roots this close are most likely a double root of H that the
+    # clustering split; no division at it would leave a non-minimal result
+    chi = np.array(pmin.spectrum.chi_plus_roots, dtype=complex)
+    gap = np.abs(chi[:, np.newaxis] - chi) / (1.0 + np.abs(chi[:, np.newaxis]))
+    np.fill_diagonal(gap, np.inf)
+    if np.any(gap <= 1e-4):
+        i, j = np.unravel_index(np.argmin(gap), gap.shape)
+        raise SpectralSplitError(
+            f"stage 'riccati': odd Hamiltonian roots {chi[i]:.6g} and {chi[j]:.6g} are "
+            f"{gap[i, j]:.2g} apart relative to 1 + |xi|, at most 1e-4: a split double root")
     kappa, n0 = pmin.spectrum.kappa, pmin.spectrum.n0
     try:
         E = build_extension(Rs, pmin)

@@ -217,6 +217,16 @@ class TestSynthesize:
         assert rep["innerness_residual"] <= 1e-8 and rep["symmetry_residual"] <= 1e-8
         assert read_problem(out)["realization"].n == 16
 
+    def test_scalar_certificate_miss_exits_one(self, tmp_path, capsys):
+        # the fraction of test_scalar.py's test_certificate_miss_raises:
+        # its balanced truncation misses the 1e-8 certificate (2.4e-8), so
+        # the scalar command refuses it and writes nothing
+        out = tmp_path / "ext.json"
+        rc = main(["scalar", str(DATA / "scalar_s7g_101_65.json"), "--out", str(out)])
+        assert rc == 1
+        assert "scalar extension failed certification (lossless" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reports_certificates_without_sampling(self, tmp_path, capsys,
                                                    count_calls):
         # scalar, inner and symmetric report the lossless certificates

@@ -143,9 +143,9 @@ class TestSignatureRealization:
         R = {"zeta1": zeta1, "zeta2": zeta2}[which]
         solve = darlington.linalg._schur_solve
 
-        def lyapunov_only(left, Q, right=None):
-            assert right is None, "Sylvester solve called"
-            return solve(left, Q)
+        def lyapunov_only(form, Q, conjugate=False):
+            assert not conjugate, "Sylvester solve called"
+            return solve(form, Q)
 
         monkeypatch.setattr(darlington.linalg, "_schur_solve", lyapunov_only)
         SR = signature_realization(R)

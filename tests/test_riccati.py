@@ -133,8 +133,8 @@ class TestNewtonRefine:
     def counting(monkeypatch) -> list:
         solves = []
         original = linalg._schur_solve
-        monkeypatch.setattr(linalg, "_schur_solve",
-                            lambda *args: solves.append(1) or original(*args))
+        monkeypatch.setattr(linalg, "_schur_solve", lambda *args, **kwargs:
+                            solves.append(1) or original(*args, **kwargs))
         return solves
 
     def test_one_correction_per_p_min(self, instance_suite, monkeypatch):

@@ -257,6 +257,18 @@ def test_benchmark_fractions_certify_or_raise():
     assert raised <= STILL_RAISING
 
 
+def test_certificate_miss_raises():
+    # a fresh s7g fraction, perfbench/gen.py draw_rung(101, RUNG["s7g"],
+    # 120) #63 (#65 before symmetrize's output was made exactly symmetric:
+    # the draw's filter runs symmetrize), whose companion realization is
+    # at its accuracy limit: its truncation's certificate is 2.4e-8 > 1e-8
+    doc = json.loads((DATA / "scalar_s7g_101_65.json").read_text())
+    p1, q = (np.array([complex(*v) for v in doc[k]]) for k in ("p1", "q"))
+    with pytest.raises(ValidationError, match=r"scalar extension failed certification "
+                                              r"\(lossless [0-9.e-]+, symmetric"):
+        scalar_minimal_extension(p1, q)
+
+
 def test_one_block_for_the_second_column():
     # main s8g #9 (frozen in tests/data): the realization to truncate has
     # 3 deg q + kappa = 32 states, and the extension certifies, where the
