@@ -274,9 +274,10 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
     V the eigenvectors of Gamma whose eigenvalues exceed
     1e-9 max(1, ||P||, ||P2||) in modulus,
     Q = (V* Z V | V* Gamma C* D21^{-1}; -D21^{-1} C V | I) has the
-    Gramian V* Gamma V = W diag(g) W*, and |g|^{-1/2} W* x the Gramian
-    diag(sign g) (Z Gamma + Gamma Z* + Gamma C_hat* C_hat Gamma =
-    R(P2) - R(P) = 0).  Certified on that state by the invariance
+    Gramian F = V* Gamma V (Z Gamma + Gamma Z* + Gamma C_hat* C_hat Gamma =
+    R(P2) - R(P) = 0).  With the equilibrated t F t = W diag(g) W*,
+    t = diag(|F_ii|^{-1/2}), the state |g|^{-1/2} W* t V* x has the
+    Gramian diag(sign g).  Certified on that state by the invariance
     residual ||Z V - V (V* Z V)|| <= 1e-7 max(1, ||Z||) and on
     diag(sign g) to 1e-8, minimal of degree rank(Gamma); inner exactly
     when P <= P2, that is when every g > 0.
@@ -297,11 +298,14 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
         raise ValidationError(
             f"range(P~ - P) is not invariant under the closed loop Z (invariance "
             f"residual {linalg.spectral_norm(gap):g}); P~ is not a Riccati solution")
-    g, W = np.linalg.eigh(V.conj().T @ gamma @ V)
-    s, Y = np.sqrt(np.abs(g)), V @ W
-    Q = Realization(Y.conj().T @ Z @ Y * s / s[:, np.newaxis],
-                    Y.conj().T @ gamma @ C.conj().T @ d21inv / s[:, np.newaxis],
-                    -d21inv @ C @ Y * s, np.eye(p))
+    F = V.conj().T @ gamma @ V
+    t = 1.0 / np.sqrt(np.abs(np.diagonal(F)))[:, np.newaxis]
+    g, W = np.linalg.eigh(t * F * t.T)
+    # the state is Yl* x / s, and Yr s maps it back
+    s, Yl, Yr = np.sqrt(np.abs(g)), V @ (t * W), V @ (W / t)
+    Q = Realization(Yl.conj().T @ Z @ Yr * s / s[:, np.newaxis],
+                    Yl.conj().T @ gamma @ C.conj().T @ d21inv / s[:, np.newaxis],
+                    -d21inv @ C @ Yr * s, np.eye(p))
     J = np.diag(np.sign(g))
     ures = _lossless_residual(Q, J, np.sign(g))
     if not ures <= 1e-8:

@@ -446,6 +446,11 @@ def _structurally_symmetric(R: Realization) -> bool:
                for G in (R.a - R.a.T, R.b - R.c.T, R.d - R.d.T))
 
 
+def _exactly_symmetric(R: Realization) -> bool:
+    """A = A^T, C = B^T and D = D^T bit for bit."""
+    return all(np.array_equal(X, Y.T) for X, Y in ((R.a, R.a), (R.c, R.b), (R.d, R.d)))
+
+
 def symmetrize(R: Realization) -> Realization:
     """Complex symmetric realization (A = A^T, B = C^T, D = D^T) of a
     symmetric transfer function from a minimal realization.
@@ -461,10 +466,10 @@ def symmetrize(R: Realization) -> Realization:
     observable), an (A', B', C', D) that is not structurally symmetric
     NotSymmetricError, and a similarity residual
     ||M A - A_s M|| / (||M|| ||A||) or ||C - C_s M|| / ||C|| above 1e-8
-    ValidationError.  A structurally symmetric input is returned once P
-    is nonsingular, since its observability is the reachability of the
-    same pair; with a mirror pair, ``kalman_check`` decides its
-    minimality instead.
+    ValidationError.  A structurally symmetric input gives its exactly
+    symmetric part (itself if exact) once P is nonsingular, since its
+    observability is the reachability of the same pair; with a mirror
+    pair, ``kalman_check`` decides its minimality instead.
     """
     if R.outputs != R.inputs:
         raise NotSymmetricError("a symmetric transfer function must be square")
@@ -475,10 +480,10 @@ def symmetrize(R: Realization) -> Realization:
         # no Gramian: a structurally symmetric R is its own answer if minimal
         if not (structural and kalman_check(R).minimal):
             raise
-    if structural:
+    if structural and _exactly_symmetric(R):
         return R
     out = R
-    if R.n:
+    if R.n and not structural:
         tk = linalg._takagi(T, norm)  # T is exactly symmetric
         if tk.values[0] <= 1e-12 * max(1.0, tk.values[-1]):
             raise ValidationError("symmetrize requires a minimal realization: (C, A) is not "
@@ -492,6 +497,8 @@ def symmetrize(R: Realization) -> Realization:
     # the exactly symmetric part keeps R's spectrum to within that check
     out = _with_poles(Realization((out.a + out.a.T) / 2, (out.b + out.c.T) / 2,
                                   (out.c + out.b.T) / 2, (out.d + out.d.T) / 2), R)
+    if structural:  # moved by at most the 1e-9 of that check
+        return out
     gaps = ((M @ R.a - out.a @ M, root[-1] * R.norm_a),  # ||M|| = root[-1]
             (R.c - out.c @ M, linalg.spectral_norm(R.c)))
     if not all(linalg.norm_at_most(G, 1e-8 * scale) for G, scale in gaps):

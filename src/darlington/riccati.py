@@ -23,7 +23,9 @@ the imaginary axis) is analyzed into its even/odd multiplicity
 structure: kappa counts distinct open-right-half-plane eigenvalues of
 odd algebraic multiplicity, and 2*n0 is the total multiplicity on the
 imaginary axis, both read off one complex Schur form of H whose
-reorderings give every invariant subspace.  Each extremal solution is
+reorderings give every invariant subspace; for an exactly symmetric
+realization that form comes from one real Schur form of the real
+K = V*(iH)V, V = [[I, iI], [I, -iI]]/sqrt(2).  Each extremal solution is
 the graph of such a subspace, corrected by one Newton step (one
 Lyapunov solve) that is kept only if it lowers ||R(P)||.
 """
@@ -37,7 +39,7 @@ import scipy.linalg as sla
 
 from . import linalg
 from .errors import ConvergenceError, NotContractiveError, SubspaceError, ValidationError
-from .realization import Realization
+from .realization import Realization, _exactly_symmetric
 
 __all__ = [
     "HatData",
@@ -142,18 +144,20 @@ def build_hat(R: Realization) -> HatData:
 
     Requires ``||D||_2 < 1 - 1e-12`` (strict contractivity
     at infinity); otherwise a NotContractiveError suggests the Moebius
-    preconditioning.
+    preconditioning.  An exactly symmetric R (A = A^T, C = B^T, D = D^T
+    bit for bit) has A_hat = A_hat^T and B_hat B_hat* = conj(C_hat* C_hat);
+    both are stored exactly so, for analyze_spectrum's real Schur form.
     """
     _require_contractive(R)
     Ip = np.eye(R.outputs)
     Dl = np.linalg.inv(Ip - R.d @ R.d.conj().T)
-    Dr = np.linalg.inv(Ip - R.d.conj().T @ R.d)
     a_hat = R.a + R.b @ R.d.conj().T @ Dl @ R.c
-    bbs = R.b @ Dr @ R.b.conj().T
     csc = R.c.conj().T @ Dl @ R.c
-    bbs = (bbs + bbs.conj().T) / 2
     csc = (csc + csc.conj().T) / 2
-    return HatData(a_hat=a_hat, bbs=bbs, csc=csc)
+    if _exactly_symmetric(R):
+        return HatData(a_hat=(a_hat + a_hat.T) / 2, bbs=csc.conj(), csc=csc)
+    bbs = R.b @ np.linalg.inv(Ip - R.d.conj().T @ R.d) @ R.b.conj().T
+    return HatData(a_hat=a_hat, bbs=(bbs + bbs.conj().T) / 2, csc=csc)
 
 
 def build_hamiltonian(hat: HatData) -> Hamiltonian:
@@ -185,11 +189,15 @@ def analyze_spectrum(H: Hamiltonian) -> HSpectrum:
     default_cluster_tol of the diagonally balanced H (||H|| itself can be
     orders of magnitude larger); it raises SpectralSplitError on an odd
     axis multiplicity or an eigenvalue without a mirrored partner, and a
-    complete mirror pairing makes 2 deg pi + 2 kappa = 2n.
+    complete mirror pairing makes 2 deg pi + 2 kappa = 2n.  An H exactly
+    [[-conj A, -G], [conj G, A]] takes that form from _structured_schur.
     """
-    M = H.matrix
+    M, n = H.matrix, H.n
+    A, G = M[n:, n:], -M[:n, n:]
+    structured = (n > 0 and np.array_equal(M[:n, :n], -A.conj())
+                  and np.array_equal(M[n:, :n], G.conj()))
     try:
-        T, U = sla.schur(M, output="complex")
+        T, U = _structured_schur(A, G) if structured else sla.schur(M, output="complex")
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
     base = linalg.default_cluster_tol(sla.matrix_balance(M, permute=False)[0])
@@ -200,6 +208,35 @@ def analyze_spectrum(H: Hamiltonian) -> HSpectrum:
                      pi_roots=tuple((c, m // 2) for c, m, _ in labeled if m > 1),
                      chi_plus_roots=tuple(chi_plus), cluster_tolerance=tol,
                      schur=(T, U), cluster_index=index)
+
+
+def _structured_schur(A: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form U T U* of H = [[-conj A, -G], [conj G, A]], n > 0,
+    from one real Schur form Z R Z^T (dgees) of K = V*(iH)V, V = [[I, iI],
+    [I, -iI]]/sqrt(2) (Van Loan, LAA 1984; Benner, Kressner & Mehrmann 2005):
+    T = -i Q* R Q, U = V Z Q, where Q's 2 x 2 blocks triangularize R's.  T's
+    diagonal is -i times dgees' eigenvalues of K: each mirror pair
+    (lambda, -conj lambda) is exact, each real eigenvalue of K on the axis."""
+    n = len(A)
+    K = np.empty((2 * n, 2 * n))
+    K[:n, :n], K[:n, n:] = G.imag - A.imag, A.real - G.real
+    K[n:, :n], K[n:, n:] = -(A.real + G.real), -(A.imag + G.imag)
+    R, _, wr, wi, Z, _, info = sla.lapack.dgees(lambda x, y: None, np.asarray_chkfinite(K),
+                                                overwrite_a=True)
+    if info:  # pragma: no cover - LAPACK failure
+        raise sla.LinAlgError(f"real Schur form failed (dgees info {info})")
+    # [[al, i be], [i be, al]] triangularizes the standardized [[a, b], [c, a]]
+    k = np.flatnonzero(wi > 0)  # the first row of each 2 x 2 block
+    b, c = np.abs(R[k, k + 1]), np.abs(R[k + 1, k])
+    Q = np.eye(2 * n, dtype=complex)
+    Q[k, k] = Q[k + 1, k + 1] = np.sqrt(b / (b + c))
+    Q[k, k + 1] = Q[k + 1, k] = 1j * np.copysign(np.sqrt(c / (b + c)), R[k, k + 1])
+    ZQ = Z @ Q
+    U = np.vstack([ZQ[:n] + 1j * ZQ[n:], ZQ[:n] - 1j * ZQ[n:]]) * np.sqrt(0.5)
+    T = Q.conj().T @ (-1j * R) @ Q  # below the diagonal only the blocks' corners
+    T[k + 1, k] = 0
+    np.fill_diagonal(T, wi - 1j * wr)
+    return T, U
 
 
 def _invariant_subspace(spec: HSpectrum, chosen) -> np.ndarray:
@@ -225,11 +262,12 @@ def _newton_refine(hat: HatData, P: np.ndarray) -> tuple[np.ndarray, float]:
     R = _residual_matrix(hat, P)
     res = float(linalg.spectral_norm(R))
     try:
-        # an axis eigenvalue pair of Z (n0 > 0) makes the equation
-        # singular; LAPACK then perturbs it and the residual decides
-        dP = linalg._schur_solve(linalg._schur(hat.a_hat + P @ hat.csc), -R)
-        cand = P + (dP + dP.conj().T) / 2
-        cand_res = float(linalg.spectral_norm(_residual_matrix(hat, cand)))
+        # an axis eigenvalue pair of Z (n0 > 0) makes the equation (nearly)
+        # singular; LAPACK then perturbs it, dP may overflow, the residual decides
+        with np.errstate(over="ignore", invalid="ignore"):
+            dP = linalg._schur_solve(linalg._schur(hat.a_hat + P @ hat.csc), -R)
+            cand = P + (dP + dP.conj().T) / 2
+            cand_res = float(linalg.spectral_norm(_residual_matrix(hat, cand)))
     except (np.linalg.LinAlgError, ValueError):  # the SVD of a nan R(P) too
         return P, res
     return (cand, cand_res) if cand_res < res else (P, res)
@@ -280,7 +318,10 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
 
     def graph_solution(side: str, kind: str) -> RiccatiSolution:
         chosen = {i for i, (_, _, lab) in enumerate(spec.clusters) if lab == side}
-        Mb = np.linalg.qr(np.hstack([_invariant_subspace(spec, chosen)] + axis_bases))[0]
+        # ZTRSEN's leading Schur vectors are orthonormal; the half-chains are not
+        Mb = _invariant_subspace(spec, chosen)
+        if axis_bases:
+            Mb = np.linalg.qr(np.hstack([Mb] + axis_bases))[0]
         X, Y = Mb[:n, :], Mb[n:, :]
         # the empty X of a degree-0 problem counts as perfectly conditioned
         sx = np.linalg.svd(X, compute_uv=False) if n else np.ones(1)

@@ -35,21 +35,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from conftest import SUITE_FILE  # noqa: E402
 from darlington import minimal_realization  # noqa: E402
 from darlington.scalar import siso_realization  # noqa: E402
-from test_contract import SPECS, draw  # noqa: E402
+from test_contract import CONTRACT_DRAWS, draw, similar  # noqa: E402
 
 FILE = Path(__file__).parent / "witnesses.npz"
 PAIR, TRIPLE = ("congruence", [(4, 0, 0)] * 2), ("congruence", [(4, 0, 0)] * 3)
-CONTRACT_DRAWS = ([(spec, s) for spec in SPECS for s in range(10)]
-                  + [(spec, s) for spec in (PAIR, ("scalar", 6, 0, 2)) for s in range(60)])
-
-
-def similar(R, cond: float, rng) -> tuple:
-    n = R.n
-    U, V = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
-            for _ in range(2))
-    S = U @ np.diag(np.logspace(0, np.log10(cond), n)) @ V
-    Si = np.linalg.inv(S)
-    return S @ R.a @ Si, S @ R.b, R.c @ Si, R.d
 
 
 def _factor(W):

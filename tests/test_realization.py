@@ -34,6 +34,7 @@ from darlington.errors import (
     ValidationError,
 )
 from darlington.realization import (
+    _exactly_symmetric,
     _intertwiner,
     _structurally_symmetric,
     derivative,
@@ -259,6 +260,29 @@ class TestSymmetrize:
         out = symmetrize(R)
         assert np.linalg.norm(out.a - out.a.T) < 1e-8
         assert np.linalg.norm(out.b - out.c.T) < 1e-8
+
+    @pytest.mark.parametrize("idx", range(20))
+    def test_nearly_structural_input_comes_back_exactly_symmetric(self, instance_suite, idx,
+                                                                   monkeypatch):
+        # a 1e-12 asymmetric perturbation passes the 1e-9 structural check;
+        # its exactly symmetric part reaches the real Schur form of the
+        # Hamiltonian and certifies at the same degree
+        inst = instance_suite[idx]
+        Rs = symmetrize(inst.realization)
+        rng = np.random.default_rng(idx)
+        n, p = Rs.n, Rs.outputs
+        R = Realization(Rs.a + 1e-12 * rng.normal(size=(n, n)),
+                        Rs.b + 1e-12 * rng.normal(size=(n, p)), Rs.c, Rs.d)
+        assert _structurally_symmetric(R) and not _exactly_symmetric(R)
+        out = symmetrize(R)
+        assert np.array_equal(out.a, out.a.T) and np.array_equal(out.c, out.b.T)
+        assert np.array_equal(out.d, out.d.T)
+        forms = []
+        dgees = sla.lapack.dgees
+        monkeypatch.setattr(sla.lapack, "dgees",
+                            lambda *args, **kwargs: forms.append(1) or dgees(*args, **kwargs))
+        assert minimize_symmetric(R).degree == inst.n + inst.expected_kappa
+        assert forms == [1]
 
     def test_rejects_asymmetric_transfer(self):
         rng = np.random.default_rng(3)

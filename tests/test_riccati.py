@@ -292,20 +292,26 @@ class TestHalfPlaneSchur:
             assert sol.subspace_condition <= np.sqrt(1 + np.linalg.norm(sol.p, 2) ** 2)
 
 
-@pytest.mark.parametrize("which", ["zeta1", "zeta2", "suite"])
+@pytest.mark.parametrize("which", ["zeta1", "zeta2", "suite", "unsymmetrized"])
 def test_one_schur_form_per_riccati_solve(which, zeta1, zeta2, instance_suite,
                                           monkeypatch):
-    # instance 13 has an imaginary-axis cluster (n0 = 1) and one Blaschke step
-    R = {"zeta1": zeta1, "zeta2": zeta2,
-         "suite": instance_suite[13].realization}[which]
-    hat = build_hat(symmetrize(R))
+    # instance 13 has an imaginary-axis cluster (n0 = 1) and one Blaschke step;
+    # its realization before symmetrize is not exactly symmetric
+    raw = instance_suite[13].realization
+    R = {"zeta1": symmetrize(zeta1), "zeta2": symmetrize(zeta2),
+         "suite": symmetrize(raw), "unsymmetrized": raw}[which]
+    hat = build_hat(R)
     H = build_hamiltonian(hat).matrix
     schurs, spectra = [], []
-    schur, eigvals = sla.schur, np.linalg.eigvals
+    schur, dgees, eigvals = sla.schur, sla.lapack.dgees, np.linalg.eigvals
 
     def recording_schur(M, *args, **kwargs):
-        schurs.append(np.array(M))
+        schurs.append((np.array(M), kwargs.get("output", args[0] if args else "real")))
         return schur(M, *args, **kwargs)
+
+    def recording_dgees(select, M, *args, **kwargs):
+        schurs.append((np.array(M), "real"))
+        return dgees(select, M, *args, **kwargs)
 
     def recording_eigvals(M):
         spectra.append(np.array(M))
@@ -315,12 +321,25 @@ def test_one_schur_form_per_riccati_solve(which, zeta1, zeta2, instance_suite,
         return M.shape == H.shape and np.allclose(M, H)
 
     monkeypatch.setattr(sla, "schur", recording_schur)
+    monkeypatch.setattr(sla.lapack, "dgees", recording_dgees)
     monkeypatch.setattr(np.linalg, "eigvals", recording_eigvals)
     pmin, _ = _extremal(hat, ("minimal", "maximal"))
-    assert pmin.spectrum.n0 == {"zeta1": 2, "zeta2": 0, "suite": 1}[which]
-    # H's one Schur form, then one of the closed loop Z per Newton step
-    assert len(schurs) == 3 and np.array_equal(schurs[0], H)
-    assert all(Z.shape == hat.a_hat.shape for Z in schurs[1:])
+    assert pmin.spectrum.n0 == {"zeta1": 2, "zeta2": 0, "suite": 1, "unsymmetrized": 1}[which]
+    (F, output), closed_loops = schurs[0], schurs[1:]
+    if which == "unsymmetrized":
+        # H's one complex Schur form
+        assert not np.array_equal(raw.a, raw.a.T)
+        assert output == "complex" and np.array_equal(F, H)
+    else:
+        # one real Schur form of the real K = V*(iH)V, none of H
+        n = hat.n
+        V = np.block([[np.eye(n), 1j * np.eye(n)], [np.eye(n), -1j * np.eye(n)]]) / np.sqrt(2)
+        assert output == "real" and F.dtype == float and F.shape == H.shape
+        assert np.allclose(F, V.conj().T @ (1j * H) @ V, rtol=0,
+                           atol=1e-14 * np.linalg.norm(H, 2))
+    # then one of the closed loop Z per Newton step
+    assert len(closed_loops) == 2
+    assert all(Z.shape == hat.a_hat.shape and out == "complex" for Z, out in closed_loops)
     assert not spectra
     assert minimize_symmetric(R).n0 == pmin.spectrum.n0
     assert not any(map(is_h, spectra))
@@ -328,6 +347,44 @@ def test_one_schur_form_per_riccati_solve(which, zeta1, zeta2, instance_suite,
     m = H.shape[0]
     Realization(H, np.zeros((m, 1)), np.zeros((1, m)), np.zeros((1, 1))).poles()
     assert is_h(spectra[-1])
+
+
+@pytest.mark.parametrize("idx", range(20))
+def test_structured_schur_form_of_a_symmetric_realization(instance_suite, idx):
+    hat = build_hat(symmetrize(instance_suite[idx].realization))
+    H = build_hamiltonian(hat).matrix
+    spec = analyze_spectrum(Hamiltonian(H))
+    T, U = spec.schur
+    m, eps = len(H), np.finfo(float).eps
+    # kappa, n0 and the pi multiplicities of the reference complex form
+    base = linalg.default_cluster_tol(sla.matrix_balance(H, permute=False)[0])
+    ref = linalg.mirror_split(np.diag(sla.schur(H, output="complex")[0]), base)[1]
+    assert spec.kappa == sum(1 for _, k, lab in ref if lab == "plus" and k % 2)
+    assert spec.n0 == sum(k for _, k, lab in ref if lab == "axis") // 2
+    assert sorted(k for _, k in spec.pi_roots) == sorted(k // 2 for _, k, _ in ref if k > 1)
+    # the spectrum is closed under lambda -> -conj(lambda) bit for bit, and
+    # the real eigenvalues of K = V*(iH)V (1 x 1 blocks of its real form)
+    # lie exactly on the axis
+    lam = np.diag(T)
+    key = lambda z: (z.real, z.imag)  # noqa: E731
+    assert sorted(lam.tolist(), key=key) == sorted((-lam.conj()).tolist(), key=key)
+    n = hat.n
+    A, G = H[n:, n:], -H[:n, n:]
+    K = np.block([[G.imag - A.imag, A.real - G.real], [-(A.real + G.real), -(A.imag + G.imag)]])
+    V = np.block([[np.eye(n), 1j * np.eye(n)], [np.eye(n), -1j * np.eye(n)]]) / np.sqrt(2)
+    assert np.allclose(K, V.conj().T @ (1j * H) @ V, rtol=0, atol=1e-14 * np.linalg.norm(H, 2))
+    blocks = np.count_nonzero(np.diagonal(sla.schur(K, output="real")[0], -1))
+    assert np.sum(lam.real == 0) == m - 2 * blocks
+    # a backward stable Schur form
+    assert np.array_equal(T, np.triu(T))
+    assert np.linalg.norm(U @ T @ U.conj().T - H, 2) <= 100 * eps * np.linalg.norm(H, 2)
+    assert np.linalg.norm(U.conj().T @ U - np.eye(m), 2) <= 100 * eps
+
+
+def test_structured_schur_form_of_degree_zero():
+    spec = analyze_spectrum(Hamiltonian(np.zeros((0, 0), complex)))
+    assert (spec.kappa, spec.n0, spec.clusters) == (0, 0, ())
+    assert all(M.shape == (0, 0) for M in spec.schur)
 
 
 class TestAnalyzeSpectrum:
