@@ -27,6 +27,12 @@ print("Blaschke factors divided out:",
       [(np.round(f.xi, 6), np.round(f.u, 4)) for f in res.factors])
 print("certificates: inner", res.innerness, "| symmetric", res.symmetry,
       "| S block match", res.block_match)
+# one record per stage: its name, wall seconds and the values it computed
+for rec in res.trace:
+    print(f"  stage {rec['stage']:<20} {1e3 * rec['seconds']:7.2f} ms")
+for rnd in res.trace[3]["rounds"]:
+    print("  round at xi =", np.round(rnd["points"], 6), "| degree",
+          rnd["degree_before"], "->", rnd["degree_after"])
 
 T = res.extension
 print("zeros of the minimal extension:",

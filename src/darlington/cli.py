@@ -4,18 +4,19 @@ Three subcommands operate on JSON problem files:
 
 ``check``        validate a realization (minimality, contractivity at
                  infinity, symmetry, Schur property on the axis grid);
-``synthesize``   build inner / symmetric / minimal-symmetric extensions;
+``synthesize``   build inner / symmetric / minimal-symmetric extensions
+                 (the last on P_min, its report with the stage trace);
 ``scalar``       run the polynomial pipeline on a scalar fraction p1/q.
 
 File format: UTF-8 JSON with keys "A", "B", "C", "D" (nested arrays,
-complex entries as [re, im] pairs; bare reals accepted on input),
-optional "flags" ({"symmetric": bool, "real": bool}; any other flag
-value is an error), and for the scalar pipeline coefficient arrays
-"p1", "q" in ascending degree order; other keys are ignored.
-Written files and ``--json`` reports are single-line JSON documents,
-each followed by a newline, with the same [re, im] layout;
-serialization uses Python's shortest round-tripping float repr, so
-write-then-read reproduces matrices bit-exactly.
+complex entries as [re, im] pairs of numbers or bare reals, never
+strings, true or false), optional "flags" ({"symmetric": bool,
+"real": bool}; any other flag value is an error), and for the scalar
+pipeline coefficient arrays "p1", "q" in ascending degree order; other
+keys are ignored.  Written files and ``--json`` reports are single-line
+JSON documents, each followed by a newline, with the same [re, im]
+layout; serialization uses Python's shortest round-tripping float repr,
+so write-then-read reproduces matrices bit-exactly.
 
 ``check`` and ``synthesize`` take a certification tolerance, 1e-7 by
 default, set with --tol (finite and positive).  It bounds the grid
@@ -69,10 +70,11 @@ __all__ = ["main"]
 # ----------------------------------------------------------------- I/O
 
 def _parse_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+    # a number or an [re, im] pair of numbers; bool subclasses int, but
+    # JSON's true and false are not numbers, and neither are strings
+    parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else (v, 0.0)
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in parts):
+        return complex(float(parts[0]), float(parts[1]))
     raise ValueError(f"cannot parse complex entry {v!r}")
 
 
@@ -186,6 +188,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    if args.mode == "minimal-symmetric" and args.solution == "max":  # built on P_min
+        raise ValueError("--solution max applies to the inner and symmetric modes")
     prob = read_problem(args.file)
     if "realization" not in prob:
         print("error: synthesize needs a realization (A, B, C, D)", file=sys.stderr)
@@ -199,7 +203,11 @@ def cmd_synthesize(args) -> int:
     if args.mode == "minimal-symmetric":
         res = minimize_symmetric(R, residual_tol=args.tol)
         out, X, bound = res.extension, np.eye(res.degree), args.tol  # balanced
-        fields = {"kappa": res.kappa, "n0": res.n0, "reductions": len(res.factors)}
+        # as plain JSON, less the wall seconds: a report depends on its input alone
+        trace = json.loads(json.dumps(res.trace, default=lambda z: [z.real, z.imag]),
+                           object_hook=lambda d: {k: v for k, v in d.items() if k != "seconds"})
+        fields = {"kappa": res.kappa, "n0": res.n0, "reductions": len(res.factors),
+                  "trace": trace}
     else:
         base = symmetrize(R) if args.mode == "symmetric" else R
         kind = "minimal" if args.solution == "min" else "maximal"

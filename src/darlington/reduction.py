@@ -23,25 +23,16 @@ For distinct points this is the root-by-root cascade: dividing by B_j
 maps the kernel of T(xi_k) by B_j(xi_k), which is block diagonal as
 u_j is supported on the first block, and keeps both conditions above.
 The (n - kappa - n0)/2 divisions end at the minimal symmetric inner
-extension of degree n + kappa.  The points and multiplicities are read
-from the analyzed Hamiltonian spectrum before the first round; no
-round solves for zeros again.
+extension of degree n + kappa.  No round solves for zeros: the points
+and multiplicities come from the analyzed Hamiltonian spectrum.
 
 Sigma comes balanced (controllability Gramian I, as every Hankel
-singular value of an inner function is 1); each round of m divisions
-drops m states per side by an orthogonal deflation in closed form,
-with no Lyapunov solve or rank decision, and is certified inner and
-minimal of degree deg T - 2m on the identity Gramian.  The last of
-these Gramian certificates (or Sigma's, with no round) is the reported
-innerness of the result; only the symmetry and S-block match are
-sampled, from the one frequency response of the final realization on
-its own probe grid, which the realization caches (with no round it is
-Sigma's, sampled once by its stage check through its factors S_P and
-diag(Q, I)).  Every pole of S is a pole of the extension, so that grid
-avoids the poles of S too.
+singular value of an inner function is 1), and each round keeps it so
+by a closed-form deflation certified on that Gramian (reduce_once).
 """
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -273,20 +264,27 @@ class SynthesisResult:
     """Outcome of the minimal symmetric inner extension pipeline.
 
     ``innerness`` is the relative residual of the last stage's lossless
-    certificate (the last Blaschke round's, or with no round Sigma's),
-    which proves ``extension`` inner and minimal on the controllability
-    Gramian I: it is balanced;
-    ``symmetry`` and ``block_match`` are maxima over
-    probe_points(extension) of the one frequency response of
-    ``extension``, which it caches (with no round, the one Sigma's stage
-    check sampled).
+    certificate (the last round's, or with no round Sigma's), which
+    proves ``extension`` inner and minimal on the Gramian I;
+    ``symmetry`` and ``block_match`` are maxima of its one cached
+    frequency response on probe_points(extension).
 
     ``factors`` holds one factor per division, in round order: round r
     divides once at every root of multiplicity at least r in pi, in the
     order of ``p_min.spectrum.pi_roots``.  Each ``u`` is the direction
     found on its round's input (the balanced Sigma for round 1, the
     output of round r - 1 after that), so the factors of one round are
-    not the successive directions of a root-by-root cascade."""
+    not the successive directions of a root-by-root cascade.
+
+    ``trace`` holds one dict per stage, in order, with its ``stage``
+    name, wall ``seconds`` and values the stage computed anyway:
+    'riccati' kappa, n0, cluster_tolerance, riccati_residual, p_min_norm,
+    p_min_inv_norm, cond_x and chi_plus_gap (the least distance of two
+    odd roots relative to 1 + |xi|, None with fewer); 'symmetric-extension'
+    degree, lossless_residual and symmetry_residual; 'reduce' rounds, each
+    with its points, their multiplicities in pi, degree_before,
+    degree_after, lossless_residual and seconds; 'finalize' innerness,
+    symmetry and block_match."""
     extension: Realization
     degree: int
     kappa: int
@@ -296,105 +294,99 @@ class SynthesisResult:
     innerness: float
     symmetry: float
     block_match: float
-
-
-def _stage(name: str, exc: DarlingtonError) -> DarlingtonError:
-    return type(exc)(f"stage '{name}': {exc}")
-
-
-def _conditioning(sol: RiccatiSolution) -> str:
-    w = np.abs(np.linalg.eigvalsh(sol.p))  # P_min is Hermitian
-    return (f"||P_min|| = {np.max(w, initial=0.0):.3g}, ||P_min^-1|| = "
-            f"{1.0 / np.min(w, initial=np.inf):.3g}, "
-            f"cond X = {sol.subspace_condition:.3g}")
+    trace: tuple[dict, ...]
 
 
 def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisResult:
     """Minimal-degree symmetric inner extension of a symmetric Schur
-    function strictly contractive at infinity.
-
-    Pipeline: symmetrize the (minimal) realization, solve the Riccati
-    equation for the minimal solution only, build its inner extension and
-    the symmetric unitary extension of degree 2n - n0, then divide out
-    elementary Blaschke factors supported on the first coordinate block
-    at the open-right-half-plane roots of pi (``spectrum.pi_roots`` of
-    the minimal solution), each as often as its multiplicity in pi,
-    which takes the degree to n + kappa.  Round r divides
-    once at every root of multiplicity at least r: one batched
-    ``find_reduction_vector`` and one certified ``reduce_once``.  Sigma
-    must be inner (``Q.inner_flag``), with or without a round, and comes
-    balanced; a failing round is a hard error that names its points,
-    the degree before it and the lattice conditioning.  Two odd roots of
-    chi+ within 1e-4 relative raise SpectralSplitError (stage 'riccati').
-    ``residual_tol`` (finite, > 0) bounds the innerness certificate of
-    the last stage and the symmetry and S-block residuals of the final
-    realization, both read from its one cached frequency response on
-    probe_points(extension).
+    function strictly contractive at infinity, in five stages:
+    'symmetrize' the (minimal) realization; 'riccati', the minimal
+    solution only (two odd roots of chi+ within 1e-4 relative raise
+    SpectralSplitError); 'symmetric-extension', the balanced Sigma of
+    degree 2n - n0; 'reduce', which needs Sigma inner (``Q.inner_flag``)
+    and divides it to degree n + kappa, round r once at every root of pi
+    of multiplicity at least r, by one batched ``find_reduction_vector``
+    and one certified ``reduce_once``; 'finalize'.  Each stage is timed
+    and recorded in ``trace``.  A stage's DarlingtonError is raised again
+    with its type and the prefix "stage '<name>': "; a failed round as a
+    ReductionError naming its points, the degree before it and the
+    conditioning in the 'riccati' record.  ``residual_tol`` (finite, > 0)
+    bounds the last stage's innerness certificate and the symmetry and
+    S-block residuals of the final realization's one cached frequency
+    response on probe_points(extension).
     """
     if not (np.isfinite(residual_tol) and residual_tol > 0):
         raise ValidationError(f"residual_tol must be finite and positive, got {residual_tol!r}")
+    # the running stage is the first one not yet in the trace
+    stages = ("symmetrize", "riccati", "symmetric-extension", "reduce", "finalize")
+    trace: list[dict] = []
+    marks, failed_round = [time.perf_counter()], ""
+
+    def done(**values) -> None:
+        marks.append(time.perf_counter())  # the running stage ends, the next starts
+        trace.append({"stage": stages[len(trace)], "seconds": marks[-1] - marks[-2], **values})
+
     try:
-        Rs = symmetrize(R)
-    except DarlingtonError as exc:
-        raise _stage("symmetrize", exc) from exc
-    n, p = Rs.n, Rs.outputs
-    try:
+        Rs, p = symmetrize(R), R.outputs
+        done()
         (pmin,) = _extremal(build_hat(Rs), ("minimal",))
-    except DarlingtonError as exc:
-        raise _stage("riccati", exc) from exc
-    # odd roots this close are most likely a double root of H that the
-    # clustering split; no division at it would leave a non-minimal result
-    chi = np.array(pmin.spectrum.chi_plus_roots, dtype=complex)
-    gap = np.abs(chi[:, np.newaxis] - chi) / (1.0 + np.abs(chi[:, np.newaxis]))
-    np.fill_diagonal(gap, np.inf)
-    if np.any(gap <= 1e-4):
-        i, j = np.unravel_index(np.argmin(gap), gap.shape)
-        raise SpectralSplitError(
-            f"stage 'riccati': odd Hamiltonian roots {chi[i]:.6g} and {chi[j]:.6g} are "
-            f"{gap[i, j]:.2g} apart relative to 1 + |xi|, at most 1e-4: a split double root")
-    kappa, n0 = pmin.spectrum.kappa, pmin.spectrum.n0
-    try:
-        E = build_extension(Rs, pmin)
-        current, Q, _, ir = symmetric_unitary_extension(E)
-    except DarlingtonError as exc:
-        raise _stage("symmetric-extension", exc) from exc
-    if current.n != 2 * n - n0:
-        raise ValidationError(
-            f"stage 'symmetric-extension': degree {current.n} of the unitary "
-            f"extension differs from 2n - n0 = {2 * n - n0}")
-    # a root of multiplicity k in pi is divided out k times, each
-    # division dropping the degree by 2; the complete mirror pairing of
-    # the spectrum makes kappa + 2 sum(k) = n - n0, so they end at n + kappa
-    roots = [(xi, k) for xi, k in pmin.spectrum.pi_roots if xi.real > 0]
-    # a Gramian I proves Sigma stable, also when no round follows
-    if not Q.inner_flag:
-        raise ReductionError(
-            f"stage 'reduce': the Gramian diag(J_Q, I) of Sigma is not "
-            f"positive definite ({_conditioning(pmin)})")
-    factors: list[BlaschkeFactor] = []
-    for r in range(1, max((k for _, k in roots), default=0) + 1):
-        points = [xi for xi, k in roots if k >= r]
-        try:
+        spec, w = pmin.spectrum, np.abs(pmin._p_eigenvalues)  # P_min is Hermitian
+        # odd roots this close are most likely a double root of H that the
+        # clustering split; no division at it would leave a non-minimal result
+        chi = np.array(spec.chi_plus_roots, dtype=complex)
+        gap = np.abs(chi[:, np.newaxis] - chi) / (1.0 + np.abs(chi[:, np.newaxis]))
+        np.fill_diagonal(gap, np.inf)
+        if np.any(gap <= 1e-4):
+            i, j = np.unravel_index(np.argmin(gap), gap.shape)
+            raise SpectralSplitError(
+                f"odd Hamiltonian roots {chi[i]:.6g} and {chi[j]:.6g} are {gap[i, j]:.2g} "
+                f"apart relative to 1 + |xi|, at most 1e-4: a split double root")
+        done(kappa=spec.kappa, n0=spec.n0, cluster_tolerance=spec.cluster_tolerance,
+             riccati_residual=pmin.residual_norm, p_min_norm=float(np.max(w, initial=0.0)),
+             p_min_inv_norm=float(1.0 / np.min(w, initial=np.inf)),
+             cond_x=pmin.subspace_condition,
+             chi_plus_gap=float(gap.min()) if chi.size > 1 else None)
+        conditioning = ("||P_min|| = {p_min_norm:.3g}, ||P_min^-1|| = {p_min_inv_norm:.3g}, "
+                        "cond X = {cond_x:.3g}").format_map(trace[-1])
+        current, Q, sres, ir = symmetric_unitary_extension(build_extension(Rs, pmin))
+        if current.n != 2 * Rs.n - spec.n0:
+            raise ValidationError(f"degree {current.n} of the unitary extension "
+                                  f"differs from 2n - n0 = {2 * Rs.n - spec.n0}")
+        done(degree=current.n, lossless_residual=ir, symmetry_residual=sres)
+        # a Gramian I proves Sigma stable, also when no round follows
+        if not Q.inner_flag:
+            raise ReductionError(f"the Gramian diag(J_Q, I) of Sigma is not positive "
+                                 f"definite ({conditioning})")
+        # a root of multiplicity k in pi is divided out k times, each
+        # division dropping the degree by 2; the complete mirror pairing of
+        # the spectrum makes kappa + 2 sum(k) = n - n0, so they end at n + kappa
+        roots = [(xi, k) for xi, k in spec.pi_roots if xi.real > 0]
+        factors, rounds = [], []
+        for r in range(1, max((k for _, k in roots), default=0) + 1):
+            points = [xi for xi, k in roots if k >= r]
+            failed_round = (f"round {r} at xi = {', '.join(f'{xi:.6g}' for xi in points)} "
+                            f"from degree {current.n} failed ({conditioning}): ")
+            before, round_start = current.n, time.perf_counter()
             U = find_reduction_vector(current, points, support=p)
             fs = [BlaschkeFactor(xi=xi, u=u) for xi, u in zip(points, U)]
             current, ir = reduce_once(current, fs)
-        except DarlingtonError as exc:
-            raise ReductionError(
-                f"stage 'reduce': round {r} at xi = "
-                f"{', '.join(f'{xi:.6g}' for xi in points)} from degree "
-                f"{current.n} failed ({_conditioning(pmin)}): {exc}") from exc
-        factors.extend(fs)
-    # ir is the lossless certificate of the last stage (the last round,
-    # or Sigma with none), which proves current inner and minimal; its
-    # one probe response (Sigma's stage check, with no round) gives its
-    # symmetry and S block.  Every pole of S is a pole of current
-    pts, F, sr = current._probe
-    block = linalg.max_norm(F[:, p:, p:] - freqresp(R, pts))
-    if not all(v <= residual_tol for v in (ir, sr, block)):  # a nan fails too
-        raise ValidationError(
-            f"stage 'finalize': certification failed (inner {ir:g}, "
-            f"symmetry {sr:g}, block match {block:g})")
-    return SynthesisResult(extension=current, degree=current.n, kappa=kappa,
-                           n0=n0, p_min=pmin,
-                           factors=tuple(factors), innerness=ir, symmetry=sr,
-                           block_match=block)
+            factors.extend(fs)
+            rounds.append(dict(points=points, multiplicities=[k for _, k in roots if k >= r],
+                               degree_before=before, degree_after=current.n,
+                               lossless_residual=ir, seconds=time.perf_counter() - round_start))
+        failed_round = ""
+        done(rounds=rounds)
+        # ir, the last stage's certificate, proves current inner and minimal;
+        # its cached probe points avoid the poles of S, which are poles of current
+        pts, F, sr = current._probe
+        block = linalg.max_norm(F[:, p:, p:] - freqresp(R, pts))
+        if not all(v <= residual_tol for v in (ir, sr, block)):  # a nan fails too
+            raise ValidationError(f"certification failed (inner {ir:g}, "
+                                  f"symmetry {sr:g}, block match {block:g})")
+        done(innerness=ir, symmetry=sr, block_match=block)
+    except DarlingtonError as exc:  # a failed round is always a ReductionError
+        raise (ReductionError if failed_round else type(exc))(
+            f"stage '{stages[len(trace)]}': {failed_round}{exc}") from exc
+    return SynthesisResult(extension=current, degree=current.n, kappa=spec.kappa,
+                           n0=spec.n0, p_min=pmin, factors=tuple(factors), innerness=ir,
+                           symmetry=sr, block_match=block, trace=tuple(trace))

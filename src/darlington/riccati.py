@@ -124,7 +124,7 @@ class RiccatiSolution:
     @cached_property
     def _p_eigenvalues(self) -> np.ndarray:
         """eigvalsh of the Hermitian part of P, which the solve computes
-        once and build_extension reads."""
+        once and build_extension and minimize_symmetric read."""
         return np.linalg.eigvalsh((self.p + self.p.conj().T) / 2)
 
 

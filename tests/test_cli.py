@@ -12,7 +12,8 @@ import darlington.extension
 import darlington.realization
 from darlington.cli import main, read_problem, write_realization
 from darlington.extension import innerness_residual
-from darlington.realization import Realization, evaluate
+from darlington.realization import Realization, evaluate, minimal_realization
+from darlington.reduction import minimize_symmetric
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -105,6 +106,29 @@ class TestIO:
         assert captured.err.startswith("error: ") and named in captured.err
 
 
+    @pytest.mark.parametrize("command, doc, named", [
+        ("synthesize", {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[False]]},
+         "field 'D': cannot parse complex entry False"),
+        ("synthesize", {"A": [[[-1.0, True]]], "B": [[1.0]], "C": [[1.0]], "D": [[0.0]]},
+         "field 'A': cannot parse complex entry [-1.0, True]"),
+        ("scalar", {"p1": [True], "q": [1.0, 1.0]},
+         "field 'p1': cannot parse complex entry True"),
+        ("synthesize", {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]], "D": [[["0.5", "0"]]]},
+         "field 'D': cannot parse complex entry ['0.5', '0']"),
+    ], ids=["entry", "pair-part", "coefficient", "string-pair"])
+    def test_booleans_are_not_numbers(self, tmp_path, capsys, command, doc, named):
+        # bool subclasses int in Python, but true and false are no entries,
+        # and float() reads a string, which is none either
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as excinfo:
+            read_problem(str(f))
+        assert str(excinfo.value) == named
+        assert main([command, str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {named}\n"
+
+
 class TestCheck:
     def test_valid_file_exits_zero(self, tmp_path, capsys):
         f = write_coupled_pair(tmp_path / "z2.json")
@@ -163,6 +187,45 @@ class TestSynthesize:
         assert rep["degree"] == 2 and rep["kappa"] == 0
         saved = read_problem(str(out))["realization"]
         assert saved.outputs == 4
+
+    def test_minimal_symmetric_trace_in_report_and_file(self, tmp_path, capsys):
+        # the API's trace less its wall seconds, in plain JSON with each xi
+        # as an [re, im] pair, in the report and the written file alike
+        f = write_coupled_pair(tmp_path / "z2.json")
+        out = tmp_path / "ext.json"
+        assert main(["synthesize", str(f), "--json", "--out", str(out)]) == 0
+
+        def strict(text):
+            return json.loads(text, parse_constant=lambda c: pytest.fail(f"{c} in JSON"))
+
+        rep = strict(capsys.readouterr().out)
+        assert strict(out.read_text())["meta"]["trace"] == rep["trace"]
+
+        def plain(v):
+            if isinstance(v, dict):
+                return {k: plain(x) for k, x in v.items() if k != "seconds"}
+            if isinstance(v, (list, tuple)):
+                return [plain(x) for x in v]
+            return [v.real, v.imag] if isinstance(v, complex) else v
+
+        R = minimal_realization(read_problem(str(f))["realization"])[0]
+        assert rep["trace"] == plain(minimize_symmetric(R).trace)
+        assert [rec["stage"] for rec in rep["trace"]] == [
+            "symmetrize", "riccati", "symmetric-extension", "reduce", "finalize"]
+        (only,) = rep["trace"][3]["rounds"]
+        assert only["points"] == [[pytest.approx(np.sqrt(3.0), rel=1e-12), 0.0]]
+        assert (only["degree_before"], only["degree_after"]) == (4, 2)
+
+    def test_minimal_symmetric_refuses_the_maximal_solution(self, tmp_path, capsys):
+        # the minimal extension is built on P_min, so "max" would be misreported
+        out = tmp_path / "ext.json"
+        assert main(["synthesize", str(DATA / "inner_max_s8g_0.json"), "--mode",
+                     "minimal-symmetric", "--solution", "max", "--json",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == ("error: --solution max applies to the inner and "
+                                "symmetric modes\n")
 
     def test_inner_mode_outer_certificate(self, tmp_path, capsys):
         f = write_coupled_pair(tmp_path / "z2.json")

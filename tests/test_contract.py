@@ -105,21 +105,24 @@ def similar(R: Realization, cond: float, rng) -> tuple:
     return S @ R.a @ Si, S @ R.b, R.c @ Si, R.d
 
 
-def test_unitary_coordinates_refuse_within_bar():
-    # the 190 draws in unitary coordinates (cond 1) must certify or raise,
-    # and raise at most 5 times; 4 of them refuse in the drawn coordinates
+@pytest.mark.parametrize("cond, bar", [(1.0, 5), (100.0, 64)])
+def test_unitary_coordinates_refuse_within_bar(cond, bar):
+    # the 190 draws in coordinates of condition cond must certify or raise,
+    # each refusal naming its stage, and raise at most bar times; 4 of them
+    # refuse in the drawn coordinates
     rng = np.random.default_rng(7)
     refused = []
     for spec, seed in CONTRACT_DRAWS:
         inst = draw(spec, seed)
-        R = Realization(*similar(inst.realization, 1.0, rng))  # every draw advances rng
+        R = Realization(*similar(inst.realization, cond, rng))  # every draw advances rng
         try:
             res = minimize_symmetric(R)
-        except DarlingtonError:
+        except DarlingtonError as exc:
+            assert str(exc).startswith("stage '"), str(exc)
             refused.append((spec, seed))
             continue
         assert_certified(R, res, inst.n + inst.expected_kappa)
-    assert len(refused) <= 5, f"{len(refused)} refusals {refused}, bar 5"
+    assert len(refused) <= bar, f"{len(refused)} refusals {refused}, bar {bar}"
 
 
 # p = 10, n = 20 and p = 9, n = 23 draws whose doubled zeros a

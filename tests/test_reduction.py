@@ -1,6 +1,8 @@
 """Blaschke factors, zero structure, two-sided reduction rounds, and the
 minimal symmetric synthesis loop."""
+import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -561,6 +563,90 @@ def test_no_step_sigma_needs_a_positive_definite_gramian(which, instance_suite,
     with pytest.raises(ReductionError, match=r"stage 'reduce': the Gramian .* not "
                        r"positive definite \(\|\|P_min\|\| = "):
         minimize_symmetric(R)
+
+
+def test_sigma_of_the_wrong_degree_fails_its_stage(zeta2, monkeypatch):
+    # handed S_P (degree n = 2) in place of Sigma (degree 2n - n0 = 4)
+    original = darlington.reduction.symmetric_unitary_extension
+    monkeypatch.setattr(darlington.reduction, "symmetric_unitary_extension",
+                        lambda E: (E.realization, *original(E)[1:]))
+    with pytest.raises(ValidationError) as excinfo:
+        minimize_symmetric(zeta2)
+    assert str(excinfo.value) == ("stage 'symmetric-extension': degree 2 of the unitary "
+                                  "extension differs from 2n - n0 = 4")
+
+
+def test_a_failed_round_names_its_points_degree_and_conditioning(zeta2, monkeypatch):
+    # zeta2 takes one round, at sqrt(3), from Sigma's degree 4; its
+    # P_min = (2 - sqrt(3)) I comes from an orthonormal X
+    def refuse(T, factors):
+        raise ValidationError("no division here")
+
+    monkeypatch.setattr(darlington.reduction, "reduce_once", refuse)
+    with pytest.raises(ReductionError) as excinfo:
+        minimize_symmetric(zeta2)
+    assert str(excinfo.value) == (
+        "stage 'reduce': round 1 at xi = 1.73205+0j from degree 4 failed "
+        "(||P_min|| = 0.268, ||P_min^-1|| = 3.73, cond X = 1): no division here")
+    assert isinstance(excinfo.value.__cause__, ValidationError)
+
+
+@pytest.mark.parametrize("which", ["suite", "g12", "degree-0"])
+def test_trace_records_each_stage_with_the_results_values(which, instance_suite):
+    # the suite instance (kappa = 0) takes three divisions, main.npz g12 #0
+    # (kappa = n) none; one record per stage, in order, within the call
+    if which == "suite":
+        R = instance_suite[18].realization
+    elif which == "g12":
+        with np.load(Path(__file__).parents[1] / "perfbench/inputs/main.npz") as z:
+            R = Realization(*(z[f"g12.{k}"][0] for k in "abcd"))
+    else:
+        R = Realization(np.zeros((0, 0)), np.zeros((0, 2)), np.zeros((2, 0)),
+                        np.diag([0.3, -0.2]))
+    start = time.perf_counter()
+    res = minimize_symmetric(R)
+    wall = time.perf_counter() - start
+    assert [rec["stage"] for rec in res.trace] == [
+        "symmetrize", "riccati", "symmetric-extension", "reduce", "finalize"]
+    seconds = [rec["seconds"] for rec in res.trace]
+    assert min(seconds) >= 0 and sum(seconds) <= wall
+    symmetrized, riccati, sigma, reduce, final = (
+        {k: v for k, v in rec.items() if k not in ("stage", "seconds")} for rec in res.trace)
+    assert symmetrized == {}
+    sol, spec = res.p_min, res.p_min.spectrum
+    P = sol.p if R.n else np.ones((1, 1))  # 0 for both norms at degree 0
+    chi = spec.chi_plus_roots
+    gaps = [abs(a - b) / (1 + abs(a)) for i, a in enumerate(chi)
+            for j, b in enumerate(chi) if i != j]
+    assert riccati == {
+        "kappa": res.kappa, "n0": res.n0, "cluster_tolerance": spec.cluster_tolerance,
+        "riccati_residual": sol.residual_norm,
+        "p_min_norm": pytest.approx(np.linalg.norm(P, 2) if R.n else 0.0, rel=1e-12),
+        "p_min_inv_norm": pytest.approx(np.linalg.norm(np.linalg.inv(P), 2) if R.n
+                                        else 0.0, rel=1e-10),
+        "cond_x": sol.subspace_condition,
+        "chi_plus_gap": pytest.approx(min(gaps), rel=1e-12) if gaps else None}
+    _, _, sres, cert = symmetric_unitary_extension(build_extension(symmetrize(R), sol))
+    assert sigma == {"degree": 2 * R.n - res.n0, "lossless_residual": cert,
+                     "symmetry_residual": sres}
+    degree, multiplicity = sigma["degree"], dict(spec.pi_roots)
+    for rnd in reduce["rounds"]:
+        assert rnd["degree_before"] == degree
+        degree = rnd["degree_after"]
+        assert degree == rnd["degree_before"] - 2 * len(rnd["points"])
+        assert rnd["multiplicities"] == [multiplicity[xi] for xi in rnd["points"]]
+        assert rnd["lossless_residual"] <= 1e-7 and rnd["seconds"] >= 0
+    assert degree == res.degree
+    assert [xi for rnd in reduce["rounds"] for xi in rnd["points"]] == [
+        f.xi for f in res.factors]
+    assert bool(reduce["rounds"]) == (which == "suite")
+    assert sum(rnd["seconds"] for rnd in reduce["rounds"]) <= res.trace[3]["seconds"]
+    assert res.innerness == (reduce["rounds"][-1]["lossless_residual"]
+                             if reduce["rounds"] else cert)
+    assert final == {"innerness": res.innerness, "symmetry": res.symmetry,
+                     "block_match": res.block_match}
+    # plain JSON but for the points, with no nan or infinity
+    json.dumps(res.trace, default=lambda z: [z.real, z.imag], allow_nan=False)
 
 
 def assert_factors_at_multiple_zeros(R: Realization) -> int:
