@@ -614,15 +614,15 @@ def test_trace_records_each_stage_with_the_results_values(which, instance_suite)
         {k: v for k, v in rec.items() if k not in ("stage", "seconds")} for rec in res.trace)
     assert symmetrized == {}
     sol, spec = res.p_min, res.p_min.spectrum
-    P = sol.p if R.n else np.ones((1, 1))  # 0 for both norms at degree 0
     chi = spec.chi_plus_roots
     gaps = [abs(a - b) / (1 + abs(a)) for i, a in enumerate(chi)
             for j, b in enumerate(chi) if i != j]
     assert riccati == {
         "kappa": res.kappa, "n0": res.n0, "cluster_tolerance": spec.cluster_tolerance,
         "riccati_residual": sol.residual_norm,
-        "p_min_norm": pytest.approx(np.linalg.norm(P, 2) if R.n else 0.0, rel=1e-12),
-        "p_min_inv_norm": pytest.approx(np.linalg.norm(np.linalg.inv(P), 2) if R.n
+        # both norms read 0 at degree 0
+        "p_min_norm": pytest.approx(np.linalg.norm(sol.p, 2) if R.n else 0.0, rel=1e-12),
+        "p_min_inv_norm": pytest.approx(np.linalg.norm(np.linalg.inv(sol.p), 2) if R.n
                                         else 0.0, rel=1e-10),
         "cond_x": sol.subspace_condition,
         "chi_plus_gap": pytest.approx(min(gaps), rel=1e-12) if gaps else None}
