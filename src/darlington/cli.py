@@ -23,12 +23,12 @@ default, set with --tol (finite and positive).  It bounds the grid
 supremum (1 + tol) and the symmetry residual of ``check`` and the final
 innerness certificate, symmetry and S-block residuals of ``synthesize
 --mode minimal-symmetric``; every other check runs at its fixed bound.
-Every ``synthesize`` mode certifies its extension on the Gramian it is
-built on (I, diag(J_Q, I) or P) and samples it once: that cached probe
-response gives the reported block match against the file's S and,
-except in ``inner`` mode, the symmetry.  ``--mobius W0`` extends
-S~(s) = S(i W0 + 1/s) and maps the extension back to one of the file's
-S before this one certification.
+Every ``synthesize`` mode reports the lossless certificate that its last
+library stage computed on the extension's Gramian (I, diag(J_Q, I) or P),
+and the symmetry (not in ``inner`` mode) and block match against the
+file's S from one cached probe response (the library's own block match
+when it had the file's S).  ``--mobius W0`` extends S~(s) =
+S(i W0 + 1/s), maps the extension back and certifies it once more.
 Exit status: 0 when every requested certificate passes, 2 when the
 input is not strictly contractive at infinity (the hint names a
 --mobius point, or says that none helps), 1 on any other failure.
@@ -89,6 +89,15 @@ def _parse_matrix(rows, name: str) -> np.ndarray:
 def _pairs(M: np.ndarray) -> list:
     """M (a matrix or a vector) as nested lists of [re, im] pairs."""
     return np.stack([M.real, M.imag], axis=-1).tolist()
+
+
+def _plain(v):
+    """The trace as plain JSON, [re, im] for a complex number, less the wall seconds."""
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items() if k != "seconds"}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    return _pairs(np.asarray(v)) if isinstance(v, complex) else v
 
 
 def read_problem(path: str) -> dict:
@@ -197,17 +206,15 @@ def cmd_synthesize(args) -> int:
     S = prob["realization"]
     R = S if args.mobius is None else mobius_precondition(S, args.mobius)
     R, _ = minimal_realization(R)
-    # each mode builds its extension out, the Gramian X that certifies
-    # it under the report key cert at bound, and its own report fields
-    cert, bound = "innerness_residual", 1e-8
+    # each mode builds its extension out, its Gramian X, the certificate value
+    # its library stage computed on X (report key cert, gated at bound) and fields
+    cert, bound, block = "innerness_residual", 1e-8, None
     if args.mode == "minimal-symmetric":
         res = minimize_symmetric(R, residual_tol=args.tol)
-        out, X, bound = res.extension, np.eye(res.degree), args.tol  # balanced
-        # as plain JSON, less the wall seconds: a report depends on its input alone
-        trace = json.loads(json.dumps(res.trace, default=lambda z: [z.real, z.imag]),
-                           object_hook=lambda d: {k: v for k, v in d.items() if k != "seconds"})
+        out, X, value, bound = res.extension, np.eye(res.degree), res.innerness, args.tol
+        block = res.block_match if R is S else None  # S itself: no --mobius, no cut
         fields = {"kappa": res.kappa, "n0": res.n0, "reductions": len(res.factors),
-                  "trace": trace}
+                  "trace": _plain(res.trace)}
     else:
         base = symmetrize(R) if args.mode == "symmetric" else R
         kind = "minimal" if args.solution == "min" else "maximal"
@@ -215,28 +222,27 @@ def cmd_synthesize(args) -> int:
         E = build_extension(base, sol)
         fields = {"kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0}
         if args.mode == "symmetric":
-            out, q, _, _ = symmetric_unitary_extension(E)
+            out, q, _, value = symmetric_unitary_extension(E)
             X, cert = _block_diagonal(q.gramian, np.eye(base.n)), "unitary_axis_residual"
             fields.update({"q_degree": q.degree, "q_inner": q.inner_flag})
         else:
-            out, X = E.realization, E.p_matrix
+            out, X, value = E.realization, E.p_matrix, E._certificate
             fields["riccati_residual"] = sol.residual_norm
-            if args.solution == "min":
-                zeros = np.linalg.eigvals(sol.z)
-                fields["outer_lower_left"] = bool(
-                    zeros.size == 0 or np.max(zeros.real) <= 1e-7)
+            if args.solution == "min":  # the zeros of S21, the closed loop's poles
+                fields["outer_lower_left"] = bool(np.all(np.linalg.eigvals(sol.z).real <= 1e-7))
     if args.mobius is not None:
         # out extends S~(s) = S(i w0 + 1/s); mapped back it extends the
         # file's S, with the same degree, symmetry and Gramian X
         out = _mobius_inverse(out, args.mobius)
+        value = _lossless_residual(out, X)
     # one probe response gives the symmetry and the S block
     pts, F, sym = out._probe
     p = S.outputs
     rep: dict = {"mode": args.mode, "solution": args.solution, "degree": out.n,
-                 **fields, cert: _lossless_residual(out, X)}
+                 **fields, cert: value}
     if args.mode != "inner":
         rep["symmetry_residual"] = sym
-    rep["block_match"] = max_norm(F[:, p:, p:] - freqresp(S, pts))
+    rep["block_match"] = max_norm(F[:, p:, p:] - freqresp(S, pts)) if block is None else block
     gated = (cert,)
     if args.mode == "minimal-symmetric":
         gated += ("symmetry_residual", "block_match")

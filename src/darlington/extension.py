@@ -132,6 +132,11 @@ class ExtensionBlocks:
         """eigvalsh(P), which build_extension computes once."""
         return np.linalg.eigvalsh(self.p_matrix)
 
+    @cached_property
+    def _certificate(self) -> float:
+        """The lossless residual on P, which build_extension computes once."""
+        return _lossless_residual(self.realization, self.p_matrix, self._p_eigenvalues)
+
     @property
     def s21(self) -> Realization:
         return subrealization(self.realization, slice(self.p, 2 * self.p), slice(0, self.p))
@@ -206,7 +211,7 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
         raise ValidationError(f"extension is not certified inner and "
                               f"minimal (lossless residual {resid:g})")
     E = ExtensionBlocks(realization=big, p=p, p_matrix=Pm)
-    vars(E)["_p_eigenvalues"] = w
+    vars(E).update(_p_eigenvalues=w, _certificate=resid)
     return E
 
 

@@ -395,19 +395,20 @@ def _schur(M) -> tuple[np.ndarray, np.ndarray]:
     return T, U
 
 
-def _schur_solve(form, Q, conjugate: bool = False) -> np.ndarray:
-    """Solution X of A X + X A* = Q or, with ``conjugate``, of
-    A X + X conj(A) = Q (Bartels & Stewart, CACM 1972) from the ``_schur``
-    form (R, U) of A: one ztrsyl of R Y + Y R* = scale U* Q U, or of
-    R Y + Y conj(R) = scale U* Q conj(U) as conj(A) = conj(U) conj(R) U^T,
-    and X = U Y U* (U Y U^T).  The Lyapunov solve is bit for bit scipy's
-    solve_continuous_lyapunov(A, Q).  A singular equation is perturbed by
-    LAPACK without a warning, and the caller's residual decides; a
+def _schur_solve(form, Q, conjugate: bool = False, adjoint: bool = False) -> np.ndarray:
+    """Solution X of A X + X A* = Q, with ``conjugate`` of A X + X conj(A) = Q
+    or with ``adjoint`` of A* X + X A = Q (Bartels & Stewart, CACM 1972), from
+    the ``_schur`` form (R, U) of A: one ztrsyl of R Y + Y R* = scale U* Q U,
+    R Y + Y conj(R) = scale U* Q conj(U) (conj(A) = conj(U) conj(R) U^T) or
+    R* Y + Y R = scale U* Q U, and X = U Y U* (U Y U^T).  The first is bit for
+    bit scipy's solve_continuous_lyapunov(A, Q).  LAPACK perturbs a singular
+    equation without a warning, and the caller's residual decides; a
     non-finite Q raises ValueError."""
     Q = np.asarray_chkfinite(Q)
     if Q.size == 0:
         return np.zeros(Q.shape, complex)
     R, U = form
-    S, V, op = (R.conj(), U.conj(), "N") if conjugate else (R, U, "C")
-    Y, scale, _ = sla.lapack.ztrsyl(R, S, U.conj().T.dot(Q.dot(V)), tranb=op)
+    S, V = (R.conj(), U.conj()) if conjugate else (R, U)
+    trana, tranb = ("C", "N") if adjoint else ("N", "N" if conjugate else "C")
+    Y, scale, _ = sla.lapack.ztrsyl(R, S, U.conj().T.dot(Q.dot(V)), trana=trana, tranb=tranb)
     return U.dot(scale * Y).dot(V.conj().T)

@@ -3,7 +3,7 @@
 A realization is a quadruple (A, B, C, D) representing
 S(s) = C (sI - A)^{-1} B + D.  This module provides evaluation,
 Kalman minimality analysis, series composition, direct sums,
-transposition, SVD-staircase minimal realization, construction of
+transposition, Gramian-tested minimal realization, construction of
 complex symmetric realizations for symmetric transfer functions, and
 the Moebius change of variable that moves strict contractivity from a
 finite imaginary point to infinity.
@@ -163,6 +163,13 @@ def _off_poles(R: Realization, points) -> None:
             f"evaluation point {s[np.argmax(near)]:g} is within {R.pole_guard:g} of a pole")
 
 
+def _pencils(s: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The stack s_k I - A: -A repeated, s_k added on einsum's diagonal view."""
+    pencil = np.repeat(-A[np.newaxis], s.size, axis=0)
+    np.einsum("kii->ki", pencil)[...] += s[:, np.newaxis]
+    return pencil
+
+
 def _response(R: Realization, s: np.ndarray) -> np.ndarray:
     """R(s) stacked over finite points s that R's pole guard cleared.  A
     realization built by compose or direct_sum is evaluated through its
@@ -174,9 +181,8 @@ def _response(R: Realization, s: np.ndarray) -> np.ndarray:
         return combine(_response(R1, s), _response(R2, s))
     if R.n == 0:
         return np.repeat(R.d[np.newaxis], s.size, axis=0)
-    pencil = s[:, np.newaxis, np.newaxis] * np.eye(R.n) - R.a
     # a 3-d right-hand side is a matrix stack under every numpy version
-    return R.c @ np.linalg.solve(pencil, R.b[np.newaxis]) + R.d
+    return R.c @ np.linalg.solve(_pencils(s, R.a), R.b[np.newaxis]) + R.d
 
 
 def freqresp(R: Realization, points) -> np.ndarray:
@@ -215,7 +221,7 @@ def _values_and_derivatives(R: Realization, points) -> tuple[np.ndarray, np.ndar
     freqresp does."""
     s = np.asarray(points, dtype=complex).ravel()
     _off_poles(R, s)
-    pencil = s[:, np.newaxis, np.newaxis] * np.eye(R.n) - R.a
+    pencil = _pencils(s, R.a)
     Y = np.linalg.solve(pencil, R.b[np.newaxis])
     return R.c @ Y + R.d, -R.c @ np.linalg.solve(pencil, Y)
 
@@ -370,13 +376,17 @@ def subrealization(R: Realization, rows: slice, cols: slice) -> Realization:
 
 
 def minimal_realization(R: Realization) -> tuple[Realization, DegreeCertificate]:
-    """Minimal realization via a two-stage SVD staircase at
-    DEFAULT_RANK_TOL.
-
-    Restricts first to the reachable subspace, then cuts the
-    unobservable part.  A cut is verified on the probe grid to a
-    transfer distance of 1e-8; with none, R itself is returned.
-    """
+    """Minimal realization.  R is returned if every Re lambda < -R.pole_guard / 2
+    (stable, no mirror pair) and both Gramians, A P + P A* + B B* = 0 and
+    A* Q + Q A + C* C = 0 from the Schur form of A that symmetrize reuses, pass
+    _nonsingular (Moore 1981; Glover 1984).  Else a two-stage SVD staircase at
+    DEFAULT_RANK_TOL cuts the unreachable, then the unobservable part, verified
+    on the probe grid to a transfer distance of 1e-8 (R itself with no cut)."""
+    form = R._schur  # first, so that R.poles() reads its diagonal
+    gramians = ((R.b @ R.b.conj().T, False), (R.c.conj().T @ R.c, True))  # P, then Q
+    if np.max(R.poles().real, initial=-np.inf) < -R.pole_guard / 2 and all(
+            _nonsingular(linalg._schur_solve(form, -G, adjoint=adj)) for G, adj in gramians):
+        return R, DegreeCertificate(R.n, R.n, R.n, R.n)
     scale = _system_scale(R.a, R.b, R.c)
     V = _krylov_span(R.a, R.b, DEFAULT_RANK_TOL, scale)
     A1, B1, C1 = V.conj().T @ R.a @ V, V.conj().T @ R.b, R.c @ V
@@ -391,6 +401,12 @@ def minimal_realization(R: Realization) -> tuple[Realization, DegreeCertificate]
             f"staircase reduction changed the transfer function: transfer distance "
             f"{dist:g} exceeds 1e-8 at rank tolerance {DEFAULT_RANK_TOL:g}")
     return out, cert
+
+
+def _nonsingular(G: np.ndarray) -> bool:
+    """min |eigvalsh(G)| > n eps max |eigvalsh(G)|, a Gramian's rank rule."""
+    w = np.abs(np.linalg.eigvalsh(G))
+    return bool(not w.size or w.min() > len(G) * np.finfo(float).eps * w.max())
 
 
 def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, float]:
@@ -421,8 +437,7 @@ def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, 
         raise SubspaceError(f"Gramian equations are singular: two eigenvalues of A satisfy "
                             f"lambda_i + conj(lambda_j) = 0 (to {gap:.3g})")
     P = linalg._schur_solve(form, -R.b @ R.b.conj().T)
-    w = np.abs(np.linalg.eigvalsh(P))
-    if w.size and not w.min() > R.n * np.finfo(float).eps * w.max():
+    if not _nonsingular(P):
         raise ValidationError("the symmetric form requires a minimal realization: (A, B) is "
                               "not reachable (the Gramian P is singular)")
     if structural:

@@ -47,6 +47,7 @@ from .extension import (
 )
 from .realization import (
     Realization,
+    _pencils,
     _values_and_derivatives,
     evaluate,
     freqresp,
@@ -236,8 +237,7 @@ def reduce_once(T: Realization, factors) -> tuple[Realization, float]:
     out, gaps = T, []
     for _ in range(2):  # T B^-1, then (B^-T T B^-1)^T = (T B^-1)^T B^-1
         # one stacked solve: column k of X is (xi_k I - A)^{-1} B u_k
-        pencil = xi[:, np.newaxis, np.newaxis] * np.eye(out.n) - out.a
-        X = np.linalg.solve(pencil, (out.b @ U).T[:, :, np.newaxis])[:, :, 0].T
+        X = np.linalg.solve(_pencils(xi, out.a), (out.b @ U).T[:, :, np.newaxis])[:, :, 0].T
         gaps.append(np.linalg.norm(U - out.b.conj().T @ X, axis=0))
         V = np.linalg.qr(X, mode="complete")[0][:, m:]
         out = Realization((V.conj().T @ out.a @ V).T, (out.c @ V).T,
@@ -341,7 +341,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
             raise SpectralSplitError(
                 f"odd Hamiltonian roots {chi[i]:.6g} and {chi[j]:.6g} are {gap[i, j]:.2g} "
                 f"apart relative to 1 + |xi|, at most 1e-4: a split double root")
-        done(kappa=spec.kappa, n0=spec.n0, cluster_tolerance=spec.cluster_tolerance,
+        done(kappa=spec.kappa, n0=spec.n0, cluster_tolerance=float(spec.cluster_tolerance),
              riccati_residual=pmin.residual_norm, p_min_norm=float(np.max(w, initial=0.0)),
              p_min_inv_norm=float(1.0 / np.min(w, initial=np.inf)),
              cond_x=pmin.subspace_condition,

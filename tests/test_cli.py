@@ -1,4 +1,5 @@
 """Command-line interface: file round-trips, subcommands, exit codes."""
+import dataclasses
 import json
 import subprocess
 import sys
@@ -11,9 +12,20 @@ import darlington.cli
 import darlington.extension
 import darlington.realization
 from darlington.cli import main, read_problem, write_realization
-from darlington.extension import innerness_residual
-from darlington.realization import Realization, evaluate, minimal_realization
+from darlington.extension import (
+    build_extension,
+    innerness_residual,
+    symmetric_unitary_extension,
+)
+from darlington.realization import (
+    Realization,
+    evaluate,
+    minimal_realization,
+    mobius_precondition,
+    symmetrize,
+)
 from darlington.reduction import minimize_symmetric
+from darlington.riccati import _extremal, build_hat
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -412,14 +424,65 @@ class TestSynthesize:
     ])
     def test_nan_certificate_fails_every_mode(self, tmp_path, capsys, monkeypatch,
                                               mode, cert, mobius):
-        monkeypatch.setattr(darlington.cli, "_lossless_residual",
-                            lambda R, X: float("nan"))
+        # without --mobius each mode reports the certificate its library
+        # stage computed, so the nan goes there; with it, the tail's own
+        nan = float("nan")
+        if mobius is not None:
+            monkeypatch.setattr(darlington.cli, "_lossless_residual", lambda R, X: nan)
+        elif mode == "minimal-symmetric":
+            synthesize = darlington.cli.minimize_symmetric
+            monkeypatch.setattr(darlington.cli, "minimize_symmetric", lambda R, **kw:
+                                dataclasses.replace(synthesize(R, **kw), innerness=nan))
+        elif mode == "symmetric":
+            extend = darlington.cli.symmetric_unitary_extension
+            monkeypatch.setattr(darlington.cli, "symmetric_unitary_extension",
+                                lambda E: (*extend(E)[:3], nan))
+        else:
+            build = darlington.cli.build_extension
+
+            def nan_certificate(R, P):
+                E = build(R, P)
+                vars(E)["_certificate"] = nan
+                return E
+            monkeypatch.setattr(darlington.cli, "build_extension", nan_certificate)
         f = write_coupled_pair(tmp_path / "z2.json")
         extra = [] if mobius is None else ["--mobius", mobius]
         assert main(["synthesize", str(f), "--mode", mode, *extra]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{cert} nan" in captured.err
+
+    @pytest.mark.parametrize("mobius", [None, 0.5])
+    @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
+    def test_reports_the_library_certificates(self, capsys, count_calls, mode, mobius):
+        # without --mobius each mode reports the lossless certificate its
+        # library stage computed on the same realization and Gramian, and
+        # computes none of its own; with --mobius the tail certifies the
+        # mapped-back extension once
+        f = DATA / "inner_max_s8g_0.json"
+        S = read_problem(str(f))["realization"]
+        seen = count_calls(darlington.extension._lossless_residual)
+        R, _ = minimal_realization(S if mobius is None else mobius_precondition(S, mobius))
+        if mode == "minimal-symmetric":
+            res = minimize_symmetric(R)
+            library = {"innerness_residual": res.innerness, "symmetry_residual": res.symmetry,
+                       "block_match": res.block_match}
+        else:
+            base = symmetrize(R) if mode == "symmetric" else R
+            E = build_extension(base, _extremal(build_hat(base), ("minimal",))[0])
+            if mode == "symmetric":
+                _, _, sres, cert = symmetric_unitary_extension(E)
+                library = {"unitary_axis_residual": cert, "symmetry_residual": sres}
+            else:
+                library = {"innerness_residual": E._certificate}
+        calls = len(seen["_lossless_residual"])
+        assert calls > 0
+        extra = [] if mobius is None else ["--mobius", str(mobius)]
+        assert main(["synthesize", str(f), "--mode", mode, "--json", *extra]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert len(seen["_lossless_residual"]) == 2 * calls + (mobius is not None)
+        if mobius is None:
+            assert {k: rep[k] for k in library} == library
 
     @pytest.mark.parametrize("command", ["check", "synthesize"])
     @pytest.mark.parametrize("w0", ["nan", "inf"])

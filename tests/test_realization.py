@@ -8,6 +8,7 @@ import scipy.linalg as sla
 
 import darlington.realization
 from darlington import (
+    DegreeCertificate,
     Realization,
     apply_gauge,
     build_extension,
@@ -210,6 +211,46 @@ class TestMinimalRealization:
         assert out is R
         assert cert.minimal and cert.mcmillan_degree == 2
         assert seen == {"kalman_check": [], "transfer_distance": []}
+
+    def test_stable_minimal_input_is_proved_by_its_gramians(self, count_calls):
+        # both Gramians of a stable R are nonsingular: R is minimal, and no
+        # Krylov staircase, Kalman rank test or transfer distance runs
+        seen = count_calls(darlington.realization._krylov_span,
+                           darlington.realization.kalman_check,
+                           darlington.realization.transfer_distance)
+        R = Realization(np.diag([-1.0, -2.0 + 1j, -3.0]), np.array([[1.0], [1.0], [0.5]]),
+                        np.array([[1.0, 2.0, 1j]]), np.array([[0.5]]))
+        out, cert = minimal_realization(R)
+        assert out is R and cert == DegreeCertificate(3, 3, 3, 3)
+        assert all(calls == [] for calls in seen.values())
+        # the Gramian test factored A once, and R's poles are that form's diagonal
+        assert np.array_equal(R.poles(), np.diag(R._schur[0]))
+
+    @pytest.mark.parametrize("case", ["unstable", "unreachable", "below-rank-rule"])
+    def test_the_staircase_decides_where_the_gramians_prove_nothing(self, count_calls,
+                                                                     case):
+        # poles in the right half-plane have no Gramians; a state that B
+        # does not reach makes P singular; and a P whose smallest
+        # eigenvalue is 2.5e-16 of its largest, below n eps = 4.4e-16,
+        # fails the rank rule, so the staircase's verified cut refuses it
+        seen = count_calls(darlington.realization._krylov_span)
+        if case == "unstable":
+            B = blaschke_realization(BlaschkeFactor(xi=1.2 + 0.1j, u=np.array([1.0, 0.0])))
+            out, cert = minimal_realization(compose(B, invert(B)))
+            assert out.n == cert.mcmillan_degree == 0
+        elif case == "unreachable":
+            R = Realization(np.diag([-1.0, -2.0, -3.0]), np.array([[1.0], [0.0], [2.0]]),
+                            np.array([[1.0, 1.0, 1.0]]), np.array([[0.0]]))
+            out, cert = minimal_realization(R)
+            assert out.n == cert.mcmillan_degree == 2
+        else:
+            R = Realization(np.diag([-1.0, -1e-3]), np.array([[1.0], [5e-10]]),
+                            np.array([[1.0, 1e4]]), np.zeros((1, 1)))
+            w = np.abs(np.linalg.eigvalsh(sla.solve_continuous_lyapunov(R.a, -R.b @ R.b.T)))
+            assert w.min() < 2 * np.finfo(float).eps * w.max()
+            with pytest.raises(ValidationError, match="transfer distance"):
+                minimal_realization(R)
+        assert len(seen["_krylov_span"]) >= 2
 
     def test_blaschke_cancellation(self):
         f = BlaschkeFactor(xi=1.2 + 0.1j, u=np.array([1.0, 0.0]) / 1.0)
