@@ -226,7 +226,7 @@ def cmd_synthesize(args) -> int:
             X, cert = _block_diagonal(q.gramian, np.eye(base.n)), "unitary_axis_residual"
             fields.update({"q_degree": q.degree, "q_inner": q.inner_flag})
         else:
-            out, X, value = E.realization, E.p_matrix, E._certificate
+            out, X, value = E.realization, E.p_matrix, E.certificate
             fields["riccati_residual"] = sol.residual_norm
             if args.solution == "min":  # the zeros of S21, the closed loop's poles
                 fields["outer_lower_left"] = bool(np.all(np.linalg.eigvals(sol.z).real <= 1e-7))

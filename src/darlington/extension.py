@@ -27,7 +27,6 @@ balanced, when it is inner.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -37,6 +36,8 @@ from .errors import DimensionError, NotSymmetricError, ValidationError
 from .realization import (
     Realization,
     _block_diagonal,
+    _mirror_gap,
+    _nonsingular,
     _same_a,
     _structurally_symmetric,
     _with_poles,
@@ -83,30 +84,27 @@ def _lossless_residual(R: Realization, X, w=None, lyap=None) -> float:
     A X + X A* + B B* = 0, C X + D B* = 0 and D D* = I make R all-pass.
     A nonsingular X maps an unreachable state to an eigenvector at the
     mirror -conj(lambda) of its pole, so R is minimal unless two poles
-    have lambda_i + conj(lambda_j) within ``R.pole_guard`` of 0 (then the
-    Kalman ranks decide); it is inner exactly when X > 0.
+    form a mirror pair (``_mirror_gap``; then the Kalman ranks decide);
+    it is inner exactly when X > 0.
 
     Returns the largest residual (Lyapunov in the Frobenius norm relative
     to 2 ||A|| ||X|| + ||B||^2, cross term relative to ||B||), or inf if R
-    is not minimal or X is singular (min |lambda| <= n eps max |lambda|,
-    the numerical rank).  The Hermitian D D* - I, X and B* B give their
-    2-norms by eigvalsh; a caller that has the eigenvalues ``w`` of X or
-    ``lyap`` = A X + X A* + B B* passes them.
+    is not minimal or X fails ``_nonsingular``.  The Hermitian D D* - I, X
+    and B* B give their 2-norms by eigvalsh; a caller that has the
+    eigenvalues ``w`` of X or ``lyap`` = A X + X A* + B B* passes them.
     """
     A, B, C, D = R.a, R.b, R.c, R.d
     unit = linalg.hermitian_norm(D @ D.conj().T - np.eye(R.outputs))
     if R.n == 0:
         return unit
-    lam = R.poles()
-    if (np.min(np.abs(lam[:, np.newaxis] + lam.conj())) <= R.pole_guard
-            and not kalman_check(R).minimal):
+    if _mirror_gap(R) <= R.pole_guard and not kalman_check(R).minimal:
         return np.inf
     X = np.asarray(X, dtype=complex)
     X = (X + X.conj().T) / 2
     w = np.abs(np.linalg.eigvalsh(X) if w is None else w)
-    top = np.max(w)
-    if np.min(w) <= R.n * np.finfo(float).eps * top:
+    if not _nonsingular(w):
         return np.inf
+    top = np.max(w)
     # X nonsingular needs B != 0; with D unitary, ||D B*|| = ||C X|| = ||B||
     lyap = A @ X + X @ A.conj().T + B @ B.conj().T if lyap is None else lyap
     nB = np.sqrt(linalg.hermitian_norm(B.conj().T @ B))
@@ -121,21 +119,14 @@ class ExtensionBlocks:
 
     ``realization`` is the full extension (A | [B1 B]; [C1; C] | DD)
     with n states; the S block sits in the lower-right p x p corner,
-    and B1, C1 and the blocks of DD are slices of it.
+    and B1, C1 and the blocks of DD are slices of it.  ``p_eigenvalues``
+    is eigvalsh(P), ``certificate`` the lossless residual on P.
     """
     realization: Realization
     p: int
     p_matrix: np.ndarray
-
-    @cached_property
-    def _p_eigenvalues(self) -> np.ndarray:
-        """eigvalsh(P), which build_extension computes once."""
-        return np.linalg.eigvalsh(self.p_matrix)
-
-    @cached_property
-    def _certificate(self) -> float:
-        """The lossless residual on P, which build_extension computes once."""
-        return _lossless_residual(self.realization, self.p_matrix, self._p_eigenvalues)
+    p_eigenvalues: np.ndarray
+    certificate: float
 
     @property
     def s21(self) -> Realization:
@@ -186,7 +177,7 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
     if not np.all(np.isfinite(Pm)):
         raise ValidationError("P must be finite")
     Pm = (Pm + Pm.conj().T) / 2  # a RiccatiSolution's P is exactly Hermitian
-    w = P._p_eigenvalues if isinstance(P, RiccatiSolution) else np.linalg.eigvalsh(Pm)
+    w = P.p_eigenvalues if isinstance(P, RiccatiSolution) else np.linalg.eigvalsh(Pm)
     if w.size and w[0] <= 0:
         raise ValidationError("P must be positive definite")
     p = R.outputs
@@ -210,15 +201,15 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
     if not resid <= 1e-8:  # a nan fails too
         raise ValidationError(f"extension is not certified inner and "
                               f"minimal (lossless residual {resid:g})")
-    E = ExtensionBlocks(realization=big, p=p, p_matrix=Pm)
-    vars(E).update(_p_eigenvalues=w, _certificate=resid)
-    return E
+    return ExtensionBlocks(realization=big, p=p, p_matrix=Pm, p_eigenvalues=w,
+                           certificate=resid)
 
 
 def apply_gauge(E: ExtensionBlocks, U1, U2) -> ExtensionBlocks:
     """Constant unitary gauge diag(U2, I) S_P diag(U1, I): the
     congruence (A | B diag(U1, I); diag(U2, I) C | diag(U2, I) D diag(U1, I));
-    preserves innerness, P and the S block."""
+    preserves innerness, P and the S block; the output carries its own
+    lossless certificate on P."""
     p = E.p
     U1, U2 = (np.asarray(U, dtype=complex) for U in (U1, U2))
     for name, U in (("U1", U1), ("U2", U2)):
@@ -231,7 +222,9 @@ def apply_gauge(E: ExtensionBlocks, U1, U2) -> ExtensionBlocks:
     R = E.realization
     V1, V2 = (_block_diagonal(U, np.eye(p)) for U in (U1, U2))
     big = _same_a(R, R.b @ V1, V2 @ R.c, V2 @ R.d @ V1)
-    return ExtensionBlocks(realization=big, p=p, p_matrix=E.p_matrix)
+    Pm, w = E.p_matrix, E.p_eigenvalues
+    return ExtensionBlocks(realization=big, p=p, p_matrix=Pm, p_eigenvalues=w,
+                           certificate=_lossless_residual(big, Pm, w))
 
 
 def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlocks:
@@ -292,7 +285,7 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
     gamma = P2 - P1
     w, U = np.linalg.eigh(gamma)
     cut = linalg.DEFAULT_RANK_TOL * max(
-        1.0, np.max(np.abs(E._p_eigenvalues), initial=0.0), linalg.hermitian_norm(P2))
+        1.0, np.max(np.abs(E.p_eigenvalues), initial=0.0), linalg.hermitian_norm(P2))
     V = U[:, np.abs(w) > cut]
     C = big.c[p:]
     d21inv = np.linalg.inv(big.d[p:, :p])
@@ -361,9 +354,8 @@ def symmetric_unitary_extension(E: ExtensionBlocks
         L = np.linalg.cholesky(E.p_matrix)
     except np.linalg.LinAlgError as exc:
         raise ValidationError("P is not positive definite") from exc
-    sp = _with_poles(Realization(sla.solve_triangular(L, big.a @ L, lower=True),
-                                 sla.solve_triangular(L, big.b, lower=True),
-                                 big.c @ L, big.d), big)
+    LB = sla.solve_triangular(L, np.hstack([big.a @ L, big.b]), lower=True)
+    sp = _with_poles(Realization(LB[:, :big.n], LB[:, big.n:], big.c @ L, big.d), big)
     identity = Realization(np.zeros((0, 0)), [], [], np.eye(E.p))
     sigma = compose(sp, direct_sum(Q.realization, identity))
     sres = symmetry_residual(sigma)

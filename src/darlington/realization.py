@@ -58,8 +58,8 @@ class Realization:
     A is n x n, B is n x m, C is p x n, D is p x m; entries are stored
     as read-only complex128 copies and must be finite.  The spectrum of
     A (the diagonal of its Schur form when one was computed), that form,
-    the pole-guard radius and the response on the probe grid are
-    computed at most once per instance.
+    the controllability Gramian, the pole-guard radius and the response
+    on the probe grid are computed at most once per instance.
     """
     a: np.ndarray
     b: np.ndarray
@@ -99,6 +99,12 @@ class Realization:
     def _schur(self) -> tuple[np.ndarray, np.ndarray]:
         """Complex Schur form (T, U) of A, A = U T U*, read-only."""
         return linalg._schur(self.a)
+
+    @cached_property
+    def _gramian(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, eigvalsh(P)) for A P + P A* + B B* = 0, from the Schur form of A."""
+        P = linalg._schur_solve(self._schur, -self.b @ self.b.conj().T)
+        return P, np.linalg.eigvalsh(P)
 
     @cached_property
     def _poles(self) -> np.ndarray:
@@ -376,16 +382,16 @@ def subrealization(R: Realization, rows: slice, cols: slice) -> Realization:
 
 
 def minimal_realization(R: Realization) -> tuple[Realization, DegreeCertificate]:
-    """Minimal realization.  R is returned if every Re lambda < -R.pole_guard / 2
-    (stable, no mirror pair) and both Gramians, A P + P A* + B B* = 0 and
-    A* Q + Q A + C* C = 0 from the Schur form of A that symmetrize reuses, pass
-    _nonsingular (Moore 1981; Glover 1984).  Else a two-stage SVD staircase at
-    DEFAULT_RANK_TOL cuts the unreachable, then the unobservable part, verified
-    on the probe grid to a transfer distance of 1e-8 (R itself with no cut)."""
+    """Minimal realization.  R is returned if it has no mirror pair of poles
+    and both Gramians, R's cached ``_gramian`` P and A* Q + Q A + C* C = 0
+    from the Schur form of A that symmetrize reuses, pass ``_nonsingular``,
+    stable or not (Moore 1981; Glover 1984; ``_intertwiner``).  Else a two-stage
+    SVD staircase at DEFAULT_RANK_TOL cuts the unreachable, then the
+    unobservable part, verified on the probe grid to a transfer distance of
+    1e-8 (R itself with no cut)."""
     form = R._schur  # first, so that R.poles() reads its diagonal
-    gramians = ((R.b @ R.b.conj().T, False), (R.c.conj().T @ R.c, True))  # P, then Q
-    if np.max(R.poles().real, initial=-np.inf) < -R.pole_guard / 2 and all(
-            _nonsingular(linalg._schur_solve(form, -G, adjoint=adj)) for G, adj in gramians):
+    if _mirror_gap(R) > R.pole_guard and _nonsingular(R._gramian[1]) and _nonsingular(
+            np.linalg.eigvalsh(linalg._schur_solve(form, -R.c.conj().T @ R.c, adjoint=True))):
         return R, DegreeCertificate(R.n, R.n, R.n, R.n)
     scale = _system_scale(R.a, R.b, R.c)
     V = _krylov_span(R.a, R.b, DEFAULT_RANK_TOL, scale)
@@ -403,10 +409,18 @@ def minimal_realization(R: Realization) -> tuple[Realization, DegreeCertificate]
     return out, cert
 
 
-def _nonsingular(G: np.ndarray) -> bool:
-    """min |eigvalsh(G)| > n eps max |eigvalsh(G)|, a Gramian's rank rule."""
-    w = np.abs(np.linalg.eigvalsh(G))
-    return bool(not w.size or w.min() > len(G) * np.finfo(float).eps * w.max())
+def _mirror_gap(R: Realization) -> float:
+    """min |lambda_i + conj(lambda_j)| over the poles of R (inf without states);
+    at most ``R.pole_guard`` it is a mirror pair, where the Gramian equations
+    of R are (nearly) singular and prove nothing."""
+    lam = R.poles()
+    return float(np.min(np.abs(lam[:, np.newaxis] + lam.conj()), initial=np.inf))
+
+
+def _nonsingular(w: np.ndarray) -> bool:
+    """min |w| > n eps max |w| for the n eigenvalues w of a Gramian (nan fails)."""
+    w = np.abs(w)
+    return bool(not w.size or w.min() > w.size * np.finfo(float).eps * w.max())
 
 
 def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, float]:
@@ -416,7 +430,7 @@ def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, 
     equation since conj(T) conj(A) = A* conj(T), B* conj(T) = conj(C).
     Returns T and ||T||_2.  A ``structural`` R (A = A^T, B = C^T) has
     T = I and skips the second solve.  R's one Schur form of A gives its
-    poles, P and X.
+    poles and X, and P with its eigenvalues is R's cached ``_gramian``.
 
     Both equations are uniquely solvable unless two poles form a mirror
     pair lambda_i + conj(lambda_j) = 0.  Then P is singular exactly when
@@ -426,18 +440,17 @@ def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, 
     exists exactly when S = S^T, and T maps the reachability matrix of
     (A, B) onto that of (A^T, C^T), so rank T is the observability rank.
 
-    Raises SubspaceError on a mirror pair to within ``R.pole_guard``,
-    ValidationError when the smallest |eigenvalue| of P is at most
-    n eps times the largest, and NotSymmetricError when the residual
-    exceeds 1e-7 * max(1, ||T||).
+    Raises SubspaceError on a mirror pair (``_mirror_gap`` at most
+    ``R.pole_guard``), ValidationError when P fails ``_nonsingular``,
+    and NotSymmetricError when the residual exceeds 1e-7 * max(1, ||T||).
     """
     form = R._schur  # first, so that R.poles() reads its diagonal
-    gap = np.min(np.abs(R.poles()[:, np.newaxis] + R.poles().conj()), initial=np.inf)
+    gap = _mirror_gap(R)
     if gap <= R.pole_guard:
         raise SubspaceError(f"Gramian equations are singular: two eigenvalues of A satisfy "
                             f"lambda_i + conj(lambda_j) = 0 (to {gap:.3g})")
-    P = linalg._schur_solve(form, -R.b @ R.b.conj().T)
-    if not _nonsingular(P):
+    P, w = R._gramian
+    if not _nonsingular(w):
         raise ValidationError("the symmetric form requires a minimal realization: (A, B) is "
                               "not reachable (the Gramian P is singular)")
     if structural:

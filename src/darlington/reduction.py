@@ -330,7 +330,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
         Rs, p = symmetrize(R), R.outputs
         done()
         (pmin,) = _extremal(build_hat(Rs), ("minimal",))
-        spec, w = pmin.spectrum, np.abs(pmin._p_eigenvalues)  # P_min is Hermitian
+        spec, w = pmin.spectrum, np.abs(pmin.p_eigenvalues)  # P_min is Hermitian
         # odd roots this close are most likely a double root of H that the
         # clustering split; no division at it would leave a non-minimal result
         chi = np.array(spec.chi_plus_roots, dtype=complex)

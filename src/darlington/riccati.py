@@ -32,7 +32,6 @@ Lyapunov solve) that is kept only if it lowers ||R(P)||.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -112,7 +111,9 @@ class RiccatiSolution:
     and the analyzed spectrum of the Hamiltonian it was taken from.
 
     ``subspace_condition`` is cond X for an orthonormal basis [X; Y] of
-    the whole graph subspace (P = Y X^{-1}), at most sqrt(1 + ||P||^2).
+    the whole graph subspace (P = Y X^{-1}), at most sqrt(1 + ||P||^2),
+    and ``p_eigenvalues`` is eigvalsh(P), which build_extension and
+    minimize_symmetric read.
     """
     p: np.ndarray
     z: np.ndarray
@@ -120,12 +121,7 @@ class RiccatiSolution:
     residual_norm: float
     subspace_condition: float
     spectrum: HSpectrum
-
-    @cached_property
-    def _p_eigenvalues(self) -> np.ndarray:
-        """eigvalsh of the Hermitian part of P, which the solve computes
-        once and build_extension and minimize_symmetric read."""
-        return np.linalg.eigvalsh((self.p + self.p.conj().T) / 2)
+    p_eigenvalues: np.ndarray
 
 
 def _require_contractive(R: Realization) -> None:
@@ -343,10 +339,8 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
                 f"{kind} solution is not positive definite "
                 f"(min eigenvalue {w[0]:g}); S may not be a Schur function")
         Z = hat.a_hat + P @ hat.csc
-        sol = RiccatiSolution(p=P, z=Z, kind=kind, residual_norm=res,
-                              subspace_condition=cond, spectrum=spec)
-        vars(sol)["_p_eigenvalues"] = w
-        return sol
+        return RiccatiSolution(p=P, z=Z, kind=kind, residual_norm=res,
+                               subspace_condition=cond, spectrum=spec, p_eigenvalues=w)
 
     # graph of P carries the -Z* dynamics: sigma(Z) in the closed left
     # half-plane (minimal) puts the graph on the right half-spectrum of H

@@ -439,12 +439,8 @@ class TestSynthesize:
                                 lambda E: (*extend(E)[:3], nan))
         else:
             build = darlington.cli.build_extension
-
-            def nan_certificate(R, P):
-                E = build(R, P)
-                vars(E)["_certificate"] = nan
-                return E
-            monkeypatch.setattr(darlington.cli, "build_extension", nan_certificate)
+            monkeypatch.setattr(darlington.cli, "build_extension", lambda R, P:
+                                dataclasses.replace(build(R, P), certificate=nan))
         f = write_coupled_pair(tmp_path / "z2.json")
         extra = [] if mobius is None else ["--mobius", mobius]
         assert main(["synthesize", str(f), "--mode", mode, *extra]) == 1
@@ -474,7 +470,7 @@ class TestSynthesize:
                 _, _, sres, cert = symmetric_unitary_extension(E)
                 library = {"unitary_axis_residual": cert, "symmetry_residual": sres}
             else:
-                library = {"innerness_residual": E._certificate}
+                library = {"innerness_residual": E.certificate}
         calls = len(seen["_lossless_residual"])
         assert calls > 0
         extra = [] if mobius is None else ["--mobius", str(mobius)]
@@ -483,6 +479,24 @@ class TestSynthesize:
         assert len(seen["_lossless_residual"]) == 2 * calls + (mobius is not None)
         if mobius is None:
             assert {k: rep[k] for k in library} == library
+
+    @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
+    def test_each_mode_solves_the_gramian_once(self, monkeypatch, mode):
+        # the file's realization keeps the Gramian P that minimal_realization
+        # solved, and the symmetrizer reads it from there
+        f = DATA / "inner_max_s8g_0.json"
+        S = read_problem(str(f))["realization"]
+        rhs = -S.b @ S.b.conj().T
+        solves = []
+        original = darlington.linalg._schur_solve
+
+        def counting(form, Q, *args, **kwargs):
+            solves.append(np.array_equal(Q, rhs))
+            return original(form, Q, *args, **kwargs)
+
+        monkeypatch.setattr(darlington.linalg, "_schur_solve", counting)
+        assert main(["synthesize", str(f), "--mode", mode]) == 0
+        assert sum(solves) == 1
 
     @pytest.mark.parametrize("command", ["check", "synthesize"])
     @pytest.mark.parametrize("w0", ["nan", "inf"])

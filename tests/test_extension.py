@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from conftest import hermitian_order, random_unitary
+from conftest import blaschke_realization, hermitian_order, invert, random_unitary
 
 from darlington import (
     Realization,
@@ -33,7 +33,8 @@ from darlington.errors import (
     ValidationError,
 )
 from darlington.extension import _lossless_residual
-from darlington.realization import direct_sum, probe_points, transfer_distance
+from darlington.realization import compose, direct_sum, probe_points, transfer_distance
+from darlington.reduction import BlaschkeFactor
 from darlington.scalar import poly_para, spectral_factor_poly
 import numpy.polynomial.polynomial as npp
 
@@ -441,6 +442,17 @@ class TestGramianCertificates:
         assert np.min(np.abs(lam[:, None] + lam.conj())) <= scaled.pole_guard
         X = sla.block_diag(Q.gramian, np.eye(Rs.n))
         assert _lossless_residual(scaled, t[:, None] * X * t) <= 1e-10
+
+    def test_mirror_pole_pair_with_a_cancellation_is_not_minimal(self):
+        # B B^-1 = I is all-pass with D = I, but its poles -conj(xi) and xi
+        # form a mirror pair and cancel, so the Kalman ranks refuse it on
+        # any nonsingular X
+        B = blaschke_realization(BlaschkeFactor(xi=1.2 + 0.1j, u=np.array([1.0, 0.0])))
+        R = compose(B, invert(B))
+        lam = R.poles()
+        assert np.min(np.abs(lam[:, None] + lam.conj())) <= R.pole_guard
+        assert not kalman_check(R).minimal
+        assert _lossless_residual(R, np.eye(R.n)) == np.inf
 
     def test_rejects_the_other_extremal_solution(self, zeta2_pair):
         R, pmin, pmax = zeta2_pair

@@ -200,9 +200,9 @@ class TestMinimalRealization:
         out, cert = minimal_realization(R)
         assert out.n == 1 and cert.minimal
 
-    def test_no_cut_returns_the_input_unverified(self, count_calls):
-        # with no state cut there is nothing to verify: the certificate
-        # comes from the two full spans
+    def test_gramian_minimal_input_is_returned_unverified(self, count_calls):
+        # both Gramians of R are nonsingular, which proves R minimal: no
+        # state is cut, so there is nothing to verify
         seen = count_calls(darlington.realization.kalman_check,
                            darlington.realization.transfer_distance)
         R = Realization(np.diag([-1.0, -2.0]), np.array([[1.0], [1.0]]),
@@ -226,10 +226,22 @@ class TestMinimalRealization:
         # the Gramian test factored A once, and R's poles are that form's diagonal
         assert np.array_equal(R.poles(), np.diag(R._schur[0]))
 
+    def test_unstable_minimal_input_is_proved_by_its_gramians(self, count_calls):
+        # with no mirror pair lambda_i + conj(lambda_j) = 0 both Gramians
+        # exist and are nonsingular exactly when R is minimal, stable or not
+        B = np.array([[1.0], [0.5]])
+        R = Realization([[1.0, 0.3], [0.3, 2.0]], B, B.T, np.zeros((1, 1)))
+        assert np.min(np.linalg.eigvals(R.a).real) > 0 and kalman_check(R).minimal
+        seen = count_calls(darlington.realization._krylov_span)
+        out, cert = minimal_realization(R)
+        assert out is R and cert.minimal and cert.mcmillan_degree == 2
+        assert seen == {"_krylov_span": []}
+
     @pytest.mark.parametrize("case", ["unstable", "unreachable", "below-rank-rule"])
     def test_the_staircase_decides_where_the_gramians_prove_nothing(self, count_calls,
                                                                      case):
-        # poles in the right half-plane have no Gramians; a state that B
+        # the unstable pole xi of B^-1 and the pole -conj(xi) of B form a
+        # mirror pair, where the Gramians prove nothing; a state that B
         # does not reach makes P singular; and a P whose smallest
         # eigenvalue is 2.5e-16 of its largest, below n eps = 4.4e-16,
         # fails the rank rule, so the staircase's verified cut refuses it

@@ -762,13 +762,15 @@ def test_a_nan_certificate_fails_the_final_gate(zeta2, monkeypatch):
                                            ("suite", 1)])
 def test_one_lyapunov_solve_per_synthesis(which, solves, zeta1, zeta2,
                                           instance_suite, monkeypatch):
-    # the symmetrizer's Gramian is the only Lyapunov solve outside the
-    # Newton refinement of P_min, whatever the number of Blaschke steps
-    # (one, none and three): the steps and the certificates add none.
-    # The coupled pairs are structurally symmetric and need no
-    # intertwiner, but their Gramian P > 0 still certifies them minimal
-    R = {"zeta1": zeta1, "zeta2": zeta2,
+    # the input's own Gramian, which the symmetrizer reads, is the only
+    # Lyapunov solve outside the Newton refinement of P_min, whatever the
+    # number of Blaschke steps (one, none and three): the steps and the
+    # certificates add none.  The coupled pairs are structurally symmetric
+    # and need no intertwiner, but their Gramian P > 0 still certifies
+    # them minimal.  A fresh R: the session fixtures keep a cached Gramian
+    S = {"zeta1": zeta1, "zeta2": zeta2,
          "suite": instance_suite[18].realization}[which]
+    R = Realization(S.a, S.b, S.c, S.d)
     callers = []
     original = darlington.linalg._schur_solve
 
@@ -781,7 +783,7 @@ def test_one_lyapunov_solve_per_synthesis(which, solves, zeta1, zeta2,
     res = minimize_symmetric(R)
     assert len(res.factors) == {"zeta2": 1, "zeta1": 0, "suite": 3}[which]
     others = [name for name in callers if name != "_newton_refine"]
-    assert others == ["_intertwiner"] * solves
+    assert others == ["_gramian"] * solves
     # one Newton correction takes P_min to the rounding floor of R(P)
     assert callers.count("_newton_refine") == 1
 
