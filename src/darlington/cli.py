@@ -3,7 +3,7 @@
 Three subcommands operate on JSON problem files:
 
 ``check``        validate a realization (minimality, contractivity at
-                 infinity, symmetry, Schur property on the axis grid);
+                 infinity, symmetry, the Schur verdict of its P_min solve);
 ``synthesize``   build inner / symmetric / minimal-symmetric extensions
                  (the last on P_min, its report with the stage trace);
 ``scalar``       run the polynomial pipeline on a scalar fraction p1/q.
@@ -19,8 +19,8 @@ layout; serialization uses Python's shortest round-tripping float repr,
 so write-then-read reproduces matrices bit-exactly.
 
 ``check`` and ``synthesize`` take a certification tolerance, 1e-7 by
-default, set with --tol (finite and positive).  It bounds the grid
-supremum (1 + tol) and the symmetry residual of ``check`` and the final
+default, set with --tol (finite and positive).  It bounds ``check``'s
+symmetry residual and its hint's lossless certificate, and the final
 innerness certificate, symmetry and S-block residuals of ``synthesize
 --mode minimal-symmetric``; every other check runs at its fixed bound.
 Every ``synthesize`` mode reports the lossless certificate that its last
@@ -30,8 +30,8 @@ file's S from one cached probe response (the library's own block match
 when it had the file's S).  ``--mobius W0`` extends S~(s) =
 S(i W0 + 1/s), maps the extension back and certifies it once more.
 Exit status: 0 when every requested certificate passes, 2 when the
-input is not strictly contractive at infinity (the hint names a
---mobius point, or says that none helps), 1 on any other failure.
+input is not strictly contractive at infinity (the message names
+--mobius; check's hint names a point or says that none helps), 1 else.
 """
 from __future__ import annotations
 
@@ -142,23 +142,27 @@ def _emit(report: dict, as_json: bool) -> None:
 
 # ------------------------------------------------------------ commands
 
-def _schur_report(R: Realization, tol: float) -> tuple[np.ndarray, dict]:
-    """Values of the minimal realization on the frequency grid, and the
-    check report."""
+def _schur_report(R: Realization, tol: float) -> tuple[Realization, dict]:
+    """The minimal realization and the check report.  A strictly contractive
+    S is Schur when the library solves for its P_min (``not_schur`` holds the
+    refusal); at ||D|| = 1 ``schur`` is None, for a --mobius rerun to decide."""
     Rm, cert = minimal_realization(R)
-    stable = bool(Rm.n == 0 or np.max(Rm.poles().real) < -1e-12)
-    vals = freqresp(Rm, 1j * frequency_grid())
-    grid_sup = max_norm(vals)
-    schur = stable and grid_sup <= 1.0 + tol
-    return vals, {
+    strict = R.norm_d < 1.0 - 1e-12
+    verdict = {"schur": None}
+    if strict or R.outputs != R.inputs:
+        hat = build_hat(Rm)  # refuses a non-square S, as synthesize does
+        try:
+            _extremal(hat, ("minimal",))
+            verdict["schur"] = True
+        except DarlingtonError as exc:
+            verdict = {"schur": False, "not_schur": str(exc)}
+    return Rm, {
         "state_dim": R.n,
         "minimal": cert.minimal if R.n == Rm.n else False,
         "mcmillan_degree": cert.mcmillan_degree,
         "d_norm": R.norm_d,
-        "strictly_contractive_at_inf": R.norm_d < 1.0 - 1e-12,
-        "stable": stable,
-        "sup_grid_norm": grid_sup,
-        "schur_on_grid": schur,
+        "strictly_contractive_at_inf": strict,
+        **verdict,
         "symmetric_on_grid": bool(R.outputs == R.inputs
                                   and symmetry_residual(Rm) <= tol),
     }
@@ -172,19 +176,19 @@ def cmd_check(args) -> int:
     R = prob["realization"]
     if args.mobius is not None:
         R = mobius_precondition(R, args.mobius)
-    vals, rep = _schur_report(R, args.tol)
-    flags = prob["flags"]
-    ok = rep["schur_on_grid"]
-    if flags.get("symmetric") and not rep["symmetric_on_grid"]:
+    Rm, rep = _schur_report(R, args.tol)
+    ok = rep["schur"] is not False
+    if prob["flags"].get("symmetric") and not rep["symmetric_on_grid"]:
         rep["flag_mismatch"] = "file claims symmetric but the grid check fails"
         ok = False
-    if not rep["strictly_contractive_at_inf"]:
-        ws = frequency_grid()[spectral_norm(vals) < 1.0 - 1e-6]
-        gap = vals @ vals.conj().transpose(0, 2, 1) - np.eye(R.outputs)
+    if rep["schur"] is None:
+        # the grid only searches for a point of strict contractivity
+        grid = frequency_grid()
+        ws = grid[spectral_norm(freqresp(Rm, 1j * grid)) < 1.0 - 1e-6]
         if ws.size:
             hint = (f"rerun with --mobius {ws[0]:g} to move a point of strict "
                     "contractivity there")
-        elif R.outputs == R.inputs and max_norm(gap) <= args.tol:
+        elif _lossless_residual(Rm, Rm._gramian[0]) <= args.tol:
             hint = "it is unitary on the imaginary axis, so no --mobius point helps"
         else:
             hint = ("no point of the axis grid is strictly contractive either, "
@@ -193,7 +197,7 @@ def cmd_check(args) -> int:
     _emit(rep, args.json)
     if not ok:
         return 1
-    return 0 if rep["strictly_contractive_at_inf"] else 2
+    return 0 if rep["schur"] else 2
 
 
 def cmd_synthesize(args) -> int:
@@ -297,8 +301,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a realization")
     common(p)
     p.add_argument("--tol", type=float, default=1e-7,
-                   help="bounds the grid supremum (1 + TOL) and the symmetry "
-                        "test (default 1e-7)")
+                   help="bounds the symmetry residual and the hint's lossless "
+                        "certificate (default 1e-7)")
     p.add_argument("--mobius", type=float, default=None, metavar="W0",
                    help="apply the change of variable moving i*W0 to infinity")
     p.set_defaults(func=cmd_check)
@@ -331,7 +335,7 @@ def main(argv=None) -> int:
             raise ValidationError(f"--tol must be finite and positive, got {args.tol:g}")
         return args.func(args)
     except NotContractiveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc}; rerun with --mobius W0 (check suggests a W0)", file=sys.stderr)
         return 2
     except (DarlingtonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -248,7 +248,8 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
             "S21 has the wrong value at infinity; expected (I - DD*)^{1/2}")
     form = R._schur  # R.poles() reads its diagonal
     lam = R.poles()
-    if lam.size and np.max(lam.real) >= -1e-10:
+    # a pole within the guard of its own mirror is no stable pole (_mirror_gap)
+    if lam.size and np.max(lam.real) >= -R.pole_guard / 2:
         raise ValidationError(
             f"A has the eigenvalue {lam[np.argmax(lam.real)]:.6g}, not in the "
             "open left half-plane; the Lyapunov equation for P needs A Hurwitz")

@@ -146,7 +146,7 @@ class TestCheck:
         f = write_coupled_pair(tmp_path / "z2.json")
         assert main(["check", str(f)]) == 0
         out = capsys.readouterr().out
-        assert "schur_on_grid: True" in out
+        assert "schur: True" in out
 
     def test_contractivity_failure_suggests_mobius(self, tmp_path, capsys):
         # S(s) = s/(s+2): unit norm at infinity
@@ -186,6 +186,42 @@ class TestCheck:
         assert main(["check", str(f), "--json"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["mcmillan_degree"] == 2
+
+    def test_gain_peak_between_grid_points_is_not_schur(self, tmp_path, capsys):
+        # S = 0.432/(s^2 + 0.08 s + 16) peaks at 1.35 near w = 4, between
+        # the grid points 3 and 5, where it stays below 0.07
+        doc = {"A": [[0.0, 1.0], [-16.0, -0.08]], "B": [[0.0], [1.0]],
+               "C": [[0.432, 0.0]], "D": [[0.0]]}
+        f = tmp_path / "peak.json"
+        f.write_text(json.dumps(doc))
+        assert main(["check", str(f), "--json"]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["schur"] is False
+        assert "imaginary-axis point" in rep["not_schur"]
+        assert "odd multiplicity" in rep["not_schur"]
+
+    def test_nonsquare_file_is_refused(self, tmp_path, capsys):
+        doc = {"A": [[-1.0]], "B": [[0.2, 0.1]], "C": [[1.0]], "D": [[0.0, 0.0]]}
+        f = tmp_path / "wide.json"
+        f.write_text(json.dumps(doc))
+        assert main(["check", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "requires a square transfer function" in captured.err
+
+    @pytest.mark.parametrize("command, doc, named", [
+        ("check", {"p1": [0.5], "q": [1.0, 1.0]}, "check needs a realization"),
+        ("synthesize", {"p1": [0.5], "q": [1.0, 1.0]}, "synthesize needs a realization"),
+        ("scalar", {"A": [[-1.0]], "B": [[1.0]], "C": [[0.5]], "D": [[0.0]]},
+         "scalar needs coefficient arrays p1 and q"),
+    ])
+    def test_command_refuses_a_file_without_its_input(self, tmp_path, capsys,
+                                                      command, doc, named):
+        f = tmp_path / "p.json"
+        f.write_text(json.dumps(doc))
+        assert main([command, str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and named in captured.err
 
 
 class TestSynthesize:
@@ -506,6 +542,16 @@ class TestSynthesize:
         err = capsys.readouterr().err
         assert "omega0 must be finite" in err and "SVD" not in err
 
+    def test_norm_one_at_infinity_exits_two_naming_mobius(self, tmp_path, capsys):
+        # S(s) = s/(s+2): the library refuses ||D|| = 1 before any solve
+        f = tmp_path / "edge.json"
+        f.write_text(json.dumps({"A": [[-2.0]], "B": [[1.0]], "C": [[-2.0]],
+                                 "D": [[1.0]]}))
+        assert main(["synthesize", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not strictly contractive" in captured.err and "--mobius" in captured.err
+
     def test_missing_file_exits_one(self, capsys):
         assert main(["check", "/nonexistent/problem.json"]) == 1
 
@@ -547,4 +593,4 @@ def test_console_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "darlington", "check", str(f)],
                           capture_output=True, text=True)
     assert proc.returncode == 0
-    assert "schur_on_grid: True" in proc.stdout
+    assert "schur: True" in proc.stdout

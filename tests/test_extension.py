@@ -228,6 +228,15 @@ class TestFromLeftFactor:
         with pytest.raises(ValidationError, match=r"eigenvalue 1\+0j.*Hurwitz"):
             extension_from_left_factor(R, S21)
 
+    def test_rejects_a_pole_within_the_guard_of_the_axis(self):
+        # -1e-8 is left of any fixed absolute bound like -1e-10, but within
+        # half the pole guard 1e-7 (1 + ||A||), where the pole is its own mirror
+        R = Realization(np.diag([-1.0, -1e-8]), np.array([[1.0], [1.0]]),
+                        np.array([[1.0, 1.0]]), np.array([[0.0]]))
+        S21 = Realization(R.a, np.array([[0.5], [0.5]]), R.c, np.array([[1.0]]))
+        with pytest.raises(ValidationError, match="not in the open left half-plane"):
+            extension_from_left_factor(R, S21)
+
 
 class TestCompareExtensions:
     def test_equal_extensions_give_constant_identity(self, zeta2_pair):

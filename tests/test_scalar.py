@@ -20,7 +20,7 @@ from darlington import (
     scalar_minimal_extension,
     spectral_factor_poly,
 )
-from darlington.errors import ValidationError
+from darlington.errors import SpectralSplitError, ValidationError
 from darlington.extension import innerness_residual
 from darlington.realization import minimal_realization, symmetry_residual
 from darlington.scalar import _classify_mu_roots, siso_realization
@@ -116,8 +116,12 @@ class TestComputeMu:
             compute_mu([1.0 + 1e-9, 1.0], [2.0, 3.0, 1.0])
 
     def test_rejects_contractivity_violation(self):
-        with pytest.raises(ValidationError):
-            compute_mu([2.0], [1.0, 1.0])  # |2| > |i w + 1| at w = 0
+        # over q = 1 + s: 2 exceeds |q| below w = sqrt(3), so mu has odd
+        # axis roots; 3 + 2s exceeds it on the whole axis, so c < 0
+        with pytest.raises(SpectralSplitError, match="odd multiplicity"):
+            compute_mu([2.0], [1.0, 1.0])
+        with pytest.raises(SpectralSplitError, match="constant .* is not positive"):
+            compute_mu([3.0, 2.0], [1.0, 1.0])
 
 
 class TestSpectralFactor:
