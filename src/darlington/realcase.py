@@ -5,7 +5,10 @@ A real rational S has a real minimal realization, and a real symmetric
 S has a minimal realization that is signature symmetric:
 
     A^T = J A J,  B^T = C J,  C^T = J B,  D^T = D,
-    J = diag(+-1).
+    J = diag(+-1),
+
+which ``signature_realization`` builds, exactly, on the certified path
+of ``symmetrize`` with J the signs of the real intertwiner's eigenvalues.
 
 The inner extension built on a Riccati solution P is real exactly when
 P is real; in signature coordinates P~ = J P^{-T} J is again a solution
@@ -22,13 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetricError, SubspaceError, ValidationError
+from .errors import DarlingtonError, ValidationError
 from .extension import build_extension
 from .linalg import max_norm, norm_at_most, spectral_norm
 from .realization import (
     Realization,
     _intertwiner,
     _structurally_symmetric,
+    _symmetric_form,
     freqresp,
     probe_points,
 )
@@ -78,35 +82,21 @@ class SignatureRealization:
 
 def signature_realization(R: Realization) -> SignatureRealization:
     """Signature-symmetric form of a real minimal realization of a
-    symmetric transfer function.
-
-    Solves the real intertwining equations T A = A^T T, T B = C^T for
-    the (unique, real symmetric, invertible) similarity T by
-    ``_intertwiner``, factors T = M^T J M with M real through the
-    eigendecomposition of T, and transforms the realization.  As in
-    ``symmetrize``, the certificate decides minimality (P nonsingular is
-    reachability, T nonsingular then observability); a mirror pair of
-    poles, a singular P or T, an intertwining residual or an output that
-    is not signature symmetric raises ValidationError.
+    symmetric transfer function: ``realization._symmetric_form`` of R on
+    the eigendecomposition T = V diag(v) V^T, +1 signs first, of its real
+    ``_intertwiner`` T, the path ``symmetrize`` takes with J = sign v.
+    The certificate decides minimality (P nonsingular is reachability, T
+    nonsingular then observability); every refusal raises ValidationError.
     """
     _require_real(R)
-    A, B, C, D = R.a.real, R.b.real, R.c.real, R.d.real
-    Rr = Realization(A, B, C, D)
+    Rr = Realization(R.a.real, R.b.real, R.c.real, R.d.real)
     try:
         # the data are real, so T is real up to rounding
-        T = _intertwiner(Rr, _structurally_symmetric(Rr))[0].real
-    except (SubspaceError, NotSymmetricError) as exc:
-        raise ValidationError(f"no real intertwiner found: {exc}") from exc
-    w, O = np.linalg.eigh(T)
-    if np.any(np.abs(w) <= 1e-12 * max(1.0, np.max(np.abs(w), initial=0.0))):
-        raise ValidationError("signature form needs a minimal realization: (C, A) is not "
-                              "observable (the intertwiner T is singular)")
-    order = np.argsort(-np.sign(w))  # +1 entries first
-    w, O = w[order], O[:, order]
-    M = np.diag(np.sqrt(np.abs(w))) @ O.T
-    Minv = np.linalg.inv(M)
-    out = Realization(M @ A @ Minv, M @ B, C @ Minv, D)
-    return SignatureRealization(realization=out, j=np.sign(w).astype(int))
+        w, V = np.linalg.eigh(_intertwiner(Rr, _structurally_symmetric(Rr))[0].real)
+        order = np.argsort(-np.sign(w))  # +1 entries first
+        return SignatureRealization(*_symmetric_form(Rr, V[:, order], w[order]))
+    except DarlingtonError as exc:
+        raise ValidationError(f"no real signature form: {exc}") from exc
 
 
 def is_real_extension(P, R: Realization) -> bool:

@@ -442,7 +442,8 @@ def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, 
 
     Raises SubspaceError on a mirror pair (``_mirror_gap`` at most
     ``R.pole_guard``), ValidationError when P fails ``_nonsingular``,
-    and NotSymmetricError when the residual exceeds 1e-7 * max(1, ||T||).
+    and NotSymmetricError when the residual exceeds 1e-7 max(1, ||T||)
+    max(1, ||A||): that of a computed T grows with ||A||, as in S(s / a).
     """
     form = R._schur  # first, so that R.poles() reads its diagonal
     gap = _mirror_gap(R)
@@ -460,7 +461,7 @@ def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, 
     T = (T + T.T) / 2
     gaps = (T @ R.a - R.a.T @ T, T @ R.b - R.c.T)
     norm = float(linalg.spectral_norm(T))
-    bound = 1e-7 * max(1.0, norm)
+    bound = 1e-7 * max(1.0, norm) * max(1.0, R.norm_a)
     if not all(linalg.norm_at_most(G, bound) for G in gaps):
         res = max(linalg.spectral_norm(G) for G in gaps)
         raise NotSymmetricError(f"intertwining residual {res:g}: S is not symmetric")
@@ -479,25 +480,53 @@ def _exactly_symmetric(R: Realization) -> bool:
     return all(np.array_equal(X, Y.T) for X, Y in ((R.a, R.a), (R.c, R.b), (R.d, R.d)))
 
 
+def _symmetric_form(R: Realization, V: np.ndarray,
+                    v: np.ndarray) -> tuple[Realization, np.ndarray]:
+    """The J-symmetric form of R, J = diag(sign v), and sign v, from a factor
+    T = V diag(v) V^T (V unitary) of its intertwiner T A = A^T T, T B = C^T.
+    M = diag(|v|^1/2) V^T has T = M^T J M and M^-1 = conj(V) diag(|v|^-1/2),
+    so (A', B', C', D) = (M A M^-1, M B, C M^-1, D) is J-symmetric; its
+    projection A_s = (A' + J A'^T J)/2, B_s = (B' + J C'^T)/2 = J C_s^T,
+    D_s = (D + D^T)/2, exact in floating point as J = +-1, keeps R's
+    spectrum.  Raises ValidationError on a singular T (min |v| at most
+    1e-12 max(1, max |v|): not observable), NotSymmetricError on an
+    (A', B', C', D) not J-symmetric to 1e-9 max(1, ||A'||), and
+    ValidationError on a similarity residual ||M A - A_s M|| / (||M|| ||A||)
+    or ||C - C_s M|| / ||C|| above 1e-8."""
+    w = np.abs(v)
+    if np.min(w, initial=np.inf) <= 1e-12 * max(1.0, np.max(w, initial=0.0)):
+        raise ValidationError("the symmetric form requires a minimal realization: (C, A) is "
+                              "not observable (the intertwiner T is singular)")
+    j, root = np.sign(v), np.sqrt(w)
+    M, Minv = root[:, np.newaxis] * V.T, V.conj() / root
+    A, B, C = M @ R.a @ Minv, M @ R.b, R.c @ Minv
+    JAJ, JC = j[:, np.newaxis] * A.T * j, j[:, np.newaxis] * C.T  # J A'^T J, J C'^T
+    bound = 1e-9 * max(1.0, linalg.spectral_norm(A))
+    if not all(linalg.norm_at_most(G, bound) for G in (A - JAJ, B - JC, R.d - R.d.T)):
+        raise NotSymmetricError("(M A M^-1, M B, C M^-1, D) is not structurally symmetric "
+                                "for J = sign v")
+    out = _with_poles(Realization((A + JAJ) / 2, (B + JC) / 2, (C + B.T * j) / 2,
+                                  (R.d + R.d.T) / 2), R)
+    gaps = ((M @ R.a - out.a @ M, np.max(root, initial=0.0) * R.norm_a),  # ||M||
+            (R.c - out.c @ M, linalg.spectral_norm(R.c)))
+    if not all(linalg.norm_at_most(G, 1e-8 * scale) for G, scale in gaps):
+        res = max(linalg.spectral_norm(G) / scale for G, scale in gaps)
+        raise ValidationError(f"the similarity changed the transfer function (residual {res:g})")
+    return out, j
+
+
 def symmetrize(R: Realization) -> Realization:
     """Complex symmetric realization (A = A^T, B = C^T, D = D^T) of a
-    symmetric transfer function from a minimal realization.
-
-    Finds the similarity T A = A^T T, T B = C^T by ``_intertwiner`` in
-    O(n^3), factors T = M^T M by Takagi, and returns the exactly
-    symmetric part of (A', B', C', D) = (M A M^-1, M B, C M^-1, D):
-    A_s = (A' + A'^T)/2, B_s = (B' + C'^T)/2 = C_s^T, D_s = (D + D^T)/2,
-    with R's spectrum.  Its certificate decides every outcome: a mirror
-    pair of poles raises SubspaceError, a singular Gramian P
-    ValidationError (not reachable), an intertwining residual
-    NotSymmetricError, a Takagi-singular T ValidationError (not
-    observable), an (A', B', C', D) that is not structurally symmetric
-    NotSymmetricError, and a similarity residual
-    ||M A - A_s M|| / (||M|| ||A||) or ||C - C_s M|| / ||C|| above 1e-8
-    ValidationError.  A structurally symmetric input gives its exactly
-    symmetric part (itself if exact) once P is nonsingular, since its
-    observability is the reachability of the same pair; with a mirror
-    pair, ``kalman_check`` decides its minimality instead.
+    symmetric transfer function from a minimal realization: the
+    ``_symmetric_form`` (J = I) of R on the Takagi factor
+    T = U diag(sigma) U^T of its ``_intertwiner`` T, found in O(n^3).
+    The certificate decides every outcome: a mirror pair of poles raises
+    SubspaceError, a singular Gramian P ValidationError (not reachable),
+    an intertwining residual NotSymmetricError, and ``_symmetric_form``
+    raises as it documents.  A structurally symmetric R has T = I (its
+    observability is the reachability of the same pair), so V = I, v = 1,
+    and is itself the answer if exactly symmetric; with a mirror pair
+    ``kalman_check`` decides its minimality instead.
     """
     if R.outputs != R.inputs:
         raise NotSymmetricError("a symmetric transfer function must be square")
@@ -510,29 +539,9 @@ def symmetrize(R: Realization) -> Realization:
             raise
     if structural and _exactly_symmetric(R):
         return R
-    out = R
-    if R.n and not structural:
-        tk = linalg._takagi(T, norm)  # T is exactly symmetric
-        if tk.values[0] <= 1e-12 * max(1.0, tk.values[-1]):
-            raise ValidationError("symmetrize requires a minimal realization: (C, A) is not "
-                                  "observable (the intertwiner T is singular)")
-        # M^T M = T, and M^-1 = conj(U) diag(values^-1/2) as U is unitary
-        root = np.sqrt(tk.values)
-        M, Minv = root[:, np.newaxis] * tk.u.T, tk.u.conj() / root
-        out = Realization(M @ R.a @ Minv, M @ R.b, R.c @ Minv, R.d)
-    if not _structurally_symmetric(out):  # always so for an R without states
-        raise NotSymmetricError("the symmetrized realization is not structurally symmetric")
-    # the exactly symmetric part keeps R's spectrum to within that check
-    out = _with_poles(Realization((out.a + out.a.T) / 2, (out.b + out.c.T) / 2,
-                                  (out.c + out.b.T) / 2, (out.d + out.d.T) / 2), R)
-    if structural:  # moved by at most the 1e-9 of that check
-        return out
-    gaps = ((M @ R.a - out.a @ M, root[-1] * R.norm_a),  # ||M|| = root[-1]
-            (R.c - out.c @ M, linalg.spectral_norm(R.c)))
-    if not all(linalg.norm_at_most(G, 1e-8 * scale) for G, scale in gaps):
-        res = max(linalg.spectral_norm(G) / scale for G, scale in gaps)
-        raise ValidationError(f"symmetrization changed the transfer function (residual {res:g})")
-    return out
+    tk = (linalg.TakagiResult(np.eye(R.n), np.ones(R.n)) if structural
+          else linalg._takagi(T, norm))  # T is exactly symmetric
+    return _symmetric_form(R, tk.u, tk.values)[0]
 
 
 def mobius_precondition(R: Realization, omega0: float) -> Realization:

@@ -1,5 +1,7 @@
 """Real-coefficient analysis: realness of extensions and feasibility of
 real symmetric extensions at degree n."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -19,10 +21,17 @@ from darlington import (
     solve_extremal,
 )
 from darlington.errors import ValidationError
-from darlington.realization import probe_points, transpose
+from darlington.realization import probe_points, transfer_distance, transpose
 from darlington.riccati import _extremal
 
 SQ3 = np.sqrt(3.0)
+# real SISO draws of the probe in tests/data/freeze_signature_witnesses.py
+SIGNATURE_WITNESSES = Path(__file__).parent / "data" / "signature_witnesses.npz"
+
+
+def signature_witness(name: str) -> Realization:
+    with np.load(SIGNATURE_WITNESSES) as z:
+        return Realization(*(z[f"{name}/{k}"] for k in "abcd"))
 
 
 def identity_signature(R: Realization) -> SignatureRealization:
@@ -121,19 +130,41 @@ class TestSignatureRealization:
     def test_rejects_non_minimal(self, b, c, match):
         R = Realization(np.diag([-1.0, -2.0]), np.array(b), np.array(c),
                         np.array([[0.1]]))
-        with pytest.raises(ValidationError, match=match):
+        with pytest.raises(ValidationError, match=match) as info:
             signature_realization(R)
+        assert "symmetrize" not in str(info.value)
 
     @pytest.mark.parametrize("c01, match", [(2.0, "intertwining residual"),
-                                            (1e-8, "not signature symmetric")])
+                                            (1e-8, "not structurally symmetric for J")])
     def test_rejects_non_symmetric(self, c01, match):
         # C (sI - A)^-1 with an upper off-diagonal entry only; the small
-        # one escapes the intertwining residual but not the signature
-        # structure of the output
+        # one escapes the intertwining residual but not the structural
+        # check that symmetrize shares
         R = Realization(np.diag([-1.0, -2.0]), np.eye(2),
                         np.array([[1.0, c01], [0.0, 1.0]]), np.zeros((2, 2)))
         with pytest.raises(ValidationError, match=match):
             signature_realization(R)
+
+    def test_well_conditioned_draw_certifies_exactly(self, monkeypatch):
+        # the 1e-10 structure test of SignatureRealization once refused
+        # it; the symmetric-form path projects onto J-symmetry exactly,
+        # with M^-1 in closed form
+        R = signature_witness("p251")
+        inverses = []
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda M: inverses.append(M) or inv(M))
+        SR = signature_realization(R)
+        assert inverses == []
+        Rs, J = SR.realization, SR.j_matrix
+        assert np.array_equal(Rs.a.T, J @ Rs.a @ J) and np.array_equal(Rs.b.T, Rs.c @ J)
+        assert np.array_equal(Rs.d, Rs.d.T)
+        assert transfer_distance(Rs, R) <= 1e-8
+
+    def test_similarity_gate_refuses_a_projection_that_moves_s(self):
+        # the transformed realization passes the 1e-9 structural check,
+        # but its projection misses C by a relative 1.6e-8
+        with pytest.raises(ValidationError, match="changed the transfer function"):
+            signature_realization(signature_witness("p2563"))
 
     @pytest.mark.parametrize("which", ["zeta1", "zeta2"])
     def test_structural_input_needs_no_sylvester_solve(self, which, zeta1,

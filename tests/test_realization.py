@@ -337,6 +337,24 @@ class TestSymmetrize:
         assert minimize_symmetric(R).degree == inst.n + inst.expected_kappa
         assert forms == [1]
 
+    @pytest.mark.parametrize("alpha", [1e6, 1e8])
+    def test_frequency_rescaled_input_comes_back_exactly_symmetric(self, alpha):
+        # R_alpha realizes S(s / alpha) for the symmetric S = (A0, B0, B0^T,
+        # D0) under a similarity; the intertwining residual of its computed
+        # T grows with ||A|| ~ alpha, which the intertwining bound allows for
+        rng = np.random.default_rng(3)
+        G = rng.standard_normal((4, 4))
+        A0 = (G + G.T) / 2 - 4 * np.eye(4)
+        B0 = 0.3 * rng.standard_normal((4, 2))
+        S = rng.standard_normal((4, 4)) + 3 * np.eye(4)
+        Si = np.linalg.inv(S)
+        R = Realization(S @ (alpha * A0) @ Si, S @ (np.sqrt(alpha) * B0),
+                        np.sqrt(alpha) * B0.T @ Si, 0.1 * np.eye(2))
+        out = symmetrize(R)
+        assert _exactly_symmetric(out)
+        pts = 1j * alpha * np.array([0.1, 1.0, 10.0])
+        assert linalg.max_norm(freqresp(out, pts) - freqresp(R, pts)) <= 1e-8
+
     def test_rejects_asymmetric_transfer(self):
         rng = np.random.default_rng(3)
         R = Realization(np.diag([-1.0, -2.0]), rng.normal(size=(2, 2)),
