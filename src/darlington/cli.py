@@ -232,8 +232,10 @@ def cmd_synthesize(args) -> int:
         else:
             out, X, value = E.realization, E.p_matrix, E.certificate
             fields["riccati_residual"] = sol.residual_norm
-            if args.solution == "min":  # the zeros of S21, the closed loop's poles
-                fields["outer_lower_left"] = bool(np.all(np.linalg.eigvals(sol.z).real <= 1e-7))
+            if args.solution == "min":  # the zeros of S21, the closed loop's poles,
+                # at most the pole guard 1e-7 (1 + ||Z||) right of the axis
+                fields["outer_lower_left"] = bool(np.all(
+                    np.linalg.eigvals(sol.z).real <= 1e-7 * (1 + spectral_norm(sol.z))))
     if args.mobius is not None:
         # out extends S~(s) = S(i w0 + 1/s); mapped back it extends the
         # file's S, with the same degree, symmetry and Gramian X

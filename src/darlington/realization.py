@@ -73,8 +73,9 @@ class Realization:
             raise DimensionError(f"A must be square and D 2-dimensional, got shapes "
                                  f"{a.shape} and {d.shape}")
         (n, _), (p, m) = a.shape, d.shape
-        b = np.array(self.b, dtype=complex).reshape(n, -1) if n else np.zeros((0, m), complex)
-        c = np.array(self.c, dtype=complex).reshape(-1, n) if n else np.zeros((p, 0), complex)
+        b, c = np.array(self.b, dtype=complex), np.array(self.c, dtype=complex)
+        b = b.reshape(n, m) if b.size == n * m else b
+        c = c.reshape(p, n) if c.size == p * n else c
         if b.shape != (n, m) or c.shape != (p, n):
             raise DimensionError(f"B must be {n}x{m} and C {p}x{n}, got {b.shape} and {c.shape}")
         if not all(np.isfinite(M).all() for M in (a, b, c, d)):

@@ -38,18 +38,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import DarlingtonError, ReductionError, SpectralSplitError, ValidationError
+from .errors import (DarlingtonError, DimensionError, ReductionError, SpectralSplitError,
+                     ValidationError)
 from .extension import (
     _lossless_residual,
     build_extension,
-    innerness_residual,
     symmetric_unitary_extension,
 )
 from .realization import (
     Realization,
     _pencils,
     _values_and_derivatives,
-    evaluate,
     freqresp,
     symmetrize,
 )
@@ -115,36 +114,32 @@ def zero_structure(T: Realization) -> ZeroStructure:
     division points from the Hamiltonian spectrum instead; this is an
     independent view of the same zeros.
 
-    T must pass the innerness grid check to 1e-7 and have an invertible
-    value at infinity (automatic for the extensions constructed here).
+    T must be square and pass the lossless certificate on its Gramian to
+    1e-7, which proves it minimal and all-pass with D unitary; its zeros,
+    the mirrors of its poles, must lie in the open right half-plane.
     Zeros are clustered with the same persistence ladder used for the
-    Hamiltonian spectrum.
+    Hamiltonian spectrum; every T(xi) comes from one freqresp call.
     """
-    resid = innerness_residual(T)
-    if resid > 1e-7:
+    if T.outputs != T.inputs:
+        raise DimensionError(f"zero_structure needs a square T, got {T.outputs}x{T.inputs}")
+    resid = _lossless_residual(T, *T._gramian)
+    if not resid <= 1e-7:
         raise ValidationError(
-            f"zero_structure requires an inner function (grid residual {resid:g})")
-    s = np.linalg.svd(T.d, compute_uv=False)
-    if s.size == 0 or s[-1] <= 1e-10 * max(1.0, s[0]):
-        raise ValidationError("value at infinity is singular")
+            f"zero_structure requires an inner function (lossless residual {resid:g})")
     if T.n == 0:
         return ZeroStructure(zeros=(), kernels=())
     Az = T.a - T.b @ np.linalg.solve(T.d, T.c)
     lam = np.linalg.eigvals(Az)
     tol, clusters = linalg.cluster_ladder(lam, linalg.default_cluster_tol(Az))
-    zeros = []
-    kernels = []
-    for center, members in sorted(clusters, key=lambda g: (g[0].real, g[0].imag)):
-        if center.real <= tol:
-            raise ValidationError(
-                f"zero {center:g} is not in the open right half-plane; "
-                "T is not inner or the clustering is unreliable")
-        val = evaluate(T, center)
-        scale = max(1.0, linalg.spectral_norm(val))
-        (ker,) = linalg._kernels(val[np.newaxis], 1e-6, [scale])
-        zeros.append((center, len(members)))
-        kernels.append(ker)
-    return ZeroStructure(zeros=tuple(zeros), kernels=tuple(kernels))
+    zeros = tuple((c, len(m)) for c, m in sorted(clusters, key=lambda g: (g[0].real, g[0].imag)))
+    xi = np.array([c for c, _ in zeros])
+    if xi[0].real <= tol:
+        raise ValidationError(
+            f"zero {xi[0]:g} is not in the open right half-plane; "
+            "T is not inner or the clustering is unreliable")
+    vals = freqresp(T, xi)
+    kernels = linalg._kernels(vals, 1e-6, np.maximum(1.0, linalg.spectral_norm(vals)))
+    return ZeroStructure(zeros=zeros, kernels=tuple(kernels))
 
 
 def find_reduction_vector(T: Realization, points,

@@ -304,7 +304,8 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
             continue
         basis = _invariant_subspace(spec, {idx})
         N = basis.conj().T @ H @ basis - center * np.eye(mult)
-        half = linalg.half_chain_basis(N, tol=max(1e-8, band))
+        # half_chain_basis compares tol with singular values of N / max(1, ||N||)
+        half = linalg.half_chain_basis(N, tol=max(1e-8, band / max(1.0, linalg.spectral_norm(N))))
         if 2 * half.shape[1] != mult:
             raise SubspaceError(
                 f"leading-half chain subspace at {center:g} has dimension "

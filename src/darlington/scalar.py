@@ -101,14 +101,21 @@ class ScalarFactorization:
     r2_axis: np.ndarray
 
 
-def _classify_mu_roots(mu: np.ndarray):
-    """linalg.mirror_split of the roots of mu at poly_roots' base
-    tolerance; returns (axis, pairs) where axis lists the
-    (i*w, even multiplicity) and pairs the (stable root, mult) clusters."""
-    roots = npp.polyroots(mu)
+def _para_split(m: np.ndarray):
+    """linalg.mirror_split of the roots of a para-Hermitian m at poly_roots'
+    base tolerance: (axis, pairs, c), where axis lists the (i*w, even
+    multiplicity) and pairs the (stable root, mult) clusters, and m = c h h*
+    for the monic h on the pairs and half of each axis cluster, so
+    c = m[-1] (-1)^deg h and m(iw) = c |h(iw)|^2.  Raises SpectralSplitError
+    where m changes sign on the axis (an odd axis root) or c <= 0."""
+    roots = npp.polyroots(m)
     _, clusters, _ = linalg.mirror_split(roots, _root_tol(roots))
-    axis = [(z, m) for z, m, lab in clusters if lab == "axis"]
-    return axis, [(z, m) for z, m, lab in clusters if lab == "minus"]
+    axis = [(z, k) for z, k, lab in clusters if lab == "axis"]
+    pairs = [(z, k) for z, k, lab in clusters if lab == "minus"]
+    c = m[-1] * (-1) ** (sum(k for _, k in pairs) + sum(k // 2 for _, k in axis))
+    if abs(c.imag) > 1e-8 * abs(c) or c.real <= 0:
+        raise SpectralSplitError(f"parity-split constant {c:g} is not positive")
+    return axis, pairs, float(c.real)
 
 
 def compute_mu(p1, q) -> ScalarFactorization:
@@ -116,7 +123,7 @@ def compute_mu(p1, q) -> ScalarFactorization:
 
     Validates that deg p1 <= deg q, q is stable and p1 and q are coprime
     (no root of p1 within 1e-7 (1 + max |root|) of a root of q), then
-    factors mu = c (r1 r1*)^2 r2 r2* from the mirror split of its roots.
+    factors mu = c (r1 r1*)^2 r2 r2* from _para_split's clusters and c.
     The split refuses |p1| > |q| on the axis (SpectralSplitError): where
     mu changes sign it has an odd axis root, and mu < 0 gives c < 0.
     The reconstruction is verified against the coefficients of mu.
@@ -142,7 +149,7 @@ def compute_mu(p1, q) -> ScalarFactorization:
     if mu.size == 1 and abs(mu[0]) == 0:
         raise ValidationError("mu vanishes identically: S is inner, not "
                               "strictly contractive anywhere")
-    axis, pairs = _classify_mu_roots(mu)
+    axis, pairs, c = _para_split(mu)
     r1_roots = [z for z, m in pairs for _ in range(m // 2)]
     r1_roots += [z for z, m in axis for _ in range(m // 4)]
     r2_off_roots = [z for z, m in pairs if m % 2]
@@ -156,10 +163,6 @@ def compute_mu(p1, q) -> ScalarFactorization:
         npp.polymul(r2, poly_para(r2)))
     # the complete mirror pairing gives recon the degree of mu
     recon = poly_trim(recon)
-    c = mu[-1] / recon[-1]
-    if abs(c.imag) > 1e-8 * abs(c) or c.real <= 0:
-        raise SpectralSplitError(f"parity-split constant {c:g} is not positive")
-    c = float(c.real)
     err = np.linalg.norm(mu - c * recon) / max(np.linalg.norm(mu), 1e-300)
     if err > 1e-6:
         raise SpectralSplitError(
@@ -172,33 +175,28 @@ def spectral_factor_poly(m) -> np.ndarray:
     """Stable polynomial p2 with p2 p2* = m.
 
     m must be para-symmetric (m* = m) and nonnegative on the imaginary
-    axis; imaginary-axis roots must have even multiplicity and are
-    assigned to p2 at half multiplicity, all other stable roots at full
-    multiplicity.
+    axis, which _para_split decides: m = c h h* with c > 0 and every
+    axis root of even multiplicity.  p2 is h scaled at the grid point
+    where |m| is largest; it holds the stable roots at full multiplicity
+    and the axis roots at half.  Every refusal is a ValidationError.
     """
     m = poly_trim(m)
-    if np.linalg.norm(m - poly_para(m)) > 1e-9 * np.linalg.norm(m):
+    if not np.linalg.norm(m - poly_para(m)) <= 1e-9 * np.linalg.norm(m):
         raise ValidationError("m is not para-symmetric (m* != m)")
-    grid = frequency_grid()
-    vals = npp.polyval(1j * grid, m).real
-    negative = vals < -1e-9 * max(1.0, np.linalg.norm(m))
-    if negative.any():
-        k = int(np.argmax(negative))
-        raise ValidationError(f"m(i{grid[k]:g}) = {vals[k]:g} is negative")
-    if m.size == 1:
-        return np.array([np.sqrt(m[0].real)], dtype=complex)
-    axis, pairs = _classify_mu_roots(m)
+    try:
+        axis, pairs, _ = _para_split(m)
+    except SpectralSplitError as exc:
+        raise ValidationError(f"m is not nonnegative on the imaginary axis: {exc}") from exc
     stable = [z for z, k in pairs for _ in range(k)]
     stable += [z for z, k in axis for _ in range(k // 2)]
     p2 = npp.polyfromroots(stable).astype(complex)
     # positive scale factor fixed at the grid point where m is largest
+    grid = frequency_grid()
+    vals = npp.polyval(1j * grid, m).real
     k = int(np.argmax(np.abs(vals)))
-    ratio = vals[k] / abs(npp.polyval(1j * grid[k], p2)) ** 2
-    if ratio <= 0:
-        raise ValidationError("spectral factor scale is not positive")
-    p2 = p2 * np.sqrt(ratio)
+    p2 = p2 * np.sqrt(vals[k] / abs(npp.polyval(1j * grid[k], p2)) ** 2)
     err = np.linalg.norm(poly_trim(npp.polymul(p2, poly_para(p2))) - m)
-    if err > 1e-8 * max(1.0, np.linalg.norm(m)):
+    if not err <= 1e-8 * max(1.0, np.linalg.norm(m)):
         raise ValidationError(
             f"spectral factor reconstructs m to error {err:g} only")
     return p2

@@ -209,6 +209,16 @@ class TestCheck:
         assert captured.out == ""
         assert "requires a square transfer function" in captured.err
 
+    def test_b_that_does_not_fit_n_is_named(self, tmp_path, capsys):
+        doc = {"A": [[-1.0, 0.0], [0.0, -1.0]], "B": [[0.0], [0.0], [0.0]],
+               "C": [[0.0, 0.0]], "D": [[0.0]]}
+        f = tmp_path / "misfit.json"
+        f.write_text(json.dumps(doc))
+        assert main(["check", str(f)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: B must be 2x1 and C 1x2, got (3, 1) and (1, 2)\n"
+
     @pytest.mark.parametrize("command, doc, named", [
         ("check", {"p1": [0.5], "q": [1.0, 1.0]}, "check needs a realization"),
         ("synthesize", {"p1": [0.5], "q": [1.0, 1.0]}, "synthesize needs a realization"),
@@ -298,6 +308,24 @@ class TestSynthesize:
         rep = json.loads(capsys.readouterr().out)
         assert rep["degree"] == 8 and rep["kappa"] == 8 and rep["n0"] == 0
         assert rep["innerness_residual"] <= 1e-8 and rep["block_match"] <= 1e-10
+
+    @pytest.mark.parametrize("rung, alpha", [("ax1n7", 1e6), ("ax1n9", 1e8)])
+    def test_inner_mode_at_a_large_frequency_scale(self, tmp_path, capsys, rung, alpha):
+        # main #0 of the rung as (a A, sqrt(a) B, sqrt(a) C, D): the axis
+        # half-chains need a tolerance in units of ||N||, and the closed
+        # loop's spectrum, of norm about 4e8 at ax1n9, a bound relative to
+        # ||Z|| (its largest real part is 1.4e-6 there)
+        with np.load(Path(__file__).parents[1] / "perfbench/inputs/main.npz") as z:
+            A, B, C, D = (z[f"{rung}.{k}"][0] for k in "abcd")
+        R = Realization(alpha * A, np.sqrt(alpha) * B, np.sqrt(alpha) * C, D)
+        f = tmp_path / "scaled.json"
+        write_realization(str(f), R)
+        rc = main(["synthesize", str(f), "--mode", "inner", "--json"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        rep = json.loads(captured.out)
+        assert rep["outer_lower_left"] is True
+        assert rep["innerness_residual"] <= 1e-8
 
     def test_symmetric_mode(self, tmp_path, capsys):
         f = write_coupled_pair(tmp_path / "z2.json")

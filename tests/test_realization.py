@@ -29,6 +29,7 @@ from darlington import (
     transpose,
 )
 from darlington.errors import (
+    DimensionError,
     NotSymmetricError,
     PoleError,
     SubspaceError,
@@ -721,6 +722,14 @@ def test_probe_points_avoid_poles(zeta2):
 class TestOwner:
     """A realization owns read-only copies of its data and computes the
     spectrum of A once."""
+
+    @pytest.mark.parametrize("b, c", [((3, 1), (1, 2)), ((2, 1), (1, 3))],
+                             ids=["b-3x1", "c-1x3"])
+    def test_b_or_c_that_does_not_fit_n_is_a_dimension_error(self, b, c):
+        # numpy's reshape would raise a bare ValueError ("cannot reshape")
+        with pytest.raises(DimensionError,
+                           match=re.escape(f"B must be 2x1 and C 1x2, got {b} and {c}")):
+            Realization(-np.eye(2), np.zeros(b), np.zeros(c), [[0.0]])
 
     def test_arrays_are_read_only(self, zeta2):
         with pytest.raises(ValueError):

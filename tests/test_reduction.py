@@ -29,7 +29,7 @@ from darlington import (
     symmetrize,
     zero_structure,
 )
-from darlington.errors import ReductionError, ValidationError
+from darlington.errors import DimensionError, ReductionError, ValidationError
 from darlington.extension import _lossless_residual, innerness_residual
 from darlington.realization import (
     direct_sum,
@@ -144,6 +144,30 @@ class TestZeroStructure:
     def test_rejects_non_inner(self, zeta2):
         with pytest.raises(ValidationError):
             zero_structure(zeta2)  # strictly contractive, not inner
+
+    def test_unreachable_state_is_refused_by_the_certificate(self, zeta2):
+        # an unreachable state at +1 leaves the response inner but the
+        # Gramian singular; the grid passed it, and its zero at +1 then
+        # sat on a pole of T (a PoleError)
+        T = minimize_symmetric(zeta2).extension
+        A = sla.block_diag(T.a, [[1.0]])
+        B = np.vstack([T.b, np.zeros((1, T.inputs))])
+        C = np.hstack([T.c, np.ones((T.outputs, 1))])
+        with pytest.raises(ValidationError, match="lossless residual inf"):
+            zero_structure(Realization(A, B, C, T.d))
+
+    def test_rejects_a_non_square_t(self):
+        # [b(s), 0] with b = (s - 1)/(s + 1) is co-inner, not inner
+        T = Realization([[-1.0]], [[1.0, 0.0]], [[-2.0]], [[1.0, 0.0]])
+        with pytest.raises(DimensionError, match="square T, got 1x2"):
+            zero_structure(T)
+
+    def test_reads_no_point_evaluation_or_grid(self, zeta2, count_calls):
+        # one frequency response and the Gramian certificate decide it
+        sigma = sigma_min(zeta2)
+        seen = count_calls(evaluate, innerness_residual, darlington.realization.freqresp)
+        assert zero_structure(sigma).total_multiplicity == 4
+        assert [len(seen[k]) for k in ("evaluate", "innerness_residual", "freqresp")] == [0, 0, 1]
 
 
 class TestFindReductionVector:

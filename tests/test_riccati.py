@@ -247,6 +247,18 @@ class TestSolveExtremal:
         assert np.max(np.linalg.eigvals(pmin.z).real) <= 1e-8
         assert np.min(np.linalg.eigvals(pmax.z).real) >= -1e-8
 
+    def test_axis_half_chains_at_a_large_frequency_scale(self, zeta1):
+        # zeta = 1 as (-a I, sqrt(a) I, sqrt(a) I, 0) at a = 1e8 has the
+        # same P_min; a half-chain tolerance in units of the cluster band,
+        # not of ||N||, found no chain at the double axis root
+        a = 1e8
+        R = Realization(-a * np.eye(2), np.sqrt(a) * np.eye(2), np.sqrt(a) * np.eye(2),
+                        np.zeros((2, 2)))
+        pmin, _ = solve_extremal(build_hat(R))
+        (want, _) = solve_extremal(build_hat(zeta1))
+        assert pmin.spectrum.n0 == 2
+        assert np.abs(pmin.p - want.p).max() <= 1e-14
+
     @pytest.mark.parametrize("name", ["zeta1", "zeta2"])
     def test_solutions_carry_the_spectrum(self, request, name):
         hat = build_hat(request.getfixturevalue(name))

@@ -23,7 +23,7 @@ from darlington import (
 from darlington.errors import SpectralSplitError, ValidationError
 from darlington.extension import innerness_residual
 from darlington.realization import minimal_realization, symmetry_residual
-from darlington.scalar import _classify_mu_roots, siso_realization
+from darlington.scalar import _para_split, siso_realization
 
 SQ3 = np.sqrt(3.0)
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "main.npz"
@@ -69,7 +69,7 @@ class TestComputeMu:
         scale = 1.0 + abs(z)
         roots = [z - 2.5e-6 * scale, z + 2.5e-6 * scale]
         mu = npp.polyfromroots(roots + [-np.conj(w) for w in roots])
-        axis, pairs = _classify_mu_roots(mu)
+        axis, pairs, _ = _para_split(mu)
         assert axis == [] and [m for _, m in pairs] == [2]
 
     def test_perfect_square(self):
@@ -141,6 +141,23 @@ class TestSpectralFactor:
     def test_rejects_negative(self):
         with pytest.raises(ValidationError):
             spectral_factor_poly([-1.0, 0.0, -1.0])
+
+    def test_gain_peak_between_grid_points_is_a_validation_error(self):
+        # m = q q* - p1 p1* for p1 = 0.432, q = s^2 + 0.08 s + 16: |p1/q|
+        # peaks at 1.35 near w = 4, between the grid points 3 and 5, so m
+        # changes sign there; the split, not the grid, refuses it
+        q = np.array([16.0, 0.08, 1.0])
+        m = npp.polysub(npp.polymul(q, poly_para(q)), [0.432 ** 2])
+        with pytest.raises(ValidationError, match="odd multiplicity"):
+            spectral_factor_poly(m)
+
+    @pytest.mark.parametrize("m", [[0.0], [-2.0]], ids=["zero", "negative"])
+    def test_constant_must_be_positive(self, m):
+        with pytest.raises(ValidationError, match="constant .* is not positive"):
+            spectral_factor_poly(m)
+
+    def test_positive_constant(self):
+        assert np.array_equal(spectral_factor_poly([4.0]), [2.0])
 
     def test_axis_roots_halved(self):
         # m = w^2 (1 + w^2) at s = i w: -s^2 (1 - s^2)
