@@ -52,7 +52,6 @@ from .extension import (
 from .linalg import max_norm, spectral_norm
 from .realization import (
     Realization,
-    _block_diagonal,
     _mobius_inverse,
     freqresp,
     minimal_realization,
@@ -210,12 +209,13 @@ def cmd_synthesize(args) -> int:
     S = prob["realization"]
     R = S if args.mobius is None else mobius_precondition(S, args.mobius)
     R, _ = minimal_realization(R)
-    # each mode builds its extension out, its Gramian X, the certificate value
-    # its library stage computed on X (report key cert, gated at bound) and fields
+    # each mode builds its extension out, its Gramian X (a diagonal one as its
+    # diagonal), the certificate value its library stage computed on X (report
+    # key cert, gated at bound) and fields
     cert, bound, block = "innerness_residual", 1e-8, None
     if args.mode == "minimal-symmetric":
         res = minimize_symmetric(R, residual_tol=args.tol)
-        out, X, value, bound = res.extension, np.eye(res.degree), res.innerness, args.tol
+        out, X, value, bound = res.extension, np.ones(res.degree), res.innerness, args.tol
         block = res.block_match if R is S else None  # S itself: no --mobius, no cut
         fields = {"kappa": res.kappa, "n0": res.n0, "reductions": len(res.factors),
                   "trace": _plain(res.trace)}
@@ -227,7 +227,8 @@ def cmd_synthesize(args) -> int:
         fields = {"kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0}
         if args.mode == "symmetric":
             out, q, _, value = symmetric_unitary_extension(E)
-            X, cert = _block_diagonal(q.gramian, np.eye(base.n)), "unitary_axis_residual"
+            X = np.concatenate([np.diag(q.gramian), np.ones(base.n)])  # diag(J_Q, I)
+            cert = "unitary_axis_residual"
             fields.update({"q_degree": q.degree, "q_inner": q.inner_flag})
         else:
             out, X, value = E.realization, E.p_matrix, E.certificate

@@ -36,6 +36,7 @@ from .errors import DimensionError, NotSymmetricError, ValidationError
 from .realization import (
     Realization,
     _block_diagonal,
+    _computed,
     _mirror_gap,
     _nonsingular,
     _same_a,
@@ -80,7 +81,7 @@ def innerness_residual(R: Realization) -> float:
 
 def _lossless_residual(R: Realization, X, w=None, lyap=None) -> float:
     """Lossless bounded-real certificate on a controllability Gramian X
-    known in closed form (Anderson & Vongpanitlerd 1973; Glover 1984):
+    known in closed form, a diagonal one given as its (real) diagonal (Anderson & Vongpanitlerd 1973; Glover 1984):
     A X + X A* + B B* = 0, C X + D B* = 0 and D D* = I make R all-pass.
     A nonsingular X maps an unreachable state to an eigenvector at the
     mirror -conj(lambda) of its pole, so R is minimal unless two poles
@@ -91,7 +92,9 @@ def _lossless_residual(R: Realization, X, w=None, lyap=None) -> float:
     to 2 ||A|| ||X|| + ||B||^2, cross term relative to ||B||), or inf if R
     is not minimal or X fails ``_nonsingular``.  The Hermitian D D* - I, X
     and B* B give their 2-norms by eigvalsh; a caller that has the
-    eigenvalues ``w`` of X or ``lyap`` = A X + X A* + B B* passes them.
+    eigenvalues ``w`` of a dense X or ``lyap`` = A X + X A* + B B* passes
+    them.  A diagonal X forms no dense A X or C X: A X is A's columns scaled,
+    and X A* its conjugate transpose.
     """
     A, B, C, D = R.a, R.b, R.c, R.d
     unit = linalg.hermitian_norm(D @ D.conj().T - np.eye(R.outputs))
@@ -99,17 +102,26 @@ def _lossless_residual(R: Realization, X, w=None, lyap=None) -> float:
         return unit
     if _mirror_gap(R) <= R.pole_guard and not kalman_check(R).minimal:
         return np.inf
-    X = np.asarray(X, dtype=complex)
-    X = (X + X.conj().T) / 2
-    w = np.abs(np.linalg.eigvalsh(X) if w is None else w)
+    X = np.asarray(X)
+    if X.ndim == 1:
+        X = X.real
+        w, AX, CX = X, A * X, C * X
+        lyap = AX + AX.conj().T + B @ B.conj().T
+    else:
+        X = np.asarray(X, dtype=complex)
+        X = (X + X.conj().T) / 2
+        w = np.linalg.eigvalsh(X) if w is None else w
+        if lyap is None:
+            lyap = A @ X + X @ A.conj().T + B @ B.conj().T
+        CX = C @ X
+    w = np.abs(w)
     if not _nonsingular(w):
         return np.inf
     top = np.max(w)
     # X nonsingular needs B != 0; with D unitary, ||D B*|| = ||C X|| = ||B||
-    lyap = A @ X + X @ A.conj().T + B @ B.conj().T if lyap is None else lyap
     nB = np.sqrt(linalg.hermitian_norm(B.conj().T @ B))
     lyap = np.linalg.norm(lyap) / (2 * R.norm_a * top + nB ** 2)
-    cross = linalg.spectral_norm(C @ X + D @ B.conj().T) / nB
+    cross = linalg.spectral_norm(CX + D @ B.conj().T) / nB
     return float(np.max([lyap, cross, unit]))  # keeps a nan
 
 
@@ -293,7 +305,7 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
     Z = big.a - big.b[:, :p] @ d21inv @ C
     ZV = Z @ V
     gap = ZV - V @ (V.conj().T @ ZV)
-    if not linalg.norm_at_most(gap, 1e-7 * max(1.0, linalg.spectral_norm(Z))):
+    if not linalg._within((gap,), 1e-7, Z):
         raise ValidationError(
             f"range(P~ - P) is not invariant under the closed loop Z (invariance "
             f"residual {linalg.spectral_norm(gap):g}); P~ is not a Riccati solution")
@@ -302,16 +314,15 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
     g, W = np.linalg.eigh(t * F * t.T)
     # the state is Yl* x / s, and Yr s maps it back
     s, Yl, Yr = np.sqrt(np.abs(g)), V @ (t * W), V @ (W / t)
-    Q = Realization(Yl.conj().T @ Z @ Yr * s / s[:, np.newaxis],
-                    Yl.conj().T @ gamma @ C.conj().T @ d21inv / s[:, np.newaxis],
-                    -d21inv @ C @ Yr * s, np.eye(p))
-    J = np.diag(np.sign(g))
-    ures = _lossless_residual(Q, J, np.sign(g))
+    Q = _computed(Yl.conj().T @ Z @ Yr * s / s[:, np.newaxis],
+                  Yl.conj().T @ gamma @ C.conj().T @ d21inv / s[:, np.newaxis],
+                  -d21inv @ C @ Yr * s, np.eye(p))
+    ures = _lossless_residual(Q, np.sign(g))
     if not ures <= 1e-8:
         raise ValidationError(f"Q is not certified unitary and minimal "
                               f"(lossless residual {ures:g})")
     return QFactor(realization=Q, degree=V.shape[1], inner_flag=bool(np.all(g > 0)),
-                   unitary_residual=ures, gramian=J)
+                   unitary_residual=ures, gramian=np.diag(np.sign(g)))
 
 
 def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks) -> QFactor:
@@ -356,15 +367,14 @@ def symmetric_unitary_extension(E: ExtensionBlocks
     except np.linalg.LinAlgError as exc:
         raise ValidationError("P is not positive definite") from exc
     LB = sla.solve_triangular(L, np.hstack([big.a @ L, big.b]), lower=True)
-    sp = _with_poles(Realization(LB[:, :big.n], LB[:, big.n:], big.c @ L, big.d), big)
-    identity = Realization(np.zeros((0, 0)), [], [], np.eye(E.p))
+    sp = _with_poles(_computed(LB[:, :big.n], LB[:, big.n:], big.c @ L, big.d), big)
+    identity = _computed(np.zeros((0, 0)), np.zeros((0, E.p)), np.zeros((E.p, 0)), np.eye(E.p))
     sigma = compose(sp, direct_sum(Q.realization, identity))
     sres = symmetry_residual(sigma)
     if sres > 1e-8:
         raise ValidationError(
             f"symmetric extension failed the symmetry check ({sres:g})")
-    X = _block_diagonal(Q.gramian, np.eye(big.n))
-    cert = _lossless_residual(sigma, X, np.diag(X).real)
+    cert = _lossless_residual(sigma, np.concatenate([np.diag(Q.gramian), np.ones(big.n)]))
     if not cert <= 1e-8:
         raise ValidationError(f"Sigma is not certified unitary and minimal "
                               f"(lossless residual {cert:g})")

@@ -12,7 +12,8 @@ solve (from the one complex Schur form its callers factor), and the
 package's one spectral norm (spectral_norm: an SVD for a matrix, the largest
 eigenvalue of a Gram matrix for each matrix of a stack; with
 hermitian_norm for Hermitian matrices, max_norm for the largest norm in
-a stack and norm_at_most for checks that only compare it with a bound).
+a stack, norm_at_most for checks that only compare it with a bound, and
+_within for a bound relative to another matrix's norm).
 
 All returned objects are immutable value types, all functions are
 pure, and every tolerance is fixed at its point of use.
@@ -102,6 +103,28 @@ def norm_at_most(M, bound: float) -> bool:
     if fro <= bound or fro > bound * np.sqrt(min(M.shape)):
         return bool(fro <= bound)
     return bool(spectral_norm(M) <= bound)
+
+
+def _within(gaps, rel: float, M, floor: float = 1.0) -> bool:
+    """||G||_2 <= rel max(floor, ||M||_2) for every G in gaps (stopping at the
+    first that fails), for a norm of M that only sets the bound:
+    ||M||_F / sqrt(min(M.shape)) <= ||M||_2 <= ||M||_F brackets it, and
+    spectral_norm(M) runs, once, only for a G that the bracket cannot decide."""
+    M = np.asarray(M)
+    fro = np.linalg.norm(M)
+    # widened by 1e-12 relative, so that rounding cannot move a decision
+    low = rel * max(floor, fro / np.sqrt(max(1, min(M.shape))) * (1 - 1e-12))
+    high, exact = rel * max(floor, fro * (1 + 1e-12)), None
+    for G in gaps:
+        if norm_at_most(G, low):
+            continue
+        if exact is None:
+            if not norm_at_most(G, high):
+                return False
+            exact = rel * max(floor, spectral_norm(M))
+        if not norm_at_most(G, exact):
+            return False
+    return True
 
 
 def default_cluster_tol(M: np.ndarray) -> float:
@@ -350,13 +373,12 @@ def takagi(F) -> TakagiResult:
     NotSymmetricError
         If ``||F - F^T|| > DEFAULT_SYM_TOL * max(1, ||F||)``.
     """
-    A = as_matrix(F, "F", square=True)
-    return _takagi(A, spectral_norm(A))
+    return _takagi(as_matrix(F, "F", square=True))
 
 
-def _takagi(A: np.ndarray, nrm: float) -> TakagiResult:
-    """takagi of a validated square A given nrm = ||A||_2."""
-    if not norm_at_most(A - A.T, DEFAULT_SYM_TOL * max(1.0, nrm)):
+def _takagi(A: np.ndarray) -> TakagiResult:
+    """takagi of a validated square A, whose bounds read ||A||_2 by _within."""
+    if not _within((A - A.T,), DEFAULT_SYM_TOL, A):
         raise NotSymmetricError(
             f"matrix is not symmetric to tolerance {DEFAULT_SYM_TOL:g}")
     A = (A + A.T) / 2
@@ -371,7 +393,7 @@ def _takagi(A: np.ndarray, nrm: float) -> TakagiResult:
                         mode="complete")
     phase = np.diag(R) / np.abs(np.diag(R))
     U = np.hstack([Q[:, p - k:], (Q[:, :p - k] * phase)[:, ::-1]])
-    if not norm_at_most(U @ np.diag(lam) @ U.T - A, 1e-10 * max(1.0, nrm)):
+    if not _within((U @ np.diag(lam) @ U.T - A,), 1e-10, A):
         raise ValidationError("Takagi reconstruction failed its tolerance")
     return TakagiResult(u=U, values=lam)
 

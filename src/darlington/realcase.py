@@ -92,7 +92,7 @@ def signature_realization(R: Realization) -> SignatureRealization:
     Rr = Realization(R.a.real, R.b.real, R.c.real, R.d.real)
     try:
         # the data are real, so T is real up to rounding
-        w, V = np.linalg.eigh(_intertwiner(Rr, _structurally_symmetric(Rr))[0].real)
+        w, V = np.linalg.eigh(_intertwiner(Rr, _structurally_symmetric(Rr)).real)
         order = np.argsort(-np.sign(w))  # +1 entries first
         return SignatureRealization(*_symmetric_form(Rr, V[:, order], w[order]))
     except DarlingtonError as exc:

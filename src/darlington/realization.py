@@ -56,7 +56,8 @@ class Realization:
     """Immutable state-space quadruple (A, B, C, D).
 
     A is n x n, B is n x m, C is p x n, D is p x m; entries are stored
-    as read-only complex128 copies and must be finite.  The spectrum of
+    as read-only complex128 copies and must be finite (``_computed`` keeps
+    only the finiteness check, for arrays the package computed).  The spectrum of
     A (the diagonal of its Schur form when one was computed), that form,
     the controllability Gramian, the pole-guard radius and the response
     on the probe grid are computed at most once per instance.
@@ -78,11 +79,7 @@ class Realization:
         c = c.reshape(p, n) if c.size == p * n else c
         if b.shape != (n, m) or c.shape != (p, n):
             raise DimensionError(f"B must be {n}x{m} and C {p}x{n}, got {b.shape} and {c.shape}")
-        if not all(np.isfinite(M).all() for M in (a, b, c, d)):
-            raise ValidationError("realization contains non-finite entries")
-        for name, M in zip("abcd", (a, b, c, d)):
-            M.flags.writeable = False
-            object.__setattr__(self, name, M)
+        _store(self, a, b, c, d)
 
     @property
     def n(self) -> int:
@@ -144,6 +141,25 @@ class Realization:
         pts = probe_points(self)
         F = freqresp(self, pts)
         return pts, F, linalg.max_norm(F - F.transpose(0, 2, 1))
+
+
+def _store(R: Realization, *mats: np.ndarray) -> None:
+    """Set R's (A, B, C, D) to the complex arrays ``mats``, made read-only in
+    place; raises ValidationError if one has a non-finite entry."""
+    if not all(np.isfinite(M).all() for M in mats):
+        raise ValidationError("realization contains non-finite entries")
+    for name, M in zip("abcd", mats):
+        M.flags.writeable = False
+        object.__setattr__(R, name, M)
+
+
+def _computed(a, b, c, d) -> Realization:
+    """Realization of arrays of consistent shapes that the package computed:
+    no copy (a complex array is made read-only in place) and no shape check,
+    but a non-finite entry still raises ValidationError."""
+    out = object.__new__(Realization)
+    _store(out, *(np.asarray(M, dtype=complex) for M in (a, b, c, d)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -350,7 +366,7 @@ def compose(R1: Realization, R2: Realization) -> Realization:
     B = np.vstack([R2.b, R1.b @ R2.d])
     C = np.hstack([R1.d @ R2.c, R1.c])
     D = R1.d @ R2.d
-    out = _with_poles(Realization(A, B, C, D), R2, R1)
+    out = _with_poles(_computed(A, B, C, D), R2, R1)
     vars(out)["_operands"] = (np.matmul, R1, R2)
     return out
 
@@ -363,15 +379,15 @@ def transpose(R: Realization) -> Realization:
 def direct_sum(R1: Realization, R2: Realization) -> Realization:
     """Realization of the block-diagonal function diag(R1(s), R2(s)),
     which freqresp evaluates block by block."""
-    out = _with_poles(Realization(*(_block_diagonal(getattr(R1, k), getattr(R2, k))
-                                    for k in "abcd")), R1, R2)
+    out = _with_poles(_computed(*(_block_diagonal(getattr(R1, k), getattr(R2, k))
+                                  for k in "abcd")), R1, R2)
     vars(out)["_operands"] = (_block_diagonal, R1, R2)
     return out
 
 
 def _same_a(R: Realization, b, c, d) -> Realization:
     """(R.a, b, c, d), keeping R's cached spectrum and norm of A."""
-    out = Realization(R.a, b, c, d)
+    out = _computed(R.a, b, c, d)
     vars(out).update({k: v for k, v in vars(R).items() if k in ("_poles", "norm_a")})
     return out
 
@@ -424,12 +440,12 @@ def _nonsingular(w: np.ndarray) -> bool:
     return bool(not w.size or w.min() > w.size * np.finfo(float).eps * w.max())
 
 
-def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, float]:
+def _intertwiner(R: Realization, structural: bool = False) -> np.ndarray:
     """Symmetric solution T of T A = A^T T, T B = C^T as
     T = conj(P^{-1} X), from the Gramian A P + P A* + B B* = 0 and
     A X + X conj(A) + B conj(C) = 0: P conj(T) solves the second
     equation since conj(T) conj(A) = A* conj(T), B* conj(T) = conj(C).
-    Returns T and ||T||_2.  A ``structural`` R (A = A^T, B = C^T) has
+    A ``structural`` R (A = A^T, B = C^T) has
     T = I and skips the second solve.  R's one Schur form of A gives its
     poles and X, and P with its eigenvalues is R's cached ``_gramian``.
 
@@ -456,17 +472,15 @@ def _intertwiner(R: Realization, structural: bool = False) -> tuple[np.ndarray, 
         raise ValidationError("the symmetric form requires a minimal realization: (A, B) is "
                               "not reachable (the Gramian P is singular)")
     if structural:
-        return np.eye(R.n), 1.0
+        return np.eye(R.n)
     X = linalg._schur_solve(form, -R.b @ R.c.conj(), conjugate=True)
     T = np.linalg.solve(P, X).conj()
     T = (T + T.T) / 2
     gaps = (T @ R.a - R.a.T @ T, T @ R.b - R.c.T)
-    norm = float(linalg.spectral_norm(T))
-    bound = 1e-7 * max(1.0, norm) * max(1.0, R.norm_a)
-    if not all(linalg.norm_at_most(G, bound) for G in gaps):
+    if not linalg._within(gaps, 1e-7 * max(1.0, R.norm_a), T):
         res = max(linalg.spectral_norm(G) for G in gaps)
         raise NotSymmetricError(f"intertwining residual {res:g}: S is not symmetric")
-    return T, norm
+    return T
 
 
 def _structurally_symmetric(R: Realization) -> bool:
@@ -502,16 +516,17 @@ def _symmetric_form(R: Realization, V: np.ndarray,
     M, Minv = root[:, np.newaxis] * V.T, V.conj() / root
     A, B, C = M @ R.a @ Minv, M @ R.b, R.c @ Minv
     JAJ, JC = j[:, np.newaxis] * A.T * j, j[:, np.newaxis] * C.T  # J A'^T J, J C'^T
-    bound = 1e-9 * max(1.0, linalg.spectral_norm(A))
-    if not all(linalg.norm_at_most(G, bound) for G in (A - JAJ, B - JC, R.d - R.d.T)):
+    if not linalg._within((A - JAJ, B - JC, R.d - R.d.T), 1e-9, A):
         raise NotSymmetricError("(M A M^-1, M B, C M^-1, D) is not structurally symmetric "
                                 "for J = sign v")
-    out = _with_poles(Realization((A + JAJ) / 2, (B + JC) / 2, (C + B.T * j) / 2,
-                                  (R.d + R.d.T) / 2), R)
-    gaps = ((M @ R.a - out.a @ M, np.max(root, initial=0.0) * R.norm_a),  # ||M||
-            (R.c - out.c @ M, linalg.spectral_norm(R.c)))
-    if not all(linalg.norm_at_most(G, 1e-8 * scale) for G, scale in gaps):
-        res = max(linalg.spectral_norm(G) / scale for G, scale in gaps)
+    out = _with_poles(_computed((A + JAJ) / 2, (B + JC) / 2, (C + B.T * j) / 2,
+                                (R.d + R.d.T) / 2), R)
+    gap_a, gap_c = M @ R.a - out.a @ M, R.c - out.c @ M
+    scale = np.max(root, initial=0.0) * R.norm_a  # ||M|| ||A||
+    if not (linalg.norm_at_most(gap_a, 1e-8 * scale)
+            and linalg._within((gap_c,), 1e-8, R.c, floor=0.0)):
+        res = max(linalg.spectral_norm(gap_a) / scale,
+                  linalg.spectral_norm(gap_c) / linalg.spectral_norm(R.c))
         raise ValidationError(f"the similarity changed the transfer function (residual {res:g})")
     return out, j
 
@@ -533,7 +548,7 @@ def symmetrize(R: Realization) -> Realization:
         raise NotSymmetricError("a symmetric transfer function must be square")
     structural = _structurally_symmetric(R)
     try:
-        T, norm = _intertwiner(R, structural)
+        T = _intertwiner(R, structural)
     except SubspaceError:
         # no Gramian: a structurally symmetric R is its own answer if minimal
         if not (structural and kalman_check(R).minimal):
@@ -541,7 +556,7 @@ def symmetrize(R: Realization) -> Realization:
     if structural and _exactly_symmetric(R):
         return R
     tk = (linalg.TakagiResult(np.eye(R.n), np.ones(R.n)) if structural
-          else linalg._takagi(T, norm))  # T is exactly symmetric
+          else linalg._takagi(T))  # T is exactly symmetric
     return _symmetric_form(R, tk.u, tk.values)[0]
 
 

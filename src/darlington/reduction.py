@@ -47,6 +47,7 @@ from .extension import (
 )
 from .realization import (
     Realization,
+    _computed,
     _pencils,
     _values_and_derivatives,
     freqresp,
@@ -235,9 +236,9 @@ def reduce_once(T: Realization, factors) -> tuple[Realization, float]:
         X = np.linalg.solve(_pencils(xi, out.a), (out.b @ U).T[:, :, np.newaxis])[:, :, 0].T
         gaps.append(np.linalg.norm(U - out.b.conj().T @ X, axis=0))
         V = np.linalg.qr(X, mode="complete")[0][:, m:]
-        out = Realization((V.conj().T @ out.a @ V).T, (out.c @ V).T,
-                          (V.conj().T @ out.b).T, out.d.T)
-    res = _lossless_residual(out, np.eye(out.n), np.ones(out.n))
+        out = _computed((V.conj().T @ out.a @ V).T, (out.c @ V).T,
+                        (V.conj().T @ out.b).T, out.d.T)
+    res = _lossless_residual(out, np.ones(out.n))
     if not res <= 1e-7:  # a nan fails too
         raise ReductionError(
             f"reduction output is not certified inner and minimal on the "

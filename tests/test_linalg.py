@@ -290,6 +290,35 @@ class TestSpectralNorm:
         assert calls == [1]
 
 
+    @pytest.mark.parametrize("kind", ["random", "rank-one", "flat", "rectangular", "empty"])
+    def test_relative_bound_agrees_with_the_exact_norm(self, kind, monkeypatch):
+        # ||G|| <= rel max(floor, ||M||) decided as with the spectral norm of
+        # M, which runs only when the Frobenius bracket of ||M|| cannot decide
+        rng = np.random.default_rng(6)
+        M = {"random": random_complex(rng, (6, 6)),
+             "rank-one": np.outer(random_complex(rng, 5), random_complex(rng, 4)),
+             "flat": 3.0 * np.linalg.qr(random_complex(rng, (5, 5)))[0],
+             "rectangular": random_complex(rng, (8, 3)),
+             "empty": np.zeros((0, 3))}[kind]
+        G = random_complex(rng, (4, 4))
+        ref, fro, g = np.linalg.norm(M, 2), np.linalg.norm(M), np.linalg.norm(G, 2)
+        norms = []
+        spectral_norm = linalg.spectral_norm
+        monkeypatch.setattr(linalg, "spectral_norm",
+                            lambda X: norms.append(X is M) or spectral_norm(X))
+        for floor in (0.0, 1.0):
+            for mid in (ref, fro, fro / np.sqrt(max(1, min(M.shape))), 1.0):
+                for f in (0.5, 1 - 1e-9, 1 + 1e-9, 2.0):
+                    rel = g / (mid * f) if mid else 1.0
+                    want = g <= rel * max(floor, ref)
+                    for gaps in ((G,), (0 * G, G, G)):
+                        norms.clear()
+                        assert linalg._within(gaps, rel, M, floor) == want
+                        assert sum(norms) <= 1
+        norms.clear()
+        assert linalg._within((1e-3 * G,), 1e3 * g, M) and not any(norms)
+
+
 class TestHermitianOrder:
     def test_less_equal(self):
         assert hermitian_order(np.eye(2), 2 * np.eye(2)) == "less_equal"

@@ -36,6 +36,7 @@ from darlington.errors import (
     ValidationError,
 )
 from darlington.realization import (
+    _computed,
     _exactly_symmetric,
     _intertwiner,
     _structurally_symmetric,
@@ -490,8 +491,7 @@ def kronecker_intertwiner(A, B, C):
 
 
 def assert_matches_kronecker(R):
-    T, norm = _intertwiner(R)
-    assert norm == np.linalg.norm(T, 2)
+    T = _intertwiner(R)
     T_kron = kronecker_intertwiner(R.a, R.b, R.c)
     assert np.linalg.norm(T - T_kron, 2) <= 1e-10 * np.linalg.norm(T_kron, 2)
 
@@ -519,7 +519,7 @@ class TestIntertwiner:
         A = np.diag([-1.0, -2.0])
         R = Realization(A, np.array([[1.0], [1.0]]), np.array([[1.0, 2.0]]),
                         np.array([[0.0]]))
-        T, _ = _intertwiner(R)
+        T = _intertwiner(R)
         assert np.linalg.norm(T.imag) <= 1e-15 * np.linalg.norm(T)
 
     def test_symmetrize_computes_the_spectrum_of_a_once(self, monkeypatch,
@@ -798,6 +798,33 @@ class TestOwner:
         assert seen["freqresp"] == [R]
         assert np.array_equal(pts, probe_points(R)) and sym == first
         assert np.array_equal(F, freqresp(R, pts))
+
+    @pytest.mark.parametrize("name", "abcd")
+    def test_computed_realization_refuses_a_nan(self, name):
+        # the package's own constructor skips the copy and the shape check,
+        # not the finiteness check
+        data = dict(zip("abcd", (-np.eye(2), np.ones((2, 1)), np.ones((1, 2)), [[0.5]])))
+        data = {k: np.array(M, dtype=complex) for k, M in data.items()}
+        R = _computed(*data.values())
+        assert all(getattr(R, k) is M and not M.flags.writeable for k, M in data.items())
+        data = {k: M.copy() for k, M in data.items()}
+        data[name][0, -1] = np.nan
+        with pytest.raises(ValidationError, match="non-finite"):
+            _computed(*data.values())
+
+    @pytest.mark.parametrize("which", ["zeta1", "zeta2", "suite"])
+    def test_synthesis_builds_every_realization_unchecked(self, which, zeta1, zeta2,
+                                                         instance_suite, monkeypatch):
+        # the realizations a synthesis computes are not copied or checked
+        # again: Realization.__post_init__ runs for the caller's input only
+        S = {"zeta1": zeta1, "zeta2": zeta2, "suite": instance_suite[18].realization}[which]
+        R = Realization(S.a, S.b, S.c, S.d)  # fresh: nothing cached yet
+        calls = []
+        post_init = Realization.__post_init__
+        monkeypatch.setattr(Realization, "__post_init__",
+                            lambda self: calls.append(1) or post_init(self))
+        res = minimize_symmetric(R)
+        assert calls == [] and res.degree == R.n + res.kappa
 
     def test_realizations_on_the_same_a_share_its_spectrum(self, instance_suite):
         # the extension S_P, its gauge transforms and its blocks are built
