@@ -26,8 +26,13 @@ imaginary axis, both read off one complex Schur form of H whose
 reorderings give every invariant subspace; for an exactly symmetric
 realization that form comes from one real Schur form of the real
 K = V*(iH)V, V = [[I, iI], [I, -iI]]/sqrt(2).  Each extremal solution is
-the graph of such a subspace, corrected by one Newton step (one
-Lyapunov solve) that is kept only if it lowers ||R(P)||.
+the graph P = Y X^{-1} of such a subspace, corrected by one Newton step (one
+Lyapunov solve in the closed loop) that is kept only if it lowers ||R(P)||.
+The step takes the closed loop's Schur form from the reordered form of H
+(Laub 1979): H [X; Y] = [X; Y] T11 gives Z* X = -X T11, so X = Qx Rx makes
+(-Rx T11 Rx^{-1}, Qx) a Schur form of Z*.  Only a graph basis that holds
+imaginary-axis half-chains (n0 > 0), which is no reordered block, has Z
+factored afresh.
 """
 from __future__ import annotations
 
@@ -235,33 +240,40 @@ def _structured_schur(A: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndar
     return T, U
 
 
-def _invariant_subspace(spec: HSpectrum, chosen) -> np.ndarray:
-    """Orthonormal basis of the invariant subspace of H of the chosen
-    clusters: the leading Schur vectors once ZTRSEN reorders spec.schur."""
+def _invariant_subspace(spec: HSpectrum, chosen) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis M of the invariant subspace of H of the chosen
+    clusters and the upper triangular T11 with H M = M T11: the leading
+    Schur vectors and the leading block of spec.schur once ZTRSEN reorders
+    it."""
     select = np.isin(spec.cluster_index, list(chosen))
     if not select.any():  # ztrsen rejects the 0 x 0 form of degree 0
-        return spec.schur[1][:, :0]
-    _, U, _, m, _, _, info = sla.lapack.ztrsen(select, *spec.schur, job="N")
+        return spec.schur[1][:, :0], spec.schur[0][:0, :0]
+    T, U, _, m, _, _, info = sla.lapack.ztrsen(select, *spec.schur, job="N")
     if info:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"Schur reordering failed (ztrsen info {info})")
-    return U[:, :m]
+    return U[:, :m], T[:m, :m]
 
 
-def _newton_refine(hat: HatData, P: np.ndarray) -> tuple[np.ndarray, float]:
+def _newton_refine(hat: HatData, P: np.ndarray, form=None) -> tuple[np.ndarray, float]:
     """One Newton step on R(P) (Kleinman, IEEE TAC 1968): solve the
     Lyapunov equation Z dP + dP Z* = -R(P) with the closed loop
-    Z = A_hat + P C_hat* C_hat, from one Schur form of Z
-    (linalg._schur_solve), and keep P + (dP + dP*)/2 only if it lowers
-    ||R(P)||.  The graph-subspace solution is one step from the rounding
-    level of R(P), so a second step gains nothing.  Returns the kept P
-    and its residual riccati_residual(hat, P)."""
+    Z = A_hat + P C_hat* C_hat by linalg._schur_solve, and keep
+    P + (dP + dP*)/2 only if it lowers ||R(P)||.  ``form`` is a Schur form
+    of Z* read off the graph subspace, which solves the equation as the
+    adjoint one of Z* (``adjoint=True``); without one, Z is factored afresh
+    (linalg._schur).  The graph-subspace solution is one step from the rounding level of
+    R(P), so a second step gains nothing.  Returns the kept P and its
+    residual riccati_residual(hat, P)."""
     R = _residual_matrix(hat, P)
     res = float(linalg.spectral_norm(R))
     try:
         # an axis eigenvalue pair of Z (n0 > 0) makes the equation (nearly)
         # singular; LAPACK then perturbs it, dP may overflow, the residual decides
         with np.errstate(over="ignore", invalid="ignore"):
-            dP = linalg._schur_solve(linalg._schur(hat.a_hat + P @ hat.csc), -R)
+            if form is None:
+                dP = linalg._schur_solve(linalg._schur(hat.a_hat + P @ hat.csc), -R)
+            else:
+                dP = linalg._schur_solve(form, -R, adjoint=True)
             cand = P + (dP + dP.conj().T) / 2
             cand_res = float(linalg.spectral_norm(_residual_matrix(hat, cand)))
     except (np.linalg.LinAlgError, ValueError):  # the SVD of a nan R(P) too
@@ -302,7 +314,7 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
     for idx, (center, mult, lab) in enumerate(spec.clusters):
         if lab != "axis":
             continue
-        basis = _invariant_subspace(spec, {idx})
+        basis = _invariant_subspace(spec, {idx})[0]
         N = basis.conj().T @ H @ basis - center * np.eye(mult)
         # half_chain_basis compares tol with singular values of N / max(1, ||N||)
         half = linalg.half_chain_basis(N, tol=max(1e-8, band / max(1.0, linalg.spectral_norm(N))))
@@ -316,7 +328,7 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
     def graph_solution(side: str, kind: str) -> RiccatiSolution:
         chosen = {i for i, (_, _, lab) in enumerate(spec.clusters) if lab == side}
         # ZTRSEN's leading Schur vectors are orthonormal; the half-chains are not
-        Mb = _invariant_subspace(spec, chosen)
+        Mb, T11 = _invariant_subspace(spec, chosen)
         if axis_bases:
             Mb = np.linalg.qr(np.hstack([Mb] + axis_bases))[0]
         X, Y = Mb[:n, :], Mb[n:, :]
@@ -328,7 +340,13 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
                 f"{sx[0] / max(sx[-1], 1e-300):.3g})")
         cond = float(sx[0] / sx[-1])
         P = Y @ np.linalg.inv(X)
-        P, res = _newton_refine(hat, (P + P.conj().T) / 2)
+        form = None  # with axis half-chains, Mb is no ZTRSEN block: Z is factored
+        if not axis_bases:
+            # H [X; Y] = [X; Y] T11 gives Z* X = -X T11, so X = Qx Rx makes
+            # (-Rx T11 Rx^-1, Qx) a Schur form of Z*
+            Qx, Rx = np.linalg.qr(X)
+            form = (np.triu(sla.solve_triangular(Rx, -(Rx @ T11).T, trans="T").T), Qx)
+        P, res = _newton_refine(hat, (P + P.conj().T) / 2, form)
         w = np.linalg.eigvalsh(P)
         scale = np.max(np.abs(w), initial=0.0)  # ||P||, P Hermitian
         if res > 1e-8 * (1.0 + scale ** 2):

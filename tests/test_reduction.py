@@ -798,10 +798,10 @@ def test_one_lyapunov_solve_per_synthesis(which, solves, zeta1, zeta2,
     callers = []
     original = darlington.linalg._schur_solve
 
-    def counting(form, Q, conjugate=False):
+    def counting(form, Q, conjugate=False, adjoint=False):
         if not conjugate:  # a Lyapunov solve
             callers.append(sys._getframe(1).f_code.co_name)
-        return original(form, Q, conjugate)
+        return original(form, Q, conjugate, adjoint)
 
     monkeypatch.setattr(darlington.linalg, "_schur_solve", counting)
     res = minimize_symmetric(R)

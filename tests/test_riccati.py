@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 from conftest import hermitian_order, sorted_schur_subspace
 
+import darlington.riccati
 from darlington import (
     Hamiltonian,
     Realization,
@@ -150,6 +151,38 @@ class TestNewtonRefine:
             assert len(solves) == 1, inst.name
             if inst.expected_n0 == 0:
                 assert over_floor(hat, pmin.p) <= 1.0, inst.name
+
+    @pytest.mark.parametrize("idx", range(20))
+    def test_closed_loop_form_from_h_refines_as_a_fresh_one(self, instance_suite, idx,
+                                                             monkeypatch):
+        # with n0 = 0 the Newton step takes Z*'s Schur form from H's reordered
+        # one; its residual stays within 10x that of the same step on a fresh
+        # Schur form of Z, for both kinds and both forms of H
+        refine, steps = _newton_refine, []
+        monkeypatch.setattr(darlington.riccati, "_newton_refine", lambda hat, P, form=None:
+                            steps.append((P, form)) or refine(hat, P, form))
+        raw = instance_suite[idx].realization
+        for R in (raw, symmetrize(raw)):
+            hat = build_hat(R)
+            del steps[:]
+            sols = solve_extremal(hat)
+            if sols[0].spectrum.n0:  # the half-chains: Z is factored afresh
+                assert [form for _, form in steps] == [None, None]
+                continue
+            for sol, (P, form) in zip(sols, steps):
+                # a Schur form of Z* up to the backward error of H's, times cond X
+                T, U = form
+                Z = hat.a_hat + P @ hat.csc
+                H = build_hamiltonian(hat).matrix
+                assert np.array_equal(T, np.triu(T))
+                assert np.linalg.norm(U.conj().T @ U - np.eye(len(U))) <= 1e-13
+                assert np.linalg.norm(U @ T @ U.conj().T - Z.conj().T, 2) <= (
+                    1e-12 * np.linalg.norm(H, 2) * sol.subspace_condition)
+                R0 = _residual_matrix(hat, P)
+                dP = linalg._schur_solve(linalg._schur(Z), -R0)
+                fresh = min(riccati_residual(hat, P + (dP + dP.conj().T) / 2),
+                            riccati_residual(hat, P))
+                assert sol.residual_norm <= 10 * fresh, (idx, sol.kind)
 
     def test_perturbed_p_min_is_refined_in_one_step(self, instance_suite,
                                                     monkeypatch):
@@ -349,8 +382,10 @@ def test_one_schur_form_per_riccati_solve(which, zeta1, zeta2, instance_suite,
         assert output == "real" and F.dtype == float and F.shape == H.shape
         assert np.allclose(F, V.conj().T @ (1j * H) @ V, rtol=0,
                            atol=1e-14 * np.linalg.norm(H, 2))
-    # then one of the closed loop Z per Newton step
-    assert len(closed_loops) == 2
+    # the Newton step reads the closed loop's Schur form off H's reordered
+    # form, unless axis half-chains (n0 > 0) make the graph basis no ZTRSEN
+    # block: then Z is factored afresh, once per solution
+    assert len(closed_loops) == (2 if pmin.spectrum.n0 else 0)
     assert all(Z.shape == hat.a_hat.shape and out == "complex" for Z, out in closed_loops)
     assert not spectra
     assert minimize_symmetric(R).n0 == pmin.spectrum.n0
