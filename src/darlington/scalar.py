@@ -42,8 +42,17 @@ __all__ = [
 ]
 
 def poly_trim(p) -> np.ndarray:
-    """Coefficient array in ascending order with trailing zeros removed."""
+    """Coefficient array in ascending order with trailing zeros removed;
+    a non-finite coefficient raises ValidationError."""
+    return _trim(p, "polynomial")
+
+
+def _trim(p, name: str) -> np.ndarray:
+    """poly_trim, naming the polynomial in its refusal: a trailing nan would
+    otherwise be trimmed as a zero."""
     c = np.atleast_1d(np.asarray(p, dtype=complex)).ravel()
+    if not np.isfinite(c).all():
+        raise ValidationError(f"{name} has non-finite coefficients")
     nz = np.nonzero(np.abs(c) > 0)[0]
     if nz.size == 0:
         return np.zeros(1, dtype=complex)
@@ -121,15 +130,15 @@ def _para_split(m: np.ndarray):
 def compute_mu(p1, q) -> ScalarFactorization:
     """Deficiency polynomial mu = q q* - p1 p1* and its parity split.
 
-    Validates that deg p1 <= deg q, q is stable and p1 and q are coprime
+    Validates that the coefficients are finite, deg p1 <= deg q, q is
+    stable and p1 and q are coprime
     (no root of p1 within 1e-7 (1 + max |root|) of a root of q), then
     factors mu = c (r1 r1*)^2 r2 r2* from _para_split's clusters and c.
     The split refuses |p1| > |q| on the axis (SpectralSplitError): where
     mu changes sign it has an odd axis root, and mu < 0 gives c < 0.
     The reconstruction is verified against the coefficients of mu.
     """
-    p1 = poly_trim(p1)
-    q = poly_trim(q)
+    p1, q = _trim(p1, "p1"), _trim(q, "q")
     if np.all(p1 == 0):
         raise ValidationError("p1 must not be identically zero")
     if p1.size > q.size:
@@ -180,7 +189,7 @@ def spectral_factor_poly(m) -> np.ndarray:
     where |m| is largest; it holds the stable roots at full multiplicity
     and the axis roots at half.  Every refusal is a ValidationError.
     """
-    m = poly_trim(m)
+    m = _trim(m, "m")
     if not np.linalg.norm(m - poly_para(m)) <= 1e-9 * np.linalg.norm(m):
         raise ValidationError("m is not para-symmetric (m* != m)")
     try:

@@ -344,6 +344,16 @@ class TestSynthesize:
         rep = json.loads(capsys.readouterr().out)
         assert rep["kappa"] == 1 and rep["extension_degree"] == 2
 
+    @pytest.mark.parametrize("q", [[1.0, 1.0, "NaN"], [1.0, "NaN", 1.0]])
+    def test_scalar_refuses_a_non_finite_coefficient(self, tmp_path, capsys, q):
+        # JSON's NaN parses as a float; a trailing one is no zero of q
+        f = tmp_path / "frac.json"
+        f.write_text(json.dumps({"p1": [0.5], "q": q}).replace('"NaN"', "NaN"))
+        assert main(["scalar", str(f), "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: q has non-finite coefficients\n"
+
     def test_scalar_certifies_main_s8g_9(self, tmp_path, capsys):
         # main s8g #9 of perfbench/inputs/main.npz: with one companion
         # block per entry its extension missed the 1e-8 symmetry bound

@@ -72,7 +72,7 @@ CASES = [
     ("factor-not-para-symmetric", lambda: spectral_factor_poly([1.0, 1.0]),
      ValidationError, "not para-symmetric"),
     ("factor-non-finite", lambda: spectral_factor_poly([np.nan, 0.0, -1.0]),
-     ValidationError, "not para-symmetric"),
+     ValidationError, "m has non-finite coefficients"),
     ("siso-improper", lambda: siso_realization([1.0, 1.0, 1.0], [1.0, 1.0]),
      ValidationError, "improper"),
 ]

@@ -124,6 +124,18 @@ class TestComputeMu:
             compute_mu([3.0, 2.0], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("call, named", [
+    (lambda: compute_mu([0.5], [1.0, 1.0, np.nan]), "q"),  # read as 0.5/(1 + s)
+    (lambda: compute_mu([0.5], [1.0, np.nan, 1.0]), "q"),  # a bare LinAlgError
+    (lambda: compute_mu([0.5, np.inf], [1.0, 1.0]), "p1"),
+    (lambda: spectral_factor_poly([1.0, 0.0, np.nan]), "m"),  # read as m = 1
+])
+def test_non_finite_coefficients_are_refused(call, named):
+    # poly_trim would read a trailing nan as a zero and drop it
+    with pytest.raises(ValidationError, match=f"^{named} has non-finite coefficients"):
+        call()
+
+
 class TestSpectralFactor:
     def test_simple(self):
         p2 = spectral_factor_poly([1.0, 0.0, -1.0])  # 1 - s^2
