@@ -81,8 +81,9 @@ def innerness_residual(R: Realization) -> float:
 
 def _lossless_residual(R: Realization, X, w=None, lyap=None) -> float:
     """Lossless bounded-real certificate on a controllability Gramian X
-    known in closed form, a diagonal one given as its (real) diagonal (Anderson & Vongpanitlerd 1973; Glover 1984):
-    A X + X A* + B B* = 0, C X + D B* = 0 and D D* = I make R all-pass.
+    known in closed form (Anderson & Vongpanitlerd 1973; Glover 1984), a
+    diagonal one given as its real diagonal: A X + X A* + B B* = 0,
+    C X + D B* = 0 and D D* = I make R all-pass.
     A nonsingular X maps an unreachable state to an eigenvector at the
     mirror -conj(lambda) of its pole, so R is minimal unless two poles
     form a mirror pair (``_mirror_gap``; then the Kalman ranks decide);

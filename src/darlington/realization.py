@@ -57,10 +57,10 @@ class Realization:
 
     A is n x n, B is n x m, C is p x n, D is p x m; entries are stored
     as read-only complex128 copies and must be finite (``_computed`` keeps
-    only the finiteness check, for arrays the package computed).  The spectrum of
-    A (the diagonal of its Schur form when one was computed), that form,
-    the controllability Gramian, the pole-guard radius and the response
-    on the probe grid are computed at most once per instance.
+    only the finiteness check, for arrays the package computed).  The
+    spectrum of A (the diagonal of its Schur form when one was computed),
+    that form, the controllability Gramian, the pole-guard radius and the
+    response on the probe grid are computed at most once per instance.
     """
     a: np.ndarray
     b: np.ndarray
@@ -445,9 +445,9 @@ def _intertwiner(R: Realization, structural: bool = False) -> np.ndarray:
     T = conj(P^{-1} X), from the Gramian A P + P A* + B B* = 0 and
     A X + X conj(A) + B conj(C) = 0: P conj(T) solves the second
     equation since conj(T) conj(A) = A* conj(T), B* conj(T) = conj(C).
-    A ``structural`` R (A = A^T, B = C^T) has
-    T = I and skips the second solve.  R's one Schur form of A gives its
-    poles and X, and P with its eigenvalues is R's cached ``_gramian``.
+    A ``structural`` R (A = A^T, B = C^T) has T = I and skips the second
+    solve.  R's one Schur form of A gives its poles and X, and P with its
+    eigenvalues is R's cached ``_gramian``.
 
     Both equations are uniquely solvable unless two poles form a mirror
     pair lambda_i + conj(lambda_j) = 0.  Then P is singular exactly when

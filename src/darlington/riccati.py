@@ -260,10 +260,10 @@ def _newton_refine(hat: HatData, P: np.ndarray, form=None) -> tuple[np.ndarray, 
     Z = A_hat + P C_hat* C_hat by linalg._schur_solve, and keep
     P + (dP + dP*)/2 only if it lowers ||R(P)||.  ``form`` is a Schur form
     of Z* read off the graph subspace, which solves the equation as the
-    adjoint one of Z* (``adjoint=True``); without one, Z is factored afresh
-    (linalg._schur).  The graph-subspace solution is one step from the rounding level of
-    R(P), so a second step gains nothing.  Returns the kept P and its
-    residual riccati_residual(hat, P)."""
+    adjoint one of Z* (``adjoint=True``); without one, Z is factored
+    afresh (linalg._schur).  The graph-subspace solution is one step from
+    the rounding level of R(P), so a second step gains nothing.  Returns
+    the kept P and its residual riccati_residual(hat, P)."""
     R = _residual_matrix(hat, P)
     res = float(linalg.spectral_norm(R))
     try:
