@@ -26,13 +26,13 @@ imaginary axis, both read off one complex Schur form of H whose
 reorderings give every invariant subspace; for an exactly symmetric
 realization that form comes from one real Schur form of the real
 K = V*(iH)V, V = [[I, iI], [I, -iI]]/sqrt(2).  Each extremal solution is
-the graph P = Y X^{-1} of such a subspace, corrected by one Newton step (one
-Lyapunov solve in the closed loop) that is kept only if it lowers ||R(P)||.
-The step takes the closed loop's Schur form from the reordered form of H
-(Laub 1979): H [X; Y] = [X; Y] T11 gives Z* X = -X T11, so X = Qx Rx makes
-(-Rx T11 Rx^{-1}, Qx) a Schur form of Z*.  Only a graph basis that holds
-imaginary-axis half-chains (n0 > 0), which is no reordered block, has Z
-factored afresh.
+the graph P = Y X^{-1} of such a subspace.  With no axis eigenvalues
+(n0 = 0) the subspace is a reordered block of that form, and P takes one
+Newton step (one Lyapunov solve in the closed loop), kept only if it lowers
+||R(P)||, in the Schur form of Z* that the block gives (Laub 1979):
+H [X; Y] = [X; Y] T11 gives Z* X = -X T11, so X = Qx Rx makes
+(-Rx T11 Rx^{-1}, Qx) a Schur form of Z*.  A basis with imaginary-axis
+half-chains (n0 > 0) is no such block, and its P is the graph's.
 """
 from __future__ import annotations
 
@@ -254,26 +254,22 @@ def _invariant_subspace(spec: HSpectrum, chosen) -> tuple[np.ndarray, np.ndarray
     return U[:, :m], T[:m, :m]
 
 
-def _newton_refine(hat: HatData, P: np.ndarray, form=None) -> tuple[np.ndarray, float]:
+def _newton_refine(hat: HatData, P: np.ndarray, form) -> tuple[np.ndarray, float]:
     """One Newton step on R(P) (Kleinman, IEEE TAC 1968): solve the
     Lyapunov equation Z dP + dP Z* = -R(P) with the closed loop
-    Z = A_hat + P C_hat* C_hat by linalg._schur_solve, and keep
-    P + (dP + dP*)/2 only if it lowers ||R(P)||.  ``form`` is a Schur form
-    of Z* read off the graph subspace, which solves the equation as the
-    adjoint one of Z* (``adjoint=True``); without one, Z is factored
-    afresh (linalg._schur).  The graph-subspace solution is one step from
-    the rounding level of R(P), so a second step gains nothing.  Returns
-    the kept P and its residual riccati_residual(hat, P)."""
+    Z = A_hat + P C_hat* C_hat by linalg._schur_solve, as the adjoint
+    equation of Z* in ``form``, a Schur form of Z* read off the graph
+    subspace, and keep P + (dP + dP*)/2 only if it lowers ||R(P)||.  The
+    graph-subspace solution is one step from the rounding level of R(P), so
+    a second step gains nothing.  Returns the kept P and its residual
+    riccati_residual(hat, P)."""
     R = _residual_matrix(hat, P)
     res = float(linalg.spectral_norm(R))
     try:
-        # an axis eigenvalue pair of Z (n0 > 0) makes the equation (nearly)
-        # singular; LAPACK then perturbs it, dP may overflow, the residual decides
+        # a near-singular equation makes LAPACK perturb it, dP may overflow,
+        # the residual decides
         with np.errstate(over="ignore", invalid="ignore"):
-            if form is None:
-                dP = linalg._schur_solve(linalg._schur(hat.a_hat + P @ hat.csc), -R)
-            else:
-                dP = linalg._schur_solve(form, -R, adjoint=True)
+            dP = linalg._schur_solve(form, -R, adjoint=True)
             cand = P + (dP + dP.conj().T) / 2
             cand_res = float(linalg.spectral_norm(_residual_matrix(hat, cand)))
     except (np.linalg.LinAlgError, ValueError):  # the SVD of a nan R(P) too
@@ -340,13 +336,17 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
                 f"{sx[0] / max(sx[-1], 1e-300):.3g})")
         cond = float(sx[0] / sx[-1])
         P = Y @ np.linalg.inv(X)
-        form = None  # with axis half-chains, Mb is no ZTRSEN block: Z is factored
-        if not axis_bases:
+        P = (P + P.conj().T) / 2
+        if axis_bases:
+            # Mb is no ZTRSEN block, and an axis eigenvalue pair of Z makes
+            # the Newton equation singular: the graph P is kept as it is
+            res = float(linalg.spectral_norm(_residual_matrix(hat, P)))
+        else:
             # H [X; Y] = [X; Y] T11 gives Z* X = -X T11, so X = Qx Rx makes
             # (-Rx T11 Rx^-1, Qx) a Schur form of Z*
             Qx, Rx = np.linalg.qr(X)
             form = (np.triu(sla.solve_triangular(Rx, -(Rx @ T11).T, trans="T").T), Qx)
-        P, res = _newton_refine(hat, (P + P.conj().T) / 2, form)
+            P, res = _newton_refine(hat, P, form)
         w = np.linalg.eigvalsh(P)
         scale = np.max(np.abs(w), initial=0.0)  # ||P||, P Hermitian
         if res > 1e-8 * (1.0 + scale ** 2):

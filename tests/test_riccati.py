@@ -141,15 +141,18 @@ class TestNewtonRefine:
     def test_one_correction_per_p_min(self, instance_suite, monkeypatch):
         # the graph-subspace P_min takes one Newton correction, which
         # brings it to the rounding floor of R(P).  With imaginary-axis
-        # eigenvalues (n0 > 0) the Lyapunov equation is singular and the
-        # residual decides whether the correction is kept
+        # eigenvalues (n0 > 0) the Lyapunov equation is singular: the graph
+        # P is kept with its own residual, and no equation is solved
         solves = self.counting(monkeypatch)
         for inst in instance_suite:
             hat = build_hat(symmetrize(inst.realization))
             del solves[:]
             (pmin,) = _extremal(hat, ("minimal",))
-            assert len(solves) == 1, inst.name
-            if inst.expected_n0 == 0:
+            assert pmin.spectrum.n0 == inst.expected_n0, inst.name
+            assert len(solves) == (0 if inst.expected_n0 else 1), inst.name
+            if inst.expected_n0:
+                assert pmin.residual_norm == riccati_residual(hat, pmin.p), inst.name
+            else:
                 assert over_floor(hat, pmin.p) <= 1.0, inst.name
 
     @pytest.mark.parametrize("idx", range(20))
@@ -157,17 +160,23 @@ class TestNewtonRefine:
                                                              monkeypatch):
         # with n0 = 0 the Newton step takes Z*'s Schur form from H's reordered
         # one; its residual stays within 10x that of the same step on a fresh
-        # Schur form of Z, for both kinds and both forms of H
+        # Schur form of Z, for both kinds and both forms of H.  With axis
+        # half-chains (n0 > 0) no step is taken and no Z is factored
         refine, steps = _newton_refine, []
-        monkeypatch.setattr(darlington.riccati, "_newton_refine", lambda hat, P, form=None:
+        monkeypatch.setattr(darlington.riccati, "_newton_refine", lambda hat, P, form:
                             steps.append((P, form)) or refine(hat, P, form))
+        schur, closed_loops = linalg._schur, []
+        monkeypatch.setattr(linalg, "_schur", lambda M: closed_loops.append(M) or schur(M))
         raw = instance_suite[idx].realization
         for R in (raw, symmetrize(raw)):
             hat = build_hat(R)
             del steps[:]
             sols = solve_extremal(hat)
-            if sols[0].spectrum.n0:  # the half-chains: Z is factored afresh
-                assert [form for _, form in steps] == [None, None]
+            assert not closed_loops
+            if sols[0].spectrum.n0:
+                assert not steps
+                for sol in sols:
+                    assert sol.residual_norm == riccati_residual(hat, sol.p), (idx, sol.kind)
                 continue
             for sol, (P, form) in zip(sols, steps):
                 # a Schur form of Z* up to the backward error of H's, times cond X
@@ -179,7 +188,7 @@ class TestNewtonRefine:
                 assert np.linalg.norm(U @ T @ U.conj().T - Z.conj().T, 2) <= (
                     1e-12 * np.linalg.norm(H, 2) * sol.subspace_condition)
                 R0 = _residual_matrix(hat, P)
-                dP = linalg._schur_solve(linalg._schur(Z), -R0)
+                dP = linalg._schur_solve(schur(Z), -R0)
                 fresh = min(riccati_residual(hat, P + (dP + dP.conj().T) / 2),
                             riccati_residual(hat, P))
                 assert sol.residual_norm <= 10 * fresh, (idx, sol.kind)
@@ -197,19 +206,20 @@ class TestNewtonRefine:
             E = (E + E.conj().T) / np.linalg.norm(E + E.conj().T)
             start = P + 1e-6 * np.linalg.norm(P) * E
             del solves[:]
-            refined, res = _newton_refine(hat, start)
+            refined, res = _newton_refine(
+                hat, start, linalg._schur((hat.a_hat + start @ hat.csc).conj().T))
             assert len(solves) == 1, inst.name
             assert res * 1e5 <= riccati_residual(hat, start), inst.name
             assert res <= 1e-3 * 1e-8 * (1 + np.linalg.norm(P, 2) ** 2), inst.name
             assert res == riccati_residual(hat, refined)
 
     @staticmethod
-    def failing_solve(form, Q):
+    def failing_solve(form, Q, adjoint=False):
         raise np.linalg.LinAlgError("singular")
 
     @pytest.mark.parametrize("solve", [
-        lambda form, Q: 1e3 * np.ones_like(Q),
-        lambda form, Q: np.full_like(Q, np.nan),
+        lambda form, Q, adjoint=False: 1e3 * np.ones_like(Q),
+        lambda form, Q, adjoint=False: np.full_like(Q, np.nan),
         failing_solve,
     ], ids=["large-step", "nan-step", "failed-solve"])
     def test_a_step_that_does_not_lower_the_residual_is_not_kept(
@@ -217,31 +227,30 @@ class TestNewtonRefine:
         hat = build_hat(zeta2)
         P = _extremal(hat, ("minimal",))[0].p
         monkeypatch.setattr(linalg, "_schur_solve", solve)
-        refined, res = _newton_refine(hat, P)
+        refined, res = _newton_refine(hat, P, linalg._schur((hat.a_hat + P @ hat.csc).conj().T))
         assert refined is P
         assert res == riccati_residual(hat, P)
 
 
-def test_newton_step_on_a_singular_lyapunov_equation_does_not_warn(zeta1):
+def test_newton_step_on_a_singular_lyapunov_equation_does_not_warn(zeta1, monkeypatch):
     # zeta1 has n0 = 2, so Z has a mirror pair of axis eigenvalues and
-    # Z dP + dP Z* = -R(P) is singular: scipy's solver warned, and the
-    # Schur solve perturbs it silently to the same result, bit for bit
+    # Z dP + dP Z* = -R(P) is singular: scipy's solver warns on it.  The
+    # graph basis holds axis half-chains, so the solve takes no Newton step:
+    # it factors no Z, solves no equation and keeps the graph P
     hat = build_hat(zeta1)
+    calls = []
+    for name in ("_schur", "_schur_solve"):
+        monkeypatch.setattr(linalg, name, lambda *args, name=name, **kwargs:
+                            calls.append(name))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        pmin = _extremal(hat, ("minimal",))[0]
-    assert pmin.spectrum.n0 == 2
-    start = pmin.p
-    R = _residual_matrix(hat, start)
+        pmin, pmax = _extremal(hat, ("minimal", "maximal"))
+    assert pmin.spectrum.n0 == 2 and not calls
+    for sol in (pmin, pmax):
+        assert sol.residual_norm == riccati_residual(hat, sol.p) < 1e-15
+    R = _residual_matrix(hat, pmin.p)
     with pytest.warns(RuntimeWarning, match="very close to or exactly zero"):
-        dP = sla.solve_continuous_lyapunov(hat.a_hat + start @ hat.csc, -R)
-    cand = start + (dP + dP.conj().T) / 2
-    res, cand_res = riccati_residual(hat, start), riccati_residual(hat, cand)
-    want = (cand, cand_res) if cand_res < res else (start, res)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        refined, got = _newton_refine(hat, start)
-    assert np.array_equal(refined, want[0]) and got == want[1]
+        sla.solve_continuous_lyapunov(pmin.z, -R)
 
 
 class TestSolveExtremal:
@@ -383,10 +392,8 @@ def test_one_schur_form_per_riccati_solve(which, zeta1, zeta2, instance_suite,
         assert np.allclose(F, V.conj().T @ (1j * H) @ V, rtol=0,
                            atol=1e-14 * np.linalg.norm(H, 2))
     # the Newton step reads the closed loop's Schur form off H's reordered
-    # form, unless axis half-chains (n0 > 0) make the graph basis no ZTRSEN
-    # block: then Z is factored afresh, once per solution
-    assert len(closed_loops) == (2 if pmin.spectrum.n0 else 0)
-    assert all(Z.shape == hat.a_hat.shape and out == "complex" for Z, out in closed_loops)
+    # form; with axis half-chains (n0 > 0) no step is taken.  No Z is factored
+    assert not closed_loops
     assert not spectra
     assert minimize_symmetric(R).n0 == pmin.spectrum.n0
     assert not any(map(is_h, spectra))
