@@ -26,13 +26,12 @@ imaginary axis, both read off one complex Schur form of H whose
 reorderings give every invariant subspace; for an exactly symmetric
 realization that form comes from one real Schur form of the real
 K = V*(iH)V, V = [[I, iI], [I, -iI]]/sqrt(2).  Each extremal solution is
-the graph P = Y X^{-1} of such a subspace.  With no axis eigenvalues
-(n0 = 0) the subspace is a reordered block of that form, and P takes one
-Newton step (one Lyapunov solve in the closed loop), kept only if it lowers
-||R(P)||, in the Schur form of Z* that the block gives (Laub 1979):
-H [X; Y] = [X; Y] T11 gives Z* X = -X T11, so X = Qx Rx makes
-(-Rx T11 Rx^{-1}, Qx) a Schur form of Z*.  A basis with imaginary-axis
-half-chains (n0 > 0) is no such block, and its P is the graph's.
+the graph P = Y X^{-1} = Y Rx^{-1} Qx* (X = Qx Rx) of such a subspace.  With
+n0 = 0 it is a reordered block, H [X; Y] = [X; Y] T11, so Z* X = -X T11
+makes (-Rx T11 Rx^{-1}, Qx) a Schur form of Z* (Laub 1979), in which P takes
+one Newton step (one Lyapunov solve), kept only if it lowers ||R(P)||.  A
+basis with imaginary-axis half-chains (n0 > 0) is no such block: its P is
+the graph's.
 """
 from __future__ import annotations
 
@@ -255,19 +254,16 @@ def _invariant_subspace(spec: HSpectrum, chosen) -> tuple[np.ndarray, np.ndarray
 
 
 def _newton_refine(hat: HatData, P: np.ndarray, form) -> tuple[np.ndarray, float]:
-    """One Newton step on R(P) (Kleinman, IEEE TAC 1968): solve the
-    Lyapunov equation Z dP + dP Z* = -R(P) with the closed loop
-    Z = A_hat + P C_hat* C_hat by linalg._schur_solve, as the adjoint
-    equation of Z* in ``form``, a Schur form of Z* read off the graph
-    subspace, and keep P + (dP + dP*)/2 only if it lowers ||R(P)||.  The
-    graph-subspace solution is one step from the rounding level of R(P), so
-    a second step gains nothing.  Returns the kept P and its residual
-    riccati_residual(hat, P)."""
+    """One Newton step on R(P) (Kleinman, IEEE TAC 1968): solve Z dP + dP Z*
+    = -R(P), Z = A_hat + P C_hat* C_hat, as the adjoint equation of Z* in
+    ``form``, the Schur form of Z* read off the graph subspace, and keep
+    P + (dP + dP*)/2 only if it lowers ||R(P)||.  A graph-subspace P is one
+    step from the rounding level of R(P), so a second step gains nothing.
+    Returns the kept P and its residual riccati_residual(hat, P)."""
     R = _residual_matrix(hat, P)
     res = float(linalg.spectral_norm(R))
     try:
-        # a near-singular equation makes LAPACK perturb it, dP may overflow,
-        # the residual decides
+        # LAPACK perturbs a near-singular equation and dP may overflow: R decides
         with np.errstate(over="ignore", invalid="ignore"):
             dP = linalg._schur_solve(form, -R, adjoint=True)
             cand = P + (dP + dP.conj().T) / 2
@@ -298,11 +294,8 @@ def solve_extremal(hat: HatData) -> tuple[RiccatiSolution, RiccatiSolution]:
 
 def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ...]:
     """solve_extremal for the listed kinds ("minimal", "maximal") only."""
-    ham = build_hamiltonian(hat)
-    n = hat.n
-    H = ham.matrix
-    spec = analyze_spectrum(ham)
-    band = spec.cluster_tolerance
+    ham, n = build_hamiltonian(hat), hat.n
+    H, spec = ham.matrix, analyze_spectrum(ham)
 
     # exact membership and the complete mirror pairing make a half-plane
     # subspace and the axis half-chains span exactly n dimensions
@@ -313,7 +306,8 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
         basis = _invariant_subspace(spec, {idx})[0]
         N = basis.conj().T @ H @ basis - center * np.eye(mult)
         # half_chain_basis compares tol with singular values of N / max(1, ||N||)
-        half = linalg.half_chain_basis(N, tol=max(1e-8, band / max(1.0, linalg.spectral_norm(N))))
+        tol = max(1e-8, spec.cluster_tolerance / max(1.0, linalg.spectral_norm(N)))
+        half = linalg.half_chain_basis(N, tol=tol)
         if 2 * half.shape[1] != mult:
             raise SubspaceError(
                 f"leading-half chain subspace at {center:g} has dimension "
@@ -328,35 +322,33 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
         if axis_bases:
             Mb = np.linalg.qr(np.hstack([Mb] + axis_bases))[0]
         X, Y = Mb[:n, :], Mb[n:, :]
-        # the empty X of a degree-0 problem counts as perfectly conditioned
-        sx = np.linalg.svd(X, compute_uv=False) if n else np.ones(1)
+        # X = Qx Rx: Rx has X's singular values, and P = Y X^-1 = Y Rx^-1 Qx*.
+        # The empty X of a degree-0 problem counts as perfectly conditioned
+        Qx, Rx = np.linalg.qr(X)
+        sx = np.linalg.svd(Rx, compute_uv=False) if n else np.ones(1)
         if sx[-1] <= 1e-13 * max(1.0, sx[0]):
-            raise SubspaceError(
-                f"graph-subspace matrix X is singular (condition "
-                f"{sx[0] / max(sx[-1], 1e-300):.3g})")
+            raise SubspaceError(f"graph-subspace matrix X is singular (condition "
+                                f"{sx[0] / max(sx[-1], 1e-300):.3g})")
         cond = float(sx[0] / sx[-1])
-        P = Y @ np.linalg.inv(X)
+        P = sla.solve_triangular(Rx, Y.T, trans="T").T @ Qx.conj().T
         P = (P + P.conj().T) / 2
         if axis_bases:
             # Mb is no ZTRSEN block, and an axis eigenvalue pair of Z makes
             # the Newton equation singular: the graph P is kept as it is
             res = float(linalg.spectral_norm(_residual_matrix(hat, P)))
         else:
-            # H [X; Y] = [X; Y] T11 gives Z* X = -X T11, so X = Qx Rx makes
-            # (-Rx T11 Rx^-1, Qx) a Schur form of Z*
-            Qx, Rx = np.linalg.qr(X)
+            # H [X; Y] = [X; Y] T11 gives Z* X = -X T11, so (-Rx T11 Rx^-1, Qx)
+            # is a Schur form of Z*
             form = (np.triu(sla.solve_triangular(Rx, -(Rx @ T11).T, trans="T").T), Qx)
             P, res = _newton_refine(hat, P, form)
         w = np.linalg.eigvalsh(P)
         scale = np.max(np.abs(w), initial=0.0)  # ||P||, P Hermitian
         if res > 1e-8 * (1.0 + scale ** 2):
-            raise ValidationError(
-                f"Riccati residual {res:g} exceeds tolerance for the "
-                f"{kind} solution (||P|| = {scale:g}, cond X = {cond:.3g})")
+            raise ValidationError(f"Riccati residual {res:g} exceeds tolerance for the {kind} "
+                                  f"solution (||P|| = {scale:g}, cond X = {cond:.3g})")
         if w.size and w[0] <= 0:
-            raise ValidationError(
-                f"{kind} solution is not positive definite "
-                f"(min eigenvalue {w[0]:g}); S may not be a Schur function")
+            raise ValidationError(f"{kind} solution is not positive definite (min eigenvalue "
+                                  f"{w[0]:g}); S may not be a Schur function")
         Z = hat.a_hat + P @ hat.csc
         return RiccatiSolution(p=P, z=Z, kind=kind, residual_norm=res,
                                subspace_condition=cond, spectrum=spec, p_eigenvalues=w)
