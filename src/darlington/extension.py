@@ -49,7 +49,7 @@ from .realization import (
     subrealization,
     symmetry_residual,
 )
-from .riccati import RiccatiSolution, _require_contractive
+from .riccati import RiccatiSolution, _require_contractive, _require_p
 
 __all__ = [
     "ExtensionBlocks",
@@ -184,11 +184,7 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
         Gramian P.
     """
     _require_contractive(R)
-    Pm = P.p if isinstance(P, RiccatiSolution) else np.asarray(P, dtype=complex)
-    if Pm.shape != (R.n, R.n):
-        raise DimensionError(f"P must be {R.n}x{R.n}, got shape {Pm.shape}")
-    if not np.all(np.isfinite(Pm)):
-        raise ValidationError("P must be finite")
+    Pm = _require_p(P.p if isinstance(P, RiccatiSolution) else P, R.n)
     Pm = (Pm + Pm.conj().T) / 2  # a RiccatiSolution's P is exactly Hermitian
     w = P.p_eigenvalues if isinstance(P, RiccatiSolution) else np.linalg.eigvalsh(Pm)
     if w.size and w[0] <= 0:

@@ -41,7 +41,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import linalg
-from .errors import ConvergenceError, NotContractiveError, SubspaceError, ValidationError
+from .errors import (ConvergenceError, DimensionError, NotContractiveError, SubspaceError,
+                     ValidationError)
 from .realization import Realization, _exactly_symmetric
 
 __all__ = [
@@ -171,9 +172,20 @@ def _residual_matrix(hat: HatData, P: np.ndarray) -> np.ndarray:
     return P @ hat.csc @ P + hat.a_hat @ P + P @ hat.a_hat.conj().T + hat.bbs
 
 
+def _require_p(P, n: int) -> np.ndarray:
+    """P as a complex n x n array for riccati_residual and build_extension:
+    DimensionError for another shape, ValidationError unless finite."""
+    P = np.asarray(P, dtype=complex)
+    if P.shape != (n, n):
+        raise DimensionError(f"P must be {n}x{n}, got shape {P.shape}")
+    if not np.all(np.isfinite(P)):
+        raise ValidationError("P must be finite")
+    return P
+
+
 def riccati_residual(hat: HatData, P) -> float:
-    """Spectral norm of R(P) = P CsC P + A_hat P + P A_hat* + BBs."""
-    return float(linalg.spectral_norm(_residual_matrix(hat, np.asarray(P, dtype=complex))))
+    """Spectral norm of R(P) = P CsC P + A_hat P + P A_hat* + BBs, P finite n x n."""
+    return float(linalg.spectral_norm(_residual_matrix(hat, _require_p(P, hat.n))))
 
 
 def analyze_spectrum(H: Hamiltonian) -> HSpectrum:
@@ -254,11 +266,10 @@ def _invariant_subspace(spec: HSpectrum, chosen) -> tuple[np.ndarray, np.ndarray
 
 
 def _newton_refine(hat: HatData, P: np.ndarray, form) -> tuple[np.ndarray, float]:
-    """One Newton step on R(P) (Kleinman, IEEE TAC 1968): solve Z dP + dP Z*
-    = -R(P), Z = A_hat + P C_hat* C_hat, as the adjoint equation of Z* in
-    ``form``, the Schur form of Z* read off the graph subspace, and keep
-    P + (dP + dP*)/2 only if it lowers ||R(P)||.  A graph-subspace P is one
-    step from the rounding level of R(P), so a second step gains nothing.
+    """One Newton step on R(P) (Kleinman, IEEE TAC 1968): Z dP + dP Z* = -R(P),
+    Z = A_hat + P C_hat* C_hat, solved as the adjoint equation of Z* in its
+    Schur ``form`` read off the graph subspace.  P + (dP + dP*)/2 is kept only
+    if it lowers ||R(P)||; from a graph-subspace P a second step gains nothing.
     Returns the kept P and its residual riccati_residual(hat, P)."""
     R = _residual_matrix(hat, P)
     res = float(linalg.spectral_norm(R))

@@ -20,7 +20,14 @@ from darlington import (
     solve_extremal,
     symmetrize,
 )
-from darlington.errors import NotContractiveError, SpectralSplitError
+from darlington.errors import (
+    DimensionError,
+    NotContractiveError,
+    SpectralSplitError,
+    SubspaceError,
+    ValidationError,
+)
+from darlington.realization import direct_sum
 from darlington.riccati import _extremal, _newton_refine, _residual_matrix
 
 SQ3 = np.sqrt(3.0)
@@ -119,6 +126,21 @@ class TestResidual:
         hat = build_hat(zeta2)
         assert abs(riccati_residual(hat, np.zeros((2, 2)))
                    - np.linalg.norm(hat.bbs, 2)) < 1e-14
+
+
+@pytest.mark.parametrize("P, error, match", [
+    (np.eye(3), DimensionError, r"P must be 2x2, got shape \(3, 3\)"),
+    (np.ones(2), DimensionError, r"P must be 2x2, got shape \(2,\)"),
+    (np.full((2, 2), np.nan), ValidationError, "P must be finite"),
+    (np.full((2, 2), np.inf), ValidationError, "P must be finite"),
+], ids=["3x3", "1-d", "nan", "inf"])
+def test_riccati_residual_refuses_a_p_it_cannot_take(zeta2, P, error, match):
+    # as build_extension does: no numpy error, no warning, no silent value
+    hat = build_hat(zeta2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match=match):
+            riccati_residual(hat, P)
 
 
 def over_floor(hat, P) -> float:
@@ -300,6 +322,26 @@ class TestSolveExtremal:
         (want, _) = solve_extremal(build_hat(zeta1))
         assert pmin.spectrum.n0 == 2
         assert np.abs(pmin.p - want.p).max() <= 1e-14
+
+    def test_singular_graph_matrix_is_refused(self, zeta2):
+        # a state that B reaches and C does not see (C = 0) leaves P_min
+        # defined, but the graph of P_max has a singular X: it is refused
+        # before the triangular solve could fail on it
+        hat = build_hat(direct_sum(zeta2, Realization([[-1.0]], [[1.0]], [[0.0]], [[0.0]])))
+        (pmin,) = _extremal(hat, ("minimal",))
+        assert pmin.p_eigenvalues[0] > 0
+        with pytest.raises(SubspaceError, match="graph-subspace matrix X is singular"):
+            solve_extremal(hat)
+
+    def test_residual_over_its_bound_is_refused(self, zeta2):
+        # zeta = 2 as (a A, sqrt(a) B, sqrt(a) C, D) at a = 1e11 has the same
+        # P_min, but R(P) rounds at the scale of ||A_hat|| ||P|| and the bound
+        # 1e-8 (1 + ||P||^2) does not grow with it
+        a = 1e11
+        R = Realization(a * zeta2.a, np.sqrt(a) * zeta2.b, np.sqrt(a) * zeta2.c, zeta2.d)
+        with pytest.raises(ValidationError, match="Riccati residual .* exceeds tolerance "
+                                                  "for the minimal solution"):
+            solve_extremal(build_hat(R))
 
     @pytest.mark.parametrize("name", ["zeta1", "zeta2"])
     def test_solutions_carry_the_spectrum(self, request, name):
