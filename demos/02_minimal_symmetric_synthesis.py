@@ -3,9 +3,10 @@
 A symmetric Schur function of degree n always admits a symmetric inner
 2p x 2p extension of degree n + kappa, where kappa counts the distinct
 right-half-plane eigenvalues of the Hamiltonian with odd multiplicity,
-and no symmetric extension can do better.  The pipeline builds the
-degree 2n - n0 symmetric extension on the minimal Riccati solution and
-divides out one elementary Blaschke factor per excess double zero.
+and no symmetric extension can do better.  The pipeline solves the
+Riccati equation once, for the Hermitian solution P with
+rank(P^-T - P) = kappa, and builds the symmetric extension on it, which
+then has degree n + kappa: no Blaschke factor is divided out.
 """
 import numpy as np
 
@@ -15,28 +16,25 @@ from darlington import (
     innerness_residual,
     minimize_symmetric,
     symmetry_residual,
-    zero_structure,
 )
 
 # ---- the coupled pair diag(f, f), f = 1/(s+2) --------------------------
 S = Realization(-2.0 * np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
 res = minimize_symmetric(S)
 print("n =", 2, "| kappa =", res.kappa, "| n0 =", res.n0)
-print("start degree 2n - n0 =", 4, "-> final degree:", res.degree)
-print("Blaschke factors divided out:",
-      [(np.round(f.xi, 6), np.round(f.u, 4)) for f in res.factors])
+print("degree n + kappa:", res.degree, "(Sigma on P_min would have 2n - n0 = 4)")
+# kappa = 0: P is a fixed point P^-T = P of the involution on the solutions
+P = res.solution.p
+print("Riccati solution P:", np.round(P, 4).tolist(),
+      "| ||P P^T - I|| =", f"{np.linalg.norm(P @ P.T - np.eye(2), 2):.1e}")
 print("certificates: inner", res.innerness, "| symmetric", res.symmetry,
       "| S block match", res.block_match)
 # one record per stage: its name, wall seconds and the values it computed
 for rec in res.trace:
     print(f"  stage {rec['stage']:<20} {1e3 * rec['seconds']:7.2f} ms")
-for rnd in res.trace[3]["rounds"]:
-    print("  round at xi =", np.round(rnd["points"], 6), "| degree",
-          rnd["degree_before"], "->", rnd["degree_after"])
 
 T = res.extension
-print("zeros of the minimal extension:",
-      [(np.round(z, 5), m) for z, m in zero_structure(T).zeros])
+print("poles of the minimal extension:", np.round(np.sort_complex(T.poles()), 5))
 s = 0.4 + 0.9j
 print("lower-right block reproduces S:",
       np.linalg.norm(evaluate(T, s)[2:, 2:] - evaluate(S, s), 2))
@@ -60,7 +58,7 @@ mixed, _ = minimal_realization(mixed)
 res2 = minimize_symmetric(mixed)
 print("\nmixed instance: n =", mixed.n, "| kappa =", res2.kappa,
       "| n0 =", res2.n0)
-print("degree", 2 * mixed.n - res2.n0, "->", res2.degree,
-      f"after {len(res2.factors)} reduction(s)")
+print("degree n + kappa =", res2.degree, "| Sigma on P_min would have",
+      2 * mixed.n - res2.n0)
 print("residuals: inner", f"{innerness_residual(res2.extension):.2e}",
       "| symmetric", f"{symmetry_residual(res2.extension):.2e}")

@@ -5,7 +5,8 @@ Three subcommands operate on JSON problem files:
 ``check``        validate a realization (minimality, contractivity at
                  infinity, symmetry, the Schur verdict of its P_min solve);
 ``synthesize``   build inner / symmetric / minimal-symmetric extensions
-                 (the last on P_min, its report with the stage trace);
+                 (the last on the symmetric Riccati solution, its report
+                 with the stage trace);
 ``scalar``       run the polynomial pipeline on a scalar fraction p1/q.
 
 File format: UTF-8 JSON with keys "A", "B", "C", "D" (nested arrays,
@@ -200,7 +201,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    if args.mode == "minimal-symmetric" and args.solution == "max":  # built on P_min
+    if args.mode == "minimal-symmetric" and args.solution == "max":  # its own solution
         raise ValueError("--solution max applies to the inner and symmetric modes")
     prob = read_problem(args.file)
     if "realization" not in prob:
@@ -217,8 +218,7 @@ def cmd_synthesize(args) -> int:
         res = minimize_symmetric(R, residual_tol=args.tol)
         out, X, value, bound = res.extension, np.ones(res.degree), res.innerness, args.tol
         block = res.block_match if R is S else None  # S itself: no --mobius, no cut
-        fields = {"kappa": res.kappa, "n0": res.n0, "reductions": len(res.factors),
-                  "trace": _plain(res.trace)}
+        fields = {"kappa": res.kappa, "n0": res.n0, "trace": _plain(res.trace)}
     else:
         base = symmetrize(R) if args.mode == "symmetric" else R
         kind = "minimal" if args.solution == "min" else "maximal"
@@ -226,7 +226,7 @@ def cmd_synthesize(args) -> int:
         E = build_extension(base, sol)
         fields = {"kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0}
         if args.mode == "symmetric":
-            out, q, _, value = symmetric_unitary_extension(E)
+            out, q, _, value = symmetric_unitary_extension(E, base.n - sol.spectrum.n0)
             X = np.concatenate([np.diag(q.gramian), np.ones(base.n)])  # diag(J_Q, I)
             cert = "unitary_axis_residual"
             fields.update({"q_degree": q.degree, "q_inner": q.inner_flag})

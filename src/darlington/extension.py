@@ -275,12 +275,12 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
     return E
 
 
-def _quotient(E: ExtensionBlocks, P2) -> QFactor:
+def _quotient(E: ExtensionBlocks, P2, degree: int | None) -> QFactor:
     """Q = S21^{-1} S21~ for a second Riccati solution P2, restricted to
     range(Gamma), Gamma = P2 - P.  S21^{-1} has the dynamics
     Z = A - B1 D21^{-1} C (the closed loop A_hat + P C_hat* C_hat); with
-    V the eigenvectors of Gamma whose eigenvalues exceed
-    1e-9 max(1, ||P||, ||P2||) in modulus,
+    V the ``degree`` eigenvectors of Gamma of largest modulus (None: those
+    whose eigenvalues exceed 1e-9 max(1, ||P||, ||P2||) in modulus),
     Q = (V* Z V | V* Gamma C* D21^{-1}; -D21^{-1} C V | I) has the
     Gramian F = V* Gamma V (Z Gamma + Gamma Z* + Gamma C_hat* C_hat Gamma =
     R(P2) - R(P) = 0).  With the equilibrated t F t = W diag(g) W*,
@@ -294,9 +294,12 @@ def _quotient(E: ExtensionBlocks, P2) -> QFactor:
     P2 = (P2 + P2.conj().T) / 2
     gamma = P2 - P1
     w, U = np.linalg.eigh(gamma)
-    cut = linalg.DEFAULT_RANK_TOL * max(
-        1.0, np.max(np.abs(E.p_eigenvalues), initial=0.0), linalg.hermitian_norm(P2))
-    V = U[:, np.abs(w) > cut]
+    if degree is None:
+        cut = linalg.DEFAULT_RANK_TOL * max(
+            1.0, np.max(np.abs(E.p_eigenvalues), initial=0.0), linalg.hermitian_norm(P2))
+        V = U[:, np.abs(w) > cut]
+    else:  # in eigh's order
+        V = U[:, np.sort(np.argsort(np.abs(w))[w.size - degree:])]
     C = big.c[p:]
     d21inv = np.linalg.inv(big.d[p:, :p])
     Z = big.a - big.b[:, :p] @ d21inv @ C
@@ -337,10 +340,20 @@ def compare_extensions(E1: ExtensionBlocks, E2: ExtensionBlocks) -> QFactor:
     if R1.n != R2.n or not all(np.allclose(getattr(R1, k), getattr(R2, k), rtol=0, atol=1e-10)
                                for k in "abcd"):
         raise ValidationError("extensions do not share the same S block")
-    return _quotient(E1, E2.p_matrix)
+    return _quotient(E1, E2.p_matrix, None)
 
 
-def symmetric_unitary_extension(E: ExtensionBlocks
+def _lossless_projection(R: Realization, j: np.ndarray) -> Realization:
+    """The realization nearest R in which the lossless identities hold
+    exactly on the Gramian J = diag(j), j = +-1: with the Lyapunov residual
+    E = A J + J A* + B B*, (A - E J / 2, B, -D B* J, D).  It keeps R's cached
+    spectrum, which its certificate bounds."""
+    AJ = R.a * j
+    E = AJ + AJ.conj().T + R.b @ R.b.conj().T
+    return _with_poles(_computed(R.a - E * j / 2, R.b, -(R.d @ R.b.conj().T) * j, R.d), R)
+
+
+def symmetric_unitary_extension(E: ExtensionBlocks, degree: int
                                 ) -> tuple[Realization, QFactor, float, float]:
     """Symmetric extension Sigma_P = S_P diag(Q, I), Q = S21^{-1} S12^T.
 
@@ -348,16 +361,21 @@ def symmetric_unitary_extension(E: ExtensionBlocks
     B = C^T, D = D^T), which makes P^{-T} another Riccati solution with
     S_{P^{-T}} = S_P^T.  The result is unitary on the imaginary axis and
     symmetric; it is inner if and only if P^{-T} - P is positive
-    semidefinite.  Sigma has deg S + deg Q states, deg Q =
-    rank(P^{-T} - P) >= kappa: Q's, then S_P's on L^{-1} x, P = L L*.
-    It is certified minimal to 1e-8 on the Gramian diag(Q.gramian, I),
-    I (balanced) when it is inner.  Returns (Sigma, Q, symmetry
-    residual of Sigma, that lossless certificate residual).
+    semidefinite.  Sigma has deg S + deg Q states, and the caller passes
+    ``degree`` = deg Q = rank(P^{-T} - P) >= kappa: kappa for the symmetric
+    Riccati solution, n - n0 for an extremal one.  The states are Q's, then
+    S_P's on L^{-1} x, P = L L*, each factor certified on its own Gramian
+    and then given its ``_lossless_projection`` there.  Sigma is certified
+    minimal to 1e-8 on the Gramian diag(Q.gramian, I), I (balanced) when it
+    is inner.  Returns (Sigma, Q, symmetry residual of Sigma, that lossless
+    certificate residual).
     """
     if not _structurally_symmetric(E.s22):
         raise NotSymmetricError(
             "the source realization is not symmetric; run symmetrize first")
-    Q = _quotient(E, np.linalg.inv(E.p_matrix.T))
+    if not 0 <= degree <= E.realization.n:
+        raise ValidationError(f"the degree of Q must be in 0..{E.realization.n}, got {degree}")
+    Q = _quotient(E, np.linalg.inv(E.p_matrix.T), degree)
     big = E.realization
     try:
         L = np.linalg.cholesky(E.p_matrix)
@@ -366,12 +384,14 @@ def symmetric_unitary_extension(E: ExtensionBlocks
     LB = sla.solve_triangular(L, np.hstack([big.a @ L, big.b]), lower=True)
     sp = _with_poles(_computed(LB[:, :big.n], LB[:, big.n:], big.c @ L, big.d), big)
     identity = _computed(np.zeros((0, 0)), np.zeros((0, E.p)), np.zeros((E.p, 0)), np.eye(E.p))
-    sigma = compose(sp, direct_sum(Q.realization, identity))
+    j = np.diag(Q.gramian)
+    sigma = compose(_lossless_projection(sp, np.ones(big.n)),
+                    direct_sum(_lossless_projection(Q.realization, j), identity))
     sres = symmetry_residual(sigma)
     if sres > 1e-8:
         raise ValidationError(
             f"symmetric extension failed the symmetry check ({sres:g})")
-    cert = _lossless_residual(sigma, np.concatenate([np.diag(Q.gramian), np.ones(big.n)]))
+    cert = _lossless_residual(sigma, np.concatenate([j, np.ones(big.n)]))
     if not cert <= 1e-8:
         raise ValidationError(f"Sigma is not certified unitary and minimal "
                               f"(lossless residual {cert:g})")

@@ -1,34 +1,22 @@
-"""Degree reduction of symmetric inner functions by two-sided division
-with elementary Blaschke factors, down to the minimal symmetric inner
-extension.
+"""The minimal symmetric inner extension, and degree reduction of
+symmetric inner functions by two-sided division with elementary Blaschke
+factors.
 
-An elementary factor B(s) = I + (b_xi(s) - 1) u u*, with
-b_xi(s) = (s - xi)/(s + conj(xi)), is inner of degree 1 with
-det B = b_xi.  If a symmetric inner T has a zero xi of multiplicity at
-least 2, there is a unit vector u with
+minimize_symmetric builds it, of degree n + kappa, from one Riccati
+solution: the symmetric solution P, whose Sigma_P = S_P diag(Q, I) has a
+quotient Q of degree rank(P^-T - P) = kappa.  It divides nothing.
+
+The division helpers remain public.  An elementary factor
+B(s) = I + (b_xi(s) - 1) u u*, with b_xi(s) = (s - xi)/(s + conj(xi)), is
+inner of degree 1 with det B = b_xi.  If a symmetric inner T has a zero xi
+of multiplicity at least 2, there is a unit vector u with
 
     T(xi) u = 0   and   u^T T'(xi) u = 0,
 
 and then B(s)^{-T} T(s) B(s)^{-1} is again symmetric inner, of degree
-exactly deg T - 2.  Start from the 2n - n0 symmetric extension built
-on the minimal Riccati solution.  Each root xi, Re xi > 0, of the even
-square factor pi of the Hamiltonian's characteristic polynomial is a
-multiple zero of it, divided out as many times as its multiplicity in
-pi, with u restricted to the first coordinate block so the S block is
-preserved.  The divisions run in rounds: round r divides out one factor
-at every root of multiplicity at least r in pi, all in one two-sided
-compression, with the directions u of all its points found by one
-batched search on the round's input.
-For distinct points this is the root-by-root cascade: dividing by B_j
-maps the kernel of T(xi_k) by B_j(xi_k), which is block diagonal as
-u_j is supported on the first block, and keeps both conditions above.
-The (n - kappa - n0)/2 divisions end at the minimal symmetric inner
-extension of degree n + kappa.  No round solves for zeros: the points
-and multiplicities come from the analyzed Hamiltonian spectrum.
-
-Sigma comes balanced (controllability Gramian I, as every Hankel
-singular value of an inner function is 1), and each round keeps it so
-by a closed-form deflation certified on that Gramian (reduce_once).
+exactly deg T - 2 (find_reduction_vector, reduce_once).  Dividing Sigma on
+P_min (degree 2n - n0) once per unit of multiplicity of each right-half-plane
+root of pi, with u on the first coordinate block, also ends at n + kappa.
 """
 from __future__ import annotations
 
@@ -111,9 +99,7 @@ class ZeroStructure:
 
 def zero_structure(T: Realization) -> ZeroStructure:
     """Zero locations and multiplicities of an inner T, from the
-    eigenvalues of A - B D^{-1} C.  minimize_symmetric takes its
-    division points from the Hamiltonian spectrum instead; this is an
-    independent view of the same zeros.
+    eigenvalues of A - B D^{-1} C.
 
     T must be square and pass the lossless certificate on its Gramian to
     1e-7, which proves it minimal and all-pass with D unitary; its zeros,
@@ -259,34 +245,24 @@ def reduce_once(T: Realization, factors) -> tuple[Realization, float]:
 class SynthesisResult:
     """Outcome of the minimal symmetric inner extension pipeline.
 
-    ``innerness`` is the relative residual of the last stage's lossless
-    certificate (the last round's, or with no round Sigma's), which
-    proves ``extension`` inner and minimal on the Gramian I;
-    ``symmetry`` and ``block_match`` are maxima of its one cached
+    ``solution`` is the symmetric Riccati solution P that Sigma is built
+    on; ``innerness`` is the relative residual of Sigma's lossless
+    certificate, which proves ``extension`` inner and minimal on the
+    Gramian I; ``symmetry`` and ``block_match`` are maxima of its one cached
     frequency response on probe_points(extension).
-
-    ``factors`` holds one factor per division, in round order: round r
-    divides once at every root of multiplicity at least r in pi, in the
-    order of ``p_min.spectrum.pi_roots``.  Each ``u`` is the direction
-    found on its round's input (the balanced Sigma for round 1, the
-    output of round r - 1 after that), so the factors of one round are
-    not the successive directions of a root-by-root cascade.
 
     ``trace`` holds one dict per stage, in order, with its ``stage``
     name, wall ``seconds`` and values the stage computed anyway:
-    'riccati' kappa, n0, cluster_tolerance, riccati_residual, p_min_norm,
-    p_min_inv_norm, cond_x and chi_plus_gap (the least distance of two
-    odd roots relative to 1 + |xi|, None with fewer); 'symmetric-extension'
-    degree, lossless_residual and symmetry_residual; 'reduce' rounds, each
-    with its points, their multiplicities in pi, degree_before,
-    degree_after, lossless_residual and seconds; 'finalize' innerness,
+    'riccati' kappa, n0, cluster_tolerance, riccati_residual, p_norm,
+    p_inv_norm, cond_x and chi_plus_gap (the least distance of two odd
+    roots relative to 1 + |xi|, None with fewer); 'symmetric-extension'
+    degree, lossless_residual and symmetry_residual; 'finalize' innerness,
     symmetry and block_match."""
     extension: Realization
     degree: int
     kappa: int
     n0: int
-    p_min: RiccatiSolution
-    factors: tuple[BlaschkeFactor, ...]
+    solution: RiccatiSolution
     innerness: float
     symmetry: float
     block_match: float
@@ -295,28 +271,24 @@ class SynthesisResult:
 
 def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisResult:
     """Minimal-degree symmetric inner extension of a symmetric Schur
-    function strictly contractive at infinity, in five stages:
-    'symmetrize' the (minimal) realization; 'riccati', the minimal
-    solution only (two odd roots of chi+ within 1e-4 relative raise
-    SpectralSplitError); 'symmetric-extension', the balanced Sigma of
-    degree 2n - n0; 'reduce', which needs Sigma inner (``Q.inner_flag``)
-    and divides it to degree n + kappa, round r once at every root of pi
-    of multiplicity at least r, by one batched ``find_reduction_vector``
-    and one certified ``reduce_once``; 'finalize'.  Each stage is timed
-    and recorded in ``trace``.  A stage's DarlingtonError is raised again
-    with its type and the prefix "stage '<name>': "; a failed round as a
-    ReductionError naming its points, the degree before it and the
-    conditioning in the 'riccati' record.  ``residual_tol`` (finite, > 0)
-    bounds the last stage's innerness certificate and the symmetry and
-    S-block residuals of the final realization's one cached frequency
-    response on probe_points(extension).
+    function strictly contractive at infinity, in four stages:
+    'symmetrize' the (minimal) realization; 'riccati', the symmetric
+    solution P only (two odd roots of chi+ within 1e-4 relative raise
+    SpectralSplitError), whose rank(P^-T - P) is kappa;
+    'symmetric-extension', the balanced Sigma of degree n + kappa, which
+    must be inner (``Q.inner_flag``); 'finalize'.  Each stage is timed and
+    recorded in ``trace``.  A stage's DarlingtonError is raised again with
+    its type and the prefix "stage '<name>': ".  ``residual_tol`` (finite,
+    > 0) bounds Sigma's innerness certificate and the symmetry and S-block
+    residuals of its one cached frequency response on
+    probe_points(extension).
     """
     if not (np.isfinite(residual_tol) and residual_tol > 0):
         raise ValidationError(f"residual_tol must be finite and positive, got {residual_tol!r}")
     # the running stage is the first one not yet in the trace
-    stages = ("symmetrize", "riccati", "symmetric-extension", "reduce", "finalize")
+    stages = ("symmetrize", "riccati", "symmetric-extension", "finalize")
     trace: list[dict] = []
-    marks, failed_round = [time.perf_counter()], ""
+    marks = [time.perf_counter()]
 
     def done(**values) -> None:
         marks.append(time.perf_counter())  # the running stage ends, the next starts
@@ -325,10 +297,10 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     try:
         Rs, p = symmetrize(R), R.outputs
         done()
-        (pmin,) = _extremal(build_hat(Rs), ("minimal",))
-        spec, w = pmin.spectrum, np.abs(pmin.p_eigenvalues)  # P_min is Hermitian
+        (sol,) = _extremal(build_hat(Rs), ("symmetric",))
+        spec, w = sol.spectrum, np.abs(sol.p_eigenvalues)  # P is Hermitian
         # odd roots this close are most likely a double root of H that the
-        # clustering split; no division at it would leave a non-minimal result
+        # clustering split, which would leave a non-minimal result
         chi = np.array(spec.chi_plus_roots, dtype=complex)
         gap = np.abs(chi[:, np.newaxis] - chi) / (1.0 + np.abs(chi[:, np.newaxis]))
         np.fill_diagonal(gap, np.inf)
@@ -338,51 +310,31 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
                 f"odd Hamiltonian roots {chi[i]:.6g} and {chi[j]:.6g} are {gap[i, j]:.2g} "
                 f"apart relative to 1 + |xi|, at most 1e-4: a split double root")
         done(kappa=spec.kappa, n0=spec.n0, cluster_tolerance=float(spec.cluster_tolerance),
-             riccati_residual=pmin.residual_norm, p_min_norm=float(np.max(w, initial=0.0)),
-             p_min_inv_norm=float(1.0 / np.min(w, initial=np.inf)),
-             cond_x=pmin.subspace_condition,
+             riccati_residual=sol.residual_norm, p_norm=float(np.max(w, initial=0.0)),
+             p_inv_norm=float(1.0 / np.min(w, initial=np.inf)),
+             cond_x=sol.subspace_condition,
              chi_plus_gap=float(gap.min()) if chi.size > 1 else None)
-        conditioning = ("||P_min|| = {p_min_norm:.3g}, ||P_min^-1|| = {p_min_inv_norm:.3g}, "
-                        "cond X = {cond_x:.3g}").format_map(trace[-1])
-        current, Q, sres, ir = symmetric_unitary_extension(build_extension(Rs, pmin))
-        if current.n != 2 * Rs.n - spec.n0:
-            raise ValidationError(f"degree {current.n} of the unitary extension "
-                                  f"differs from 2n - n0 = {2 * Rs.n - spec.n0}")
-        done(degree=current.n, lossless_residual=ir, symmetry_residual=sres)
-        # a Gramian I proves Sigma stable, also when no round follows
+        sigma, Q, sres, ir = symmetric_unitary_extension(build_extension(Rs, sol), spec.kappa)
+        if sigma.n != Rs.n + spec.kappa:
+            raise ValidationError(f"degree {sigma.n} of the unitary extension "
+                                  f"differs from n + kappa = {Rs.n + spec.kappa}")
+        # a Gramian I proves Sigma stable
         if not Q.inner_flag:
-            raise ReductionError(f"the Gramian diag(J_Q, I) of Sigma is not positive "
-                                 f"definite ({conditioning})")
-        # a root of multiplicity k in pi is divided out k times, each
-        # division dropping the degree by 2; the complete mirror pairing of
-        # the spectrum makes kappa + 2 sum(k) = n - n0, so they end at n + kappa
-        roots = [(xi, k) for xi, k in spec.pi_roots if xi.real > 0]
-        factors, rounds = [], []
-        for r in range(1, max((k for _, k in roots), default=0) + 1):
-            points = [xi for xi, k in roots if k >= r]
-            failed_round = (f"round {r} at xi = {', '.join(f'{xi:.6g}' for xi in points)} "
-                            f"from degree {current.n} failed ({conditioning}): ")
-            before, round_start = current.n, time.perf_counter()
-            U = find_reduction_vector(current, points, support=p)
-            fs = [BlaschkeFactor(xi=xi, u=u) for xi, u in zip(points, U)]
-            current, ir = reduce_once(current, fs)
-            factors.extend(fs)
-            rounds.append(dict(points=points, multiplicities=[k for _, k in roots if k >= r],
-                               degree_before=before, degree_after=current.n,
-                               lossless_residual=ir, seconds=time.perf_counter() - round_start))
-        failed_round = ""
-        done(rounds=rounds)
-        # ir, the last stage's certificate, proves current inner and minimal;
-        # its cached probe points avoid the poles of S, which are poles of current
-        pts, F, sr = current._probe
+            raise ReductionError(
+                "the Gramian diag(J_Q, I) of Sigma is not positive definite ("
+                "||P|| = {p_norm:.3g}, ||P^-1|| = {p_inv_norm:.3g}, "
+                "cond X = {cond_x:.3g})".format_map(trace[-1]))
+        done(degree=sigma.n, lossless_residual=ir, symmetry_residual=sres)
+        # ir proves sigma inner and minimal; its cached probe points avoid
+        # the poles of S, which are poles of sigma
+        pts, F, sr = sigma._probe
         block = linalg.max_norm(F[:, p:, p:] - freqresp(R, pts))
         if not all(v <= residual_tol for v in (ir, sr, block)):  # a nan fails too
             raise ValidationError(f"certification failed (inner {ir:g}, "
                                   f"symmetry {sr:g}, block match {block:g})")
         done(innerness=ir, symmetry=sr, block_match=block)
-    except DarlingtonError as exc:  # a failed round is always a ReductionError
-        raise (ReductionError if failed_round else type(exc))(
-            f"stage '{stages[len(trace)]}': {failed_round}{exc}") from exc
-    return SynthesisResult(extension=current, degree=current.n, kappa=spec.kappa,
-                           n0=spec.n0, p_min=pmin, factors=tuple(factors), innerness=ir,
-                           symmetry=sr, block_match=block, trace=tuple(trace))
+    except DarlingtonError as exc:
+        raise type(exc)(f"stage '{stages[len(trace)]}': {exc}") from exc
+    return SynthesisResult(extension=sigma, degree=sigma.n, kappa=spec.kappa, n0=spec.n0,
+                           solution=sol, innerness=ir, symmetry=sr, block_match=block,
+                           trace=tuple(trace))

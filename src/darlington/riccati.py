@@ -31,7 +31,8 @@ n0 = 0 it is a reordered block, H [X; Y] = [X; Y] T11, so Z* X = -X T11
 makes (-Rx T11 Rx^{-1}, Qx) a Schur form of Z* (Laub 1979), in which P takes
 one Newton step (one Lyapunov solve), kept only if it lowers ||R(P)||.  A
 basis with imaginary-axis half-chains (n0 > 0) is no such block: its P is
-the graph's.
+the graph's.  So is the symmetric solution's whenever pi has a root: one
+choice between the extremal ones, whose symmetric extension is minimal.
 """
 from __future__ import annotations
 
@@ -93,9 +94,9 @@ class HSpectrum:
     """Even/odd multiplicity structure of the Hamiltonian spectrum.
 
     ``clusters`` holds (center, multiplicity, half_plane) triples with
-    half_plane in {"plus", "minus", "axis"}.  ``pi_roots`` lists the
-    roots of the even square factor pi(s) with multiplicities, and
-    ``chi_plus_roots`` the kappa simple odd roots in the open right
+    half_plane in {"plus", "minus", "axis"}; a cluster of multiplicity m
+    holds a root of the even square factor pi(s) of multiplicity m // 2.
+    ``chi_plus_roots`` are the kappa simple odd roots in the open right
     half-plane (their reflections make up the conjugate factor).
     ``schur`` is the Schur form (T, U), H = U T U*, whose diagonal was
     clustered: T[i, i] lies in ``clusters[cluster_index[i]]``.
@@ -103,7 +104,6 @@ class HSpectrum:
     clusters: tuple[tuple[complex, int, str], ...]
     kappa: int
     n0: int
-    pi_roots: tuple[tuple[complex, int], ...]
     chi_plus_roots: tuple[complex, ...]
     cluster_tolerance: float
     schur: tuple[np.ndarray, np.ndarray]
@@ -122,7 +122,7 @@ class RiccatiSolution:
     """
     p: np.ndarray
     z: np.ndarray
-    kind: str                 # "minimal" | "maximal" | "other"
+    kind: str                 # "minimal" | "maximal" | "symmetric"
     residual_norm: float
     subspace_condition: float
     spectrum: HSpectrum
@@ -217,7 +217,6 @@ def analyze_spectrum(H: Hamiltonian) -> HSpectrum:
     chi_plus = [c for c, m, lab in labeled if lab == "plus" and m % 2]
     return HSpectrum(clusters=labeled, kappa=len(chi_plus),
                      n0=sum(m for _, m, lab in labeled if lab == "axis") // 2,
-                     pi_roots=tuple((c, m // 2) for c, m, _ in labeled if m > 1),
                      chi_plus_roots=tuple(chi_plus), cluster_tolerance=tol,
                      schur=(T, U), cluster_index=index)
 
@@ -304,34 +303,63 @@ def solve_extremal(hat: HatData) -> tuple[RiccatiSolution, RiccatiSolution]:
 
 
 def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ...]:
-    """solve_extremal for the listed kinds ("minimal", "maximal") only."""
+    """solve_extremal for the listed kinds only: "minimal", "maximal" or, for
+    the exactly symmetric data of a symmetrize output (K conj(H) K = -H,
+    K = [[0, I], [I, 0]]), "symmetric": the simple plus clusters (chi+), the
+    axis half-chains and, at each plus cluster xi of multiplicity m > 1, a W
+    of dimension ceil(m/2) and the mirror K conj(W') of a W' in W of
+    dimension floor(m/2).  W = W' is the leading half of the chains of a
+    nilpotent part N != 0; a semisimple cluster [X; Y] takes W' isotropic for
+    q(a) = a^T (X^T X - Y^T Y) a from its Takagi coordinates, paired (2j,
+    2j + 1), and W its q-orthogonal complement.  P^-T is the graph of the
+    mirror subspace, so rank(P^-T - P) = kappa."""
     ham, n = build_hamiltonian(hat), hat.n
     H, spec = ham.matrix, analyze_spectrum(ham)
 
-    # exact membership and the complete mirror pairing make a half-plane
-    # subspace and the axis half-chains span exactly n dimensions
-    axis_bases = []
-    for idx, (center, mult, lab) in enumerate(spec.clusters):
-        if lab != "axis":
-            continue
-        basis = _invariant_subspace(spec, {idx})[0]
-        N = basis.conj().T @ H @ basis - center * np.eye(mult)
+    def half_chains(basis: np.ndarray, N: np.ndarray, center: complex) -> np.ndarray:
         # half_chain_basis compares tol with singular values of N / max(1, ||N||)
         tol = max(1e-8, spec.cluster_tolerance / max(1.0, linalg.spectral_norm(N)))
         half = linalg.half_chain_basis(N, tol=tol)
-        if 2 * half.shape[1] != mult:
+        if 2 * half.shape[1] != len(N):
             raise SubspaceError(
                 f"leading-half chain subspace at {center:g} has dimension "
-                f"{half.shape[1]}, expected {mult // 2}; partial "
+                f"{half.shape[1]}, expected {len(N) // 2}; partial "
                 "multiplicities may not all be even")
-        axis_bases.append(basis @ half)
+        return basis @ half
 
-    def graph_solution(side: str, kind: str) -> RiccatiSolution:
-        chosen = {i for i, (_, _, lab) in enumerate(spec.clusters) if lab == side}
+    # exact membership and the complete mirror pairing make a half-plane
+    # subspace and the axis half-chains span exactly n dimensions
+    axis_bases, pi_bases = [], []
+    for idx, (center, mult, lab) in enumerate(spec.clusters):
+        if lab == "minus" or (lab == "plus" and (mult == 1 or "symmetric" not in kinds)):
+            continue
+        basis = _invariant_subspace(spec, {idx})[0]
+        N = basis.conj().T @ H @ basis - center * np.eye(mult)
+        if lab == "axis":
+            axis_bases.append(half_chains(basis, N, center))
+            continue
+        if linalg.spectral_norm(N) > 10 * spec.cluster_tolerance:
+            W = Wm = half_chains(basis, N, center)  # refuses an odd multiplicity
+        else:
+            tk = linalg.takagi(basis[:n].T @ basis[:n] - basis[n:].T @ basis[n:])
+            s = tk.values
+            if s[0] <= 1e-10 * s[-1]:
+                raise SubspaceError(f"the form of the semisimple pi root {center:g} is "
+                                    f"degenerate (Takagi values {s[0]:.3g} to {s[-1]:.3g})")
+            E = tk.u.conj() / np.sqrt(s)  # q(E c) = sum c_k^2
+            Wm = basis @ (E[:, 0:mult - 1:2] + 1j * E[:, 1:mult:2])
+            W = np.hstack([Wm, basis @ E[:, mult - 1:]]) if mult % 2 else Wm
+        pi_bases += [W, np.vstack([Wm[n:].conj(), Wm[:n].conj()])]
+
+    def graph_solution(kind: str) -> RiccatiSolution:
+        side = "minus" if kind == "maximal" else "plus"
+        chosen = {i for i, (_, m, lab) in enumerate(spec.clusters)
+                  if lab == side and (m == 1 or kind != "symmetric")}
         # ZTRSEN's leading Schur vectors are orthonormal; the half-chains are not
         Mb, T11 = _invariant_subspace(spec, chosen)
-        if axis_bases:
-            Mb = np.linalg.qr(np.hstack([Mb] + axis_bases))[0]
+        extra = axis_bases + (pi_bases if kind == "symmetric" else [])
+        if extra:
+            Mb = np.linalg.qr(np.hstack([Mb] + extra))[0]
         X, Y = Mb[:n, :], Mb[n:, :]
         # X = Qx Rx: Rx has X's singular values, and P = Y X^-1 = Y Rx^-1 Qx*.
         # The empty X of a degree-0 problem counts as perfectly conditioned
@@ -343,7 +371,7 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
         cond = float(sx[0] / sx[-1])
         P = sla.solve_triangular(Rx, Y.T, trans="T").T @ Qx.conj().T
         P = (P + P.conj().T) / 2
-        if axis_bases:
+        if extra:
             # Mb is no ZTRSEN block, and an axis eigenvalue pair of Z makes
             # the Newton equation singular: the graph P is kept as it is
             res = float(linalg.spectral_norm(_residual_matrix(hat, P)))
@@ -366,6 +394,5 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
 
     # graph of P carries the -Z* dynamics: sigma(Z) in the closed left
     # half-plane (minimal) puts the graph on the right half-spectrum of H
-    side = {"minimal": "plus", "maximal": "minus"}
-    return tuple(graph_solution(side[kind], kind) for kind in kinds)
+    return tuple(graph_solution(kind) for kind in kinds)
 

@@ -66,8 +66,15 @@ def sorted_schur_subspace(M, centers, indices) -> np.ndarray:
     return Z[:, :sdim]
 
 
+def pi_roots(spec) -> list[tuple[complex, int]]:
+    """The roots of the even square factor pi of an HSpectrum's
+    characteristic polynomial with their multiplicities in pi: a cluster of
+    multiplicity m > 1 holds one of multiplicity m // 2."""
+    return [(c, m // 2) for c, m, _ in spec.clusters if m > 1]
+
+
 def sequential_minimize(R: Realization) -> tuple[Realization, list]:
-    """minimize_symmetric's reduction as a root-by-root cascade: from
+    """The Blaschke cascade down to the minimal symmetric extension: from
     Sigma on P_min, which comes balanced, one single-factor reduce_once per
     division, each direction found on the previous step's output.
     Returns the final realization and the steps as triples
@@ -75,9 +82,9 @@ def sequential_minimize(R: Realization) -> tuple[Realization, list]:
     Rs = symmetrize(R)
     (pmin,) = _extremal(build_hat(Rs), ("minimal",))
     E = build_extension(Rs, pmin)
-    current = symmetric_unitary_extension(E)[0]
+    current = symmetric_unitary_extension(E, Rs.n - pmin.spectrum.n0)[0]
     steps = []
-    for xi, k in pmin.spectrum.pi_roots:
+    for xi, k in pi_roots(pmin.spectrum):
         for _ in range(k if xi.real > 0 else 0):
             f = BlaschkeFactor(xi=xi, u=find_reduction_vector(current, [xi], support=Rs.outputs)[0])
             out, _ = reduce_once(current, (f,))

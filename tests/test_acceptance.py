@@ -39,7 +39,7 @@ from darlington import (
 from darlington.linalg import cluster_ladder, default_cluster_tol
 from darlington.scalar import siso_realization
 
-from conftest import blaschke_realization, sorted_schur_subspace
+from conftest import blaschke_realization, sequential_minimize, sorted_schur_subspace
 
 SQ3 = np.sqrt(3.0)
 
@@ -96,7 +96,7 @@ def test_criterion_1_worked_example_strong_damping(zeta2):
     assert riccati_residual(hat, P) <= 1e-10
     assert np.linalg.norm(P @ P.T - np.eye(2), 2) <= 1e-10
     E = build_extension(zeta2, P)
-    sigma, q, _, _ = symmetric_unitary_extension(E)
+    sigma, q, _, _ = symmetric_unitary_extension(E, 0)  # P^-T = P
     assert q.degree == 0
     assert innerness_residual(sigma) <= 1e-8
     assert symmetry_residual(sigma) <= 1e-8
@@ -175,7 +175,7 @@ def test_criterion_6_max_degree_symmetric_extension(pipeline_artifacts):
         w = np.abs(np.linalg.eigvalsh(art.pmax.p - art.pmin.p))
         scale = max(1.0, w.max()) if w.size else 1.0
         n0 = int(np.sum(w <= 1e-7 * scale))
-        sigma, q, _, _ = symmetric_unitary_extension(art.e_min)
+        sigma, q, _, _ = symmetric_unitary_extension(art.e_min, art.n - n0)
         assert q.inner_flag, art.name
         assert kalman_check(sigma).mcmillan_degree == 2 * art.n - n0, art.name
         assert art.synth.n0 == n0, art.name
@@ -208,16 +208,15 @@ def test_criterion_8_structural_identities(pipeline_artifacts, zeta2):
     for w in np.linspace(-4, 4, 10):
         d = np.linalg.det(evaluate(B, 1j * w))
         assert abs(d - f.scalar(1j * w)) <= 1e-12
-    # every recorded reduction dropped the degree by exactly 2
-    res = minimize_symmetric(zeta2)
-    assert len(res.factors) == 1
-    start = 2 * 2 - res.n0
-    assert start - 2 * len(res.factors) == res.degree
-    for art in pipeline_artifacts:
-        s = art.synth
-        assert (2 * art.n - s.n0) - 2 * len(s.factors) == s.degree, art.name
+    # every division of the Blaschke cascade from Sigma on P_min drops the
+    # degree by exactly 2, down to the degree of the synthesis
+    for R, s in [(zeta2, minimize_symmetric(zeta2))] + [
+            (art.rs, art.synth) for art in pipeline_artifacts]:
+        final, steps = sequential_minimize(R)
+        assert all(out.n == T.n - 2 for T, _, out in steps)
+        assert final.n == s.degree == (2 * R.n - s.n0) - 2 * len(steps)
     _ok(8, "Hamiltonian identity to 1e-10, det of elementary factors to "
-           "1e-12, and every reduction step drops the degree by exactly 2")
+           "1e-12, and every Blaschke division drops the degree by exactly 2")
 
 
 def test_criterion_9_linalg_property_suite():

@@ -269,13 +269,12 @@ class TestSynthesize:
         R = minimal_realization(read_problem(str(f))["realization"])[0]
         assert rep["trace"] == plain(minimize_symmetric(R).trace)
         assert [rec["stage"] for rec in rep["trace"]] == [
-            "symmetrize", "riccati", "symmetric-extension", "reduce", "finalize"]
-        (only,) = rep["trace"][3]["rounds"]
-        assert only["points"] == [[pytest.approx(np.sqrt(3.0), rel=1e-12), 0.0]]
-        assert (only["degree_before"], only["degree_after"]) == (4, 2)
+            "symmetrize", "riccati", "symmetric-extension", "finalize"]
+        assert rep["trace"][2]["degree"] == 2  # n + kappa, with no division
 
     def test_minimal_symmetric_refuses_the_maximal_solution(self, tmp_path, capsys):
-        # the minimal extension is built on P_min, so "max" would be misreported
+        # the minimal extension is built on its own Riccati solution, so "max"
+        # would be misreported
         out = tmp_path / "ext.json"
         assert main(["synthesize", str(DATA / "inner_max_s8g_0.json"), "--mode",
                      "minimal-symmetric", "--solution", "max", "--json",
@@ -510,7 +509,7 @@ class TestSynthesize:
         elif mode == "symmetric":
             extend = darlington.cli.symmetric_unitary_extension
             monkeypatch.setattr(darlington.cli, "symmetric_unitary_extension",
-                                lambda E: (*extend(E)[:3], nan))
+                                lambda E, degree: (*extend(E, degree)[:3], nan))
         else:
             build = darlington.cli.build_extension
             monkeypatch.setattr(darlington.cli, "build_extension", lambda R, P:
@@ -539,9 +538,10 @@ class TestSynthesize:
                        "block_match": res.block_match}
         else:
             base = symmetrize(R) if mode == "symmetric" else R
-            E = build_extension(base, _extremal(build_hat(base), ("minimal",))[0])
+            (pmin,) = _extremal(build_hat(base), ("minimal",))
+            E = build_extension(base, pmin)
             if mode == "symmetric":
-                _, _, sres, cert = symmetric_unitary_extension(E)
+                _, _, sres, cert = symmetric_unitary_extension(E, base.n - pmin.spectrum.n0)
                 library = {"unitary_axis_residual": cert, "symmetry_residual": sres}
             else:
                 library = {"innerness_residual": E.certificate}

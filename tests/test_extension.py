@@ -32,7 +32,7 @@ from darlington.errors import (
     NotSymmetricError,
     ValidationError,
 )
-from darlington.extension import _lossless_residual
+from darlington.extension import _lossless_projection, _lossless_residual
 from darlington.realization import compose, direct_sum, probe_points, transfer_distance
 from darlington.reduction import BlaschkeFactor
 from darlington.scalar import poly_para, spectral_factor_poly
@@ -323,7 +323,7 @@ class TestSymmetricUnitaryExtension:
     def test_involutive_solution_gives_constant_q(self, zeta2):
         P = np.array([[2.0, 1j * SQ3], [-1j * SQ3, 2.0]])
         E = build_extension(zeta2, P)
-        sigma, Q, _, _ = symmetric_unitary_extension(E)
+        sigma, Q, _, _ = symmetric_unitary_extension(E, 0)  # P^-T = P
         assert Q.degree == 0
         assert kalman_check(sigma).mcmillan_degree == 2
         assert innerness_residual(sigma) <= 1e-8
@@ -332,7 +332,7 @@ class TestSymmetricUnitaryExtension:
     def test_minimal_solution_doubles_degree(self, zeta2_pair):
         R, pmin, _ = zeta2_pair
         E = build_extension(R, pmin)
-        sigma, Q, _, cert = symmetric_unitary_extension(E)
+        sigma, Q, _, cert = symmetric_unitary_extension(E, 2)
         assert Q.degree == 2 and Q.inner_flag
         assert kalman_check(sigma).mcmillan_degree == 4  # 2n - n0
         # the returned residual is Sigma's certificate on diag(Q.gramian, I),
@@ -342,10 +342,16 @@ class TestSymmetricUnitaryExtension:
         assert innerness_residual(sigma) <= 1e-8
         assert symmetry_residual(sigma) <= 1e-8
 
+    @pytest.mark.parametrize("degree", [-1, 3])
+    def test_rejects_a_degree_of_q_outside_the_states(self, zeta2_pair, degree):
+        R, pmin, _ = zeta2_pair
+        with pytest.raises(ValidationError, match=f"degree of Q must be in 0..2, got {degree}"):
+            symmetric_unitary_extension(build_extension(R, pmin), degree)
+
     def test_maximal_solution_not_inner(self, zeta2_pair):
         R, _, pmax = zeta2_pair
         E = build_extension(R, pmax)
-        sigma, Q, _, _ = symmetric_unitary_extension(E)
+        sigma, Q, _, _ = symmetric_unitary_extension(E, 2)
         assert Q.degree == 2 and not Q.inner_flag
         assert symmetry_residual(sigma) <= 1e-8
         # unitary on the axis even though not inner
@@ -361,7 +367,7 @@ class TestSymmetricUnitaryExtension:
         pmin, _ = solve_extremal(build_hat(R))
         E = build_extension(R, pmin)
         with pytest.raises(NotSymmetricError):
-            symmetric_unitary_extension(E)
+            symmetric_unitary_extension(E, 2)
 
 
 @pytest.fixture(scope="module")
@@ -373,7 +379,7 @@ def suite_sigmas(zeta2, instance_suite) -> list:
         Rs = symmetrize(R)
         for P in solve_extremal(build_hat(Rs)):
             E = build_extension(Rs, P)
-            out.append((E, symmetric_unitary_extension(E)))
+            out.append((E, symmetric_unitary_extension(E, Rs.n - P.spectrum.n0)))
     return out
 
 
@@ -387,6 +393,22 @@ def suite_stages(suite_sigmas) -> list:
                    ("Q", Q.realization, Q.gramian),
                    ("Sigma", sigma, sla.block_diag(Q.gramian, np.eye(E.realization.n)))]
     return stages
+
+
+def test_lossless_projection_restores_the_identities(suite_sigmas):
+    # each factor of Sigma, once certified on its Gramian J = diag(j), is
+    # replaced by its projection, on which both lossless identities hold to
+    # rounding; it moves A and C by about the residual it removes
+    for _, (_, Q, _, _) in suite_sigmas:
+        j, R = np.diag(Q.gramian), Q.realization
+        if not R.n:
+            continue
+        bad = Realization(R.a, R.b * (1 + 1e-9), R.c, R.d)
+        out = _lossless_projection(bad, j)
+        assert np.array_equal(out.poles(), bad.poles())
+        assert _lossless_residual(out, j) <= 1e-14 < _lossless_residual(bad, j)
+        scale = 1 + np.linalg.norm(R.a, 2) + np.linalg.norm(R.b, 2) ** 2
+        assert np.linalg.norm(out.a - bad.a, 2) + np.linalg.norm(out.c - bad.c, 2) <= 1e-8 * scale
 
 
 def test_sigma_is_certified_on_a_signature(suite_sigmas):
@@ -442,8 +464,9 @@ class TestGramianCertificates:
         # minimal and certified on diag(t) X diag(t)
         inst = next(i for i in instance_suite if i.name == "p1-n6-kg-ax0")
         Rs = symmetrize(inst.realization)
-        E = build_extension(Rs, solve_extremal(build_hat(Rs))[1])
-        sigma, Q, _, _ = symmetric_unitary_extension(E)
+        pmax = solve_extremal(build_hat(Rs))[1]
+        sigma, Q, _, _ = symmetric_unitary_extension(build_extension(Rs, pmax),
+                                                     Rs.n - pmax.spectrum.n0)
         t = np.linspace(1.0, 10.0, sigma.n)
         scaled = Realization(sigma.a * t[:, None] / t, sigma.b * t[:, None],
                              sigma.c / t, sigma.d)

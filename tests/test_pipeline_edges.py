@@ -62,27 +62,27 @@ def test_left_factor_round_trip_p3(instance_suite):
 
 
 def test_large_instance_smoke(large_instance):
-    # p = 4, n = 8 assembled from four kappa-0 scalar parts: four
-    # reductions level the degree back to n
+    # p = 4, n = 8 assembled from four kappa-0 scalar parts: pi has four
+    # roots in the right half-plane, and Sigma has degree n without a division
     inst = large_instance
     assert (inst.p, inst.n) == (4, 8)
     res = minimize_symmetric(inst.realization)
     assert res.degree == 8 and res.kappa == 0
-    assert len(res.factors) == 4
+    assert sum(m // 2 for _, m, lab in res.solution.spectrum.clusters if lab == "plus") == 4
     assert max(res.innerness, res.symmetry, res.block_match) <= 1e-7
 
 
 def test_ill_conditioned_lattice_certifies_or_names_its_conditioning():
     # seed 7 of ten kappa-0 degree-2 parts (p = 10, n = 20) has
-    # ||P_max|| = ||P_min^-1|| ~ 7e4; the reduction either certifies or
-    # reports the lattice conditioning behind its failure
+    # ||P_max|| = ||P_min^-1|| ~ 7e4; the synthesis either certifies or
+    # reports the conditioning of its Riccati solution behind its failure
     from conftest import _draw_instance
     inst = _draw_instance(np.random.default_rng(7), ("congruence", [(2, 0, 0)] * 10))
     assert (inst.p, inst.n) == (10, 20)
     try:
         res = minimize_symmetric(inst.realization)
     except ReductionError as exc:
-        for label in ("||P_min|| =", "||P_min^-1|| =", "cond X ="):
+        for label in ("||P|| =", "||P^-1|| =", "cond X ="):
             assert label in str(exc)
     else:
         assert res.degree == 20 and res.kappa == 0

@@ -461,7 +461,7 @@ class TestSymmetrizeCertificate:
         assert calls == []
         assert transfer_distance(symmetrize(S), S) <= 1e-8
         assert calls == []
-        with pytest.raises(ValidationError, match="stage 'riccati': minimal "
+        with pytest.raises(ValidationError, match="stage 'riccati': symmetric "
                            "solution is not positive definite"):
             minimize_symmetric(R)
 
@@ -677,8 +677,9 @@ class TestCascadeResponse:
         out = []
         for inst in instance_suite:
             Rs = symmetrize(inst.realization)
-            E = build_extension(Rs, _extremal(build_hat(Rs), ("minimal",))[0])
-            sigma, Q, _, _ = symmetric_unitary_extension(E)
+            (pmin,) = _extremal(build_hat(Rs), ("minimal",))
+            E = build_extension(Rs, pmin)
+            sigma, Q, _, _ = symmetric_unitary_extension(E, Rs.n - pmin.spectrum.n0)
             out.append((sigma, Q.realization, E.realization))
         return out
 

@@ -1,5 +1,6 @@
-"""Blaschke factors, zero structure, two-sided reduction rounds, and the
-minimal symmetric synthesis loop."""
+"""Blaschke factors, zero structure, two-sided reduction by the kept
+division helpers, and the minimal symmetric synthesis from one Riccati
+solution, against the Blaschke cascade as its oracle."""
 import json
 import sys
 import time
@@ -31,8 +32,11 @@ from darlington import (
 )
 from darlington.errors import DimensionError, ReductionError, ValidationError
 from darlington.extension import _lossless_residual, innerness_residual
+from darlington.linalg import spectral_norm
 from darlington.realization import (
     direct_sum,
+    freqresp,
+    probe_points,
     symmetry_residual,
     transfer_distance,
     transpose,
@@ -43,6 +47,7 @@ from conftest import (
     blaschke_inverse_eval,
     blaschke_realization,
     invert,
+    pi_roots,
     random_unitary,
     sequential_minimize,
 )
@@ -51,17 +56,25 @@ SQ3 = np.sqrt(3.0)
 
 
 def sigma_min(R: Realization) -> Realization:
+    """Sigma on P_min, of degree 2n - n0."""
     pmin, _ = solve_extremal(build_hat(R))
     E = build_extension(R, pmin)
-    sigma, _, _, _ = symmetric_unitary_extension(E)
+    sigma, _, _, _ = symmetric_unitary_extension(E, R.n - pmin.spectrum.n0)
     return sigma
+
+
+def first_round(R: Realization) -> tuple[Realization, list]:
+    """Sigma on P_min of a symmetric R and the right-half-plane roots of pi,
+    one division point each."""
+    pmin, _ = solve_extremal(build_hat(R))
+    return sigma_min(R), [xi for xi, _ in pi_roots(pmin.spectrum) if xi.real > 0]
 
 
 @pytest.fixture(scope="module")
 def double_root() -> Realization:
     """U^T diag(f2, f2, f2, f2, f3, f3) U with f_z = 1/(s + z): pi has the
-    roots sqrt(3) of multiplicity 2 and sqrt(8) of multiplicity 1, so a
-    first round divides at both and a second at sqrt(3) alone."""
+    roots sqrt(3) of multiplicity 2 and sqrt(8) of multiplicity 1, so the
+    Blaschke cascade from Sigma on P_min divides three times."""
     U = random_unitary(np.random.default_rng(3), 6)
     return Realization(np.diag([-2.0] * 4 + [-3.0] * 2), U, U.T, np.zeros((6, 6)))
 
@@ -241,10 +254,10 @@ class TestFindReductionVector:
             find_reduction_vector(sigma, [SQ3, 2.0], support=2)
 
     def test_batch_is_the_one_point_searches(self, double_root):
-        # a round's points share one search; each row is the one-point
+        # the points of a round share one search; each row is the one-point
         # result at its point
-        T = sequential_minimize(double_root)[1][0][0]
-        points = [f.xi for f in minimize_symmetric(double_root).factors[:2]]
+        T, points = first_round(symmetrize(double_root))
+        assert len(points) == 2
         U = find_reduction_vector(T, points, support=6)
         assert U.shape == (2, 12)
         for xi, u in zip(points, U):
@@ -255,8 +268,7 @@ class TestFindReductionVector:
         # every T(xi) and T'(xi) of a round come from one pole guard and
         # two stacked solves of the pencils xi I - A, every kernel from
         # one stacked SVD
-        T = sequential_minimize(double_root)[1][0][0]
-        points = [f.xi for f in minimize_symmetric(double_root).factors[:2]]
+        T, points = first_round(symmetrize(double_root))
         solves, guards, svds = [], [], []
         solve, off_poles, svd = np.linalg.solve, darlington.realization._off_poles, np.linalg.svd
         monkeypatch.setattr(np.linalg, "solve", lambda M, b: solves.append(M.shape) or solve(M, b))
@@ -333,23 +345,12 @@ def reducing_instances(zeta2, instance_suite, double_root) -> list[Realization]:
 
 @pytest.fixture(scope="module")
 def suite_steps(zeta2, instance_suite, double_root) -> list:
-    """(T, factors, R) for every reduce_once call R = reduce_once(T,
-    factors) that minimize_symmetric makes on the reducing instances:
-    one round each (19 divisions in 14 rounds before double_root), and
-    two on double_root."""
-    steps = []
-
-    def recording(T, factors, _original=darlington.reduction.reduce_once):
-        R, cert = _original(T, factors)
-        steps.append((T, tuple(factors), R))
-        return R, cert
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(darlington.reduction, "reduce_once", recording)
-        for R in reducing_instances(zeta2, instance_suite, double_root):
-            minimize_symmetric(R)
-    assert len(steps) == 16
-    assert [len(fs) for _, fs, _ in steps[-2:]] == [2, 1]
+    """(T, factors, R) for every division R = reduce_once(T, factors) of the
+    Blaschke cascade on the reducing instances: 19 divisions before
+    double_root, and three on it."""
+    steps = [(T, (f,), out) for R in reducing_instances(zeta2, instance_suite, double_root)
+             for T, f, out in sequential_minimize(R)[1]]
+    assert len(steps) == 22
     return steps
 
 
@@ -415,108 +416,90 @@ def test_every_cascade_step_is_the_composed_division(zeta2, instance_suite,
             assert transfer_distance(out, raw) <= 1e-8
 
 
-def mapped_cascade(rounds) -> tuple[Realization, int]:
-    """The root-by-root cascade of the recorded rounds (T, factors),
-    from the first round's T: each division uses its round's direction
-    u_j mapped through the cascade's earlier factors of that round,
-    B_{j-1}(xi_j) ... B_1(xi_j) u_j, the kernel direction at xi_j once
-    they are divided out.  Returns the result and the division count."""
-    current, count = rounds[0][0], 0
-    for _, factors in rounds:
-        done = []
-        for f in factors:
-            u = f.u
-            for g in done:
-                u = g(f.xi) @ u
-            done.append(BlaschkeFactor(xi=f.xi, u=u))
-            current, _ = reduce_once(current, done[-1:])
-        count += len(done)
-    return current, count
-
-
 @pytest.mark.parametrize("seed", [None, *range(18)],
                          ids=lambda s: "as-built" if s is None else f"rotated-{s}")
 def test_rounds_match_the_root_by_root_cascade(zeta2, instance_suite, double_root,
                                                monkeypatch, seed):
-    # in exact arithmetic a round is the cascade of its divisions with
-    # mapped directions; a unitary similarity keeps Sigma balanced and
-    # changes nothing exact, so it must keep the match
+    # the oracle divides Sigma on P_min, of degree 2n - n0, root by root
+    # with the kept helpers; minimize_symmetric divides nothing, and the two
+    # must agree on the degree and the S block, both certified.  A unitary
+    # similarity keeps Sigma on P_min balanced and changes nothing exact, so
+    # it must keep the match
     rng = np.random.default_rng(seed)
-    rounds = []
 
-    def rotated(E, _original=darlington.reduction.symmetric_unitary_extension):
-        sigma, *rest = _original(E)
+    def rotated(E, degree, _original=darlington.extension.symmetric_unitary_extension):
+        sigma, *rest = _original(E, degree)
         if seed is not None:
             W = random_unitary(rng, sigma.n)
             sigma = Realization(W.conj().T @ sigma.a @ W, W.conj().T @ sigma.b,
                                 sigma.c @ W, sigma.d)
         return (sigma, *rest)
 
-    def recording(T, factors, _original=darlington.reduction.reduce_once):
-        rounds.append((T, tuple(factors)))
-        return _original(T, factors)
-
-    monkeypatch.setattr(darlington.reduction, "symmetric_unitary_extension", rotated)
-    monkeypatch.setattr(darlington.reduction, "reduce_once", recording)
     for R in reducing_instances(zeta2, instance_suite, double_root):
-        del rounds[:]
         res = minimize_symmetric(R)
-        oracle, count = mapped_cascade(rounds)
-        assert res.degree == oracle.n and len(res.factors) == count
-        assert transfer_distance(res.extension, oracle) <= 1e-9
+        with monkeypatch.context() as mp:
+            mp.setattr(sys.modules["conftest"], "symmetric_unitary_extension", rotated)
+            oracle, steps = sequential_minimize(R)
+        assert steps and res.degree == oracle.n == R.n + res.kappa
+        assert _lossless_residual(oracle, np.ones(oracle.n)) <= 1e-7
+        assert max(res.innerness, res.symmetry, res.block_match) <= 1e-7
+        p, pts = R.outputs, probe_points(oracle, res.extension)
+        blocks = [freqresp(T, pts)[:, p:, p:] for T in (oracle, res.extension)]
+        assert np.max(spectral_norm(blocks[0] - blocks[1])) <= 1e-9
 
 
 def test_one_certificate_and_spectrum_per_round(double_root, monkeypatch):
-    # two rounds of three divisions: one lossless certificate and one
-    # eigvals per round output, none per division
-    outputs, spectra, certified = [], [], []
-    original, eigvals = darlington.reduction.reduce_once, np.linalg.eigvals
-    lossless = darlington.reduction._lossless_residual
-
-    def recording(T, factors):
-        R, cert = original(T, factors)
-        outputs.append(R)
-        return R, cert
-
-    monkeypatch.setattr(darlington.reduction, "reduce_once", recording)
+    # a division at two points is one closed-form deflation: one lossless
+    # certificate and one eigvals on its output, none per point
+    T, points = first_round(double_root)
+    U = find_reduction_vector(T, points, support=6)
+    spectra, certified = [], []
+    eigvals, lossless = np.linalg.eigvals, darlington.reduction._lossless_residual
     monkeypatch.setattr(darlington.reduction, "_lossless_residual",
                         lambda R, *args: certified.append(R) or lossless(R, *args))
     monkeypatch.setattr(np.linalg, "eigvals", lambda M: spectra.append(np.array(M)) or eigvals(M))
-    assert len(minimize_symmetric(double_root).factors) == 3
-    assert certified == outputs and len(outputs) == 2
-    for R in outputs:
-        assert sum(M.shape == R.a.shape and np.array_equal(M, R.a) for M in spectra) == 1
+    out, _ = reduce_once(T, [BlaschkeFactor(xi=xi, u=u) for xi, u in zip(points, U)])
+    assert out.n == T.n - 4 and certified == [out]
+    assert sum(M.shape == out.a.shape and np.array_equal(M, out.a) for M in spectra) == 1
 
 
 class TestMinimizeSymmetric:
     def test_worked_example(self, zeta2):
+        # kappa = 0: the solution is a fixed point P^-T = P of the
+        # involution, like [[2, i sqrt(3)], [-i sqrt(3), 2]]
         res = minimize_symmetric(zeta2)
         assert res.degree == 2 and res.kappa == 0 and res.n0 == 0
-        assert len(res.factors) == 1
+        P = res.solution.p
+        assert res.solution.kind == "symmetric"
+        assert np.linalg.norm(P @ P.T - np.eye(2), 2) <= 1e-12
         assert res.innerness <= 1e-7 and res.symmetry <= 1e-7
         assert res.block_match <= 1e-7
 
     def test_unique_solution_case(self, zeta1):
+        # P_min = P_max = I, and 2n - n0 = 2 = n + kappa
         res = minimize_symmetric(zeta1)
         assert res.degree == 2 and res.kappa == 0 and res.n0 == 2
-        assert len(res.factors) == 0  # 2n - n0 = 2 = n + kappa already
+        assert np.linalg.norm(res.solution.p - np.eye(2), 2) <= 1e-7
 
     def test_scalar_kappa_one(self):
+        # no pi root: the symmetric solution is P_min
         R, _ = __import__("darlington").minimal_realization(
             siso_realization([0.5], [1.0, 1.0]))
         res = minimize_symmetric(R)
         assert res.degree == 2 and res.kappa == 1
-        assert len(res.factors) == 0  # 2n - n0 = 2 already
+        pmin, _ = solve_extremal(build_hat(symmetrize(R)))
+        assert np.array_equal(res.solution.p, pmin.p)
 
     def test_squared_blaschke_scaled(self):
-        # S = 0.6 ((s-1)/(s+1))^2: mu = 0.64 (1-s^2)^2, kappa = 0,
-        # n = 2, so one reduction from degree 4 to degree 2
+        # S = 0.6 ((s-1)/(s+1))^2: mu = 0.64 (1-s^2)^2, kappa = 0, n = 2:
+        # a Jordan pi root, whose leading half chain gives P^-T = P
         p1 = 0.6 * np.array([1.0, -2.0, 1.0])
         q = np.array([1.0, 2.0, 1.0])
         R, _ = __import__("darlington").minimal_realization(siso_realization(p1, q))
         res = minimize_symmetric(R)
         assert res.degree == 2 and res.kappa == 0
-        assert len(res.factors) == 1
+        P = res.solution.p
+        assert np.linalg.norm(np.linalg.inv(P.T) - P, 2) <= 1e-7 * np.linalg.norm(P, 2)
 
     def test_determinant_is_blaschke_of_degree(self, zeta2):
         res = minimize_symmetric(zeta2)
@@ -528,21 +511,18 @@ class TestMinimizeSymmetric:
         assert zs.total_multiplicity == res.degree
 
     def test_q_degree_lower_bound(self, zeta2):
-        # deg(S21^{-1} S12^T) >= kappa for every extension of the same
-        # degree (here kappa = 0; check on a kappa = 1 scalar too)
+        # deg(S21^{-1} S12^T) = rank(P^-T - P) >= kappa for every solution,
+        # and Sigma certifies at that degree (kappa = 0 here, and 1 on a
+        # scalar)
         import darlington as dl
-        pmin, pmax = solve_extremal(build_hat(zeta2))
-        for sol in (pmin, pmax):
-            E = build_extension(zeta2, sol)
-            _, Q, _, _ = symmetric_unitary_extension(E)
-            assert Q.degree >= 0
-        R = dl.symmetrize(dl.minimal_realization(
+        scalar = dl.symmetrize(dl.minimal_realization(
             siso_realization([0.5], [1.0, 1.0]))[0])
-        pmin, pmax = solve_extremal(build_hat(R))
-        for sol in (pmin, pmax):
-            E = build_extension(R, sol)
-            _, Q, _, _ = symmetric_unitary_extension(E)
-            assert Q.degree >= 1  # kappa = 1
+        for R, kappa in ((zeta2, 0), (scalar, 1)):
+            for sol in solve_extremal(build_hat(R)):
+                gap = np.linalg.inv(sol.p.T) - sol.p
+                rank = np.linalg.matrix_rank(gap, tol=1e-9 * np.linalg.norm(gap, 2))
+                _, Q, _, _ = symmetric_unitary_extension(build_extension(R, sol), rank)
+                assert Q.degree == rank >= kappa
 
 
 @pytest.mark.parametrize("d", [[[0.3]], [[0.2, 0.1j], [0.1j, -0.3]]])
@@ -551,7 +531,7 @@ def test_constant_function_certifies_at_degree_zero(d):
     p = D.shape[0]
     R = Realization(np.zeros((0, 0)), np.zeros((0, p)), np.zeros((p, 0)), D)
     res = minimize_symmetric(R)
-    assert (res.degree, res.kappa, res.n0, res.factors) == (0, 0, 0, ())
+    assert (res.degree, res.kappa, res.n0, res.solution.p.shape) == (0, 0, 0, (0, 0))
     T = res.extension.d
     assert np.linalg.norm(T @ T.conj().T - np.eye(2 * p), 2) <= 1e-12
     assert np.linalg.norm(T - T.T, 2) <= 1e-12
@@ -572,53 +552,42 @@ def test_non_minimal_input_fails_in_symmetrize():
 @pytest.mark.parametrize("which", ["suite", "g12"])
 def test_no_step_sigma_needs_a_positive_definite_gramian(which, instance_suite,
                                                          monkeypatch):
-    # handed P_max, the pipeline builds a Sigma of degree n + kappa with
-    # no step whose lossless identities hold (innerness near 1e-15), but
-    # with poles in the right half-plane: only its Gramian diag(J_Q, I),
-    # with J_Q = Q.gramian not I, rejects it
+    # handed P_max, the pipeline builds a Sigma of degree n + kappa
+    # whose lossless identities hold (innerness near 1e-15), but with poles
+    # in the right half-plane: only its Gramian diag(J_Q, I), with
+    # J_Q = Q.gramian not I, rejects it, naming the solution's conditioning
     if which == "suite":
         R = instance_suite[14].realization
     else:  # main.npz g12 #0, n = 12, p = 4
         with np.load(Path(__file__).parents[1] / "perfbench/inputs/main.npz") as z:
             R = Realization(*(z[f"g12.{k}"][0] for k in "abcd"))
-    assert not minimize_symmetric(R).factors
+    assert minimize_symmetric(R).kappa == R.n
     monkeypatch.setattr(darlington.reduction, "_extremal",
                         lambda hat, kinds: darlington.riccati._extremal(hat, ("maximal",)))
-    with pytest.raises(ReductionError, match=r"stage 'reduce': the Gramian .* not "
-                       r"positive definite \(\|\|P_min\|\| = "):
+    with pytest.raises(ReductionError, match=r"stage 'symmetric-extension': the Gramian .* "
+                       r"not positive definite \(\|\|P\|\| = .*, \|\|P\^-1\|\| = "
+                       r".*, cond X = "):
         minimize_symmetric(R)
 
 
 def test_sigma_of_the_wrong_degree_fails_its_stage(zeta2, monkeypatch):
-    # handed S_P (degree n = 2) in place of Sigma (degree 2n - n0 = 4)
+    # handed P_min, whose Sigma has degree 2n - n0 = 4, in place of the
+    # symmetric solution, whose Sigma has degree n + kappa = 2
     original = darlington.reduction.symmetric_unitary_extension
+    monkeypatch.setattr(darlington.reduction, "_extremal",
+                        lambda hat, kinds: darlington.riccati._extremal(hat, ("minimal",)))
     monkeypatch.setattr(darlington.reduction, "symmetric_unitary_extension",
-                        lambda E: (E.realization, *original(E)[1:]))
+                        lambda E, degree: original(E, 2))
     with pytest.raises(ValidationError) as excinfo:
         minimize_symmetric(zeta2)
-    assert str(excinfo.value) == ("stage 'symmetric-extension': degree 2 of the unitary "
-                                  "extension differs from 2n - n0 = 4")
-
-
-def test_a_failed_round_names_its_points_degree_and_conditioning(zeta2, monkeypatch):
-    # zeta2 takes one round, at sqrt(3), from Sigma's degree 4; its
-    # P_min = (2 - sqrt(3)) I comes from an orthonormal X
-    def refuse(T, factors):
-        raise ValidationError("no division here")
-
-    monkeypatch.setattr(darlington.reduction, "reduce_once", refuse)
-    with pytest.raises(ReductionError) as excinfo:
-        minimize_symmetric(zeta2)
-    assert str(excinfo.value) == (
-        "stage 'reduce': round 1 at xi = 1.73205+0j from degree 4 failed "
-        "(||P_min|| = 0.268, ||P_min^-1|| = 3.73, cond X = 1): no division here")
-    assert isinstance(excinfo.value.__cause__, ValidationError)
+    assert str(excinfo.value) == ("stage 'symmetric-extension': degree 4 of the unitary "
+                                  "extension differs from n + kappa = 2")
 
 
 @pytest.mark.parametrize("which", ["suite", "g12", "degree-0"])
 def test_trace_records_each_stage_with_the_results_values(which, instance_suite):
-    # the suite instance (kappa = 0) takes three divisions, main.npz g12 #0
-    # (kappa = n) none; one record per stage, in order, within the call
+    # the suite instance has kappa = 0 and pi roots, main.npz g12 #0 has
+    # kappa = n; one record per stage, in order, within the call
     if which == "suite":
         R = instance_suite[18].realization
     elif which == "g12":
@@ -631,13 +600,13 @@ def test_trace_records_each_stage_with_the_results_values(which, instance_suite)
     res = minimize_symmetric(R)
     wall = time.perf_counter() - start
     assert [rec["stage"] for rec in res.trace] == [
-        "symmetrize", "riccati", "symmetric-extension", "reduce", "finalize"]
+        "symmetrize", "riccati", "symmetric-extension", "finalize"]
     seconds = [rec["seconds"] for rec in res.trace]
     assert min(seconds) >= 0 and sum(seconds) <= wall
-    symmetrized, riccati, sigma, reduce, final = (
+    symmetrized, riccati, sigma, final = (
         {k: v for k, v in rec.items() if k not in ("stage", "seconds")} for rec in res.trace)
     assert symmetrized == {}
-    sol, spec = res.p_min, res.p_min.spectrum
+    sol, spec = res.solution, res.solution.spectrum
     chi = spec.chi_plus_roots
     gaps = [abs(a - b) / (1 + abs(a)) for i, a in enumerate(chi)
             for j, b in enumerate(chi) if i != j]
@@ -645,44 +614,31 @@ def test_trace_records_each_stage_with_the_results_values(which, instance_suite)
         "kappa": res.kappa, "n0": res.n0, "cluster_tolerance": spec.cluster_tolerance,
         "riccati_residual": sol.residual_norm,
         # both norms read 0 at degree 0
-        "p_min_norm": pytest.approx(np.linalg.norm(sol.p, 2) if R.n else 0.0, rel=1e-12),
-        "p_min_inv_norm": pytest.approx(np.linalg.norm(np.linalg.inv(sol.p), 2) if R.n
-                                        else 0.0, rel=1e-10),
+        "p_norm": pytest.approx(np.linalg.norm(sol.p, 2) if R.n else 0.0, rel=1e-12),
+        "p_inv_norm": pytest.approx(np.linalg.norm(np.linalg.inv(sol.p), 2) if R.n
+                                    else 0.0, rel=1e-10),
         "cond_x": sol.subspace_condition,
         "chi_plus_gap": pytest.approx(min(gaps), rel=1e-12) if gaps else None}
-    _, _, sres, cert = symmetric_unitary_extension(build_extension(symmetrize(R), sol))
-    assert sigma == {"degree": 2 * R.n - res.n0, "lossless_residual": cert,
+    _, _, sres, cert = symmetric_unitary_extension(build_extension(symmetrize(R), sol),
+                                                   res.kappa)
+    assert sigma == {"degree": R.n + res.kappa, "lossless_residual": cert,
                      "symmetry_residual": sres}
-    degree, multiplicity = sigma["degree"], dict(spec.pi_roots)
-    for rnd in reduce["rounds"]:
-        assert rnd["degree_before"] == degree
-        degree = rnd["degree_after"]
-        assert degree == rnd["degree_before"] - 2 * len(rnd["points"])
-        assert rnd["multiplicities"] == [multiplicity[xi] for xi in rnd["points"]]
-        assert rnd["lossless_residual"] <= 1e-7 and rnd["seconds"] >= 0
-    assert degree == res.degree
-    assert [xi for rnd in reduce["rounds"] for xi in rnd["points"]] == [
-        f.xi for f in res.factors]
-    assert bool(reduce["rounds"]) == (which == "suite")
-    assert sum(rnd["seconds"] for rnd in reduce["rounds"]) <= res.trace[3]["seconds"]
-    assert res.innerness == (reduce["rounds"][-1]["lossless_residual"]
-                             if reduce["rounds"] else cert)
+    assert res.degree == sigma["degree"] and res.innerness == cert
     assert final == {"innerness": res.innerness, "symmetry": res.symmetry,
                      "block_match": res.block_match}
-    # plain JSON but for the points, with no nan or infinity
-    json.dumps(res.trace, default=lambda z: [z.real, z.imag], allow_nan=False)
+    json.dumps(res.trace, allow_nan=False)  # plain JSON, with no nan or infinity
 
 
 def assert_factors_at_multiple_zeros(R: Realization) -> int:
-    """Every Blaschke point of minimize_symmetric(R) is a zero of sigma
+    """Every point of the Blaschke cascade of R is a zero of Sigma on P_min
     of multiplicity at least 2, as zero_structure finds it; returns the
     number of factors."""
-    res = minimize_symmetric(R)
+    steps = sequential_minimize(R)[1]
     zs = zero_structure(sigma_min(symmetrize(R)))
     multiple = np.array([z for z, m in zs.zeros if m >= 2])
-    for f in res.factors:
+    for _, f, _ in steps:
         assert np.min(np.abs(multiple - f.xi)) <= 1e-8 * (1.0 + abs(f.xi))
-    return len(res.factors)
+    return len(steps)
 
 
 def test_factor_points_are_multiple_zeros_of_sigma(zeta2, instance_suite):
@@ -695,7 +651,8 @@ def test_factor_points_are_multiple_zeros_of_sigma(zeta2, instance_suite):
 @pytest.mark.parametrize("which", ["zeta2", "zeta1", "suite"])
 def test_each_certificate_runs_once_per_realization(
         which, zeta1, zeta2, instance_suite, count_calls):
-    # zeta2 takes one Blaschke step, zeta1 none, the suite instance three
+    # zeta2 has a semisimple pi root, zeta1 axis half-chains, the suite
+    # instance Jordan pi roots
     R = {"zeta1": zeta1, "zeta2": zeta2,
          "suite": instance_suite[18].realization}[which]
     seen = count_calls(darlington.extension.innerness_residual,
@@ -705,13 +662,12 @@ def test_each_certificate_runs_once_per_realization(
                        darlington.realization.freqresp)
     res = minimize_symmetric(R)
     # symmetrize is certified by its Gramian and intertwiner, the
-    # extension, Q, Sigma and every Blaschke step by Gramian, and the
-    # final innerness is the last of those certificates.  The symmetry
-    # grid runs once, on Sigma, as its stage check; the final
-    # realization is evaluated once, for its symmetry and S block, and
-    # with no step that is Sigma's cached response
+    # extension, Q and Sigma by Gramian, and the final innerness is Sigma's
+    # certificate.  The symmetry grid runs once, on Sigma, as its stage
+    # check; the final realization, Sigma, is evaluated once, for its
+    # symmetry and S block, in that cached response
     assert len(seen["symmetry_residual"]) == 1
-    assert (seen["symmetry_residual"][0] is res.extension) == (not res.factors)
+    assert seen["symmetry_residual"][0] is res.extension
     finals = sum(T is res.extension for T in seen["freqresp"])
     assert finals == 1
     assert seen["innerness_residual"] == []
@@ -722,16 +678,14 @@ def test_each_certificate_runs_once_per_realization(
 @pytest.mark.parametrize("which", ["zeta2", "zeta1", "suite"])
 def test_innerness_is_the_last_stage_certificate(which, zeta1, zeta2,
                                                  instance_suite):
-    # after a step the output is balanced (Gramian I), and so is Sigma,
-    # returned with none, whose certificate it then reports.  The grid
-    # oracle agrees
+    # Sigma is balanced (Gramian I), and its certificate is reported.  The
+    # grid oracle agrees
     R = {"zeta1": zeta1, "zeta2": zeta2,
          "suite": instance_suite[18].realization}[which]
     res = minimize_symmetric(R)
     T = res.extension
-    if not res.factors:
-        E = build_extension(symmetrize(R), res.p_min)
-        assert res.innerness == symmetric_unitary_extension(E)[3]
+    E = build_extension(symmetrize(R), res.solution)
+    assert res.innerness == symmetric_unitary_extension(E, res.kappa)[3]
     assert res.innerness == _lossless_residual(T, np.eye(T.n)) <= 1e-8
     assert innerness_residual(T) <= 1e-8
 
@@ -739,7 +693,7 @@ def test_innerness_is_the_last_stage_certificate(which, zeta1, zeta2,
 @pytest.mark.parametrize("which", ["zeta2", "zeta1", "suite"])
 def test_cholesky_factors_only_n_by_n(which, zeta1, zeta2, instance_suite,
                                       monkeypatch):
-    # S_P is balanced by the Cholesky factor of P; Sigma, of 2n - n0
+    # S_P is balanced by the Cholesky factor of P; Sigma, of n + kappa
     # states, is used as it comes
     R = {"zeta1": zeta1, "zeta2": zeta2,
          "suite": instance_suite[18].realization}[which]
@@ -775,9 +729,9 @@ def test_residual_tol_must_be_finite_and_positive(zeta2, tol):
 
 def test_a_nan_certificate_fails_the_final_gate(zeta2, monkeypatch):
     # nan compares false with every bound, so it must not pass as small
-    original = darlington.reduction.reduce_once
-    monkeypatch.setattr(darlington.reduction, "reduce_once",
-                        lambda T, factors: (original(T, factors)[0], np.nan))
+    original = darlington.reduction.symmetric_unitary_extension
+    monkeypatch.setattr(darlington.reduction, "symmetric_unitary_extension",
+                        lambda E, degree: (*original(E, degree)[:3], np.nan))
     with pytest.raises(ValidationError, match=r"stage 'finalize'.*inner nan"):
         minimize_symmetric(zeta2)
 
@@ -787,9 +741,8 @@ def test_a_nan_certificate_fails_the_final_gate(zeta2, monkeypatch):
 def test_one_lyapunov_solve_per_synthesis(which, solves, zeta1, zeta2,
                                           instance_suite, monkeypatch):
     # the input's own Gramian, which the symmetrizer reads, is the only
-    # Lyapunov solve outside the Newton refinement of P_min, whatever the
-    # number of Blaschke steps (one, none and three): the steps and the
-    # certificates add none.  The coupled pairs are structurally symmetric
+    # Lyapunov solve outside the Newton refinement of P: the certificates
+    # add none.  The coupled pairs are structurally symmetric
     # and need no intertwiner, but their Gramian P > 0 still certifies
     # them minimal.  A fresh R: the session fixtures keep a cached Gramian
     S = {"zeta1": zeta1, "zeta2": zeta2,
@@ -805,12 +758,11 @@ def test_one_lyapunov_solve_per_synthesis(which, solves, zeta1, zeta2,
 
     monkeypatch.setattr(darlington.linalg, "_schur_solve", counting)
     res = minimize_symmetric(R)
-    assert len(res.factors) == {"zeta2": 1, "zeta1": 0, "suite": 3}[which]
     others = [name for name in callers if name != "_newton_refine"]
     assert others == ["_gramian"] * solves
-    # one Newton correction takes P_min to the rounding floor of R(P); with
-    # axis half-chains (zeta1, n0 = 2) the graph P is kept uncorrected
-    assert callers.count("_newton_refine") == (0 if res.n0 else 1)
+    # a basis with pi or axis half-chains (zeta1, n0 = 2) is no ZTRSEN
+    # block, and its graph P is kept uncorrected
+    assert callers.count("_newton_refine") == 0
     assert res.n0 == {"zeta2": 0, "zeta1": 2, "suite": 0}[which]
 
 
@@ -820,8 +772,9 @@ def test_sigma_runs_no_eigvals(which, zeta1, zeta2, instance_suite, monkeypatch)
     # certificates computed; eigvals still runs on the smaller matrices
     R = {"zeta1": zeta1, "zeta2": zeta2,
          "suite": instance_suite[18].realization}[which]
-    E = build_extension(symmetrize(R), minimize_symmetric(R).p_min)
-    sigma = symmetric_unitary_extension(E)[0]
+    res = minimize_symmetric(R)
+    sigma = symmetric_unitary_extension(build_extension(symmetrize(R), res.solution),
+                                        res.kappa)[0]
     seen = []
     eigvals = np.linalg.eigvals
 
@@ -852,4 +805,4 @@ def test_minimize_symmetric_never_solves_for_p_max(zeta2, instance_suite,
                 if value is original:
                     monkeypatch.setattr(mod, attr, refuse)
     for R in (zeta2, instance_suite[18].realization):
-        assert minimize_symmetric(R).p_min.kind == "minimal"
+        assert minimize_symmetric(R).solution.kind == "symmetric"

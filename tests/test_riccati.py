@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
-from conftest import hermitian_order, sorted_schur_subspace
+from conftest import hermitian_order, pi_roots, sorted_schur_subspace
 
 import darlington.riccati
 from darlington import (
@@ -457,7 +457,7 @@ def test_structured_schur_form_of_a_symmetric_realization(instance_suite, idx):
     ref = linalg.mirror_split(np.diag(sla.schur(H, output="complex")[0]), base)[1]
     assert spec.kappa == sum(1 for _, k, lab in ref if lab == "plus" and k % 2)
     assert spec.n0 == sum(k for _, k, lab in ref if lab == "axis") // 2
-    assert sorted(k for _, k in spec.pi_roots) == sorted(k // 2 for _, k, _ in ref if k > 1)
+    assert sorted(k for _, k in pi_roots(spec)) == sorted(k // 2 for _, k, _ in ref if k > 1)
     # the spectrum is closed under lambda -> -conj(lambda) bit for bit, and
     # the real eigenvalues of K = V*(iH)V (1 x 1 blocks of its real form)
     # lie exactly on the axis
@@ -509,7 +509,7 @@ class TestAnalyzeSpectrum:
 
     def test_pi_reassembly(self, zeta2):
         spec = analyze_spectrum(build_hamiltonian(build_hat(zeta2)))
-        assert 2 * sum(m for _, m in spec.pi_roots) + 2 * spec.kappa == 4
+        assert 2 * sum(m for _, m in pi_roots(spec)) + 2 * spec.kappa == 4
 
 
 class TestLatticeInvariants:
