@@ -364,11 +364,11 @@ def symmetric_unitary_extension(E: ExtensionBlocks, degree: int
     semidefinite.  Sigma has deg S + deg Q states, and the caller passes
     ``degree`` = deg Q = rank(P^{-T} - P) >= kappa: kappa for the symmetric
     Riccati solution, n - n0 for an extremal one.  The states are Q's, then
-    S_P's on L^{-1} x, P = L L*, each factor certified on its own Gramian
-    and then given its ``_lossless_projection`` there.  Sigma is certified
-    minimal to 1e-8 on the Gramian diag(Q.gramian, I), I (balanced) when it
-    is inner.  Returns (Sigma, Q, symmetry residual of Sigma, that lossless
-    certificate residual).
+    S_P's on L^{-1} x, P = L L*, each factor certified to 1e-8 on its own
+    Gramian and then given its ``_lossless_projection`` there, which makes
+    the lossless identities of Sigma on diag(Q.gramian, I) (I, balanced,
+    when it is inner) hold to rounding.  Returns (Sigma, Q, symmetry
+    residual of Sigma, the larger factor certificate before the projection).
     """
     if not _structurally_symmetric(E.s22):
         raise NotSymmetricError(
@@ -391,8 +391,4 @@ def symmetric_unitary_extension(E: ExtensionBlocks, degree: int
     if sres > 1e-8:
         raise ValidationError(
             f"symmetric extension failed the symmetry check ({sres:g})")
-    cert = _lossless_residual(sigma, np.concatenate([j, np.ones(big.n)]))
-    if not cert <= 1e-8:
-        raise ValidationError(f"Sigma is not certified unitary and minimal "
-                              f"(lossless residual {cert:g})")
-    return sigma, Q, sres, cert
+    return sigma, Q, sres, max(E.certificate, Q.unitary_residual)

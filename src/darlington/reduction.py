@@ -246,9 +246,9 @@ class SynthesisResult:
     """Outcome of the minimal symmetric inner extension pipeline.
 
     ``solution`` is the symmetric Riccati solution P that Sigma is built
-    on; ``innerness`` is the relative residual of Sigma's lossless
-    certificate, which proves ``extension`` inner and minimal on the
-    Gramian I; ``symmetry`` and ``block_match`` are maxima of its one cached
+    on; ``innerness`` is the larger lossless certificate of its factors S_P
+    and Q, taken before their projection, which proves ``extension`` inner
+    and minimal on the Gramian I; ``symmetry`` and ``block_match`` are maxima of its one cached
     frequency response on probe_points(extension).
 
     ``trace`` holds one dict per stage, in order, with its ``stage``

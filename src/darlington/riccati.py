@@ -308,24 +308,14 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
     K = [[0, I], [I, 0]]), "symmetric": the simple plus clusters (chi+), the
     axis half-chains and, at each plus cluster xi of multiplicity m > 1, a W
     of dimension ceil(m/2) and the mirror K conj(W') of a W' in W of
-    dimension floor(m/2).  W = W' is the leading half of the chains of a
-    nilpotent part N != 0; a semisimple cluster [X; Y] takes W' isotropic for
-    q(a) = a^T (X^T X - Y^T Y) a from its Takagi coordinates, paired (2j,
-    2j + 1), and W its q-orthogonal complement.  P^-T is the graph of the
-    mirror subspace, so rank(P^-T - P) = kappa."""
+    dimension floor(m/2).  Over the cluster basis [X; Y] the nilpotent part N
+    is self-adjoint for q(a, b) = a^T (X^T X - Y^T Y) b, and W' is isotropic
+    and N-invariant: the first floor(l/2) vectors of each chain of length l
+    and the middle vectors of the odd chains, paired (2j, 2j + 1) in their
+    Takagi coordinates; W is its q-orthogonal complement.  P^-T is the graph
+    of the mirror subspace, so rank(P^-T - P) = kappa."""
     ham, n = build_hamiltonian(hat), hat.n
     H, spec = ham.matrix, analyze_spectrum(ham)
-
-    def half_chains(basis: np.ndarray, N: np.ndarray, center: complex) -> np.ndarray:
-        # half_chain_basis compares tol with singular values of N / max(1, ||N||)
-        tol = max(1e-8, spec.cluster_tolerance / max(1.0, linalg.spectral_norm(N)))
-        half = linalg.half_chain_basis(N, tol=tol)
-        if 2 * half.shape[1] != len(N):
-            raise SubspaceError(
-                f"leading-half chain subspace at {center:g} has dimension "
-                f"{half.shape[1]}, expected {len(N) // 2}; partial "
-                "multiplicities may not all be even")
-        return basis @ half
 
     # exact membership and the complete mirror pairing make a half-plane
     # subspace and the axis half-chains span exactly n dimensions
@@ -335,20 +325,33 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
             continue
         basis = _invariant_subspace(spec, {idx})[0]
         N = basis.conj().T @ H @ basis - center * np.eye(mult)
+        # H^T D = D H, D = diag(I, -I), makes N self-adjoint for q: the first
+        # floor(l/2) vectors of each chain (S0, from half_chain_basis, which
+        # compares tol with singular values of N / max(1, ||N||)) are
+        # isotropic, and the middle vectors of the odd chains (C, q- and
+        # Euclid-orthogonal to S0) pair up in their Takagi coordinates; an
+        # axis root has no odd chain
+        norm_n = linalg.spectral_norm(N)
+        tol = max(1e-8, spec.cluster_tolerance / max(1.0, norm_n))
+        semisimple = lab == "plus" and norm_n <= 10 * spec.cluster_tolerance
+        S0 = np.zeros((mult, 0)) if semisimple else linalg.half_chain_basis(N, tol=tol)
+        r = mult - 2 * S0.shape[1]
+        if r < 0 or (r and lab == "axis"):
+            raise SubspaceError(f"leading-half chain subspace at {center:g} has dimension "
+                                f"{S0.shape[1]} of {mult}; an axis root needs even chains")
         if lab == "axis":
-            axis_bases.append(half_chains(basis, N, center))
+            axis_bases.append(basis @ S0)
             continue
-        if linalg.spectral_norm(N) > 10 * spec.cluster_tolerance:
-            W = Wm = half_chains(basis, N, center)  # refuses an odd multiplicity
-        else:
-            tk = linalg.takagi(basis[:n].T @ basis[:n] - basis[n:].T @ basis[n:])
-            s = tk.values
-            if s[0] <= 1e-10 * s[-1]:
-                raise SubspaceError(f"the form of the semisimple pi root {center:g} is "
-                                    f"degenerate (Takagi values {s[0]:.3g} to {s[-1]:.3g})")
-            E = tk.u.conj() / np.sqrt(s)  # q(E c) = sum c_k^2
-            Wm = basis @ (E[:, 0:mult - 1:2] + 1j * E[:, 1:mult:2])
-            W = np.hstack([Wm, basis @ E[:, mult - 1:]]) if mult % 2 else Wm
+        G = basis[:n].T @ basis[:n] - basis[n:].T @ basis[n:]
+        C = np.linalg.svd(np.vstack([S0.T @ G, S0.conj().T]))[2][mult - r:].conj().T
+        tk = linalg.takagi(C.T @ G @ C)
+        s = tk.values
+        if r and s[0] <= 1e-10 * s[-1]:
+            raise SubspaceError(f"the form of the pi root {center:g} is degenerate "
+                                f"(Takagi values {s[0]:.3g} to {s[-1]:.3g})")
+        E = C @ (tk.u.conj() / np.sqrt(s))  # q(E c) = sum c_k^2
+        Wm = basis @ np.hstack([S0, E[:, 0:r - 1:2] + 1j * E[:, 1:r:2]])
+        W = np.hstack([Wm, basis @ E[:, r - 1:]]) if r % 2 else Wm
         pi_bases += [W, np.vstack([Wm[n:].conj(), Wm[:n].conj()])]
 
     def graph_solution(kind: str) -> RiccatiSolution:

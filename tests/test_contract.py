@@ -9,11 +9,13 @@ unitary, symmetric and carries S in its lower-right block.
 from pathlib import Path
 
 import numpy as np
+import numpy.polynomial.polynomial as npp
 import pytest
 import scipy.linalg as sla
 
-from conftest import _draw_instance, random_unitary
+from conftest import _draw_instance, assemble_congruence, random_unitary
 from darlington import DarlingtonError, Realization, minimize_symmetric
+from darlington.scalar import siso_realization
 
 SPECS = [
     ("scalar", 2, 0, 0),
@@ -199,6 +201,28 @@ SEMISIMPLE = {"f2x3": ([2] * 3, 4), "f2x5": ([2] * 5, 6), "f2x3-f3x2": ([2] * 3 
 def test_semisimple_pi_root_certifies(name):
     zetas, degree = SEMISIMPLE[name]
     R = coupled(zetas)
+    assert_certified(R, minimize_symmetric(R), degree)
+
+
+# Jordan pi roots with odd chains: U^T diag(c_k a^(l_k)) U for the Blaschke
+# factor a = (s - 1)/(s + 1) and c_k = 0.6 - 0.1 k, whose H has chains of
+# the lengths l_k at 1.  The first floor(l/2) vectors of each chain and the
+# odd chains' middle vectors, paired, make the symmetric solution
+def blaschke_powers(lengths) -> Realization:
+    U = random_unitary(np.random.default_rng(3), len(lengths))
+    return assemble_congruence([siso_realization((0.6 - 0.1 * k) * npp.polypow([-1, 1], m),
+                                                 npp.polypow([1, 1], m))
+                                for k, m in enumerate(lengths)], U)
+
+
+JORDAN = {"a3": ([3], 4), "a3-a1": ([3, 1], 4), "a2-a1-a1": ([2, 1, 1], 4),
+          "a3-a3": ([3, 3], 6), "a3-a1-a1": ([3, 1, 1], 6)}
+
+
+@pytest.mark.parametrize("name", JORDAN)
+def test_odd_jordan_chains_certify(name):
+    lengths, degree = JORDAN[name]
+    R = blaschke_powers(lengths)
     assert_certified(R, minimize_symmetric(R), degree)
 
 

@@ -335,10 +335,12 @@ class TestSymmetricUnitaryExtension:
         sigma, Q, _, cert = symmetric_unitary_extension(E, 2)
         assert Q.degree == 2 and Q.inner_flag
         assert kalman_check(sigma).mcmillan_degree == 4  # 2n - n0
-        # the returned residual is Sigma's certificate on diag(Q.gramian, I),
-        # which is I: Sigma comes balanced
+        # the returned residual is the larger factor certificate before the
+        # projection; after it Sigma's holds on diag(Q.gramian, I) = I to
+        # rounding: Sigma comes balanced
         assert np.array_equal(Q.gramian, np.eye(2))
-        assert cert == _lossless_residual(sigma, np.eye(4)) <= 1e-8
+        assert cert == max(E.certificate, Q.unitary_residual) <= 1e-8
+        assert _lossless_residual(sigma, np.eye(4)) <= 1e-14
         assert innerness_residual(sigma) <= 1e-8
         assert symmetry_residual(sigma) <= 1e-8
 
@@ -413,7 +415,8 @@ def test_lossless_projection_restores_the_identities(suite_sigmas):
 
 def test_sigma_is_certified_on_a_signature(suite_sigmas):
     # Q.gramian is a +-1 diagonal, I exactly when Q is inner (on P_min);
-    # Sigma's certificate is the one on diag(Q.gramian, I)
+    # Sigma's certificate on diag(Q.gramian, I) holds to rounding, and the
+    # one returned is its factors' before their projection
     inner = []
     for E, (sigma, Q, _, cert) in suite_sigmas:
         J = np.diag(Q.gramian)
@@ -421,7 +424,8 @@ def test_sigma_is_certified_on_a_signature(suite_sigmas):
         assert np.all(np.isin(J, (-1.0, 1.0)))
         assert np.all(J == 1.0) == Q.inner_flag
         X = sla.block_diag(Q.gramian, np.eye(E.realization.n))
-        assert cert == _lossless_residual(sigma, X) <= 1e-10
+        assert cert == max(E.certificate, Q.unitary_residual) <= 1e-10
+        assert _lossless_residual(sigma, X) <= 1e-14
         inner.append(Q.inner_flag)
     # P_min gives an inner Sigma, P_max one that is not (unless Q is constant)
     assert all(inner[::2]) and not all(inner[1::2])

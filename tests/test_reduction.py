@@ -23,6 +23,7 @@ from darlington import (
     evaluate,
     find_reduction_vector,
     kalman_check,
+    minimal_realization,
     minimize_symmetric,
     reduce_once,
     solve_extremal,
@@ -463,6 +464,37 @@ def test_one_certificate_and_spectrum_per_round(double_root, monkeypatch):
     assert sum(M.shape == out.a.shape and np.array_equal(M, out.a) for M in spectra) == 1
 
 
+def test_a_round_is_the_cascade_with_mapped_directions():
+    # B^T diag(f2, f2, f3, f3) B for a Blaschke factor B at 1 with a full
+    # direction: pi has the roots 1, sqrt(3) and sqrt(8), whose reduction
+    # directions are not orthogonal.  A division at all three points is, in
+    # exact arithmetic, the root-by-root cascade with u_j mapped through the
+    # earlier factors, B_{j-1}(xi_j) ... B_1(xi_j) u_j; unmapped, the second
+    # direction is no zero direction
+    w = [1, 1j] @ np.random.default_rng(5).standard_normal((2, 4))
+    Bf = blaschke_realization(BlaschkeFactor(xi=1.0, u=w))
+    f = Realization(-np.diag([2.0, 2.0, 3.0, 3.0]), np.eye(4), np.eye(4), np.zeros((4, 4)))
+    R = symmetrize(minimal_realization(compose(transpose(Bf), compose(f, Bf)))[0])
+    T, points = first_round(R)
+    assert R.n == 6 and np.allclose(points, [1, SQ3, np.sqrt(8)])
+    factors = [BlaschkeFactor(xi=xi, u=u)
+               for xi, u in zip(points, find_reduction_vector(T, points, support=4))]
+    assert abs(np.vdot(factors[0].u, factors[1].u)) > 0.5
+    out, _ = reduce_once(T, factors)
+    cascade, done = T, []
+    for g in factors:
+        u = g.u
+        for h in done:
+            u = h(g.xi) @ u
+        done.append(BlaschkeFactor(xi=g.xi, u=u))
+        cascade, _ = reduce_once(cascade, done[-1:])
+    assert out.n == cascade.n == 6 and transfer_distance(out, cascade) <= 1e-9
+    with pytest.raises(ReductionError, match="double zero direction"):
+        reduce_once(reduce_once(T, factors[:1])[0], factors[1:2])
+    res = minimize_symmetric(R)
+    assert res.degree == 6 and transfer_distance(res.extension, out) <= 1e-9
+
+
 class TestMinimizeSymmetric:
     def test_worked_example(self, zeta2):
         # kappa = 0: the solution is a fixed point P^-T = P of the
@@ -678,15 +710,17 @@ def test_each_certificate_runs_once_per_realization(
 @pytest.mark.parametrize("which", ["zeta2", "zeta1", "suite"])
 def test_innerness_is_the_last_stage_certificate(which, zeta1, zeta2,
                                                  instance_suite):
-    # Sigma is balanced (Gramian I), and its certificate is reported.  The
+    # the certificates of S_P and Q, taken before their lossless projection,
+    # are reported; after it Sigma is balanced (Gramian I) to rounding.  The
     # grid oracle agrees
     R = {"zeta1": zeta1, "zeta2": zeta2,
          "suite": instance_suite[18].realization}[which]
     res = minimize_symmetric(R)
     T = res.extension
     E = build_extension(symmetrize(R), res.solution)
-    assert res.innerness == symmetric_unitary_extension(E, res.kappa)[3]
-    assert res.innerness == _lossless_residual(T, np.eye(T.n)) <= 1e-8
+    _, Q, _, cert = symmetric_unitary_extension(E, res.kappa)
+    assert res.innerness == cert == max(E.certificate, Q.unitary_residual) <= 1e-8
+    assert _lossless_residual(T, np.eye(T.n)) <= 1e-14
     assert innerness_residual(T) <= 1e-8
 
 
