@@ -25,7 +25,7 @@ symmetry residual and its hint's lossless certificate, and the final
 innerness certificate, symmetry and S-block residuals of ``synthesize
 --mode minimal-symmetric``; every other check runs at its fixed bound.
 Every ``synthesize`` mode reports the lossless certificate that its last
-library stage computed on the extension's Gramian (I, diag(J_Q, I) or P),
+library stage computed (of S_P and Q before their projection, or of S_P),
 and the symmetry (not in ``inner`` mode) and block match against the
 file's S from one cached probe response (the library's own block match
 when it had the file's S).  ``--mobius W0`` extends S~(s) =
@@ -211,8 +211,8 @@ def cmd_synthesize(args) -> int:
     R = S if args.mobius is None else mobius_precondition(S, args.mobius)
     R, _ = minimal_realization(R)
     # each mode builds its extension out, its Gramian X (a diagonal one as its
-    # diagonal), the certificate value its library stage computed on X (report
-    # key cert, gated at bound) and fields
+    # diagonal), the certificate value its library stage computed (report key
+    # cert, gated at bound; with --mobius, the one on X) and fields
     cert, bound, block = "innerness_residual", 1e-8, None
     if args.mode == "minimal-symmetric":
         res = minimize_symmetric(R, residual_tol=args.tol)

@@ -248,8 +248,8 @@ class SynthesisResult:
     ``solution`` is the symmetric Riccati solution P that Sigma is built
     on; ``innerness`` is the larger lossless certificate of its factors S_P
     and Q, taken before their projection, which proves ``extension`` inner
-    and minimal on the Gramian I; ``symmetry`` and ``block_match`` are maxima of its one cached
-    frequency response on probe_points(extension).
+    and minimal on the Gramian I; ``symmetry`` and ``block_match`` are
+    maxima of its one cached frequency response on probe_points(extension).
 
     ``trace`` holds one dict per stage, in order, with its ``stage``
     name, wall ``seconds`` and values the stage computed anyway:
