@@ -20,7 +20,7 @@ from darlington.realization import minimal_realization
 from darlington.scalar import siso_realization
 
 
-def show(p1, q, label, mobius_at=None):
+def show(p1, q, label):
     ext, fac, sym, inner = scalar_minimal_extension(p1, q)
     print(f"--- {label}")
     print("  mu coefficients:", np.round(fac.mu.real, 6))
@@ -29,14 +29,12 @@ def show(p1, q, label, mobius_at=None):
     print("  extension degree:", ext.n, "| lossless certificate:", f"{inner:.2e}",
           "| symmetry:", f"{sym:.2e}")
     # cross-check against the full state-space machinery; a function with
-    # |S(inf)| = 1 is moved first by the change of variable s -> iw0 + 1/s
+    # |S(inf)| = 1 is moved by the change of variable s -> i w0 + 1/s, at
+    # the grid point w0 where |S(iw)| is smallest (None: no move)
     R, _ = minimal_realization(siso_realization(p1, q))
-    if mobius_at is not None:
-        from darlington import mobius_precondition
-        R, _ = minimal_realization(mobius_precondition(R, mobius_at))
     res = minimize_symmetric(R)
     print("  state-space pipeline: degree", res.degree, "| kappa", res.kappa,
-          "| n0", res.n0)
+          "| n0", res.n0, "| w0", res.trace[0]["omega0"])
     return ext
 
 
@@ -54,9 +52,9 @@ show(0.6 * np.array([1.0, -2.0, 1.0]), [1.0, 2.0, 1.0],
      "S = 0.6 ((s-1)/(s+1))^2")
 
 # 3. an imaginary-axis zero of mu: S touches modulus one at w = 0 (and
-#    at infinity, so the state-space route is preconditioned at w0 = 1);
-#    axis roots never raise the degree
-show([1.0, 1.0, 1.0], [1.0, 2.0, 1.0], "S = (s^2+s+1)/(s+1)^2", mobius_at=1.0)
+#    at infinity, so the state-space route moves a point of strict
+#    contractivity there); axis roots never raise the degree
+show([1.0, 1.0, 1.0], [1.0, 2.0, 1.0], "S = (s^2+s+1)/(s+1)^2")
 
 # polynomial spectral factorization on its own
 m = npp.polymul([1.0, 0.0, -1.0], [0.75, 0.0, -1.0])  # (1-s^2)(3/4-s^2)

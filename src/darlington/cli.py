@@ -21,18 +21,17 @@ so write-then-read reproduces matrices bit-exactly.
 
 ``check`` and ``synthesize`` take a certification tolerance, 1e-7 by
 default, set with --tol (finite and positive).  It bounds ``check``'s
-symmetry residual and its hint's lossless certificate, and the final
-innerness certificate, symmetry and S-block residuals of ``synthesize
---mode minimal-symmetric``; every other check runs at its fixed bound.
+symmetry residual, and the final innerness certificate, symmetry and
+S-block residuals of ``synthesize --mode minimal-symmetric``; every other
+check runs at its fixed bound, the S block of the other modes at 1e-8.
 Every ``synthesize`` mode reports the lossless certificate that its last
 library stage computed (of S_P and Q before their projection, or of S_P),
 and the symmetry (not in ``inner`` mode) and block match against the
 file's S from one cached probe response (the library's own block match
-when it had the file's S).  ``--mobius W0`` extends S~(s) =
-S(i W0 + 1/s), maps the extension back and certifies it once more.
-Exit status: 0 when every requested certificate passes, 2 when the
-input is not strictly contractive at infinity (the message names
---mobius; check's hint names a point or says that none helps), 1 else.
+when it had the file's S).  When ||D|| = 1 both work on S(i omega0 + 1/s)
+at the grid point omega0 of least ||S(i omega0)||, which they report, and
+``synthesize`` maps the extension back.  Exit status: 0 when every
+requested certificate passes, else 1.
 """
 from __future__ import annotations
 
@@ -47,12 +46,12 @@ from .errors import DarlingtonError, NotContractiveError, ValidationError
 from .extension import (
     _lossless_residual,
     build_extension,
-    frequency_grid,
     symmetric_unitary_extension,
 )
 from .linalg import max_norm, spectral_norm
 from .realization import (
     Realization,
+    _contractive_point,
     _mobius_inverse,
     freqresp,
     minimal_realization,
@@ -142,26 +141,29 @@ def _emit(report: dict, as_json: bool) -> None:
 
 # ------------------------------------------------------------ commands
 
-def _schur_report(R: Realization, tol: float) -> tuple[Realization, dict]:
-    """The minimal realization and the check report.  A strictly contractive
-    S is Schur when the library solves for its P_min (``not_schur`` holds the
-    refusal); at ||D|| = 1 ``schur`` is None, for a --mobius rerun to decide."""
+def _schur_report(R: Realization, tol: float) -> dict:
+    """The check report: S is Schur when the library solves for the P_min of
+    S(i omega0 + 1/s), omega0 from ``_contractive_point`` (``not_schur`` holds
+    the refusal); ``schur`` is None when no grid point is strictly contractive."""
     Rm, cert = minimal_realization(R)
-    strict = R.norm_d < 1.0 - 1e-12
-    verdict = {"schur": None}
-    if strict or R.outputs != R.inputs:
-        hat = build_hat(Rm)  # refuses a non-square S, as synthesize does
+    try:
+        w0 = _contractive_point(Rm)
+    except NotContractiveError as exc:
+        w0, verdict = None, {"schur": None, "not_schur": str(exc)}
+    else:  # build_hat refuses a non-square S, as synthesize does
+        hat = build_hat(Rm if w0 is None else mobius_precondition(Rm, w0))
         try:
             _extremal(hat, ("minimal",))
-            verdict["schur"] = True
+            verdict = {"schur": True}
         except DarlingtonError as exc:
             verdict = {"schur": False, "not_schur": str(exc)}
-    return Rm, {
+    return {
         "state_dim": R.n,
         "minimal": cert.minimal if R.n == Rm.n else False,
         "mcmillan_degree": cert.mcmillan_degree,
         "d_norm": R.norm_d,
-        "strictly_contractive_at_inf": strict,
+        "strictly_contractive_at_inf": R.norm_d < 1.0 - 1e-12,
+        "omega0": w0,
         **verdict,
         "symmetric_on_grid": bool(R.outputs == R.inputs
                                   and symmetry_residual(Rm) <= tol),
@@ -173,31 +175,11 @@ def cmd_check(args) -> int:
     if "realization" not in prob:
         print("error: check needs a realization (A, B, C, D)", file=sys.stderr)
         return 1
-    R = prob["realization"]
-    if args.mobius is not None:
-        R = mobius_precondition(R, args.mobius)
-    Rm, rep = _schur_report(R, args.tol)
-    ok = rep["schur"] is not False
+    rep = _schur_report(prob["realization"], args.tol)
     if prob["flags"].get("symmetric") and not rep["symmetric_on_grid"]:
         rep["flag_mismatch"] = "file claims symmetric but the grid check fails"
-        ok = False
-    if rep["schur"] is None:
-        # the grid only searches for a point of strict contractivity
-        grid = frequency_grid()
-        ws = grid[spectral_norm(freqresp(Rm, 1j * grid)) < 1.0 - 1e-6]
-        if ws.size:
-            hint = (f"rerun with --mobius {ws[0]:g} to move a point of strict "
-                    "contractivity there")
-        elif _lossless_residual(Rm, Rm._gramian[0]) <= args.tol:
-            hint = "it is unitary on the imaginary axis, so no --mobius point helps"
-        else:
-            hint = ("no point of the axis grid is strictly contractive either, "
-                    "so no --mobius point helps")
-        rep["hint"] = f"not strictly contractive at infinity; {hint}"
     _emit(rep, args.json)
-    if not ok:
-        return 1
-    return 0 if rep["schur"] else 2
+    return 0 if rep["schur"] is True and "flag_mismatch" not in rep else 1
 
 
 def cmd_synthesize(args) -> int:
@@ -208,23 +190,24 @@ def cmd_synthesize(args) -> int:
         print("error: synthesize needs a realization (A, B, C, D)", file=sys.stderr)
         return 1
     S = prob["realization"]
-    R = S if args.mobius is None else mobius_precondition(S, args.mobius)
-    R, _ = minimal_realization(R)
+    R, _ = minimal_realization(S)
     # each mode builds its extension out, its Gramian X (a diagonal one as its
     # diagonal), the certificate value its library stage computed (report key
-    # cert, gated at bound; with --mobius, the one on X) and fields
-    cert, bound, block = "innerness_residual", 1e-8, None
-    if args.mode == "minimal-symmetric":
+    # cert, after a map back the one on X; gated at bound, as the S block) and fields
+    cert, bound, block, w0 = "innerness_residual", 1e-8, None, None
+    if args.mode == "minimal-symmetric":  # the library maps omega0 itself
         res = minimize_symmetric(R, residual_tol=args.tol)
-        out, X, value, bound = res.extension, np.ones(res.degree), res.innerness, args.tol
-        block = res.block_match if R is S else None  # S itself: no --mobius, no cut
+        out, value, bound = res.extension, res.innerness, args.tol
+        block = res.block_match if R is S else None  # S itself: no cut
         fields = {"kappa": res.kappa, "n0": res.n0, "trace": _plain(res.trace)}
     else:
-        base = symmetrize(R) if args.mode == "symmetric" else R
+        w0 = _contractive_point(R)
+        base = R if w0 is None else mobius_precondition(R, w0)
+        base = symmetrize(base) if args.mode == "symmetric" else base
         kind = "minimal" if args.solution == "min" else "maximal"
         (sol,) = _extremal(build_hat(base), (kind,))
         E = build_extension(base, sol)
-        fields = {"kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0}
+        fields = {"omega0": w0, "kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0}
         if args.mode == "symmetric":
             out, q, _, value = symmetric_unitary_extension(E, base.n - sol.spectrum.n0)
             X = np.concatenate([np.diag(q.gramian), np.ones(base.n)])  # diag(J_Q, I)
@@ -237,10 +220,10 @@ def cmd_synthesize(args) -> int:
                 # at most the pole guard 1e-7 (1 + ||Z||) right of the axis
                 fields["outer_lower_left"] = bool(np.all(
                     np.linalg.eigvals(sol.z).real <= 1e-7 * (1 + spectral_norm(sol.z))))
-    if args.mobius is not None:
+    if w0 is not None:
         # out extends S~(s) = S(i w0 + 1/s); mapped back it extends the
         # file's S, with the same degree, symmetry and Gramian X
-        out = _mobius_inverse(out, args.mobius)
+        out = _mobius_inverse(out, w0)
         value = _lossless_residual(out, X)
     # one probe response gives the symmetry and the S block
     pts, F, sym = out._probe
@@ -250,9 +233,9 @@ def cmd_synthesize(args) -> int:
     if args.mode != "inner":
         rep["symmetry_residual"] = sym
     rep["block_match"] = max_norm(F[:, p:, p:] - freqresp(S, pts)) if block is None else block
-    gated = (cert,)
+    gated = (cert, "block_match")
     if args.mode == "minimal-symmetric":
-        gated += ("symmetry_residual", "block_match")
+        gated = (cert, "symmetry_residual", "block_match")
     if not all(rep[k] <= bound for k in gated):  # a nan fails too
         raise ValidationError(
             f"the {args.mode} extension failed certification "
@@ -304,10 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate a realization")
     common(p)
     p.add_argument("--tol", type=float, default=1e-7,
-                   help="bounds the symmetry residual and the hint's lossless "
-                        "certificate (default 1e-7)")
-    p.add_argument("--mobius", type=float, default=None, metavar="W0",
-                   help="apply the change of variable moving i*W0 to infinity")
+                   help="bounds the symmetry residual (default 1e-7)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("synthesize", help="build an extension")
@@ -319,8 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="minimal-symmetric")
     p.add_argument("--solution", choices=["min", "max"], default="min",
                    help="Riccati solution for inner/symmetric modes")
-    p.add_argument("--mobius", type=float, default=None, metavar="W0",
-                   help="extend S(i*W0 + 1/s) and map the extension back to one of S")
     p.add_argument("--out", default=None, help="write the result realization here")
     p.set_defaults(func=cmd_synthesize)
 
@@ -337,9 +315,6 @@ def main(argv=None) -> int:
         if "tol" in vars(args) and not (np.isfinite(args.tol) and args.tol > 0):
             raise ValidationError(f"--tol must be finite and positive, got {args.tol:g}")
         return args.func(args)
-    except NotContractiveError as exc:
-        print(f"error: {exc}; rerun with --mobius W0 (check suggests a W0)", file=sys.stderr)
-        return 2
     except (DarlingtonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

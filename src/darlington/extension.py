@@ -45,6 +45,7 @@ from .realization import (
     compose,
     direct_sum,
     freqresp,
+    frequency_grid,
     kalman_check,
     subrealization,
     symmetry_residual,
@@ -62,13 +63,6 @@ __all__ = [
     "compare_extensions",
     "symmetric_unitary_extension",
 ]
-
-
-def frequency_grid() -> np.ndarray:
-    """Standard 61-point frequency grid: 0 and +-j*10^k for
-    j in {1, 1.5, 2, 3, 5, 7.5} and k in {-2, ..., 2}."""
-    mags = [j * 10.0 ** k for k in range(-2, 3) for j in (1.0, 1.5, 2.0, 3.0, 5.0, 7.5)]
-    return np.array([0.0] + [w for m in mags for w in (m, -m)])
 
 
 def innerness_residual(R: Realization) -> float:

@@ -13,11 +13,9 @@ of ``symmetrize`` with J the signs of the real intertwiner's eigenvalues.
 The inner extension built on a Riccati solution P is real exactly when
 P is real; in signature coordinates P~ = J P^{-T} J is again a solution
 with S_{P~} = S_P^T, so a real symmetric extension of degree n requires
-a real solution fixed by that involution.  The involution reverses the
-order of the solutions, so it maps P_min to P_max, and an extremal
-solution is fixed exactly when P_min = P_max (no Hamiltonian eigenvalue
-off the imaginary axis, n0 = n).  The feasibility verdict therefore
-tests P_min alone; the report says which obstruction blocked a witness.
+a real solution fixed by that involution.  The feasibility verdict takes
+the one solution the symmetric synthesis selects; the report says which
+obstruction blocked a witness.
 """
 from __future__ import annotations
 
@@ -30,6 +28,7 @@ from .extension import build_extension
 from .linalg import max_norm, norm_at_most, spectral_norm
 from .realization import (
     Realization,
+    _computed,
     _intertwiner,
     _structurally_symmetric,
     _symmetric_form,
@@ -126,8 +125,8 @@ def is_real_extension(P, R: Realization) -> bool:
 @dataclass(frozen=True)
 class FeasibilityReport:
     """Verdict on real symmetric extendability at degree n: the real
-    witness P_min when it is fixed by the J-involution, otherwise the
-    spectral obstruction."""
+    witness P, the symmetric solution, when it is fixed by the
+    J-involution, otherwise the spectral obstruction."""
     feasible: bool
     witness: np.ndarray | None
     obstruction: str
@@ -139,31 +138,31 @@ class FeasibilityReport:
 
 def real_symmetric_feasibility(SR: SignatureRealization) -> FeasibilityReport:
     """Decide whether a real Riccati solution P with J P^{-T} J = P
-    exists among the extremal ones, which is exactly the condition for
-    S_P to be a real symmetric inner extension at the same degree.
+    exists, which is exactly the condition for S_P to be a real symmetric
+    inner extension at the same degree.
 
-    P -> J P^{-T} J reverses the order of the Riccati solutions, so it
-    maps P_min to P_max, and real data give a real P_min: the verdict is
-    feasible exactly when P_min is real and fixed by the involution,
-    with P_min as the witness.  Otherwise the report carries the
+    D = diag(d), d = 1 where J = +1 and i where J = -1, has D^2 = J, so
+    (D A D^-1, D B, C D^-1, D) is symmetric, and exact: every product is by
+    +-1 or +-i.  Its symmetric solution P' (rank(P'^-T - P') = kappa) gives
+    P = D^-1 P' D^-*; the verdict is feasible when kappa = 0 and P is real
+    and J-fixed, with witness P.real, else the report carries the
     spectral obstruction.
     """
-    J = SR.j_matrix
-    (pmin,) = _extremal(build_hat(SR.realization), ("minimal",))
-    P = pmin.p
+    R, J, d = SR.realization, SR.j_matrix, np.where(SR.j > 0, 1.0, 1j)
+    sym = _computed(d[:, np.newaxis] * R.a * d.conj(), d[:, np.newaxis] * R.b,
+                    R.c * d.conj(), R.d)
+    (sol,) = _extremal(build_hat(sym), ("symmetric",))
+    P = d.conj()[:, np.newaxis] * sol.p * d
     scale = 1.0 + spectral_norm(P)
-    if (norm_at_most(P.imag, _REAL_TOL * scale)
+    if (sol.spectrum.kappa == 0 and norm_at_most(P.imag, _REAL_TOL * scale)
             and norm_at_most(J @ np.linalg.inv(P.T) @ J - P, 1e-8 * scale)):
         return FeasibilityReport(feasible=True, witness=P.real.copy(), obstruction="")
-    odd = [c for c, m, lab in pmin.spectrum.clusters if m % 2 == 1]
+    odd = [c for c, m, lab in sol.spectrum.clusters if m % 2 == 1]
     if odd:
         reason = (f"chi_H is not a perfect square (odd-multiplicity "
                   f"eigenvalues near {np.round(odd, 6)}); no symmetric "
                   "extension at degree n exists even over the complex field")
     else:
-        reason = ("chi_H is a perfect square, so complex symmetric "
-                  "degree-n extensions exist, but no real extremal-lattice "
-                  "solution satisfies J P^{-T} J = P; any degree-n real "
-                  "symmetric extension would need a real solution fixed by "
-                  "the J-involution and none was found")
+        reason = ("chi_H is a perfect square, so complex symmetric degree-n "
+                  "extensions exist, but the symmetric solution is not real")
     return FeasibilityReport(feasible=False, witness=None, obstruction=reason)

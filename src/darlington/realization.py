@@ -18,6 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import (
     DimensionError,
+    NotContractiveError,
     NotSymmetricError,
     PoleError,
     SubspaceError,
@@ -558,6 +559,28 @@ def symmetrize(R: Realization) -> Realization:
     tk = (linalg.TakagiResult(np.eye(R.n), np.ones(R.n)) if structural
           else linalg._takagi(T))  # T is exactly symmetric
     return _symmetric_form(R, tk.u, tk.values)[0]
+
+
+def frequency_grid() -> np.ndarray:
+    """Standard 61-point frequency grid: 0 and +-j*10^k for
+    j in {1, 1.5, 2, 3, 5, 7.5} and k in {-2, ..., 2}."""
+    mags = [j * 10.0 ** k for k in range(-2, 3) for j in (1.0, 1.5, 2.0, 3.0, 5.0, 7.5)]
+    return np.array([0.0] + [w for m in mags for w in (m, -m)])
+
+
+def _contractive_point(R: Realization) -> float | None:
+    """None if ||D|| < 1 - 1e-12, else the frequency_grid() point w0 of least
+    ||S(i w0)||: a rational S is strictly contractive at all but finitely many
+    axis points or at none.  NotContractiveError unless that norm is < 1 - 1e-6."""
+    if R.norm_d < 1.0 - 1e-12:
+        return None
+    grid = frequency_grid()
+    norms = linalg.spectral_norm(freqresp(R, 1j * grid))
+    k = int(np.argmin(norms))
+    if not norms[k] < 1.0 - 1e-6:  # a nan fails too
+        raise NotContractiveError(f"S is not strictly contractive at any point of the "
+                                  f"frequency grid (smallest ||S(iw)||_2 {norms[k]:.6g})")
+    return float(grid[k])
 
 
 def mobius_precondition(R: Realization, omega0: float) -> Realization:

@@ -14,9 +14,7 @@ of multiplicity at least 2, there is a unit vector u with
     T(xi) u = 0   and   u^T T'(xi) u = 0,
 
 and then B(s)^{-T} T(s) B(s)^{-1} is again symmetric inner, of degree
-exactly deg T - 2 (find_reduction_vector, reduce_once).  Dividing Sigma on
-P_min (degree 2n - n0) once per unit of multiplicity of each right-half-plane
-root of pi, with u on the first coordinate block, also ends at n + kappa.
+exactly deg T - 2 (find_reduction_vector, reduce_once).
 """
 from __future__ import annotations
 
@@ -36,9 +34,12 @@ from .extension import (
 from .realization import (
     Realization,
     _computed,
+    _contractive_point,
+    _mobius_inverse,
     _pencils,
     _values_and_derivatives,
     freqresp,
+    mobius_precondition,
     symmetrize,
 )
 from .riccati import RiccatiSolution, _extremal, build_hat
@@ -247,17 +248,18 @@ class SynthesisResult:
 
     ``solution`` is the symmetric Riccati solution P that Sigma is built
     on; ``innerness`` is the larger lossless certificate of its factors S_P
-    and Q, taken before their projection, which proves ``extension`` inner
-    and minimal on the Gramian I; ``symmetry`` and ``block_match`` are
-    maxima of its one cached frequency response on probe_points(extension).
+    and Q, taken before their projection (and of ``extension`` mapped back
+    from omega0), which proves it inner and minimal on the Gramian I;
+    ``symmetry`` and ``block_match`` are maxima of its one cached frequency
+    response on probe_points(extension).
 
     ``trace`` holds one dict per stage, in order, with its ``stage``
     name, wall ``seconds`` and values the stage computed anyway:
-    'riccati' kappa, n0, cluster_tolerance, riccati_residual, p_norm,
-    p_inv_norm, cond_x and chi_plus_gap (the least distance of two odd
-    roots relative to 1 + |xi|, None with fewer); 'symmetric-extension'
-    degree, lossless_residual and symmetry_residual; 'finalize' innerness,
-    symmetry and block_match."""
+    'symmetrize' omega0 (None when ||D|| < 1); 'riccati' kappa, n0,
+    cluster_tolerance, riccati_residual, p_norm, p_inv_norm, cond_x and
+    chi_plus_gap (the least distance of two odd roots relative to 1 + |xi|,
+    None with fewer); 'symmetric-extension' degree, lossless_residual and
+    symmetry_residual; 'finalize' innerness, symmetry and block_match."""
     extension: Realization
     degree: int
     kappa: int
@@ -271,17 +273,19 @@ class SynthesisResult:
 
 def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisResult:
     """Minimal-degree symmetric inner extension of a symmetric Schur
-    function strictly contractive at infinity, in four stages:
-    'symmetrize' the (minimal) realization; 'riccati', the symmetric
+    function strictly contractive at one axis point, in four stages:
+    'symmetrize' the (minimal) realization, of S(i omega0 + 1/s) at the
+    ``_contractive_point`` omega0 when ||D|| = 1; 'riccati', the symmetric
     solution P only (two odd roots of chi+ within 1e-4 relative raise
     SpectralSplitError), whose rank(P^-T - P) is kappa;
     'symmetric-extension', the balanced Sigma of degree n + kappa, which
-    must be inner (``Q.inner_flag``); 'finalize'.  Each stage is timed and
-    recorded in ``trace``.  A stage's DarlingtonError is raised again with
-    its type and the prefix "stage '<name>': ".  ``residual_tol`` (finite,
-    > 0) bounds Sigma's innerness certificate and the symmetry and S-block
-    residuals of its one cached frequency response on
-    probe_points(extension).
+    must be inner (``Q.inner_flag``); 'finalize', after the map back
+    (s -> i omega0 + 1/s keeps the right half-plane, so degree and kappa
+    stay).  Each stage is timed and recorded in ``trace``.  A stage's
+    DarlingtonError is raised again with its type and the prefix
+    "stage '<name>': ".  ``residual_tol`` (finite, > 0) bounds Sigma's
+    innerness certificate and the symmetry and S-block residuals of its one
+    cached frequency response on probe_points(extension).
     """
     if not (np.isfinite(residual_tol) and residual_tol > 0):
         raise ValidationError(f"residual_tol must be finite and positive, got {residual_tol!r}")
@@ -296,7 +300,9 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
 
     try:
         Rs, p = symmetrize(R), R.outputs
-        done()
+        w0 = _contractive_point(Rs)  # caches the ||D|| that build_hat reads
+        Rs = Rs if w0 is None else symmetrize(mobius_precondition(R, w0))
+        done(omega0=w0)
         (sol,) = _extremal(build_hat(Rs), ("symmetric",))
         spec, w = sol.spectrum, np.abs(sol.p_eigenvalues)  # P is Hermitian
         # odd roots this close are most likely a double root of H that the
@@ -325,6 +331,9 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
                 "||P|| = {p_norm:.3g}, ||P^-1|| = {p_inv_norm:.3g}, "
                 "cond X = {cond_x:.3g})".format_map(trace[-1]))
         done(degree=sigma.n, lossless_residual=ir, symmetry_residual=sres)
+        if w0 is not None:  # the map back keeps the Gramian I
+            sigma = _mobius_inverse(sigma, w0)
+            ir = float(np.max([ir, _lossless_residual(sigma, np.ones(sigma.n))]))  # keeps a nan
         # ir proves sigma inner and minimal; its cached probe points avoid
         # the poles of S, which are poles of sigma
         pts, F, sr = sigma._probe

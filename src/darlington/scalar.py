@@ -27,8 +27,8 @@ import scipy.linalg as sla
 
 from . import linalg
 from .errors import SpectralSplitError, ValidationError
-from .extension import _lossless_residual, frequency_grid
-from .realization import Realization
+from .extension import _lossless_residual
+from .realization import Realization, frequency_grid
 
 __all__ = [
     "poly_trim",

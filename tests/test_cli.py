@@ -43,6 +43,23 @@ def write_coupled_pair(path, zeta=2.0, flags=None):
     return path
 
 
+def write_notch_pair(path):
+    """diag((s^2 + 0.5 s + 0.25)/(s^2 + s + 0.25), 0.5/(s + 1)): ||D|| = 1,
+    and ||S(iw)|| is smallest, 0.5, at the notch w = 0.5, a grid point."""
+    doc = {"A": [[0.0, 1.0, 0.0], [-0.25, -1.0, 0.0], [0.0, 0.0, -1.0]],
+           "B": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+           "C": [[0.0, -0.5, 0.0], [0.0, 0.0, 0.5]],
+           "D": [[1.0, 0.0], [0.0, 0.0]]}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def write_pair_at(path, omega0):
+    """The coupled pair, strictly contractive at infinity, for omega0 None;
+    else the notch pair, which the CLI moves to infinity at omega0 = 0.5."""
+    return write_coupled_pair(path) if omega0 is None else write_notch_pair(path)
+
+
 def _bits(M):
     """M's entries as raw 64-bit words, so that -0.0 differs from 0.0."""
     return np.ascontiguousarray(M).view(np.uint64)
@@ -148,21 +165,22 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "schur: True" in out
 
-    def test_contractivity_failure_suggests_mobius(self, tmp_path, capsys):
-        # S(s) = s/(s+2): unit norm at infinity
+    def test_norm_one_at_infinity_is_checked_at_a_grid_point(self, tmp_path, capsys):
+        # S(s) = s/(s+2): unit norm at infinity, smallest (0) at w = 0
         doc = {"A": [[-2.0]], "B": [[1.0]], "C": [[-2.0]], "D": [[1.0]]}
         f = tmp_path / "edge.json"
         f.write_text(json.dumps(doc))
-        rc = main(["check", str(f)])
-        out = capsys.readouterr().out
-        assert rc == 2
-        assert "--mobius" in out
+        assert main(["check", str(f), "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["strictly_contractive_at_inf"] is False
+        assert rep["omega0"] == 0.0 and rep["schur"] is True and "hint" not in rep
 
-    def test_mobius_flag_fixes_it(self, tmp_path, capsys):
-        doc = {"A": [[-2.0]], "B": [[1.0]], "C": [[-2.0]], "D": [[1.0]]}
-        f = tmp_path / "edge.json"
-        f.write_text(json.dumps(doc))
-        assert main(["check", str(f), "--mobius", "0"]) == 0
+    def test_no_option_moves_the_point(self, tmp_path, capsys):
+        f = write_coupled_pair(tmp_path / "z2.json")
+        for command in ("check", "synthesize"):
+            with pytest.raises(SystemExit):
+                main([command, str(f), "--mobius", "0"])
+            assert "unrecognized arguments: --mobius" in capsys.readouterr().err
 
     def test_flag_mismatch_fails(self, tmp_path, capsys):
         doc = {"A": [[-1.0, 0.0], [0.0, -2.0]],
@@ -414,14 +432,14 @@ class TestSynthesize:
         assert (back.a.shape, back.b.shape, back.c.shape) == ((0, 0), (0, 4), (4, 0))
         assert np.linalg.norm(back.d[2:, 2:] - np.array(doc["D"]), 2) <= 1e-12
         capsys.readouterr()
-        assert main(["check", str(out), "--json"]) == 2  # inner: |D| = 1
-        assert json.loads(capsys.readouterr().out)["state_dim"] == 0
+        assert main(["check", str(out), "--json"]) == 1  # inner: |D| = 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["state_dim"] == 0 and rep["schur"] is None
 
     @pytest.mark.parametrize("degree", [0, 2])
-    def test_check_calls_a_synthesis_result_unitary(self, tmp_path, capsys,
-                                                     degree):
-        # an inner function has norm 1 at every axis point, so the hint
-        # must not suggest a --mobius point
+    def test_check_refuses_a_synthesis_result(self, tmp_path, capsys, degree):
+        # an inner function has norm 1 at every axis point, so no point of
+        # the grid is strictly contractive
         f = tmp_path / "in.json"
         if degree:
             write_coupled_pair(f)
@@ -432,10 +450,10 @@ class TestSynthesize:
         assert main(["synthesize", str(f), "--out", str(out)]) == 0
         assert read_problem(str(out))["realization"].n == degree
         capsys.readouterr()
-        assert main(["check", str(out), "--json"]) == 2
-        hint = json.loads(capsys.readouterr().out)["hint"]
-        assert "unitary on the imaginary axis" in hint
-        assert "rerun" not in hint and "<w0>" not in hint
+        assert main(["check", str(out), "--json"]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["schur"] is None and rep["omega0"] is None and "hint" not in rep
+        assert "not strictly contractive at any point of the frequency grid" in rep["not_schur"]
 
     def test_check_on_norm_one_non_unitary_function(self, tmp_path, capsys):
         # diag((s - 1)/(s + 1), 0.5): norm 1 on the whole axis, not unitary
@@ -443,65 +461,90 @@ class TestSynthesize:
                "D": [[1.0, 0.0], [0.0, 0.5]]}
         f = tmp_path / "f.json"
         f.write_text(json.dumps(doc))
-        assert main(["check", str(f), "--json"]) == 2
-        hint = json.loads(capsys.readouterr().out)["hint"]
-        assert "no point of the axis grid is strictly contractive" in hint
-        assert "unitary" not in hint and "rerun" not in hint
+        assert main(["check", str(f), "--json"]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["schur"] is None
+        assert "not strictly contractive at any point of the frequency grid" in rep["not_schur"]
 
     @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
     def test_mobius_writes_an_extension_of_the_files_s(self, tmp_path, capsys, mode):
-        # S = (s + 0.5)/(s + 1) has |S(inf)| = 1 and S(0) = 0.5: the
-        # extension built on S(1/s) is mapped back to one of S itself
+        # S = (s + 0.5)/(s + 1) has |S(inf)| = 1 and S(0) = 0.5, its
+        # smallest: the extension built on S(1/s) is mapped back to one of S
         f = tmp_path / "s.json"
         f.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]], "C": [[-0.5]], "D": [[1.0]]}))
         out = tmp_path / "r.json"
-        assert main(["synthesize", str(f), "--mode", mode, "--mobius", "0",
-                     "--out", str(out), "--json"]) == 0
+        assert main(["synthesize", str(f), "--mode", mode, "--out", str(out),
+                     "--json"]) == 0
         rep = json.loads(capsys.readouterr().out)
-        assert rep["block_match"] <= 1e-12
+        omega0 = rep["trace"][0]["omega0"] if mode == "minimal-symmetric" else rep["omega0"]
+        assert omega0 == 0.0 and rep["block_match"] <= 1e-12
         T = read_problem(str(out))["realization"]
         assert abs(evaluate(T, 2.0)[1, 1] - 2.5 / 3.0) <= 1e-12
         assert innerness_residual(T) <= 1e-10
 
-    @pytest.mark.parametrize("mobius", [None, "0.5"])
-    def test_symmetric_mode_on_the_maximal_solution(self, tmp_path, capsys, mobius):
+    @pytest.mark.parametrize("omega0", [None, 0.5])
+    def test_symmetric_mode_on_the_maximal_solution(self, tmp_path, capsys, omega0):
         # Sigma on P_max is unitary but not inner; it is certified on its
-        # signature Gramian diag(J_Q, I), also mapped back from --mobius
-        f = write_coupled_pair(tmp_path / "z2.json")
-        extra = [] if mobius is None else ["--mobius", mobius]
+        # signature Gramian diag(J_Q, I), also mapped back from omega0
+        f = write_pair_at(tmp_path / "pair.json", omega0)
         assert main(["synthesize", str(f), "--mode", "symmetric", "--solution",
-                     "max", "--json", *extra]) == 0
+                     "max", "--json"]) == 0
         rep = json.loads(capsys.readouterr().out)
+        assert rep["omega0"] == omega0
         assert rep["q_inner"] is False and rep["degree"] == 4
         assert rep["unitary_axis_residual"] <= 1e-8
         assert rep["symmetry_residual"] <= 1e-8
 
     @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
     def test_mobius_report_has_the_plain_report_keys(self, tmp_path, capsys, mode):
-        # one certification tail: with or without --mobius the report
-        # carries the same keys, block_match among them
-        f = write_coupled_pair(tmp_path / "z2.json")
+        # one certification tail: strictly contractive at infinity or
+        # mapped back from omega0, the report carries the same keys,
+        # block_match among them
         reports = []
-        for extra in ([], ["--mobius", "0.5"]):
-            assert main(["synthesize", str(f), "--mode", mode, "--json", *extra]) == 0
+        for omega0 in (None, 0.5):
+            f = write_pair_at(tmp_path / "pair.json", omega0)
+            assert main(["synthesize", str(f), "--mode", mode, "--json"]) == 0
             reports.append(json.loads(capsys.readouterr().out))
         plain, mapped = reports
         assert list(plain) == list(mapped)
         assert plain["block_match"] <= 1e-12 and mapped["block_match"] <= 1e-12
 
-    @pytest.mark.parametrize("mobius", [None, "0.5"])
+    @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
+    def test_nan_block_match_fails_every_mode(self, tmp_path, capsys, monkeypatch, mode):
+        # every mode gates the S block of its extension, each at its bound
+        nan = float("nan")
+        if mode == "minimal-symmetric":  # the library's own block match
+            synthesize = darlington.cli.minimize_symmetric
+            monkeypatch.setattr(darlington.cli, "minimize_symmetric", lambda R, **kw:
+                                dataclasses.replace(synthesize(R, **kw), block_match=nan))
+        else:
+            monkeypatch.setattr(darlington.cli, "max_norm", lambda M: nan)
+        f = write_coupled_pair(tmp_path / "z2.json")
+        out = tmp_path / "r.json"
+        assert main(["synthesize", str(f), "--mode", mode, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "block_match nan" in captured.err
+
+    @pytest.mark.parametrize("omega0", [None, 0.5])
     @pytest.mark.parametrize("mode, cert", [
         ("inner", "innerness_residual"),
         ("symmetric", "unitary_axis_residual"),
         ("minimal-symmetric", "innerness_residual"),
     ])
     def test_nan_certificate_fails_every_mode(self, tmp_path, capsys, monkeypatch,
-                                              mode, cert, mobius):
-        # without --mobius each mode reports the certificate its library
-        # stage computed, so the nan goes there; with it, the tail's own
+                                              mode, cert, omega0):
+        # strictly contractive at infinity, each mode reports the certificate
+        # its library stage computed, so the nan goes there; mapped back from
+        # omega0, the inner and symmetric modes report the tail's own, and in
+        # the minimal-symmetric mode the library's final gate refuses its own
         nan = float("nan")
-        if mobius is not None:
+        if omega0 is not None and mode != "minimal-symmetric":
             monkeypatch.setattr(darlington.cli, "_lossless_residual", lambda R, X: nan)
+        elif omega0 is not None:
+            monkeypatch.setattr(darlington.reduction, "_lossless_residual",
+                                lambda R, X: nan)
+            cert = "stage 'finalize': certification failed (inner"
         elif mode == "minimal-symmetric":
             synthesize = darlington.cli.minimize_symmetric
             monkeypatch.setattr(darlington.cli, "minimize_symmetric", lambda R, **kw:
@@ -514,24 +557,28 @@ class TestSynthesize:
             build = darlington.cli.build_extension
             monkeypatch.setattr(darlington.cli, "build_extension", lambda R, P:
                                 dataclasses.replace(build(R, P), certificate=nan))
-        f = write_coupled_pair(tmp_path / "z2.json")
-        extra = [] if mobius is None else ["--mobius", mobius]
-        assert main(["synthesize", str(f), "--mode", mode, *extra]) == 1
+        f = write_pair_at(tmp_path / "pair.json", omega0)
+        assert main(["synthesize", str(f), "--mode", mode]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{cert} nan" in captured.err
 
-    @pytest.mark.parametrize("mobius", [None, 0.5])
+    @pytest.mark.parametrize("omega0", [None, 0.5])
     @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
-    def test_reports_the_library_certificates(self, capsys, count_calls, mode, mobius):
-        # without --mobius each mode reports the lossless certificate its
-        # library stage computed on the same realization and Gramian, and
-        # computes none of its own; with --mobius the tail certifies the
-        # mapped-back extension once
-        f = DATA / "inner_max_s8g_0.json"
+    def test_reports_the_library_certificates(self, tmp_path, capsys, count_calls,
+                                              mode, omega0):
+        # strictly contractive at infinity, each mode reports the lossless
+        # certificate its library stage computed on the same realization and
+        # Gramian, and computes none of its own; mapped back from omega0, the
+        # mapped-back extension is certified once more, by the CLI's tail or
+        # by the library
+        if omega0 is None:
+            f = DATA / "inner_max_s8g_0.json"
+        else:
+            f = write_notch_pair(tmp_path / "notch.json")
         S = read_problem(str(f))["realization"]
         seen = count_calls(darlington.extension._lossless_residual)
-        R, _ = minimal_realization(S if mobius is None else mobius_precondition(S, mobius))
+        R, _ = minimal_realization(S if omega0 is None else mobius_precondition(S, omega0))
         if mode == "minimal-symmetric":
             res = minimize_symmetric(R)
             library = {"innerness_residual": res.innerness, "symmetry_residual": res.symmetry,
@@ -547,11 +594,10 @@ class TestSynthesize:
                 library = {"innerness_residual": E.certificate}
         calls = len(seen["_lossless_residual"])
         assert calls > 0
-        extra = [] if mobius is None else ["--mobius", str(mobius)]
-        assert main(["synthesize", str(f), "--mode", mode, "--json", *extra]) == 0
+        assert main(["synthesize", str(f), "--mode", mode, "--json"]) == 0
         rep = json.loads(capsys.readouterr().out)
-        assert len(seen["_lossless_residual"]) == 2 * calls + (mobius is not None)
-        if mobius is None:
+        assert len(seen["_lossless_residual"]) == 2 * calls + (omega0 is not None)
+        if omega0 is None:
             assert {k: rep[k] for k in library} == library
 
     @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
@@ -573,22 +619,20 @@ class TestSynthesize:
         assert sum(solves) == 1
 
     @pytest.mark.parametrize("command", ["check", "synthesize"])
-    @pytest.mark.parametrize("w0", ["nan", "inf"])
-    def test_non_finite_mobius_point_is_named(self, tmp_path, capsys, command, w0):
-        f = write_coupled_pair(tmp_path / "z2.json")
-        assert main([command, str(f), "--mobius", w0]) == 1
-        err = capsys.readouterr().err
-        assert "omega0 must be finite" in err and "SVD" not in err
-
-    def test_norm_one_at_infinity_exits_two_naming_mobius(self, tmp_path, capsys):
-        # S(s) = s/(s+2): the library refuses ||D|| = 1 before any solve
-        f = tmp_path / "edge.json"
-        f.write_text(json.dumps({"A": [[-2.0]], "B": [[1.0]], "C": [[-2.0]],
+    def test_inner_file_exits_one(self, tmp_path, capsys, command):
+        # S(s) = (s - 1)/(s + 1) is inner: strictly contractive nowhere on
+        # the axis, so synthesize refuses it and check reports schur null
+        f = tmp_path / "inner.json"
+        f.write_text(json.dumps({"A": [[-1.0]], "B": [[1.0]], "C": [[-2.0]],
                                  "D": [[1.0]]}))
-        assert main(["synthesize", str(f)]) == 2
+        assert main([command, str(f), "--json"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "not strictly contractive" in captured.err and "--mobius" in captured.err
+        refusal = "not strictly contractive at any point of the frequency grid"
+        if command == "check":
+            assert json.loads(captured.out)["schur"] is None
+            assert refusal in json.loads(captured.out)["not_schur"]
+        else:
+            assert captured.out == "" and refusal in captured.err
 
     def test_missing_file_exits_one(self, capsys):
         assert main(["check", "/nonexistent/problem.json"]) == 1

@@ -22,7 +22,8 @@ from darlington import (
 )
 from darlington.errors import ValidationError
 from darlington.realization import probe_points, transfer_distance, transpose
-from darlington.riccati import _extremal
+from darlington.riccati import _extremal, riccati_residual
+from darlington.scalar import siso_realization
 
 SQ3 = np.sqrt(3.0)
 # real SISO draws of the probe in tests/data/freeze_signature_witnesses.py
@@ -65,6 +66,20 @@ def real_draw(seed: int) -> Realization:
                        U.T @ sla.block_diag(*cs), U.T @ np.diag(ds) @ U)
 
 
+def real_kappa0_draw(seed: int) -> Realization:
+    """U^T diag(f_1, f_2) U with a random real orthogonal U and
+    f_i = c_i ((s - a_i)/(s + a_i))^2: mu_i = c_i^2 (a_i^2 - s^2)^2 is a
+    perfect square with no axis root, so kappa = 0 and n0 = 0 < n = 4."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for a, c in zip(rng.uniform(0.3, 2.0, 2), rng.uniform(0.3, 0.85, 2)):
+        R = siso_realization(c * np.array([a * a, -2 * a, 1.0]), [a * a, 2 * a, 1.0])
+        blocks.append([M.real for M in (R.a, R.b, R.c, R.d)])
+    U = np.linalg.qr(rng.normal(size=(2, 2)))[0]
+    A, B, C, D = (sla.block_diag(*Ms) for Ms in zip(*blocks))
+    return Realization(A, B @ U, U.T @ C, U.T @ D @ U)
+
+
 ROTATION = np.array([[0.6, 0.8], [-0.8, 0.6]])
 REAL_CASES = {
     "zeta1": lambda: coupled_pair_realization(1.0),
@@ -72,6 +87,7 @@ REAL_CASES = {
     "boundary-d0.3": lambda: boundary_pair(0.3, 0.8),
     "boundary-d-0.5-rotated": lambda: boundary_pair(-0.5, 1.2, ROTATION),
     **{f"draw{seed}": (lambda seed=seed: real_draw(seed)) for seed in range(12)},
+    "kappa0-draw0": lambda: real_kappa0_draw(0),
 }
 
 
@@ -216,19 +232,30 @@ class TestFeasibility:
 
     @pytest.mark.parametrize("name", REAL_CASES)
     def test_verdict_is_n0_equals_n(self, name):
-        # an extremal solution is fixed by the J-involution exactly when
-        # P_min = P_max, that is when the whole Hamiltonian spectrum lies
-        # on the imaginary axis
+        # n0 = n (P_min = P_max, the whole Hamiltonian spectrum on the
+        # imaginary axis) makes the one solution J-fixed and real, but it is
+        # not necessary: the verdict is feasible exactly when kappa = 0 and
+        # the symmetric solution, mapped to signature coordinates, is a real
+        # J-fixed solution, as on the kappa = 0 draw with n0 = 0
         SR = signature_realization(REAL_CASES[name]())
+        R, J = SR.realization, SR.j_matrix
         rep = real_symmetric_feasibility(SR)
-        (pmin,) = _extremal(build_hat(SR.realization), ("minimal",))
-        assert rep.feasible == (pmin.spectrum.n0 == SR.realization.n)
+        (pmin,) = _extremal(build_hat(R), ("minimal",))
+        if pmin.spectrum.n0 == R.n or name.startswith("kappa0"):
+            assert rep.feasible
         if rep.feasible:
-            assert np.array_equal(rep.witness, pmin.p.real)
+            P = rep.witness
+            assert pmin.spectrum.kappa == 0 and np.isrealobj(P)
+            assert riccati_residual(build_hat(R), P) <= 1e-10 * (1 + np.linalg.norm(P, 2) ** 2)
+            assert np.linalg.norm(J @ np.linalg.inv(P.T) @ J - P, 2) <= 1e-8 * (
+                1 + np.linalg.norm(P, 2))
+            assert is_real_extension(P, R)
         else:
             assert rep.witness is None and "chi_H" in rep.obstruction
 
     def test_one_minimal_graph_solve(self, zeta1, zeta2, monkeypatch):
+        # the verdict reads the one symmetric solution: no P_min, P_max or
+        # Riccati residual
         kinds = []
 
         def recording(hat, which):
@@ -241,9 +268,9 @@ class TestFeasibility:
         monkeypatch.setattr(darlington.realcase, "_extremal", recording)
         monkeypatch.setattr(darlington.riccati, "solve_extremal", refuse)
         monkeypatch.setattr(darlington.riccati, "riccati_residual", refuse)
-        for R in (zeta1, zeta2):
-            real_symmetric_feasibility(identity_signature(R))
-        assert kinds == [("minimal",)] * 2
+        reports = [real_symmetric_feasibility(identity_signature(R)) for R in (zeta1, zeta2)]
+        assert kinds == [("symmetric",)] * 2
+        assert [rep.feasible for rep in reports] == [True, False]
 
 
 class TestInvariants:
@@ -258,8 +285,7 @@ class TestInvariants:
     @pytest.mark.parametrize("name", REAL_CASES)
     def test_j_involution_swaps_the_extremal_solutions(self, name):
         # P -> J P^{-T} J reverses the order of the Riccati solutions,
-        # so it maps P_min onto P_max: the identity the feasibility
-        # verdict rests on
+        # so it maps P_min onto P_max
         SR = signature_realization(REAL_CASES[name]())
         J = SR.j_matrix
         pmin, pmax = solve_extremal(build_hat(SR.realization))

@@ -31,7 +31,8 @@ from darlington import (
     symmetrize,
     zero_structure,
 )
-from darlington.errors import DimensionError, ReductionError, ValidationError
+from darlington.errors import (DimensionError, NotContractiveError, ReductionError,
+                               ValidationError)
 from darlington.extension import _lossless_residual, innerness_residual
 from darlington.linalg import spectral_norm
 from darlington.realization import (
@@ -557,6 +558,46 @@ class TestMinimizeSymmetric:
                 assert Q.degree == rank >= kappa
 
 
+def _norm_one_at_infinity(name: str) -> Realization:
+    if name.startswith("diag"):  # diag(s/(s + 2), 0.5 (s - 1)/(s + 1))
+        return direct_sum(siso_realization([0.0, 1.0], [2.0, 1.0]),
+                          siso_realization([-0.5, 0.5], [1.0, 1.0]))
+    p1, q = {"(s + 0.5)/(s + 1)": ([0.5, 1.0], [1.0, 1.0]),
+             "s/(s + 2)": ([0.0, 1.0], [2.0, 1.0]),
+             "(s^2 + 1)/(s + 1)^2": ([1.0, 0.0, 1.0], [1.0, 2.0, 1.0])}[name]
+    return minimal_realization(siso_realization(p1, q))[0]
+
+
+@pytest.mark.parametrize("name, omega0, degree, kappa", [
+    ("(s + 0.5)/(s + 1)", 0.0, 1, 0),
+    ("s/(s + 2)", 0.0, 1, 0),
+    ("(s^2 + 1)/(s + 1)^2", 1.0, 2, 0),  # ||S(0)|| = 1 too
+    ("diag(s/(s + 2), 0.5 (s - 1)/(s + 1))", 0.2, 3, 1),
+])
+def test_norm_one_at_infinity_is_moved_to_a_grid_point(name, omega0, degree, kappa):
+    # ||D|| = 1: the synthesis runs on S(i omega0 + 1/s) at the grid point
+    # where ||S(iw)|| is smallest and maps Sigma back to an extension of S,
+    # of degree n + kappa; the map keeps its Gramian I
+    R = _norm_one_at_infinity(name)
+    res = minimize_symmetric(R)
+    assert res.trace[0] == {"stage": "symmetrize", "seconds": res.trace[0]["seconds"],
+                            "omega0": omega0}
+    assert (res.degree, res.kappa) == (degree, kappa) and res.degree == R.n + kappa
+    assert max(res.innerness, res.symmetry, res.block_match) <= 1e-12
+    T = res.extension
+    assert _lossless_residual(T, np.ones(T.n)) <= res.innerness
+    assert np.linalg.norm(T.d - T.d.T, 2) <= 1e-12
+    if R.outputs == 1:
+        assert abs(evaluate(T, 2.0)[1, 1] - evaluate(R, 2.0)[0, 0]) <= 1e-12
+
+
+def test_inner_input_is_not_contractive_anywhere():
+    # (s - 1)/(s + 1) has norm 1 at every axis point
+    with pytest.raises(NotContractiveError,
+                       match="stage 'symmetrize': S is not strictly contractive at any point"):
+        minimize_symmetric(siso_realization([-1.0, 1.0], [1.0, 1.0]))
+
+
 @pytest.mark.parametrize("d", [[[0.3]], [[0.2, 0.1j], [0.1j, -0.3]]])
 def test_constant_function_certifies_at_degree_zero(d):
     D = np.array(d, dtype=complex)
@@ -637,7 +678,7 @@ def test_trace_records_each_stage_with_the_results_values(which, instance_suite)
     assert min(seconds) >= 0 and sum(seconds) <= wall
     symmetrized, riccati, sigma, final = (
         {k: v for k, v in rec.items() if k not in ("stage", "seconds")} for rec in res.trace)
-    assert symmetrized == {}
+    assert symmetrized == {"omega0": None}  # ||D|| < 1: no map
     sol, spec = res.solution, res.solution.spectrum
     chi = spec.chi_plus_roots
     gaps = [abs(a - b) / (1 + abs(a)) for i, a in enumerate(chi)
