@@ -269,6 +269,11 @@ def extension_from_left_factor(R: Realization, S21: Realization) -> ExtensionBlo
     return E
 
 
+def _identity(p: int) -> Realization:
+    """The constant p x p identity, with no states."""
+    return _computed(np.zeros((0, 0)), np.zeros((0, p)), np.zeros((p, 0)), np.eye(p))
+
+
 def _quotient(E: ExtensionBlocks, P2, degree: int | None) -> QFactor:
     """Q = S21^{-1} S21~ for a second Riccati solution P2, restricted to
     range(Gamma), Gamma = P2 - P.  S21^{-1} has the dynamics
@@ -282,8 +287,13 @@ def _quotient(E: ExtensionBlocks, P2, degree: int | None) -> QFactor:
     Gramian diag(sign g).  Certified on that state by the invariance
     residual ||Z V - V (V* Z V)|| <= 1e-7 max(1, ||Z||) and on
     diag(sign g) to 1e-8, minimal of degree rank(Gamma); inner exactly
-    when P <= P2, that is when every g > 0.
+    when P <= P2, that is when every g > 0.  At ``degree`` 0, Q is the
+    constant I with no states (residual 0, inner, a 0 x 0 Gramian), and
+    P2 is not read.
     """
+    if degree == 0:
+        return QFactor(realization=_identity(E.p), degree=0, inner_flag=True,
+                       unitary_residual=0.0, gramian=np.zeros((0, 0)))
     p, P1, big = E.p, E.p_matrix, E.realization
     P2 = (P2 + P2.conj().T) / 2
     gamma = P2 - P1
@@ -369,7 +379,7 @@ def symmetric_unitary_extension(E: ExtensionBlocks, degree: int
             "the source realization is not symmetric; run symmetrize first")
     if not 0 <= degree <= E.realization.n:
         raise ValidationError(f"the degree of Q must be in 0..{E.realization.n}, got {degree}")
-    Q = _quotient(E, np.linalg.inv(E.p_matrix.T), degree)
+    Q = _quotient(E, np.linalg.inv(E.p_matrix.T) if degree else None, degree)
     big = E.realization
     try:
         L = np.linalg.cholesky(E.p_matrix)
@@ -377,10 +387,9 @@ def symmetric_unitary_extension(E: ExtensionBlocks, degree: int
         raise ValidationError("P is not positive definite") from exc
     LB = sla.solve_triangular(L, np.hstack([big.a @ L, big.b]), lower=True)
     sp = _with_poles(_computed(LB[:, :big.n], LB[:, big.n:], big.c @ L, big.d), big)
-    identity = _computed(np.zeros((0, 0)), np.zeros((0, E.p)), np.zeros((E.p, 0)), np.eye(E.p))
     j = np.diag(Q.gramian)
     sigma = compose(_lossless_projection(sp, np.ones(big.n)),
-                    direct_sum(_lossless_projection(Q.realization, j), identity))
+                    direct_sum(_lossless_projection(Q.realization, j), _identity(E.p)))
     sres = symmetry_residual(sigma)
     if sres > 1e-8:
         raise ValidationError(

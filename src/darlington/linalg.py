@@ -105,6 +105,11 @@ def norm_at_most(M, bound: float) -> bool:
     return bool(spectral_norm(M) <= bound)
 
 
+def _norm_floor(M) -> float:
+    """max(1, ||M||_2): 1 without spectral_norm when ||M||_F <= 1."""
+    return max(1.0, spectral_norm(M)) if np.linalg.norm(M) > 1 else 1.0
+
+
 def _within(gaps, rel: float, M, floor: float = 1.0) -> bool:
     """||G||_2 <= rel max(floor, ||M||_2) for every G in gaps (stopping at the
     first that fails), for a norm of M that only sets the bound:
@@ -279,17 +284,22 @@ def half_chain_basis(N: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     single Jordan block of size 2k the term l=k produces exactly the
     first k chain vectors, and smaller/larger l contribute subspaces of
     it.  The construction is basis-free, so no explicit chain vectors
-    are ever computed.
+    are ever computed.  tol bounds the singular values of the powers of
+    N / max(1, ||N||_2), whose 2-norm is read only when ||N||_F > 1; the
+    ladder stops at the first power of Frobenius norm at most tol.
     """
     m = N.shape[0]
     if m == 0:
         return np.zeros((0, 0), dtype=complex)
-    scale = max(1.0, spectral_norm(N))
-    Nn = N / scale
+    Nn = N / _norm_floor(N)
     cols = []
     P = np.eye(m, dtype=complex)
     for _ in range(m):
         P = P @ Nn
+        # ||P||_2 <= ||P||_F: no singular value exceeds tol (widened by 1e-12
+        # relative, as in _within, so that rounding cannot move the decision)
+        if np.linalg.norm(P) * (1 + 1e-12) <= tol:
+            break
         U, s, Vh = np.linalg.svd(P)
         r = int(np.sum(s > tol))
         if r == 0:

@@ -250,12 +250,12 @@ def _structured_schur(A: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndar
     return T, U
 
 
-def _invariant_subspace(spec: HSpectrum, chosen) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal basis M of the invariant subspace of H of the chosen
-    clusters and the upper triangular T11 with H M = M T11: the leading
-    Schur vectors and the leading block of spec.schur once ZTRSEN reorders
-    it."""
-    select = np.isin(spec.cluster_index, list(chosen))
+def _invariant_subspace(spec: HSpectrum, chosen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis M of the invariant subspace of H of the clusters
+    that the boolean mask ``chosen`` (over spec.clusters) selects and the
+    upper triangular T11 with H M = M T11: the leading Schur vectors and the
+    leading block of spec.schur once ZTRSEN reorders it."""
+    select = chosen[spec.cluster_index]
     if not select.any():  # ztrsen rejects the 0 x 0 form of degree 0
         return spec.schur[1][:, :0], spec.schur[0][:0, :0]
     T, U, _, m, _, _, info = sla.lapack.ztrsen(select, *spec.schur, job="N")
@@ -313,7 +313,11 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
     and N-invariant: the first floor(l/2) vectors of each chain of length l
     and the middle vectors of the odd chains, paired (2j, 2j + 1) in their
     Takagi coordinates; W is its q-orthogonal complement.  P^-T is the graph
-    of the mirror subspace, so rank(P^-T - P) = kappa."""
+    of the mirror subspace, so rank(P^-T - P) = kappa.  One pi root costs one
+    ZTRSEN reorder of its cluster, ||N|| by its Frobenius bracket (an SVD
+    only where the bracket cannot decide), the half-chain ladder and, only
+    with odd chains, the SVD of the middle vectors and one Takagi
+    factorization; with even chains only, W = W' = span S0."""
     ham, n = build_hamiltonian(hat), hat.n
     H, spec = ham.matrix, analyze_spectrum(ham)
 
@@ -323,18 +327,19 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
     for idx, (center, mult, lab) in enumerate(spec.clusters):
         if lab == "minus" or (lab == "plus" and (mult == 1 or "symmetric" not in kinds)):
             continue
-        basis = _invariant_subspace(spec, {idx})[0]
+        basis = _invariant_subspace(spec, np.arange(len(spec.clusters)) == idx)[0]
         N = basis.conj().T @ H @ basis - center * np.eye(mult)
         # H^T D = D H, D = diag(I, -I), makes N self-adjoint for q: the first
         # floor(l/2) vectors of each chain (S0, from half_chain_basis, which
         # compares tol with singular values of N / max(1, ||N||)) are
         # isotropic, and the middle vectors of the odd chains (C, q- and
         # Euclid-orthogonal to S0) pair up in their Takagi coordinates; an
-        # axis root has no odd chain
-        norm_n = linalg.spectral_norm(N)
-        tol = max(1e-8, spec.cluster_tolerance / max(1.0, norm_n))
-        semisimple = lab == "plus" and norm_n <= 10 * spec.cluster_tolerance
-        S0 = np.zeros((mult, 0)) if semisimple else linalg.half_chain_basis(N, tol=tol)
+        # axis root has no odd chain.  ||N|| is bracketed by ||N||_F
+        if lab == "plus" and linalg.norm_at_most(N, 10 * spec.cluster_tolerance):
+            S0 = np.zeros((mult, 0))  # semisimple
+        else:
+            tol = max(1e-8, spec.cluster_tolerance / linalg._norm_floor(N))
+            S0 = linalg.half_chain_basis(N, tol=tol)
         r = mult - 2 * S0.shape[1]
         if r < 0 or (r and lab == "axis"):
             raise SubspaceError(f"leading-half chain subspace at {center:g} has dimension "
@@ -342,22 +347,25 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
         if lab == "axis":
             axis_bases.append(basis @ S0)
             continue
-        G = basis[:n].T @ basis[:n] - basis[n:].T @ basis[n:]
-        C = np.linalg.svd(np.vstack([S0.T @ G, S0.conj().T]))[2][mult - r:].conj().T
-        tk = linalg.takagi(C.T @ G @ C)
-        s = tk.values
-        if r and s[0] <= 1e-10 * s[-1]:
-            raise SubspaceError(f"the form of the pi root {center:g} is degenerate "
-                                f"(Takagi values {s[0]:.3g} to {s[-1]:.3g})")
-        E = C @ (tk.u.conj() / np.sqrt(s))  # q(E c) = sum c_k^2
-        Wm = basis @ np.hstack([S0, E[:, 0:r - 1:2] + 1j * E[:, 1:r:2]])
-        W = np.hstack([Wm, basis @ E[:, r - 1:]]) if r % 2 else Wm
+        if r == 0:  # even chains only: W = W' = span S0
+            W = Wm = basis @ S0
+        else:
+            G = basis[:n].T @ basis[:n] - basis[n:].T @ basis[n:]
+            C = np.linalg.svd(np.vstack([S0.T @ G, S0.conj().T]))[2][mult - r:].conj().T
+            tk = linalg.takagi(C.T @ G @ C)
+            s = tk.values
+            if s[0] <= 1e-10 * s[-1]:
+                raise SubspaceError(f"the form of the pi root {center:g} is degenerate "
+                                    f"(Takagi values {s[0]:.3g} to {s[-1]:.3g})")
+            E = C @ (tk.u.conj() / np.sqrt(s))  # q(E c) = sum c_k^2
+            Wm = basis @ np.hstack([S0, E[:, 0:r - 1:2] + 1j * E[:, 1:r:2]])
+            W = np.hstack([Wm, basis @ E[:, r - 1:]]) if r % 2 else Wm
         pi_bases += [W, np.vstack([Wm[n:].conj(), Wm[:n].conj()])]
 
     def graph_solution(kind: str) -> RiccatiSolution:
         side = "minus" if kind == "maximal" else "plus"
-        chosen = {i for i, (_, m, lab) in enumerate(spec.clusters)
-                  if lab == side and (m == 1 or kind != "symmetric")}
+        chosen = np.array([lab == side and (m == 1 or kind != "symmetric")
+                           for _, m, lab in spec.clusters], dtype=bool)
         # ZTRSEN's leading Schur vectors are orthonormal; the half-chains are not
         Mb, T11 = _invariant_subspace(spec, chosen)
         extra = axis_bases + (pi_bases if kind == "symmetric" else [])

@@ -320,11 +320,23 @@ class TestClosedFormQuotient:
 
 
 class TestSymmetricUnitaryExtension:
-    def test_involutive_solution_gives_constant_q(self, zeta2):
+    def test_involutive_solution_gives_constant_q(self, zeta2, monkeypatch):
         P = np.array([[2.0, 1j * SQ3], [-1j * SQ3, 2.0]])
         E = build_extension(zeta2, P)
+
+        def no_inverse(M):
+            raise AssertionError("a degree-0 quotient inverted a matrix")
+        monkeypatch.setattr(np.linalg, "inv", no_inverse)
         sigma, Q, _, _ = symmetric_unitary_extension(E, 0)  # P^-T = P
+        monkeypatch.undo()
         assert Q.degree == 0
+        # Q = I, constant: Sigma is the projected S_P on the state L^-1 x
+        assert Q.realization.n == 0 and Q.unitary_residual == 0.0 and Q.inner_flag
+        assert Q.gramian.shape == (0, 0)
+        big, L = E.realization, np.linalg.cholesky(E.p_matrix)
+        LB = sla.solve_triangular(L, np.hstack([big.a @ L, big.b]), lower=True)
+        sp = Realization(LB[:, :2], LB[:, 2:], big.c @ L, big.d)
+        assert np.array_equal(sigma.a, _lossless_projection(sp, np.ones(2)).a)
         assert kalman_check(sigma).mcmillan_degree == 2
         assert innerness_residual(sigma) <= 1e-8
         assert symmetry_residual(sigma) <= 1e-8

@@ -31,20 +31,50 @@ def random_complex(rng, shape, scale=1.0):
 
 
 class TestHalfChain:
+    CHAIN4 = np.diag([1.0, 1.0, 1.0], 1)  # one chain of length 4
+    CHAINS42 = sla.block_diag(CHAIN4, np.diag([1.0], 1))  # lengths 4 and 2
+
+    @staticmethod
+    def assert_half(L, diagonal):
+        # leading halves as a subspace: its projector, which no basis choice moves
+        assert L.shape == (len(diagonal), int(sum(diagonal)))
+        assert np.linalg.norm(L @ L.conj().T - np.diag(diagonal)) < 1e-8
+
+    @pytest.fixture
+    def svds(self, monkeypatch):
+        calls, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        return calls
+
     def test_single_even_block(self):
-        N = np.diag([1.0, 1.0, 1.0], 1)  # one chain of length 4
-        L = half_chain_basis(N)
-        assert L.shape[1] == 2
-        # leading half of the chain is span(e1, e2)
-        proj = L @ L.conj().T
-        assert np.linalg.norm(proj - np.diag([1.0, 1.0, 0, 0])) < 1e-8
+        self.assert_half(half_chain_basis(self.CHAIN4), [1, 1, 0, 0])  # span(e1, e2)
 
     def test_mixed_blocks(self):
-        # chains of length 4 and 2
-        import scipy.linalg as sla
-        N = sla.block_diag(np.diag([1.0, 1.0, 1.0], 1), np.diag([1.0], 1))
-        L = half_chain_basis(N)
-        assert L.shape[1] == 3
+        self.assert_half(half_chain_basis(self.CHAINS42), [1, 1, 0, 0, 1, 0])
+
+    @pytest.mark.parametrize("name, half", [("CHAIN4", [1, 1, 0, 0]),
+                                            ("CHAINS42", [1, 1, 0, 0, 1, 0])],
+                             ids=["4-chain", "4+2-chains"])
+    def test_spectral_norm_above_one_sets_the_scale(self, name, half):
+        self.assert_half(half_chain_basis(3.0 * getattr(self, name)), half)
+
+    def test_frobenius_norm_at_most_one_scales_without_an_svd(self, monkeypatch):
+        def no_norm(M):
+            raise AssertionError("spectral_norm ran although ||N||_F <= 1")
+        monkeypatch.setattr(linalg, "spectral_norm", no_norm)
+        self.assert_half(half_chain_basis(0.5 * np.diag([1.0], 1)), [1, 0])
+
+    def test_ladder_stops_on_the_frobenius_norm(self, svds):
+        # ||N^2||_F = 1e-9 <= tol: N is a 2-chain and a 1-chain at tol, and
+        # the ladder ends before the SVD of N^2; SVDs of N, of the kernel
+        # against the image, and the final orthonormalization remain
+        N = np.diag([1.0, 1e-9], 1)
+        self.assert_half(half_chain_basis(N), [1, 0, 0])
+        assert len(svds) == 3
+
+    def test_zero_matrix_has_no_half_chains(self, svds):
+        assert half_chain_basis(np.zeros((3, 3))).shape == (3, 0)
+        assert not svds
 
 
 class TestSvd:
