@@ -21,17 +21,17 @@ so write-then-read reproduces matrices bit-exactly.
 
 ``check`` and ``synthesize`` take a certification tolerance, 1e-7 by
 default, set with --tol (finite and positive).  It bounds ``check``'s
-symmetry residual, and the final innerness certificate, symmetry and
-S-block residuals of ``synthesize --mode minimal-symmetric``; every other
-check runs at its fixed bound, the S block of the other modes at 1e-8.
-Every ``synthesize`` mode reports the lossless certificate that its last
-library stage computed (of S_P and Q before their projection, or of S_P),
-and the symmetry (not in ``inner`` mode) and block match against the
-file's S from one cached probe response (the library's own block match
-when it had the file's S).  When ||D|| = 1 both work on S(i omega0 + 1/s)
-at the grid point omega0 of least ||S(i omega0)||, which they report, and
-``synthesize`` maps the extension back.  Exit status: 0 when every
-requested certificate passes, else 1.
+symmetry residual and the final gate of ``synthesize --mode
+minimal-symmetric``; every other check runs at its fixed bound, the final
+gate of the other modes at 1e-8.  When ||D|| = 1 both work on
+S(i omega0 + 1/s) at the grid point omega0 of least ||S(i omega0)||, which
+they report.  Every ``synthesize`` mode runs the library's one staged
+synthesis, which maps the extension back from omega0, certifies it (the
+larger of its factors' certificate and the mapped-back one) and gates it
+with its symmetry (not in ``inner`` mode) and S block; the command
+reports it, and rechecks the S block against the file's S when the
+staircase cut states.  Exit status: 0 when every requested certificate
+passes, else 1.
 """
 from __future__ import annotations
 
@@ -43,24 +43,17 @@ import sys
 import numpy as np
 
 from .errors import DarlingtonError, NotContractiveError, ValidationError
-from .extension import (
-    _lossless_residual,
-    build_extension,
-    symmetric_unitary_extension,
-)
 from .linalg import max_norm, spectral_norm
 from .realization import (
     Realization,
     _contractive_point,
-    _mobius_inverse,
     freqresp,
     minimal_realization,
     mobius_precondition,
-    symmetrize,
     symmetry_residual,
 )
 from .riccati import _extremal, build_hat
-from .reduction import minimize_symmetric
+from .reduction import _staged, minimize_symmetric
 from .scalar import scalar_minimal_extension
 
 __all__ = ["main"]
@@ -191,57 +184,37 @@ def cmd_synthesize(args) -> int:
         return 1
     S = prob["realization"]
     R, _ = minimal_realization(S)
-    # each mode builds its extension out, its Gramian X (a diagonal one as its
-    # diagonal), the certificate value its library stage computed (report key
-    # cert, after a map back the one on X; gated at bound, as the S block) and fields
-    cert, bound, block, w0 = "innerness_residual", 1e-8, None, None
-    if args.mode == "minimal-symmetric":  # the library maps omega0 itself
-        res = minimize_symmetric(R, residual_tol=args.tol)
-        out, value, bound = res.extension, res.innerness, args.tol
-        block = res.block_match if R is S else None  # S itself: no cut
+    # every mode is one staged synthesis, certified and gated by the library
+    if args.mode == "minimal-symmetric":
+        res, bound = minimize_symmetric(R, residual_tol=args.tol), args.tol
         fields = {"kappa": res.kappa, "n0": res.n0, "trace": _plain(res.trace)}
     else:
-        w0 = _contractive_point(R)
-        base = R if w0 is None else mobius_precondition(R, w0)
-        base = symmetrize(base) if args.mode == "symmetric" else base
         kind = "minimal" if args.solution == "min" else "maximal"
-        (sol,) = _extremal(build_hat(base), (kind,))
-        E = build_extension(base, sol)
-        fields = {"omega0": w0, "kappa": sol.spectrum.kappa, "n0": sol.spectrum.n0}
+        res, bound = _staged(R, kind, args.mode == "symmetric", 1e-8), 1e-8
+        fields = {"omega0": res.trace[0]["omega0"], "kappa": res.kappa, "n0": res.n0}
         if args.mode == "symmetric":
-            out, q, _, value = symmetric_unitary_extension(E, base.n - sol.spectrum.n0)
-            X = np.concatenate([np.diag(q.gramian), np.ones(base.n)])  # diag(J_Q, I)
-            cert = "unitary_axis_residual"
-            fields.update({"q_degree": q.degree, "q_inner": q.inner_flag})
+            fields.update({"q_degree": res.degree - R.n, "q_inner": res.trace[2]["q_inner"]})
         else:
-            out, X, value = E.realization, E.p_matrix, E.certificate
-            fields["riccati_residual"] = sol.residual_norm
+            fields["riccati_residual"] = res.solution.residual_norm
             if args.solution == "min":  # the zeros of S21, the closed loop's poles,
                 # at most the pole guard 1e-7 (1 + ||Z||) right of the axis
+                z = res.solution.z
                 fields["outer_lower_left"] = bool(np.all(
-                    np.linalg.eigvals(sol.z).real <= 1e-7 * (1 + spectral_norm(sol.z))))
-    if w0 is not None:
-        # out extends S~(s) = S(i w0 + 1/s); mapped back it extends the
-        # file's S, with the same degree, symmetry and Gramian X
-        out = _mobius_inverse(out, w0)
-        value = _lossless_residual(out, X)
-    # one probe response gives the symmetry and the S block
-    pts, F, sym = out._probe
-    p = S.outputs
-    rep: dict = {"mode": args.mode, "solution": args.solution, "degree": out.n,
-                 **fields, cert: value}
+                    np.linalg.eigvals(z).real <= 1e-7 * (1 + spectral_norm(z))))
+    cert = "unitary_axis_residual" if args.mode == "symmetric" else "innerness_residual"
+    rep: dict = {"mode": args.mode, "solution": args.solution, "degree": res.degree,
+                 **fields, cert: res.innerness}
     if args.mode != "inner":
-        rep["symmetry_residual"] = sym
-    rep["block_match"] = max_norm(F[:, p:, p:] - freqresp(S, pts)) if block is None else block
-    gated = (cert, "block_match")
-    if args.mode == "minimal-symmetric":
-        gated = (cert, "symmetry_residual", "block_match")
-    if not all(rep[k] <= bound for k in gated):  # a nan fails too
-        raise ValidationError(
-            f"the {args.mode} extension failed certification "
-            f"({', '.join(f'{k} {rep[k]:g}' for k in gated)})")
+        rep["symmetry_residual"] = res.symmetry
+    rep["block_match"] = res.block_match
+    if R is not S:  # the staircase cut states: the S block against the file's S
+        pts, F, _ = res.extension._probe
+        rep["block_match"] = max_norm(F[:, S.outputs:, S.outputs:] - freqresp(S, pts))
+        if not rep["block_match"] <= bound:  # a nan fails too
+            raise ValidationError(f"the {args.mode} extension failed certification "
+                                  f"(block_match {rep['block_match']:g})")
     if args.out:
-        write_realization(args.out, out, meta={k: v for k, v in rep.items()})
+        write_realization(args.out, res.extension, meta={k: v for k, v in rep.items()})
         rep["written"] = args.out
     _emit(rep, args.json)
     return 0

@@ -4,7 +4,9 @@ factors.
 
 minimize_symmetric builds it, of degree n + kappa, from one Riccati
 solution: the symmetric solution P, whose Sigma_P = S_P diag(Q, I) has a
-quotient Q of degree rank(P^-T - P) = kappa.  It divides nothing.
+quotient Q of degree rank(P^-T - P) = kappa.  It divides nothing.  Its
+stages are one private runner, which also builds the CLI's inner and
+symmetric extensions on an extremal solution (S_P, or Sigma_P on it).
 
 The division helpers remain public.  An elementary factor
 B(s) = I + (b_xi(s) - 1) u u*, with b_xi(s) = (s - xi)/(s + conj(xi)), is
@@ -258,8 +260,9 @@ class SynthesisResult:
     'symmetrize' omega0 (None when ||D|| < 1); 'riccati' kappa, n0,
     cluster_tolerance, riccati_residual, p_norm, p_inv_norm, cond_x and
     chi_plus_gap (the least distance of two odd roots relative to 1 + |xi|,
-    None with fewer); 'symmetric-extension' degree, lossless_residual and
-    symmetry_residual; 'finalize' innerness, symmetry and block_match."""
+    None with fewer); 'symmetric-extension' degree, lossless_residual,
+    symmetry_residual and q_inner; 'finalize' innerness, symmetry and
+    block_match."""
     extension: Realization
     degree: int
     kappa: int
@@ -289,8 +292,20 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     """
     if not (np.isfinite(residual_tol) and residual_tol > 0):
         raise ValidationError(f"residual_tol must be finite and positive, got {residual_tol!r}")
+    return _staged(R, "symmetric", True, residual_tol)
+
+
+def _staged(R: Realization, kind: str, sigma: bool, residual_tol: float) -> SynthesisResult:
+    """minimize_symmetric's stages on the ``kind`` Riccati solution of R
+    ("symmetric", "minimal" or "maximal"), Q of degree n - n0 on an extremal
+    one; without ``sigma``, S_P of R on its Gramian P, in the stages
+    'precondition' and 'extension'.  Only the symmetric solution refuses a
+    split odd root pair and a Q that is not inner.  The final gate names
+    the CLI's report keys."""
+    stages = (("symmetrize", "riccati", "symmetric-extension", "finalize") if sigma
+              else ("precondition", "riccati", "extension", "finalize"))
+    entry = symmetrize if sigma else (lambda S: S)
     # the running stage is the first one not yet in the trace
-    stages = ("symmetrize", "riccati", "symmetric-extension", "finalize")
     trace: list[dict] = []
     marks = [time.perf_counter()]
 
@@ -299,51 +314,61 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
         trace.append({"stage": stages[len(trace)], "seconds": marks[-1] - marks[-2], **values})
 
     try:
-        Rs, p = symmetrize(R), R.outputs
+        Rs, p = entry(R), R.outputs
         w0 = _contractive_point(Rs)  # caches the ||D|| that build_hat reads
-        Rs = Rs if w0 is None else symmetrize(mobius_precondition(R, w0))
+        Rs = Rs if w0 is None else entry(mobius_precondition(R, w0))
         done(omega0=w0)
-        (sol,) = _extremal(build_hat(Rs), ("symmetric",))
+        (sol,) = _extremal(build_hat(Rs), (kind,))
         spec, w = sol.spectrum, np.abs(sol.p_eigenvalues)  # P is Hermitian
         # odd roots this close are most likely a double root of H that the
         # clustering split, which would leave a non-minimal result
         chi = np.array(spec.chi_plus_roots, dtype=complex)
         gap = np.abs(chi[:, np.newaxis] - chi) / (1.0 + np.abs(chi[:, np.newaxis]))
         np.fill_diagonal(gap, np.inf)
-        if np.any(gap <= 1e-4):
+        if kind == "symmetric" and np.any(gap <= 1e-4):
             i, j = np.unravel_index(np.argmin(gap), gap.shape)
             raise SpectralSplitError(
                 f"odd Hamiltonian roots {chi[i]:.6g} and {chi[j]:.6g} are {gap[i, j]:.2g} "
                 f"apart relative to 1 + |xi|, at most 1e-4: a split double root")
         done(kappa=spec.kappa, n0=spec.n0, cluster_tolerance=float(spec.cluster_tolerance),
              riccati_residual=sol.residual_norm, p_norm=float(np.max(w, initial=0.0)),
-             p_inv_norm=float(1.0 / np.min(w, initial=np.inf)),
-             cond_x=sol.subspace_condition,
+             p_inv_norm=float(1.0 / np.min(w, initial=np.inf)), cond_x=sol.subspace_condition,
              chi_plus_gap=float(gap.min()) if chi.size > 1 else None)
-        sigma, Q, sres, ir = symmetric_unitary_extension(build_extension(Rs, sol), spec.kappa)
-        if sigma.n != Rs.n + spec.kappa:
-            raise ValidationError(f"degree {sigma.n} of the unitary extension "
-                                  f"differs from n + kappa = {Rs.n + spec.kappa}")
-        # a Gramian I proves Sigma stable
-        if not Q.inner_flag:
-            raise ReductionError(
-                "the Gramian diag(J_Q, I) of Sigma is not positive definite ("
-                "||P|| = {p_norm:.3g}, ||P^-1|| = {p_inv_norm:.3g}, "
-                "cond X = {cond_x:.3g})".format_map(trace[-1]))
-        done(degree=sigma.n, lossless_residual=ir, symmetry_residual=sres)
-        if w0 is not None:  # the map back keeps the Gramian I
-            sigma = _mobius_inverse(sigma, w0)
-            ir = float(np.max([ir, _lossless_residual(sigma, np.ones(sigma.n))]))  # keeps a nan
-        # ir proves sigma inner and minimal; its cached probe points avoid
-        # the poles of S, which are poles of sigma
-        pts, F, sr = sigma._probe
+        E = build_extension(Rs, sol)
+        if sigma:
+            degree = spec.kappa if kind == "symmetric" else Rs.n - spec.n0
+            out, Q, sres, ir = symmetric_unitary_extension(E, degree)
+            if out.n != Rs.n + degree:
+                what = "kappa" if kind == "symmetric" else "n - n0"
+                raise ValidationError(f"degree {out.n} of the unitary extension "
+                                      f"differs from n + {what} = {Rs.n + degree}")
+            # a Gramian I proves Sigma stable
+            if kind == "symmetric" and not Q.inner_flag:
+                raise ReductionError(
+                    "the Gramian diag(J_Q, I) of Sigma is not positive definite ("
+                    "||P|| = {p_norm:.3g}, ||P^-1|| = {p_inv_norm:.3g}, "
+                    "cond X = {cond_x:.3g})".format_map(trace[-1]))
+            X = np.concatenate([np.diag(Q.gramian), np.ones(Rs.n)])  # diag(J_Q, I)
+            done(degree=out.n, lossless_residual=ir, symmetry_residual=sres,
+                 q_inner=Q.inner_flag)
+        else:
+            out, X, ir = E.realization, E.p_matrix, E.certificate
+            done(degree=out.n, lossless_residual=ir)
+        if w0 is not None:  # the map back keeps the Gramian X
+            out = _mobius_inverse(out, w0)
+            ir = float(np.max([ir, _lossless_residual(out, X)]))  # keeps a nan
+        # ir proves out unitary and minimal; its cached probe points avoid
+        # the poles of S, which are poles of out
+        pts, F, sr = out._probe
         block = linalg.max_norm(F[:, p:, p:] - freqresp(R, pts))
-        if not all(v <= residual_tol for v in (ir, sr, block)):  # a nan fails too
-            raise ValidationError(f"certification failed (inner {ir:g}, "
-                                  f"symmetry {sr:g}, block match {block:g})")
+        cert = "unitary_axis_residual" if sigma and kind != "symmetric" else "innerness_residual"
+        gated = {cert: ir, **({"symmetry_residual": sr} if sigma else {}), "block_match": block}
+        if not all(v <= residual_tol for v in gated.values()):  # a nan fails too
+            raise ValidationError("certification failed ({})".format(
+                ", ".join(f"{k} {v:g}" for k, v in gated.items())))
         done(innerness=ir, symmetry=sr, block_match=block)
     except DarlingtonError as exc:
         raise type(exc)(f"stage '{stages[len(trace)]}': {exc}") from exc
-    return SynthesisResult(extension=sigma, degree=sigma.n, kappa=spec.kappa, n0=spec.n0,
+    return SynthesisResult(extension=out, degree=out.n, kappa=spec.kappa, n0=spec.n0,
                            solution=sol, innerness=ir, symmetry=sr, block_match=block,
                            trace=tuple(trace))

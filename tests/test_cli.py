@@ -3,6 +3,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 import darlington.cli
 import darlington.extension
 import darlington.realization
+import darlington.reduction
 from darlington.cli import main, read_problem, write_realization
 from darlington.extension import (
     build_extension,
@@ -511,20 +513,57 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
     def test_nan_block_match_fails_every_mode(self, tmp_path, capsys, monkeypatch, mode):
-        # every mode gates the S block of its extension, each at its bound
+        # every mode gates the S block of its extension in the library's
+        # final stage, each at its bound
         nan = float("nan")
-        if mode == "minimal-symmetric":  # the library's own block match
-            synthesize = darlington.cli.minimize_symmetric
-            monkeypatch.setattr(darlington.cli, "minimize_symmetric", lambda R, **kw:
-                                dataclasses.replace(synthesize(R, **kw), block_match=nan))
-        else:
-            monkeypatch.setattr(darlington.cli, "max_norm", lambda M: nan)
+        # the final stage reads nothing else of linalg
+        monkeypatch.setattr(darlington.reduction, "linalg",
+                            types.SimpleNamespace(max_norm=lambda M: nan))
         f = write_coupled_pair(tmp_path / "z2.json")
         out = tmp_path / "r.json"
         assert main(["synthesize", str(f), "--mode", mode, "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
-        assert "block_match nan" in captured.err
+        assert "stage 'finalize'" in captured.err and "block_match nan" in captured.err
+
+    @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
+    def test_nan_block_match_of_a_cut_file_fails(self, tmp_path, capsys, monkeypatch, mode):
+        # when the staircase cut a state of the file, the library matched the
+        # cut realization, and the CLI gates the S block once more against
+        # the file's S: the coupled pair with an unreachable, unobservable state
+        f = tmp_path / "cut.json"
+        f.write_text(json.dumps({"A": [[-2, 0, 0], [0, -2, 0], [0, 0, -3]],
+                                 "B": [[1, 0], [0, 1], [0, 0]],
+                                 "C": [[1, 0, 0], [0, 1, 0]], "D": [[0, 0], [0, 0]]}))
+        monkeypatch.setattr(darlington.cli, "max_norm", lambda M: float("nan"))
+        out = tmp_path / "r.json"
+        assert main(["synthesize", str(f), "--mode", mode, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert f"the {mode} extension failed certification (block_match nan)" in captured.err
+
+    @pytest.mark.parametrize("mode, solution", [
+        ("symmetric", "min"), ("symmetric", "max"), ("minimal-symmetric", "min")])
+    def test_nan_mapped_back_symmetry_fails(self, tmp_path, capsys, monkeypatch,
+                                            mode, solution):
+        # the symmetric modes gate the symmetry of the extension mapped back
+        # from omega0, read off its one cached probe response
+        mapped_back = darlington.reduction._mobius_inverse
+
+        def nan_symmetry(T, omega0):
+            out = mapped_back(T, omega0)
+            pts, F, _ = out._probe
+            vars(out)["_probe"] = (pts, F, float("nan"))
+            return out
+
+        monkeypatch.setattr(darlington.reduction, "_mobius_inverse", nan_symmetry)
+        f = write_notch_pair(tmp_path / "notch.json")
+        out = tmp_path / "r.json"
+        assert main(["synthesize", str(f), "--mode", mode, "--solution", solution,
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "stage 'finalize'" in captured.err and "symmetry_residual nan" in captured.err
 
     @pytest.mark.parametrize("omega0", [None, 0.5])
     @pytest.mark.parametrize("mode, cert", [
@@ -534,34 +573,52 @@ class TestSynthesize:
     ])
     def test_nan_certificate_fails_every_mode(self, tmp_path, capsys, monkeypatch,
                                               mode, cert, omega0):
-        # strictly contractive at infinity, each mode reports the certificate
-        # its library stage computed, so the nan goes there; mapped back from
-        # omega0, the inner and symmetric modes report the tail's own, and in
-        # the minimal-symmetric mode the library's final gate refuses its own
+        # strictly contractive at infinity, the nan goes into the certificate
+        # that the mode's library stage computed; mapped back from omega0,
+        # into that of the mapped-back extension.  The library's final gate
+        # refuses either
         nan = float("nan")
-        if omega0 is not None and mode != "minimal-symmetric":
-            monkeypatch.setattr(darlington.cli, "_lossless_residual", lambda R, X: nan)
-        elif omega0 is not None:
+        if omega0 is not None:
             monkeypatch.setattr(darlington.reduction, "_lossless_residual",
                                 lambda R, X: nan)
-            cert = "stage 'finalize': certification failed (inner"
-        elif mode == "minimal-symmetric":
-            synthesize = darlington.cli.minimize_symmetric
-            monkeypatch.setattr(darlington.cli, "minimize_symmetric", lambda R, **kw:
-                                dataclasses.replace(synthesize(R, **kw), innerness=nan))
-        elif mode == "symmetric":
-            extend = darlington.cli.symmetric_unitary_extension
-            monkeypatch.setattr(darlington.cli, "symmetric_unitary_extension",
-                                lambda E, degree: (*extend(E, degree)[:3], nan))
-        else:
-            build = darlington.cli.build_extension
-            monkeypatch.setattr(darlington.cli, "build_extension", lambda R, P:
+        elif mode == "inner":
+            build = darlington.reduction.build_extension
+            monkeypatch.setattr(darlington.reduction, "build_extension", lambda R, P:
                                 dataclasses.replace(build(R, P), certificate=nan))
+        else:
+            extend = darlington.reduction.symmetric_unitary_extension
+            monkeypatch.setattr(darlington.reduction, "symmetric_unitary_extension",
+                                lambda E, degree: (*extend(E, degree)[:3], nan))
         f = write_pair_at(tmp_path / "pair.json", omega0)
-        assert main(["synthesize", str(f), "--mode", mode]) == 1
+        out = tmp_path / "r.json"
+        assert main(["synthesize", str(f), "--mode", mode, "--out", str(out)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{cert} nan" in captured.err
+        assert captured.out == "" and not out.exists()
+        assert f"stage 'finalize': certification failed ({cert} nan" in captured.err
+
+    @pytest.mark.parametrize("mode, solution", [
+        ("inner", "min"), ("inner", "max"), ("symmetric", "min"), ("symmetric", "max")])
+    def test_mapped_back_certificate_is_at_least_the_factors(self, tmp_path, capsys,
+                                                             mode, solution):
+        # mapped back from omega0, the report keeps the larger of the factor
+        # certificate, taken on the Moebius frame before the projection, and
+        # that of the mapped-back extension: the map back hides neither
+        f = write_notch_pair(tmp_path / "notch.json")
+        R, _ = minimal_realization(read_problem(str(f))["realization"])
+        base = mobius_precondition(R, 0.5)
+        base = symmetrize(base) if mode == "symmetric" else base
+        (sol,) = _extremal(build_hat(base), ("minimal" if solution == "min" else "maximal",))
+        E = build_extension(base, sol)
+        if mode == "symmetric":
+            cert = "unitary_axis_residual"
+            factors = symmetric_unitary_extension(E, base.n - sol.spectrum.n0)[3]
+        else:
+            cert, factors = "innerness_residual", E.certificate
+        assert main(["synthesize", str(f), "--mode", mode, "--solution", solution,
+                     "--json"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["omega0"] == 0.5
+        assert factors <= rep[cert] <= 1e-8
 
     @pytest.mark.parametrize("omega0", [None, 0.5])
     @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])

@@ -695,7 +695,7 @@ def test_trace_records_each_stage_with_the_results_values(which, instance_suite)
     _, _, sres, cert = symmetric_unitary_extension(build_extension(symmetrize(R), sol),
                                                    res.kappa)
     assert sigma == {"degree": R.n + res.kappa, "lossless_residual": cert,
-                     "symmetry_residual": sres}
+                     "symmetry_residual": sres, "q_inner": True}
     assert res.degree == sigma["degree"] and res.innerness == cert
     assert final == {"innerness": res.innerness, "symmetry": res.symmetry,
                      "block_match": res.block_match}
@@ -807,7 +807,7 @@ def test_a_nan_certificate_fails_the_final_gate(zeta2, monkeypatch):
     original = darlington.reduction.symmetric_unitary_extension
     monkeypatch.setattr(darlington.reduction, "symmetric_unitary_extension",
                         lambda E, degree: (*original(E, degree)[:3], np.nan))
-    with pytest.raises(ValidationError, match=r"stage 'finalize'.*inner nan"):
+    with pytest.raises(ValidationError, match=r"stage 'finalize'.*innerness_residual nan"):
         minimize_symmetric(zeta2)
 
 
