@@ -3,7 +3,7 @@
 Three subcommands operate on JSON problem files:
 
 ``check``        validate a realization (minimality, contractivity at
-                 infinity, symmetry, the Schur verdict of its P_min solve);
+                 infinity, symmetry, its P_min solve's Schur verdict, its flags);
 ``synthesize``   build inner / symmetric / minimal-symmetric extensions
                  (the last on the symmetric Riccati solution, its report
                  with the stage trace);
@@ -52,6 +52,7 @@ from .realization import (
     mobius_precondition,
     symmetry_residual,
 )
+from .realcase import _require_real
 from .riccati import _extremal, build_hat
 from .reduction import _staged, minimize_symmetric
 from .scalar import scalar_minimal_extension
@@ -171,6 +172,11 @@ def cmd_check(args) -> int:
     rep = _schur_report(prob["realization"], args.tol)
     if prob["flags"].get("symmetric") and not rep["symmetric_on_grid"]:
         rep["flag_mismatch"] = "file claims symmetric but the grid check fails"
+    if prob["flags"].get("real"):
+        try:
+            _require_real(prob["realization"])
+        except ValidationError as exc:
+            rep["flag_mismatch"] = f"file claims real but {exc}"
     _emit(rep, args.json)
     return 0 if rep["schur"] is True and "flag_mismatch" not in rep else 1
 

@@ -391,7 +391,7 @@ def symmetric_unitary_extension(E: ExtensionBlocks, degree: int
     sigma = compose(_lossless_projection(sp, np.ones(big.n)),
                     direct_sum(_lossless_projection(Q.realization, j), _identity(E.p)))
     sres = symmetry_residual(sigma)
-    if sres > 1e-8:
+    if not sres <= 1e-8:  # a nan fails too
         raise ValidationError(
             f"symmetric extension failed the symmetry check ({sres:g})")
     return sigma, Q, sres, max(E.certificate, Q.unitary_residual)

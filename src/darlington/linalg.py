@@ -80,10 +80,12 @@ def spectral_norm(M):
 
 
 def max_norm(M) -> float:
-    """max_k ||M_k||_2 over a stack (0 if empty), from spectral_norm of
-    only the M_k whose Frobenius norm is not below max_j ||M_j||_F /
-    sqrt(min(M.shape[-2:])), a lower bound of the maximum."""
+    """max_k ||M_k||_2 over a stack (0 if empty, nan if not finite), from
+    spectral_norm of only the M_k whose Frobenius norm is not below
+    max_j ||M_j||_F / sqrt(min(M.shape[-2:])), a lower bound of the maximum."""
     M = np.asarray(M)
+    if not np.isfinite(M).all():
+        return np.nan
     fro = np.linalg.norm(M, axis=(-2, -1))
     low = np.max(fro, initial=0.0) / np.sqrt(max(1, min(M.shape[-2:])))
     return float(np.max(spectral_norm(M[~(fro < low)]), initial=0.0))

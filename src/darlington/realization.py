@@ -21,7 +21,6 @@ from .errors import (
     NotContractiveError,
     NotSymmetricError,
     PoleError,
-    SubspaceError,
     ValidationError,
 )
 from .linalg import DEFAULT_RANK_TOL
@@ -60,8 +59,8 @@ class Realization:
     as read-only complex128 copies and must be finite (``_computed`` keeps
     only the finiteness check, for arrays the package computed).  The
     spectrum of A (the diagonal of its Schur form when one was computed),
-    that form, the controllability Gramian, the pole-guard radius and the
-    response on the probe grid are computed at most once per instance.
+    that form, its ``_shifted`` form and Gramian, the pole-guard radius and
+    the response on the probe grid are computed at most once per instance.
     """
     a: np.ndarray
     b: np.ndarray
@@ -100,9 +99,22 @@ class Realization:
         return linalg._schur(self.a)
 
     @cached_property
+    def _shifted(self) -> tuple[np.ndarray, np.ndarray]:
+        """Schur form (T - sigma I, U) of A - sigma I, read-only: sigma = 0 unless
+        ``_mirror_gap`` is at most the pole guard, else max Re lambda + rho(A)
+        (+ 1 for rho(A) = 0), so that no two poles of A - sigma I are mirrors."""
+        T, U = self._schur  # first, so that self.poles() reads its diagonal
+        if _mirror_gap(self) > self.pole_guard:
+            return T, U
+        lam = np.diag(T)
+        T = T - (np.max(lam.real) + (np.max(np.abs(lam)) or 1.0)) * np.eye(self.n)
+        T.flags.writeable = False
+        return T, U
+
+    @cached_property
     def _gramian(self) -> tuple[np.ndarray, np.ndarray]:
-        """(P, eigvalsh(P)) for A P + P A* + B B* = 0, from the Schur form of A."""
-        P = linalg._schur_solve(self._schur, -self.b @ self.b.conj().T)
+        """(P, eigvalsh(P)), P the ``_shifted`` form's controllability Gramian."""
+        P = linalg._schur_solve(self._shifted, -self.b @ self.b.conj().T)
         return P, np.linalg.eigvalsh(P)
 
     @cached_property
@@ -400,16 +412,14 @@ def subrealization(R: Realization, rows: slice, cols: slice) -> Realization:
 
 
 def minimal_realization(R: Realization) -> tuple[Realization, DegreeCertificate]:
-    """Minimal realization.  R is returned if it has no mirror pair of poles
-    and both Gramians, R's cached ``_gramian`` P and A* Q + Q A + C* C = 0
-    from the Schur form of A that symmetrize reuses, pass ``_nonsingular``,
-    stable or not (Moore 1981; Glover 1984; ``_intertwiner``).  Else a two-stage
-    SVD staircase at DEFAULT_RANK_TOL cuts the unreachable, then the
-    unobservable part, verified on the probe grid to a transfer distance of
-    1e-8 (R itself with no cut)."""
-    form = R._schur  # first, so that R.poles() reads its diagonal
-    if _mirror_gap(R) > R.pole_guard and _nonsingular(R._gramian[1]) and _nonsingular(
-            np.linalg.eigvalsh(linalg._schur_solve(form, -R.c.conj().T @ R.c, adjoint=True))):
+    """Minimal realization.  R is returned if both Gramians of its ``_shifted``
+    form, ``_gramian`` P and (A - sigma I)* Q + Q (A - sigma I) + C* C = 0,
+    pass ``_nonsingular``, stable or not (Moore 1981; Glover 1984;
+    ``_intertwiner``).  Else a two-stage SVD staircase at DEFAULT_RANK_TOL
+    cuts the unreachable, then the unobservable part, verified on the probe
+    grid to a transfer distance of 1e-8 (R itself with no cut)."""
+    if _nonsingular(R._gramian[1]) and _nonsingular(np.linalg.eigvalsh(
+            linalg._schur_solve(R._shifted, -R.c.conj().T @ R.c, adjoint=True))):
         return R, DegreeCertificate(R.n, R.n, R.n, R.n)
     scale = _system_scale(R.a, R.b, R.c)
     V = _krylov_span(R.a, R.b, DEFAULT_RANK_TOL, scale)
@@ -428,9 +438,8 @@ def minimal_realization(R: Realization) -> tuple[Realization, DegreeCertificate]
 
 
 def _mirror_gap(R: Realization) -> float:
-    """min |lambda_i + conj(lambda_j)| over the poles of R (inf without states);
-    at most ``R.pole_guard`` it is a mirror pair, where the Gramian equations
-    of R are (nearly) singular and prove nothing."""
+    """min |lambda_i + conj(lambda_j)| over the poles of R (inf without states); at
+    most ``R.pole_guard`` a mirror pair makes the Gramian equations of A singular."""
     lam = R.poles()
     return float(np.min(np.abs(lam[:, np.newaxis] + lam.conj()), initial=np.inf))
 
@@ -442,39 +451,29 @@ def _nonsingular(w: np.ndarray) -> bool:
 
 
 def _intertwiner(R: Realization, structural: bool = False) -> np.ndarray:
-    """Symmetric solution T of T A = A^T T, T B = C^T as
-    T = conj(P^{-1} X), from the Gramian A P + P A* + B B* = 0 and
-    A X + X conj(A) + B conj(C) = 0: P conj(T) solves the second
-    equation since conj(T) conj(A) = A* conj(T), B* conj(T) = conj(C).
-    A ``structural`` R (A = A^T, B = C^T) has T = I and skips the second
-    solve.  R's one Schur form of A gives its poles and X, and P with its
-    eigenvalues is R's cached ``_gramian``.
+    """Symmetric solution T of T A = A^T T, T B = C^T as T = conj(P^{-1} X),
+    from R's cached ``_gramian`` P and (A - sigma I) X + X conj(A - sigma I)
+    + B conj(C) = 0 on its ``_shifted`` form: P conj(T) solves the second
+    equation for every real sigma, since conj(T) conj(A) = A* conj(T) and
+    B* conj(T) = conj(C).  A ``structural`` R (A = A^T, B = C^T) has T = I
+    and skips the second solve.  No two poles of A - sigma I are mirrors, so
+    both equations are uniquely solvable, and P is singular exactly when
+    (A, B) is not reachable (inertia: x* A = lambda x*, x* B = 0 give P x = 0;
+    P x = 0 gives B* x = 0 and P A* x = 0); P need not be definite.  Given
+    reachability, T exists exactly when S = S^T, and rank T is the
+    observability rank.
 
-    Both equations are uniquely solvable unless two poles form a mirror
-    pair lambda_i + conj(lambda_j) = 0.  Then P is singular exactly when
-    (A, B) is not reachable (inertia: x* A = lambda x*, x* B = 0 give
-    (A + conj(lambda)) P x = 0, so P x = 0; P x = 0 gives B* x = 0 and
-    P A* x = 0), and P need not be definite.  Given reachability, T
-    exists exactly when S = S^T, and T maps the reachability matrix of
-    (A, B) onto that of (A^T, C^T), so rank T is the observability rank.
-
-    Raises SubspaceError on a mirror pair (``_mirror_gap`` at most
-    ``R.pole_guard``), ValidationError when P fails ``_nonsingular``,
-    and NotSymmetricError when the residual exceeds 1e-7 max(1, ||T||)
-    max(1, ||A||): that of a computed T grows with ||A||, as in S(s / a).
+    Raises ValidationError when P fails ``_nonsingular``, NotSymmetricError
+    when the residual exceeds 1e-7 max(1, ||T||) max(1, ||A||): that of a
+    computed T grows with ||A||, as in S(s / a).
     """
-    form = R._schur  # first, so that R.poles() reads its diagonal
-    gap = _mirror_gap(R)
-    if gap <= R.pole_guard:
-        raise SubspaceError(f"Gramian equations are singular: two eigenvalues of A satisfy "
-                            f"lambda_i + conj(lambda_j) = 0 (to {gap:.3g})")
     P, w = R._gramian
     if not _nonsingular(w):
         raise ValidationError("the symmetric form requires a minimal realization: (A, B) is "
                               "not reachable (the Gramian P is singular)")
     if structural:
         return np.eye(R.n)
-    X = linalg._schur_solve(form, -R.b @ R.c.conj(), conjugate=True)
+    X = linalg._schur_solve(R._shifted, -R.b @ R.c.conj(), conjugate=True)
     T = np.linalg.solve(P, X).conj()
     T = (T + T.T) / 2
     gaps = (T @ R.a - R.a.T @ T, T @ R.b - R.c.T)
@@ -533,27 +532,18 @@ def _symmetric_form(R: Realization, V: np.ndarray,
 
 
 def symmetrize(R: Realization) -> Realization:
-    """Complex symmetric realization (A = A^T, B = C^T, D = D^T) of a
-    symmetric transfer function from a minimal realization: the
-    ``_symmetric_form`` (J = I) of R on the Takagi factor
-    T = U diag(sigma) U^T of its ``_intertwiner`` T, found in O(n^3).
-    The certificate decides every outcome: a mirror pair of poles raises
-    SubspaceError, a singular Gramian P ValidationError (not reachable),
-    an intertwining residual NotSymmetricError, and ``_symmetric_form``
-    raises as it documents.  A structurally symmetric R has T = I (its
-    observability is the reachability of the same pair), so V = I, v = 1,
-    and is itself the answer if exactly symmetric; with a mirror pair
-    ``kalman_check`` decides its minimality instead.
+    """Complex symmetric realization (A = A^T, B = C^T, D = D^T) of a symmetric
+    transfer function from a minimal realization: the ``_symmetric_form``
+    (J = I) of R on the Takagi factor T = U diag(sigma) U^T of its
+    ``_intertwiner`` T, found in O(n^3); their certificates decide every
+    outcome, and both raise as they document.  A structurally symmetric R has
+    T = I (its observability is the reachability of the same pair), so V = I,
+    v = 1, and is itself the answer if exactly symmetric.
     """
     if R.outputs != R.inputs:
         raise NotSymmetricError("a symmetric transfer function must be square")
     structural = _structurally_symmetric(R)
-    try:
-        T = _intertwiner(R, structural)
-    except SubspaceError:
-        # no Gramian: a structurally symmetric R is its own answer if minimal
-        if not (structural and kalman_check(R).minimal):
-            raise
+    T = _intertwiner(R, structural)
     if structural and _exactly_symmetric(R):
         return R
     tk = (linalg.TakagiResult(np.eye(R.n), np.ones(R.n)) if structural

@@ -112,7 +112,8 @@ def zero_structure(T: Realization) -> ZeroStructure:
     """
     if T.outputs != T.inputs:
         raise DimensionError(f"zero_structure needs a square T, got {T.outputs}x{T.inputs}")
-    resid = _lossless_residual(T, *T._gramian)
+    P = linalg._schur_solve(T._schur, -T.b @ T.b.conj().T)  # unshifted, unlike T._gramian
+    resid = _lossless_residual(T, P, np.linalg.eigvalsh(P))
     if not resid <= 1e-7:
         raise ValidationError(
             f"zero_structure requires an inner function (lossless residual {resid:g})")

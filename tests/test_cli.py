@@ -194,6 +194,30 @@ class TestCheck:
         f.write_text(json.dumps(doc))
         assert main(["check", str(f)]) == 1
 
+    def test_real_flag_on_a_complex_realization_fails(self, tmp_path, capsys):
+        # 0.25 / (s + 2 - 0.5i) passes every other check
+        doc = {"A": [[[-2.0, 0.5]]], "B": [[0.5]], "C": [[0.5]], "D": [[0.0]]}
+        f = tmp_path / "complex.json"
+        f.write_text(json.dumps(doc))
+        assert main(["check", str(f), "--json"]) == 0
+        assert "flag_mismatch" not in json.loads(capsys.readouterr().out)
+        f.write_text(json.dumps({**doc, "flags": {"real": True}}))
+        assert main(["check", str(f), "--json"]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["flag_mismatch"] == ("file claims real but A is not real; "
+                                        "realcase needs a real realization")
+
+    @pytest.mark.parametrize("eps", [2e-9, 1e-11, 1e-13])
+    def test_small_pole_keeps_its_degree(self, tmp_path, capsys, eps):
+        # 0.5 eps / (s + eps), whose pole lies within the absolute pole
+        # guard of its mirror, is minimal of degree 1
+        f = tmp_path / "lag.json"
+        f.write_text(json.dumps({"A": [[-eps]], "B": [[1.0]], "C": [[0.5 * eps]],
+                                 "D": [[0.0]]}))
+        main(["check", str(f), "--json"])
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["mcmillan_degree"] == 1 and rep["minimal"] is True
+
     def test_nonsquare_d_with_symmetric_flag_fails(self, tmp_path, capsys):
         doc = {"A": [[-1.0]], "B": [[0.2, 0.1]], "C": [[1.0]],
                "D": [[0.0, 0.0]], "flags": {"symmetric": True}}
@@ -525,6 +549,20 @@ class TestSynthesize:
         captured = capsys.readouterr()
         assert captured.out == "" and not out.exists()
         assert "stage 'finalize'" in captured.err and "block_match nan" in captured.err
+
+    @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
+    def test_nan_response_of_s_fails_every_mode(self, tmp_path, capsys, monkeypatch, mode):
+        # a non-finite response reaches the final gate as a nan block match
+        response = darlington.reduction.freqresp
+        monkeypatch.setattr(darlington.reduction, "freqresp", lambda R, pts:
+                            np.full(response(R, pts).shape, np.nan))
+        f = write_coupled_pair(tmp_path / "z2.json")
+        out = tmp_path / "r.json"
+        assert main(["synthesize", str(f), "--mode", mode, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert "stage 'finalize': certification failed (" in captured.err
+        assert "block_match nan)" in captured.err
 
     @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
     def test_nan_block_match_of_a_cut_file_fails(self, tmp_path, capsys, monkeypatch, mode):

@@ -135,6 +135,16 @@ class TestSignatureRealization:
         for s in probe_points(R):
             assert np.linalg.norm(evaluate(Rs, s) - evaluate(R, s)) < 1e-8
 
+    @pytest.mark.parametrize("c2, j", [(2.0, [1, 1]), (-2.0, [1, -1])])
+    def test_mirror_pair_has_a_signature_form(self, c2, j):
+        # the poles -1 and 1 form a mirror pair; the intertwiner
+        # T = diag(1, c2), solved on A - 2 I, gives J = sign T
+        R = Realization(np.diag([-1.0, 1.0]), np.array([[1.0], [1.0]]),
+                        np.array([[1.0, c2]]), np.array([[0.0]]))
+        SR = signature_realization(R)
+        assert SR.j.tolist() == j
+        assert transfer_distance(SR.realization, R) <= 1e-14
+
     def test_rejects_wrong_structure(self, zeta2):
         with pytest.raises(ValidationError):
             SignatureRealization(realization=zeta2, j=np.array([1, -1]))

@@ -32,7 +32,6 @@ from darlington.errors import (
     DimensionError,
     NotSymmetricError,
     PoleError,
-    SubspaceError,
     ValidationError,
 )
 from darlington.realization import (
@@ -55,6 +54,13 @@ from conftest import blaschke_realization, invert, para_conjugate
 def scalar_lag(a=-1.0, b=1.0, c=1.0, d=0.0) -> Realization:
     return Realization(np.array([[a]]), np.array([[b]]),
                        np.array([[c]]), np.array([[d]]))
+
+
+def mirror_pair() -> Realization:
+    """1/(s + 1) + 2/(s - 1), minimal, whose poles -1 and 1 form a mirror
+    pair: the Gramian equations of A are singular, those of A - 2 I not."""
+    return Realization(np.diag([-1.0, 1.0]), np.array([[1.0], [1.0]]),
+                       np.array([[1.0, 2.0]]), np.array([[0.0]]))
 
 
 class TestEvaluate:
@@ -239,11 +245,33 @@ class TestMinimalRealization:
         assert out is R and cert.minimal and cert.mcmillan_degree == 2
         assert seen == {"_krylov_span": []}
 
+    def test_minimal_mirror_pair_is_proved_by_its_shifted_gramians(self, count_calls):
+        # the Gramians are solved on A - sigma I, sigma = max Re lambda +
+        # rho(A) = 2, whose poles -3 and -1 form no mirror pair
+        seen = count_calls(darlington.realization._krylov_span)
+        R = mirror_pair()
+        out, cert = minimal_realization(R)
+        assert out is R and cert == DegreeCertificate(2, 2, 2, 2)
+        assert seen == {"_krylov_span": []}
+        assert np.array_equal(np.sort(np.diag(R._shifted[0]).real), [-3.0, -1.0])
+
+    @pytest.mark.parametrize("eps", [2e-9, 1e-11, 1e-13])
+    def test_small_pole_keeps_its_degree(self, count_calls, eps):
+        # 0.5 eps / (s + eps) has S(0) = 0.5; its pole lies within the
+        # absolute pole guard 1e-7 (1 + eps) of its mirror, and the
+        # Gramians of the shifted form (here sigma = -eps + rho(A) = 0)
+        # prove the one state minimal, where the staircase cut it
+        seen = count_calls(darlington.realization._krylov_span)
+        R = scalar_lag(-eps, 1.0, 0.5 * eps)
+        out, cert = minimal_realization(R)
+        assert out is R and cert == DegreeCertificate(1, 1, 1, 1)
+        assert seen == {"_krylov_span": []}
+
     @pytest.mark.parametrize("case", ["unstable", "unreachable", "below-rank-rule"])
     def test_the_staircase_decides_where_the_gramians_prove_nothing(self, count_calls,
                                                                      case):
-        # the unstable pole xi of B^-1 and the pole -conj(xi) of B form a
-        # mirror pair, where the Gramians prove nothing; a state that B
+        # the unstable pole xi of B^-1 cancels the pole -conj(xi) of B, so
+        # the Gramians of the shifted form are singular; a state that B
         # does not reach makes P singular; and a P whose smallest
         # eigenvalue is 2.5e-16 of its largest, below n eps = 4.4e-16,
         # fails the rank rule, so the staircase's verified cut refuses it
@@ -430,21 +458,24 @@ class TestSymmetrizeCertificate:
         with pytest.raises(ValidationError, match="requires a minimal realization"):
             symmetrize(R)
 
-    def test_mirror_pair_raises(self, fallback_calls):
-        # a scalar function is symmetric, but lambda = -1, 1 is a mirror
-        # pair and the realization is not structurally symmetric
-        R = Realization(np.diag([-1.0, 1.0]), np.array([[1.0], [1.0]]),
-                        np.array([[1.0, 2.0]]), np.array([[0.0]]))
-        with pytest.raises(SubspaceError, match="lambda_i"):
-            symmetrize(R)
+    def test_mirror_pair_is_certified(self, fallback_calls):
+        # a scalar function is symmetric; lambda = -1, 1 is a mirror pair
+        # and the realization is not structurally symmetric, so the
+        # Gramian and the intertwiner come from the shifted form A - 2 I
+        R = mirror_pair()
+        out = symmetrize(R)
         assert fallback_calls == []
+        assert _exactly_symmetric(out)
+        assert np.array_equal(out.poles(), R.poles())
+        assert transfer_distance(out, R) <= 1e-14
 
-    def test_structural_axis_pole_is_decided_by_kalman(self, fallback_calls):
-        # the pole 1j is its own mirror, so there is no Gramian
+    def test_structural_axis_pole_is_decided_by_the_shifted_gramian(self, fallback_calls):
+        # the pole 1j is its own mirror, so the Gramian is solved on
+        # A - 2 I, which proves R minimal with no Kalman ranks
         B = np.array([[1.0], [1.0]])
         R = Realization(np.diag([1j, -2.0]), B, B.T, np.array([[0.0]]))
         assert symmetrize(R) is R
-        assert fallback_calls == ["kalman_check"]
+        assert fallback_calls == []
 
     @pytest.mark.parametrize("which", ["structural", "general"])
     def test_non_hurwitz_input_fails_in_riccati(self, which, zeta2, general,
@@ -552,13 +583,12 @@ class TestIntertwiner:
         assert np.array_equal(R.poles(), np.diag(R._schur[0]))
         assert np.array_equal(out.poles(), R.poles())
 
-    def test_mirrored_eigenvalues_raise(self):
+    def test_mirrored_eigenvalues_are_solved_on_the_shifted_form(self):
         # A = diag(-1, 1): lambda_1 + conj(lambda_2) = 0 makes both
-        # Gramian equations singular
-        R = Realization(np.diag([-1.0, 1.0]), np.array([[1.0], [1.0]]),
-                        np.array([[1.0, 2.0]]), np.array([[0.0]]))
-        with pytest.raises(SubspaceError, match="lambda_i"):
-            symmetrize(R)
+        # equations singular in A, not in A - 2 I, which keeps the
+        # intertwiner: T = diag(1, 2) maps B to C^T
+        T = _intertwiner(mirror_pair())
+        assert np.allclose(T, np.diag([1.0, 2.0]), rtol=0, atol=1e-14)
 
 
 class TestMobius:

@@ -811,6 +811,21 @@ def test_a_nan_certificate_fails_the_final_gate(zeta2, monkeypatch):
         minimize_symmetric(zeta2)
 
 
+def test_a_nan_response_of_sigma_fails_the_symmetric_extension(zeta2, monkeypatch):
+    # Sigma is the one cascade (compose) the synthesis evaluates; its nan
+    # symmetry sample is refused in its own stage, not raised by a norm
+    response = darlington.realization.freqresp
+
+    def nan_cascade(R, pts):
+        F = response(R, pts)
+        return np.full(F.shape, np.nan) if "_operands" in vars(R) else F
+
+    monkeypatch.setattr(darlington.realization, "freqresp", nan_cascade)
+    with pytest.raises(ValidationError, match=r"stage 'symmetric-extension': symmetric "
+                       r"extension failed the symmetry check \(nan\)"):
+        minimize_symmetric(Realization(zeta2.a, zeta2.b, zeta2.c, zeta2.d))
+
+
 @pytest.mark.parametrize("which, solves", [("zeta2", 1), ("zeta1", 1),
                                            ("suite", 1)])
 def test_one_lyapunov_solve_per_synthesis(which, solves, zeta1, zeta2,
