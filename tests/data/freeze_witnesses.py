@@ -4,7 +4,7 @@ once returned a certified extension above the minimal degree n + kappa.
 - ``split-1``: ``minimal_realization(siso_realization(p1, q))`` of the
   scalar fraction ``split/*/1`` of suite.npz (n = 4, kappa = 0);
 - ``c4x2-s84``, ``c4x2-s97``, ``c4x3-s81``, ``c4x3-s84``, ``c4x3-s97``:
-  tests/test_contract.py's unfiltered ``draw`` of two and three n = 4,
+  freeze_contract.py's unfiltered ``generate`` of two and three n = 4,
   kappa = 0 congruence blocks at those seeds, whose Hamiltonian has a
   double root that rounding splits into two odd roots;
 - ``s310-s8-cond100``: ``("scalar", 3, 1, 0)`` seed 8 under a cond-100
@@ -14,8 +14,9 @@ once returned a certified extension above the minimal degree n + kappa.
   contract draws in order (the SPECS at seeds 0-9, then
   ``[(4, 0, 0)] * 2`` and ``("scalar", 6, 0, 2)`` at seeds 0-59), first
   at cond 1 and then at cond 100, so this S depends on that order;
-- ``s602-s6-bal``, ``c6x2-s27-bal``: ``("scalar", 6, 0, 2)`` seed 6 and
-  two n = 6, kappa = 0 congruence blocks seed 27, square-root balanced
+- ``s602-s6-bal``, ``c6x2-s27-bal``: the frozen contract draws of
+  ``("scalar", 6, 0, 2)`` seed 6 and two n = 6, kappa = 0 congruence
+  blocks seed 27 (tests/test_contract.py's ``draw``), square-root balanced
   (Gramians by scipy's Lyapunov solver, factors U sqrt(max(w, 0)) from
   eigh, and the SVD of Lo* Lc), which moves S by at most 4.4e-15.
 
@@ -35,6 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from conftest import SUITE_FILE  # noqa: E402
 from darlington import minimal_realization  # noqa: E402
 from darlington.scalar import siso_realization  # noqa: E402
+from freeze_contract import generate  # noqa: E402
 from test_contract import CONTRACT_DRAWS, draw, similar  # noqa: E402
 
 FILE = Path(__file__).parent / "witnesses.npz"
@@ -68,7 +70,7 @@ def main() -> None:
     for name, spec, seed in [("c4x2-s84", PAIR, 84), ("c4x2-s97", PAIR, 97),
                              ("c4x3-s81", TRIPLE, 81), ("c4x3-s84", TRIPLE, 84),
                              ("c4x3-s97", TRIPLE, 97)]:
-        inst = draw(spec, seed)
+        inst = generate(spec, seed)
         R = inst.realization
         put(name, (R.a, R.b, R.c, R.d), inst.n + inst.expected_kappa)
     for name, spec, seed in [("s602-s6-bal", ("scalar", 6, 0, 2), 6),

@@ -5,7 +5,14 @@ Every run either raises a DarlingtonError or returns an extension that
 passes an independent re-check: its McMillan degree (from Hankel
 singular values) is n + kappa, and on a dense 801-point axis grid it is
 unitary, symmetric and carries S in its lower-right block.
+
+The draws are read from tests/data/contract.npz, which
+tests/data/freeze_contract.py wrote from conftest's generators.  Those
+run the package's own spectral_factor_poly and minimal_realization, so
+drawing at test time would let a rounding change in the code under test
+choose the inputs that its refusal bars count.
 """
+import functools
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +20,7 @@ import numpy.polynomial.polynomial as npp
 import pytest
 import scipy.linalg as sla
 
-from conftest import _draw_instance, assemble_congruence, random_unitary
+from conftest import assemble_congruence, random_unitary, unpack_instance
 from darlington import DarlingtonError, Realization, minimize_symmetric
 from darlington.scalar import siso_realization
 
@@ -73,12 +80,31 @@ def assert_certified(R: Realization, res, degree: int) -> None:
     assert worst(V[:, p:, p:] - S) <= 1e-7
 
 
+CONTRACT_FILE = Path(__file__).parent / "data" / "contract.npz"
+
+
+def draw_key(spec, seed: int) -> str:
+    """'scalar-n6k0a2/s24', 'congruence-n4k0a0+n4k0a0/s35': the kind, each
+    part's n, kappa (g for generic) and axis-root count, and the seed."""
+    parts = [spec[1:]] if spec[0] == "scalar" else spec[1]
+    return (spec[0] + "-" + "+".join(f"n{n}k{'g' if k is None else k}a{a}" for n, k, a in parts)
+            + f"/s{seed}")
+
+
+@functools.cache
+def _frozen_draws() -> dict:
+    with np.load(CONTRACT_FILE) as z:
+        return {key: z[key] for key in z.files}
+
+
 def draw(spec, seed: int):
-    rng = np.random.default_rng(seed)
-    for _ in range(20):  # a draw that comes out below degree n is redrawn
-        inst = _draw_instance(rng, spec)
-        if inst is not None:
-            return inst
+    """The frozen unfiltered draw of spec at seed (an Instance without its
+    scalar fractions); a draw missing from contract.npz raises KeyError."""
+    key = draw_key(spec, seed)
+    if f"{key}/ints" not in _frozen_draws():
+        raise KeyError(f"draw {key} is not in {CONTRACT_FILE.name}: add it to FROZEN_DRAWS "
+                       "and run tests/data/freeze_contract.py")
+    return unpack_instance(_frozen_draws(), key)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -145,11 +171,12 @@ def _stuck_id(v) -> str:
     return f"p{len(v[1])}" if v in (TEN, MIXED) else str(v)
 
 
-@pytest.mark.parametrize("spec, seed", [(TEN, s) for s in (2, 4, 7, 10, 19)]
-                         + [(MIXED, s) for s in (4, 7, 8, 19)]
-                         + [(SCALAR_LOW, 20), (SCALAR_LOW, 48),
-                            (("scalar", 3, 0, 1), 36), (PAIR, 20), (PAIR, 48)],
-                         ids=_stuck_id)
+STUCK_DRAWS = ([(TEN, s) for s in (2, 4, 7, 10, 19)] + [(MIXED, s) for s in (4, 7, 8, 19)]
+               + [(SCALAR_LOW, 20), (SCALAR_LOW, 48), (("scalar", 3, 0, 1), 36),
+                  (PAIR, 20), (PAIR, 48)])
+
+
+@pytest.mark.parametrize("spec, seed", STUCK_DRAWS, ids=_stuck_id)
 def test_formerly_stuck_draw_certifies(spec, seed):
     inst = draw(spec, seed)
     res = minimize_symmetric(inst.realization)
@@ -233,9 +260,12 @@ def test_coupled_pair_certifies(zeta):
     assert_certified(R, minimize_symmetric(R), 2)
 
 
-@pytest.mark.parametrize("spec, seed", [(("congruence", [(4, 0, 0)] * 2), 35),
-                                        (("congruence", [(4, 0, 0)] * 3), 35),
-                                        (("congruence", [(4, 0, 0)] * 3), 54)],
+KNOWN_RANK_DRAWS = [(("congruence", [(4, 0, 0)] * 2), 35),
+                    (("congruence", [(4, 0, 0)] * 3), 35),
+                    (("congruence", [(4, 0, 0)] * 3), 54)]
+
+
+@pytest.mark.parametrize("spec, seed", KNOWN_RANK_DRAWS,
                          ids=["n4-n4-s35", "n4-n4-n4-s35", "n4-n4-n4-s54"])
 def test_known_rank_quotient_certifies(spec, seed):
     # ||P_min^-1|| from 8.3e6 to 1.5e8: a rank cut of P^-T - P at
@@ -244,6 +274,17 @@ def test_known_rank_quotient_certifies(spec, seed):
     inst = draw(spec, seed)
     assert_certified(inst.realization, minimize_symmetric(inst.realization),
                      inst.n + inst.expected_kappa)
+
+
+# every draw the tests above read, by draw_key; contract.npz holds exactly these
+FROZEN_DRAWS = {draw_key(spec, seed): (spec, seed)
+                for spec, seed in CONTRACT_DRAWS
+                + [(spec, s) for spec, _ in REFUSAL_BARS for s in range(60)]
+                + STUCK_DRAWS + KNOWN_RANK_DRAWS}
+
+
+def test_contract_file_holds_exactly_the_frozen_draws():
+    assert {name.rsplit("/", 1)[0] for name in _frozen_draws()} == set(FROZEN_DRAWS)
 
 
 # Inputs on which minimize_symmetric returned a certified extension of
