@@ -28,7 +28,7 @@ import scipy.linalg as sla
 from . import linalg
 from .errors import SpectralSplitError, ValidationError
 from .extension import _lossless_residual
-from .realization import Realization, frequency_grid
+from .realization import Realization
 
 __all__ = [
     "poly_trim",
@@ -185,25 +185,20 @@ def spectral_factor_poly(m) -> np.ndarray:
 
     m must be para-symmetric (m* = m) and nonnegative on the imaginary
     axis, which _para_split decides: m = c h h* with c > 0 and every
-    axis root of even multiplicity.  p2 is h scaled at the grid point
-    where |m| is largest; it holds the stable roots at full multiplicity
-    and the axis roots at half.  Every refusal is a ValidationError.
+    axis root of even multiplicity.  p2 is sqrt(c) h; it holds the stable
+    roots at full multiplicity and the axis roots at half.  Every refusal
+    is a ValidationError.
     """
     m = _trim(m, "m")
     if not np.linalg.norm(m - poly_para(m)) <= 1e-9 * np.linalg.norm(m):
         raise ValidationError("m is not para-symmetric (m* != m)")
     try:
-        axis, pairs, _ = _para_split(m)
+        axis, pairs, c = _para_split(m)
     except SpectralSplitError as exc:
         raise ValidationError(f"m is not nonnegative on the imaginary axis: {exc}") from exc
     stable = [z for z, k in pairs for _ in range(k)]
     stable += [z for z, k in axis for _ in range(k // 2)]
-    p2 = npp.polyfromroots(stable).astype(complex)
-    # positive scale factor fixed at the grid point where m is largest
-    grid = frequency_grid()
-    vals = npp.polyval(1j * grid, m).real
-    k = int(np.argmax(np.abs(vals)))
-    p2 = p2 * np.sqrt(vals[k] / abs(npp.polyval(1j * grid[k], p2)) ** 2)
+    p2 = np.sqrt(c) * npp.polyfromroots(stable).astype(complex)
     err = np.linalg.norm(poly_trim(npp.polymul(p2, poly_para(p2))) - m)
     if not err <= 1e-8 * max(1.0, np.linalg.norm(m)):
         raise ValidationError(

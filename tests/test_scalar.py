@@ -171,6 +171,18 @@ class TestSpectralFactor:
     def test_positive_constant(self):
         assert np.array_equal(spectral_factor_poly([4.0]), [2.0])
 
+    @pytest.mark.parametrize("roots, c", [([-1.0], 4.0), ([0.5j, -1.0 + 0.3j, -0.2], 9.0)],
+                             ids=["lag", "axis-root"])
+    def test_scale_is_the_split_constant(self, roots, c):
+        # m = c h h* for the monic h on roots (m = 4 - 4 s^2 for the lag):
+        # p2 = sqrt(c) h, its leading coefficient sqrt(c) exactly
+        h = npp.polyfromroots(roots)
+        m = c * npp.polymul(h, poly_para(h))
+        p2 = spectral_factor_poly(m)
+        assert p2[-1] == np.sqrt(c)
+        assert np.max(np.abs(p2 - np.sqrt(c) * h)) <= 1e-14
+        assert np.linalg.norm(npp.polymul(p2, poly_para(p2)) - m) <= 1e-14 * np.linalg.norm(m)
+
     def test_axis_roots_halved(self):
         # m = w^2 (1 + w^2) at s = i w: -s^2 (1 - s^2)
         m = npp.polymul([0.0, 0.0, -1.0], [1.0, 0.0, -1.0])
