@@ -335,10 +335,11 @@ def probe_points(*realizations: Realization) -> np.ndarray:
 
 
 def transfer_distance(R1: Realization, R2: Realization) -> float:
-    """max over the probe grid of ||R1(s) - R2(s)|| / (1 + ||R1(s)||)."""
+    """max over the probe grid of ||R1(s) - R2(s)|| / (1 + ||R1(s)||), nan if not finite."""
     pts = probe_points(R1, R2)
-    v1 = freqresp(R1, pts)
-    v2 = freqresp(R2, pts)
+    v1, v2 = freqresp(R1, pts), freqresp(R2, pts)
+    if not (np.isfinite(v1).all() and np.isfinite(v2).all()):
+        return np.nan
     gap = linalg.spectral_norm(v1 - v2)
     return float(np.max(gap / (1.0 + linalg.spectral_norm(v1)), initial=0.0))
 
@@ -430,7 +431,7 @@ def minimal_realization(R: Realization) -> tuple[Realization, DegreeCertificate]
     out = Realization(W.conj().T @ A1 @ W, W.conj().T @ B1, C1 @ W, R.d)
     cert = kalman_check(out)
     dist = transfer_distance(out, R)
-    if dist > 1e-8:
+    if not dist <= 1e-8:  # a nan fails too
         raise ValidationError(
             f"staircase reduction changed the transfer function: transfer distance "
             f"{dist:g} exceeds 1e-8 at rank tolerance {DEFAULT_RANK_TOL:g}")
@@ -559,15 +560,18 @@ def frequency_grid() -> np.ndarray:
 
 
 def _contractive_point(R: Realization) -> float | None:
-    """None if ||D|| < 1 - 1e-12, else the frequency_grid() point w0 of least
-    ||S(i w0)||: a rational S is strictly contractive at all but finitely many
-    axis points or at none.  NotContractiveError unless that norm is < 1 - 1e-6."""
+    """None if ||D|| < 1 - 1e-12, else the frequency_grid() point w0 of least ||S(i w0)||: a
+    rational S is strictly contractive at all but finitely many axis points or at none.
+    NotContractiveError unless that norm is < 1 - 1e-6; ValidationError for non-finite S(iw)."""
     if R.norm_d < 1.0 - 1e-12:
         return None
     grid = frequency_grid()
-    norms = linalg.spectral_norm(freqresp(R, 1j * grid))
+    vals = freqresp(R, 1j * grid)
+    if not np.isfinite(vals).all():
+        raise ValidationError("S has a non-finite response on the frequency grid")
+    norms = linalg.spectral_norm(vals)
     k = int(np.argmin(norms))
-    if not norms[k] < 1.0 - 1e-6:  # a nan fails too
+    if not norms[k] < 1.0 - 1e-6:
         raise NotContractiveError(f"S is not strictly contractive at any point of the "
                                   f"frequency grid (smallest ||S(iw)||_2 {norms[k]:.6g})")
     return float(grid[k])

@@ -177,6 +177,15 @@ def count_calls(monkeypatch):
     return patch
 
 
+@pytest.fixture
+def nan_response(monkeypatch):
+    """darlington.realization's freqresp, which its grid and probe samples
+    call, returns nan at every point."""
+    realization = sys.modules["darlington.realization"]
+    monkeypatch.setattr(realization, "freqresp", lambda R, pts:
+                        np.full((len(pts), R.outputs, R.inputs), np.nan, dtype=complex))
+
+
 # ------------------------------------------------------ scalar generators
 
 def random_unitary(rng: np.random.Generator, p: int) -> np.ndarray:

@@ -732,6 +732,19 @@ class TestSynthesize:
     def test_missing_file_exits_one(self, capsys):
         assert main(["check", "/nonexistent/problem.json"]) == 1
 
+    @pytest.mark.parametrize("command, stage", [
+        (["check"], ""), (["synthesize", "--mode", "inner"], "stage 'precondition': "),
+        (["synthesize", "--mode", "symmetric"], "stage 'symmetrize': "),
+        (["synthesize", "--mode", "minimal-symmetric"], "stage 'symmetrize': ")],
+        ids=["check", "inner", "symmetric", "minimal-symmetric"])
+    def test_non_finite_grid_response_is_named(self, tmp_path, capsys, nan_response,
+                                               command, stage):
+        # ||D|| = 1, so omega0 is read off the grid response
+        f = write_notch_pair(tmp_path / "notch.json")
+        assert main([command[0], str(f), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {stage}S has a non-finite response on the frequency grid\n"
+
 
 def test_reused_parser_gives_the_fresh_parsers_results(tmp_path, capsys):
     # main builds its parser once per process; no default or value of an

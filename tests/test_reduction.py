@@ -598,6 +598,13 @@ def test_inner_input_is_not_contractive_anywhere():
         minimize_symmetric(siso_realization([-1.0, 1.0], [1.0, 1.0]))
 
 
+def test_non_finite_grid_response_is_a_staged_validation_error(nan_response):
+    # s/(s + 2) has ||D|| = 1, so omega0 is read off the grid response
+    with pytest.raises(ValidationError, match="^stage 'symmetrize': S has a non-finite "
+                                              "response on the frequency grid$"):
+        minimize_symmetric(siso_realization([0.0, 1.0], [2.0, 1.0]))
+
+
 @pytest.mark.parametrize("d", [[[0.3]], [[0.2, 0.1j], [0.1j, -0.3]]])
 def test_constant_function_certifies_at_degree_zero(d):
     D = np.array(d, dtype=complex)

@@ -107,3 +107,12 @@ def test_staircase_failure_names_distance_and_rank_tolerance(count_calls):
                              r"tolerance 1e-09"):
         minimal_realization(R)
     assert [len(calls) for calls in seen.values()] == [1, 1]
+
+
+def test_staircase_refuses_a_non_finite_transfer_distance(nan_response):
+    # the input above, whose transfer distance on a nan response is nan
+    R = Realization(np.diag([-1.0, -1e-3]), np.array([[1.0], [5e-10]]),
+                    np.array([[1.0, 1e4]]), np.zeros((1, 1)))
+    assert np.isnan(darlington.realization.transfer_distance(R, R))
+    with pytest.raises(ValidationError, match="transfer distance nan exceeds 1e-8"):
+        minimal_realization(R)
