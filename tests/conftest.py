@@ -181,8 +181,7 @@ def count_calls(monkeypatch):
 def nan_response(monkeypatch):
     """darlington.realization's freqresp, which its grid and probe samples
     call, returns nan at every point."""
-    realization = sys.modules["darlington.realization"]
-    monkeypatch.setattr(realization, "freqresp", lambda R, pts:
+    monkeypatch.setattr("darlington.realization.freqresp", lambda R, pts:
                         np.full((len(pts), R.outputs, R.inputs), np.nan, dtype=complex))
 
 
