@@ -3,7 +3,7 @@
 Three subcommands operate on JSON problem files:
 
 ``check``        validate a realization (minimality, contractivity at
-                 infinity, symmetry, its P_min solve's Schur verdict, its flags);
+                 infinity, its symmetrize and P_min verdicts, its flags);
 ``synthesize``   build inner / symmetric / minimal-symmetric extensions
                  (the last on the symmetric Riccati solution, its report
                  with the stage trace);
@@ -19,19 +19,18 @@ JSON documents, each followed by a newline, with the same [re, im]
 layout; serialization uses Python's shortest round-tripping float repr,
 so write-then-read reproduces matrices bit-exactly.
 
-``check`` and ``synthesize`` take a certification tolerance, 1e-7 by
-default, set with --tol (finite and positive).  It bounds ``check``'s
-symmetry residual and the final gate of ``synthesize --mode
+``synthesize`` takes a certification tolerance, 1e-7 by default, set with
+--tol (finite and positive), which bounds the final gate of ``--mode
 minimal-symmetric``; every other check runs at its fixed bound, the final
-gate of the other modes at 1e-8.  When ||D|| = 1 both work on
-S(i omega0 + 1/s) at the grid point omega0 of least ||S(i omega0)||, which
-they report.  Every ``synthesize`` mode runs the library's one staged
-synthesis, which maps the extension back from omega0, certifies it (the
-larger of its factors' certificate and the mapped-back one) and gates it
-with its symmetry (not in ``inner`` mode) and S block; the command
-reports it, and rechecks the S block against the file's S when the
-staircase cut states.  Exit status: 0 when every requested certificate
-passes, else 1.
+gate of the other modes at 1e-8.  ``check`` and ``synthesize`` decide on
+one realization: when ||D|| = 1, of S(i omega0 + 1/s) at the grid point
+omega0 of least ||S(i omega0)||, which they report; ``check`` runs on it
+the ``symmetrize`` of every symmetric mode.  Every mode runs the library's
+one staged synthesis, which maps the extension back from omega0,
+certifies it (the larger of its factors' certificate and the mapped-back
+one) and gates it with its symmetry (not in ``inner`` mode) and S block;
+the command rechecks the S block against the file's S when the staircase
+cut states.  Exit status: 0 when every requested certificate passes, else 1.
 """
 from __future__ import annotations
 
@@ -43,14 +42,14 @@ import sys
 import numpy as np
 
 from .errors import DarlingtonError, NotContractiveError, ValidationError
-from .linalg import max_norm, spectral_norm
+from .linalg import default_cluster_tol, max_norm
 from .realization import (
+    _CONTRACTIVE_BOUND,
     Realization,
-    _contractive_point,
+    _contractive_entry,
     freqresp,
     minimal_realization,
-    mobius_precondition,
-    symmetry_residual,
+    symmetrize,
 )
 from .realcase import _require_real
 from .riccati import _extremal, build_hat
@@ -135,32 +134,34 @@ def _emit(report: dict, as_json: bool) -> None:
 
 # ------------------------------------------------------------ commands
 
-def _schur_report(R: Realization, tol: float) -> dict:
-    """The check report: S is Schur when the library solves for the P_min of
-    S(i omega0 + 1/s), omega0 from ``_contractive_point`` (``not_schur`` holds
-    the refusal); ``schur`` is None when no grid point is strictly contractive."""
+def _verdict(key: str, run) -> dict:
+    try:
+        run()
+        return {key: True}
+    except DarlingtonError as exc:
+        return {key: False, f"not_{key}": str(exc)}
+
+
+def _check_report(R: Realization) -> dict:
+    """The check report, decided as synthesize decides, on what ``_contractive_entry``
+    makes of the minimal R (on the minimal R, with ``schur`` None, if it refuses): the
+    verdicts of its P_min solve and of ``symmetrize``, ``not_<key>`` holding a refusal."""
     Rm, cert = minimal_realization(R)
     try:
-        w0 = _contractive_point(Rm)
+        Rc, w0 = _contractive_entry(Rm)
     except NotContractiveError as exc:
-        w0, verdict = None, {"schur": None, "not_schur": str(exc)}
+        Rc, w0, schur = Rm, None, {"schur": None, "not_schur": str(exc)}
     else:  # build_hat refuses a non-square S, as synthesize does
-        hat = build_hat(Rm if w0 is None else mobius_precondition(Rm, w0))
-        try:
-            _extremal(hat, ("minimal",))
-            verdict = {"schur": True}
-        except DarlingtonError as exc:
-            verdict = {"schur": False, "not_schur": str(exc)}
+        schur = _verdict("schur", functools.partial(_extremal, build_hat(Rc), ("minimal",)))
     return {
         "state_dim": R.n,
-        "minimal": cert.minimal if R.n == Rm.n else False,
+        "minimal": Rm is R,
         "mcmillan_degree": cert.mcmillan_degree,
         "d_norm": R.norm_d,
-        "strictly_contractive_at_inf": R.norm_d < 1.0 - 1e-12,
+        "strictly_contractive_at_inf": R.norm_d < _CONTRACTIVE_BOUND,
         "omega0": w0,
-        **verdict,
-        "symmetric_on_grid": bool(R.outputs == R.inputs
-                                  and symmetry_residual(Rm) <= tol),
+        **schur,
+        **_verdict("symmetric", functools.partial(symmetrize, Rc)),
     }
 
 
@@ -169,9 +170,9 @@ def cmd_check(args) -> int:
     if "realization" not in prob:
         print("error: check needs a realization (A, B, C, D)", file=sys.stderr)
         return 1
-    rep = _schur_report(prob["realization"], args.tol)
-    if prob["flags"].get("symmetric") and not rep["symmetric_on_grid"]:
-        rep["flag_mismatch"] = "file claims symmetric but the grid check fails"
+    rep = _check_report(prob["realization"])
+    if prob["flags"].get("symmetric") and not rep["symmetric"]:
+        rep["flag_mismatch"] = f"file claims symmetric but {rep['not_symmetric']}"
     if prob["flags"].get("real"):
         try:
             _require_real(prob["realization"])
@@ -206,7 +207,7 @@ def cmd_synthesize(args) -> int:
                 # at most the pole guard 1e-7 (1 + ||Z||) right of the axis
                 z = res.solution.z
                 fields["outer_lower_left"] = bool(np.all(
-                    np.linalg.eigvals(z).real <= 1e-7 * (1 + spectral_norm(z))))
+                    np.linalg.eigvals(z).real <= default_cluster_tol(z)))
     cert = "unitary_axis_residual" if args.mode == "symmetric" else "innerness_residual"
     rep: dict = {"mode": args.mode, "solution": args.solution, "degree": res.degree,
                  **fields, cert: res.innerness}
@@ -265,8 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="validate a realization")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-7,
-                   help="bounds the symmetry residual (default 1e-7)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("synthesize", help="build an extension")

@@ -49,6 +49,7 @@ _PROBE_COUNT = 32
 # right of the poles, one row per point
 _PROBE_OFFSETS = np.random.default_rng(_PROBE_SEED).random((_PROBE_COUNT, 2))
 _AXIS_PROBES = 1j * np.array([0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0, 100.0, -100.0])
+_CONTRACTIVE_BOUND = 1.0 - 1e-12  # ||D|| below it: strictly contractive at infinity
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,7 @@ def _values_and_derivatives(R: Realization, points) -> tuple[np.ndarray, np.ndar
 
 def derivative(R: Realization, s: complex) -> np.ndarray:
     """Exact derivative S'(s) = -C (sI-A)^{-2} B of the rational matrix;
-    raises PoleError as evaluate does."""
+    raises PoleError as freqresp does."""
     return _values_and_derivatives(R, [s])[1][0]
 
 
@@ -559,12 +560,13 @@ def frequency_grid() -> np.ndarray:
     return np.array([0.0] + [w for m in mags for w in (m, -m)])
 
 
-def _contractive_point(R: Realization) -> float | None:
-    """None if ||D|| < 1 - 1e-12, else the frequency_grid() point w0 of least ||S(i w0)||: a
-    rational S is strictly contractive at all but finitely many axis points or at none.
+def _contractive_entry(R: Realization) -> tuple[Realization, float | None]:
+    """The one entry of synthesis and check: (R, None) if ||D|| < _CONTRACTIVE_BOUND, else
+    (mobius_precondition(R, w0), w0) at the frequency_grid() point w0 of least ||S(i w0)||.
+    A rational S is strictly contractive at all but finitely many axis points or at none:
     NotContractiveError unless that norm is < 1 - 1e-6; ValidationError for non-finite S(iw)."""
-    if R.norm_d < 1.0 - 1e-12:
-        return None
+    if R.norm_d < _CONTRACTIVE_BOUND:
+        return R, None
     grid = frequency_grid()
     vals = freqresp(R, 1j * grid)
     if not np.isfinite(vals).all():
@@ -574,7 +576,8 @@ def _contractive_point(R: Realization) -> float | None:
     if not norms[k] < 1.0 - 1e-6:
         raise NotContractiveError(f"S is not strictly contractive at any point of the "
                                   f"frequency grid (smallest ||S(iw)||_2 {norms[k]:.6g})")
-    return float(grid[k])
+    w0 = float(grid[k])
+    return mobius_precondition(R, w0), w0
 
 
 def mobius_precondition(R: Realization, omega0: float) -> Realization:
@@ -585,7 +588,7 @@ def mobius_precondition(R: Realization, omega0: float) -> Realization:
     strictly contractive at infinity, with the same McMillan degree:
     with M = (A - i omega0 I)^{-1}, from one LU factorization, it is
     (M, M B, -C M, S(i omega0)) and S(i omega0) = D - C M B.  Raises
-    PoleError as evaluate does, ValidationError for a non-finite omega0.
+    PoleError as freqresp does, ValidationError for a non-finite omega0.
     """
     if not np.isfinite(omega0):
         raise ValidationError(f"omega0 must be finite, got {omega0!r}")
@@ -595,7 +598,7 @@ def mobius_precondition(R: Realization, omega0: float) -> Realization:
     MB = M @ R.b
     val = R.d - R.c @ MB
     nrm = linalg.spectral_norm(val)
-    if nrm >= 1.0 - 1e-12:
+    if nrm >= _CONTRACTIVE_BOUND:
         raise ValidationError(
             f"S is not strictly contractive at i*{omega0:g} (norm {nrm:g})")
     return Realization(M, MB, -R.c @ M, val)

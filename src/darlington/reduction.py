@@ -36,12 +36,11 @@ from .extension import (
 from .realization import (
     Realization,
     _computed,
-    _contractive_point,
+    _contractive_entry,
     _mobius_inverse,
     _pencils,
     _values_and_derivatives,
     freqresp,
-    mobius_precondition,
     symmetrize,
 )
 from .riccati import RiccatiSolution, _extremal, build_hat
@@ -279,7 +278,7 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     """Minimal-degree symmetric inner extension of a symmetric Schur
     function strictly contractive at one axis point, in four stages:
     'symmetrize' the (minimal) realization, of S(i omega0 + 1/s) at the
-    ``_contractive_point`` omega0 when ||D|| = 1; 'riccati', the symmetric
+    ``_contractive_entry``'s omega0 when ||D|| = 1; 'riccati', the symmetric
     solution P only (two odd roots of chi+ within 1e-4 relative raise
     SpectralSplitError), whose rank(P^-T - P) is kappa;
     'symmetric-extension', the balanced Sigma of degree n + kappa, which
@@ -305,7 +304,6 @@ def _staged(R: Realization, kind: str, sigma: bool, residual_tol: float) -> Synt
     the CLI's report keys."""
     stages = (("symmetrize", "riccati", "symmetric-extension", "finalize") if sigma
               else ("precondition", "riccati", "extension", "finalize"))
-    entry = symmetrize if sigma else (lambda S: S)
     # the running stage is the first one not yet in the trace
     trace: list[dict] = []
     marks = [time.perf_counter()]
@@ -315,9 +313,8 @@ def _staged(R: Realization, kind: str, sigma: bool, residual_tol: float) -> Synt
         trace.append({"stage": stages[len(trace)], "seconds": marks[-1] - marks[-2], **values})
 
     try:
-        Rs, p = entry(R), R.outputs
-        w0 = _contractive_point(Rs)  # caches the ||D|| that build_hat reads
-        Rs = Rs if w0 is None else entry(mobius_precondition(R, w0))
+        Rs, w0 = _contractive_entry(R)
+        Rs, p = symmetrize(Rs) if sigma else Rs, R.outputs
         done(omega0=w0)
         (sol,) = _extremal(build_hat(Rs), (kind,))
         spec, w = sol.spectrum, np.abs(sol.p_eigenvalues)  # P is Hermitian

@@ -44,7 +44,7 @@ import scipy.linalg as sla
 from . import linalg
 from .errors import (ConvergenceError, DimensionError, NotContractiveError, SubspaceError,
                      ValidationError)
-from .realization import Realization, _exactly_symmetric
+from .realization import _CONTRACTIVE_BOUND, Realization, _exactly_symmetric
 
 __all__ = [
     "HatData",
@@ -133,7 +133,7 @@ def _require_contractive(R: Realization) -> None:
     """The precondition of build_hat, which build_extension shares."""
     if R.outputs != R.inputs:
         raise ValidationError("embedding requires a square transfer function")
-    if R.norm_d >= 1.0 - 1e-12:
+    if R.norm_d >= _CONTRACTIVE_BOUND:
         raise NotContractiveError(
             f"||D||_2 = {R.norm_d:.6g} >= 1: S is not strictly contractive at "
             "infinity; apply mobius_precondition at a point of strict "
@@ -143,7 +143,7 @@ def _require_contractive(R: Realization) -> None:
 def build_hat(R: Realization) -> HatData:
     """Form the shifted Riccati data from a realization.
 
-    Requires ``||D||_2 < 1 - 1e-12`` (strict contractivity
+    Requires ``||D||_2 < _CONTRACTIVE_BOUND`` (strict contractivity
     at infinity); otherwise a NotContractiveError suggests the Moebius
     preconditioning.  An exactly symmetric R (A = A^T, C = B^T, D = D^T
     bit for bit) has A_hat = A_hat^T and B_hat B_hat* = conj(C_hat* C_hat);

@@ -13,7 +13,8 @@ The script keeps every draw already in the file and generates only the
 keys that are missing from it, so a new seed added to FROZEN_DRAWS leaves
 the older draws bit for bit as they are; a key no longer in FROZEN_DRAWS
 is dropped.  The committed draws were generated before
-spectral_factor_poly took its scale from the parity split.
+spectral_factor_poly took its scale from the parity split, all but the
+complex p = 3 congruence at seed 31, which was added after it.
 
     PYTHONPATH=src python tests/data/freeze_contract.py
 """

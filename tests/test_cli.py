@@ -177,6 +177,21 @@ class TestCheck:
         assert rep["strictly_contractive_at_inf"] is False
         assert rep["omega0"] == 0.0 and rep["schur"] is True and "hint" not in rep
 
+    @pytest.mark.parametrize("doc, omega0", [
+        (None, 0.5), ({"A": [[-2.0]], "B": [[1.0]], "C": [[-2.0]], "D": [[1.0]]}, 0.0)],
+        ids=["notch-pair", "s/(s+2)"])
+    def test_check_and_synthesize_move_s_to_one_point(self, tmp_path, capsys, doc, omega0):
+        # ||D|| = 1: both commands take omega0 from the library's one entry
+        f = write_notch_pair(tmp_path / "s.json")
+        if doc is not None:
+            f.write_text(json.dumps(doc))
+        assert main(["check", str(f), "--json"]) == 0
+        checked = json.loads(capsys.readouterr().out)
+        assert main(["synthesize", str(f), "--json"]) == 0
+        synthesized = json.loads(capsys.readouterr().out)
+        assert checked["omega0"] == synthesized["trace"][0]["omega0"] == omega0
+        assert checked["schur"] is checked["symmetric"] is True
+
     def test_no_option_moves_the_point(self, tmp_path, capsys):
         f = write_coupled_pair(tmp_path / "z2.json")
         for command in ("check", "synthesize"):
@@ -192,7 +207,11 @@ class TestCheck:
                "flags": {"symmetric": True}}
         f = tmp_path / "asym.json"
         f.write_text(json.dumps(doc))
-        assert main(["check", str(f)]) == 1
+        assert main(["check", str(f), "--json"]) == 1
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["symmetric"] is False
+        assert rep["flag_mismatch"] == ("file claims symmetric but intertwining residual 1: "
+                                        "S is not symmetric")
 
     def test_real_flag_on_a_complex_realization_fails(self, tmp_path, capsys):
         # 0.25 / (s + 2 - 0.5i) passes every other check

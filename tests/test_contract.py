@@ -276,11 +276,16 @@ def test_known_rank_quotient_certifies(spec, seed):
                      inst.n + inst.expected_kappa)
 
 
-# every draw the tests above read, by draw_key; contract.npz holds exactly these
+# draws that other modules read: test_realization's complex p = 3 intertwiner
+# input, and test_pipeline_edges's ill-conditioned lattice, which is the
+# formerly stuck TEN at seed 7
+EDGE_DRAWS = [(("congruence", [(2, 0, 0), (2, None, 0), (1, None, 0)]), 31), (TEN, 7)]
+
+# every draw the tests read, by draw_key; contract.npz holds exactly these
 FROZEN_DRAWS = {draw_key(spec, seed): (spec, seed)
                 for spec, seed in CONTRACT_DRAWS
                 + [(spec, s) for spec, _ in REFUSAL_BARS for s in range(60)]
-                + STUCK_DRAWS + KNOWN_RANK_DRAWS}
+                + STUCK_DRAWS + KNOWN_RANK_DRAWS + EDGE_DRAWS}
 
 
 def test_contract_file_holds_exactly_the_frozen_draws():

@@ -76,8 +76,8 @@ def test_ill_conditioned_lattice_certifies_or_names_its_conditioning():
     # seed 7 of ten kappa-0 degree-2 parts (p = 10, n = 20) has
     # ||P_max|| = ||P_min^-1|| ~ 7e4; the synthesis either certifies or
     # reports the conditioning of its Riccati solution behind its failure
-    from conftest import _draw_instance
-    inst = _draw_instance(np.random.default_rng(7), ("congruence", [(2, 0, 0)] * 10))
+    from test_contract import draw
+    inst = draw(("congruence", [(2, 0, 0)] * 10), 7)
     assert (inst.p, inst.n) == (10, 20)
     try:
         res = minimize_symmetric(inst.realization)

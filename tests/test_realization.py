@@ -540,9 +540,8 @@ class TestIntertwiner:
         assert_matches_kronecker(R)
 
     def test_matches_kronecker_on_complex_p3(self):
-        from conftest import _draw_instance
-        spec = ("congruence", [(2, 0, 0), (2, None, 0), (1, None, 0)])
-        R = _draw_instance(np.random.default_rng(31), spec).realization
+        from test_contract import draw
+        R = draw(("congruence", [(2, 0, 0), (2, None, 0), (1, None, 0)]), 31).realization
         assert R.outputs == 3 and np.linalg.norm(R.b.imag) > 1e-3
         assert_matches_kronecker(R)
 

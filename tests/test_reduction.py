@@ -574,12 +574,16 @@ def _norm_one_at_infinity(name: str) -> Realization:
     ("(s^2 + 1)/(s + 1)^2", 1.0, 2, 0),  # ||S(0)|| = 1 too
     ("diag(s/(s + 2), 0.5 (s - 1)/(s + 1))", 0.2, 3, 1),
 ])
-def test_norm_one_at_infinity_is_moved_to_a_grid_point(name, omega0, degree, kappa):
+def test_norm_one_at_infinity_is_moved_to_a_grid_point(name, omega0, degree, kappa,
+                                                      count_calls):
     # ||D|| = 1: the synthesis runs on S(i omega0 + 1/s) at the grid point
     # where ||S(iw)|| is smallest and maps Sigma back to an extension of S,
-    # of degree n + kappa; the map keeps its Gramian I
+    # of degree n + kappa; the map keeps its Gramian I.  It symmetrizes
+    # only the moved realization
     R = _norm_one_at_infinity(name)
+    seen = count_calls(symmetrize)
     res = minimize_symmetric(R)
+    assert len(seen["symmetrize"]) == 1 and seen["symmetrize"][0].norm_d < 1 - 1e-6
     assert res.trace[0] == {"stage": "symmetrize", "seconds": res.trace[0]["seconds"],
                             "omega0": omega0}
     assert (res.degree, res.kappa) == (degree, kappa) and res.degree == R.n + kappa
@@ -789,18 +793,23 @@ def test_cholesky_factors_only_n_by_n(which, zeta1, zeta2, instance_suite,
 
 @pytest.mark.parametrize("index", [0, 8, 18])
 def test_one_svd_of_d_per_synthesis(index, instance_suite, monkeypatch):
-    # build_hat and build_extension both require ||D||_2 < 1 of the one
-    # symmetrized realization, which caches that norm as norm_d; a
-    # nonzero D (p = 1, 2, 3) tells its SVD apart from those of other
-    # matrices.  Its D is (D + D^T)/2, R's D up to rounding
+    # the contractive entry reads ||D||_2 of the caller's R, and build_hat
+    # and build_extension both require ||D||_2 < 1 of the one symmetrized
+    # realization; each caches its norm as norm_d.  A nonzero D (p = 1, 2,
+    # 3) tells their SVDs apart from those of other matrices.  The
+    # symmetrized D is (D + D^T)/2, R's D up to rounding (bit for bit on
+    # suite inputs 0 and 8)
     R = instance_suite[index].realization
     D = symmetrize(R).d
     assert np.any(D)
+    R = Realization(R.a, R.b, R.c, R.d)  # nothing cached yet
     inputs, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda M, *args, **kwargs:
                         inputs.append(np.array(M)) or svd(M, *args, **kwargs))
     minimize_symmetric(R)
-    assert sum(M.shape == D.shape and np.array_equal(M, D) for M in inputs) == 1
+    counts = [sum(M.shape == X.shape and np.array_equal(M, X) for M in inputs)
+              for X in (R.d, D)]
+    assert counts == ([2, 2] if np.array_equal(R.d, D) else [1, 1])
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])

@@ -52,20 +52,29 @@ class TestCliTolerance:
         assert rc == 1
         assert "certification failed" in capsys.readouterr().err
 
-    def test_tol_tightens_check_symmetry_test(self, tmp_path, capsys):
-        # C = B^T off by 1e-8 in one entry: grid symmetry residual ~1e-9,
-        # inside the default 1e-7 and outside --tol 1e-10
+    @pytest.mark.parametrize("eps", [1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+    def test_check_symmetry_is_synthesize_verdict(self, tmp_path, capsys, eps):
+        # C = B^T off by eps in one entry: check runs symmetrize, as every
+        # symmetric synthesis does, so it calls S symmetric exactly when the
+        # synthesis gets past 'symmetrize', and names the same refusal
         B = 0.3 * np.array([[1.0, 0.2], [0.3, 1.0]])
-        C = B.T + np.array([[0.0, 1e-8], [0.0, 0.0]])
+        C = B.T + np.array([[0.0, eps], [0.0, 0.0]])
         doc = {"A": [[-1.0, 0.0], [0.0, -3.0]], "B": B.tolist(), "C": C.tolist(),
                "D": [[0.0, 0.0], [0.0, 0.0]]}
         f = tmp_path / "near.json"
         f.write_text(json.dumps(doc))
-        for argv, symmetric in (([], True), (["--tol", "1e-10"], False)):
-            main(["check", str(f), "--json", *argv])
-            assert json.loads(capsys.readouterr().out)["symmetric_on_grid"] is symmetric
+        main(["check", str(f), "--json"])
+        rep = json.loads(capsys.readouterr().out)
+        main(["synthesize", str(f)])
+        err = capsys.readouterr().err
+        refused = err.startswith("error: stage 'symmetrize': ")
+        assert refused is (eps >= 1e-8) and rep["symmetric"] is not refused
+        if refused:
+            assert err == f"error: stage 'symmetrize': {rep['not_symmetric']}\n"
+        else:
+            assert "not_symmetric" not in rep
 
-    @pytest.mark.parametrize("command", ["check", "synthesize"])
+    @pytest.mark.parametrize("command", ["synthesize"])
     @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
     def test_refuses_a_tol_that_is_not_finite_and_positive(self, tmp_path, capsys,
                                                            command, tol):
@@ -75,6 +84,13 @@ class TestCliTolerance:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--tol must be finite and positive" in captured.err
+
+    def test_check_has_no_tol_option(self, tmp_path):
+        # check's verdicts are the library's certificates, at their own bounds
+        f = write_coupled_pair(tmp_path / "z2.json")
+        with pytest.raises(SystemExit) as info:
+            main(["check", str(f), "--tol", "1e-6"])
+        assert info.value.code == 2
 
     def test_scalar_has_no_tol_option(self, tmp_path):
         f = tmp_path / "frac.json"
