@@ -523,6 +523,8 @@ def _symmetric_form(R: Realization, V: np.ndarray,
                                 "for J = sign v")
     out = _with_poles(_computed((A + JAJ) / 2, (B + JC) / 2, (C + B.T * j) / 2,
                                 (R.d + R.d.T) / 2), R)
+    if "norm_d" in vars(R) and np.array_equal(out.d, R.d):
+        vars(out)["norm_d"] = R.norm_d  # the same D: no second SVD
     gap_a, gap_c = M @ R.a - out.a @ M, R.c - out.c @ M
     scale = np.max(root, initial=0.0) * R.norm_a  # ||M|| ||A||
     if not (linalg.norm_at_most(gap_a, 1e-8 * scale)
@@ -576,8 +578,7 @@ def _contractive_entry(R: Realization) -> tuple[Realization, float | None]:
     if not norms[k] < 1.0 - 1e-6:
         raise NotContractiveError(f"S is not strictly contractive at any point of the "
                                   f"frequency grid (smallest ||S(iw)||_2 {norms[k]:.6g})")
-    w0 = float(grid[k])
-    return mobius_precondition(R, w0), w0
+    return mobius_precondition(R, float(grid[k])), float(grid[k])
 
 
 def mobius_precondition(R: Realization, omega0: float) -> Realization:

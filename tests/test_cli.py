@@ -168,29 +168,18 @@ class TestCheck:
         assert "schur: True" in out
 
     def test_norm_one_at_infinity_is_checked_at_a_grid_point(self, tmp_path, capsys):
-        # S(s) = s/(s+2): unit norm at infinity, smallest (0) at w = 0
-        doc = {"A": [[-2.0]], "B": [[1.0]], "C": [[-2.0]], "D": [[1.0]]}
-        f = tmp_path / "edge.json"
-        f.write_text(json.dumps(doc))
-        assert main(["check", str(f), "--json"]) == 0
-        rep = json.loads(capsys.readouterr().out)
-        assert rep["strictly_contractive_at_inf"] is False
-        assert rep["omega0"] == 0.0 and rep["schur"] is True and "hint" not in rep
-
-    @pytest.mark.parametrize("doc, omega0", [
-        (None, 0.5), ({"A": [[-2.0]], "B": [[1.0]], "C": [[-2.0]], "D": [[1.0]]}, 0.0)],
-        ids=["notch-pair", "s/(s+2)"])
-    def test_check_and_synthesize_move_s_to_one_point(self, tmp_path, capsys, doc, omega0):
-        # ||D|| = 1: both commands take omega0 from the library's one entry
-        f = write_notch_pair(tmp_path / "s.json")
-        if doc is not None:
-            f.write_text(json.dumps(doc))
-        assert main(["check", str(f), "--json"]) == 0
-        checked = json.loads(capsys.readouterr().out)
-        assert main(["synthesize", str(f), "--json"]) == 0
-        synthesized = json.loads(capsys.readouterr().out)
-        assert checked["omega0"] == synthesized["trace"][0]["omega0"] == omega0
-        assert checked["schur"] is checked["symmetric"] is True
+        # ||D|| = 1: check and synthesize both take omega0 from the library's
+        # one entry, the grid point of least ||S(iw)||: 0 for S(s) = s/(s+2),
+        # 0.5 for the notch pair
+        edge = tmp_path / "edge.json"
+        edge.write_text(json.dumps({"A": [[-2.0]], "B": [[1.0]], "C": [[-2.0]], "D": [[1.0]]}))
+        for f, omega0 in ((edge, 0.0), (write_notch_pair(tmp_path / "notch.json"), 0.5)):
+            assert main(["check", str(f), "--json"]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            assert rep["strictly_contractive_at_inf"] is False and "hint" not in rep
+            assert rep["omega0"] == omega0 and rep["schur"] is rep["symmetric"] is True
+            assert main(["synthesize", str(f), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out)["trace"][0]["omega0"] == omega0
 
     def test_no_option_moves_the_point(self, tmp_path, capsys):
         f = write_coupled_pair(tmp_path / "z2.json")

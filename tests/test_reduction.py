@@ -602,6 +602,15 @@ def test_inner_input_is_not_contractive_anywhere():
         minimize_symmetric(siso_realization([-1.0, 1.0], [1.0, 1.0]))
 
 
+def test_contractivity_is_refused_before_symmetry():
+    # [[0, (s - 1)/(s + 1)], [1, 0]] is inner and not symmetric, with
+    # ||D|| = 1: the contractive entry runs before symmetrize and refuses it
+    R = Realization([[-1.0]], [[0.0, 1.0]], [[-2.0], [0.0]], [[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(NotContractiveError,
+                       match="stage 'symmetrize': S is not strictly contractive at any point"):
+        minimize_symmetric(R)
+
+
 def test_non_finite_grid_response_is_a_staged_validation_error(nan_response):
     # s/(s + 2) has ||D|| = 1, so omega0 is read off the grid response
     with pytest.raises(ValidationError, match="^stage 'symmetrize': S has a non-finite "
@@ -795,10 +804,10 @@ def test_cholesky_factors_only_n_by_n(which, zeta1, zeta2, instance_suite,
 def test_one_svd_of_d_per_synthesis(index, instance_suite, monkeypatch):
     # the contractive entry reads ||D||_2 of the caller's R, and build_hat
     # and build_extension both require ||D||_2 < 1 of the one symmetrized
-    # realization; each caches its norm as norm_d.  A nonzero D (p = 1, 2,
-    # 3) tells their SVDs apart from those of other matrices.  The
-    # symmetrized D is (D + D^T)/2, R's D up to rounding (bit for bit on
-    # suite inputs 0 and 8)
+    # realization, which caches that norm as norm_d; a nonzero D (p = 1,
+    # 2, 3) tells its SVD apart from those of other matrices.  Its D is
+    # (D + D^T)/2, R's D up to rounding: bit for bit (suite inputs 0 and
+    # 8), symmetrize hands it R's norm, so the SVD of R's D is its only one
     R = instance_suite[index].realization
     D = symmetrize(R).d
     assert np.any(D)
@@ -807,9 +816,7 @@ def test_one_svd_of_d_per_synthesis(index, instance_suite, monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", lambda M, *args, **kwargs:
                         inputs.append(np.array(M)) or svd(M, *args, **kwargs))
     minimize_symmetric(R)
-    counts = [sum(M.shape == X.shape and np.array_equal(M, X) for M in inputs)
-              for X in (R.d, D)]
-    assert counts == ([2, 2] if np.array_equal(R.d, D) else [1, 1])
+    assert sum(M.shape == D.shape and np.array_equal(M, D) for M in inputs) == 1
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
