@@ -33,6 +33,7 @@ from .realization import (
     direct_sum,
     evaluate,
     freqresp,
+    frequency_grid,
     kalman_check,
     minimal_realization,
     mobius_precondition,
@@ -59,7 +60,6 @@ from .extension import (
     build_extension,
     compare_extensions,
     extension_from_left_factor,
-    frequency_grid,
     innerness_residual,
     symmetric_unitary_extension,
 )

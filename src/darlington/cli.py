@@ -19,11 +19,10 @@ JSON documents, each followed by a newline, with the same [re, im]
 layout; serialization uses Python's shortest round-tripping float repr,
 so write-then-read reproduces matrices bit-exactly.
 
-``synthesize`` takes a certification tolerance, 1e-7 by default, set with
---tol (finite and positive), which bounds the final gate of ``--mode
-minimal-symmetric``; every other check runs at its fixed bound, the final
-gate of the other modes at 1e-8.  ``check`` and ``synthesize`` decide on
-one realization: when ||D|| = 1, of S(i omega0 + 1/s) at the grid point
+Every check runs at its fixed bound; none is set on the command line.
+The final gate of ``--mode minimal-symmetric`` is at 1e-7, that of the
+other modes at 1e-8.  ``check`` and ``synthesize`` decide on one
+realization: when ||D|| = 1, of S(i omega0 + 1/s) at the grid point
 omega0 of least ||S(i omega0)||, which they report; ``check`` runs on it
 the ``symmetrize`` of every symmetric mode.  Every mode runs the library's
 one staged synthesis, which maps the extension back from omega0,
@@ -53,7 +52,7 @@ from .realization import (
 )
 from .realcase import _require_real
 from .riccati import _extremal, build_hat
-from .reduction import _staged, minimize_symmetric
+from .reduction import _final_bound, _staged, minimize_symmetric
 from .scalar import scalar_minimal_extension
 
 __all__ = ["main"]
@@ -193,14 +192,17 @@ def cmd_synthesize(args) -> int:
     R, _ = minimal_realization(S)
     # every mode is one staged synthesis, certified and gated by the library
     if args.mode == "minimal-symmetric":
-        res, bound = minimize_symmetric(R, residual_tol=args.tol), args.tol
+        kind, res = "symmetric", minimize_symmetric(R)
         fields = {"kappa": res.kappa, "n0": res.n0, "trace": _plain(res.trace)}
     else:
         kind = "minimal" if args.solution == "min" else "maximal"
-        res, bound = _staged(R, kind, args.mode == "symmetric", 1e-8), 1e-8
-        fields = {"omega0": res.trace[0]["omega0"], "kappa": res.kappa, "n0": res.n0}
+        res = _staged(R, kind, args.mode == "symmetric")
+        stage = {t["stage"]: t for t in res.trace}
+        entry = stage["symmetrize" if args.mode == "symmetric" else "precondition"]
+        fields = {"omega0": entry["omega0"], "kappa": res.kappa, "n0": res.n0}
         if args.mode == "symmetric":
-            fields.update({"q_degree": res.degree - R.n, "q_inner": res.trace[2]["q_inner"]})
+            fields.update({"q_degree": res.degree - R.n,
+                           "q_inner": stage["symmetric-extension"]["q_inner"]})
         else:
             fields["riccati_residual"] = res.solution.residual_norm
             if args.solution == "min":  # the zeros of S21, the closed loop's poles,
@@ -217,7 +219,7 @@ def cmd_synthesize(args) -> int:
     if R is not S:  # the staircase cut states: the S block against the file's S
         pts, F, _ = res.extension._probe
         rep["block_match"] = max_norm(F[:, S.outputs:, S.outputs:] - freqresp(S, pts))
-        if not rep["block_match"] <= bound:  # a nan fails too
+        if not rep["block_match"] <= _final_bound(kind):  # a nan fails too
             raise ValidationError(f"the {args.mode} extension failed certification "
                                   f"(block_match {rep['block_match']:g})")
     if args.out:
@@ -270,9 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synthesize", help="build an extension")
     common(p)
-    p.add_argument("--tol", type=float, default=1e-7,
-                   help="bounds the final certification of --mode "
-                        "minimal-symmetric (default 1e-7)")
     p.add_argument("--mode", choices=["inner", "symmetric", "minimal-symmetric"],
                    default="minimal-symmetric")
     p.add_argument("--solution", choices=["min", "max"], default="min",
@@ -290,8 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if "tol" in vars(args) and not (np.isfinite(args.tol) and args.tol > 0):
-            raise ValidationError(f"--tol must be finite and positive, got {args.tol:g}")
         return args.func(args)
     except (DarlingtonError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

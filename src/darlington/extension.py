@@ -55,7 +55,6 @@ from .riccati import RiccatiSolution, _require_contractive, _require_p
 __all__ = [
     "ExtensionBlocks",
     "QFactor",
-    "frequency_grid",
     "innerness_residual",
     "build_extension",
     "apply_gauge",

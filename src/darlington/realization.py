@@ -41,6 +41,7 @@ __all__ = [
     "symmetry_residual",
     "symmetrize",
     "mobius_precondition",
+    "frequency_grid",
 ]
 
 _PROBE_SEED = 0x5D1F  # fixed so probe grids are reproducible

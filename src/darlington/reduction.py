@@ -274,7 +274,7 @@ class SynthesisResult:
     trace: tuple[dict, ...]
 
 
-def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisResult:
+def minimize_symmetric(R: Realization) -> SynthesisResult:
     """Minimal-degree symmetric inner extension of a symmetric Schur
     function strictly contractive at one axis point, in four stages:
     'symmetrize' the (minimal) realization, of S(i omega0 + 1/s) at the
@@ -286,22 +286,23 @@ def minimize_symmetric(R: Realization, residual_tol: float = 1e-7) -> SynthesisR
     (s -> i omega0 + 1/s keeps the right half-plane, so degree and kappa
     stay).  Each stage is timed and recorded in ``trace``.  A stage's
     DarlingtonError is raised again with its type and the prefix
-    "stage '<name>': ".  ``residual_tol`` (finite, > 0) bounds Sigma's
-    innerness certificate and the symmetry and S-block residuals of its one
-    cached frequency response on probe_points(extension).
-    """
-    if not (np.isfinite(residual_tol) and residual_tol > 0):
-        raise ValidationError(f"residual_tol must be finite and positive, got {residual_tol!r}")
-    return _staged(R, "symmetric", True, residual_tol)
+    "stage '<name>': ".  The final gate bounds Sigma's innerness certificate
+    and the symmetry and S-block residuals of its probe response at 1e-7."""
+    return _staged(R, "symmetric", True)
 
 
-def _staged(R: Realization, kind: str, sigma: bool, residual_tol: float) -> SynthesisResult:
+def _final_bound(kind: str) -> float:
+    """The final gate's bound on the ``kind`` Riccati solution of ``_staged``."""
+    return 1e-7 if kind == "symmetric" else 1e-8
+
+
+def _staged(R: Realization, kind: str, sigma: bool) -> SynthesisResult:
     """minimize_symmetric's stages on the ``kind`` Riccati solution of R
     ("symmetric", "minimal" or "maximal"), Q of degree n - n0 on an extremal
     one; without ``sigma``, S_P of R on its Gramian P, in the stages
     'precondition' and 'extension'.  Only the symmetric solution refuses a
-    split odd root pair and a Q that is not inner.  The final gate names
-    the CLI's report keys."""
+    split odd root pair and a Q that is not inner.  The final gate, at
+    ``_final_bound(kind)``, names the CLI's report keys."""
     stages = (("symmetrize", "riccati", "symmetric-extension", "finalize") if sigma
               else ("precondition", "riccati", "extension", "finalize"))
     # the running stage is the first one not yet in the trace
@@ -361,7 +362,7 @@ def _staged(R: Realization, kind: str, sigma: bool, residual_tol: float) -> Synt
         block = linalg.max_norm(F[:, p:, p:] - freqresp(R, pts))
         cert = "unitary_axis_residual" if sigma and kind != "symmetric" else "innerness_residual"
         gated = {cert: ir, **({"symmetry_residual": sr} if sigma else {}), "block_match": block}
-        if not all(v <= residual_tol for v in gated.values()):  # a nan fails too
+        if not all(v <= _final_bound(kind) for v in gated.values()):  # a nan fails too
             raise ValidationError("certification failed ({})".format(
                 ", ".join(f"{k} {v:g}" for k, v in gated.items())))
         done(innerness=ir, symmetry=sr, block_match=block)

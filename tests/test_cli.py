@@ -558,6 +558,22 @@ class TestSynthesize:
         assert captured.out == "" and not out.exists()
         assert "stage 'finalize'" in captured.err and "block_match nan" in captured.err
 
+    @pytest.mark.parametrize("mode, code", [("inner", 1), ("symmetric", 1),
+                                            ("minimal-symmetric", 0)])
+    def test_each_mode_gates_at_its_final_bound(self, tmp_path, capsys, monkeypatch,
+                                                mode, code):
+        # a block match of 5e-8 is under the symmetric solution's 1e-7 and
+        # over the extremal solutions' 1e-8
+        monkeypatch.setattr(darlington.reduction, "linalg",
+                            types.SimpleNamespace(max_norm=lambda M: 5e-8))
+        f = write_coupled_pair(tmp_path / "z2.json")
+        assert main(["synthesize", str(f), "--mode", mode]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert "stage 'finalize'" in err and "block_match 5e-08" in err
+        else:
+            assert err == ""
+
     @pytest.mark.parametrize("mode", ["inner", "symmetric", "minimal-symmetric"])
     def test_nan_response_of_s_fails_every_mode(self, tmp_path, capsys, monkeypatch, mode):
         # a non-finite response reaches the final gate as a nan block match
@@ -760,8 +776,7 @@ def test_reused_parser_gives_the_fresh_parsers_results(tmp_path, capsys):
     f = write_coupled_pair(tmp_path / "z2.json")
     frac = tmp_path / "frac.json"
     frac.write_text(json.dumps({"p1": [[0.5, 0.0]], "q": [[1.0, 0.0], [1.0, 0.0]]}))
-    first = ["synthesize", str(f), "--mode", "inner", "--solution", "max",
-             "--tol", "1e-6", "--json"]
+    first = ["synthesize", str(f), "--mode", "inner", "--solution", "max", "--json"]
     calls = [first, ["synthesize", str(f), "--json"], ["scalar", str(frac)],
              ["synthesize", str(f), "--mode", "bogus"], first]
 

@@ -41,9 +41,9 @@ from darlington.realization import (
     _structurally_symmetric,
     derivative,
     direct_sum,
+    frequency_grid,
     transfer_distance,
 )
-from darlington.extension import frequency_grid
 from darlington.linalg import spectral_norm
 from darlington.reduction import BlaschkeFactor
 from darlington.riccati import _extremal

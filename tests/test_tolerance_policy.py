@@ -1,5 +1,5 @@
 """Fixed tolerance policy: the optional parameters each public function
-takes, and the CLI tolerance inputs that reach a check."""
+takes, and a CLI that takes no tolerance."""
 import importlib
 import inspect
 import json
@@ -21,7 +21,6 @@ MODULES = ("linalg", "realization", "riccati", "extension", "reduction",
 OPTIONAL = {
     "linalg.half_chain_basis": {"tol": 1e-8},
     "reduction.find_reduction_vector": {"support": None},
-    "reduction.minimize_symmetric": {"residual_tol": 1e-7},
     "cli.main": {"argv": None},
 }
 
@@ -43,15 +42,6 @@ def test_optional_parameters_are_exactly_the_used_ones():
 
 
 class TestCliTolerance:
-    def test_tol_tightens_minimal_symmetric_certification(self, tmp_path, capsys):
-        # the coupled pair certifies with residuals near 3e-15
-        f = write_coupled_pair(tmp_path / "z2.json")
-        assert main(["synthesize", str(f), "--mode", "minimal-symmetric"]) == 0
-        rc = main(["synthesize", str(f), "--mode", "minimal-symmetric",
-                   "--tol", "1e-16"])
-        assert rc == 1
-        assert "certification failed" in capsys.readouterr().err
-
     @pytest.mark.parametrize("eps", [1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
     def test_check_symmetry_is_synthesize_verdict(self, tmp_path, capsys, eps):
         # C = B^T off by eps in one entry: check runs symmetrize, as every
@@ -74,29 +64,13 @@ class TestCliTolerance:
         else:
             assert "not_symmetric" not in rep
 
-    @pytest.mark.parametrize("command", ["synthesize"])
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
-    def test_refuses_a_tol_that_is_not_finite_and_positive(self, tmp_path, capsys,
-                                                           command, tol):
-        # a nan bound would pass every comparison-based gate it reaches
-        f = write_coupled_pair(tmp_path / "z2.json")
-        assert main([command, str(f), "--tol", tol]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--tol must be finite and positive" in captured.err
-
-    def test_check_has_no_tol_option(self, tmp_path):
-        # check's verdicts are the library's certificates, at their own bounds
+    @pytest.mark.parametrize("command", ["check", "synthesize", "scalar"])
+    def test_no_command_has_a_tol_option(self, tmp_path, command):
+        # every verdict is the library's certificate, at its own fixed bound;
+        # argparse refuses the option before the file is read
         f = write_coupled_pair(tmp_path / "z2.json")
         with pytest.raises(SystemExit) as info:
-            main(["check", str(f), "--tol", "1e-6"])
-        assert info.value.code == 2
-
-    def test_scalar_has_no_tol_option(self, tmp_path):
-        f = tmp_path / "frac.json"
-        f.write_text(json.dumps({"p1": [[0.5, 0.0]], "q": [[1.0, 0.0], [1.0, 0.0]]}))
-        with pytest.raises(SystemExit) as info:
-            main(["scalar", str(f), "--tol", "1e-6"])
+            main([command, str(f), "--tol", "1e-6"])
         assert info.value.code == 2
 
     def test_file_with_tolerances_key_still_loads(self, tmp_path):
