@@ -28,9 +28,10 @@ print("S at i:", np.round(evaluate(S, 1j), 4))
 
 # shifted data and the Hamiltonian whose spectrum rules everything
 hat = build_hat(S)
-ham = build_hamiltonian(hat)
-print("\nHamiltonian eigenvalues:", np.round(np.linalg.eigvals(ham.matrix), 6))
-print("structure residual |H* J + J H| =", ham.structure_residual())
+H = build_hamiltonian(hat)
+J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(len(H) // 2))
+print("\nHamiltonian eigenvalues:", np.round(np.linalg.eigvals(H), 6))
+print("structure residual |H* J + J H| =", np.linalg.norm(H.conj().T @ J + J @ H, 2))
 
 # the two extremal Hermitian solutions of
 #   P CsC P + A_hat P + P A_hat* + BBs = 0

@@ -43,7 +43,6 @@ from .realization import (
     transpose,
 )
 from .riccati import (
-    Hamiltonian,
     HatData,
     HSpectrum,
     RiccatiSolution,
@@ -66,17 +65,14 @@ from .extension import (
 from .reduction import (
     BlaschkeFactor,
     SynthesisResult,
-    ZeroStructure,
     find_reduction_vector,
     minimize_symmetric,
     reduce_once,
-    zero_structure,
 )
 from .scalar import (
     ScalarFactorization,
     compute_mu,
     poly_para,
-    poly_roots,
     scalar_minimal_extension,
     siso_realization,
     spectral_factor_poly,

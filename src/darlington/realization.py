@@ -264,12 +264,6 @@ def _values_and_derivatives(R: Realization, points) -> tuple[np.ndarray, np.ndar
     return R.c @ Y + R.d, -R.c @ np.linalg.solve(pencil, Y)
 
 
-def derivative(R: Realization, s: complex) -> np.ndarray:
-    """Exact derivative S'(s) = -C (sI-A)^{-2} B of the rational matrix;
-    raises PoleError as freqresp does."""
-    return _values_and_derivatives(R, [s])[1][0]
-
-
 def _system_scale(*mats: np.ndarray) -> float:
     return max([1.0] + [linalg.spectral_norm(M) for M in mats])
 

@@ -26,8 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (DarlingtonError, DimensionError, ReductionError, SpectralSplitError,
-                     ValidationError)
+from .errors import DarlingtonError, ReductionError, SpectralSplitError, ValidationError
 from .extension import (
     _lossless_residual,
     build_extension,
@@ -47,9 +46,7 @@ from .riccati import RiccatiSolution, _extremal, build_hat
 
 __all__ = [
     "BlaschkeFactor",
-    "ZeroStructure",
     "SynthesisResult",
-    "zero_structure",
     "find_reduction_vector",
     "reduce_once",
     "minimize_symmetric",
@@ -84,52 +81,6 @@ class BlaschkeFactor:
     def __call__(self, s: complex) -> np.ndarray:
         uu = np.outer(self.u, self.u.conj())
         return np.eye(self.dim) + (self.scalar(s) - 1.0) * uu
-
-
-@dataclass(frozen=True)
-class ZeroStructure:
-    """Zeros (eigenvalues of A - B D^{-1} C in the open right half-plane)
-    of an inner function, clustered into multiplicities, with an
-    orthonormal kernel basis of T(xi) per zero."""
-    zeros: tuple[tuple[complex, int], ...]
-    kernels: tuple[np.ndarray, ...]
-
-    @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.zeros)
-
-
-def zero_structure(T: Realization) -> ZeroStructure:
-    """Zero locations and multiplicities of an inner T, from the
-    eigenvalues of A - B D^{-1} C.
-
-    T must be square and pass the lossless certificate on its Gramian to
-    1e-7, which proves it minimal and all-pass with D unitary; its zeros,
-    the mirrors of its poles, must lie in the open right half-plane.
-    Zeros are clustered with the same persistence ladder used for the
-    Hamiltonian spectrum; every T(xi) comes from one freqresp call.
-    """
-    if T.outputs != T.inputs:
-        raise DimensionError(f"zero_structure needs a square T, got {T.outputs}x{T.inputs}")
-    P = linalg._schur_solve(T._schur, -T.b @ T.b.conj().T)  # unshifted, unlike T._gramian
-    resid = _lossless_residual(T, P, np.linalg.eigvalsh(P))
-    if not resid <= 1e-7:
-        raise ValidationError(
-            f"zero_structure requires an inner function (lossless residual {resid:g})")
-    if T.n == 0:
-        return ZeroStructure(zeros=(), kernels=())
-    Az = T.a - T.b @ np.linalg.solve(T.d, T.c)
-    lam = np.linalg.eigvals(Az)
-    tol, clusters = linalg.cluster_ladder(lam, linalg.default_cluster_tol(Az))
-    zeros = tuple((c, len(m)) for c, m in sorted(clusters, key=lambda g: (g[0].real, g[0].imag)))
-    xi = np.array([c for c, _ in zeros])
-    if xi[0].real <= tol:
-        raise ValidationError(
-            f"zero {xi[0]:g} is not in the open right half-plane; "
-            "T is not inner or the clustering is unreliable")
-    vals = freqresp(T, xi)
-    kernels = linalg._kernels(vals, 1e-6, np.maximum(1.0, linalg.spectral_norm(vals)))
-    return ZeroStructure(zeros=zeros, kernels=tuple(kernels))
 
 
 def find_reduction_vector(T: Realization, points,

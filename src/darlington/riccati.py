@@ -48,7 +48,6 @@ from .realization import _CONTRACTIVE_BOUND, Realization, _exactly_symmetric
 
 __all__ = [
     "HatData",
-    "Hamiltonian",
     "RiccatiSolution",
     "HSpectrum",
     "build_hat",
@@ -69,24 +68,6 @@ class HatData:
     @property
     def n(self) -> int:
         return self.a_hat.shape[0]
-
-
-@dataclass(frozen=True)
-class Hamiltonian:
-    """2n x 2n Hamiltonian matrix; satisfies H* J + J H = 0 for
-    J = [[0, I], [-I, 0]]."""
-    matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0] // 2
-
-    def structure_residual(self) -> float:
-        n = self.n
-        J = np.block([[np.zeros((n, n)), np.eye(n)],
-                      [-np.eye(n), np.zeros((n, n))]])
-        H = self.matrix
-        return float(linalg.spectral_norm(H.conj().T @ J + J @ H))
 
 
 @dataclass(frozen=True)
@@ -161,11 +142,11 @@ def build_hat(R: Realization) -> HatData:
     return HatData(a_hat=a_hat, bbs=(bbs + bbs.conj().T) / 2, csc=csc)
 
 
-def build_hamiltonian(hat: HatData) -> Hamiltonian:
-    # bbs and csc are exactly Hermitian, so H* J + J H is exactly 0
-    H = np.block([[-hat.a_hat.conj().T, -hat.csc],
-                  [hat.bbs, hat.a_hat]])
-    return Hamiltonian(matrix=H)
+def build_hamiltonian(hat: HatData) -> np.ndarray:
+    """The 2n x 2n Hamiltonian matrix H; bbs and csc are exactly Hermitian,
+    so H* J + J H = 0 exactly for J = [[0, I], [-I, 0]]."""
+    return np.block([[-hat.a_hat.conj().T, -hat.csc],
+                     [hat.bbs, hat.a_hat]])
 
 
 def _residual_matrix(hat: HatData, P: np.ndarray) -> np.ndarray:
@@ -188,7 +169,7 @@ def riccati_residual(hat: HatData, P) -> float:
     return float(linalg.spectral_norm(_residual_matrix(hat, _require_p(P, hat.n))))
 
 
-def analyze_spectrum(H: Hamiltonian) -> HSpectrum:
+def analyze_spectrum(H: np.ndarray) -> HSpectrum:
     """Cluster the Hamiltonian spectrum and extract (kappa, n0) and the
     even/odd factor split of its characteristic polynomial.
 
@@ -204,15 +185,15 @@ def analyze_spectrum(H: Hamiltonian) -> HSpectrum:
     complete mirror pairing makes 2 deg pi + 2 kappa = 2n.  An H exactly
     [[-conj A, -G], [conj G, A]] takes that form from _structured_schur.
     """
-    M, n = H.matrix, H.n
-    A, G = M[n:, n:], -M[:n, n:]
-    structured = (n > 0 and np.array_equal(M[:n, :n], -A.conj())
-                  and np.array_equal(M[n:, :n], G.conj()))
+    n = H.shape[0] // 2
+    A, G = H[n:, n:], -H[:n, n:]
+    structured = (n > 0 and np.array_equal(H[:n, :n], -A.conj())
+                  and np.array_equal(H[n:, :n], G.conj()))
     try:
-        T, U = _structured_schur(A, G) if structured else sla.schur(M, output="complex")
+        T, U = _structured_schur(A, G) if structured else sla.schur(H, output="complex")
     except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise ConvergenceError(f"Schur decomposition failed: {exc}") from exc
-    base = linalg.default_cluster_tol(sla.matrix_balance(M, permute=False)[0])
+    base = linalg.default_cluster_tol(sla.matrix_balance(H, permute=False)[0])
     tol, labeled, index = linalg.mirror_split(np.diag(T), base)
     chi_plus = [c for c, m, lab in labeled if lab == "plus" and m % 2]
     return HSpectrum(clusters=labeled, kappa=len(chi_plus),
@@ -318,8 +299,8 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
     only where the bracket cannot decide), the half-chain ladder and, only
     with odd chains, the SVD of the middle vectors and one Takagi
     factorization; with even chains only, W = W' = span S0."""
-    ham, n = build_hamiltonian(hat), hat.n
-    H, spec = ham.matrix, analyze_spectrum(ham)
+    H, n = build_hamiltonian(hat), hat.n
+    spec = analyze_spectrum(H)
 
     # exact membership and the complete mirror pairing make a half-plane
     # subspace and the axis half-chains span exactly n dimensions

@@ -33,7 +33,6 @@ from .realization import Realization
 __all__ = [
     "poly_trim",
     "poly_para",
-    "poly_roots",
     "ScalarFactorization",
     "compute_mu",
     "spectral_factor_poly",
@@ -66,30 +65,6 @@ def poly_para(p) -> np.ndarray:
     return np.array([np.conj(v) * (-1) ** k for k, v in enumerate(c)])
 
 
-def _root_tol(roots) -> float:
-    """Base clustering tolerance of polynomial roots, 1e-6 (1 + max |root|)."""
-    return 1e-6 * (1.0 + float(np.max(np.abs(roots), initial=0.0)))
-
-
-def poly_roots(p):
-    """Roots via companion-matrix eigenvalues, clustered into
-    multiplicities with the persistence ladder.
-
-    Returns a tuple of (root, multiplicity) pairs and the tolerance
-    used.
-    """
-    c = poly_trim(p)
-    if c.size == 1:
-        if abs(c[0]) == 0:
-            raise ValidationError("the zero polynomial has no root structure")
-        return (), 0.0
-    roots = npp.polyroots(c)
-    tol, clusters = linalg.cluster_ladder(roots, _root_tol(roots))
-    out = tuple(sorted(((complex(z), len(m)) for z, m in clusters),
-                       key=lambda zm: (zm[0].real, zm[0].imag)))
-    return out, tol
-
-
 @dataclass(frozen=True)
 class ScalarFactorization:
     """Parity split mu = constant * (r1 r1*)^2 * r2 r2*.
@@ -111,14 +86,15 @@ class ScalarFactorization:
 
 
 def _para_split(m: np.ndarray):
-    """linalg.mirror_split of the roots of a para-Hermitian m at poly_roots'
-    base tolerance: (axis, pairs, c), where axis lists the (i*w, even
+    """linalg.mirror_split of the roots of a para-Hermitian m at the base
+    tolerance 1e-6 (1 + max |root|): (axis, pairs, c), where axis lists the (i*w, even
     multiplicity) and pairs the (stable root, mult) clusters, and m = c h h*
     for the monic h on the pairs and half of each axis cluster, so
     c = m[-1] (-1)^deg h and m(iw) = c |h(iw)|^2.  Raises SpectralSplitError
     where m changes sign on the axis (an odd axis root) or c <= 0."""
     roots = npp.polyroots(m)
-    _, clusters, _ = linalg.mirror_split(roots, _root_tol(roots))
+    base = 1e-6 * (1.0 + float(np.max(np.abs(roots), initial=0.0)))
+    _, clusters, _ = linalg.mirror_split(roots, base)
     axis = [(z, k) for z, k, lab in clusters if lab == "axis"]
     pairs = [(z, k) for z, k, lab in clusters if lab == "minus"]
     c = m[-1] * (-1) ** (sum(k for _, k in pairs) + sum(k // 2 for _, k in axis))

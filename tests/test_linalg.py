@@ -483,7 +483,7 @@ def hamiltonian_spectra(instance_suite):
             systems += [Realization(*(z[f"{rung}.{k}"][i] for k in "abcd"))
                         for i in range(3)]
     for R in systems:
-        H = build_hamiltonian(build_hat(symmetrize(R))).matrix
+        H = build_hamiltonian(build_hat(symmetrize(R)))
         yield np.linalg.eigvals(H), linalg.default_cluster_tol(H)
 
 

@@ -39,7 +39,7 @@ from darlington.realization import (
     _exactly_symmetric,
     _intertwiner,
     _structurally_symmetric,
-    derivative,
+    _values_and_derivatives,
     direct_sum,
     frequency_grid,
     transfer_distance,
@@ -78,11 +78,11 @@ class TestEvaluate:
 
     def test_derivative_at_a_pole_rejected(self):
         with pytest.raises(PoleError, match="point -1"):
-            derivative(scalar_lag(), -1.0)
+            _values_and_derivatives(scalar_lag(), [-1.0])
 
     def test_derivative_of_first_order(self):
         # d/ds 1/(s + 1) = -1/(s + 1)^2
-        assert abs(derivative(scalar_lag(), 1.0)[0, 0] + 0.25) < 1e-15
+        assert abs(_values_and_derivatives(scalar_lag(), [1.0])[1][0, 0, 0] + 0.25) < 1e-15
 
     def test_partial_fraction_oracle(self):
         # random 2-state diagonalizable system against sum of simple poles

@@ -1,4 +1,4 @@
-"""Blaschke factors, zero structure, two-sided reduction by the kept
+"""Blaschke factors, two-sided reduction by the kept
 division helpers, and the minimal symmetric synthesis from one Riccati
 solution, against the Blaschke cascade as its oracle."""
 import json
@@ -29,13 +29,12 @@ from darlington import (
     solve_extremal,
     symmetric_unitary_extension,
     symmetrize,
-    zero_structure,
 )
-from darlington.errors import (DimensionError, NotContractiveError, ReductionError,
-                               ValidationError)
+from darlington.errors import NotContractiveError, ReductionError, ValidationError
 from darlington.extension import _lossless_residual, innerness_residual
-from darlington.linalg import spectral_norm
+from darlington.linalg import cluster_ladder, default_cluster_tol, spectral_norm
 from darlington.realization import (
+    _values_and_derivatives,
     direct_sum,
     freqresp,
     probe_points,
@@ -126,65 +125,6 @@ class TestBlaschke:
             BlaschkeFactor(xi=xi, u=np.array(u))
 
 
-class TestZeroStructure:
-    def test_single_factor(self):
-        u = np.array([1.0, 1j]) / np.sqrt(2)
-        f = BlaschkeFactor(xi=1.1 + 0.3j, u=u)
-        zs = zero_structure(blaschke_realization(f))
-        assert len(zs.zeros) == 1
-        xi, mult = zs.zeros[0]
-        assert abs(xi - f.xi) < 1e-9 and mult == 1
-        ker = zs.kernels[0]
-        assert ker.shape[1] == 1
-        # kernel spans u
-        assert abs(abs(ker[:, 0].conj() @ u) - 1.0) < 1e-9
-
-    def test_worked_example_sigma_zeros(self, zeta2):
-        # poles of Sigma_Pmin sit at -2 (x2) and -sqrt(3) (x2), so its
-        # zeros are their reflections
-        sigma = sigma_min(zeta2)
-        zs = zero_structure(sigma)
-        got = sorted((round(z.real, 6), m) for z, m in zs.zeros)
-        assert got == [(round(SQ3, 6), 2), (2.0, 2)]
-        assert zs.total_multiplicity == 4
-
-    def test_product_of_two_factors(self):
-        f1 = BlaschkeFactor(xi=1.0, u=np.array([1.0, 0.0]))
-        f2 = BlaschkeFactor(xi=2.0, u=np.array([1.0, 0.0]))
-        T = compose(blaschke_realization(f1), blaschke_realization(f2))
-        zs = zero_structure(T)
-        assert sorted((round(z.real, 8), m) for z, m in zs.zeros) == \
-            [(1.0, 1), (2.0, 1)]
-
-    def test_rejects_non_inner(self, zeta2):
-        with pytest.raises(ValidationError):
-            zero_structure(zeta2)  # strictly contractive, not inner
-
-    def test_unreachable_state_is_refused_by_the_certificate(self, zeta2):
-        # an unreachable state at +1 leaves the response inner but the
-        # Gramian singular; the grid passed it, and its zero at +1 then
-        # sat on a pole of T (a PoleError)
-        T = minimize_symmetric(zeta2).extension
-        A = sla.block_diag(T.a, [[1.0]])
-        B = np.vstack([T.b, np.zeros((1, T.inputs))])
-        C = np.hstack([T.c, np.ones((T.outputs, 1))])
-        with pytest.raises(ValidationError, match="lossless residual inf"):
-            zero_structure(Realization(A, B, C, T.d))
-
-    def test_rejects_a_non_square_t(self):
-        # [b(s), 0] with b = (s - 1)/(s + 1) is co-inner, not inner
-        T = Realization([[-1.0]], [[1.0, 0.0]], [[-2.0]], [[1.0, 0.0]])
-        with pytest.raises(DimensionError, match="square T, got 1x2"):
-            zero_structure(T)
-
-    def test_reads_no_point_evaluation_or_grid(self, zeta2, count_calls):
-        # one frequency response and the Gramian certificate decide it
-        sigma = sigma_min(zeta2)
-        seen = count_calls(evaluate, innerness_residual, darlington.realization.freqresp)
-        assert zero_structure(sigma).total_multiplicity == 4
-        assert [len(seen[k]) for k in ("evaluate", "innerness_residual", "freqresp")] == [0, 0, 1]
-
-
 class TestFindReductionVector:
     def test_double_scalar_zero(self):
         # T = diag(b_xi^2, 1): double zero at xi with kernel span(e1);
@@ -200,8 +140,7 @@ class TestFindReductionVector:
         sigma = sigma_min(zeta2)
         u = find_reduction_vector(sigma, [SQ3], support=2)[0]
         Txi = evaluate(sigma, SQ3)
-        from darlington.realization import derivative
-        Tpxi = derivative(sigma, SQ3)
+        Tpxi = _values_and_derivatives(sigma, [SQ3])[1][0]
         assert np.linalg.norm(Txi @ u) <= 1e-8
         assert abs(u @ Tpxi @ u) <= 1e-8
         assert np.linalg.norm(u[2:]) == 0.0
@@ -236,8 +175,7 @@ class TestFindReductionVector:
         N[:2, :2] = block
         N[2, :] = N[:, 2] = [0.25, -0.5j, 1.0]
         T = Realization(-np.eye(3), np.eye(3), N, np.diag([0.0, 0.0, 1.0]) - N / 2)
-        from darlington.realization import derivative
-        Txi, Tpxi = evaluate(T, 1.0), derivative(T, 1.0)
+        Txi, Tpxi = evaluate(T, 1.0), _values_and_derivatives(T, [1.0])[1][0]
         assert np.array_equal(Txi, np.diag([0.0, 0.0, 1.0]))
         assert np.array_equal(Tpxi, -N / 4)
         u = find_reduction_vector(T, [1.0])[0]
@@ -540,8 +478,6 @@ class TestMinimizeSymmetric:
         for w in (0.0, 0.9, -3.0):
             d = np.linalg.det(evaluate(T, 1j * w))
             assert abs(abs(d) - 1.0) < 1e-9
-        zs = zero_structure(T)
-        assert zs.total_multiplicity == res.degree
 
     def test_q_degree_lower_bound(self, zeta2):
         # deg(S21^{-1} S12^T) = rank(P^-T - P) >= kappa for every solution,
@@ -724,11 +660,12 @@ def test_trace_records_each_stage_with_the_results_values(which, instance_suite)
 
 def assert_factors_at_multiple_zeros(R: Realization) -> int:
     """Every point of the Blaschke cascade of R is a zero of Sigma on P_min
-    of multiplicity at least 2, as zero_structure finds it; returns the
-    number of factors."""
+    of multiplicity at least 2; returns the number of factors.  The zeros
+    of an inner Sigma are the mirrors -conj(lambda) of its poles."""
     steps = sequential_minimize(R)[1]
-    zs = zero_structure(sigma_min(symmetrize(R)))
-    multiple = np.array([z for z, m in zs.zeros if m >= 2])
+    sigma = sigma_min(symmetrize(R))
+    _, clusters = cluster_ladder(-np.conj(sigma.poles()), default_cluster_tol(sigma.a))
+    multiple = np.array([z for z, members in clusters if len(members) >= 2])
     for _, f, _ in steps:
         assert np.min(np.abs(multiple - f.xi)) <= 1e-8 * (1.0 + abs(f.xi))
     return len(steps)

@@ -9,7 +9,6 @@ from conftest import hermitian_order, pi_roots, sorted_schur_subspace
 
 import darlington.riccati
 from darlington import (
-    Hamiltonian,
     Realization,
     analyze_spectrum,
     build_hamiltonian,
@@ -79,20 +78,21 @@ class TestBuildHat:
 
 class TestHamiltonian:
     def test_structure_identity(self, zeta2):
-        ham = build_hamiltonian(build_hat(zeta2))
-        assert ham.structure_residual() <= 1e-10
+        H = build_hamiltonian(build_hat(zeta2))
+        J = np.kron([[0.0, 1.0], [-1.0, 0.0]], np.eye(len(H) // 2))
+        assert np.linalg.norm(H.conj().T @ J + J @ H, 2) <= 1e-10
 
     def test_worked_example_spectrum(self, zeta2):
-        ham = build_hamiltonian(build_hat(zeta2))
-        lam = np.sort(np.linalg.eigvals(ham.matrix).real)
+        H = build_hamiltonian(build_hat(zeta2))
+        lam = np.sort(np.linalg.eigvals(H).real)
         assert np.allclose(lam, [-SQ3, -SQ3, SQ3, SQ3], atol=1e-8)
 
     def test_nilpotent_case(self, zeta1):
-        ham = build_hamiltonian(build_hat(zeta1))
-        lam = np.linalg.eigvals(ham.matrix)
+        H = build_hamiltonian(build_hat(zeta1))
+        lam = np.linalg.eigvals(H)
         assert np.max(np.abs(lam)) < 1e-7
         # nilpotent of index 2
-        H2 = ham.matrix @ ham.matrix
+        H2 = H @ H
         assert np.linalg.norm(H2, 2) < 1e-12
 
     def test_spectrum_mirror_symmetry(self):
@@ -102,8 +102,8 @@ class TestHamiltonian:
         A = (A + A.T) / 2
         B = rng.normal(size=(2, 2)) * 0.3
         R = Realization(A, B, B.T, np.zeros((2, 2)))
-        ham = build_hamiltonian(build_hat(R))
-        lam = np.linalg.eigvals(ham.matrix)
+        H = build_hamiltonian(build_hat(R))
+        lam = np.linalg.eigvals(H)
         mirrored = -np.conj(lam)
         for z in lam:
             assert np.min(np.abs(mirrored - z)) < 1e-8
@@ -204,7 +204,7 @@ class TestNewtonRefine:
                 # a Schur form of Z* up to the backward error of H's, times cond X
                 T, U = form
                 Z = hat.a_hat + P @ hat.csc
-                H = build_hamiltonian(hat).matrix
+                H = build_hamiltonian(hat)
                 assert np.array_equal(T, np.triu(T))
                 assert np.linalg.norm(U.conj().T @ U - np.eye(len(U))) <= 1e-13
                 assert np.linalg.norm(U @ T @ U.conj().T - Z.conj().T, 2) <= (
@@ -298,12 +298,12 @@ class TestSolveExtremal:
 
     def test_closed_loop_spectra_split_hamiltonian(self, zeta2):
         hat = build_hat(zeta2)
-        ham = build_hamiltonian(hat)
+        H = build_hamiltonian(hat)
         pmin, _ = solve_extremal(hat)
         z_eigs = np.linalg.eigvals(pmin.z)
         anti = np.linalg.eigvals(-pmin.z.conj().T)
         union = np.sort_complex(np.concatenate([z_eigs, anti]))
-        h_eigs = np.sort_complex(np.linalg.eigvals(ham.matrix))
+        h_eigs = np.sort_complex(np.linalg.eigvals(H))
         assert np.allclose(union, h_eigs, atol=1e-8)
 
     def test_minimal_has_stable_closed_loop(self, zeta2):
@@ -358,8 +358,8 @@ class TestSolveExtremal:
 def per_cluster_graph(hat, side):
     """Oracle: P from one sorted Schur form per eigenvalue cluster of the
     given half-plane (for spectra without axis clusters)."""
-    ham = build_hamiltonian(hat)
-    H, spec = ham.matrix, analyze_spectrum(ham)
+    H = build_hamiltonian(hat)
+    spec = analyze_spectrum(H)
     centers = [c for c, _, _ in spec.clusters]
     cols = [sorted_schur_subspace(H, centers, {i})
             for i, (_, _, lab) in enumerate(spec.clusters) if lab == side]
@@ -397,7 +397,7 @@ def test_one_schur_form_per_riccati_solve(which, zeta1, zeta2, instance_suite,
     R = {"zeta1": symmetrize(zeta1), "zeta2": symmetrize(zeta2),
          "suite": symmetrize(raw), "unsymmetrized": raw}[which]
     hat = build_hat(R)
-    H = build_hamiltonian(hat).matrix
+    H = build_hamiltonian(hat)
     schurs, spectra = [], []
     schur, dgees, eigvals = sla.schur, sla.lapack.dgees, np.linalg.eigvals
 
@@ -448,8 +448,8 @@ def test_one_schur_form_per_riccati_solve(which, zeta1, zeta2, instance_suite,
 @pytest.mark.parametrize("idx", range(20))
 def test_structured_schur_form_of_a_symmetric_realization(instance_suite, idx):
     hat = build_hat(symmetrize(instance_suite[idx].realization))
-    H = build_hamiltonian(hat).matrix
-    spec = analyze_spectrum(Hamiltonian(H))
+    H = build_hamiltonian(hat)
+    spec = analyze_spectrum(H)
     T, U = spec.schur
     m, eps = len(H), np.finfo(float).eps
     # kappa, n0 and the pi multiplicities of the reference complex form
@@ -478,7 +478,7 @@ def test_structured_schur_form_of_a_symmetric_realization(instance_suite, idx):
 
 
 def test_structured_schur_form_of_degree_zero():
-    spec = analyze_spectrum(Hamiltonian(np.zeros((0, 0), complex)))
+    spec = analyze_spectrum(np.zeros((0, 0), complex))
     assert (spec.kappa, spec.n0, spec.clusters) == (0, 0, ())
     assert all(M.shape == (0, 0) for M in spec.schur)
 
@@ -505,7 +505,7 @@ class TestAnalyzeSpectrum:
         # 1 and -2 are no mirror pair: the split refuses instead of
         # reporting kappa = 1
         with pytest.raises(SpectralSplitError, match="mirrored partner"):
-            analyze_spectrum(Hamiltonian(np.diag([1.0, -2.0])))
+            analyze_spectrum(np.diag([1.0, -2.0]))
 
     def test_pi_reassembly(self, zeta2):
         spec = analyze_spectrum(build_hamiltonian(build_hat(zeta2)))
