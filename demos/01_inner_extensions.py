@@ -12,19 +12,18 @@ import numpy as np
 from darlington import (
     Realization,
     build_extension,
-    build_hamiltonian,
     build_hat,
     compare_extensions,
-    evaluate,
-    innerness_residual,
+    freqresp,
     riccati_residual,
     solve_extremal,
 )
+from darlington.riccati import build_hamiltonian
 
 # S = diag(f, f), f = 1/(s+2): a symmetric Schur function, strictly
 # contractive at infinity (D = 0)
 S = Realization(-2.0 * np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
-print("S at i:", np.round(evaluate(S, 1j), 4))
+print("S at i:", np.round(freqresp(S, [1j])[0], 4))
 
 # shifted data and the Hamiltonian whose spectrum rules everything
 hat = build_hat(S)
@@ -44,10 +43,9 @@ print("check: (2 - sqrt(3)) =", 2 - np.sqrt(3))
 # each solution yields a 4x4 inner extension with S in the lower-right
 E = build_extension(S, pmin)
 print("\nextension value at infinity:\n", np.round(E.realization.d, 3))
-print("innerness residual on the 61-point grid:",
-      innerness_residual(E.realization))
+print("lossless certificate on P:", E.certificate)
 w = 0.7
-V = evaluate(E.realization, 1j * w)
+V = freqresp(E.realization, [1j * w])[0]
 print(f"|S_P(i{w}) S_P(i{w})* - I| =",
       np.linalg.norm(V @ V.conj().T - np.eye(4), 2))
 
@@ -72,6 +70,5 @@ P = np.array([[2.0, 1j * np.sqrt(3)], [-1j * np.sqrt(3), 2.0]])
 print("\ncomplex involutive solution: residual =", riccati_residual(hat, P),
       "| P P^T = I:", np.allclose(P @ P.T, np.eye(2)))
 Ec = build_extension(S, P)
-print("its extension is already symmetric:",
-      np.linalg.norm(evaluate(Ec.realization, 1j) -
-                     evaluate(Ec.realization, 1j).T, 2))
+V = freqresp(Ec.realization, [1j])[0]
+print("its extension is already symmetric:", np.linalg.norm(V - V.T, 2))

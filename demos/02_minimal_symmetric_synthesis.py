@@ -10,13 +10,7 @@ then has degree n + kappa: no Blaschke factor is divided out.
 """
 import numpy as np
 
-from darlington import (
-    Realization,
-    evaluate,
-    innerness_residual,
-    minimize_symmetric,
-    symmetry_residual,
-)
+from darlington import Realization, freqresp, minimize_symmetric
 
 # ---- the coupled pair diag(f, f), f = 1/(s+2) --------------------------
 S = Realization(-2.0 * np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
@@ -37,7 +31,7 @@ T = res.extension
 print("poles of the minimal extension:", np.round(np.sort_complex(T.poles()), 5))
 s = 0.4 + 0.9j
 print("lower-right block reproduces S:",
-      np.linalg.norm(evaluate(T, s)[2:, 2:] - evaluate(S, s), 2))
+      np.linalg.norm(freqresp(T, [s])[0, 2:, 2:] - freqresp(S, [s])[0], 2))
 
 # ---- a mixed 2x2 function built from two scalar fractions --------------
 # diag(f1, f2) conjugated by a constant unitary stays symmetric Schur;
@@ -60,5 +54,5 @@ print("\nmixed instance: n =", mixed.n, "| kappa =", res2.kappa,
       "| n0 =", res2.n0)
 print("degree n + kappa =", res2.degree, "| Sigma on P_min would have",
       2 * mixed.n - res2.n0)
-print("residuals: inner", f"{innerness_residual(res2.extension):.2e}",
-      "| symmetric", f"{symmetry_residual(res2.extension):.2e}")
+print("certificates: inner", f"{res2.innerness:.2e}",
+      "| symmetric", f"{res2.symmetry:.2e}")

@@ -11,12 +11,12 @@ import numpy as np
 import numpy.polynomial.polynomial as npp
 
 from darlington import (
-    evaluate,
+    freqresp,
+    minimal_realization,
     minimize_symmetric,
     scalar_minimal_extension,
     spectral_factor_poly,
 )
-from darlington.realization import minimal_realization
 from darlington.scalar import siso_realization
 
 
@@ -42,7 +42,7 @@ def show(p1, q, label):
 #    of them is an odd right-half-plane root and kappa = 1
 ext = show([0.5], [1.0, 1.0], "S = 0.5/(s+1)")
 s = 1j * 0.3
-V = evaluate(ext, s)
+V = freqresp(ext, [s])[0]
 print("  S22 =", np.round(V[1, 1], 6), "vs p1/q =",
       np.round(0.5 / (s + 1), 6))
 

@@ -18,8 +18,8 @@ from darlington import (
     is_real_extension,
     real_symmetric_feasibility,
     solve_extremal,
-    symmetry_residual,
 )
+from darlington.realization import symmetry_residual
 
 
 def coupled_pair(zeta):

@@ -20,34 +20,19 @@ from .errors import (
     SubspaceError,
     ValidationError,
 )
-from .linalg import (
-    SvdResult,
-    TakagiResult,
-    svd_analysis,
-    takagi,
-)
 from .realization import (
     DegreeCertificate,
     Realization,
     compose,
     direct_sum,
-    evaluate,
     freqresp,
-    frequency_grid,
-    kalman_check,
     minimal_realization,
     mobius_precondition,
-    probe_points,
     symmetrize,
-    symmetry_residual,
-    transpose,
 )
 from .riccati import (
     HatData,
-    HSpectrum,
     RiccatiSolution,
-    analyze_spectrum,
-    build_hamiltonian,
     build_hat,
     riccati_residual,
     solve_extremal,
@@ -59,20 +44,15 @@ from .extension import (
     build_extension,
     compare_extensions,
     extension_from_left_factor,
-    innerness_residual,
     symmetric_unitary_extension,
 )
 from .reduction import (
-    BlaschkeFactor,
     SynthesisResult,
-    find_reduction_vector,
     minimize_symmetric,
-    reduce_once,
 )
 from .scalar import (
     ScalarFactorization,
     compute_mu,
-    poly_para,
     scalar_minimal_extension,
     siso_realization,
     spectral_factor_poly,

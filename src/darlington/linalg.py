@@ -36,8 +36,6 @@ from .errors import (
 
 __all__ = [
     "DEFAULT_RANK_TOL",
-    "DEFAULT_SYM_TOL",
-    "DEFAULT_PSD_TOL",
     "SvdResult",
     "TakagiResult",
     "cluster_ladder",
@@ -55,8 +53,6 @@ __all__ = [
 ]
 
 DEFAULT_RANK_TOL = 1e-9
-DEFAULT_SYM_TOL = 1e-9
-DEFAULT_PSD_TOL = 1e-9
 
 
 def spectral_norm(M):
@@ -383,16 +379,15 @@ def takagi(F) -> TakagiResult:
     Raises
     ------
     NotSymmetricError
-        If ``||F - F^T|| > DEFAULT_SYM_TOL * max(1, ||F||)``.
+        If ``||F - F^T|| > 1e-9 * max(1, ||F||)``.
     """
     return _takagi(as_matrix(F, "F", square=True))
 
 
 def _takagi(A: np.ndarray) -> TakagiResult:
     """takagi of a validated square A, whose bounds read ||A||_2 by _within."""
-    if not _within((A - A.T,), DEFAULT_SYM_TOL, A):
-        raise NotSymmetricError(
-            f"matrix is not symmetric to tolerance {DEFAULT_SYM_TOL:g}")
+    if not _within((A - A.T,), 1e-9, A):
+        raise NotSymmetricError("matrix is not symmetric to tolerance 1e-09")
     A = (A + A.T) / 2
     p = A.shape[0]
     if p == 0:
@@ -415,7 +410,7 @@ def hermitian_sqrt(M) -> np.ndarray:
     A = as_matrix(M, "M", square=True)
     A = (A + A.conj().T) / 2
     w, V = np.linalg.eigh(A)
-    if w.size and w[0] < -DEFAULT_PSD_TOL * max(1.0, abs(w[-1])):
+    if w.size and w[0] < -1e-9 * max(1.0, abs(w[-1])):
         raise ValidationError(f"matrix is not PSD: min eigenvalue {w[0]:g}")
     return (V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T
 

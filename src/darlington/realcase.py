@@ -35,7 +35,7 @@ from .realization import (
     freqresp,
     probe_points,
 )
-from .riccati import _extremal, build_hat
+from .riccati import _extremal, _require_p, build_hat
 
 __all__ = [
     "SignatureRealization",
@@ -103,10 +103,11 @@ def is_real_extension(P, R: Realization) -> bool:
 
     Decided by ||Im P||, certified independently by the conjugate
     symmetry S(conj(s)) = conj(S(s)) of the extension on its probe grid
-    and that grid's mirror image; the two verdicts must agree.
+    and that grid's mirror image; the two verdicts must agree.  A P that
+    is not finite and n x n is refused as in riccati_residual.
     """
     _require_real(R)
-    Pm = P.p if hasattr(P, "p") else np.asarray(P, dtype=complex)
+    Pm = _require_p(P.p if hasattr(P, "p") else P, R.n)
     scale = 1 + spectral_norm(Pm)
     real_p = norm_at_most(Pm.imag, _REAL_TOL * scale)
     E = build_extension(R, Pm)

@@ -229,12 +229,16 @@ def freqresp(R: Realization, points) -> np.ndarray:
 
     All finite points share one stacked solve; a realization built by
     compose or direct_sum takes one per operand instead.  Raises
-    PoleError naming the first finite point within ``R.pole_guard`` of
-    the spectrum of A.
+    ValidationError naming the first finite point that is nan, and
+    PoleError naming the first within ``R.pole_guard`` of the spectrum
+    of A.
     """
     s = np.asarray(points, dtype=complex).ravel()
-    out = np.repeat(R.d[np.newaxis], s.size, axis=0)
     finite = ~np.isinf(s)
+    nan = np.isnan(s) & finite
+    if nan.any():
+        raise ValidationError(f"evaluation point {np.argmax(nan)} is nan: {s[nan][0]}")
+    out = np.repeat(R.d[np.newaxis], s.size, axis=0)
     if R.n == 0 or not finite.any():
         return out
     s = s[finite]

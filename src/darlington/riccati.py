@@ -184,8 +184,13 @@ def analyze_spectrum(H: np.ndarray) -> HSpectrum:
     axis multiplicity or an eigenvalue without a mirrored partner, and a
     complete mirror pairing makes 2 deg pi + 2 kappa = 2n.  An H exactly
     [[-conj A, -G], [conj G, A]] takes that form from _structured_schur.
+    An H that is not a finite square matrix of even order is refused with
+    DimensionError or ValidationError.
     """
-    n = H.shape[0] // 2
+    H = linalg.as_matrix(H, "H", square=True)
+    if len(H) % 2:
+        raise DimensionError(f"H must have even order, got shape {H.shape}")
+    n = len(H) // 2
     A, G = H[n:, n:], -H[:n, n:]
     structured = (n > 0 and np.array_equal(H[:n, :n], -A.conj())
                   and np.array_equal(H[n:, :n], G.conj()))

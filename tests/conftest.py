@@ -22,19 +22,17 @@ import pytest
 import scipy.linalg as sla
 
 from darlington import (
-    BlaschkeFactor,
     Realization,
     build_extension,
     build_hat,
-    find_reduction_vector,
     minimal_realization,
-    reduce_once,
     solve_extremal,
     symmetric_unitary_extension,
     symmetrize,
 )
 from darlington.errors import DimensionError, NotSymmetricError, ValidationError
 from darlington.linalg import DEFAULT_RANK_TOL
+from darlington.reduction import BlaschkeFactor, find_reduction_vector, reduce_once
 from darlington.riccati import _extremal
 from darlington.scalar import poly_para, poly_trim, siso_realization, spectral_factor_poly
 

@@ -12,31 +12,26 @@ import numpy as np
 import pytest
 
 from darlington import (
-    BlaschkeFactor,
     Realization,
     SignatureRealization,
-    analyze_spectrum,
     build_extension,
-    build_hamiltonian,
     build_hat,
     compare_extensions,
-    evaluate,
-    innerness_residual,
     is_real_extension,
-    kalman_check,
     minimal_realization,
     minimize_symmetric,
     real_symmetric_feasibility,
     riccati_residual,
     scalar_minimal_extension,
     solve_extremal,
-    svd_analysis,
     symmetric_unitary_extension,
     symmetrize,
-    symmetry_residual,
-    takagi,
 )
-from darlington.linalg import cluster_ladder, default_cluster_tol
+from darlington.extension import innerness_residual
+from darlington.linalg import cluster_ladder, default_cluster_tol, svd_analysis, takagi
+from darlington.realization import evaluate, kalman_check, symmetry_residual
+from darlington.reduction import BlaschkeFactor
+from darlington.riccati import analyze_spectrum, build_hamiltonian
 from darlington.scalar import siso_realization
 
 from conftest import blaschke_realization, sequential_minimize, sorted_schur_subspace

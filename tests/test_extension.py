@@ -14,17 +14,12 @@ from darlington import (
     build_extension,
     build_hat,
     compare_extensions,
-    evaluate,
     extension_from_left_factor,
-    frequency_grid,
-    innerness_residual,
-    kalman_check,
     minimal_realization,
     riccati_residual,
     solve_extremal,
     symmetric_unitary_extension,
     symmetrize,
-    symmetry_residual,
 )
 from darlington.errors import (
     DimensionError,
@@ -32,8 +27,21 @@ from darlington.errors import (
     NotSymmetricError,
     ValidationError,
 )
-from darlington.extension import _lossless_projection, _lossless_residual
-from darlington.realization import compose, direct_sum, probe_points, transfer_distance
+from darlington.extension import (
+    _lossless_projection,
+    _lossless_residual,
+    innerness_residual,
+)
+from darlington.realization import (
+    compose,
+    direct_sum,
+    evaluate,
+    frequency_grid,
+    kalman_check,
+    probe_points,
+    symmetry_residual,
+    transfer_distance,
+)
 from darlington.reduction import BlaschkeFactor
 from darlington.scalar import poly_para, spectral_factor_poly
 import numpy.polynomial.polynomial as npp

@@ -8,22 +8,17 @@ import pytest
 import scipy.linalg as sla
 from conftest import hermitian_order
 
-from darlington import (
-    Realization,
-    build_hamiltonian,
-    build_hat,
-    linalg,
-    svd_analysis,
-    symmetrize,
-    takagi,
-)
+from darlington import Realization, build_hat, linalg, symmetrize
 from darlington.errors import DimensionError, NotSymmetricError, SpectralSplitError
 from darlington.linalg import (
     cluster_ladder,
     half_chain_basis,
     hermitian_sqrt,
     mirror_split,
+    svd_analysis,
+    takagi,
 )
+from darlington.riccati import build_hamiltonian
 
 
 def random_complex(rng, shape, scale=1.0):

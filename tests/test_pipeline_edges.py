@@ -5,11 +5,8 @@ import pytest
 
 from darlington import (
     Realization,
-    analyze_spectrum,
     build_extension,
-    build_hamiltonian,
     build_hat,
-    evaluate,
     extension_from_left_factor,
     minimal_realization,
     minimize_symmetric,
@@ -18,6 +15,8 @@ from darlington import (
     symmetrize,
 )
 from darlington.errors import ReductionError, SpectralSplitError, ValidationError
+from darlington.realization import evaluate
+from darlington.riccati import analyze_spectrum, build_hamiltonian
 
 
 def test_minimize_rejects_nonminimal_with_stage_label():

@@ -14,14 +14,13 @@ from darlington import (
     SignatureRealization,
     build_extension,
     build_hat,
-    evaluate,
     is_real_extension,
     real_symmetric_feasibility,
     signature_realization,
     solve_extremal,
 )
 from darlington.errors import ValidationError
-from darlington.realization import probe_points, transfer_distance, transpose
+from darlington.realization import evaluate, probe_points, transfer_distance, transpose
 from darlington.riccati import _extremal, riccati_residual
 from darlington.scalar import siso_realization
 

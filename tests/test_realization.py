@@ -14,19 +14,14 @@ from darlington import (
     build_extension,
     build_hat,
     compose,
-    evaluate,
     freqresp,
-    kalman_check,
     linalg,
     minimal_realization,
     minimize_symmetric,
     mobius_precondition,
-    probe_points,
     solve_extremal,
     symmetric_unitary_extension,
     symmetrize,
-    symmetry_residual,
-    transpose,
 )
 from darlington.errors import (
     DimensionError,
@@ -41,8 +36,13 @@ from darlington.realization import (
     _structurally_symmetric,
     _values_and_derivatives,
     direct_sum,
+    evaluate,
     frequency_grid,
+    kalman_check,
+    probe_points,
+    symmetry_residual,
     transfer_distance,
+    transpose,
 )
 from darlington.linalg import spectral_norm
 from darlington.reduction import BlaschkeFactor

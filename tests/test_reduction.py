@@ -15,17 +15,12 @@ import darlington.realization
 import darlington.reduction
 import darlington.riccati
 from darlington import (
-    BlaschkeFactor,
     Realization,
     build_extension,
     build_hat,
     compose,
-    evaluate,
-    find_reduction_vector,
-    kalman_check,
     minimal_realization,
     minimize_symmetric,
-    reduce_once,
     solve_extremal,
     symmetric_unitary_extension,
     symmetrize,
@@ -36,12 +31,15 @@ from darlington.linalg import cluster_ladder, default_cluster_tol, spectral_norm
 from darlington.realization import (
     _values_and_derivatives,
     direct_sum,
+    evaluate,
     freqresp,
+    kalman_check,
     probe_points,
     symmetry_residual,
     transfer_distance,
     transpose,
 )
+from darlington.reduction import BlaschkeFactor, find_reduction_vector, reduce_once
 from darlington.scalar import siso_realization
 
 from conftest import (

@@ -10,8 +10,6 @@ from conftest import hermitian_order, pi_roots, sorted_schur_subspace
 import darlington.riccati
 from darlington import (
     Realization,
-    analyze_spectrum,
-    build_hamiltonian,
     build_hat,
     linalg,
     minimize_symmetric,
@@ -27,7 +25,13 @@ from darlington.errors import (
     ValidationError,
 )
 from darlington.realization import direct_sum
-from darlington.riccati import _extremal, _newton_refine, _residual_matrix
+from darlington.riccati import (
+    _extremal,
+    _newton_refine,
+    _residual_matrix,
+    analyze_spectrum,
+    build_hamiltonian,
+)
 
 SQ3 = np.sqrt(3.0)
 

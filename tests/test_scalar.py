@@ -13,16 +13,14 @@ import darlington.extension
 import darlington.realization
 from darlington import (
     compute_mu,
-    evaluate,
     minimize_symmetric,
-    poly_para,
     scalar_minimal_extension,
     spectral_factor_poly,
 )
 from darlington.errors import SpectralSplitError, ValidationError
 from darlington.extension import innerness_residual
-from darlington.realization import minimal_realization, symmetry_residual
-from darlington.scalar import _para_split, siso_realization
+from darlington.realization import evaluate, minimal_realization, symmetry_residual
+from darlington.scalar import _para_split, poly_para, siso_realization
 
 SQ3 = np.sqrt(3.0)
 POOL = Path(__file__).resolve().parents[1] / "perfbench" / "inputs" / "main.npz"
