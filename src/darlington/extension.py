@@ -191,7 +191,7 @@ def build_extension(R: Realization, P) -> ExtensionBlocks:
     c1 = -np.linalg.inv(d12) @ (R.b.conj().T @ Pinv + R.d.conj().T @ R.c)
     b1 = -(Pm @ R.c.conj().T + R.b @ R.d.conj().T) @ np.linalg.inv(d21)
     big = _same_a(R, np.hstack([b1, R.b]), np.vstack([c1, R.c]),
-                  np.block([[d11, d12], [d21, R.d]]))
+                  linalg._blocks([[d11, d12], [d21, R.d]]))
     lyap = R.a @ Pm + Pm @ R.a.conj().T + big.b @ big.b.conj().T  # = R(P)
     if not linalg.norm_at_most(lyap, 1e-8 * (1.0 + np.max(w, initial=0.0) ** 2)):  # ||Pm||
         raise ValidationError(f"Riccati residual {linalg.spectral_norm(lyap):g} "
@@ -366,16 +366,20 @@ def symmetric_unitary_extension(E: ExtensionBlocks, degree: int
     symmetric; it is inner if and only if P^{-T} - P is positive
     semidefinite.  Sigma has deg S + deg Q states, and the caller passes
     ``degree`` = deg Q = rank(P^{-T} - P) >= kappa: kappa for the symmetric
-    Riccati solution, n - n0 for an extremal one.  The states are Q's, then
+    Riccati solution, n - n0 for an extremal one; a non-integer degree
+    raises ValidationError.  The states are Q's, then
     S_P's on L^{-1} x, P = L L*, each factor certified to 1e-8 on its own
     Gramian and then given its ``_lossless_projection`` there, which makes
     the lossless identities of Sigma on diag(Q.gramian, I) (I, balanced,
-    when it is inner) hold to rounding.  Returns (Sigma, Q, symmetry
+    when it is inner) hold to rounding; at degree 0, Sigma is S_P's
+    projection itself.  Returns (Sigma, Q, symmetry
     residual of Sigma, the larger factor certificate before the projection).
     """
     if not _structurally_symmetric(E.s22):
         raise NotSymmetricError(
             "the source realization is not symmetric; run symmetrize first")
+    if not isinstance(degree, (int, np.integer)):
+        raise ValidationError(f"the degree of Q must be an integer, got {degree!r}")
     if not 0 <= degree <= E.realization.n:
         raise ValidationError(f"the degree of Q must be in 0..{E.realization.n}, got {degree}")
     Q = _quotient(E, np.linalg.inv(E.p_matrix.T) if degree else None, degree)
@@ -386,9 +390,11 @@ def symmetric_unitary_extension(E: ExtensionBlocks, degree: int
         raise ValidationError("P is not positive definite") from exc
     LB = sla.solve_triangular(L, np.hstack([big.a @ L, big.b]), lower=True)
     sp = _with_poles(_computed(LB[:, :big.n], LB[:, big.n:], big.c @ L, big.d), big)
-    j = np.diag(Q.gramian)
-    sigma = compose(_lossless_projection(sp, np.ones(big.n)),
-                    direct_sum(_lossless_projection(Q.realization, j), _identity(E.p)))
+    sigma = _lossless_projection(sp, np.ones(big.n))
+    if degree:  # at degree 0, Q is the constant I and Sigma is S_P
+        j = np.diag(Q.gramian)
+        sigma = compose(sigma, direct_sum(_lossless_projection(Q.realization, j),
+                                          _identity(E.p)))
     sres = symmetry_residual(sigma)
     if not sres <= 1e-8:  # a nan fails too
         raise ValidationError(

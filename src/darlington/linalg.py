@@ -77,14 +77,21 @@ def spectral_norm(M):
 
 def max_norm(M) -> float:
     """max_k ||M_k||_2 over a stack (0 if empty, nan if not finite), from
-    spectral_norm of only the M_k whose Frobenius norm is not below
-    max_j ||M_j||_F / sqrt(min(M.shape[-2:])), a lower bound of the maximum."""
+    spectral_norm of the M_k of largest Frobenius norm, then of only the
+    others whose Frobenius norm, an upper bound of their 2-norm (widened by
+    1e-12 relative, as in _within), exceeds that first 2-norm."""
     M = np.asarray(M)
     if not np.isfinite(M).all():
         return np.nan
+    if M.size == 0:
+        return 0.0
+    M = M.reshape((-1, *M.shape[-2:]))  # one matrix, or a stack of any shape
     fro = np.linalg.norm(M, axis=(-2, -1))
-    low = np.max(fro, initial=0.0) / np.sqrt(max(1, min(M.shape[-2:])))
-    return float(np.max(spectral_norm(M[~(fro < low)]), initial=0.0))
+    k = int(np.argmax(fro))
+    top = spectral_norm(M[k:k + 1])[0]
+    rest = fro * (1 + 1e-12) > top
+    rest[k] = False
+    return float(max(top, np.max(spectral_norm(M[rest]), initial=0.0)))
 
 
 def hermitian_norm(M) -> float:
@@ -101,6 +108,22 @@ def norm_at_most(M, bound: float) -> bool:
     if fro <= bound or fro > bound * np.sqrt(min(M.shape)):
         return bool(fro <= bound)
     return bool(spectral_norm(M) <= bound)
+
+
+def _blocks(rows) -> np.ndarray:
+    """np.block of a list of rows of 2-d arrays, each row of one height and
+    every row of one width, filled into one preallocated array."""
+    heights, widths = [row[0].shape[0] for row in rows], [M.shape[1] for M in rows[0]]
+    out = np.empty((sum(heights), sum(widths)),
+                   dtype=np.result_type(*(M for row in rows for M in row)))
+    i = 0
+    for h, row in zip(heights, rows):
+        j = 0
+        for M in row:
+            out[i:i + h, j:j + M.shape[1]] = M
+            j += M.shape[1]
+        i += h
+    return out
 
 
 def _norm_floor(M) -> float:
@@ -392,7 +415,7 @@ def _takagi(A: np.ndarray) -> TakagiResult:
     p = A.shape[0]
     if p == 0:
         return TakagiResult(u=np.zeros((0, 0)), values=np.zeros(0))
-    w, V = np.linalg.eigh(np.block([[A.real, A.imag], [A.imag, -A.real]]))
+    w, V = np.linalg.eigh(_blocks([[A.real, A.imag], [A.imag, -A.real]]))
     lam = w[p:].copy()
     k = int(np.sum(lam <= 1e-13 * max(1.0, lam[-1])))
     lam[:k] = 0.0

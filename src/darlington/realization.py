@@ -193,9 +193,15 @@ class DegreeCertificate:
 
 def _off_poles(R: Realization, points) -> None:
     """Raise PoleError naming the first point within ``R.pole_guard`` of
-    the spectrum of A."""
+    the spectrum of A.  Unless ||A||_2 is cached, points farther than
+    1e-7 (1 + ||A||_F) >= ``R.pole_guard`` (widened by 1e-12 relative, as in
+    linalg._within) are cleared without it."""
     s = np.atleast_1d(points)
-    near = np.min(np.abs(s[:, np.newaxis] - R.poles()), axis=1, initial=np.inf) <= R.pole_guard
+    gap = np.min(np.abs(s[:, np.newaxis] - R.poles()), axis=1, initial=np.inf)
+    if "norm_a" not in vars(R) and np.min(gap, initial=np.inf) > 1e-7 * (
+            1.0 + np.linalg.norm(R.a) * (1 + 1e-12)):
+        return
+    near = gap <= R.pole_guard
     if near.any():
         raise PoleError(
             f"evaluation point {s[np.argmax(near)]:g} is within {R.pole_guard:g} of a pole")

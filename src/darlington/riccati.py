@@ -145,8 +145,7 @@ def build_hat(R: Realization) -> HatData:
 def build_hamiltonian(hat: HatData) -> np.ndarray:
     """The 2n x 2n Hamiltonian matrix H; bbs and csc are exactly Hermitian,
     so H* J + J H = 0 exactly for J = [[0, I], [-I, 0]]."""
-    return np.block([[-hat.a_hat.conj().T, -hat.csc],
-                     [hat.bbs, hat.a_hat]])
+    return linalg._blocks([[-hat.a_hat.conj().T, -hat.csc], [hat.bbs, hat.a_hat]])
 
 
 def _residual_matrix(hat: HatData, P: np.ndarray) -> np.ndarray:

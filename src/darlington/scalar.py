@@ -106,8 +106,8 @@ def _para_split(m: np.ndarray):
 def compute_mu(p1, q) -> ScalarFactorization:
     """Deficiency polynomial mu = q q* - p1 p1* and its parity split.
 
-    Validates that the coefficients are finite, deg p1 <= deg q, q is
-    stable and p1 and q are coprime
+    Validates that the coefficients are finite, neither p1 nor q is
+    identically zero, deg p1 <= deg q, q is stable and p1 and q are coprime
     (no root of p1 within 1e-7 (1 + max |root|) of a root of q), then
     factors mu = c (r1 r1*)^2 r2 r2* from _para_split's clusters and c.
     The split refuses |p1| > |q| on the axis (SpectralSplitError): where
@@ -117,6 +117,8 @@ def compute_mu(p1, q) -> ScalarFactorization:
     p1, q = _trim(p1, "p1"), _trim(q, "q")
     if np.all(p1 == 0):
         raise ValidationError("p1 must not be identically zero")
+    if np.all(q == 0):
+        raise ValidationError("q must not be identically zero")
     if p1.size > q.size:
         raise ValidationError("deg p1 must not exceed deg q")
     qroots = npp.polyroots(q)
@@ -183,9 +185,12 @@ def spectral_factor_poly(m) -> np.ndarray:
 
 
 def siso_realization(num, den) -> Realization:
-    """Controllable-canonical realization of a proper scalar fraction."""
+    """Controllable-canonical realization of a proper scalar fraction; a
+    denominator that is identically zero raises ValidationError."""
     num = poly_trim(num)
     den = poly_trim(den)
+    if np.all(den == 0):
+        raise ValidationError("the denominator must not be identically zero")
     if num.size > den.size:
         raise ValidationError("fraction is improper (deg num > deg den)")
     lead = den[-1]
@@ -245,11 +250,10 @@ def scalar_minimal_extension(p1, q) -> tuple[Realization, ScalarFactorization, f
     # first, the order that certified the most fractions
     A = sla.block_diag(e12.a, e11.a, e21.a)
     Z = [np.zeros((r.n, 1)) for r in (e12, e11, e21)]
-    B = np.block([[Z[0], e12.b], [e11.b, Z[1]], [e21.b, Z[2]]])
-    C = np.block([
-        [e12.c, e11.c, np.zeros((1, e21.n))],
-        [e22.c, np.zeros((1, e11.n)), e21.c]])
-    D = np.block([[e11.d, e12.d], [e21.d, e22.d]])
+    B = linalg._blocks([[Z[0], e12.b], [e11.b, Z[1]], [e21.b, Z[2]]])
+    C = linalg._blocks([[e12.c, e11.c, np.zeros((1, e21.n))],
+                        [e22.c, np.zeros((1, e11.n)), e21.c]])
+    D = linalg._blocks([[e11.d, e12.d], [e21.d, e22.d]])
     _, (t, _) = sla.matrix_balance(A, permute=False, separate=True)
     A, B, C = A * t / t[:, np.newaxis], B / t[:, np.newaxis], C * t
     Lp = linalg.hermitian_sqrt(linalg._schur_solve(linalg._schur(A), -B @ B.conj().T))

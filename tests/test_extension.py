@@ -337,6 +337,10 @@ class TestSymmetricUnitaryExtension:
         monkeypatch.setattr(np.linalg, "inv", no_inverse)
         sigma, Q, _, _ = symmetric_unitary_extension(E, 0)  # P^-T = P
         monkeypatch.undo()
+        # no cascade with a 0-state identity, and its probe response read
+        # no ||A||_2: the Frobenius bracket cleared every probe point
+        assert "_operands" not in vars(sigma)
+        assert "_probe" in vars(sigma) and "norm_a" not in vars(sigma)
         assert Q.degree == 0
         # Q = I, constant: Sigma is the projected S_P on the state L^-1 x
         assert Q.realization.n == 0 and Q.unitary_residual == 0.0 and Q.inner_flag
@@ -344,7 +348,8 @@ class TestSymmetricUnitaryExtension:
         big, L = E.realization, np.linalg.cholesky(E.p_matrix)
         LB = sla.solve_triangular(L, np.hstack([big.a @ L, big.b]), lower=True)
         sp = Realization(LB[:, :2], LB[:, 2:], big.c @ L, big.d)
-        assert np.array_equal(sigma.a, _lossless_projection(sp, np.ones(2)).a)
+        projected = _lossless_projection(sp, np.ones(2))
+        assert all(np.array_equal(getattr(sigma, k), getattr(projected, k)) for k in "abcd")
         assert kalman_check(sigma).mcmillan_degree == 2
         assert innerness_residual(sigma) <= 1e-8
         assert symmetry_residual(sigma) <= 1e-8
@@ -353,6 +358,8 @@ class TestSymmetricUnitaryExtension:
         R, pmin, _ = zeta2_pair
         E = build_extension(R, pmin)
         sigma, Q, _, cert = symmetric_unitary_extension(E, 2)
+        assert "_operands" in vars(sigma)
+        assert "_probe" in vars(sigma) and "norm_a" not in vars(sigma)
         assert Q.degree == 2 and Q.inner_flag
         assert kalman_check(sigma).mcmillan_degree == 4  # 2n - n0
         # the returned residual is the larger factor certificate before the

@@ -276,6 +276,27 @@ class TestSpectralNorm:
         M[5, 1, 1] = np.inf
         assert np.isnan(linalg.max_norm(M))
 
+    @pytest.mark.parametrize("case", ["flat-beside-rank-one", "ties", "one", "zeros", "2x2"])
+    def test_max_norm_starts_from_the_largest_frobenius_norm(self, case):
+        # the matrix of largest Frobenius norm need not have the largest
+        # 2-norm: a flat spectrum (||I||_F = 2 ||I||_2) beside a rank-one
+        # matrix (||uv*||_F = ||uv*||_2) between the two
+        rng = np.random.default_rng(7)
+        u, v = random_complex(rng, (4, 1)), random_complex(rng, (1, 4))
+        rank_one = u @ v * (1.5 / (np.linalg.norm(u) * np.linalg.norm(v)))
+        M = {"flat-beside-rank-one": np.stack([0.1 * rank_one, np.eye(4), rank_one,
+                                               0.5 * np.eye(4)]),
+             "ties": np.stack([np.eye(4), rank_one, np.eye(4), rank_one / 1.5]),
+             "one": rank_one[np.newaxis],
+             "zeros": np.zeros((3, 4, 4)),
+             "2x2": np.stack([np.eye(4), rank_one, rank_one / 3, np.eye(4) / 2]).reshape(
+                 2, 2, 4, 4)}[case]
+        assert linalg.max_norm(M) == np.max(linalg.spectral_norm(M))
+        if case in ("flat-beside-rank-one", "2x2"):
+            assert abs(linalg.max_norm(M) - 1.5) <= 1e-14
+        if case == "one":  # a matrix is a stack of one
+            assert linalg.max_norm(M[0]) == linalg.max_norm(M)
+
     @pytest.mark.parametrize("n", [0, 1, 4, 9])
     def test_hermitian_variant_matches_numpy(self, n):
         rng = np.random.default_rng(n)

@@ -127,6 +127,25 @@ class TestFreqresp:
         with pytest.raises(PoleError, match="point -1"):
             freqresp(scalar_lag(), [0.0, 1j, -1.0, 2.0])
 
+    @pytest.mark.parametrize("ratio, reads_norm, raises", [(0.5, True, True),
+                                                          (1.05, True, False),
+                                                          (1.2, False, False)])
+    def test_the_pole_guard_reads_norm_a_only_inside_the_frobenius_bracket(
+            self, ratio, reads_norm, raises):
+        # ||A||_2 = 2 < ||A||_F = sqrt 5: a point farther than 1e-7 (1 + sqrt 5)
+        # from the pole -1 is cleared without the SVD of A, a nearer one is
+        # decided by the guard 1e-7 (1 + 2) with the same PoleError
+        R = Realization(np.diag([-1.0, -2.0]), np.eye(2), np.eye(2), np.zeros((2, 2)))
+        s = -1.0 + ratio * 3e-7
+        if raises:
+            with pytest.raises(PoleError) as info:
+                freqresp(R, [1j, s])
+            assert str(info.value) == (f"evaluation point {complex(s):g} is within "
+                                       f"{R.pole_guard:g} of a pole")
+        else:
+            freqresp(R, [1j, s])
+        assert ("norm_a" in vars(R)) == reads_norm
+
     def test_evaluate_is_the_single_point_case(self):
         R = self.random_system()
         for s in (0.3j, -2.0 + 1.0j, np.inf):

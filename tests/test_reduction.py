@@ -764,15 +764,15 @@ def test_a_nan_certificate_fails_the_final_gate(zeta2, monkeypatch):
 
 
 def test_a_nan_response_of_sigma_fails_the_symmetric_extension(zeta2, monkeypatch):
-    # Sigma is the one cascade (compose) the synthesis evaluates; its nan
-    # symmetry sample is refused in its own stage, not raised by a norm
+    # the probe response whose symmetry is sampled, Sigma's (S_P itself at
+    # zeta2's kappa = 0), is nan: refused in its own stage, not raised by a norm
     response = darlington.realization.freqresp
 
-    def nan_cascade(R, pts):
+    def nan_probe(R, pts):
         F = response(R, pts)
-        return np.full(F.shape, np.nan) if "_operands" in vars(R) else F
+        return np.full(F.shape, np.nan) if sys._getframe(1).f_code.co_name == "_probe" else F
 
-    monkeypatch.setattr(darlington.realization, "freqresp", nan_cascade)
+    monkeypatch.setattr(darlington.realization, "freqresp", nan_probe)
     with pytest.raises(ValidationError, match=r"stage 'symmetric-extension': symmetric "
                        r"extension failed the symmetry check \(nan\)"):
         minimize_symmetric(Realization(zeta2.a, zeta2.b, zeta2.c, zeta2.d))

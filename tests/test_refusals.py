@@ -94,6 +94,9 @@ CASES = [
     ("symmetric-extension-degree", symmetric_unitary_extension,
      lambda: symmetric_unitary_extension(extension(coupled_pair_realization(2.0)), 5),
      ValidationError, "degree of Q must be in 0..2, got 5"),
+    ("symmetric-extension-fractional-degree", symmetric_unitary_extension,
+     lambda: symmetric_unitary_extension(extension(coupled_pair_realization(2.0)), 0.5),
+     ValidationError, "degree of Q must be an integer, got 0.5"),
     ("minimize-non-square", minimize_symmetric,
      lambda: minimize_symmetric(Realization([[-1.0]], [[1.0, 0.0]], [[1.0]], [[0.0, 0.0]])),
      NotSymmetricError, "stage 'symmetrize': .*must be square"),
@@ -118,7 +121,9 @@ CASES = [
                                    [1.0], support=5),
      ValidationError, "support must be in 1..4"),
     ("mu-zero-p1", compute_mu, lambda: compute_mu([0.0], [1.0, 1.0]),
-     ValidationError, "identically zero"),
+     ValidationError, "p1 must not be identically zero"),
+    ("mu-zero-q", compute_mu, lambda: compute_mu([1.0], [0.0]),
+     ValidationError, "q must not be identically zero"),
     ("mu-improper", compute_mu, lambda: compute_mu([1.0, 0.5, 0.1], [1.0, 1.0]),
      ValidationError, "deg p1 must not exceed deg q"),
     ("mu-vanishes", compute_mu, lambda: compute_mu([1.0, -1.0], [1.0, 1.0]),
@@ -133,6 +138,8 @@ CASES = [
      ValidationError, "deg p1 must not exceed deg q"),
     ("siso-improper", siso_realization, lambda: siso_realization([1.0, 1.0, 1.0], [1.0, 1.0]),
      ValidationError, "improper"),
+    ("siso-zero-denominator", siso_realization, lambda: siso_realization([1.0], [0.0]),
+     ValidationError, "denominator must not be identically zero"),
 ]
 
 # root functions without a case: every input of the types they take is valid
@@ -143,6 +150,9 @@ EXEMPT = {
 }
 
 
+# a numerical warning on the way to the refusal would be a bare exception
+# under -W error::RuntimeWarning
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("call, error, named", [c[2:] for c in CASES],
                          ids=[c[0] for c in CASES])
 def test_outside_input_is_refused_by_type(call, error, named):
