@@ -197,7 +197,8 @@ def cluster_ladder(points, base_tol: float):
     the first rung whose multiplicity structure agrees with the next
     one, computing the rungs only up to that pair.  Each rung's clusters
     are unions of the clusters of the rung below, so two rungs agree
-    exactly when no clusters merged between them.
+    exactly when no clusters merged between them: when they count as
+    many clusters.
 
     Double eigenvalues computed in floating point split far wider than
     the base tolerance (roughly the square root of the backward error),
@@ -207,18 +208,17 @@ def cluster_ladder(points, base_tol: float):
     """
     def rung(k):
         tol = base_tol * 10.0 ** k
-        cl = cluster_points(points, tol)
-        return tol, cl, sorted(len(m) for _, m in cl)
+        return tol, cluster_points(points, tol)
 
     first = prev = rung(0)
     for k in range(1, 5):
         cur = rung(k)
-        if prev[2] == cur[2]:
-            return prev[:2]
+        if len(prev[1]) == len(cur[1]):
+            return prev
         prev = cur
     warnings.warn("cluster structure never stabilized along the tolerance "
                   "ladder; using the base tolerance")
-    return first[:2]
+    return first
 
 
 def mirror_split(points, base_tol: float):
@@ -304,40 +304,29 @@ def half_chain_basis(N: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     For a nilpotent N this equals ``sum_l ker(N^l) intersect im(N^l)``: on a
     single Jordan block of size 2k the term l=k produces exactly the
     first k chain vectors, and smaller/larger l contribute subspaces of
-    it.  The construction is basis-free, so no explicit chain vectors
-    are ever computed.  tol bounds the singular values of the powers of
-    N / max(1, ||N||_2), whose 2-norm is read only when ||N||_F > 1; the
-    ladder stops at the first power of Frobenius norm at most tol.
+    it.  Each term is N^l ker(N^2l), from one SVD of N^2l, and one SVD of
+    all the terms decides their span; no chain vector is computed.  tol is
+    a band on N's scale: the singular values of the powers of
+    N / max(1, ||N||_2), whose 2-norm is read only when ||N||_F > 1, are
+    compared with max(1e-8, tol / max(1, ||N||_2)).  The ladder stops at
+    the first power of Frobenius norm at most that (N^l is the last term
+    once N^2l is).
     """
-    m = N.shape[0]
-    if m == 0:
-        return np.zeros((0, 0), dtype=complex)
-    Nn = N / _norm_floor(N)
-    cols = []
-    P = np.eye(m, dtype=complex)
+    m, scale = N.shape[0], _norm_floor(N)
+    Nn, tol = N / scale, max(1e-8, tol / scale)
+    P, cols = Nn, [np.zeros((m, 0))]  # the empty term: a span of no term is 0
     for _ in range(m):
-        P = P @ Nn
         # ||P||_2 <= ||P||_F: no singular value exceeds tol (widened by 1e-12
         # relative, as in _within, so that rounding cannot move the decision)
         if np.linalg.norm(P) * (1 + 1e-12) <= tol:
             break
-        U, s, Vh = np.linalg.svd(P)
-        r = int(np.sum(s > tol))
-        if r == 0:
+        P2 = P @ P
+        if np.linalg.norm(P2) * (1 + 1e-12) <= tol:  # ker N^2l is all of C^m,
+            cols.append(P)  # and each later term lies in im N^l
             break
-        ker = Vh[r:].conj().T
-        if ker.shape[1] == 0:
-            continue
-        im = U[:, :r]
-        # intersection of ker and im: kernel columns with no component
-        # outside the image
-        resid = ker - im @ (im.conj().T @ ker)
-        _, s2, Vh2 = np.linalg.svd(resid)
-        null = Vh2[int(np.sum(s2 > tol)):].conj().T
-        if null.shape[1]:
-            cols.append(ker @ null)
-    if not cols:
-        return np.zeros((m, 0), dtype=complex)
+        _, s, Vh = np.linalg.svd(P2)
+        cols.append(P @ Vh[int(np.sum(s > tol)):].conj().T)
+        P = P @ Nn
     return _orth_columns(np.hstack(cols), tol)
 
 

@@ -64,7 +64,7 @@ class SignatureRealization:
     def __post_init__(self):
         R = self.realization
         j = np.asarray(self.j).ravel()
-        if j.size != R.n or not np.all(np.abs(j) == 1):
+        if j.size != R.n or j.dtype.kind not in "iuf" or not np.all(np.abs(j) == 1):
             raise ValidationError("J must be a +-1 vector of length n")
         _require_real(R)
         J = np.diag(j.astype(float))

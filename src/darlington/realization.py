@@ -57,12 +57,13 @@ _CONTRACTIVE_BOUND = 1.0 - 1e-12  # ||D|| below it: strictly contractive at infi
 class Realization:
     """Immutable state-space quadruple (A, B, C, D).
 
-    A is n x n, B is n x m, C is p x n, D is p x m; entries are stored
-    as read-only complex128 copies and must be finite (``_computed`` keeps
-    only the finiteness check, for arrays the package computed).  The
-    spectrum of A (the diagonal of its Schur form when one was computed),
-    that form, its ``_shifted`` form and Gramian, the pole-guard radius and
-    the response on the probe grid are computed at most once per instance.
+    A is n x n, B is n x m, C is p x n, D is p x m (a vector or empty B or
+    C takes its shape); entries are stored as read-only complex128 copies
+    and must be finite (``_computed`` keeps only the finiteness check, for
+    arrays the package computed).  The spectrum of A (the diagonal of its
+    Schur form when one was computed), that form, its ``_shifted`` form and
+    Gramian, the pole-guard radius and the response on the probe grid are
+    computed at most once per instance.
     """
     a: np.ndarray
     b: np.ndarray
@@ -77,8 +78,9 @@ class Realization:
                                  f"{a.shape} and {d.shape}")
         (n, _), (p, m) = a.shape, d.shape
         b, c = np.array(self.b, dtype=complex), np.array(self.c, dtype=complex)
-        b = b.reshape(n, m) if b.size == n * m else b
-        c = c.reshape(p, n) if c.size == p * n else c
+        # a matrix of another shape is refused: its reshape would reorder it
+        b = b.reshape(n, m) if b.size == n * m and (b.ndim < 2 or not b.size) else b
+        c = c.reshape(p, n) if c.size == p * n and (c.ndim < 2 or not c.size) else c
         if b.shape != (n, m) or c.shape != (p, n):
             raise DimensionError(f"B must be {n}x{m} and C {p}x{n}, got {b.shape} and {c.shape}")
         _store(self, a, b, c, d)

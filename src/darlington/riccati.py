@@ -65,6 +65,12 @@ class HatData:
     bbs: np.ndarray     # B_hat @ B_hat*
     csc: np.ndarray     # C_hat* @ C_hat
 
+    def __post_init__(self):
+        shapes = [np.shape(M) for M in (self.a_hat, self.bbs, self.csc)]
+        if len(shapes[0]) != 2 or any(shape != shapes[0][:1] * 2 for shape in shapes):
+            raise DimensionError("a_hat, bbs and csc must all be n x n, got shapes "
+                                 + ", ".join(map(str, shapes)))
+
     @property
     def n(self) -> int:
         return self.a_hat.shape[0]
@@ -299,12 +305,12 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
     and the middle vectors of the odd chains, paired (2j, 2j + 1) in their
     Takagi coordinates; W is its q-orthogonal complement.  P^-T is the graph
     of the mirror subspace, so rank(P^-T - P) = kappa.  One pi root costs one
-    ZTRSEN reorder of its cluster, ||N|| by its Frobenius bracket (an SVD
-    only where the bracket cannot decide), the half-chain ladder and, only
-    with odd chains, the SVD of the middle vectors and one Takagi
-    factorization; with even chains only, W = W' = span S0."""
-    H, n = build_hamiltonian(hat), hat.n
-    spec = analyze_spectrum(H)
+    ZTRSEN reorder of its cluster, whose leading block gives N with no
+    product with H, ||N|| by its Frobenius bracket (an SVD only where the
+    bracket cannot decide), the half-chain ladder and, only with odd chains,
+    the SVD of the middle vectors and one Takagi factorization; with even
+    chains only, W = W' = span S0."""
+    spec, n = analyze_spectrum(build_hamiltonian(hat)), hat.n
 
     # exact membership and the complete mirror pairing make a half-plane
     # subspace and the axis half-chains span exactly n dimensions
@@ -312,19 +318,18 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
     for idx, (center, mult, lab) in enumerate(spec.clusters):
         if lab == "minus" or (lab == "plus" and (mult == 1 or "symmetric" not in kinds)):
             continue
-        basis = _invariant_subspace(spec, np.arange(len(spec.clusters)) == idx)[0]
-        N = basis.conj().T @ H @ basis - center * np.eye(mult)
+        basis, T11 = _invariant_subspace(spec, np.arange(len(spec.clusters)) == idx)
+        N = T11 - center * np.eye(mult)
         # H^T D = D H, D = diag(I, -I), makes N self-adjoint for q: the first
-        # floor(l/2) vectors of each chain (S0, from half_chain_basis, which
-        # compares tol with singular values of N / max(1, ||N||)) are
-        # isotropic, and the middle vectors of the odd chains (C, q- and
-        # Euclid-orthogonal to S0) pair up in their Takagi coordinates; an
-        # axis root has no odd chain.  ||N|| is bracketed by ||N||_F
+        # floor(l/2) vectors of each chain (S0, from half_chain_basis at the
+        # cluster band on N's scale) are isotropic, and the middle vectors
+        # of the odd chains (C, q- and Euclid-orthogonal to S0) pair up in
+        # their Takagi coordinates; an axis root has no odd chain.  ||N|| is
+        # bracketed by ||N||_F
         if lab == "plus" and linalg.norm_at_most(N, 10 * spec.cluster_tolerance):
             S0 = np.zeros((mult, 0))  # semisimple
         else:
-            tol = max(1e-8, spec.cluster_tolerance / linalg._norm_floor(N))
-            S0 = linalg.half_chain_basis(N, tol=tol)
+            S0 = linalg.half_chain_basis(N, tol=spec.cluster_tolerance)
         r = mult - 2 * S0.shape[1]
         if r < 0 or (r and lab == "axis"):
             raise SubspaceError(f"leading-half chain subspace at {center:g} has dimension "

@@ -772,10 +772,13 @@ class TestOwner:
     """A realization owns read-only copies of its data and computes the
     spectrum of A once."""
 
-    @pytest.mark.parametrize("b, c", [((3, 1), (1, 2)), ((2, 1), (1, 3))],
-                             ids=["b-3x1", "c-1x3"])
+    @pytest.mark.parametrize("b, c", [((3, 1), (1, 2)), ((2, 1), (1, 3)),
+                                      ((1, 2), (1, 2)), ((2, 1), (2, 1))],
+                             ids=["b-3x1", "c-1x3", "b-1x2", "c-2x1"])
     def test_b_or_c_that_does_not_fit_n_is_a_dimension_error(self, b, c):
-        # numpy's reshape would raise a bare ValueError ("cannot reshape")
+        # numpy's reshape would raise a bare ValueError ("cannot reshape"),
+        # and a 2-d B or C of the right size but the wrong shape would be
+        # reordered into the right one
         with pytest.raises(DimensionError,
                            match=re.escape(f"B must be 2x1 and C 1x2, got {b} and {c}")):
             Realization(-np.eye(2), np.zeros(b), np.zeros(c), [[0.0]])

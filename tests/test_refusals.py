@@ -73,6 +73,10 @@ CASES = [
     ("extremal-nan-hat", solve_extremal,
      lambda: solve_extremal(HatData(np.full((1, 1), np.nan), np.eye(1), np.eye(1))),
      ValidationError, "H contains non-finite entries"),
+    ("extremal-misshaped-hat", solve_extremal,
+     lambda: solve_extremal(HatData(np.eye(2), np.eye(3), np.eye(2))),
+     DimensionError, "a_hat, bbs and csc must all be n x n, got shapes "
+                     "\\(2, 2\\), \\(3, 3\\), \\(2, 2\\)"),
     ("spectrum-non-square", analyze_spectrum, lambda: analyze_spectrum(np.zeros((2, 3))),
      DimensionError, "H must be square"),
     ("spectrum-non-finite", analyze_spectrum,
@@ -109,6 +113,9 @@ CASES = [
     ("sqrt-negative", linalg.hermitian_sqrt, lambda: linalg.hermitian_sqrt(-np.eye(2)),
      ValidationError, "not PSD"),
     ("signature-zero-in-j", SignatureRealization, lambda: SignatureRealization(lag(), [0.0]),
+     ValidationError, "J must be a \\+-1 vector"),
+    ("signature-complex-j", SignatureRealization,
+     lambda: SignatureRealization(lag(), [1j]),
      ValidationError, "J must be a \\+-1 vector"),
     ("signature-complex", signature_realization,
      lambda: signature_realization(Realization([[-1.0]], [[1j]], [[1.0]], [[0.0]])),
