@@ -304,29 +304,31 @@ def half_chain_basis(N: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     For a nilpotent N this equals ``sum_l ker(N^l) intersect im(N^l)``: on a
     single Jordan block of size 2k the term l=k produces exactly the
     first k chain vectors, and smaller/larger l contribute subspaces of
-    it.  Each term is N^l ker(N^2l), from one SVD of N^2l, and one SVD of
-    all the terms decides their span; no chain vector is computed.  tol is
-    a band on N's scale: the singular values of the powers of
-    N / max(1, ||N||_2), whose 2-norm is read only when ||N||_F > 1, are
-    compared with max(1e-8, tol / max(1, ||N||_2)).  The ladder stops at
-    the first power of Frobenius norm at most that (N^l is the last term
-    once N^2l is).
+    it.  The construction is basis-free, so no explicit chain vectors
+    are ever computed, and each rank is decided on the power N^l itself.
+    tol is a band on N's scale: max(1e-8, tol / max(1, ||N||_2)) bounds the
+    singular values of the powers of N / max(1, ||N||_2), whose 2-norm is
+    read only when ||N||_F > 1; the ladder stops at the first power of
+    Frobenius norm at most that band.
     """
     m, scale = N.shape[0], _norm_floor(N)
     Nn, tol = N / scale, max(1e-8, tol / scale)
-    P, cols = Nn, [np.zeros((m, 0))]  # the empty term: a span of no term is 0
+    P, cols = np.eye(m, dtype=complex), [np.zeros((m, 0))]  # a span of no term is 0
     for _ in range(m):
+        P = P @ Nn
         # ||P||_2 <= ||P||_F: no singular value exceeds tol (widened by 1e-12
         # relative, as in _within, so that rounding cannot move the decision)
         if np.linalg.norm(P) * (1 + 1e-12) <= tol:
             break
-        P2 = P @ P
-        if np.linalg.norm(P2) * (1 + 1e-12) <= tol:  # ker N^2l is all of C^m,
-            cols.append(P)  # and each later term lies in im N^l
+        U, s, Vh = np.linalg.svd(P)
+        r = int(np.sum(s > tol))
+        if r == 0:
             break
-        _, s, Vh = np.linalg.svd(P2)
-        cols.append(P @ Vh[int(np.sum(s > tol)):].conj().T)
-        P = P @ Nn
+        ker, im = Vh[r:].conj().T, U[:, :r]
+        # intersection of ker and im: kernel columns with no component
+        # outside the image
+        _, s2, Vh2 = np.linalg.svd(ker - im @ (im.conj().T @ ker))
+        cols.append(ker @ Vh2[int(np.sum(s2 > tol)):].conj().T)
     return _orth_columns(np.hstack(cols), tol)
 
 

@@ -61,31 +61,32 @@ class TestHalfChain:
 
     def test_ladder_stops_on_the_frobenius_norm(self, svds):
         # ||N^2||_F = 1e-9 <= tol: N is a 2-chain and a 1-chain at tol, and
-        # the ladder ends before the SVD of N^2 with N itself as its term;
-        # only the final orthonormalization remains
+        # the ladder ends before the SVD of N^2; SVDs of N, of the kernel
+        # against the image, and the final orthonormalization remain
         N = np.diag([1.0, 1e-9], 1)
         self.assert_half(half_chain_basis(N), [1, 0, 0])
-        assert len(svds) == 1
+        assert len(svds) == 3
 
-    def test_a_two_chain_takes_one_svd(self, svds):
-        # N^2 = 0: N itself is the ladder's one term, and only the SVD of
-        # the span runs (||N||_F <= 1 needs no norm)
-        Q = np.linalg.qr(random_complex(np.random.default_rng(2), (2, 2)))[0]
-        L = half_chain_basis(Q @ np.diag([0.5], 1) @ Q.conj().T)
-        assert L.shape == (2, 1) and abs(abs(Q[:, 0].conj() @ L[:, 0]) - 1) < 1e-12
-        assert len(svds) == 1
+    def test_a_small_chain_is_decided_on_its_own_power(self):
+        # ||N^2||_F = 1e-10 is within tol while N has rank 2: the term of N is
+        # ker N ∩ im N = span(e1), not the whole image of N
+        self.assert_half(half_chain_basis(1e-5 * np.diag([1.0, 1.0], 1)), [1, 0, 0])
 
-    @pytest.mark.parametrize("lengths", [(3,), (5,), (3, 1), (4, 2, 1), (2, 2)],
-                             ids=["3", "5", "3+1", "4+2+1", "2+2"])
-    def test_odd_and_mixed_chains_under_a_similarity(self, lengths):
+    @pytest.mark.parametrize("lengths, decades",
+                             [((3,), 0.5), ((5,), 0.5), ((3, 1), 0.5), ((4, 2, 1), 0.5),
+                              ((2, 2), 0.5), ((5,), 3), ((6,), 3), ((5, 2), 3)],
+                             ids=["3", "5", "3+1", "4+2+1", "2+2",
+                                  "5-cond1e3", "6-cond1e3", "5+2-cond1e3"])
+    def test_odd_and_mixed_chains_under_a_similarity(self, lengths, decades):
         # the leading halves of the chains of S J S^-1 are S times those of
-        # the Jordan form J: the first floor(l/2) unit vectors of each block
+        # the Jordan form J: the first floor(l/2) unit vectors of each block;
+        # S has condition number 10^decades
         rng = np.random.default_rng(len(lengths) * 10 + lengths[0])
         J = sla.block_diag(*(np.diag(np.ones(l - 1), 1) for l in lengths))
         lead = np.concatenate([np.arange(l) < l // 2 for l in lengths])
         m = len(J)
         U, V = (np.linalg.qr(random_complex(rng, (m, m)))[0] for _ in range(2))
-        S = U @ np.diag(rng.uniform(0.5, 2.0, m)) @ V.conj().T
+        S = U @ np.diag(np.logspace(0, decades, m)) @ V.conj().T
         L = half_chain_basis(S @ J @ np.linalg.inv(S))
         Q = np.linalg.qr(S[:, lead])[0]
         assert L.shape == (m, lead.sum())
