@@ -5,8 +5,8 @@ numpy; this module adds the layers the rest of the package relies on:
 point clustering with the one persistence policy (cluster_ladder) that
 decides multiplicities, the one split of a point set symmetric about
 the imaginary axis into axis, plus and minus clusters (mirror_split,
-which maps each point to its cluster), the leading-half chain basis of
-a nilpotent matrix, Takagi factorization of complex symmetric matrices
+which maps each point to its cluster), the leading-half chain bases of
+nilpotent matrices, one or a stack, Takagi factorization of complex symmetric matrices
 from one real symmetric eigendecomposition, the one Lyapunov/Sylvester
 solve (from the one complex Schur form its callers factor), and the
 package's one spectral norm (spectral_norm: an SVD for a matrix, the largest
@@ -126,11 +126,6 @@ def _blocks(rows) -> np.ndarray:
     return out
 
 
-def _norm_floor(M) -> float:
-    """max(1, ||M||_2): 1 without spectral_norm when ||M||_F <= 1."""
-    return max(1.0, spectral_norm(M)) if np.linalg.norm(M) > 1 else 1.0
-
-
 def _within(gaps, rel: float, M, floor: float = 1.0) -> bool:
     """||G||_2 <= rel max(floor, ||M||_2) for every G in gaps (stopping at the
     first that fails), for a norm of M that only sets the bound:
@@ -170,6 +165,32 @@ def as_matrix(M, name: str = "matrix", square: bool = False) -> np.ndarray:
     return A
 
 
+def _sorted_distances(points):
+    """The points in (real, imag) order, and their distance matrix."""
+    z = np.asarray(points, dtype=complex)
+    if not np.isfinite(z).all():
+        raise ValidationError(f"cannot cluster the non-finite point {z[~np.isfinite(z)][0]:g}")
+    pts = sorted(z.tolist(), key=lambda w: (w.real, w.imag))
+    return pts, np.abs(np.subtract.outer(pts, pts))
+
+
+def _labels(near: np.ndarray, label: np.ndarray) -> np.ndarray:
+    """Single linkage on the adjacency near: from the start labels, each point
+    takes the least label in reach until none changes."""
+    n, last = len(label), None
+    while not np.array_equal(label, last):
+        label, last = np.min(np.where(near, label, n), axis=1, initial=n), label
+    return label
+
+
+def _groups(pts: list, label: np.ndarray) -> list:
+    """(mean, members) of each label, in the order of its first point."""
+    groups: dict[int, list] = {}
+    for k, z in zip(label.tolist(), pts):
+        groups.setdefault(k, []).append(z)
+    return [(complex(np.mean(m)) if len(m) > 1 else m[0], m) for m in groups.values()]
+
+
 def cluster_points(points, tol: float):
     """Single-linkage clustering of complex points at distance 2 tol
     (Gower & Ross 1969): two points share a cluster when a chain of
@@ -178,47 +199,38 @@ def cluster_points(points, tol: float):
     the mirror images -conj(z) of a set cluster into the mirror images of
     its clusters.  Returns (center, members) pairs in the (real, imag)
     order of their first member; the members are the input values in
-    that order, and the center is their mean.
+    that order, and the center is their mean (ValidationError if not finite).
     """
-    pts = sorted(np.asarray(points, dtype=complex).tolist(),
-                 key=lambda z: (z.real, z.imag))
-    near, n = np.abs(np.subtract.outer(pts, pts)) <= 2 * tol, len(pts)
-    label, last = np.arange(n), None
-    while not np.array_equal(label, last):  # each takes the least label in reach
-        label, last = np.min(np.where(near, label, n), axis=1, initial=n), label
-    groups: dict[int, list] = {}
-    for k, z in zip(label.tolist(), pts):
-        groups.setdefault(k, []).append(z)
-    return [(complex(np.mean(m)) if len(m) > 1 else m[0], m) for m in groups.values()]
+    pts, dist = _sorted_distances(points)
+    return _groups(pts, _labels(dist <= 2 * tol, np.arange(len(pts))))
 
 
 def cluster_ladder(points, base_tol: float):
     """Persistence-based clustering: walk a tolerance ladder and accept
     the first rung whose multiplicity structure agrees with the next
-    one, computing the rungs only up to that pair.  Each rung's clusters
-    are unions of the clusters of the rung below, so two rungs agree
-    exactly when no clusters merged between them: when they count as
-    many clusters.
+    one, labeling the rungs only up to that pair, on one distance matrix,
+    each from the labels of the rung below.  Each rung's clusters are
+    unions of the clusters of the rung below, so two rungs agree exactly
+    when no clusters merged between them: when they count as many
+    clusters, or label alike.  Only the accepted rung is grouped.
 
     Double eigenvalues computed in floating point split far wider than
     the base tolerance (roughly the square root of the backward error),
     and this recovers them without merging genuinely distinct
     eigenvalues, which sit orders of magnitude apart at desk scale.
-    Returns (tolerance used, clusters as (center, members) pairs).
+    Returns (tolerance used, cluster_points at that tolerance); a
+    non-finite point raises ValidationError.
     """
-    def rung(k):
-        tol = base_tol * 10.0 ** k
-        return tol, cluster_points(points, tol)
-
-    first = prev = rung(0)
+    pts, dist = _sorted_distances(points)
+    first = prev = _labels(dist <= 2 * base_tol, np.arange(len(pts)))
     for k in range(1, 5):
-        cur = rung(k)
-        if len(prev[1]) == len(cur[1]):
-            return prev
+        cur = _labels(dist <= 2 * (base_tol * 10.0 ** k), prev)
+        if np.array_equal(prev, cur):
+            return base_tol * 10.0 ** (k - 1), _groups(pts, prev)
         prev = cur
     warnings.warn("cluster structure never stabilized along the tolerance "
                   "ladder; using the base tolerance")
-    return first
+    return base_tol, _groups(pts, first)
 
 
 def mirror_split(points, base_tol: float):
@@ -275,15 +287,6 @@ def mirror_split(points, base_tol: float):
     return tol, tuple(labeled), index
 
 
-def _orth_columns(M: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the column span of M at the given tolerance."""
-    if M.size == 0:
-        return np.zeros((M.shape[0], 0), dtype=complex)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = int(np.sum(s > tol * max(1.0, s[0])))
-    return U[:, :r]
-
-
 def _kernels(M: np.ndarray, tol: float, scales) -> list[np.ndarray]:
     """Orthonormal bases of the (right) kernels of a stack of nonempty
     matrices, from one stacked SVD.
@@ -297,9 +300,10 @@ def _kernels(M: np.ndarray, tol: float, scales) -> list[np.ndarray]:
     return [V[r:].conj().T for V, r in zip(Vh, ranks)]
 
 
-def half_chain_basis(N: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def half_chain_basis(N, tol: float = 1e-8):
     """Orthonormal basis of the span of the leading halves of all Jordan
-    chains of a nilpotent matrix.
+    chains of a nilpotent matrix N, or the list of those bases, in order,
+    of a stack (an array or a sequence) of nilpotent matrices.
 
     For a nilpotent N this equals ``sum_l ker(N^l) intersect im(N^l)``: on a
     single Jordan block of size 2k the term l=k produces exactly the
@@ -308,28 +312,59 @@ def half_chain_basis(N: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     are ever computed, and each rank is decided on the power N^l itself.
     tol is a band on N's scale: max(1e-8, tol / max(1, ||N||_2)) bounds the
     singular values of the powers of N / max(1, ||N||_2), whose 2-norm is
-    read only when ||N||_F > 1; the ladder stops at the first power of
-    Frobenius norm at most that band.
+    read only when ||N||_F > 1; each ladder stops at the first power of
+    Frobenius norm at most that band.  The N of one size share each rung's
+    SVD, stacked (bit for bit the SVD of each), as spans of one shape share
+    the last.  DimensionError unless each N is square, ValidationError unless finite.
     """
-    m, scale = N.shape[0], _norm_floor(N)
-    Nn, tol = N / scale, max(1e-8, tol / scale)
-    P, cols = np.eye(m, dtype=complex), [np.zeros((m, 0))]  # a span of no term is 0
-    for _ in range(m):
-        P = P @ Nn
-        # ||P||_2 <= ||P||_F: no singular value exceeds tol (widened by 1e-12
-        # relative, as in _within, so that rounding cannot move the decision)
-        if np.linalg.norm(P) * (1 + 1e-12) <= tol:
-            break
-        U, s, Vh = np.linalg.svd(P)
-        r = int(np.sum(s > tol))
-        if r == 0:
-            break
-        ker, im = Vh[r:].conj().T, U[:, :r]
-        # intersection of ker and im: kernel columns with no component
-        # outside the image
-        _, s2, Vh2 = np.linalg.svd(ker - im @ (im.conj().T @ ker))
-        cols.append(ker @ Vh2[int(np.sum(s2 > tol)):].conj().T)
-    return _orth_columns(np.hstack(cols), tol)
+    single = not isinstance(N, (list, tuple)) and np.ndim(N) <= 2
+    Ns = [np.asarray(M, dtype=complex) for M in ([N] if single else N)]
+    if any(M.ndim != 2 or M.shape[0] != M.shape[1] for M in Ns):
+        raise DimensionError(f"half_chain_basis takes square N, not {[M.shape for M in Ns]}")
+    if Ns and not np.isfinite(np.concatenate([M.ravel() for M in Ns])).all():
+        raise ValidationError("half_chain_basis takes finite matrices")
+    bases = [None] * len(Ns)
+    for m in {len(M) for M in Ns}:
+        ks = [k for k, M in enumerate(Ns) if len(M) == m]
+        Nm, scale = np.array([Ns[k] for k in ks]), np.ones(len(ks))
+        big = np.linalg.norm(Nm, axis=(1, 2)) > 1  # else ||N||_2 <= ||N||_F <= 1
+        if big.any():
+            scale[big] = np.maximum(1.0, np.linalg.svd(Nm[big], compute_uv=False)[:, 0])
+        Nn, band = Nm / scale[:, None, None], np.maximum(1e-8, tol / scale)
+        live, P, terms = np.arange(len(ks)), np.eye(m, dtype=complex), [[] for _ in ks]
+        for _ in range(m):
+            P = P @ Nn[live]
+            # ||P||_2 <= ||P||_F: no singular value exceeds the band (widened by
+            # 1e-12 relative, as in _within, so that rounding cannot move it)
+            on = np.linalg.norm(P, axis=(1, 2)) * (1 + 1e-12) > band[live]
+            P, live = P[on], live[on]
+            if not live.size:
+                break
+            U, s, Vh = np.linalg.svd(P)
+            ranks = (s > band[live, None]).sum(axis=1)
+            # intersection of ker and im: kernel columns with no component
+            # outside the image, whose norm is a one-column kernel's singular value
+            one = (ranks == m - 1) & (ranks > 0)
+            ker, im, at = Vh[one, m - 1:].conj().swapaxes(1, 2), U[one, :, :m - 1], live[one]
+            meet = np.linalg.norm(ker - im @ (im.conj().swapaxes(1, 2) @ ker),
+                                  axis=(1, 2)) <= band[at]
+            for K, k in zip(ker[meet], at[meet]):
+                terms[k].append(K)
+            for j in np.flatnonzero((ranks > 0) & (ranks < m - 1)):
+                ker, im, k = Vh[j, ranks[j]:].conj().T, U[j, :, :ranks[j]], live[j]
+                _, s2, Vh2 = np.linalg.svd(ker - im @ (im.conj().T @ ker))
+                terms[k].append(ker @ Vh2[int(np.sum(s2 > band[k])):].conj().T)
+            P, live = P[ranks > 0], live[ranks > 0]
+        # each basis is first the span of its terms (0 for none), then its range
+        for k, t in zip(ks, terms):
+            bases[k] = np.concatenate(t, axis=1) if t else np.zeros((m, 0), complex)
+        for width in {bases[k].shape[1] for k in ks} - {0}:
+            js = [j for j, k in enumerate(ks) if bases[k].shape[1] == width]
+            U, s, _ = np.linalg.svd(np.array([bases[ks[j]] for j in js]), full_matrices=False)
+            ranks = (s > band[js, None] * np.maximum(1.0, s[:, :1])).sum(axis=1)
+            for u, r, j in zip(U, ranks.tolist(), js):
+                bases[ks[j]] = u[:, :r]
+    return bases[0] if single else bases
 
 
 @dataclass(frozen=True)

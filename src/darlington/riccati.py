@@ -307,29 +307,34 @@ def _extremal(hat: HatData, kinds: tuple[str, ...]) -> tuple[RiccatiSolution, ..
     of the mirror subspace, so rank(P^-T - P) = kappa.  One pi root costs one
     ZTRSEN reorder of its cluster, whose leading block gives N with no
     product with H, ||N|| by its Frobenius bracket (an SVD only where the
-    bracket cannot decide), the half-chain ladder and, only with odd chains,
-    the SVD of the middle vectors and one Takagi factorization; with even
-    chains only, W = W' = span S0."""
+    bracket cannot decide), its share of the one stacked half_chain_basis
+    call over all roots and, only with odd chains, the SVD of the middle
+    vectors and one Takagi factorization; with even chains only,
+    W = W' = span S0."""
     spec, n = analyze_spectrum(build_hamiltonian(hat)), hat.n
 
     # exact membership and the complete mirror pairing make a half-plane
     # subspace and the axis half-chains span exactly n dimensions
-    axis_bases, pi_bases = [], []
+    roots = []
     for idx, (center, mult, lab) in enumerate(spec.clusters):
         if lab == "minus" or (lab == "plus" and (mult == 1 or "symmetric" not in kinds)):
             continue
         basis, T11 = _invariant_subspace(spec, np.arange(len(spec.clusters)) == idx)
         N = T11 - center * np.eye(mult)
-        # H^T D = D H, D = diag(I, -I), makes N self-adjoint for q: the first
-        # floor(l/2) vectors of each chain (S0, from half_chain_basis at the
-        # cluster band on N's scale) are isotropic, and the middle vectors
-        # of the odd chains (C, q- and Euclid-orthogonal to S0) pair up in
-        # their Takagi coordinates; an axis root has no odd chain.  ||N|| is
-        # bracketed by ||N||_F
-        if lab == "plus" and linalg.norm_at_most(N, 10 * spec.cluster_tolerance):
-            S0 = np.zeros((mult, 0))  # semisimple
-        else:
-            S0 = linalg.half_chain_basis(N, tol=spec.cluster_tolerance)
+        # no N for a semisimple plus root; ||N|| is bracketed by ||N||_F
+        semisimple = lab == "plus" and linalg.norm_at_most(N, 10 * spec.cluster_tolerance)
+        roots.append((center, mult, lab, basis, None if semisimple else N))
+    # H^T D = D H, D = diag(I, -I), makes N self-adjoint for q: the first
+    # floor(l/2) vectors of each chain (S0, from one half_chain_basis call over
+    # every N, at the cluster band on each N's scale) are isotropic, and the
+    # middle vectors of the odd chains (C, q- and Euclid-orthogonal to S0) pair
+    # up in their Takagi coordinates; an axis root has no odd chain
+    nilpotent = [N for *_, N in roots if N is not None]
+    halves = iter(linalg.half_chain_basis(nilpotent, tol=spec.cluster_tolerance)
+                  if nilpotent else ())
+    axis_bases, pi_bases = [], []
+    for center, mult, lab, basis, N in roots:
+        S0 = np.zeros((mult, 0)) if N is None else next(halves)
         r = mult - 2 * S0.shape[1]
         if r < 0 or (r and lab == "axis"):
             raise SubspaceError(f"leading-half chain subspace at {center:g} has dimension "

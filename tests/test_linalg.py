@@ -9,7 +9,8 @@ import scipy.linalg as sla
 from conftest import hermitian_order
 
 from darlington import Realization, build_hat, linalg, symmetrize
-from darlington.errors import DimensionError, NotSymmetricError, SpectralSplitError
+from darlington.errors import (DimensionError, NotSymmetricError, SpectralSplitError,
+                               ValidationError)
 from darlington.linalg import (
     cluster_ladder,
     half_chain_basis,
@@ -78,23 +79,68 @@ class TestHalfChain:
                              ids=["3", "5", "3+1", "4+2+1", "2+2",
                                   "5-cond1e3", "6-cond1e3", "5+2-cond1e3"])
     def test_odd_and_mixed_chains_under_a_similarity(self, lengths, decades):
-        # the leading halves of the chains of S J S^-1 are S times those of
-        # the Jordan form J: the first floor(l/2) unit vectors of each block;
-        # S has condition number 10^decades
+        N, Q = self.similar_chains(lengths, decades)
+        L = half_chain_basis(N)
+        assert L.shape == Q.shape
+        assert np.linalg.norm(L @ L.conj().T - Q @ Q.conj().T) < 1e-8
+
+    @staticmethod
+    def similar_chains(lengths, decades):
+        """S J S^-1 for the Jordan form J of the chain lengths and an S of
+        condition number 10^decades, with an orthonormal basis of its leading
+        halves: S times the first floor(l/2) unit vectors of each block."""
         rng = np.random.default_rng(len(lengths) * 10 + lengths[0])
         J = sla.block_diag(*(np.diag(np.ones(l - 1), 1) for l in lengths))
         lead = np.concatenate([np.arange(l) < l // 2 for l in lengths])
         m = len(J)
         U, V = (np.linalg.qr(random_complex(rng, (m, m)))[0] for _ in range(2))
         S = U @ np.diag(np.logspace(0, decades, m)) @ V.conj().T
-        L = half_chain_basis(S @ J @ np.linalg.inv(S))
-        Q = np.linalg.qr(S[:, lead])[0]
-        assert L.shape == (m, lead.sum())
-        assert np.linalg.norm(L @ L.conj().T - Q @ Q.conj().T) < 1e-8
+        return S @ J @ np.linalg.inv(S), np.linalg.qr(S[:, lead])[0]
 
     def test_zero_matrix_has_no_half_chains(self, svds):
         assert half_chain_basis(np.zeros((3, 3))).shape == (3, 0)
         assert not svds
+
+    def test_a_stack_equals_its_matrices_bit_for_bit(self):
+        chains = [self.similar_chains(lengths, decades)[0] for lengths, decades in
+                  [((3,), 0.5), ((5,), 0.5), ((3, 1), 0.5), ((4, 2, 1), 0.5),
+                   ((2, 2), 0.5), ((5,), 3), ((6,), 3), ((5, 2), 3)]]
+        stack = [np.diag([0.5], 1), np.diag([1.0, 1e-9], 1), 3.0 * self.CHAIN4,
+                 np.zeros((3, 3)), 1e-5 * np.diag([1.0, 1.0], 1), *chains,
+                 self.CHAINS42, np.diag([2.0], 1)]
+        got = half_chain_basis(stack)
+        assert len(got) == len(stack)
+        for N, L in zip(stack, got):
+            want = half_chain_basis(N)
+            assert L.shape == want.shape and L.tobytes() == want.tobytes()
+        pairs = np.array([np.diag([0.5], 1), np.diag([2.0], 1)])  # a 3-d array
+        assert all(L.tobytes() == half_chain_basis(N).tobytes()
+                   for N, L in zip(pairs, half_chain_basis(pairs)))
+        assert half_chain_basis([]) == []
+
+    def test_a_stack_of_two_chains_takes_two_svds(self, svds):
+        # one stacked SVD of the powers N, whose one-column kernels meet the
+        # image by their norm outside it, and one of the five spans; N^2 = 0
+        # ends each ladder
+        rng = np.random.default_rng(5)
+        Us = [np.linalg.qr(random_complex(rng, (2, 2)))[0] for _ in range(5)]
+        stack = [a * U @ np.diag([1.0], 1) @ U.conj().T
+                 for a, U in zip((1.0, 0.5, 0.9, 0.3, 0.7), Us)]
+        bases = half_chain_basis(stack)
+        assert len(svds) == 2
+        for U, L in zip(Us, bases):  # span(U e1)
+            assert np.linalg.norm(L @ L.conj().T - np.outer(U[:, 0], U[:, 0].conj())) < 1e-8
+
+    @pytest.mark.parametrize("N, error", [
+        (np.zeros((2, 3)), DimensionError),
+        ([np.zeros((2, 2)), np.zeros((2, 3))], DimensionError),
+        (np.zeros(2), DimensionError),
+        (np.array([[np.nan, 1.0], [0.0, 0.0]]), ValidationError),
+        ([np.zeros((3, 3)), np.diag([np.inf], 1)], ValidationError),
+    ], ids=["2x3", "2x3-in-a-stack", "vector", "nan", "inf-in-a-stack"])
+    def test_refuses_a_non_square_or_non_finite_matrix(self, N, error):
+        with pytest.raises(error):
+            half_chain_basis(N)
 
 
 class TestSvd:
@@ -413,27 +459,25 @@ class TestHermitianOrder:
 class TestClusterLadder:
     @pytest.fixture
     def calls(self, monkeypatch):
-        count = []
-        original = linalg.cluster_points
-
-        def counting(points, tol):
-            count.append(tol)
-            return original(points, tol)
-
-        monkeypatch.setattr(linalg, "cluster_points", counting)
-        return count
+        """The rungs labeled and the groupings into clusters made."""
+        rungs, groupings = [], []
+        for name, log in (("_labels", rungs), ("_groups", groupings)):
+            original = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name,
+                                lambda *args, f=original, log=log: log.append(1) or f(*args))
+        return rungs, groupings
 
     def test_stops_at_first_agreeing_pair(self, calls):
         tol, clusters = cluster_ladder([0.0, 1.0, 2.0 + 1j], 1e-6)
         assert tol == 1e-6 and len(clusters) == 3
-        assert len(calls) == 2
+        assert [len(c) for c in calls] == [2, 1]
 
     def test_settles_on_a_later_rung(self, calls):
         # the pair 5e-6 apart merges at the second rung and stays merged
         tol, clusters = cluster_ladder([0.0, 5e-6, 1.0], 1e-6)
         assert tol == pytest.approx(1e-5)
         assert sorted(len(m) for _, m in clusters) == [1, 2]
-        assert len(calls) == 3
+        assert [len(c) for c in calls] == [3, 1]
 
     def test_never_stabilized_warns_and_keeps_base(self, calls):
         # one pair merges at each rung: 5e-6, 5e-5, 5e-4 and 5e-3 apart
@@ -443,7 +487,14 @@ class TestClusterLadder:
         with pytest.warns(UserWarning, match="never stabilized"):
             tol, clusters = cluster_ladder(pts, 1e-6)
         assert tol == 1e-6 and len(clusters) == 8
-        assert len(calls) == 5
+        assert [len(c) for c in calls] == [5, 1]
+
+    @pytest.mark.parametrize("ladder", [cluster_ladder, mirror_split])
+    def test_a_non_finite_point_is_refused(self, ladder):
+        # a nan point has no distance to any point, itself included, so it
+        # would form a cluster of its own
+        with pytest.raises(ValidationError, match=r"non-finite point nan\+0j"):
+            ladder([np.nan, 1.0], 1e-6)
 
 
 class TestMirrorSplit:
@@ -544,6 +595,35 @@ def test_cluster_points_matches_the_loop(instance_suite):
     for tol, sizes in ((1e-7, [1] * 6), (1e-6, [1, 1, 3, 1]),
                        (2e-6, [1, 1, 3, 1]), (1e-5, [2, 3, 1])):
         assert [len(m) for _, m in linalg.cluster_points(pts, tol)] == sizes
+
+
+def cluster_ladder_by_rungs(points, base_tol: float):
+    """Oracle: the ladder that clustered each rung with cluster_points and
+    compared the cluster counts of neighboring rungs."""
+    def rung(k):
+        tol = base_tol * 10.0 ** k
+        return tol, linalg.cluster_points(points, tol)
+
+    first = prev = rung(0)
+    for k in range(1, 5):
+        cur = rung(k)
+        if len(prev[1]) == len(cur[1]):
+            return prev
+        prev = cur
+    return first
+
+
+def test_cluster_ladder_matches_the_rung_by_rung_ladder(instance_suite):
+    def bits(tol, clusters):
+        return (np.float64(tol).tobytes(), np.array([c for c, _ in clusters]).tobytes(),
+                [np.array(m).tobytes() for _, m in clusters])
+
+    settled = set()
+    for lam, base in hamiltonian_spectra(instance_suite):
+        got, want = cluster_ladder(lam, base), cluster_ladder_by_rungs(lam, base)
+        assert bits(*got) == bits(*want)
+        settled.add(round(np.log10(got[0] / base)))
+    assert settled > {0}  # a later rung was accepted too
 
 
 def partition(clusters):
